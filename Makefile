@@ -11,7 +11,8 @@
 #   smoke   - quick fleet scenario (8 arrays, 2 concurrent verified rebuilds)
 #   smoke-parallel - the same scenario on 2 worker processes; runs the
 #             serial smoke first and fails unless the two reports are
-#             byte-identical in canonical form
+#             byte-identical in canonical form and no /dev/shm/repro_wrt_*
+#             segment outlives the 2-worker process
 #   smoke-stream - large-horizon streaming smoke: a 10^7-request mixed
 #             fleet served through compiled windows with a peak-RSS
 #             ceiling (--max-rss-mb) — the constant-memory gate.
@@ -71,6 +72,10 @@ smoke-parallel: smoke
 	assert json.dumps(c(a), sort_keys=True) == json.dumps(c(b), sort_keys=True), \
 	'parallel smoke report differs from serial'; \
 	print('parallel smoke report byte-identical to serial')"
+	$(PYTHON) -c "from repro.service import leaked_segments; \
+	leaked = leaked_segments(); \
+	assert not leaked, 'shared-memory segments outlived serve: %s' % leaked; \
+	print('parallel smoke left no shared-memory segments')"
 
 # 10^7 requests over a 4-shard mixed fleet, streamed through 65536-
 # request compiled windows: the run must finish under the RSS ceiling

@@ -25,7 +25,8 @@ op        behaviour
 ping      liveness + scenario shape + buffered request count
 submit    append a stream chunk: ``{"op": "submit", "times":
           [...], "is_read": [...], "lbas": [...]}``; arrival
-          times must be non-decreasing across chunks
+          times must be finite and non-decreasing across chunks,
+          LBAs within ``[0, capacity)`` of the scenario's fleet
 reset     drop the buffered stream
 serve     run the scenario over the buffered stream (clears
           the buffer); reply carries the full report payload
@@ -34,7 +35,10 @@ shutdown  close the listener after replying
 ========  ====================================================
 
 Every reply carries ``"ok"``; errors reply ``{"ok": false, "error":
-...}`` without killing the connection.  The simulation itself is
+...}`` without killing the connection — except a request line over
+:data:`LINE_LIMIT` bytes, which is refused and ends its connection
+(the reader has dropped part of it, so the stream is mid-request).
+The simulation itself is
 blocking CPU work, so serves run under an :class:`asyncio.Lock` in the
 default executor — one scenario at a time, results in request order.
 
@@ -47,14 +51,21 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import logging
 import signal
 
 import numpy as np
 
+from .parallel import scenario_fleet
 from .runtime import WarmRuntime
 from .scenario import FleetScenario
 
-__all__ = ["ServiceFrontend", "run_frontend"]
+__all__ = ["LINE_LIMIT", "ServiceFrontend", "run_frontend"]
+
+#: Longest request line, in bytes (asyncio's default stream limit).
+LINE_LIMIT = 2**16
+
+_log = logging.getLogger(__name__)
 
 
 class ServiceFrontend:
@@ -88,6 +99,7 @@ class ServiceFrontend:
         self.runtime = WarmRuntime(
             scenario, workers=workers, mp_context=mp_context
         )
+        self._capacity = scenario_fleet(scenario).capacity
         self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._buffered = 0
         self._server: asyncio.AbstractServer | None = None
@@ -100,7 +112,7 @@ class ServiceFrontend:
     async def start(self) -> None:
         """Bind and start accepting connections."""
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=LINE_LIMIT
         )
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
 
@@ -144,28 +156,48 @@ class ServiceFrontend:
             self._conn_tasks.add(task)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over the line limit: the reader has dropped what
+                    # it buffered, so the stream is mid-request.  Reply,
+                    # half-close, and discard input until the client
+                    # hangs up, so the close never resets the reply.
+                    await _send(writer, {
+                        "ok": False,
+                        "error": f"request line exceeds {LINE_LIMIT} "
+                        "bytes — closing the connection",
+                    })
+                    writer.write_eof()
+                    while await reader.read(LINE_LIMIT):
+                        pass
+                    break
                 if not line:
                     break
-                try:
-                    request = json.loads(line)
-                    if not isinstance(request, dict):
-                        raise ValueError("request must be a JSON object")
-                    reply = await self._dispatch(request)
-                except (ValueError, KeyError, TypeError) as exc:
-                    reply = {"ok": False, "error": str(exc)}
-                writer.write(
-                    json.dumps(reply, sort_keys=True).encode() + b"\n"
-                )
-                await writer.drain()
+                reply = await self._answer(line)
+                await _send(writer, reply)
                 if reply.get("op") == "shutdown" and reply.get("ok"):
                     await self.close()
                     break
-        except asyncio.CancelledError:
-            pass  # front-end teardown cancelled this connection
+        except (asyncio.CancelledError, ConnectionError):
+            pass  # front-end teardown, or the client went away
         finally:
             self._conn_tasks.discard(task)
             writer.close()
+
+    async def _answer(self, line: bytes) -> dict:
+        """One request line's reply; every failure stays contained to
+        the request, so the connection survives it."""
+        try:
+            request = json.loads(line)
+            if not isinstance(request, dict):
+                raise ValueError("request must be a JSON object")
+            return await self._dispatch(request)
+        except (ValueError, KeyError, TypeError) as exc:
+            return {"ok": False, "error": str(exc)}
+        except Exception as exc:
+            _log.exception("front-end request failed")
+            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
     async def _dispatch(self, request: dict) -> dict:
         op = request.get("op")
@@ -219,6 +251,13 @@ class ServiceFrontend:
                 f"{times.size}/{is_read.size}/{lbas.size}"
             )
         if times.size:
+            if not np.isfinite(times).all():
+                raise ValueError("arrival times must be finite")
+            if lbas.min() < 0 or lbas.max() >= self._capacity:
+                raise ValueError(
+                    f"LBAs must lie in [0, {self._capacity}), got "
+                    f"[{lbas.min()}, {lbas.max()}]"
+                )
             if (times[1:] < times[:-1]).any():
                 raise ValueError("arrival times must be non-decreasing")
             if self._chunks and times[0] < self._chunks[-1][0][-1]:
@@ -239,6 +278,11 @@ class ServiceFrontend:
             )
         self.runs += 1
         return payload
+
+
+async def _send(writer, reply: dict) -> None:
+    writer.write(json.dumps(reply, sort_keys=True).encode() + b"\n")
+    await writer.drain()
 
 
 def run_frontend(

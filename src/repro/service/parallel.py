@@ -42,23 +42,29 @@ execution groups** (connected components of the coupling relation):
   that runs alongside failures still **falls back to the serial path**
   (recorded in the execution metadata).
 
-:func:`run_fleet_scenario_parallel` then runs each group's sub-fleet
-in a worker process (``multiprocessing`` via
-``concurrent.futures.ProcessPoolExecutor``).  The parent generates the
-fleet stream **once**, routes and compiles it per shard through the
-real :class:`Fleet` (one vectorized pass), and ships each worker only
-its group's compiled slices — workers never regenerate or re-route the
-full stream.  Everything crossing the process boundary is spawn-safe:
-workers receive the (picklable) :class:`FleetScenario`, their
-:class:`ShardGroup`, and their :class:`repro.sim.CompiledTrace` slices,
-rebuild layouts/mappers through their own local registry, and simulate
-only their own arrays on a fresh clock.  Per-group results are merged
-**deterministically** — per-shard vectors placed by global shard id,
-latency samples concatenated in shard order (exactly the serial
-report's float-summation order), rebuild outcomes re-sorted — so the
-merged report is equal to the serial shared-clock report field for
-field, and ``workers=N`` output is byte-identical to ``workers=1``
-after :func:`canonical_payload` strips the wall-clock and
+This module holds the worker side of grouped execution: each group
+becomes one :class:`GroupTask` record, executed by
+:func:`_execute_group` (pre-routed compiled slices),
+:func:`_execute_group_windowed` (stream windows) or
+:func:`_execute_migration_group` (a reshape component), each returning
+a :class:`GroupResult`.  The runner that builds the tasks and drives
+them lives in :class:`repro.service.runtime.WarmRuntime`;
+:func:`run_fleet_scenario_parallel` is that runner run once, cold: it
+opens a runtime, serves the scenario through the grouped path, and
+closes it.  The parent generates the fleet stream **once**, routes and
+compiles it per shard through the real :class:`Fleet` (one vectorized
+pass), and packs the slices into one shared-memory segment that every
+worker maps read-only — workers never regenerate or re-route the full
+stream.  Everything crossing the process boundary is spawn-safe:
+workers receive a picklable :class:`GroupTask`, rebuild
+layouts/mappers through their own local registry, and simulate only
+their own arrays on a fresh clock.  Per-group results are merged
+**deterministically** — per-shard latency digests placed by global
+shard id and folded in shard order (exactly the serial report's
+float-summation order), rebuild outcomes re-sorted — so the merged
+report is equal to the serial shared-clock report field for field,
+and ``workers=N`` output is byte-identical to ``workers=1`` after
+:func:`canonical_payload` strips the wall-clock and
 execution-metadata fields that legitimately differ run to run.
 
 Why the decomposition is *exact* (not approximate): within one shard,
@@ -76,7 +82,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -92,13 +98,7 @@ from ..sim.compile import (
 )
 from ..sim.controller import ArrayController
 from ..sim.events import Simulator
-from ..sim.stats import (
-    LatencyDigest,
-    LatencyStats,
-    merge_summaries,
-    summarize,
-)
-from .conformance import check_fleet
+from ..sim.stats import LatencyDigest, merge_summaries, summarize
 from .fleet import (
     Fleet,
     FleetReport,
@@ -116,21 +116,22 @@ from .orchestrator import (
     FailureEvent,
     FailureOrchestrator,
     RebuildOutcome,
-    max_concurrent_rebuilds,
     validate_failure_schedule,
 )
-from .scenario import FleetScenario, FleetScenarioReport, run_fleet_scenario
+from .scenario import FleetScenario, FleetScenarioReport
 
 __all__ = [
     "ShardGroup",
     "GroupPartition",
     "partition_scenario",
+    "GroupTask",
     "GroupResult",
     "ParallelExecution",
     "ParallelScenarioRun",
     "run_fleet_scenario_parallel",
     "canonical_payload",
     "available_cpus",
+    "scenario_fleet",
 ]
 
 
@@ -195,6 +196,23 @@ class GroupPartition:
             for i, g in enumerate(self.groups)
             if g.admission_slots
         }
+
+
+def scenario_fleet(
+    scenario: FleetScenario, *, dataplane: bool = False
+) -> Fleet:
+    """The scenario's fleet, built as the serial runner builds it —
+    routing-only (no data planes) unless ``dataplane`` is set."""
+    return Fleet(
+        scenario.shards,
+        scenario.v,
+        scenario.k,
+        volumes=scenario.volumes,
+        dataplane=dataplane,
+        seed=scenario.seed,
+        placement=scenario.placement,
+        write_policy=scenario.write_policy,
+    )
 
 
 def _validate_scenario(scenario: FleetScenario) -> None:
@@ -317,17 +335,7 @@ def _partition_reshape(scenario: FleetScenario) -> GroupPartition:
     # The move graph is a pure function of the shard map (same seed /
     # placement / volume count), so the partition can plan it on a
     # throwaway routing-only fleet.
-    fleet = Fleet(
-        scenario.shards,
-        scenario.v,
-        scenario.k,
-        volumes=scenario.volumes,
-        dataplane=False,
-        seed=scenario.seed,
-        placement=scenario.placement,
-        write_policy=scenario.write_policy,
-    )
-    plan = plan_migration(fleet, scenario.reshape_to)
+    plan = plan_migration(scenario_fleet(scenario), scenario.reshape_to)
     if not plan.moves:
         # Nothing moves: the reshape is a no-op at serve time, but a
         # coordinator must still exist to report convergence — keep the
@@ -405,31 +413,82 @@ def _partition_reshape(scenario: FleetScenario) -> GroupPartition:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class GroupResult:
-    """One group's raw simulation outcome (everything the merge needs,
-    nothing summarized early — summaries must be computed over the
-    merged sample streams to match the serial report bit for bit).
+@dataclass(frozen=True)
+class _StaticRoute:
+    """The parent routing fleet's static volume table and address
+    geometry — what a windowed group filters each window through."""
+
+    table: np.ndarray
+    volume_units: int
+    shard_capacity: int
+    capacity: int
+
+
+@dataclass(frozen=True)
+class GroupTask:
+    """One shard group's work order — the single record the grouped
+    runner hands an executor, in-process or through the worker pool
+    (it pickles, so spawn workers need nothing else).
+
+    The trace source is exactly one of three:
+
+    * a **migration component** (``group.migration_volumes`` set): the
+      worker regenerates the synthetic stream and keeps the traffic the
+      static routing table sends to its arrays;
+    * **windows** (``route`` set): each window is filtered to the
+      group's arrays through the static table — the scenario's own
+      :class:`StreamWindows`, or, with ``segment`` set, a submitted
+      stream packed into shared memory (``specs`` = its times /
+      is_read / lbas array specs);
+    * **compiled slices** (otherwise): the group's pre-routed
+      :class:`CompiledTrace` slices packed into shared memory
+      (``specs`` = one six-array spec tuple per shard).
 
     Attributes:
-        group_index: position in the partition.
+        scenario: the scenario the group belongs to.
+        group: the group's arrays, failures and admission share.
+        allow_batched: the serial engine gate — the batched/carry
+            engines only when the whole scenario arms nothing (failure
+            or reshape) on any clock.
+        interval_ms: metrics bucket width when the run is instrumented.
+        segment: shared-memory segment holding the trace source.
+        specs: array specs inside ``segment`` (see above).
+        route: the static routing table (windowed groups only).
+    """
+
+    scenario: FleetScenario
+    group: ShardGroup
+    allow_batched: bool
+    interval_ms: float | None = None
+    segment: str | None = None
+    specs: tuple = ()
+    route: _StaticRoute | None = None
+
+    def recorder(self) -> MetricsRecorder | None:
+        """A fresh worker-local recorder when the run is instrumented."""
+        if self.interval_ms is None:
+            return None
+        return MetricsRecorder(self.interval_ms)
+
+
+@dataclass
+class GroupResult:
+    """One group's simulation outcome — everything the merge needs.
+    Latency crosses back as constant-size digests, never raw samples,
+    and summaries are computed only over the merged digests so they
+    match the serial report bit for bit.
+
+    Attributes:
         arrays: global shard ids (ascending, mirrors the group spec).
         scheduled: per-shard routed request counts (group order).
-        samples: per-shard ``{kind: [latency, ...]}`` in completion
-            order (group order).  Every built-in executor now reduces
-            latency worker-side into ``digests`` and leaves these
-            empty — raw O(requests) sample lists never ride the result
-            pickle — but the merge still accepts samples for
-            compatibility.
         per_disk_ios: per-shard completed-IO vectors (group order).
         duration_ms: this group's makespan on its own clock.
         outcomes: completed rebuilds (global array ids, completion
             order).
         wall_s: worker wall-clock for the group (build + simulate).
-        digests: per-shard ``{kind: LatencyDigest}`` accumulators —
-            constant-size result IPC for windowed *and* materialized
-            workers (summary-identical to the raw sample lists; see
-            ``repro.sim.stats``).
+        digests: per-shard ``{kind: LatencyDigest}`` accumulators
+            (group order) — O(buckets) result IPC, summary-identical to
+            the exact sample lists (see ``repro.sim.stats``).
         migrations: completed volume moves this group's coordinator
             executed (global ids, completion order).
         engines: per-shard engine labels (group order; ``None`` entries
@@ -439,15 +498,13 @@ class GroupResult:
             run is instrumented (the parent absorbs it), else ``None``.
     """
 
-    group_index: int
     arrays: tuple[int, ...]
     scheduled: list[int]
-    samples: list[dict[str, list[float]]]
     per_disk_ios: list[list[int]]
     duration_ms: float
     outcomes: list[RebuildOutcome]
     wall_s: float
-    digests: list[dict[str, LatencyDigest]] | None = None
+    digests: list[dict[str, LatencyDigest]]
     migrations: list[VolumeMigrationOutcome] = field(default_factory=list)
     engines: list[str | None] = field(default_factory=list)
     obs: MetricsRecorder | None = None
@@ -488,68 +545,142 @@ def _digest_latency(ctrl: ArrayController) -> dict[str, LatencyDigest]:
     return out
 
 
-def _execute_group(
-    scenario: FleetScenario,
-    group: ShardGroup,
-    compiled: tuple[CompiledTrace, ...],
-    group_index: int,
-    allow_batched: bool,
-    metrics_interval_ms: float | None = None,
+class _GroupRun:
+    """The setup and result bookkeeping both plain-group executors
+    share: the group's controllers on a fresh clock (seeded by *global*
+    shard id, exactly as the serial fleet seeds them), a local
+    :class:`repro.obs.MetricsRecorder` keyed by global shard id when
+    instrumented (so the parent's absorb is a pure placement merge),
+    and the group's failure orchestrator armed with its admission
+    share.  The executors differ only in how traffic reaches the
+    controllers."""
+
+    def __init__(self, task: GroupTask) -> None:
+        self.t0 = time.perf_counter()
+        self.task = task
+        sc, group = task.scenario, task.group
+        self.sim = Simulator()
+        layout = get_layout(sc.v, sc.k)
+        self.controllers = [
+            ArrayController(
+                layout,
+                sim=self.sim,
+                dataplane=sc.verify_data,
+                seed=sc.seed + gid,
+                write_policy=sc.write_policy,
+            )
+            for gid in group.arrays
+        ]
+        self.rec = task.recorder()
+        for gid, ctrl in zip(group.arrays, self.controllers):
+            ctrl.obs_shard = gid
+            if self.rec is not None:
+                ctrl.obs = self.rec
+        self.orchestrator = None
+        if group.failures:
+            local_index = {gid: i for i, gid in enumerate(group.arrays)}
+            shim = _LocalFleet(
+                controllers=self.controllers, sim=self.sim, layout=layout
+            )
+            self.orchestrator = FailureOrchestrator(
+                shim,  # type: ignore[arg-type] - duck-typed Fleet surface
+                tuple(
+                    replace(ev, array=local_index[ev.array])
+                    for ev in group.failures
+                ),
+                admission=group.admission_slots,
+                parallelism=sc.rebuild_parallelism,
+            )
+            self.orchestrator.arm()
+
+    def result(
+        self,
+        scheduled: list[int],
+        digests: list[dict[str, LatencyDigest]] | None = None,
+    ) -> GroupResult:
+        """Close the run: drain the clock and package the outcome
+        (``digests=None`` reduces the controllers' own samples)."""
+        arrays = self.task.group.arrays
+        duration = self.sim.now
+        # Failures scheduled beyond the last completion (empty-stream
+        # edge) — the serial runner's trailing drain, replicated.
+        self.sim.run()
+        outcomes = []
+        if self.orchestrator is not None:
+            outcomes = [
+                replace(o, array=arrays[o.array])
+                for o in self.orchestrator.outcomes
+            ]
+        if digests is None:
+            digests = [_digest_latency(ctrl) for ctrl in self.controllers]
+        return _group_result(
+            self.task,
+            self.t0,
+            self.controllers,
+            self.rec,
+            duration,
+            scheduled,
+            digests,
+            outcomes=outcomes,
+        )
+
+
+def _group_result(
+    task: GroupTask,
+    t0: float,
+    controllers: list[ArrayController],
+    rec: MetricsRecorder | None,
+    duration: float,
+    scheduled: list[int],
+    digests: list[dict[str, LatencyDigest]],
+    *,
+    outcomes: list[RebuildOutcome],
+    migrations: list[VolumeMigrationOutcome] | None = None,
 ) -> GroupResult:
-    """Run one group's sub-fleet to completion (worker side).
+    """Package a finished group (``controllers`` and the per-shard
+    lists in group order), recording each shard's queue-delay stat
+    when instrumented."""
+    arrays = task.group.arrays
+    if rec is not None:
+        for gid, ctrl in zip(arrays, controllers):
+            rec.set_stat(
+                gid,
+                "queue_delay_ms",
+                sum(d.total_queue_delay for d in ctrl.disks),
+            )
+    return GroupResult(
+        arrays=arrays,
+        scheduled=scheduled,
+        per_disk_ios=[ctrl.per_disk_completed() for ctrl in controllers],
+        duration_ms=duration,
+        outcomes=outcomes,
+        wall_s=time.perf_counter() - t0,
+        digests=digests,
+        migrations=migrations or [],
+        engines=[ctrl.last_engine for ctrl in controllers],
+        obs=rec,
+    )
+
+
+def _execute_group(
+    task: GroupTask, compiled: Sequence[CompiledTrace]
+) -> GroupResult:
+    """Run one group's sub-fleet over its pre-routed compiled slices.
 
     Mirrors ``run_fleet_scenario`` + ``Fleet.serve_compiled`` step for
     step for the arrays it owns: same seeds, same pre-routed traces
     (compiled once in the parent — workers never regenerate the fleet
     stream), same engine choice, same final clock drain — so the
-    merged report equals the serial one exactly.  With
-    ``metrics_interval_ms`` the worker records into a local
-    :class:`repro.obs.MetricsRecorder` keyed by *global* shard ids, so
-    the parent's absorb is a pure placement merge.
+    merged report equals the serial one exactly.
     """
-    t0 = time.perf_counter()
-    sim = Simulator()
-    layout = get_layout(scenario.v, scenario.k)
-    controllers = [
-        ArrayController(
-            layout,
-            sim=sim,
-            dataplane=scenario.verify_data,
-            seed=scenario.seed + gid,
-            write_policy=scenario.write_policy,
-        )
-        for gid in group.arrays
-    ]
-    rec = (
-        MetricsRecorder(metrics_interval_ms)
-        if metrics_interval_ms is not None
-        else None
-    )
-    for gid, ctrl in zip(group.arrays, controllers):
-        ctrl.obs_shard = gid
-        if rec is not None:
-            ctrl.obs = rec
-    if rec is not None:
+    run = _GroupRun(task)
+    sim = run.sim
+    if run.rec is not None:
         # Same point the serial serve records arrivals (stream start is
         # sim time 0 in workers, exactly as in the serial scenario run).
-        for gid, trace in zip(group.arrays, compiled):
+        for gid, trace in zip(task.group.arrays, compiled):
             if trace.n:
-                rec.arrivals(gid, trace.times)
-
-    orchestrator = None
-    if group.failures:
-        local_index = {gid: i for i, gid in enumerate(group.arrays)}
-        shim = _LocalFleet(controllers=controllers, sim=sim, layout=layout)
-        orchestrator = FailureOrchestrator(
-            shim,  # type: ignore[arg-type] - duck-typed Fleet surface
-            tuple(
-                replace(ev, array=local_index[ev.array])
-                for ev in group.failures
-            ),
-            admission=group.admission_slots,
-            parallelism=scenario.rebuild_parallelism,
-        )
-        orchestrator.arm()
+                run.rec.arrivals(gid, trace.times)
 
     # Engine choice replicates the serial gate exactly: the serial
     # fleet takes the per-shard batched engines
@@ -557,171 +688,71 @@ def _execute_group(
     # serve time — i.e. when the scenario arms no failures anywhere —
     # so a healthy group must not take the fast engines just because
     # its own slice is quiet while another group rebuilds.
-    if allow_batched and not sim.pending():
+    if task.allow_batched and not sim.pending():
         base = sim.now
         end = base
-        for ctrl, trace in zip(controllers, compiled):
+        for ctrl, trace in zip(run.controllers, compiled):
             sim.now = base
             execute_compiled(ctrl, trace)
             end = max(end, sim.now)
         sim.now = end
     else:
-        for ctrl, trace in zip(controllers, compiled):
+        for ctrl, trace in zip(run.controllers, compiled):
             schedule_compiled(ctrl, trace)
         sim.run()
-    duration = sim.now
-    # Failures scheduled beyond the last completion (empty-stream edge)
-    # — the serial runner's trailing drain, replicated per group.
-    sim.run()
-
-    outcomes = []
-    if orchestrator is not None:
-        outcomes = [
-            replace(o, array=group.arrays[o.array])
-            for o in orchestrator.outcomes
-        ]
-    if rec is not None:
-        for gid, ctrl in zip(group.arrays, controllers):
-            rec.set_stat(
-                gid,
-                "queue_delay_ms",
-                sum(d.total_queue_delay for d in ctrl.disks),
-            )
-    return GroupResult(
-        group_index=group_index,
-        arrays=group.arrays,
-        scheduled=[t.n for t in compiled],
-        samples=[{} for _ in controllers],
-        per_disk_ios=[ctrl.per_disk_completed() for ctrl in controllers],
-        duration_ms=duration,
-        outcomes=outcomes,
-        wall_s=time.perf_counter() - t0,
-        digests=[_digest_latency(ctrl) for ctrl in controllers],
-        engines=[ctrl.last_engine for ctrl in controllers],
-        obs=rec,
-    )
+    return run.result([t.n for t in compiled])
 
 
-class _FilteredWindows:
-    """Re-iterable view of a windowed fleet stream restricted to the
-    volumes a worker's arrays serve under the *static* routing table
-    (moving volumes route to their source array until cutover, and the
-    source is always in the migration component, so the static filter
-    captures every request the worker must see)."""
-
-    __slots__ = ("windows", "keep", "volume_units")
-
-    def __init__(self, windows, keep: np.ndarray, volume_units: int):
-        self.windows = windows
-        self.keep = keep
-        self.volume_units = volume_units
-
-    def __iter__(self):
-        keep = self.keep
-        vu = self.volume_units
-        for times, is_read, lbas in self.windows:
-            if not len(times):
-                continue
-            mask = keep[lbas // vu]
+def _filtered_windows(windows, keep: np.ndarray, volume_units: int):
+    """A windowed fleet stream restricted to the volumes a worker's
+    arrays serve under the *static* routing table (moving volumes
+    route to their source array until cutover, and the source is
+    always in the migration component, so the static filter captures
+    every request the worker must see)."""
+    for times, is_read, lbas in windows:
+        if len(times):
+            mask = keep[lbas // volume_units]
             yield times[mask], is_read[mask], lbas[mask]
 
 
-def _execute_group_windowed(
-    scenario: FleetScenario,
-    group: ShardGroup,
-    route: np.ndarray,
-    volume_units: int,
-    shard_capacity: int,
-    capacity: int,
-    n_volumes: int,
-    group_index: int,
-    allow_batched: bool,
-    metrics_interval_ms: float | None = None,
-    *,
-    windows=None,
-) -> GroupResult:
-    """Run one group's sub-fleet with a windowed stream (worker side).
+def _execute_group_windowed(task: GroupTask, windows) -> GroupResult:
+    """Run one group's sub-fleet over a windowed stream.
 
-    Instead of receiving pre-split compiled traces, the worker
-    regenerates the fleet stream one window at a time
-    (:class:`StreamWindows` is seed-deterministic) and routes each
-    window to its own arrays through the shipped static table — peak
-    memory stays one window per shard at any horizon, in the parent
-    *and* in every worker.  The warm runtime passes ``windows``
-    explicitly instead — any re-iterable ``(times, is_read, lbas)``
-    window source, e.g. :class:`repro.sim.compile.ArrayWindows` over
-    shared-memory views of a submitted stream — and the worker serves
-    it through the identical pumps.  Engine choice mirrors the serial
-    :meth:`Fleet.serve_windows` gate exactly: the carry engines only
-    when the whole scenario arms nothing on any clock, the per-shard
-    chained heap pumps otherwise (the serial window router's per-shard
-    event order, minus other groups' events, which never reorder
-    ours).  Latency reduces into per-shard digests — the same
-    accumulators the serial windowed serve feeds ``_report``.
+    ``windows`` is any re-iterable ``(times, is_read, lbas)`` window
+    source — the scenario's seed-deterministic :class:`StreamWindows`
+    regenerated worker-side, or :class:`repro.sim.compile.ArrayWindows`
+    over shared-memory views of a submitted stream — and each window is
+    routed to the group's arrays through the task's static table, so
+    peak memory stays one window per shard at any horizon.  Engine
+    choice mirrors the serial :meth:`Fleet.serve_windows` gate exactly:
+    the carry engines only when the whole scenario arms nothing on any
+    clock, the per-shard chained heap pumps otherwise (the serial
+    window router's per-shard event order, minus other groups' events,
+    which never reorder ours).  Latency reduces into per-shard digests
+    — the same accumulators the serial windowed serve feeds
+    ``_report``.
     """
-    t0 = time.perf_counter()
-    sim = Simulator()
-    layout = get_layout(scenario.v, scenario.k)
-    controllers = [
-        ArrayController(
-            layout,
-            sim=sim,
-            dataplane=scenario.verify_data,
-            seed=scenario.seed + gid,
-            write_policy=scenario.write_policy,
-        )
-        for gid in group.arrays
-    ]
-    rec = (
-        MetricsRecorder(metrics_interval_ms)
-        if metrics_interval_ms is not None
-        else None
-    )
-    for gid, ctrl in zip(group.arrays, controllers):
-        ctrl.obs_shard = gid
-        if rec is not None:
-            ctrl.obs = rec
-    orchestrator = None
-    if group.failures:
-        local_index = {gid: i for i, gid in enumerate(group.arrays)}
-        shim = _LocalFleet(controllers=controllers, sim=sim, layout=layout)
-        orchestrator = FailureOrchestrator(
-            shim,  # type: ignore[arg-type] - duck-typed Fleet surface
-            tuple(
-                replace(ev, array=local_index[ev.array])
-                for ev in group.failures
-            ),
-            admission=group.admission_slots,
-            parallelism=scenario.rebuild_parallelism,
-        )
-        orchestrator.arm()
-
-    if windows is None:
-        windows = StreamWindows(
-            scenario.workload(),
-            scenario.duration_ms,
-            capacity,
-            window_size=scenario.window_size,
-        )
-    digests: list[dict[str, LatencyDigest]] = [{} for _ in controllers]
-    scheduled = [0] * len(controllers)
+    run = _GroupRun(task)
+    sc, arrays, route = task.scenario, task.group.arrays, task.route
+    digests: list[dict[str, LatencyDigest]] = [{} for _ in arrays]
+    scheduled = [0] * len(arrays)
     carried = False
-    if allow_batched and not sim.pending():
+    if task.allow_batched and not run.sim.pending():
         carried = _windows_carry(
-            sim,
-            controllers,
-            group.arrays,
-            route=route,
-            volume_units=volume_units,
-            shard_capacity=shard_capacity,
-            n_volumes=n_volumes,
-            capacity=capacity,
-            write_policy=scenario.write_policy,
-            dataplane=scenario.verify_data,
+            run.sim,
+            run.controllers,
+            arrays,
+            route=route.table,
+            volume_units=route.volume_units,
+            shard_capacity=route.shard_capacity,
+            n_volumes=len(route.table),
+            capacity=route.capacity,
+            write_policy=sc.write_policy,
+            dataplane=sc.verify_data,
             windows=windows,
             digests=digests,
             scheduled=scheduled,
-            read_only_hint=scenario.read_fraction >= 1.0,
+            read_only_hint=sc.read_fraction >= 1.0,
         )
     if not carried:
         for d in digests:
@@ -735,53 +766,20 @@ def _execute_group_windowed(
                 gid,
                 windows,
                 digests[i],
-                route,
-                volume_units,
-                shard_capacity,
+                route.table,
+                route.volume_units,
+                route.shard_capacity,
             )
-            for i, (gid, ctrl) in enumerate(zip(group.arrays, controllers))
+            for i, (gid, ctrl) in enumerate(zip(arrays, run.controllers))
         ]
-        sim.run()
+        run.sim.run()
         for i, (count, drain) in enumerate(pumps):
             drain()
             scheduled[i] = count[0]
-    duration = sim.now
-    sim.run()
-
-    outcomes = []
-    if orchestrator is not None:
-        outcomes = [
-            replace(o, array=group.arrays[o.array])
-            for o in orchestrator.outcomes
-        ]
-    if rec is not None:
-        for gid, ctrl in zip(group.arrays, controllers):
-            rec.set_stat(
-                gid,
-                "queue_delay_ms",
-                sum(d.total_queue_delay for d in ctrl.disks),
-            )
-    return GroupResult(
-        group_index=group_index,
-        arrays=group.arrays,
-        scheduled=scheduled,
-        samples=[{} for _ in controllers],
-        per_disk_ios=[ctrl.per_disk_completed() for ctrl in controllers],
-        duration_ms=duration,
-        outcomes=outcomes,
-        wall_s=time.perf_counter() - t0,
-        digests=digests,
-        engines=[ctrl.last_engine for ctrl in controllers],
-        obs=rec,
-    )
+    return run.result(scheduled, digests)
 
 
-def _execute_migration_group(
-    scenario: FleetScenario,
-    group: ShardGroup,
-    group_index: int,
-    metrics_interval_ms: float | None = None,
-) -> GroupResult:
+def _execute_migration_group(task: GroupTask) -> GroupResult:
     """Run one migration component to completion (worker side).
 
     The worker builds a full-size fleet (controller construction is
@@ -795,16 +793,8 @@ def _execute_migration_group(
     on these arrays, in the same per-shard order.
     """
     t0 = time.perf_counter()
-    fleet = Fleet(
-        scenario.shards,
-        scenario.v,
-        scenario.k,
-        volumes=scenario.volumes,
-        dataplane=scenario.verify_data,
-        seed=scenario.seed,
-        placement=scenario.placement,
-        write_policy=scenario.write_policy,
-    )
+    scenario, group = task.scenario, task.group
+    fleet = scenario_fleet(scenario, dataplane=scenario.verify_data)
     coordinator = MigrationCoordinator(
         fleet,
         scenario.reshape_to,
@@ -815,11 +805,7 @@ def _execute_migration_group(
         copy_parallelism=scenario.copy_parallelism,
         volumes=group.migration_volumes,
     )
-    rec = (
-        MetricsRecorder(metrics_interval_ms)
-        if metrics_interval_ms is not None
-        else None
-    )
+    rec = task.recorder()
     if rec is not None:
         # The worker's fleet is full-size, so shard ids are already
         # global; only the group's arrays see traffic (the keep filter
@@ -830,7 +816,7 @@ def _execute_migration_group(
     keep = np.isin(static_route, np.array(group.arrays, dtype=np.int64))
 
     if scenario.window_size is not None:
-        windows = _FilteredWindows(
+        windows = _filtered_windows(
             StreamWindows(
                 scenario.workload(),
                 scenario.duration_ms,
@@ -844,11 +830,10 @@ def _execute_migration_group(
             {} for _ in fleet.controllers
         ]
         scheduled = [0] * len(fleet.controllers)
-        router = _WindowRouter(fleet, iter(windows), digests, scheduled)
+        router = _WindowRouter(fleet, windows, digests, scheduled)
         router.start()
         fleet.sim.run()
         router.drain()
-        samples = None
     else:
         times, is_read, lbas = generate_request_stream(
             scenario.workload(), scenario.duration_ms, fleet.capacity
@@ -866,7 +851,6 @@ def _execute_migration_group(
         fleet.sim.run()
         scheduled = [t.n for t in compiled]
         digests = [_digest_latency(ctrl) for ctrl in fleet.controllers]
-        samples = None
     duration = fleet.sim.now
     fleet.sim.run()
     while len(scheduled) < len(fleet.controllers):
@@ -877,51 +861,17 @@ def _execute_migration_group(
         scheduled[s] += total
 
     local = list(group.arrays)
-    if rec is not None:
-        for a in local:
-            rec.set_stat(
-                a,
-                "queue_delay_ms",
-                sum(
-                    d.total_queue_delay
-                    for d in fleet.controllers[a].disks
-                ),
-            )
-    return GroupResult(
-        group_index=group_index,
-        arrays=group.arrays,
-        scheduled=[scheduled[a] for a in local],
-        samples=(
-            [samples[a] for a in local]
-            if samples is not None
-            else [{} for _ in local]
-        ),
-        per_disk_ios=[
-            fleet.controllers[a].per_disk_completed() for a in local
-        ],
-        duration_ms=duration,
+    return _group_result(
+        task,
+        t0,
+        [fleet.controllers[a] for a in local],
+        rec,
+        duration,
+        [scheduled[a] for a in local],
+        [digests[a] for a in local],
         outcomes=[],
-        wall_s=time.perf_counter() - t0,
-        digests=(
-            [digests[a] for a in local] if digests is not None else None
-        ),
         migrations=list(coordinator.outcomes),
-        engines=[fleet.controllers[a].last_engine for a in local],
-        obs=rec,
     )
-
-
-def _execute_group_task(
-    task: tuple,
-) -> GroupResult:
-    """Pool entry point (top-level so it pickles under spawn): the
-    task's first element names the worker mode."""
-    kind = task[0]
-    if kind == "compiled":
-        return _execute_group(*task[1:])
-    if kind == "windowed":
-        return _execute_group_windowed(*task[1:])
-    return _execute_migration_group(*task[1:])
 
 
 # ----------------------------------------------------------------------
@@ -937,10 +887,10 @@ def _merge_results(
     tuple[RebuildOutcome, ...],
     tuple[VolumeMigrationOutcome, ...],
 ]:
-    """Fold per-group raw results into one fleet report.
+    """Fold per-group results into one fleet report.
 
-    Placement is by global shard id; merged latency samples concatenate
-    in shard order — the exact order the serial report sums them in, so
+    Placement is by global shard id; per-shard latency digests fold in
+    shard order — the exact order the serial report sums them in, so
     float reductions (means) agree bit for bit.  A reshape scenario's
     report covers ``reshape_to`` shards (reshape-born shards a group
     didn't touch stay zero rows, matching the serial pads); migration
@@ -962,20 +912,12 @@ def _merge_results(
         for i, gid in enumerate(res.arrays):
             scheduled[gid] = res.scheduled[i]
             per_disk[gid] = res.per_disk_ios[i]
-            if i < len(res.engines):
-                engines[gid] = res.engines[i]
-            if res.digests is not None:
-                accs[gid] = {
-                    kind: res.digests[i][kind]
-                    for kind in res.digests[i]
-                    if res.digests[i][kind].count
-                }
-            else:
-                accs[gid] = {
-                    kind: LatencyStats(samples=res.samples[i][kind])
-                    for kind in res.samples[i]
-                    if res.samples[i][kind]
-                }
+            engines[gid] = res.engines[i]
+            accs[gid] = {
+                kind: digest
+                for kind, digest in res.digests[i].items()
+                if digest.count
+            }
 
     # Per-shard accumulators feed the same shard-order merge_summaries
     # fold the serial Fleet._report performs, so merged means and
@@ -1125,6 +1067,11 @@ def run_fleet_scenario_parallel(
 ) -> ParallelScenarioRun:
     """Run a scenario across worker processes, one per shard group.
 
+    This is the grouped runner of :class:`repro.service.WarmRuntime`
+    run once, cold: a runtime is opened for the call, serves the
+    scenario through its grouped path, and is closed before returning
+    (no ``runtime`` stats section, no volatile warm-runtime counters).
+
     Args:
         scenario: the scenario to run (must be failure/migration
             consistent, exactly as :func:`run_fleet_scenario` requires).
@@ -1153,174 +1100,16 @@ def run_fleet_scenario_parallel(
         ValueError: on inconsistent scenario parameters or a
             non-positive ``workers``.
     """
+    from .runtime import WarmRuntime  # the runtime builds on this module
+
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    t0 = time.perf_counter()
-    cpus = available_cpus()
-    partition = partition_scenario(scenario)
-
-    if partition.serial_fallback:
-        report = run_fleet_scenario(scenario, recorder=recorder)
-        group = partition.groups[0]
-        execution = ParallelExecution(
-            requested_workers=workers,
-            workers=1,
-            cpu_count=cpus,
-            mp_context=None,
-            serial_fallback=True,
-            fallback_reason=partition.reason,
-            groups=(
-                {
-                    "arrays": list(group.arrays),
-                    "admission_slots": group.admission_slots,
-                    "failures": len(group.failures),
-                    "migration_volumes": list(group.migration_volumes),
-                    "duration_ms": report.fleet.duration_ms,
-                    "wall_s": report.wall_s,
-                },
-            ),
-            admission_partition=partition.admission_partition(),
-        )
-        return ParallelScenarioRun(report=report, execution=execution)
-
-    # Parent-side work that must not be duplicated per worker: the
-    # stream is generated, routed, and compiled ONCE through the real
-    # fleet (one vectorized pass) for materialized tasks — windowed
-    # tasks instead ship the routing table and regenerate windows
-    # worker-side, so neither the parent nor any worker ever holds the
-    # full stream.  The conformance gate and the routing fingerprint
-    # also run here.  Data planes stay off — the parent never
-    # simulates.
-    fleet = Fleet(
-        scenario.shards,
-        scenario.v,
-        scenario.k,
-        volumes=scenario.volumes,
-        dataplane=False,
-        seed=scenario.seed,
-        placement=scenario.placement,
-        write_policy=scenario.write_policy,
+    # One-shot and cold: the runtime's pool is sized to the groups it
+    # runs and shut down, and its segments unlinked, before returning.
+    with WarmRuntime(
+        scenario, workers=workers or available_cpus(), mp_context=mp_context
+    ) as runtime:
+        run = runtime._run_grouped(None, recorder)
+    return replace(
+        run, execution=replace(run.execution, requested_workers=workers)
     )
-    conformance = (
-        check_fleet(fleet) if scenario.check_conformance else None
-    )
-    planned_moves = 0
-    fingerprint = fleet.shard_map.fingerprint()
-    if scenario.reshape_to is not None:
-        # The serial runner reports the post-reshape table (scenarios
-        # always run their migration to convergence) — compute it from
-        # the plan without simulating.
-        plan = plan_migration(fleet, scenario.reshape_to)
-        planned_moves = len(plan.moves)
-        fingerprint = plan.target_map.fingerprint()
-    # Mirrors the serial engine gate: the serial fleet only takes the
-    # batched/carry engines when its shared clock is idle at serve
-    # time, i.e. when nothing (failure or reshape) is armed anywhere.
-    allow_batched = (
-        not scenario.failures and scenario.reshape_to is None
-    )
-    windowed = scenario.window_size is not None
-    plain_groups = [
-        (i, g)
-        for i, g in enumerate(partition.groups)
-        if not g.migration_volumes
-    ]
-    compiled = None
-    if plain_groups and not windowed:
-        times, is_read, lbas = generate_request_stream(
-            scenario.workload(), scenario.duration_ms, fleet.capacity
-        )
-        compiled, _ = fleet.route_stream(times, is_read, lbas)
-    route = fleet.volume_route()
-    interval = recorder.interval_ms if recorder is not None else None
-    tasks: list[tuple] = []
-    for i, group in enumerate(partition.groups):
-        if group.migration_volumes:
-            tasks.append(("migration", scenario, group, i, interval))
-        elif windowed:
-            tasks.append(
-                (
-                    "windowed",
-                    scenario,
-                    group,
-                    route,
-                    fleet.volume_units,
-                    fleet.shard_capacity,
-                    fleet.capacity,
-                    fleet.shard_map.volumes,
-                    i,
-                    allow_batched,
-                    interval,
-                )
-            )
-        else:
-            tasks.append(
-                (
-                    "compiled",
-                    scenario,
-                    group,
-                    tuple(compiled[a] for a in group.arrays),
-                    i,
-                    allow_batched,
-                    interval,
-                )
-            )
-
-    n_workers = workers if workers is not None else min(len(tasks), cpus)
-    n_workers = min(n_workers, len(tasks))
-    context_name: str | None = None
-    if n_workers <= 1:
-        results = [_execute_group_task(t) for t in tasks]
-    else:
-        import multiprocessing
-
-        if mp_context == "auto":
-            methods = multiprocessing.get_all_start_methods()
-            context_name = "fork" if "fork" in methods else "spawn"
-        else:
-            context_name = mp_context
-        ctx = multiprocessing.get_context(context_name)
-        with ProcessPoolExecutor(
-            max_workers=n_workers, mp_context=ctx
-        ) as pool:
-            results = list(pool.map(_execute_group_task, tasks))
-    results.sort(key=lambda r: r.group_index)
-
-    if recorder is not None:
-        for res in results:
-            if res.obs is not None:
-                recorder.absorb(res.obs)
-
-    fleet_report, outcomes, migrations = _merge_results(scenario, results)
-    report = FleetScenarioReport(
-        scenario=scenario,
-        conformance=conformance,
-        fleet=fleet_report,
-        rebuilds=outcomes,
-        migrations=migrations,
-        planned_moves=planned_moves,
-        routing_fingerprint=fingerprint,
-        wall_s=time.perf_counter() - t0,
-        max_concurrent_rebuilds=max_concurrent_rebuilds(outcomes),
-    )
-    execution = ParallelExecution(
-        requested_workers=workers,
-        workers=n_workers,
-        cpu_count=cpus,
-        mp_context=context_name,
-        serial_fallback=False,
-        fallback_reason=None,
-        groups=tuple(
-            {
-                "arrays": list(g.arrays),
-                "admission_slots": g.admission_slots,
-                "failures": len(g.failures),
-                "migration_volumes": list(g.migration_volumes),
-                "duration_ms": r.duration_ms,
-                "wall_s": r.wall_s,
-            }
-            for g, r in zip(partition.groups, results)
-        ),
-        admission_partition=partition.admission_partition(),
-    )
-    return ParallelScenarioRun(report=report, execution=execution)

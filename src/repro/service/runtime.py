@@ -1,31 +1,36 @@
-"""Warm fleet runtime: persistent workers, shared-memory transport,
-and compiled-artifact caching for the serving path.
+"""The fleet runner: grouped execution over a worker pool, with
+shared-memory transport and compiled-artifact caching.
 
-The batch runner (:func:`repro.service.run_fleet_scenario_parallel`)
-executes one scenario and tears everything down: a fresh
-``ProcessPoolExecutor`` per run, registries rebuilt from scratch in
-every worker, and compiled trace slices shipped by pickle.  A
-long-lived front-end serving repeated streams pays all of that again
-on every ``serve`` — even though the paper's declustered layouts are
-static per fleet shape, so everything derived from them (flat mapping
-tables, CSR incidence, routed compiled slices) is reusable until the
-fleet reshapes.
+:class:`WarmRuntime` is the one grouped runner in ``repro.service``.
+Each grouped run partitions the scenario
+(:func:`repro.service.parallel.partition_scenario`), routes and
+compiles the stream once in the parent, hands every shard group one
+:class:`repro.service.parallel.GroupTask` — in-process when one worker
+suffices, else through the pool's single entry point — and merges the
+results into a report canonically identical to the serial runner's.
+The batch :func:`repro.service.run_fleet_scenario_parallel` is this
+runner used once and closed; a long-lived front-end keeps it open, and
+because the paper's declustered layouts are static per fleet shape,
+everything derived from them (flat mapping tables, CSR incidence,
+routed compiled slices) is reusable across serves until the fleet
+reshapes.  What a runtime keeps warm:
 
-:class:`WarmRuntime` amortizes the whole cold path across runs:
-
-* **Persistent worker pool** (:class:`WorkerPool`): workers boot once
-  per fleet shape — the pool initializer primes the layout / mapper /
-  incidence registries for ``(v, k)`` — and are reused across repeated
-  scenario runs, stream windows, and socket submits.  The pool is
-  spawn-safe (everything crossing the boundary pickles), reboots
-  explicitly when the fleet shape changes, and drains gracefully on
+* **Persistent worker pool** (:class:`WorkerPool`): workers boot on
+  the first grouped run, one per group up to ``workers`` — the pool
+  initializer primes the layout / mapper / incidence registries for
+  ``(v, k)`` — and are reused across repeated scenario runs, stream
+  windows, and socket submits.  The pool is spawn-safe (everything
+  crossing the boundary pickles), reboots when the fleet shape or its
+  group count changes, and drains gracefully on
   :meth:`WarmRuntime.close`.
 * **Zero-copy trace transport**: compiled per-shard traces are packed
   once into a ``multiprocessing.shared_memory`` segment (parent writes
   once; workers attach and build *read-only* ndarray views), so a
-  task ships a ``(segment name, offsets)`` handle instead of pickled
-  arrays.  Segment lifecycle is owned by the runtime — every segment
-  is unlinked on eviction, invalidation, :meth:`~WarmRuntime.close`,
+  task ships a segment name and array specs instead of pickled
+  arrays; in-process groups view the runtime's own mapping of the
+  same segment.  Segment lifecycle is owned by the runtime — every
+  segment is unlinked on eviction, invalidation,
+  :meth:`~WarmRuntime.close`,
   SIGTERM (the front-end installs handlers) and interpreter exit (an
   ``atexit`` safety net), so no ``/dev/shm`` orphans and no
   ``resource_tracker`` warnings survive a session.
@@ -60,7 +65,7 @@ import secrets
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from hashlib import blake2b
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -68,20 +73,30 @@ from pathlib import Path
 import numpy as np
 
 from ..core.registry import get_incidence, get_layout, get_mapper
-from ..sim.compile import ArrayWindows, CompiledTrace, generate_request_stream
+from ..sim.compile import (
+    ArrayWindows,
+    CompiledTrace,
+    StreamWindows,
+    generate_request_stream,
+)
 from .conformance import check_fleet
 from .fleet import Fleet
 from .migration import plan_migration
 from .orchestrator import max_concurrent_rebuilds
 from .parallel import (
+    GroupPartition,
+    GroupResult,
+    GroupTask,
     ParallelExecution,
     ParallelScenarioRun,
     _execute_group,
-    _execute_group_task,
     _execute_group_windowed,
+    _execute_migration_group,
     _merge_results,
+    _StaticRoute,
     available_cpus,
     partition_scenario,
+    scenario_fleet,
 )
 from .scenario import FleetScenario, FleetScenarioReport, run_fleet_scenario
 
@@ -279,52 +294,35 @@ def _prime_worker(v: int, k: int) -> None:
     get_incidence(layout)
 
 
-def _runtime_task(task: tuple):
-    """Persistent-pool entry point (top-level so it pickles under
-    spawn).  Shared-memory task kinds rebuild read-only views and
-    delegate to the batch runner's group executors — the execution
-    itself is byte-for-byte the cold path's."""
-    kind = task[0]
-    if kind == "shm_compiled":
-        scenario, group, handle, index, allow_batched, interval = task[1:]
-        name, specs = handle
-        shm = _attach(name)
-        compiled = tuple(_trace_from(shm, spec) for spec in specs)
+def _run_group_task(
+    task: GroupTask, shm: shared_memory.SharedMemory | None = None
+) -> GroupResult:
+    """The one entry point every group task runs through (top-level so
+    it pickles under spawn): resolve the task's trace source into
+    read-only views and hand it to its executor.  Pool workers attach
+    to ``task.segment``; an in-process run passes the runtime's own
+    mapping of that segment as ``shm`` instead of attaching again."""
+    if task.group.migration_volumes:
+        return _execute_migration_group(task)
+    if shm is None and task.segment is not None:
+        shm = _attach(task.segment)
+    if task.route is None:
         return _execute_group(
-            scenario, group, compiled, index, allow_batched, interval
+            task, [_trace_from(shm, spec) for spec in task.specs]
         )
-    if kind == "shm_windowed":
-        (
-            scenario,
-            group,
-            route,
-            volume_units,
-            shard_capacity,
-            capacity,
-            n_volumes,
-            index,
-            allow_batched,
-            interval,
-            handle,
-        ) = task[1:]
-        name, specs, window_size = handle
-        shm = _attach(name)
-        times, is_read, lbas = (_view(shm, s) for s in specs)
-        windows = ArrayWindows(times, is_read, lbas, window_size)
-        return _execute_group_windowed(
-            scenario,
-            group,
-            route,
-            volume_units,
-            shard_capacity,
-            capacity,
-            n_volumes,
-            index,
-            allow_batched,
-            interval,
-            windows=windows,
+    sc = task.scenario
+    if shm is None:
+        windows = StreamWindows(
+            sc.workload(),
+            sc.duration_ms,
+            task.route.capacity,
+            window_size=sc.window_size,
         )
-    return _execute_group_task(task)
+    else:
+        windows = ArrayWindows(
+            *(_view(shm, spec) for spec in task.specs), sc.window_size
+        )
+    return _execute_group_windowed(task, windows)
 
 
 # ----------------------------------------------------------------------
@@ -361,15 +359,7 @@ class RuntimeStats:
     ipc_bytes_avoided: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "pool_warm_hits": self.pool_warm_hits,
-            "pool_cold_boots": self.pool_cold_boots,
-            "compile_cache_hits": self.compile_cache_hits,
-            "compile_cache_misses": self.compile_cache_misses,
-            "shm_bytes": self.shm_bytes,
-            "ipc_bytes_avoided": self.ipc_bytes_avoided,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -381,10 +371,6 @@ class _Artifact:
     specs: tuple
     traces: list[CompiledTrace]
     nbytes: int
-
-    def handle(self, arrays: tuple[int, ...]) -> tuple:
-        """The picklable slice handle for one group's shards."""
-        return (self.shm.name, tuple(self.specs[a] for a in arrays))
 
 
 class WorkerPool:
@@ -429,10 +415,8 @@ class WorkerPool:
         self._shape = shape
         return True
 
-    def map(self, tasks: list[tuple]) -> list:
-        if self._pool is None:  # pragma: no cover - ensure() precedes map()
-            raise RuntimeError("pool not booted — call ensure() first")
-        return list(self._pool.map(_runtime_task, tasks))
+    def map(self, tasks: list[GroupTask]) -> list[GroupResult]:
+        return list(self._pool.map(_run_group_task, tasks))
 
     def close(self) -> None:
         """Graceful drain: wait for in-flight tasks, then reap the
@@ -510,11 +494,8 @@ class WarmRuntime:
         self.scenario = scenario
         self.workers = max(1, int(workers))
         self.stats = RuntimeStats()
-        self._pool = (
-            WorkerPool(self.workers, mp_context=mp_context)
-            if self.workers > 1
-            else None
-        )
+        self._mp_context = mp_context
+        self._pool: WorkerPool | None = None
         self._cache: OrderedDict[tuple, _Artifact] = OrderedDict()
         self._cache_cap = cache_artifacts
         self._closed = False
@@ -571,19 +552,6 @@ class WarmRuntime:
             and sc.window_size is None
         )
 
-    def _routing_fleet(self) -> Fleet:
-        sc = self.scenario
-        return Fleet(
-            sc.shards,
-            sc.v,
-            sc.k,
-            volumes=sc.volumes,
-            dataplane=False,
-            seed=sc.seed,
-            placement=sc.placement,
-            write_policy=sc.write_policy,
-        )
-
     def _artifact(self, stream, fleet: Fleet | None = None) -> _Artifact:
         """The compiled artifact for this scenario + stream — cached,
         so a repeated submit skips generation and routing entirely."""
@@ -595,7 +563,7 @@ class WarmRuntime:
             return art
         self.stats.compile_cache_misses += 1
         if fleet is None:
-            fleet = self._routing_fleet()
+            fleet = scenario_fleet(self.scenario)
         if stream is None:
             times, is_read, lbas = generate_request_stream(
                 self.scenario.workload(),
@@ -647,7 +615,7 @@ class WarmRuntime:
                 np.ascontiguousarray(stream[2], dtype=np.int64),
             )
         if self.workers > 1:
-            payload = self._run_parallel(stream, recorder)
+            payload = self._run_grouped(stream, recorder).to_dict()
         else:
             payload = self._run_serial(stream, recorder)
         if sc.reshape_to is not None or sc.autoscale is not None:
@@ -680,154 +648,161 @@ class WarmRuntime:
             )
         return report.to_dict()
 
-    def _serial_payload(
-        self,
-        report: FleetScenarioReport,
-        partition,
-        *,
-        reason: str,
-        cpus: int,
-    ) -> dict:
-        group = partition.groups[0]
-        execution = ParallelExecution(
-            requested_workers=self.workers,
-            workers=1,
-            cpu_count=cpus,
-            mp_context=None,
-            serial_fallback=True,
-            fallback_reason=reason,
-            groups=(
-                {
-                    "arrays": list(group.arrays),
-                    "admission_slots": group.admission_slots,
-                    "failures": len(group.failures),
-                    "migration_volumes": list(group.migration_volumes),
-                    "duration_ms": report.fleet.duration_ms,
-                    "wall_s": report.wall_s,
-                },
-            ),
-            admission_partition=partition.admission_partition(),
-        )
-        return ParallelScenarioRun(report=report, execution=execution).to_dict()
+    def _boot_pool(self, size: int) -> WorkerPool:
+        """The worker pool for a run of ``size`` concurrent groups —
+        reused while the size and the fleet shape hold, rebooted when
+        either changes."""
+        if self._pool is not None and self._pool.workers != size:
+            self._pool.close()
+            self._pool = None
+        if self._pool is None:
+            self._pool = WorkerPool(size, mp_context=self._mp_context)
+        if self._pool.ensure((self.scenario.v, self.scenario.k)):
+            self.stats.pool_cold_boots += 1
+        else:
+            self.stats.pool_warm_hits += 1
+        return self._pool
 
-    def _run_parallel(self, stream, recorder) -> dict:
+    def _run_grouped(self, stream, recorder) -> ParallelScenarioRun:
+        """Serve the scenario once through the grouped pipeline — the
+        one grouped runner: partition, run every group (or fall back to
+        the serial runner when the partition or a submitted stream
+        cannot split), and record how the run executed."""
         sc = self.scenario
         t0 = time.perf_counter()
-        cpus = available_cpus()
         partition = partition_scenario(sc)
-        if partition.serial_fallback:
-            report = run_fleet_scenario(sc, recorder=recorder, stream=stream)
-            return self._serial_payload(
-                report, partition, reason=partition.reason, cpus=cpus
-            )
-        if stream is not None and any(
+        reason = partition.reason if partition.serial_fallback else None
+        if reason is None and stream is not None and any(
             g.migration_volumes for g in partition.groups
         ):
             # Migration workers regenerate the synthetic stream; a
             # submitted stream has no worker-side regeneration, so a
             # live reshape serves it on the serial path.
-            report = run_fleet_scenario(sc, recorder=recorder, stream=stream)
-            return self._serial_payload(
-                report,
-                partition,
-                reason=(
-                    "a submitted stream with a live reshape serves "
-                    "serially — migration workers regenerate synthetic "
-                    "streams only"
-                ),
-                cpus=cpus,
+            reason = (
+                "a submitted stream with a live reshape serves serially "
+                "— migration workers regenerate synthetic streams only"
             )
+        if reason is None:
+            report, results, workers, context = self._run_groups(
+                partition, stream, recorder, t0
+            )
+            rows = [
+                (g, r.duration_ms, r.wall_s)
+                for g, r in zip(partition.groups, results)
+            ]
+        else:
+            report = run_fleet_scenario(sc, recorder=recorder, stream=stream)
+            rows = [
+                (partition.groups[0], report.fleet.duration_ms, report.wall_s)
+            ]
+            workers, context = 1, None
+        execution = ParallelExecution(
+            requested_workers=self.workers,
+            workers=workers,
+            cpu_count=available_cpus(),
+            mp_context=context,
+            serial_fallback=reason is not None,
+            fallback_reason=reason,
+            groups=tuple(
+                {
+                    "arrays": list(g.arrays),
+                    "admission_slots": g.admission_slots,
+                    "failures": len(g.failures),
+                    "migration_volumes": list(g.migration_volumes),
+                    "duration_ms": duration_ms,
+                    "wall_s": wall_s,
+                }
+                for g, duration_ms, wall_s in rows
+            ),
+            admission_partition=partition.admission_partition(),
+        )
+        return ParallelScenarioRun(report=report, execution=execution)
 
-        fleet = self._routing_fleet()
+    def _run_groups(
+        self, partition: GroupPartition, stream, recorder, t0: float
+    ) -> tuple[FleetScenarioReport, list[GroupResult], int, str | None]:
+        """Build one :class:`GroupTask` per group, run them, and merge.
+        Returns ``(report, results, workers used, start method)``."""
+        sc = self.scenario
+        # Parent-side work that must not be duplicated per group: the
+        # conformance gate, the routing fingerprint, and — for
+        # materialized plain groups — generating, routing and compiling
+        # the stream ONCE (or reusing the cached artifact).  Windowed
+        # groups get the static routing table instead and filter
+        # windows themselves, so nothing holds the full stream.  Data
+        # planes stay off — the parent never simulates.
+        fleet = scenario_fleet(sc)
         conformance = check_fleet(fleet) if sc.check_conformance else None
         planned_moves = 0
         fingerprint = fleet.shard_map.fingerprint()
         if sc.reshape_to is not None:
+            # The serial runner reports the post-reshape table (scenarios
+            # always run their migration to convergence) — compute it
+            # from the plan without simulating.
             plan = plan_migration(fleet, sc.reshape_to)
             planned_moves = len(plan.moves)
             fingerprint = plan.target_map.fingerprint()
+        # The serial engine gate: the batched/carry engines only when
+        # nothing (failure or reshape) is armed on the shared clock.
         allow_batched = not sc.failures and sc.reshape_to is None
-        windowed = sc.window_size is not None
         interval = recorder.interval_ms if recorder is not None else None
-        route = fleet.volume_route()
+        plain = [g for g in partition.groups if not g.migration_volumes]
 
         artifact = None
-        stream_handle = None
-        plain = [g for g in partition.groups if not g.migration_volumes]
-        if plain and not windowed:
+        shm = None  # the segment plain groups read their traces from
+        packed_bytes = None  # set when shm is a per-serve stream segment
+        stream_specs: tuple = ()
+        route = None
+        if plain and sc.window_size is None:
             artifact = self._artifact(stream, fleet)
-        elif plain and windowed and stream is not None:
-            # Windowed serves never materialize compiled slices, but a
-            # submitted stream still rides shared memory: pack the raw
-            # arrays once and let each worker view them read-only.
-            shm, specs, nbytes = _pack_arrays(list(stream))
-            self.stats.shm_bytes += nbytes
-            stream_handle = (shm.name, specs, sc.window_size, nbytes)
+            shm = artifact.shm
+        elif plain:
+            route = _StaticRoute(
+                fleet.volume_route(),
+                fleet.volume_units,
+                fleet.shard_capacity,
+                fleet.capacity,
+            )
+            if stream is not None:
+                # Windowed serves never materialize compiled slices,
+                # but a submitted stream still rides shared memory:
+                # pack the raw arrays once, every group views them.
+                shm, stream_specs, packed_bytes = _pack_arrays(list(stream))
+                self.stats.shm_bytes += packed_bytes
 
-        tasks: list[tuple] = []
-        for i, group in enumerate(partition.groups):
-            if group.migration_volumes:
-                tasks.append(("migration", sc, group, i, interval))
-            elif windowed and stream_handle is not None:
-                tasks.append(
-                    (
-                        "shm_windowed",
-                        sc,
-                        group,
-                        route,
-                        fleet.volume_units,
-                        fleet.shard_capacity,
-                        fleet.capacity,
-                        fleet.shard_map.volumes,
-                        i,
-                        allow_batched,
-                        interval,
-                        stream_handle[:3],
-                    )
-                )
-            elif windowed:
-                tasks.append(
-                    (
-                        "windowed",
-                        sc,
-                        group,
-                        route,
-                        fleet.volume_units,
-                        fleet.shard_capacity,
-                        fleet.capacity,
-                        fleet.shard_map.volumes,
-                        i,
-                        allow_batched,
-                        interval,
-                    )
-                )
+        def task(g) -> GroupTask:
+            if g.migration_volumes:
+                return GroupTask(sc, g, allow_batched, interval)
+            if artifact is not None:
+                specs = tuple(artifact.specs[a] for a in g.arrays)
             else:
-                tasks.append(
-                    (
-                        "shm_compiled",
-                        sc,
-                        group,
-                        artifact.handle(group.arrays),
-                        i,
-                        allow_batched,
-                        interval,
-                    )
-                )
+                specs = stream_specs
+            return GroupTask(
+                sc,
+                g,
+                allow_batched,
+                interval,
+                segment=shm.name if shm is not None else None,
+                specs=specs,
+                route=route,
+            )
 
-        cold = self._pool.ensure((sc.v, sc.k))
-        if cold:
-            self.stats.pool_cold_boots += 1
-        else:
-            self.stats.pool_warm_hits += 1
+        tasks = [task(g) for g in partition.groups]
+        workers = min(self.workers, len(tasks))
+        context = None
         try:
-            results = self._pool.map(tasks)
+            if workers <= 1:
+                results = [_run_group_task(t, shm) for t in tasks]
+            else:
+                pool = self._boot_pool(workers)
+                context = pool.context_name
+                results = pool.map(tasks)
         finally:
-            if stream_handle is not None:
+            if packed_bytes is not None:
                 # Per-serve raw-stream segments are not cached; release
-                # as soon as every worker task has returned.
-                self.stats.shm_bytes -= stream_handle[3]
-                _release_segment(stream_handle[0])
-        results.sort(key=lambda r: r.group_index)
+                # as soon as every group has returned.
+                self.stats.shm_bytes -= packed_bytes
+                _release_segment(shm.name)
 
         if artifact is not None:
             # What a pickle transport would have shipped: every group's
@@ -858,24 +833,4 @@ class WarmRuntime:
             wall_s=time.perf_counter() - t0,
             max_concurrent_rebuilds=max_concurrent_rebuilds(outcomes),
         )
-        execution = ParallelExecution(
-            requested_workers=self.workers,
-            workers=min(self.workers, len(tasks)),
-            cpu_count=cpus,
-            mp_context=self._pool.context_name,
-            serial_fallback=False,
-            fallback_reason=None,
-            groups=tuple(
-                {
-                    "arrays": list(g.arrays),
-                    "admission_slots": g.admission_slots,
-                    "failures": len(g.failures),
-                    "migration_volumes": list(g.migration_volumes),
-                    "duration_ms": r.duration_ms,
-                    "wall_s": r.wall_s,
-                }
-                for g, r in zip(partition.groups, results)
-            ),
-            admission_partition=partition.admission_partition(),
-        )
-        return ParallelScenarioRun(report=report, execution=execution).to_dict()
+        return report, results, workers, context

@@ -283,3 +283,132 @@ class TestFrontend:
                 await frontend.close()
 
         _run(main())
+
+
+class TestFrontendHardening:
+    """Every input is served or refused with an error reply — and no
+    request can drop the connection or log a traceback."""
+
+    def _rpc_session(self, scenario, body):
+        async def main():
+            frontend = ServiceFrontend(scenario)
+            await frontend.start()
+            try:
+                rpc, writer = await _client(frontend)
+                result = await body(frontend, rpc)
+                writer.close()
+                return result
+            finally:
+                await frontend.close()
+
+        return _run(main())
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_submit_refuses_non_finite_times(self, bad):
+        async def body(frontend, rpc):
+            # json.dumps writes NaN/Infinity literals; json.loads reads them.
+            reply = await rpc({
+                "op": "submit",
+                "times": [1.0, float(bad)],
+                "is_read": [True, True],
+                "lbas": [0, 0],
+            })
+            ping = await rpc({"op": "ping"})
+            return reply, ping
+
+        reply, ping = self._rpc_session(_scenario(), body)
+        assert not reply["ok"] and "finite" in reply["error"]
+        assert ping["ok"] and ping["buffered"] == 0
+
+    def test_submit_refuses_lbas_outside_capacity(self):
+        scenario = _scenario()
+        capacity = Fleet(
+            scenario.shards, scenario.v, scenario.k, seed=scenario.seed
+        ).capacity
+
+        async def body(frontend, rpc):
+            refused = [
+                await rpc({
+                    "op": "submit",
+                    "times": [1.0],
+                    "is_read": [True],
+                    "lbas": [lba],
+                })
+                for lba in (-1, capacity, capacity + 10**6)
+            ]
+            accepted = await rpc({
+                "op": "submit",
+                "times": [1.0, 2.0],
+                "is_read": [True, False],
+                "lbas": [0, capacity - 1],
+            })
+            served = await rpc({"op": "serve"})
+            return refused, accepted, served
+
+        refused, accepted, served = self._rpc_session(scenario, body)
+        for reply in refused:
+            assert not reply["ok"]
+            assert f"[0, {capacity})" in reply["error"]
+        assert accepted["ok"] and accepted["buffered"] == 2
+        assert served["ok"], served
+        assert served["report"]["fleet"]["scheduled"] == 2
+
+    def test_unexpected_errors_are_replied(self, monkeypatch):
+        async def body(frontend, rpc):
+            def broken(**kwargs):
+                raise RuntimeError("pool went away")
+
+            monkeypatch.setattr(frontend.runtime, "run", broken)
+            failed_run = await rpc({"op": "run"})
+            # Nesting past the recursion limit: json.loads raises
+            # RecursionError, which is not a ValueError.
+            host, port = frontend.address
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"[" * 50_000 + b"\n")
+            await writer.drain()
+            deep = json.loads(await reader.readline())
+            writer.close()
+            ping = await rpc({"op": "ping"})
+            return failed_run, deep, ping
+
+        failed_run, deep, ping = self._rpc_session(_scenario(), body)
+        assert not failed_run["ok"]
+        assert failed_run["error"] == "RuntimeError: pool went away"
+        assert not deep["ok"] and deep["error"].startswith("RecursionError")
+        assert ping["ok"]  # the connection survived
+
+    @pytest.mark.parametrize("kib", [70, 1024])
+    def test_oversized_line_is_refused_and_closes_cleanly(self, caplog, kib):
+        from repro.service.frontend import LINE_LIMIT
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda _, ctx: reported.append(ctx))
+            frontend = ServiceFrontend(_scenario())
+            await frontend.start()
+            try:
+                host, port = frontend.address
+                reader, writer = await asyncio.open_connection(host, port)
+                line = json.dumps({"op": "ping", "pad": "x" * kib * 1024})
+                writer.write(line.encode() + b"\n")
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                tail = await reader.read()  # the server closed its end
+                writer.close()
+                # The listener still accepts and serves a new client.
+                rpc, fresh = await _client(frontend)
+                ping = await rpc({"op": "ping"})
+                fresh.close()
+                return reply, tail, ping, reported
+            finally:
+                await frontend.close()
+
+        with caplog.at_level("DEBUG", logger="asyncio"):
+            reply, tail, ping, reported = _run(main())
+        assert not reply["ok"]
+        assert str(LINE_LIMIT) in reply["error"]
+        assert tail == b""
+        assert ping["ok"]
+        assert reported == []
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]

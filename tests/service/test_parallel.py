@@ -207,16 +207,16 @@ class TestReportEquality:
         bug: every worker regenerated and re-routed the FULL stream,
         making the parallel path do O(groups x stream) redundant
         work.)"""
-        import repro.service.parallel as par_mod
+        import repro.service.runtime as runtime_mod
 
         calls = []
-        real = par_mod.generate_request_stream
+        real = runtime_mod.generate_request_stream
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(par_mod, "generate_request_stream", counting)
+        monkeypatch.setattr(runtime_mod, "generate_request_stream", counting)
         serial = run_fleet_scenario(FAILURES).to_dict()
         grouped = run_fleet_scenario_parallel(
             FAILURES, workers=1
@@ -338,16 +338,16 @@ class TestWindowedParallel:
     def test_no_stream_materialized_in_parent(self, monkeypatch):
         """The windowed parallel path never calls the whole-stream
         generator — not in the parent, not per group."""
-        import repro.service.parallel as par_mod
+        import repro.service.runtime as runtime_mod
 
         calls = []
-        real = par_mod.generate_request_stream
+        real = runtime_mod.generate_request_stream
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(par_mod, "generate_request_stream", counting)
+        monkeypatch.setattr(runtime_mod, "generate_request_stream", counting)
         sc = _scenario(window_size=128)
         serial = run_fleet_scenario(sc).to_dict()
         grouped = run_fleet_scenario_parallel(sc, workers=1).to_dict()
@@ -384,6 +384,53 @@ class TestExecutionMetadata:
             _scenario(shards=2, duration_ms=150.0)
         )
         assert 1 <= run.execution.workers <= 2
+
+
+class TestOneShotRuntime:
+    """The batch runner is a one-shot cold warm runtime: it owns
+    shared-memory segments for the duration of the call only, and
+    leaks none of the warm runtime's session state into its output."""
+
+    @pytest.mark.parametrize(
+        "scenario,mp_context",
+        [
+            (FAILURES, "auto"),
+            (_scenario(window_size=128), "auto"),
+            (_scenario(shards=3, duration_ms=150.0), "spawn"),
+        ],
+        ids=["materialized", "windowed", "spawn"],
+    )
+    def test_no_segments_outlive_the_call(self, scenario, mp_context):
+        import os
+
+        from repro.service import leaked_segments
+
+        serial = run_fleet_scenario(scenario).to_dict()
+        run = run_fleet_scenario_parallel(
+            scenario, workers=2, mp_context=mp_context
+        )
+        assert run.execution.workers == 2
+        assert _canon(serial) == _canon(run.to_dict())
+        assert leaked_segments(os.getpid()) == []
+
+    def test_no_runtime_stats_or_volatile_counters(self):
+        from repro.obs import MetricsRecorder
+
+        rec = MetricsRecorder(50.0, shards=FAILURES.shards)
+        run = run_fleet_scenario_parallel(FAILURES, workers=2, recorder=rec)
+        assert "runtime" not in run.to_dict()
+        volatile = rec.counters(volatile=True)
+        for name in (
+            "pool_warm_hits",
+            "compile_cache_hits",
+            "shm_bytes",
+            "ipc_bytes_avoided",
+        ):
+            assert name not in volatile
+
+    def test_requested_workers_recorded_as_given(self):
+        run = run_fleet_scenario_parallel(_scenario(shards=2))
+        assert run.execution.requested_workers is None
 
 
 class TestSpawnSafety:

@@ -98,8 +98,9 @@ class TestByteIdentityMatrix:
             _assert_clean(runtime)
 
     def test_windowed_submitted_stream_rides_shared_memory(self):
-        """window + submitted stream + workers>1 is the shm_windowed
-        task path: raw arrays packed per serve, released after it."""
+        """window + submitted stream + workers>1 packs the raw stream
+        into a per-serve segment every group task views, released
+        after the serve."""
         scenario = _scenario(window_size=64)
         stream = _stream_for(scenario)
         batch = run_fleet_scenario(scenario, stream=stream).to_dict()
