@@ -40,7 +40,6 @@ import numpy as np
 from ..core.registry import get_layout
 from ..layouts import Layout
 from ..obs.nullrec import NULL_RECORDER
-from ..sim.batchstep import _EagerCore
 from ..sim.compile import (
     CompiledTrace,
     StreamWindows,
@@ -54,7 +53,7 @@ from ..sim.controller import ArrayController
 from ..sim.disk import DiskParameters
 from ..sim.events import Simulator
 from ..sim.stats import LatencyDigest, LatencyStats, merge_summaries, summarize
-from ..sim.stream import _digest_sink, _WindowedSolver
+from ..sim.stream import _sweep, _volumes, _windows_carry
 from ..sim.workload import WorkloadConfig
 from .sharding import ShardMap
 
@@ -329,14 +328,9 @@ class Fleet:
         times = np.asarray(times, dtype=np.float64)
         is_read = np.asarray(is_read, dtype=bool)
         lbas = np.ascontiguousarray(lbas, dtype=np.int64)
-        vols = lbas // self.volume_units
-        if vols.size and (
-            vols.min() < 0 or vols.max() >= self.shard_map.volumes
-        ):
-            raise IndexError(
-                f"LBAs outside the fleet capacity {self.capacity}: "
-                f"volume range [{vols.min()}, {vols.max()}]"
-            )
+        vols = _volumes(
+            lbas, self.volume_units, self.shard_map.volumes, self.capacity
+        )
         shard_ids = self._volume_route[vols]
         mig = self._migration
         if mig is not None and not mig.done:
@@ -508,9 +502,11 @@ class Fleet:
           single-phase (``read_only_hint`` or a write-through fleet),
           the eager core for mixed read-modify-write fleets without
           data planes.  No event loop at all.  An eager tie abort
-          replays the stream exactly on the window router (``windows``
-          must be re-iterable for eager; one-shot generators stream
-          through the router directly).
+          replays that shard's sub-stream exactly on a per-shard
+          chained heap pump (``windows`` must be re-iterable for eager;
+          one-shot generators stream through the router directly).
+          This is :func:`repro.sim.stream.execute_windows`'s engine
+          driver, over every shard.
         * **window router** (armed timers, live migration, data
           planes): one self-rescheduling event loads each window onto
           the shared heap when it is due — per-window routing follows
@@ -532,18 +528,30 @@ class Fleet:
             {} for _ in self.controllers
         ]
         scheduled = [0] * len(self.controllers)
-        carried = False
-        if not self.sim.pending() and (mig is None or mig.done):
-            carried = self._serve_windows_carry(
-                windows, digests, scheduled, read_only_hint
+        # Carry mode: per-shard carry engines, no event loop (the
+        # windowed analogue of :meth:`_execute_all`).
+        carried = (
+            not self.sim.pending()
+            and (mig is None or mig.done)
+            and _windows_carry(
+                self.sim,
+                self.controllers,
+                range(len(self.controllers)),
+                route=self._volume_route,
+                volume_units=self.volume_units,
+                shard_capacity=self.shard_capacity,
+                capacity=self.capacity,
+                write_policy=self.write_policy,
+                dataplane=self._dataplane,
+                windows=windows,
+                digests=digests,
+                scheduled=scheduled,
+                read_only_hint=read_only_hint,
             )
+        )
         if not carried:
             # Router mode — either the clock is busy, or the carry
-            # engines declined / aborted (nothing touched; replay).
-            for d in digests:
-                d.clear()
-            for s in range(len(scheduled)):
-                scheduled[s] = 0
+            # engines declined (nothing touched).
             router = _WindowRouter(self, iter(windows), digests, scheduled)
             router.start()
             self.sim.run()
@@ -570,59 +578,6 @@ class Fleet:
             accs=digests,
             ios_base=ios_base,
         )
-
-    def _serve_windows_carry(
-        self,
-        windows,
-        digests: list[dict[str, LatencyDigest]],
-        scheduled: list[int],
-        read_only_hint: bool,
-    ) -> bool:
-        """Batched windowed fast path: per-shard carry engines, no
-        event loop (the windowed analogue of :meth:`_execute_all`).
-        False when the engines don't apply or the eager core hits an
-        ambiguous tie — in both cases the controllers are untouched."""
-        return _windows_carry(
-            self.sim,
-            self.controllers,
-            range(len(self.controllers)),
-            route=self._volume_route,
-            volume_units=self.volume_units,
-            shard_capacity=self.shard_capacity,
-            n_volumes=self.shard_map.volumes,
-            capacity=self.capacity,
-            write_policy=self.write_policy,
-            dataplane=self._dataplane,
-            windows=windows,
-            digests=digests,
-            scheduled=scheduled,
-            read_only_hint=read_only_hint,
-        )
-
-    def _replay_shard(
-        self,
-        s: int,
-        windows,
-        digest: dict[str, LatencyDigest],
-    ) -> int:
-        """Replay one shard's sub-stream on a chained heap pump (fresh
-        pass over the re-iterable windows, routed and filtered to shard
-        ``s``) — the carry path's per-shard fallback when its eager
-        core hits an ambiguous tie.  Constant memory: one window
-        buffered, samples swept into the digest at window boundaries.
-        Returns the shard's request count."""
-        count, drain = _arm_shard_pump(
-            self.controllers[s],
-            s,
-            windows,
-            digest,
-            self._volume_route,
-            self.volume_units,
-            self.shard_capacity,
-        )
-        self.sim.run()
-        drain()
-        return count[0]
 
     # ------------------------------------------------------------------
     # Reporting
@@ -751,12 +706,9 @@ class _WindowRouter:
         fleet = self.fleet
         times, is_read, lbas = self._next
         self._next = None
-        vols = lbas // fleet.volume_units
-        if vols.min() < 0 or vols.max() >= fleet.shard_map.volumes:
-            raise IndexError(
-                f"LBAs outside the fleet capacity {fleet.capacity}: "
-                f"volume range [{vols.min()}, {vols.max()}]"
-            )
+        vols = _volumes(
+            lbas, fleet.volume_units, fleet.shard_map.volumes, fleet.capacity
+        )
         shard_ids = fleet._volume_route[vols]
         mig = fleet._migration
         if mig is not None and not mig.done:
@@ -812,228 +764,5 @@ class _WindowRouter:
             digests.append({})
             lat_base.append({})
         for s, ctrl in enumerate(fleet.controllers):
-            dig = digests[s]
-            base = lat_base[s]
-            for kind, st in ctrl.latency.items():
-                lst = st.samples
-                b = base.get(kind, 0)
-                if len(lst) > b:
-                    d = dig.get(kind)
-                    if d is None:
-                        d = dig[kind] = LatencyDigest()
-                    d.extend(lst[b:])
-                    del lst[b:]
+            _sweep(ctrl.latency, lat_base[s], digests[s])
 
-
-def _windows_carry(
-    sim: Simulator,
-    controllers: list[ArrayController],
-    gids,
-    *,
-    route: np.ndarray,
-    volume_units: int,
-    shard_capacity: int,
-    n_volumes: int,
-    capacity: int,
-    write_policy: str,
-    dataplane: bool,
-    windows,
-    digests: list[dict[str, LatencyDigest]],
-    scheduled: list[int],
-    read_only_hint: bool,
-) -> bool:
-    """Carry-engine windowed execution over ``controllers`` serving the
-    global shard ids ``gids`` (``gids[i]`` is what the routing table
-    calls ``controllers[i]``) — the whole fleet for a serial serve,
-    one group's slice for a multi-process worker.  ``digests`` and
-    ``scheduled`` are indexed like ``controllers``.  Returns False when
-    the engines don't apply or an eager core hits an ambiguous tie with
-    the controllers untouched (aborted shards replay on a per-shard
-    chained heap pump before returning True)."""
-    base = sim.now
-    sinks = [
-        _digest_sink(d, c.obs if c.obs.enabled else None, g)
-        for d, c, g in zip(digests, controllers, gids)
-    ]
-    solver = read_only_hint or write_policy == "write_through"
-    if solver:
-        engines = [_WindowedSolver(c) for c in controllers]
-        for c, g in zip(controllers, gids):
-            c.last_engine = "windowed-solver"
-            c.obs.set_engine(g, "windowed-solver")
-    else:
-        # The eager tier needs re-iterable windows: an abort replays
-        # the whole stream from the top.
-        if (
-            dataplane
-            or write_policy != "rmw"
-            or iter(windows) is windows
-        ):
-            return False
-        p = controllers[0].params
-        seq_s = (
-            p.sequential_seek_ms
-            + p.rotational_latency_ms
-            + p.transfer_ms_per_unit
-        )
-        avg_s = (
-            p.average_seek_ms
-            + p.rotational_latency_ms
-            + p.transfer_ms_per_unit
-        )
-        if min(seq_s, avg_s) <= 0.0:
-            return False
-        engines = [_EagerCore(c, seq_s, avg_s) for c in controllers]
-        for c, g in zip(controllers, gids):
-            c.last_engine = "windowed-eager"
-            c.obs.set_engine(g, "windowed-eager")
-    # Shards whose eager core hit an ambiguous tie: their core is
-    # dropped (it wrote nothing back) and their whole sub-stream
-    # replays on a per-shard chained heap pump at the end — the
-    # same per-shard granularity as execute_compiled's eager →
-    # event-engine fallback, so reports stay byte-identical.
-    fallback: set[int] = set()
-
-    def demote(i: int) -> None:
-        fallback.add(i)
-        digests[i].clear()
-        scheduled[i] = 0
-        obs_i = controllers[i].obs
-        obs_i.reset_shard(gids[i])
-        obs_i.count("tie_abort_replays")
-
-    for times, is_read, lbas in windows:
-        if not len(times):
-            continue
-        controllers[0].obs.count("window_boundaries", volatile=True)
-        vols = lbas // volume_units
-        if vols.min() < 0 or vols.max() >= n_volumes:
-            raise IndexError(
-                f"LBAs outside the fleet capacity {capacity}: "
-                f"volume range [{vols.min()}, {vols.max()}]"
-            )
-        shard_ids = route[vols]
-        for i, ctrl in enumerate(controllers):
-            if i in fallback:
-                continue
-            mask = shard_ids == gids[i]
-            if not mask.any():
-                continue
-            if ctrl.obs.enabled:
-                ctrl.obs.arrivals(gids[i], base + times[mask])
-            w = compile_stream(
-                ctrl.mapper,
-                times[mask],
-                is_read[mask],
-                lbas[mask] % shard_capacity,
-            )
-            scheduled[i] += w.n
-            if solver:
-                engines[i].feed(w, sinks[i])
-            else:
-                run = _CompiledRun(ctrl, w)
-                if not engines[i].feed(run):
-                    demote(i)
-                    continue
-                engines[i].drain(run.times[-1], sinks[i])
-    if not solver:
-        # Settle every surviving shard before the first write-back
-        # so a late abort still demotes cleanly.
-        for i, eng in enumerate(engines):
-            if i not in fallback and not eng.settle():
-                demote(i)
-    # Finish each shard from the common start time and advance the
-    # shared clock to the fleet-wide makespan (_execute_all's move).
-    end = base
-    for i, eng in enumerate(engines):
-        sim.now = base
-        if i in fallback:
-            count, drain = _arm_shard_pump(
-                controllers[i],
-                gids[i],
-                windows,
-                digests[i],
-                route,
-                volume_units,
-                shard_capacity,
-            )
-            sim.run()
-            drain()
-            scheduled[i] = count[0]
-        else:
-            eng.finish(sinks[i])
-        if sim.now > end:
-            end = sim.now
-    sim.now = end
-    return True
-
-
-def _arm_shard_pump(
-    ctrl: ArrayController,
-    gid: int,
-    windows,
-    digest: dict[str, LatencyDigest],
-    route: np.ndarray,
-    volume_units: int,
-    shard_capacity: int,
-) -> tuple[list[int], object]:
-    """Arm a chained heap pump for the shard the routing table calls
-    ``gid`` over its slice of a re-iterable windowed stream (a fresh
-    filtered pass — one window buffered at a time).
-
-    Returns ``(count, drain)``: ``count[0]`` accumulates the shard's
-    request count as windows are pulled, and ``drain()`` sweeps fresh
-    latency samples into ``digest`` (the pump calls it at each window
-    boundary; call it once more after the clock drains).  The caller
-    runs the simulator — so a worker can arm every shard's pump before
-    one shared ``sim.run()`` when failure timers interleave."""
-    ctrl.last_engine = "windowed-pump"
-    obs = ctrl.obs
-    obs.set_engine(gid, "windowed-pump")
-    base = ctrl.sim.now
-
-    def slices():
-        for times, is_read, lbas in windows:
-            if not len(times):
-                continue
-            mask = route[lbas // volume_units] == gid
-            if not mask.any():
-                continue
-            if obs.enabled:
-                obs.arrivals(gid, base + times[mask])
-            yield compile_stream(
-                ctrl.mapper,
-                times[mask],
-                is_read[mask],
-                lbas[mask] % shard_capacity,
-            )
-
-    gen = slices()
-    first = next(gen, None)
-    count = [0]
-    latency = ctrl.latency
-    lat_base = {kind: len(st.samples) for kind, st in latency.items()}
-
-    def drain():
-        for kind, st in latency.items():
-            lst = st.samples
-            b = lat_base.get(kind, 0)
-            if len(lst) > b:
-                d = digest.get(kind)
-                if d is None:
-                    d = digest[kind] = LatencyDigest()
-                d.extend(lst[b:])
-                del lst[b:]
-
-    if first is None:
-        return count, drain
-    count[0] = first.n
-
-    def source():
-        w = next(gen, None)
-        if w is not None:
-            count[0] += w.n
-        return w
-
-    _CompiledRun(ctrl, first, source=source, on_window=drain).schedule()
-    return count, drain

@@ -24,9 +24,10 @@ op        behaviour
 ========  ====================================================
 ping      liveness + scenario shape + buffered request count
 submit    append a stream chunk: ``{"op": "submit", "times":
-          [...], "is_read": [...], "lbas": [...]}``; arrival
-          times must be finite and non-decreasing across chunks,
-          LBAs within ``[0, capacity)`` of the scenario's fleet
+          [...], "is_read": [...], "lbas": [...]}`` — flat arrays
+          of numbers, booleans, and integers; arrival times must
+          be finite and non-decreasing across chunks, LBAs within
+          ``[0, capacity)`` of the scenario's fleet
 reset     drop the buffered stream
 serve     run the scenario over the buffered stream (clears
           the buffer); reply carries the full report payload
@@ -242,9 +243,18 @@ class ServiceFrontend:
         raise ValueError(f"unknown op {op!r}")
 
     def _submit(self, request: dict) -> dict:
-        times = np.asarray(request["times"], dtype=np.float64)
-        is_read = np.asarray(request["is_read"], dtype=bool)
-        lbas = np.asarray(request["lbas"], dtype=np.int64)
+        times = np.asarray(
+            _column(request, "times", _NUMBER, "numbers"), dtype=np.float64
+        )
+        is_read = np.asarray(
+            _column(request, "is_read", _BOOL, "booleans"), dtype=bool
+        )
+        try:
+            lbas = np.asarray(
+                _column(request, "lbas", _INT, "integers"), dtype=np.int64
+            )
+        except OverflowError:
+            raise ValueError(f"LBAs must lie in [0, {self._capacity})") from None
         if not (times.size == is_read.size == lbas.size):
             raise ValueError(
                 "times/is_read/lbas must be the same length, got "
@@ -278,6 +288,23 @@ class ServiceFrontend:
             )
         self.runs += 1
         return payload
+
+
+# Element types a submit column accepts, as ``json.loads`` produces
+# them (``bool`` is its own type there, never an ``int``).
+_NUMBER = frozenset((int, float))
+_BOOL = frozenset((bool,))
+_INT = frozenset((int,))
+
+
+def _column(request: dict, name: str, types: frozenset, what: str) -> list:
+    """A submit column, refused unless it is a flat JSON array whose
+    every element has one of ``types`` — NumPy would otherwise coerce
+    ``"no"`` to True, ``1.7`` to 1 and ``"5"`` to 5.0."""
+    values = request[name]
+    if not isinstance(values, list) or not set(map(type, values)) <= types:
+        raise ValueError(f"{name} must be a flat JSON array of {what}")
+    return values
 
 
 async def _send(writer, reply: dict) -> None:

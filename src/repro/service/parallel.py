@@ -99,13 +99,8 @@ from ..sim.compile import (
 from ..sim.controller import ArrayController
 from ..sim.events import Simulator
 from ..sim.stats import LatencyDigest, merge_summaries, summarize
-from .fleet import (
-    Fleet,
-    FleetReport,
-    _arm_shard_pump,
-    _windows_carry,
-    _WindowRouter,
-)
+from ..sim.stream import _arm_shard_pump, _windows_carry
+from .fleet import Fleet, FleetReport, _WindowRouter
 from .migration import (
     MigrationCoordinator,
     VolumeMigrationOutcome,
@@ -745,7 +740,6 @@ def _execute_group_windowed(task: GroupTask, windows) -> GroupResult:
             route=route.table,
             volume_units=route.volume_units,
             shard_capacity=route.shard_capacity,
-            n_volumes=len(route.table),
             capacity=route.capacity,
             write_policy=sc.write_policy,
             dataplane=sc.verify_data,
@@ -755,8 +749,6 @@ def _execute_group_windowed(task: GroupTask, windows) -> GroupResult:
             read_only_hint=sc.read_fraction >= 1.0,
         )
     if not carried:
-        for d in digests:
-            d.clear()
         # Arm every shard's pump before the one shared run so failure
         # timers interleave with all of them, exactly as the serial
         # window router's heap does.

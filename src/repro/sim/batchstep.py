@@ -344,6 +344,38 @@ def _step_eager(
     return n
 
 
+def _drain_pools(
+    pools: dict[str, tuple[list[float], list[float]]], threshold: float, sink
+) -> None:
+    """Emit pooled samples with completion <= ``threshold`` — the drain
+    shared by the windowed engines.  ``pools`` maps each kind to its
+    ``(completions, latencies)`` lists in submission order.  Every later
+    request arrives at or after the threshold, so its completion cannot
+    sort before the emitted prefix, and emitted prefixes concatenate
+    into exactly the one-shot completion-sorted order.  ``sink(kind,
+    lats, comps)`` receives each kind's latencies completion-sorted,
+    ties by submission order, plus the matching completion times (for
+    metrics bucketing)."""
+    for kind, (cs, ls) in pools.items():
+        if not cs:
+            continue
+        carr = np.asarray(cs)
+        ready = carr <= threshold
+        if not ready.any():
+            continue
+        larr = np.asarray(ls)
+        ready_c = carr[ready]
+        order = np.argsort(ready_c, kind="stable")
+        sink(kind, larr[ready][order].tolist(), ready_c[order])
+        keep = ~ready
+        if keep.any():
+            cs[:] = carr[keep].tolist()
+            ls[:] = larr[keep].tolist()
+        else:
+            del cs[:]
+            del ls[:]
+
+
 class _EagerCore:
     """Generalized eager queue resolver with window carry-over.
 
@@ -396,12 +428,12 @@ class _EagerCore:
 
     _WRITE_KIND = "write"
 
-    def __init__(self, ctrl: "ArrayController", seq_s: float, avg_s: float):
+    def __init__(self, ctrl: "ArrayController"):
         disks = ctrl.disks
         v = len(disks)
         self.ctrl = ctrl
-        self.seq_s = seq_s
-        self.avg_s = avg_s
+        self.seq_s = ctrl.params.sequential_service_ms
+        self.avg_s = ctrl.params.average_service_ms
         self.prevc = [float("-inf")] * v
         self.dlast = [
             _NO_OFFSET if d._last_offset is None else d._last_offset
@@ -648,29 +680,8 @@ class _EagerCore:
     def drain(self, threshold: float, sink) -> None:
         """Emit buffered samples with completion <= ``threshold`` (the
         fed stream's last arrival: everything still pending completes
-        strictly later, so emitted prefixes concatenate into exactly
-        the one-shot completion-sorted order).  ``sink(kind, lats,
-        comps)`` receives each kind's latencies completion-sorted, ties
-        by submission order, plus the matching completion times (for
-        metrics bucketing)."""
-        for kind, (cs, ls) in self._kinds.items():
-            if not cs:
-                continue
-            carr = np.asarray(cs)
-            ready = carr <= threshold
-            if not ready.any():
-                continue
-            larr = np.asarray(ls)
-            ready_c = carr[ready]
-            order = np.argsort(ready_c, kind="stable")
-            sink(kind, larr[ready][order].tolist(), ready_c[order])
-            keep = ~ready
-            if keep.any():
-                cs[:] = carr[keep].tolist()
-                ls[:] = larr[keep].tolist()
-            else:
-                del cs[:]
-                del ls[:]
+        strictly later) — see :func:`_drain_pools`."""
+        _drain_pools(self._kinds, threshold, sink)
 
     def settle(self) -> bool:
         """Retire everything still pending without emitting or writing
@@ -706,10 +717,7 @@ class _EagerCore:
 
 
 def _eager_planned(
-    ctrl: "ArrayController",
-    compiled: "CompiledTrace",
-    seq_s: float,
-    avg_s: float,
+    ctrl: "ArrayController", compiled: "CompiledTrace"
 ) -> int | None:
     """One-shot :class:`_EagerCore` run over a whole compiled trace
     (the degraded counterpart of :func:`_step_eager`).  Returns the
@@ -717,7 +725,7 @@ def _eager_planned(
     untouched."""
     from .compile import _CompiledRun
 
-    core = _EagerCore(ctrl, seq_s, avg_s)
+    core = _EagerCore(ctrl)
     if not core.feed(_CompiledRun(ctrl, compiled)):
         return None
     latency = ctrl.latency
@@ -771,16 +779,8 @@ def step_compiled(
         return 0
 
     params = ctrl.params
-    seq_s = (
-        params.sequential_seek_ms
-        + params.rotational_latency_ms
-        + params.transfer_ms_per_unit
-    )
-    avg_s = (
-        params.average_seek_ms
-        + params.rotational_latency_ms
-        + params.transfer_ms_per_unit
-    )
+    seq_s = params.sequential_service_ms
+    avg_s = params.average_service_ms
     if (
         bucket_ms is None
         and ctrl.data is None
@@ -794,7 +794,7 @@ def step_compiled(
         if ctrl.failed_disk is None:
             eager = _step_eager(ctrl, compiled, seq_s, avg_s)
         else:
-            eager = _eager_planned(ctrl, compiled, seq_s, avg_s)
+            eager = _eager_planned(ctrl, compiled)
         if eager is not None:
             ctrl.last_engine = "eager"
             ctrl.obs.set_engine(ctrl.obs_shard, "eager")
@@ -805,7 +805,7 @@ def step_compiled(
 
     ctrl.last_engine = "calendar"
     ctrl.obs.set_engine(ctrl.obs_shard, "calendar")
-    hint = bucket_ms if bucket_ms is not None else min(seq_s, avg_s)
+    hint = bucket_ms if bucket_ms is not None else params.min_service_ms
     from .events import calendar_bucket_width
 
     width = calendar_bucket_width(hint)

@@ -21,7 +21,10 @@ event loop:
   policy): each disk's FIFO queue is solved analytically with the
   exact same float arithmetic the event engine would perform, so the
   resulting report is identical to the scalar simulation at a fraction
-  of the cost;
+  of the cost.  The fan-out and the recurrence are one kernel,
+  ``_solve_fifo``, which the windowed solver
+  (:mod:`repro.sim.stream`) shares by carrying each disk's previous
+  completion between windows;
 * :func:`execute_compiled` is the engine-selection seam: analytic
   solver for single-phase traces, the calendar-queue batch-stepped
   executor (:mod:`repro.sim.batchstep`) for mixed traces on an idle
@@ -788,6 +791,10 @@ def schedule_compiled_scalar(
 # ----------------------------------------------------------------------
 
 
+#: Request-kind names indexed by the solver's per-request kind codes.
+_KIND_NAMES = ("read", "degraded_read", "write", "degraded_write")
+
+
 def solve_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
     """Execute a single-phase compiled trace analytically.
 
@@ -843,6 +850,62 @@ def solve_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
         return 0
     sim = ctrl.sim
     times = sim.now + compiled.times
+    req_completion, kind_code = _solve_fifo(
+        ctrl, compiled, times, [float("-inf")] * len(ctrl.disks)
+    )
+
+    # --- latency samples, recorded in completion order like the event
+    # engine would.
+    latencies = req_completion - times
+    done_order = np.argsort(req_completion, kind="stable")
+    obs = ctrl.obs if ctrl.obs.enabled else None
+    if kind_code is None:
+        lat_done = latencies[done_order]
+        ctrl.latency.setdefault("read", LatencyStats()).samples.extend(
+            lat_done.tolist()
+        )
+        if obs is not None:
+            obs.feed(ctrl.obs_shard, "read", req_completion[done_order], lat_done)
+    else:
+        kinds_done = kind_code[done_order]
+        lat_done = latencies[done_order]
+        comp_done = req_completion[done_order] if obs is not None else None
+        for code, name in enumerate(_KIND_NAMES):
+            mask = kinds_done == code
+            sel = lat_done[mask]
+            if len(sel):
+                ctrl.latency.setdefault(name, LatencyStats()).samples.extend(
+                    sel.tolist()
+                )
+                if obs is not None:
+                    obs.feed(ctrl.obs_shard, name, comp_done[mask], sel)
+    sim.now = float(req_completion.max())
+    return n
+
+
+def _solve_fifo(
+    ctrl: ArrayController,
+    compiled: CompiledTrace,
+    times: np.ndarray,
+    carry: list[float],
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The single-phase FIFO kernel shared by the one-shot and windowed
+    solvers: fan every request out to its disk IOs, then solve each
+    disk's queue as ``completion = max(arrival, prev_completion) +
+    service`` — same float operations, same order as the event engine.
+
+    ``times`` are the absolute arrival times; ``carry`` holds each
+    disk's previous completion (``-inf`` for an idle disk) and is
+    updated in place, while last offset, busy time, queue delay, and
+    IO counters accumulate on the disk objects.  Partitioning a disk's
+    IO sequence across calls therefore does not change the float
+    left-fold.  Returns ``(req_completion, kind_code)``: per-request
+    completion (fan-in = max over the request's IOs) and the
+    :data:`_KIND_NAMES` code per request, or ``None`` when every request
+    is a plain read.
+    """
+    n = compiled.n
+    has_writes = not compiled.read_only()
     failed = ctrl.failed_disk
     disks = compiled.disks
     offsets = compiled.offsets
@@ -850,7 +913,7 @@ def solve_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
     # --- fan each logical request out to its disk IOs (request order;
     # data before parity within a write, unit order within a degraded
     # stripe — the submission order of the event-driven path).  The
-    # per-request kind codes drive latency bucketing at the end.
+    # per-request kind codes drive latency bucketing at emission.
     kind_code = None  # None = every request is a plain read
     if not has_writes and failed is None:
         io_req = np.arange(n, dtype=np.int64)
@@ -948,39 +1011,37 @@ def solve_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
             io_disk[kpos] = udisks[keep]
             io_off[kpos] = uoffs[keep]
 
-    # --- solve each disk's FIFO queue.
+    # --- solve each disk's FIFO queue, continuing from ``carry``.
     io_time = times[io_req]
     completion = np.empty(len(io_disk), dtype=np.float64)
     p = ctrl.params
-    rot, xfer = p.rotational_latency_ms, p.transfer_ms_per_unit
-    avg, seqs = p.average_seek_ms, p.sequential_seek_ms
+    seq_s, avg_s = p.sequential_service_ms, p.average_service_ms
     order = np.argsort(io_disk, kind="stable")
     sorted_disk = io_disk[order]
     group_bounds = np.flatnonzero(np.diff(sorted_disk)) + 1
     for grp in np.split(order, group_bounds):
-        disk_obj = ctrl.disks[int(io_disk[grp[0]])]
+        di = int(io_disk[grp[0]])
+        disk_obj = ctrl.disks[di]
         offs = io_off[grp]
-        # Per-IO service time, mirroring DiskParameters.service_time
-        # element for element ((seek + rotation) + transfer).
-        seeks = np.empty(len(grp), dtype=np.float64)
+        # Per-IO service time, DiskParameters.service_time element for
+        # element.
+        adjacent = np.empty(len(grp), dtype=bool)
         last = disk_obj._last_offset
-        seeks[0] = (
-            seqs if last is not None and abs(int(offs[0]) - last) <= 1 else avg
-        )
-        seeks[1:] = np.where(np.abs(np.diff(offs)) <= 1, seqs, avg)
-        service = (seeks + rot) + xfer
-        arrivals = io_time[grp].tolist()
+        adjacent[0] = last is not None and abs(int(offs[0]) - last) <= 1
+        adjacent[1:] = np.abs(np.diff(offs)) <= 1
+        service = np.where(adjacent, seq_s, avg_s)
         comp = []
         busy = disk_obj.busy_time
         delay = disk_obj.total_queue_delay
-        prev = -np.inf
-        for a, s in zip(arrivals, service.tolist()):
+        prev = carry[di]
+        for a, s in zip(io_time[grp].tolist(), service.tolist()):
             start = a if a > prev else prev
             delay += start - a
             busy += s
             prev = start + s
             comp.append(prev)
         completion[grp] = comp
+        carry[di] = prev
         disk_obj.busy_time = busy
         disk_obj.total_queue_delay = delay
         if io_write is None:
@@ -991,40 +1052,10 @@ def solve_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
             disk_obj.completed_reads += len(grp) - nw
         disk_obj._last_offset = int(offs[-1])
 
-    # --- per-request completion (fan-in = max over the request's IOs)
-    # and latency samples, recorded in completion order like the event
-    # engine would.
+    # --- per-request completion: fan-in = max over the request's IOs.
     if len(io_disk) == n:
-        req_completion = completion
-    else:
-        req_completion = np.maximum.reduceat(completion, block_start)
-    latencies = req_completion - times
-    done_order = np.argsort(req_completion, kind="stable")
-    obs = ctrl.obs if ctrl.obs.enabled else None
-    if kind_code is None:
-        lat_done = latencies[done_order]
-        ctrl.latency.setdefault("read", LatencyStats()).samples.extend(
-            lat_done.tolist()
-        )
-        if obs is not None:
-            obs.feed(ctrl.obs_shard, "read", req_completion[done_order], lat_done)
-    else:
-        kinds_done = kind_code[done_order]
-        lat_done = latencies[done_order]
-        comp_done = req_completion[done_order] if obs is not None else None
-        for code, name in enumerate(
-            ("read", "degraded_read", "write", "degraded_write")
-        ):
-            mask = kinds_done == code
-            sel = lat_done[mask]
-            if len(sel):
-                ctrl.latency.setdefault(name, LatencyStats()).samples.extend(
-                    sel.tolist()
-                )
-                if obs is not None:
-                    obs.feed(ctrl.obs_shard, name, comp_done[mask], sel)
-    sim.now = float(req_completion.max())
-    return n
+        return completion, kind_code
+    return np.maximum.reduceat(completion, block_start), kind_code
 
 
 # ----------------------------------------------------------------------
@@ -1072,13 +1103,7 @@ def execute_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
         return n
     if compiled.read_only() or ctrl.write_policy == "write_through":
         return solve_compiled(ctrl, compiled)
-    p = ctrl.params
-    min_service = (
-        min(p.sequential_seek_ms, p.average_seek_ms)
-        + p.rotational_latency_ms
-        + p.transfer_ms_per_unit
-    )
-    if min_service <= 0.0:
+    if ctrl.params.min_service_ms <= 0.0:
         # A degenerate zero-service model has no usable bucket width;
         # the heap handles it.
         n = schedule_compiled(ctrl, compiled)

@@ -38,14 +38,40 @@ class DiskParameters:
     #: Seek charged when the head is already adjacent (sequential I/O).
     sequential_seek_ms: float = 0.5
 
+    # Every engine charges one of these two sums, always associated as
+    # ``(seek + rotation) + transfer`` — computed here once so their
+    # floats agree bit for bit.
+
+    @property
+    def sequential_service_ms(self) -> float:
+        """Service time of an IO adjacent to the previous head position."""
+        return (
+            self.sequential_seek_ms
+            + self.rotational_latency_ms
+            + self.transfer_ms_per_unit
+        )
+
+    @property
+    def average_service_ms(self) -> float:
+        """Service time of an IO that needs a full average seek."""
+        return (
+            self.average_seek_ms
+            + self.rotational_latency_ms
+            + self.transfer_ms_per_unit
+        )
+
+    @property
+    def min_service_ms(self) -> float:
+        """The shorter of the two service times (the calendar engine's
+        bucket width; a non-positive value disables the fast engines)."""
+        return min(self.sequential_service_ms, self.average_service_ms)
+
     def service_time(self, last_offset: int | None, offset: int) -> float:
         """Time to serve one unit-sized IO at ``offset`` given the
         previous head position."""
         if last_offset is not None and abs(offset - last_offset) <= 1:
-            seek = self.sequential_seek_ms
-        else:
-            seek = self.average_seek_ms
-        return seek + self.rotational_latency_ms + self.transfer_ms_per_unit
+            return self.sequential_service_ms
+        return self.average_service_ms
 
 
 @dataclass(slots=True)
@@ -92,18 +118,8 @@ class Disk:
         # One bound method reused for every completion event (heap
         # entries carry no per-IO closure).
         self._on_service_done = self._service_done
-        # Precomputed service times — same float expression and
-        # evaluation order as DiskParameters.service_time.
-        self._seq_service = (
-            params.sequential_seek_ms
-            + params.rotational_latency_ms
-            + params.transfer_ms_per_unit
-        )
-        self._avg_service = (
-            params.average_seek_ms
-            + params.rotational_latency_ms
-            + params.transfer_ms_per_unit
-        )
+        self._seq_service = params.sequential_service_ms
+        self._avg_service = params.average_service_ms
         # Statistics
         self.busy_time = 0.0
         self.completed_reads = 0

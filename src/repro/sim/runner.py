@@ -241,35 +241,26 @@ def simulate_workload(
         windows = StreamWindows(
             cfg, duration_ms, ctrl.mapper.capacity, window_size=window_size
         )
-        scheduled, digests = execute_windows(
+        # The engines record arrivals as windows are routed.
+        scheduled, latency = execute_windows(
             ctrl, windows, read_only_hint=cfg.read_fraction >= 1.0
         )
-        if recorder is not None:
-            # Arrivals are pure workload input; record them after the
-            # run so a tie-abort replay's shard reset cannot drop them.
-            for times, _is_read, _lbas in windows:
-                recorder.arrivals(0, times)
-        report = WorkloadReport(
-            duration_ms=ctrl.sim.now,
-            scheduled=scheduled,
-            latency={kind: summarize(d) for kind, d in digests.items()},
-            per_disk_ios=ctrl.per_disk_completed(),
-            utilizations=ctrl.utilizations(),
-        )
-        report.engine = ctrl.last_engine
-        return report
-    compiled = compile_workload(ctrl.mapper, cfg, duration_ms)
-    if batched:
-        scheduled = execute_compiled(ctrl, compiled)
     else:
-        scheduled = schedule_compiled_scalar(ctrl, compiled)
-        ctrl.sim.run()
-    if recorder is not None:
-        recorder.arrivals(0, compiled.times)
+        compiled = compile_workload(ctrl.mapper, cfg, duration_ms)
+        if batched:
+            scheduled = execute_compiled(ctrl, compiled)
+        else:
+            scheduled = schedule_compiled_scalar(ctrl, compiled)
+            ctrl.sim.run()
+        if recorder is not None:
+            recorder.arrivals(0, compiled.times)
+        latency = ctrl.latency
+    # Kinds sorted: the order requests first complete in is the
+    # engine's business, not the report's.
     report = WorkloadReport(
         duration_ms=ctrl.sim.now,
         scheduled=scheduled,
-        latency={kind: summarize(st) for kind, st in ctrl.latency.items()},
+        latency={kind: summarize(latency[kind]) for kind in sorted(latency)},
         per_disk_ios=ctrl.per_disk_completed(),
         utilizations=ctrl.utilizations(),
     )

@@ -11,22 +11,29 @@ that carries its queue state across window boundaries, and reduced to
 constant-memory :class:`repro.sim.stats.LatencyDigest` accumulators —
 peak memory is one window, at any horizon.
 
-Reports stay **byte-identical** to the materialized path.  Three
-engines mirror :func:`execute_compiled`'s selection gate:
+Reports stay **byte-identical** to the materialized path.
+:func:`execute_windows` is the fleet's windowed carry path run on one
+array — one volume routed to ``ctrl.obs_shard`` — so one driver
+(:func:`_windows_carry`) and one per-shard pump
+(:func:`_arm_shard_pump`) serve single arrays,
+:meth:`repro.service.Fleet.serve_windows`, and multi-process shard
+groups alike.  Three engines mirror :func:`execute_compiled`'s
+selection gate:
 
 * single-phase streams (read-only by construction, or any mix under
   ``write_policy="write_through"``) run on :class:`_WindowedSolver` —
-  the analytic FIFO solver of :func:`~repro.sim.compile.solve_compiled`
-  with the per-disk recurrence state (previous completion, last offset,
-  busy/delay accumulators) carried between windows.  Partitioning a
-  disk's IO sequence does not change the float left-fold, so every
-  completion is bit-equal to the whole-trace solve;
+  the FIFO kernel of :func:`~repro.sim.compile.solve_compiled`
+  (:func:`~repro.sim.compile._solve_fifo`) with the per-disk
+  recurrence state (previous completion, last offset, busy/delay
+  accumulators) carried between windows.  Partitioning a disk's IO
+  sequence does not change the float left-fold, so every completion is
+  bit-equal to the whole-trace solve;
 * mixed read-modify-write streams on a hookless array run on
   :class:`repro.sim.batchstep._EagerCore` fed window by window, its
   pending-phase heap and per-disk state persisting across feeds.  On
   the core's ambiguity abort (an exact submission-time tie) nothing has
-  touched the controller, so the stream is replayed exactly on the heap
-  pump;
+  touched the controller, so that shard's stream is replayed exactly on
+  the heap pump;
 * everything else (busy simulator, data plane attached, degenerate
   service model) streams through the chained heap pump —
   :class:`~repro.sim.compile._CompiledRun` with a window ``source``,
@@ -43,18 +50,24 @@ summary byte-identical (see :mod:`repro.sim.stats`).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Iterable
 
 import numpy as np
 
-from ..core.registry import get_incidence
-from .compile import CompiledTrace, _CompiledRun, compile_stream
+from .batchstep import _drain_pools, _EagerCore
+from .compile import (
+    CompiledTrace,
+    _CompiledRun,
+    _KIND_NAMES,
+    _solve_fifo,
+    compile_stream,
+)
 from .controller import ArrayController
-from .stats import LatencyDigest
+from .events import Simulator
+from .stats import LatencyDigest, LatencyStats
 
 __all__ = ["execute_windows"]
-
-_KIND_NAMES = ("read", "degraded_read", "write", "degraded_write")
 
 #: A raw stream window, as yielded by StreamWindows.
 _Window = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -84,16 +97,19 @@ def _digest_sink(digests: dict[str, LatencyDigest], obs=None, shard: int = 0):
 class _WindowedSolver:
     """The analytic single-phase solver, fed one window at a time.
 
-    Carries the per-disk FIFO recurrence across feeds: the previous
-    completion time per disk (the solver's ``prev``), while last
-    offset / busy time / queue delay round-trip through the disk
-    objects between windows (the same additions in the same order as
-    one whole-trace solve, so every float is bit-equal).  Request
-    completions pool in request order and drain once no later request
-    can land among them.
+    Each feed runs the shared FIFO kernel
+    (:func:`repro.sim.compile._solve_fifo`) with the per-disk previous
+    completions carried in ``prev``, while last offset / busy time /
+    queue delay round-trip through the disk objects between windows
+    (the same additions in the same order as one whole-trace solve, so
+    every float is bit-equal).  Request completions pool per kind in
+    request order and drain (:func:`repro.sim.batchstep._drain_pools`)
+    once no later request can land among them — a stable completion
+    sort then breaks ties by request order, exactly the one-shot
+    solver's ``done_order``.
     """
 
-    __slots__ = ("ctrl", "base", "prev", "maxc", "n", "_comps", "_lats", "_codes")
+    __slots__ = ("ctrl", "base", "prev", "maxc", "_kinds")
 
     def __init__(self, ctrl: ArrayController):
         if ctrl.sim.pending():
@@ -102,11 +118,8 @@ class _WindowedSolver:
         self.base = ctrl.sim.now
         self.prev = [float("-inf")] * len(ctrl.disks)
         self.maxc = float("-inf")
-        self.n = 0
-        # Pooled, in request order: completion, latency, kind code.
-        self._comps: list[float] = []
-        self._lats: list[float] = []
-        self._codes: list[int] = []
+        # kind -> (completions, latencies), in request order.
+        self._kinds: dict[str, tuple[list[float], list[float]]] = {}
 
     def feed(self, compiled: CompiledTrace, sink) -> int:
         """Solve one compiled window and emit every pooled sample that
@@ -121,308 +134,279 @@ class _WindowedSolver:
         n = compiled.n
         if n == 0:
             return 0
-        has_writes = not compiled.read_only()
-        if has_writes and ctrl.write_policy != "write_through":
+        if not compiled.read_only() and ctrl.write_policy != "write_through":
             raise ValueError(
                 "the windowed solver handles read-only streams under the "
                 "read-modify-write policy (write-through streams are "
                 "single-phase and always solvable)"
             )
-        self.n += n
         times = self.base + compiled.times
-        failed = ctrl.failed_disk
-        disks = compiled.disks
-        offsets = compiled.offsets
-
-        # --- fan requests out to disk IOs (identical to solve_compiled).
-        kind_code = None
-        if not has_writes and failed is None:
-            io_req = np.arange(n, dtype=np.int64)
-            io_disk = disks
-            io_off = offsets
-            io_write = None
-            block_start = io_req
-        else:
-            counts = np.ones(n, dtype=np.int64)
-            kind_code = np.zeros(n, dtype=np.int8)
-            if has_writes:
-                widx = np.flatnonzero(~compiled.is_read)
-                wd, wo, ws, wpd, wpo = ctrl.mapper.map_batch_parity(
-                    compiled.lbas[widx]
-                )
-                if failed is None:
-                    wnormal = np.ones(len(widx), dtype=bool)
-                    wdataf = wparityf = np.zeros(len(widx), dtype=bool)
-                else:
-                    wdataf = wd == failed
-                    wparityf = wpd == failed
-                    wnormal = ~(wdataf | wparityf)
-                counts[widx[wnormal]] = 2
-                kind_code[widx[wnormal]] = 2
-                kind_code[widx[~wnormal]] = 3
-                if ctrl.data is not None:
-                    b = ctrl.layout.b
-                    wlbas = compiled.lbas[widx].tolist()
-                    for j in range(len(widx)):
-                        ctrl._apply_write_dataplane(
-                            int(ws[j]) % b,
-                            int(wd[j]),
-                            int(wo[j]),
-                            ctrl._default_payload(wlbas[j]),
-                        )
-            deg = None
-            if failed is not None:
-                layout = ctrl.layout
-                inc = get_incidence(layout)
-                lengths = inc.stripe_lengths()
-                sids = compiled.stripes % layout.b
-                deg = compiled.is_read & (disks == failed)
-                counts[deg] = lengths[sids[deg]] - 1
-                kind_code[deg] = 1
-            block_start = np.zeros(n, dtype=np.int64)
-            np.cumsum(counts[:-1], out=block_start[1:])
-            total = int(counts.sum())
-            io_req = np.repeat(np.arange(n, dtype=np.int64), counts)
-            io_disk = np.empty(total, dtype=np.int64)
-            io_off = np.empty(total, dtype=np.int64)
-            io_write = np.zeros(total, dtype=bool)
-            hr = compiled.is_read if deg is None else compiled.is_read & ~deg
-            io_disk[block_start[hr]] = disks[hr]
-            io_off[block_start[hr]] = offsets[hr]
-            if has_writes:
-                bs = block_start[widx[wnormal]]
-                io_disk[bs] = wd[wnormal]
-                io_off[bs] = wo[wnormal]
-                io_disk[bs + 1] = wpd[wnormal]
-                io_off[bs + 1] = wpo[wnormal]
-                io_write[bs] = True
-                io_write[bs + 1] = True
-                bs = block_start[widx[wdataf]]
-                io_disk[bs] = wpd[wdataf]
-                io_off[bs] = wpo[wdataf]
-                io_write[bs] = True
-                bs = block_start[widx[wparityf]]
-                io_disk[bs] = wd[wparityf]
-                io_off[bs] = wo[wparityf]
-                io_write[bs] = True
-            if deg is not None and deg.any():
-                dsids = sids[deg]
-                row_start = inc.indptr[dsids]
-                row_len = lengths[dsids]
-                m = int(row_len.sum())
-                run_end = np.cumsum(row_len)
-                intra = np.arange(m, dtype=np.int64) - np.repeat(
-                    run_end - row_len, row_len
-                )
-                upos = np.repeat(row_start, row_len) + intra
-                udisks = inc.disks[upos]
-                uoffs = inc.offsets[upos]
-                keep = udisks != failed
-                klen = row_len - 1
-                kept = int(klen.sum())
-                kend = np.cumsum(klen)
-                kintra = np.arange(kept, dtype=np.int64) - np.repeat(
-                    kend - klen, klen
-                )
-                kpos = np.repeat(block_start[deg], klen) + kintra
-                io_disk[kpos] = udisks[keep]
-                io_off[kpos] = uoffs[keep]
-
-        # --- continue each disk's FIFO recurrence from the carried
-        # state (the one line that differs from the one-shot solver:
-        # ``prev`` starts at the previous window's last completion).
-        io_time = times[io_req]
-        completion = np.empty(len(io_disk), dtype=np.float64)
-        p = ctrl.params
-        rot, xfer = p.rotational_latency_ms, p.transfer_ms_per_unit
-        avg, seqs = p.average_seek_ms, p.sequential_seek_ms
-        order = np.argsort(io_disk, kind="stable")
-        sorted_disk = io_disk[order]
-        group_bounds = np.flatnonzero(np.diff(sorted_disk)) + 1
-        for grp in np.split(order, group_bounds):
-            di = int(io_disk[grp[0]])
-            disk_obj = ctrl.disks[di]
-            offs = io_off[grp]
-            seeks = np.empty(len(grp), dtype=np.float64)
-            last = disk_obj._last_offset
-            seeks[0] = (
-                seqs if last is not None and abs(int(offs[0]) - last) <= 1 else avg
-            )
-            seeks[1:] = np.where(np.abs(np.diff(offs)) <= 1, seqs, avg)
-            service = (seeks + rot) + xfer
-            arrivals = io_time[grp].tolist()
-            comp = []
-            busy = disk_obj.busy_time
-            delay = disk_obj.total_queue_delay
-            prev = self.prev[di]
-            for a, s in zip(arrivals, service.tolist()):
-                start = a if a > prev else prev
-                delay += start - a
-                busy += s
-                prev = start + s
-                comp.append(prev)
-            completion[grp] = comp
-            self.prev[di] = prev
-            disk_obj.busy_time = busy
-            disk_obj.total_queue_delay = delay
-            if io_write is None:
-                disk_obj.completed_reads += len(grp)
-            else:
-                nw = int(io_write[grp].sum())
-                disk_obj.completed_writes += nw
-                disk_obj.completed_reads += len(grp) - nw
-            disk_obj._last_offset = int(offs[-1])
-
-        # --- pool per-request completions (request order) and drain.
-        if len(io_disk) == n:
-            req_completion = completion
-        else:
-            req_completion = np.maximum.reduceat(completion, block_start)
-        top = float(req_completion.max())
+        comps, kind_code = _solve_fifo(ctrl, compiled, times, self.prev)
+        top = float(comps.max())
         if top > self.maxc:
             self.maxc = top
-        self._comps.extend(req_completion.tolist())
-        self._lats.extend((req_completion - times).tolist())
+        lats = comps - times
         if kind_code is None:
-            self._codes.extend([0] * n)
+            parts = [("read", comps, lats)]
         else:
-            self._codes.extend(kind_code.tolist())
-        self._drain(float(times[-1]), sink)
+            parts = [
+                (name, comps[mask], lats[mask])
+                for code, name in enumerate(_KIND_NAMES)
+                if (mask := kind_code == code).any()
+            ]
+        for name, c, lat in parts:
+            cs, ls = self._kinds.setdefault(name, ([], []))
+            cs.extend(c.tolist())
+            ls.extend(lat.tolist())
+        _drain_pools(self._kinds, float(times[-1]), sink)
         return n
-
-    def _drain(self, threshold: float, sink) -> None:
-        """Emit pooled samples with completion <= ``threshold``.  Every
-        later request arrives at or after the threshold, so its
-        completion cannot sort before the emitted prefix — and within
-        the pool a stable completion sort breaks ties by request order,
-        exactly the one-shot solver's ``done_order``."""
-        comps = self._comps
-        if not comps:
-            return
-        carr = np.asarray(comps)
-        ready = carr <= threshold
-        if not ready.any():
-            return
-        larr = np.asarray(self._lats)
-        codes = np.asarray(self._codes, dtype=np.int8)
-        order = np.argsort(carr[ready], kind="stable")
-        comp_done = carr[ready][order]
-        lat_done = larr[ready][order]
-        kinds_done = codes[ready][order]
-        for code, name in enumerate(_KIND_NAMES):
-            mask = kinds_done == code
-            sel = lat_done[mask]
-            if len(sel):
-                sink(name, sel.tolist(), comp_done[mask])
-        keep = ~ready
-        if keep.any():
-            comps[:] = carr[keep].tolist()
-            self._lats[:] = larr[keep].tolist()
-            self._codes[:] = codes[keep].tolist()
-        else:
-            del comps[:]
-            del self._lats[:]
-            del self._codes[:]
 
     def finish(self, sink) -> None:
         """Emit everything still pooled and advance the clock to the
         last completion (the one-shot solver's final ``sim.now``)."""
-        self._drain(float("inf"), sink)
+        _drain_pools(self._kinds, float("inf"), sink)
         if self.maxc > float("-inf"):
             self.ctrl.sim.now = self.maxc
 
 
-def _eager_windows(
-    ctrl: ArrayController,
-    windows: Iterable[_Window],
-    digests: dict[str, LatencyDigest],
-    seq_s: float,
-    avg_s: float,
-) -> int | None:
-    """Stream a mixed RMW workload through the eager core, one window
-    at a time.  Returns the request count, or ``None`` on an ambiguous
-    tie — the controller is untouched and the caller replays."""
-    from .batchstep import _EagerCore
+def _volumes(
+    lbas: np.ndarray, volume_units: int, n_volumes: int, capacity: int
+) -> np.ndarray:
+    """Each request's volume, ``lba // volume_units``.
 
-    core = _EagerCore(ctrl, seq_s, avg_s)
-    obs = ctrl.obs
-    sink = _digest_sink(digests, obs if obs.enabled else None, ctrl.obs_shard)
-    n = 0
+    Raises:
+        IndexError: if any LBA falls outside the ``capacity`` that the
+            ``n_volumes`` volumes cover.
+    """
+    vols = lbas // volume_units
+    if vols.size and (vols.min() < 0 or vols.max() >= n_volumes):
+        raise IndexError(
+            f"LBAs outside the capacity {capacity}: "
+            f"volume range [{vols.min()}, {vols.max()}]"
+        )
+    return vols
+
+
+def _windows_carry(
+    sim: Simulator,
+    controllers: list[ArrayController],
+    gids,
+    *,
+    route: np.ndarray,
+    volume_units: int,
+    shard_capacity: int,
+    capacity: int,
+    write_policy: str,
+    dataplane: bool,
+    windows,
+    digests: list[dict[str, LatencyDigest]],
+    scheduled: list[int],
+    read_only_hint: bool,
+) -> bool:
+    """Carry-engine windowed execution over ``controllers`` serving the
+    global shard ids ``gids`` (``gids[i]`` is what the routing table
+    calls ``controllers[i]``) — one array for :func:`execute_windows`,
+    the whole fleet for a serial serve, one group's slice for a
+    multi-process worker.  ``digests`` and ``scheduled`` are indexed
+    like ``controllers``.  Returns False when the engines don't apply,
+    with the controllers untouched; shards whose eager core hits an
+    ambiguous tie replay on a per-shard chained heap pump before this
+    returns True."""
+    base = sim.now
+    sinks = [
+        _digest_sink(d, c.obs if c.obs.enabled else None, g)
+        for d, c, g in zip(digests, controllers, gids)
+    ]
+    solver = read_only_hint or write_policy == "write_through"
+    if solver:
+        engines = [_WindowedSolver(c) for c in controllers]
+        label = "windowed-solver"
+    else:
+        # The eager tier needs re-iterable windows: an abort replays
+        # the whole stream from the top.
+        if (
+            dataplane
+            or write_policy != "rmw"
+            or iter(windows) is windows
+            or controllers[0].params.min_service_ms <= 0.0
+        ):
+            return False
+        engines = [_EagerCore(c) for c in controllers]
+        label = "windowed-eager"
+    for c, g in zip(controllers, gids):
+        c.last_engine = label
+        c.obs.set_engine(g, label)
+    # Shards whose eager core hit an ambiguous tie: their core is
+    # dropped (it wrote nothing back) and their whole sub-stream
+    # replays on a per-shard chained heap pump at the end — the
+    # same per-shard granularity as execute_compiled's eager →
+    # event-engine fallback, so reports stay byte-identical.
+    fallback: set[int] = set()
+
+    def demote(i: int) -> None:
+        fallback.add(i)
+        digests[i].clear()
+        scheduled[i] = 0
+        obs_i = controllers[i].obs
+        obs_i.reset_shard(gids[i])
+        obs_i.count("tie_abort_replays")
+
     for times, is_read, lbas in windows:
-        w = compile_stream(ctrl.mapper, times, is_read, lbas)
-        if not w.n:
+        if not len(times):
             continue
-        run = _CompiledRun(ctrl, w)
-        if not core.feed(run):
-            return None
-        n += w.n
-        obs.count("window_boundaries", volatile=True)
-        core.drain(run.times[-1], sink)
-    if not core.finish(sink):
-        return None
-    ctrl.last_engine = "windowed-eager"
-    obs.set_engine(ctrl.obs_shard, "windowed-eager")
-    return n
+        controllers[0].obs.count("window_boundaries", volatile=True)
+        shard_ids = route[_volumes(lbas, volume_units, len(route), capacity)]
+        for i, ctrl in enumerate(controllers):
+            if i in fallback:
+                continue
+            mask = shard_ids == gids[i]
+            if not mask.any():
+                continue
+            if ctrl.obs.enabled:
+                ctrl.obs.arrivals(gids[i], base + times[mask])
+            w = compile_stream(
+                ctrl.mapper,
+                times[mask],
+                is_read[mask],
+                lbas[mask] % shard_capacity,
+            )
+            scheduled[i] += w.n
+            if solver:
+                engines[i].feed(w, sinks[i])
+            else:
+                run = _CompiledRun(ctrl, w)
+                if not engines[i].feed(run):
+                    demote(i)
+                    continue
+                engines[i].drain(run.times[-1], sinks[i])
+    if not solver:
+        # Settle every surviving shard before the first write-back
+        # so a late abort still demotes cleanly.
+        for i, eng in enumerate(engines):
+            if i not in fallback and not eng.settle():
+                demote(i)
+    # Finish each shard from the common start time and advance the
+    # shared clock to the fleet-wide makespan.
+    end = base
+    for i, eng in enumerate(engines):
+        sim.now = base
+        if i in fallback:
+            count, drain = _arm_shard_pump(
+                controllers[i],
+                gids[i],
+                windows,
+                digests[i],
+                route,
+                volume_units,
+                shard_capacity,
+            )
+            sim.run()
+            drain()
+            scheduled[i] = count[0]
+        else:
+            eng.finish(sinks[i])
+        if sim.now > end:
+            end = sim.now
+    sim.now = end
+    return True
 
 
-def _pump_windows(
+def _arm_shard_pump(
     ctrl: ArrayController,
-    it: Iterator[_Window],
-    digests: dict[str, LatencyDigest],
-) -> int:
-    """Stream through the chained heap pump: the general engine, able
-    to interleave with foreign events (rebuilds, timers, other streams).
-    Latency-sample lists are swept into the digests at every window
-    boundary, so they never grow past one window.
+    gid: int,
+    windows,
+    digest: dict[str, LatencyDigest],
+    route: np.ndarray,
+    volume_units: int,
+    shard_capacity: int,
+) -> tuple[list[int], object]:
+    """Arm a chained heap pump for the shard the routing table calls
+    ``gid`` over its slice of a windowed stream (a fresh filtered pass
+    — one window buffered at a time).  This is the general engine,
+    able to interleave with foreign events (rebuilds, timers, other
+    shards' pumps).
+
+    Returns ``(count, drain)``: ``count[0]`` accumulates the shard's
+    request count as windows are pulled, and ``drain()`` sweeps fresh
+    latency samples into ``digest`` (the pump calls it at each window
+    boundary; call it once more after the clock drains).  The caller
+    runs the simulator — so a worker can arm every shard's pump before
+    one shared ``sim.run()`` when failure timers interleave.
 
     Metrics recording rides the event-level hooks (the controller's
     ``_record``, the compiled run's inlined sinks), which see every
-    completion at its event time — the boundary sweep below moves
-    samples that the recorder has already bucketed, so it must not feed
-    the recorder again."""
+    completion at its event time — the drain moves samples the
+    recorder has already bucketed, so it does not feed the recorder
+    again."""
     ctrl.last_engine = "windowed-pump"
-    ctrl.obs.set_engine(ctrl.obs_shard, "windowed-pump")
-    mapper = ctrl.mapper
-    first: CompiledTrace | None = None
-    for times, is_read, lbas in it:
-        w = compile_stream(mapper, times, is_read, lbas)
-        if w.n:
-            first = w
-            break
-    if first is None:
-        return 0
     obs = ctrl.obs
-    obs.count("window_boundaries", volatile=True)
-    scheduled = [first.n]
+    obs.set_engine(gid, "windowed-pump")
+    base = ctrl.sim.now
 
-    def source() -> CompiledTrace | None:
-        for times, is_read, lbas in it:
-            w = compile_stream(mapper, times, is_read, lbas)
-            if w.n:
-                scheduled[0] += w.n
-                obs.count("window_boundaries", volatile=True)
-                return w
-        return None
-
-    latency = ctrl.latency
-
-    def drain() -> None:
-        for kind, st in latency.items():
-            lst = st.samples
-            if not lst:
+    def slices():
+        for times, is_read, lbas in windows:
+            if not len(times):
                 continue
-            d = digests.get(kind)
-            if d is None:
-                d = digests[kind] = LatencyDigest()
-            d.extend(lst)
-            # Clear in place: the pump and controller cache the list
-            # object as their recording sink.
-            del lst[:]
+            mask = route[lbas // volume_units] == gid
+            if not mask.any():
+                continue
+            if obs.enabled:
+                obs.arrivals(gid, base + times[mask])
+            yield compile_stream(
+                ctrl.mapper,
+                times[mask],
+                is_read[mask],
+                lbas[mask] % shard_capacity,
+            )
+
+    gen = slices()
+    first = next(gen, None)
+    count = [0]
+    lat_base = {kind: len(st.samples) for kind, st in ctrl.latency.items()}
+    drain = partial(_sweep, ctrl.latency, lat_base, digest)
+    if first is None:
+        return count, drain
+    count[0] = first.n
+
+    def source():
+        w = next(gen, None)
+        if w is not None:
+            count[0] += w.n
+        return w
 
     _CompiledRun(ctrl, first, source=source, on_window=drain).schedule()
-    ctrl.sim.run()
-    drain()
-    return scheduled[0]
+    return count, drain
+
+
+def _sweep(
+    latency: dict[str, LatencyStats],
+    lat_base: dict[str, int],
+    digest: dict[str, LatencyDigest],
+) -> None:
+    """Move each kind's samples past ``lat_base[kind]`` (a long-lived
+    controller may hold earlier streams' samples) into ``digest``, in
+    recording order.  The lists are trimmed in place: the pump and the
+    controller cache them as their recording sinks."""
+    for kind, st in latency.items():
+        lst = st.samples
+        b = lat_base.get(kind, 0)
+        if len(lst) > b:
+            d = digest.get(kind)
+            if d is None:
+                d = digest[kind] = LatencyDigest()
+            d.extend(lst[b:])
+            del lst[b:]
+
+
+def _checked(windows, obs, capacity: int):
+    """Yield ``windows`` unchanged, refusing LBAs outside ``[0,
+    capacity)`` (the carry path's check) and counting each non-empty
+    window as a window boundary."""
+    for window in windows:
+        if len(window[0]):
+            _volumes(window[2], capacity, 1, capacity)
+            obs.count("window_boundaries", volatile=True)
+        yield window
 
 
 def execute_windows(
@@ -437,8 +421,9 @@ def execute_windows(
     The streaming counterpart of
     :func:`repro.sim.compile.execute_compiled`: same simulation, same
     per-disk counters and clock, and latency summaries byte-identical
-    to the materialized run — but peak memory is one window.  The
-    selection gate mirrors the materialized one:
+    to the materialized run — but peak memory is one window.  It is
+    the fleet's carry path on one array (one volume, routed to
+    ``ctrl.obs_shard``), so the selection gate is the fleet's:
 
     1. a busy simulator → the chained heap pump (window source);
     2. ``read_only_hint`` (the caller knows every request is a read —
@@ -455,55 +440,38 @@ def execute_windows(
     the eager core, whose read recurrence performs the identical float
     operations, so the report does not change — only the speed.
 
+    Raises ``IndexError`` on an LBA outside the array's capacity.
     Latency goes to constant-memory digests, not the controller's
-    sample lists; the heap-pump path drains ``ctrl.latency`` into the
-    digests at window boundaries, so the controller's accumulators must
-    start empty (fresh controllers do).  Returns ``(scheduled,
-    digests)``.
+    sample lists (the heap pump sweeps ``ctrl.latency`` into the
+    digests at window boundaries).  With a metrics recorder attached,
+    every window's arrivals are recorded as it is routed.  Returns
+    ``(scheduled, digests)``.
     """
     if digests is None:
         digests = {}
-    sim = ctrl.sim
-    if not sim.pending():
-        if read_only_hint or ctrl.write_policy == "write_through":
-            solver = _WindowedSolver(ctrl)
-            obs = ctrl.obs
-            ctrl.last_engine = "windowed-solver"
-            obs.set_engine(ctrl.obs_shard, "windowed-solver")
-            sink = _digest_sink(
-                digests, obs if obs.enabled else None, ctrl.obs_shard
-            )
-            n = 0
-            for times, is_read, lbas in windows:
-                n += solver.feed(
-                    compile_stream(ctrl.mapper, times, is_read, lbas), sink
-                )
-                obs.count("window_boundaries", volatile=True)
-            solver.finish(sink)
-            return n, digests
-        p = ctrl.params
-        min_service = (
-            min(p.sequential_seek_ms, p.average_seek_ms)
-            + p.rotational_latency_ms
-            + p.transfer_ms_per_unit
-        )
-        seq_s = (
-            p.sequential_seek_ms + p.rotational_latency_ms + p.transfer_ms_per_unit
-        )
-        avg_s = p.average_seek_ms + p.rotational_latency_ms + p.transfer_ms_per_unit
-        reiterable = iter(windows) is not windows
-        if (
-            min_service > 0.0
-            and ctrl.write_policy == "rmw"
-            and ctrl.data is None
-            and reiterable
-        ):
-            n = _eager_windows(ctrl, windows, digests, seq_s, avg_s)
-            if n is not None:
-                return n, digests
-            # Ambiguous tie: nothing touched; replay exactly on the pump.
-            digests.clear()
-            ctrl.obs.reset_shard(ctrl.obs_shard)
-            ctrl.obs.count("tie_abort_replays")
-            windows = iter(windows)
-    return _pump_windows(ctrl, iter(windows), digests), digests
+    gid = ctrl.obs_shard
+    cap = ctrl.mapper.capacity
+    route = np.full(1, gid, dtype=np.int64)
+    scheduled = [0]
+    if not ctrl.sim.pending() and _windows_carry(
+        ctrl.sim,
+        [ctrl],
+        [gid],
+        route=route,
+        volume_units=cap,
+        shard_capacity=cap,
+        capacity=cap,
+        write_policy=ctrl.write_policy,
+        dataplane=ctrl.data is not None,
+        windows=windows,
+        digests=[digests],
+        scheduled=scheduled,
+        read_only_hint=read_only_hint,
+    ):
+        return scheduled[0], digests
+    count, drain = _arm_shard_pump(
+        ctrl, gid, _checked(windows, ctrl.obs, cap), digests, route, cap, cap
+    )
+    ctrl.sim.run()
+    drain()
+    return count[0], digests

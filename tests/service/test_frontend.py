@@ -320,6 +320,49 @@ class TestFrontendHardening:
         assert not reply["ok"] and "finite" in reply["error"]
         assert ping["ok"] and ping["buffered"] == 0
 
+    @pytest.mark.parametrize(
+        "field,value,error",
+        [
+            ("is_read", ["no"], "is_read must be a flat JSON array of booleans"),
+            ("is_read", [1], "is_read must be a flat JSON array of booleans"),
+            ("lbas", [1.7], "lbas must be a flat JSON array of integers"),
+            ("lbas", [True], "lbas must be a flat JSON array of integers"),
+            ("times", ["5"], "times must be a flat JSON array of numbers"),
+            ("times", [None], "times must be a flat JSON array of numbers"),
+            ("times", [[1.0]], "times must be a flat JSON array of numbers"),
+            ("times", 1.0, "times must be a flat JSON array of numbers"),
+            ("lbas", [2**70], "LBAs must lie in [0, "),
+        ],
+        ids=[
+            "string_flag",
+            "int_flag",
+            "float_lba",
+            "bool_lba",
+            "string_time",
+            "null_time",
+            "2d_times",
+            "scalar_times",
+            "huge_lba",
+        ],
+    )
+    def test_submit_refuses_mistyped_columns(self, field, value, error):
+        async def body(frontend, rpc):
+            good = {
+                "op": "submit",
+                "times": [1.0],
+                "is_read": [True],
+                "lbas": [0],
+            }
+            accepted = await rpc(good)
+            refused = await rpc({**good, "times": [2.0], field: value})
+            ping = await rpc({"op": "ping"})
+            return accepted, refused, ping
+
+        accepted, refused, ping = self._rpc_session(_scenario(), body)
+        assert accepted["ok"] and accepted["buffered"] == 1
+        assert not refused["ok"] and refused["error"].startswith(error)
+        assert ping["ok"] and ping["buffered"] == 1  # buffer untouched
+
     def test_submit_refuses_lbas_outside_capacity(self):
         scenario = _scenario()
         capacity = Fleet(

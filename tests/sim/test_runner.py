@@ -1,7 +1,11 @@
 """Tests for the high-level simulation runners."""
 
+import json
+from dataclasses import asdict
+
 import pytest
 
+from repro.core import get_layout
 from repro.layouts import raid5_layout, ring_layout
 from repro.sim import WorkloadConfig, simulate_rebuild, simulate_workload
 
@@ -97,3 +101,32 @@ class TestSimulateWorkload:
             lay, duration_ms=3000.0, config=WorkloadConfig(interarrival_ms=4.0, seed=3)
         )
         assert heavy.latency["read"]["mean"] > light.latency["read"]["mean"]
+
+
+class TestReportBytesEngineIndependent:
+    """The report's latency kinds come out sorted, so its serialized
+    bytes do not depend on which engine ran (each engine first
+    completes request kinds in its own order)."""
+
+    @pytest.mark.parametrize("failed_disk", [None, 1], ids=["healthy", "degraded"])
+    def test_same_bytes_across_engines(self, failed_disk):
+        cfg = WorkloadConfig(read_fraction=0.3, seed=0)
+        reports = [
+            simulate_workload(
+                get_layout(13, 4),
+                duration_ms=2000.0,
+                config=cfg,
+                failed_disk=failed_disk,
+                **kw,
+            )
+            for kw in (
+                dict(batched=True),
+                dict(batched=False),
+                dict(window_size=16),
+            )
+        ]
+        kinds = [list(r.latency) for r in reports]
+        assert kinds[0] == sorted(kinds[0])
+        assert kinds[1] == kinds[0] and kinds[2] == kinds[0]
+        blobs = {json.dumps(asdict(r)) for r in reports}
+        assert len(blobs) == 1

@@ -12,12 +12,19 @@ size keeps boundaries sliding relative to any internal periodicity,
 and a size beyond the stream length degenerates to one window.
 """
 
+import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro.core import get_layout
+from repro.obs import (
+    MetricsRecorder,
+    build_rows,
+    prometheus_text,
+    render_metrics_jsonl,
+)
 from repro.sim import WorkloadConfig, simulate_workload
 from repro.sim.compile import StreamWindows, generate_request_stream
 from repro.sim.controller import ArrayController
@@ -135,6 +142,60 @@ class TestWindowedReportEquality:
         assert windowed == materialized
 
 
+#: (id, simulate_workload overrides, engine the windowed run lands on).
+#: The pump case ties exactly on a disk, so the eager core aborts and
+#: the stream replays on the chained heap pump.
+METRICS_CASES = [
+    ("solver", dict(config=_cfg(read_fraction=1.0)), "windowed-solver"),
+    ("eager", dict(config=_cfg()), "windowed-eager"),
+    ("degraded_eager", dict(config=_cfg(), failed_disk=1), "windowed-eager"),
+    ("pump", dict(config=_cfg(interarrival_ms=0.5, seed=0)), "windowed-pump"),
+    (
+        "dataplane",
+        dict(config=_cfg(read_fraction=0.5), verify_data=True),
+        "windowed-pump",
+    ),
+]
+
+
+class TestWindowedMetricsIdentity:
+    """A recorder attached to a single-array windowed run fills the same
+    snapshot rows — and the report serializes to the same bytes — at
+    every window size, whichever engine runs."""
+
+    @pytest.mark.parametrize(
+        "overrides,engine",
+        [c[1:] for c in METRICS_CASES],
+        ids=[c[0] for c in METRICS_CASES],
+    )
+    def test_rows_and_report_identical_at_every_window_size(
+        self, overrides, engine
+    ):
+        outputs = set()
+        for ws in (1, 7, 64, 10**6):
+            rec = MetricsRecorder(50.0)
+            report = simulate_workload(
+                LAYOUT,
+                duration_ms=DURATION,
+                window_size=ws,
+                recorder=rec,
+                **overrides,
+            )
+            assert report.engine == engine, ws
+            assert rec.engines == {0: engine}
+            assert 'event="window_boundaries"' in prometheus_text(rec), ws
+            outputs.add(
+                (
+                    json.dumps(asdict(report)),
+                    render_metrics_jsonl(build_rows(rec)),
+                )
+            )
+        assert len(outputs) == 1
+        ((_, rows),) = outputs
+        final = json.loads(rows.splitlines()[-1])
+        assert final["totals"]["arrived"] == report.scheduled
+
+
 class TestExecuteWindowsGate:
     def test_unbatched_windowed_rejected(self):
         with pytest.raises(ValueError, match="batched"):
@@ -170,6 +231,16 @@ class TestExecuteWindowsGate:
         latency = {kind: summarize(d) for kind, d in digests.items()}
         assert latency == materialized["latency"]
         assert ctrl.per_disk_completed() == materialized["per_disk_ios"]
+
+    @pytest.mark.parametrize("lba", [-1, 10**6])
+    @pytest.mark.parametrize("one_shot", [False, True], ids=["carry", "pump"])
+    def test_lbas_outside_capacity_refused(self, lba, one_shot):
+        windows = [
+            (np.array([1.0, 2.0]), np.array([True, False]), np.array([0, lba]))
+        ]
+        ctrl = ArrayController(LAYOUT)
+        with pytest.raises(IndexError, match="outside the capacity"):
+            execute_windows(ctrl, iter(windows) if one_shot else windows)
 
     def test_empty_stream(self):
         """A horizon shorter than the first arrival yields no windows

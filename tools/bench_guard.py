@@ -35,8 +35,13 @@ The final stdout line is machine-readable JSON (prefixed
 skipped (ratio 0), an explicit ``skip_reason`` — hosted runners can
 log why no verdict bound instead of silently passing.
 
-Exit codes: 0 = within threshold (or skipped), 1 = regression,
-2 = missing/invalid committed artifact.
+Every sim case also names the engine it must land on (``solver``,
+``eager``, ``eager``); a run on any other engine fails the guard even
+with ``BENCH_GUARD_RATIO=0``, and the JSON line lists such cases under
+``wrong_engine``.
+
+Exit codes: 0 = within threshold (or skipped), 1 = regression or wrong
+engine, 2 = missing/invalid committed artifact.
 """
 
 from __future__ import annotations
@@ -62,12 +67,14 @@ RUNS = 3
 REQUESTS = 30_000
 
 #: The guarded cases: (BENCH_sim.json case name, read_fraction,
-#: failed_disk).  Each mirrors the sim suite's config so the committed
-#: row is directly comparable.
+#: failed_disk, expected engine).  Each mirrors the sim suite's config
+#: so the committed row is directly comparable.  A run that lands on
+#: any other engine fell off its fast path: that fails the guard even
+#: in record-only mode, where the throughput floor does not bind.
 CASES = (
-    ("read_only_solver", 1.0, None),
-    ("mixed_rw_executor", 0.7, None),
-    ("degraded_mixed_executor", 0.7, 1),
+    ("read_only_solver", 1.0, None, "solver"),
+    ("mixed_rw_executor", 0.7, None, "eager"),
+    ("degraded_mixed_executor", 0.7, 1, "eager"),
 )
 
 #: Observability overhead gate: the mixed path with a live
@@ -87,7 +94,7 @@ def committed_events_per_s(path: Path) -> dict[str, float]:
         row["case"]: float(row["batched_events_per_s"])
         for row in payload["workload"]["cases"]
     }
-    missing = [name for name, _, _ in CASES if name not in rows]
+    missing = [case[0] for case in CASES if case[0] not in rows]
     if missing:
         raise KeyError(f"cases missing from artifact: {missing}")
     return rows
@@ -95,7 +102,8 @@ def committed_events_per_s(path: Path) -> dict[str, float]:
 
 def fresh_events_per_s(
     read_fraction: float, failed_disk: int | None
-) -> float:
+) -> tuple[float, str]:
+    """Best-of-RUNS events/s and the engine the runs landed on."""
     from repro.core import get_layout
     from repro.sim import WorkloadConfig, simulate_workload
 
@@ -117,7 +125,7 @@ def fresh_events_per_s(
         )
         elapsed = time.perf_counter() - t0
         best = max(best, rep.scheduled / elapsed)
-    return best
+    return best, rep.engine
 
 
 def committed_warm_requests_per_s(path: Path) -> float:
@@ -246,11 +254,16 @@ def main() -> int:
         "cases": {},
     }
     regressed = []
-    for name, read_fraction, failed_disk in CASES:
-        fresh = fresh_events_per_s(read_fraction, failed_disk)
+    wrong_engine = []
+    for name, read_fraction, failed_disk, expected in CASES:
+        fresh, engine = fresh_events_per_s(read_fraction, failed_disk)
         floor = ratio * committed[name]
         ok = fresh >= floor
+        engine_ok = engine == expected
         summary["cases"][name] = {
+            "engine": engine,
+            "expected_engine": expected,
+            "engine_ok": engine_ok,
             "fresh_events_per_s": fresh,
             "committed_events_per_s": committed[name],
             "ratio_vs_committed": (
@@ -268,6 +281,12 @@ def main() -> int:
         )
         if not ok:
             regressed.append(name)
+        if not engine_ok:
+            wrong_engine.append(name)
+            print(
+                f"bench-guard: {name:<24} ran on engine {engine!r}, "
+                f"expected {expected!r} -> WRONG ENGINE"
+            )
 
     if not summary["skipped"]:
         warm = warm_serve_case(ratio, committed_warm)
@@ -322,8 +341,16 @@ def main() -> int:
             "the pool/cache reuse counters in "
             "repro.service.runtime.WarmRuntime"
         )
+    if wrong_engine:
+        print(
+            f"bench-guard: {', '.join(wrong_engine)} fell off the fast "
+            "path — check the engine-selection gate in "
+            "repro.sim.compile.execute_compiled and the eager tier's "
+            "tie-abort fallback in repro.sim.batchstep"
+        )
+    summary["wrong_engine"] = wrong_engine
     print("bench-guard-json: " + json.dumps(summary, sort_keys=True))
-    return 1 if regressed and not summary["skipped"] else 0
+    return 1 if wrong_engine or (regressed and not summary["skipped"]) else 0
 
 
 if __name__ == "__main__":
