@@ -4,8 +4,8 @@ The compile-then-execute model moves generation, address translation,
 and request planning out of the event loop: single-phase traces
 (read-only, or any mix under write-through) skip the event engine
 entirely (per-disk FIFO queues solve analytically), and mixed RMW
-traces run through the batch-stepped executor (calendar queue + eager
-FIFO tier) — no event heap at all.  The acceptance bars are >= 10x
+traces run through the batch-stepped executor (eager FIFO tier + exact
+tier) — no event heap at all.  The acceptance bars are >= 10x
 events/sec over the scalar per-event pipeline on a 100k-request
 read-only workload and >= 3x the committed pre-batchstep heap-engine
 throughput on the 30k-request mixed workload; rebuild scans and the

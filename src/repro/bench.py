@@ -126,7 +126,7 @@ MIXED_REQUESTS = 30_000
 PRE_SERVICE_MIXED_SPEEDUP = 1.81
 #: Mixed-path throughput before the batch-stepped executor replaced the
 #: event heap on the compiled mixed path (the committed BENCH_sim.json
-#: figure from the heap engine) — the "before" the calendar/eager
+#: figure from the heap engine) — the "before" the batch-stepped
 #: engines are gated against.
 PRE_BATCHSTEP_MIXED_EVENTS_PER_S = 190_103
 #: The batch-stepped mixed path must clear this multiple of the heap
@@ -690,7 +690,7 @@ def run_sim_bench(out_dir: str | Path = ".") -> dict:
         # Mixed read/write path, before/after history: the heap-churn
         # work of the service PR (slotted requests, reusable completion
         # callbacks) took the executor to 1.81x over scalar; the
-        # batch-stepped engines (calendar queue + eager FIFO tier)
+        # batch-stepped engines (exact tier + eager FIFO tier)
         # replace heap stepping entirely, gated as a multiple of the
         # committed heap-engine events/s.
         "mixed_speedup": mixed_row["speedup"],

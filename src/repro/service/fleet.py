@@ -13,8 +13,8 @@ vectorized consistent-hash pass (:class:`ShardMap`), each shard's
 sub-stream is compiled with one ``map_batch`` call
 (:func:`repro.sim.compile.compile_stream`), and execution picks the
 cheapest engine per shard (:func:`repro.sim.compile.execute_compiled`):
-the analytic queue solver for single-phase traces, the calendar-queue
-batch-stepped executor for mixed ones, and the shared event heap only
+the analytic queue solver for single-phase traces, the batch-stepped
+executor for mixed ones, and the shared event heap only
 when timers (failure injections, migration copies) are armed on the
 clock.  No per-request Python happens between the socket (here: the
 stream vectors) and the disk queues.
@@ -361,7 +361,7 @@ class Fleet:
         """Batched fast path: simulator idle, so the shards share no
         events and each executes independently against the common start
         time — the analytic queue solver for single-phase traces, the
-        calendar-queue batch-stepped executor for mixed ones (see
+        batch-stepped executor for mixed ones (see
         :func:`repro.sim.compile.execute_compiled`).  The shared clock
         then advances to the fleet-wide makespan."""
         base = self.sim.now

@@ -26,8 +26,9 @@ ping      liveness + scenario shape + buffered request count
 submit    append a stream chunk: ``{"op": "submit", "times":
           [...], "is_read": [...], "lbas": [...]}`` — flat arrays
           of numbers, booleans, and integers; arrival times must
-          be finite and non-decreasing across chunks, LBAs within
-          ``[0, capacity)`` of the scenario's fleet
+          be finite, non-negative and non-decreasing across
+          chunks, LBAs within ``[0, capacity)`` of the scenario's
+          fleet
 reset     drop the buffered stream
 serve     run the scenario over the buffered stream (clears
           the buffer); reply carries the full report payload
@@ -270,6 +271,10 @@ class ServiceFrontend:
                 )
             if (times[1:] < times[:-1]).any():
                 raise ValueError("arrival times must be non-decreasing")
+            if times[0] < 0.0:
+                raise ValueError(
+                    f"arrival times must be >= 0, got {float(times[0])}"
+                )
             if self._chunks and times[0] < self._chunks[-1][0][-1]:
                 raise ValueError(
                     "chunk starts before the previously submitted chunk "

@@ -26,7 +26,7 @@ from .compile import (
 from .controller import ArrayController
 from .dataplane import DataPlane
 from .disk import Disk, DiskFailedError, DiskIO, DiskParameters
-from .events import Simulator, calendar_bucket_width
+from .events import Simulator
 from .reconstruction import RebuildProcess, RebuildReport
 from .runner import (
     SparePlan,
@@ -64,7 +64,6 @@ __all__ = [
     "execute_compiled",
     "execute_windows",
     "step_compiled",
-    "calendar_bucket_width",
     "ArrayController",
     "DataPlane",
     "Disk",

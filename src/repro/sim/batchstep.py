@@ -1,40 +1,39 @@
-"""Calendar-queue batch-stepped executor for compiled mixed traces.
+"""Batch-stepped executor for compiled mixed traces.
 
 The binary heap in :class:`repro.sim.events.Simulator` pays one
-``heappush`` + ``heappop`` (plus a ``DiskIO`` object and, for writes, a
-closure) per disk event.  For a compiled trace on an otherwise-idle
-array none of that generality is needed: every event is either a
-request arrival (known up front, sorted) or a disk completion (created
-while stepping).  :func:`step_compiled` replaces the heap with a
-calendar queue — fixed-width time buckets over the horizon — and
-retires whole buckets at a time: collect a bucket's completions, sort
-once, then merge-walk them against the arrival stream.
+``heappush`` + ``heappop`` of a callback (plus a ``DiskIO`` object and,
+for writes, a closure) per disk event.  For a compiled trace on an
+otherwise-idle array none of that generality is needed: every event is
+either a request arrival (known up front, sorted) or a disk completion
+(created while stepping).  :func:`step_compiled` runs such a trace in
+one of two tiers.
 
-The RMW chained-arrival dependency (a small write's phase-2 IOs exist
-only once both phase-1 reads finish) is handled naturally: the
-follow-on IOs are simply appended to the bucket their parent's
-completion lands in.
+Exact tier
+----------
+:func:`_step_exact` keeps the heap but strips it to plain tuples.  A
+disk serves one IO at a time, so only in-flight completions
+``(time, seq, action, disk, request)`` are heaped — never more than
+``v`` — while queued IOs wait in per-disk FIFOs.  Arrivals are not
+heaped at all: the next arrival epoch is merged against the heap's
+head by ``(time, pump_seq)``.  The RMW chained-arrival dependency (a
+small write's phase-2 IOs exist only once both phase-1 reads finish)
+is handled naturally: the follow-on IOs are submitted inside their
+parent's completion.  The tier's engine label is ``calendar`` — the
+name of the calendar-queue engine it replaced, kept because it is a
+canonical report field.
 
 Equality contract
 -----------------
-The executor replays the heap's exact serialization.  Each event that
-the heap *would* have pushed is assigned the same tie-breaking sequence
-number, in the same order (submission order within an epoch, the
-arrival pump re-armed after each epoch), and buckets are processed in
-``(time, seq)`` order — so equal-time events fire in schedule order,
-float accumulation per disk happens in the same order with the same
+The exact tier replays the heap's exact serialization.  Each event
+that the heap *would* have pushed is assigned the same tie-breaking
+sequence number, in the same order (submission order within an epoch,
+the arrival pump re-armed after each epoch; a queued IO takes its
+number when its service starts), and events retire in ``(time, seq)``
+order — so equal-time events fire in schedule order, float
+accumulation per disk happens in the same order with the same
 operations, and the resulting report is bit-identical to
 ``schedule_compiled`` + ``sim.run()`` (property-tested in
 ``tests/sim/test_batchstep.py``).
-
-Bucket widths are snapped to a power of two
-(:func:`repro.sim.events.calendar_bucket_width`) so bucket indexing is
-exact; an event landing exactly on a bucket boundary belongs to the
-next bucket everywhere.  When a caller forces a width larger than the
-minimum service time, completions can land in the *current* bucket —
-those are insertion-sorted into the live bucket, which keeps the order
-contract (new events always sort after the one being processed, since
-service times are positive).
 
 Like :func:`repro.sim.compile.solve_compiled`, the executor bypasses
 ``Simulator`` entirely: ``sim.events_processed`` stays untouched, which
@@ -42,30 +41,29 @@ the tests use to prove which engine ran.
 
 Eager fast tier
 ---------------
-For the common benched shape — healthy array, read-modify-write policy,
-no dataplane, default bucket width — the executor first tries an eager
-queue-resolution pass (:func:`_step_eager`).  Because each disk queue
-is FIFO, an IO's completion time is fully determined the moment it is
-submitted: ``max(submit_time, previous completion on that disk) +
-service``.  The only submissions whose *times* are not known up front
-are RMW phase-2 writes (gated on the max of the two phase-1 read
-completions), so the pass walks the arrival stream merged with a small
-min-heap of pending phase-2 submission times — two orders of magnitude
-fewer heap operations than one per disk event.  Whenever two
-submissions from different sources collide on the exact same float
-timestamp the serialization is ambiguous; the pass detects that before
-mutating any controller state and returns ``None``, and
-:func:`step_compiled` falls back to the exact calendar engine.  The
-one relaxation: latency samples are emitted per kind in completion-time
-order with ties broken by submission order (the heap breaks ties by
-event sequence number), which leaves every report field identical
-except that ``mean`` may differ by float-association error well inside
-the documented 1e-12 contract.
+For read-modify-write traces without a data plane the executor first
+tries an eager queue-resolution pass (:func:`_step_eager` on a healthy
+array, the plan-driven :class:`_EagerCore` on a degraded one).
+Because each disk queue is FIFO, an IO's completion time is fully
+determined the moment it is submitted: ``max(submit_time, previous
+completion on that disk) + service``.  The only submissions whose
+*times* are not known up front are RMW phase-2 writes (gated on the
+max of the two phase-1 read completions), so the pass walks the
+arrival stream merged with a small min-heap of pending phase-2
+submission times — two orders of magnitude fewer heap operations than
+one per disk event.  Whenever two submissions from different sources
+collide on the exact same float timestamp the serialization is
+ambiguous; the pass detects that before mutating any controller state
+and returns ``None``, and :func:`step_compiled` falls back to the
+exact tier.  The one relaxation: latency samples are emitted per kind
+in completion-time order with ties broken by submission order (the
+heap breaks ties by event sequence number), which leaves every report
+field identical except that ``mean`` may differ by float-association
+error well inside the documented 1e-12 contract.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
@@ -105,7 +103,7 @@ def _step_eager(
     Returns the request count on success, or ``None`` if an exact
     timestamp tie between submissions from different sources makes the
     heap's serialization ambiguous — in that case no controller state
-    has been touched and the caller reruns on the calendar engine.
+    has been touched and the caller reruns on the exact tier.
     """
     sim = ctrl.sim
     n = compiled.n
@@ -741,13 +739,8 @@ def _eager_planned(
     return compiled.n
 
 
-def step_compiled(
-    ctrl: "ArrayController",
-    compiled: "CompiledTrace",
-    *,
-    bucket_ms: float | None = None,
-) -> int:
-    """Execute a compiled trace with the calendar-queue executor.
+def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
+    """Execute a compiled trace with the batch-stepped executor.
 
     Produces the identical report (clock, per-disk counters and float
     accumulators, latency samples per kind) to scheduling the trace on
@@ -756,65 +749,79 @@ def step_compiled(
     whole timeline, so mid-run fault injection (which needs a live
     event queue) stays on the heap engine.
 
+    The gate, in order: refuse a busy simulator or a non-positive
+    service model; try the eager tier (read-modify-write policy, no
+    data plane); on an ambiguous tie, or for any other shape, run the
+    exact tier (:func:`_step_exact`, labelled ``calendar``).
+
     Args:
         ctrl: the array controller (any failure state, any write
             policy — the failure state is simply frozen for the run).
         compiled: the pre-mapped trace.
-        bucket_ms: bucket-width hint (snapped down to a power of two).
-            Defaults to the minimum disk service time, which guarantees
-            a completion never lands in the bucket being processed.
 
     Returns:
         The number of requests executed.
 
     Raises:
         RuntimeError: if the simulator already has pending events.
-        ValueError: if the bucket width hint is not positive.
+        ValueError: if the disk service model is not positive.
     """
     sim = ctrl.sim
     if sim.pending():
         raise RuntimeError("step_compiled requires an idle simulator")
-    n = compiled.n
-    if n == 0:
-        return 0
-
     params = ctrl.params
-    seq_s = params.sequential_service_ms
-    avg_s = params.average_service_ms
-    if (
-        bucket_ms is None
-        and ctrl.data is None
-        and ctrl.write_policy == "rmw"
-    ):
+    if not params.min_service_ms > 0.0:
+        raise ValueError(
+            "step_compiled requires a positive service model, got "
+            f"min_service_ms={params.min_service_ms}"
+        )
+    if compiled.n == 0:
+        return 0
+    if ctrl.data is None and ctrl.write_policy == "rmw":
         # Common benched shapes: try the eager tier first; an exact
         # timestamp tie (order-ambiguous) leaves state untouched and
-        # drops through to the calendar engine below.  Healthy traces
-        # take the tuned specialized pass; degraded traces the
-        # plan-driven core (same idea, generic phases).
+        # drops through to the exact tier below.  Healthy traces take
+        # the tuned specialized pass; degraded traces the plan-driven
+        # core (same idea, generic phases).
         if ctrl.failed_disk is None:
-            eager = _step_eager(ctrl, compiled, seq_s, avg_s)
+            eager = _step_eager(
+                ctrl,
+                compiled,
+                params.sequential_service_ms,
+                params.average_service_ms,
+            )
         else:
             eager = _eager_planned(ctrl, compiled)
         if eager is not None:
             ctrl.last_engine = "eager"
             ctrl.obs.set_engine(ctrl.obs_shard, "eager")
             return eager
-        # An ambiguous tie left state untouched; the calendar engine
-        # below replays the trace exactly.
         ctrl.obs.count("tie_abort_replays")
+    return _step_exact(ctrl, compiled)
+
+
+def _step_exact(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
+    """The exact tier: replay the event heap's serialization over a
+    private heap of in-flight completions.
+
+    A disk serves one IO at a time, so the heap holds at most ``v``
+    ``(time, seq, action, disk, request)`` entries; queued IOs wait in
+    per-disk FIFOs and take their seq when their service starts, as on
+    :class:`repro.sim.disk.Disk`.  Arrivals are not pushed: the next
+    epoch merges against the heap's head by ``(time, pump_seq)``.  The
+    engine label stays ``calendar`` (a canonical report field)."""
+    from .compile import _CompiledRun
 
     ctrl.last_engine = "calendar"
     ctrl.obs.set_engine(ctrl.obs_shard, "calendar")
-    hint = bucket_ms if bucket_ms is not None else params.min_service_ms
-    from .events import calendar_bucket_width
-
-    width = calendar_bucket_width(hint)
-    inv_w = 1.0 / width  # a power of two: t * inv_w is exact
+    sim = ctrl.sim
+    n = compiled.n
+    params = ctrl.params
+    seq_s = params.sequential_service_ms
+    avg_s = params.average_service_ms
 
     # Request planning is shared verbatim with the heap executor — same
     # arrays, same fast-path classification, same dataplane contexts.
-    from .compile import _CompiledRun
-
     run = _CompiledRun(ctrl, compiled)
     atimes = run.times
     single = run.single
@@ -845,11 +852,7 @@ def step_compiled(
     write_sink: list[float] | None = None
     generic_sinks: dict[str, list[float]] = {}
 
-    # The calendar: bucket index -> unsorted event list.  `evs` is the
-    # bucket currently being retired (kept sorted).
-    calendar: dict[int, list[tuple]] = {}
-    evs: list[tuple] = []
-    cur = -1
+    heap: list[tuple] = []
     now = sim.now
     ai = 0  # next arrival index
     # Sequence numbers replay the heap's: the arrival pump is armed
@@ -858,8 +861,8 @@ def step_compiled(
     seqc = 1
 
     def submit(d: int, off: int, action: int, req: int) -> None:
-        """Disk.submit for the write/generic paths: queue on a busy
-        disk, start service inline on an idle one."""
+        """Disk.submit: queue on a busy disk, start service inline on
+        an idle one."""
         nonlocal seqc
         if dbusy[d]:
             dqueue[d].append((now, off, action, req))
@@ -869,213 +872,199 @@ def step_compiled(
         s = seq_s if last is not None and -1 <= off - last <= 1 else avg_s
         dlast[d] = off
         dbusyt[d] += s
-        ct = now + s
-        ev = (ct, seqc, action, d, req)
+        heappush(heap, (now + s, seqc, action, d, req))
         seqc += 1
-        bi = int(ct * inv_w)
-        if bi <= cur:
-            insort(evs, ev)
-        else:
-            lst = calendar.get(bi)
-            if lst is None:
-                calendar[bi] = [ev]
-            else:
-                lst.append(ev)
 
     while True:
-        # --- pick the next non-empty bucket (completions or arrivals).
-        if calendar:
-            nb = min(calendar)
-            if ai < n:
-                ab = int(atimes[ai] * inv_w)
-                if ab < nb:
-                    nb = ab
-        elif ai < n:
-            nb = int(atimes[ai] * inv_w)
-        else:
-            break
-        if nb <= cur:  # unreachable with exact power-of-two widths
-            nb = cur + 1
-        cur = nb
-        bucket_end = (cur + 1) * width
-        pending = calendar.pop(cur, None)
-        if pending is None:
-            evs = []
-        else:
-            pending.sort()
-            evs = pending
-
-        # --- retire the bucket: merge completions with arrival epochs
-        # in (time, seq) order.
-        ei = 0
-        while True:
+        if heap:
+            top = heap[0]
             if ai < n:
                 at = atimes[ai]
-                if at < bucket_end and (
-                    ei >= len(evs)
-                    or at < evs[ei][0]
-                    or (at == evs[ei][0] and pump_seq < evs[ei][1])
-                ):
-                    # Arrival epoch: submit every request sharing this
-                    # arrival time, in stream order (the heap pump).
-                    now = at
-                    while ai < n and atimes[ai] == at:
-                        r = ai
-                        pos = single[r]
-                        if pos is not None:
-                            # Healthy/degraded single-IO read, inlined.
-                            if read_sink is None:
-                                read_sink = latency.setdefault(
-                                    "read", LatencyStats()
-                                ).samples
-                            d = pos[0]
-                            if dbusy[d]:
-                                dqueue[d].append((at, pos[1], 0, r))
-                            else:
-                                dbusy[d] = True
-                                off = pos[1]
-                                last = dlast[d]
-                                s = (
-                                    seq_s
-                                    if last is not None
-                                    and -1 <= off - last <= 1
-                                    else avg_s
-                                )
-                                dlast[d] = off
-                                dbusyt[d] += s
-                                ct = at + s
-                                ev = (ct, seqc, 0, d, r)
-                                seqc += 1
-                                bi = int(ct * inv_w)
-                                if bi <= cur:
-                                    insort(evs, ev)
-                                else:
-                                    lst = calendar.get(bi)
-                                    if lst is None:
-                                        calendar[bi] = [ev]
-                                    else:
-                                        lst.append(ev)
-                        else:
-                            winfo = writes[r]
-                            if winfo is not None:
-                                sid, wd, woff, lba = winfo
-                                ctrl._apply_write_dataplane(
-                                    sid, wd, woff, ctrl._default_payload(lba)
-                                )
-                            w = wfast[r]
-                            if w is not None:
-                                # RMW phase 1: read old data + parity.
-                                if write_sink is None:
-                                    write_sink = latency.setdefault(
-                                        "write", LatencyStats()
-                                    ).samples
-                                wrem[r] = 2
-                                submit(w[0], w[1], _RMW_PHASE1, r)
-                                submit(w[2], w[3], _RMW_PHASE1, r)
-                            else:
-                                phases = plans[r][1]
-                                phase = phases[0]
-                                gidx[r] = 1
-                                grem[r] = len(phase)
-                                for pd, poff, is_w in phase:
-                                    submit(
-                                        pd,
-                                        poff,
-                                        _GENERIC_WRITE if is_w else _GENERIC_READ,
-                                        r,
-                                    )
-                        ai += 1
-                    if ai < n:
-                        # The pump re-arms for the next epoch *after*
-                        # this epoch's submissions (heap order).
-                        pump_seq = seqc
+                arrival = at < top[0] or (at == top[0] and pump_seq < top[1])
+            else:
+                arrival = False
+        elif ai < n:
+            at = atimes[ai]
+            arrival = True
+        else:
+            break
+        if arrival:
+            # Arrival epoch: submit every request sharing this arrival
+            # time, in stream order (the heap pump).
+            now = at
+            while ai < n and atimes[ai] == at:
+                r = ai
+                ai += 1
+                pos = single[r]
+                if pos is not None:
+                    # Healthy/degraded single-IO read, inlined.
+                    if read_sink is None:
+                        read_sink = latency.setdefault(
+                            "read", LatencyStats()
+                        ).samples
+                    d, off = pos
+                    if dbusy[d]:
+                        dqueue[d].append((at, off, _READ_FAST, r))
+                        continue
+                    dbusy[d] = True
+                    last = dlast[d]
+                    s = (
+                        seq_s
+                        if last is not None and -1 <= off - last <= 1
+                        else avg_s
+                    )
+                    dlast[d] = off
+                    dbusyt[d] += s
+                    heappush(heap, (at + s, seqc, _READ_FAST, d, r))
+                    seqc += 1
+                    continue
+                winfo = writes[r]
+                if winfo is not None:
+                    sid, wd, woff, lba = winfo
+                    ctrl._apply_write_dataplane(
+                        sid, wd, woff, ctrl._default_payload(lba)
+                    )
+                w = wfast[r]
+                if w is not None:
+                    # RMW phase 1: read old data + parity.
+                    if write_sink is None:
+                        write_sink = latency.setdefault(
+                            "write", LatencyStats()
+                        ).samples
+                    wrem[r] = 2
+                    d, off, pd, poff = w
+                    if dbusy[d]:
+                        dqueue[d].append((at, off, _RMW_PHASE1, r))
+                    else:
+                        dbusy[d] = True
+                        last = dlast[d]
+                        s = (
+                            seq_s
+                            if last is not None and -1 <= off - last <= 1
+                            else avg_s
+                        )
+                        dlast[d] = off
+                        dbusyt[d] += s
+                        heappush(heap, (at + s, seqc, _RMW_PHASE1, d, r))
+                        seqc += 1
+                    if dbusy[pd]:
+                        dqueue[pd].append((at, poff, _RMW_PHASE1, r))
+                    else:
+                        dbusy[pd] = True
+                        last = dlast[pd]
+                        s = (
+                            seq_s
+                            if last is not None and -1 <= poff - last <= 1
+                            else avg_s
+                        )
+                        dlast[pd] = poff
+                        dbusyt[pd] += s
+                        heappush(heap, (at + s, seqc, _RMW_PHASE1, pd, r))
                         seqc += 1
                     continue
-            if ei >= len(evs):
-                break
-            t, _seq, action, d, req = evs[ei]
-            ei += 1
-            now = t
-            # --- the completion itself (Disk._service_done).
-            if action == 0:
-                dreads[d] += 1
-                lat = t - atimes[req]
-                read_sink.append(lat)
-                if obs is not None:
-                    obs.record(obs_shard, "read", t, lat)
-            elif action == 1:
-                dreads[d] += 1
-                left = wrem[req] - 1
-                wrem[req] = left
-                if not left:
-                    # Phase 2: write new data, then new parity.
-                    wrem[req] = 2
-                    w = wfast[req]
-                    submit(w[0], w[1], _RMW_WRITE, req)
-                    submit(w[2], w[3], _RMW_WRITE, req)
-            elif action == 2:
-                dwrites[d] += 1
-                left = wrem[req] - 1
-                wrem[req] = left
-                if not left:
-                    lat = t - atimes[req]
-                    write_sink.append(lat)
-                    if obs is not None:
-                        obs.record(obs_shard, "write", t, lat)
-            else:
-                if action == 4:
-                    dwrites[d] += 1
-                else:
-                    dreads[d] += 1
-                left = grem[req] - 1
-                grem[req] = left
-                if not left:
-                    kind, phases = plans[req]
-                    i = gidx[req]
-                    if i < len(phases):
-                        phase = phases[i]
-                        gidx[req] = i + 1
-                        grem[req] = len(phase)
-                        for pd, poff, is_w in phase:
-                            submit(
-                                pd,
-                                poff,
-                                _GENERIC_WRITE if is_w else _GENERIC_READ,
-                                req,
-                            )
-                    else:
-                        sink = generic_sinks.get(kind)
-                        if sink is None:
-                            sink = generic_sinks[kind] = latency.setdefault(
-                                kind, LatencyStats()
-                            ).samples
-                        lat = t - atimes[req]
-                        sink.append(lat)
-                        if obs is not None:
-                            obs.record(obs_shard, kind, t, lat)
-            # --- start the disk's next queued IO (Disk._start_next).
-            q = dqueue[d]
-            if q:
-                t_issue, off, a2, r2 = q.popleft()
-                last = dlast[d]
-                s = seq_s if -1 <= off - last <= 1 else avg_s
-                dlast[d] = off
-                dbusyt[d] += s
-                ddelay[d] += t - t_issue
-                ct = t + s
-                ev = (ct, seqc, a2, d, r2)
+                phase = plans[r][1][0]
+                gidx[r] = 1
+                grem[r] = len(phase)
+                for pd, poff, is_w in phase:
+                    submit(
+                        pd, poff, _GENERIC_WRITE if is_w else _GENERIC_READ, r
+                    )
+            if ai < n:
+                # The pump re-arms for the next epoch *after* this
+                # epoch's submissions (heap order).
+                pump_seq = seqc
                 seqc += 1
-                bi = int(ct * inv_w)
-                if bi <= cur:
-                    insort(evs, ev)
+            continue
+
+        t, _seq, action, d, req = heappop(heap)
+        now = t
+        # --- the completion itself (Disk._service_done).
+        if action == _READ_FAST:
+            dreads[d] += 1
+            lat = t - atimes[req]
+            read_sink.append(lat)
+            if obs is not None:
+                obs.record(obs_shard, "read", t, lat)
+        elif action == _RMW_PHASE1:
+            dreads[d] += 1
+            left = wrem[req] - 1
+            wrem[req] = left
+            if not left:
+                # Phase 2: write new data, then new parity.  Both disks
+                # served this request's phase-1 reads, so their last
+                # offsets are set.
+                wrem[req] = 2
+                d2, off, pd, poff = wfast[req]
+                if dbusy[d2]:
+                    dqueue[d2].append((t, off, _RMW_WRITE, req))
                 else:
-                    lst = calendar.get(bi)
-                    if lst is None:
-                        calendar[bi] = [ev]
-                    else:
-                        lst.append(ev)
+                    dbusy[d2] = True
+                    s = seq_s if -1 <= off - dlast[d2] <= 1 else avg_s
+                    dlast[d2] = off
+                    dbusyt[d2] += s
+                    heappush(heap, (t + s, seqc, _RMW_WRITE, d2, req))
+                    seqc += 1
+                if dbusy[pd]:
+                    dqueue[pd].append((t, poff, _RMW_WRITE, req))
+                else:
+                    dbusy[pd] = True
+                    s = seq_s if -1 <= poff - dlast[pd] <= 1 else avg_s
+                    dlast[pd] = poff
+                    dbusyt[pd] += s
+                    heappush(heap, (t + s, seqc, _RMW_WRITE, pd, req))
+                    seqc += 1
+        elif action == _RMW_WRITE:
+            dwrites[d] += 1
+            left = wrem[req] - 1
+            wrem[req] = left
+            if not left:
+                lat = t - atimes[req]
+                write_sink.append(lat)
+                if obs is not None:
+                    obs.record(obs_shard, "write", t, lat)
+        else:
+            if action == _GENERIC_WRITE:
+                dwrites[d] += 1
             else:
-                dbusy[d] = False
+                dreads[d] += 1
+            left = grem[req] - 1
+            grem[req] = left
+            if not left:
+                kind, phases = plans[req]
+                i = gidx[req]
+                if i < len(phases):
+                    phase = phases[i]
+                    gidx[req] = i + 1
+                    grem[req] = len(phase)
+                    for pd, poff, is_w in phase:
+                        submit(
+                            pd,
+                            poff,
+                            _GENERIC_WRITE if is_w else _GENERIC_READ,
+                            req,
+                        )
+                else:
+                    sink = generic_sinks.get(kind)
+                    if sink is None:
+                        sink = generic_sinks[kind] = latency.setdefault(
+                            kind, LatencyStats()
+                        ).samples
+                    lat = t - atimes[req]
+                    sink.append(lat)
+                    if obs is not None:
+                        obs.record(obs_shard, kind, t, lat)
+        # --- start the disk's next queued IO (Disk._start_next).
+        q = dqueue[d]
+        if q:
+            t_issue, off, a2, r2 = q.popleft()
+            s = seq_s if -1 <= off - dlast[d] <= 1 else avg_s
+            dlast[d] = off
+            dbusyt[d] += s
+            ddelay[d] += t - t_issue
+            heappush(heap, (t + s, seqc, a2, d, r2))
+            seqc += 1
+        else:
+            dbusy[d] = False
 
     # --- write the accumulated state back into the controller.
     for d in range(v):

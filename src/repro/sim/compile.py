@@ -26,9 +26,9 @@ event loop:
   (:mod:`repro.sim.stream`) shares by carrying each disk's previous
   completion between windows;
 * :func:`execute_compiled` is the engine-selection seam: analytic
-  solver for single-phase traces, the calendar-queue batch-stepped
-  executor (:mod:`repro.sim.batchstep`) for mixed traces on an idle
-  array, and the general heap otherwise — all bit-identical.
+  solver for single-phase traces, the batch-stepped executor
+  (:mod:`repro.sim.batchstep`) for mixed traces on an idle array, and
+  the general heap otherwise — all bit-identical.
 
 :func:`schedule_compiled_scalar` is the thin wrapper that keeps the old
 per-event path alive: the same compiled stream, submitted through the
@@ -526,7 +526,7 @@ class _CompiledRun:
         # and healthy read-modify-writes a flat (d, o, pd, po) — no
         # request object, no phase lists.  Everything degraded carries a
         # full (kind, phases) plan.
-        self.single: list[tuple[int, int] | None] = [None] * self.n
+        self.single: list[tuple[int, int] | None]
         self.wfast: list[tuple[int, int, int, int] | None] = [None] * self.n
         self.plans: list[tuple[str, list[list[tuple[int, int, bool]]]] | None] = (
             [None] * self.n
@@ -537,28 +537,35 @@ class _CompiledRun:
         failed = ctrl.failed_disk
         rmw = ctrl.write_policy == "rmw"
         if failed is None:
-            write_idx = [i for i, r in enumerate(is_read) if not r]
-            if write_idx:
-                wl = compiled.lbas[write_idx]
-                wd, wo, ws, wpd, wpo = ctrl.mapper.map_batch_parity(wl)
-                for j, i in enumerate(write_idx):
-                    d, o = int(wd[j]), int(wo[j])
-                    pd, po = int(wpd[j]), int(wpo[j])
-                    if rmw:
-                        self.wfast[i] = (d, o, pd, po)
-                    else:
-                        # Write-through: new data + parity in one phase.
-                        self.plans[i] = (
-                            "write", [[(d, o, True), (pd, po, True)]]
-                        )
-                    if ctrl.data is not None:
-                        self.writes[i] = (
-                            int(ws[j]) % b, d, o, int(compiled.lbas[i])
-                        )
-            for i, r in enumerate(is_read):
-                if r:
-                    self.single[i] = (disks[i], offsets[i])
+            # One map_batch_parity over the writes; every slot is filled
+            # from tolist() columns, so it holds plain Python ints.
+            self.single = [
+                pos if r else None
+                for pos, r in zip(zip(disks, offsets), is_read)
+            ]
+            widx = np.flatnonzero(~compiled.is_read)
+            if widx.size:
+                wlbas = compiled.lbas[widx]
+                wd, wo, ws, wpd, wpo = ctrl.mapper.map_batch_parity(wlbas)
+                slots = widx.tolist()
+                wd, wo = wd.tolist(), wo.tolist()
+                ios = zip(wd, wo, wpd.tolist(), wpo.tolist())
+                if rmw:
+                    wfast = self.wfast
+                    for i, w in zip(slots, ios):
+                        wfast[i] = w
+                else:
+                    # Write-through: new data + parity in one phase.
+                    plans = self.plans
+                    for i, (d, o, pd, po) in zip(slots, ios):
+                        plans[i] = ("write", [[(d, o, True), (pd, po, True)]])
+                if ctrl.data is not None:
+                    writes = self.writes
+                    ctx = zip((ws % b).tolist(), wd, wo, wlbas.tolist())
+                    for i, w in zip(slots, ctx):
+                        writes[i] = w
         else:
+            self.single = [None] * self.n
             stripes = compiled.stripes.tolist()
             lbas = compiled.lbas.tolist()
             for i, r in enumerate(is_read):
@@ -1074,8 +1081,10 @@ def execute_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
     2. a single-phase trace — read-only, or any mix under
        ``write_policy="write_through"`` → the analytic queue solver
        (:func:`solve_compiled`, no event stepping at all);
-    3. otherwise → the calendar-queue batch-stepped executor
-       (:func:`repro.sim.batchstep.step_compiled`).
+    3. otherwise → the batch-stepped executor
+       (:func:`repro.sim.batchstep.step_compiled`): its eager tier,
+       or on an order-ambiguous tie its exact tier (label
+       ``calendar``), which replays the heap's event order.
 
     All three engines produce report-identical results — same clock,
     same per-disk counters and float accumulators, same latency-sample
@@ -1093,7 +1102,7 @@ def execute_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
         >>> trace = compile_workload(ctrl.mapper, WorkloadConfig(seed=4), 80.0)
         >>> execute_compiled(ctrl, trace) == trace.n
         True
-        >>> ctrl.sim.events_processed       # mixed trace, bucketed engine
+        >>> ctrl.sim.events_processed       # mixed trace, batch-stepped
         0
     """
     sim = ctrl.sim
@@ -1104,8 +1113,8 @@ def execute_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
     if compiled.read_only() or ctrl.write_policy == "write_through":
         return solve_compiled(ctrl, compiled)
     if ctrl.params.min_service_ms <= 0.0:
-        # A degenerate zero-service model has no usable bucket width;
-        # the heap handles it.
+        # step_compiled refuses a degenerate zero-service model; the
+        # heap handles it.
         n = schedule_compiled(ctrl, compiled)
         sim.run()
         return n

@@ -62,8 +62,8 @@ class DiskParameters:
 
     @property
     def min_service_ms(self) -> float:
-        """The shorter of the two service times (the calendar engine's
-        bucket width; a non-positive value disables the fast engines)."""
+        """The shorter of the two service times (a non-positive value
+        disables the batch-stepped and windowed-eager engines)."""
         return min(self.sequential_service_ms, self.average_service_ms)
 
     def service_time(self, last_offset: int | None, offset: int) -> float:

@@ -2,40 +2,17 @@
 
 A minimal but real event engine: a time-ordered heap of callbacks with
 a monotonic tie-breaking sequence number (equal-time events fire in
-schedule order, which keeps runs deterministic).
-
-:func:`calendar_bucket_width` supports the calendar-queue executor in
-:mod:`repro.sim.batchstep`: bucket widths are snapped to powers of two
-so that bucket indexing (``t / width``) and bucket boundaries
-(``(i + 1) * width``) are exact float operations — an event landing
-exactly on a boundary is classified identically everywhere.
+schedule order, which keeps runs deterministic).  The exact tier of
+:mod:`repro.sim.batchstep` replays this ``(time, seq)`` serialization
+without callbacks, over a private heap of in-flight disk completions.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Callable
 
-__all__ = ["Simulator", "calendar_bucket_width"]
-
-
-def calendar_bucket_width(hint: float) -> float:
-    """Largest power of two not exceeding ``hint``.
-
-    Multiplying or dividing an IEEE-754 double by a power of two only
-    changes the exponent, so with a power-of-two bucket width both the
-    bucket index of a timestamp and the bucket's end boundary are exact
-    — no event can straddle a boundary because of rounding.
-
-    Raises:
-        ValueError: if ``hint`` is not a positive finite number.
-    """
-    if not math.isfinite(hint) or hint <= 0.0:
-        raise ValueError(f"bucket width hint must be positive, got {hint}")
-    mantissa, exponent = math.frexp(hint)  # hint = mantissa * 2**exponent
-    del mantissa  # 0.5 <= mantissa < 1, so 2**(exponent-1) <= hint
-    return 2.0 ** (exponent - 1)
+__all__ = ["Simulator"]
 
 
 class Simulator:

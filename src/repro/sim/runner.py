@@ -14,8 +14,8 @@ Both follow the compile-then-execute model: the whole request stream /
 rebuild scan is planned as NumPy arrays before the event loop starts.
 Execution goes through :func:`repro.sim.compile.execute_compiled`:
 single-phase workloads skip the event engine entirely (each disk queue
-is solved analytically), mixed workloads run on the calendar-queue
-batch-stepped executor, and ``batched=False`` recovers the per-event
+is solved analytically), mixed workloads run on the batch-stepped
+executor, and ``batched=False`` recovers the per-event
 scalar pipeline — all produce the identical report.
 """
 
@@ -206,7 +206,7 @@ def simulate_workload(
     starts.  The stream is compiled up front; single-phase traces
     (read-only, or any mix under ``write_policy="write_through"``)
     execute through the analytic queue solver (no event loop at all),
-    anything else through the calendar-queue batch-stepped executor,
+    anything else through the batch-stepped executor,
     and ``batched=False`` through the scalar per-event path — all
     produce the same report.  With ``window_size`` set, the stream is
     never materialized: it is generated, translated, and executed one

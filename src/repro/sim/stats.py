@@ -39,6 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "LatencyStats",
     "LatencyDigest",
@@ -84,8 +86,6 @@ def bucket_keys_array(arr):
     Non-positive samples map to :data:`_ZERO_KEY` as in
     :meth:`LatencyDigest.record`.
     """
-    import numpy as np
-
     m, e = np.frexp(arr)
     keys = (e.astype(np.int64) << _QUANT_BITS) | (
         (m - 0.5) * _QUANT_SCALE
@@ -144,23 +144,26 @@ class LatencyStats:
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile over quantized samples, ``p`` in
-        [0, 100] (see :func:`quantize_latency`)."""
+        [0, 100] (see :func:`quantize_latency`).  The rank-th order
+        statistic is picked with ``np.partition`` — the same value a
+        full sort puts there, without the sort."""
         if not self.samples:
             return 0.0
-        ordered = sorted(self.samples)
-        return quantize_latency(ordered[_rank(p, len(ordered))])
+        k = _rank(p, len(self.samples))
+        return quantize_latency(float(np.partition(self.samples, k)[k]))
 
     @property
     def max(self) -> float:
         return max(self.samples) if self.samples else 0.0
 
     def bucket_counts(self) -> dict[int, int]:
-        """Quantization-bucket histogram of the samples."""
-        counts: dict[int, int] = {}
-        for x in self.samples:
-            key = _bucket_key(x) if x > 0.0 else _ZERO_KEY
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        """Quantization-bucket histogram of the samples (keys ascending;
+        :func:`bucket_keys_array` reproduces :func:`_bucket_key`)."""
+        if not self.samples:
+            return {}
+        keys = bucket_keys_array(np.asarray(self.samples, dtype=np.float64))
+        uk, uc = np.unique(keys, return_counts=True)
+        return dict(zip(uk.tolist(), uc.tolist()))
 
 
 #: extend_array defers histogram counting into pending key arrays and
@@ -211,9 +214,10 @@ class LatencyDigest:
         self._cache = None
 
     def extend(self, latencies) -> None:
-        """Add samples in order."""
-        for x in latencies:
-            self.record(x)
+        """Add a sequence of samples in order — folded through
+        :meth:`extend_array`, state-identical to :meth:`record` per
+        element."""
+        self.extend_array(np.asarray(latencies, dtype=np.float64))
 
     def extend_array(self, arr) -> None:
         """Add a float64 ndarray of samples in order — vectorized, but
@@ -238,8 +242,6 @@ class LatencyDigest:
         counting is deferred: key arrays queue in ``_pending`` and
         consolidate vectorized, so no per-sample Python object is
         ever built."""
-        import numpy as np
-
         n = arr.size
         if not n:
             return
@@ -261,8 +263,6 @@ class LatencyDigest:
     def _consolidate(self) -> None:
         """Fold pending key arrays into the sorted (keys, counts)
         histogram pair — pure counting, so order is irrelevant."""
-        import numpy as np
-
         if not self._pending:
             return
         batch = (

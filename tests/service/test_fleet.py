@@ -93,7 +93,7 @@ class TestServing:
 
     def test_mixed_serves_through_batch_stepped_executor(self):
         """With an idle clock, mixed traffic executes per shard on the
-        calendar-queue executor — the shared event heap never runs."""
+        batch-stepped executor — the shared event heap never runs."""
         fleet = Fleet(3, 9, 3, seed=0)
         cfg = WorkloadConfig(interarrival_ms=1.0, read_fraction=0.5, seed=4)
         rep = fleet.serve_workload(cfg, 300.0)

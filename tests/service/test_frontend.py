@@ -320,6 +320,35 @@ class TestFrontendHardening:
         assert not reply["ok"] and "finite" in reply["error"]
         assert ping["ok"] and ping["buffered"] == 0
 
+    def test_submit_refuses_negative_times(self):
+        """A stream starting before the clock's origin is refused up
+        front, with the buffer untouched — it would otherwise serve
+        silently on the solver, or fail mid-serve on the event heap
+        after the buffer was already cleared."""
+
+        async def body(frontend, rpc):
+            good = {
+                "op": "submit",
+                "times": [1.0],
+                "is_read": [True],
+                "lbas": [0],
+            }
+            accepted = await rpc(good)
+            refused = await rpc({
+                "op": "submit",
+                "times": [-5.0, 1.0],
+                "is_read": [True, False],
+                "lbas": [0, 1],
+            })
+            ping = await rpc({"op": "ping"})
+            return accepted, refused, ping
+
+        accepted, refused, ping = self._rpc_session(_scenario(), body)
+        assert accepted["ok"] and accepted["buffered"] == 1
+        assert not refused["ok"]
+        assert "arrival times must be >= 0" in refused["error"]
+        assert ping["ok"] and ping["buffered"] == 1  # buffer untouched
+
     @pytest.mark.parametrize(
         "field,value,error",
         [

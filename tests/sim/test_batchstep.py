@@ -1,4 +1,4 @@
-"""Property tests for the batch-stepped (calendar-queue) executor.
+"""Property tests for the batch-stepped executor.
 
 The contract under test: :func:`repro.sim.batchstep.step_compiled`
 replays a compiled trace WITHOUT the event heap (``events_processed``
@@ -8,7 +8,7 @@ same latency samples.
 
 Two equality tiers, matching the engine's two tiers:
 
-* an **explicit** ``bucket_ms`` forces the calendar engine, which is
+* the **exact** tier (``_step_exact``, called directly here) is
   bit-exact against the heap including sample ORDER (it replays the
   heap's ``(time, seq)`` serialization event for event);
 * the **default** path may take the eager FIFO tier, whose documented
@@ -25,13 +25,14 @@ from repro.core import get_layout
 from repro.layouts import raid5_layout, ring_layout
 from repro.sim import (
     ArrayController,
+    DiskParameters,
     WorkloadConfig,
-    calendar_bucket_width,
     compile_trace,
     compile_workload,
     schedule_compiled,
     step_compiled,
 )
+from repro.sim.batchstep import _step_exact
 from repro.sim.trace import TraceRecord
 
 FAMILIES = {
@@ -39,12 +40,6 @@ FAMILIES = {
     "holland_gibson": lambda: get_layout(13, 4),
     "raid5": lambda: raid5_layout(6, rotations=4),
 }
-
-# Bucket widths chosen to stress the calendar walk, not to be
-# realistic: a near-service-time width (snaps to 8.0, so quantized
-# 8 ms arrivals land boundary-exact), a sliver that puts nearly every
-# event in its own bucket, and a width swallowing the whole run.
-BUCKETS = [8.06, 1e-4, 1000.0]
 
 
 def _exact_state(ctrl):
@@ -66,14 +61,14 @@ def _exact_state(ctrl):
 
 
 def _run(engine, layout_fn, cfg, *, duration=900.0, failed=None,
-         policy="rmw", bucket=None, quantize=None):
+         policy="rmw", quantize=None):
     ctrl = ArrayController(layout_fn(), write_policy=policy)
     if failed is not None:
         ctrl.fail_disk(failed)
     trace = compile_workload(ctrl.mapper, cfg, duration)
     if quantize is not None:
-        # Snap arrivals onto a grid: duplicate timestamps + boundary
-        # collisions with power-of-two bucket widths.
+        # Snap arrivals onto a grid: duplicate timestamps, and
+        # arrivals tied with completions on the same instant.
         times = np.floor(trace.times / quantize) * quantize
         order = np.argsort(times, kind="stable")
         records = [
@@ -89,7 +84,8 @@ def _run(engine, layout_fn, cfg, *, duration=900.0, failed=None,
         schedule_compiled(ctrl, trace)
         ctrl.sim.run()
     else:
-        n = step_compiled(ctrl, trace, bucket_ms=bucket)
+        run = _step_exact if engine == "exact" else step_compiled
+        n = run(ctrl, trace)
         assert n == trace.n
         # The whole point: the event heap never runs.
         assert ctrl.sim.events_processed == 0
@@ -113,11 +109,11 @@ def assert_states_equal(a, b, *, sample_order_exact=True):
 @pytest.mark.parametrize("failed", [None, 1])
 @pytest.mark.parametrize("policy", ["rmw", "write_through"])
 class TestCalendarBitExactness:
-    """Explicit bucket widths force the calendar engine: bit-exact
-    including sample order, across families x mixes x failure states x
-    write policies x degenerate widths."""
+    """The exact tier (label ``calendar``) is bit-exact including
+    sample order, across families x mixes x failure states x write
+    policies."""
 
-    def test_matches_heap_for_every_bucket_width(
+    def test_matches_heap_bit_exact(
         self, family, read_fraction, failed, policy
     ):
         cfg = WorkloadConfig(
@@ -125,18 +121,37 @@ class TestCalendarBitExactness:
         )
         heap = _run("heap", FAMILIES[family], cfg, failed=failed,
                     policy=policy)
-        for bucket in BUCKETS:
-            step = _run("step", FAMILIES[family], cfg, failed=failed,
-                        policy=policy, bucket=bucket)
-            assert_states_equal(heap, step)
+        exact = _run("exact", FAMILIES[family], cfg, failed=failed,
+                     policy=policy)
+        assert_states_equal(heap, exact)
+        assert exact.last_engine == "calendar"
+
+
+class TestFleetShardShape:
+    """One shard of the serve-shaped mixed fleet — (9,3), 8 ms mean
+    interarrival, read fraction 0.7, seed 7, ~30k requests — is where
+    the eager tier tie-aborts in practice, so the exact tier must match
+    the heap bit for bit on exactly this shape, sample order included."""
+
+    def test_exact_tier_bit_exact(self):
+        layout = lambda: get_layout(9, 3)  # noqa: E731
+        cfg = WorkloadConfig(interarrival_ms=8.0, read_fraction=0.7, seed=7)
+        heap = _run("heap", layout, cfg, duration=240_000.0)
+        exact = _run("exact", layout, cfg, duration=240_000.0)
+        assert_states_equal(heap, exact)
+        # Through the gate: the eager attempt tie-aborts without a
+        # trace, and the exact tier replays the whole trace.
+        step = _run("step", layout, cfg, duration=240_000.0)
+        assert step.last_engine == "calendar"
+        assert_states_equal(heap, step)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("read_fraction", [1.0, 0.6, 0.0])
 class TestDefaultPathReportEquality:
-    """The default (no bucket hint) path — eager tier eligible on
-    healthy rmw mixes — must agree with the heap on everything except
-    possibly sample order at exact completion-time ties."""
+    """The default path — eager tier eligible on rmw mixes — must
+    agree with the heap on everything except possibly sample order at
+    exact completion-time ties."""
 
     def test_matches_heap(self, family, read_fraction):
         cfg = WorkloadConfig(
@@ -164,42 +179,25 @@ class TestDefaultPathReportEquality:
 
 class TestQuantizedTies:
     """Grid-quantized arrivals mass-produce equal timestamps — the
-    worst case for both the calendar walk (boundary-exact events) and
-    the eager tier (which must detect ambiguous ties and fall back)."""
+    worst case for both the exact tier (arrival epochs tied with
+    completions, settled by ``(time, seq)``) and the eager tier (which
+    must detect ambiguous ties and fall back)."""
 
     @pytest.mark.parametrize("tick", [8.0, 5.0])
-    def test_boundary_exact_arrivals_bit_exact(self, tick):
+    def test_tied_arrivals_bit_exact(self, tick):
         cfg = WorkloadConfig(interarrival_ms=2.0, read_fraction=0.6, seed=7)
         heap = _run("heap", FAMILIES["ring"], cfg, quantize=tick)
-        # bucket 8.06 snaps to width 8.0: tick-8.0 arrivals land
-        # exactly on bucket boundaries.
-        step = _run("step", FAMILIES["ring"], cfg, quantize=tick,
-                    bucket=8.06)
-        assert_states_equal(heap, step)
+        exact = _run("exact", FAMILIES["ring"], cfg, quantize=tick)
+        assert_states_equal(heap, exact)
 
     def test_default_path_survives_mass_ties(self):
-        """No bucket hint: the eager tier either resolves the ties or
-        falls back to the calendar engine — both must end report-equal
-        to the heap, never wrong."""
+        """The eager tier either resolves the ties or falls back to the
+        exact tier — both must end report-equal to the heap, never
+        wrong."""
         cfg = WorkloadConfig(interarrival_ms=2.0, read_fraction=0.5, seed=3)
         heap = _run("heap", FAMILIES["ring"], cfg, quantize=5.0)
         step = _run("step", FAMILIES["ring"], cfg, quantize=5.0)
         assert_states_equal(heap, step, sample_order_exact=False)
-
-
-class TestBucketWidth:
-    def test_power_of_two_not_exceeding_hint(self):
-        for hint in (8.06, 1.0, 0.75, 1e-4, 1000.0, 17.56):
-            w = calendar_bucket_width(hint)
-            assert w <= hint
-            m, e = np.frexp(w)
-            assert m == 0.5  # exact power of two
-            assert 2.0 * w > hint
-
-    def test_rejects_degenerate_hints(self):
-        for bad in (0.0, -1.0, float("inf"), float("nan")):
-            with pytest.raises(ValueError):
-                calendar_bucket_width(bad)
 
 
 class TestEngineOwnership:
@@ -210,6 +208,21 @@ class TestEngineOwnership:
         trace = compile_workload(ctrl.mapper, cfg, 200.0)
         with pytest.raises(RuntimeError, match="idle"):
             step_compiled(ctrl, trace)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_non_positive_service_model_rejected(self, scale):
+        params = DiskParameters(
+            average_seek_ms=10.0 * scale,
+            rotational_latency_ms=5.0 * scale,
+            transfer_ms_per_unit=2.0 * scale,
+            sequential_seek_ms=0.5 * scale,
+        )
+        ctrl = ArrayController(ring_layout(5, 3), disk_params=params)
+        cfg = WorkloadConfig(interarrival_ms=5.0, seed=1)
+        trace = compile_workload(ctrl.mapper, cfg, 200.0)
+        with pytest.raises(ValueError, match="positive service model"):
+            step_compiled(ctrl, trace)
+        assert ctrl.latency == {} and ctrl.last_engine is None
 
     def test_empty_trace_is_a_noop(self):
         ctrl = ArrayController(ring_layout(5, 3))

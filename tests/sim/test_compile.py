@@ -250,6 +250,61 @@ class TestCompiledTrace:
         assert compile_workload(m, WorkloadConfig(seed=0), 0.0).n == 0
 
 
+def _reference_plan(ctrl, compiled):
+    """Healthy request planning, one request at a time through the
+    scalar mapper — the reference the vectorized planner must equal."""
+    n = compiled.n
+    b = ctrl.layout.b
+    single, wfast, plans, writes = ([None] * n for _ in range(4))
+    for i in range(n):
+        lba = int(compiled.lbas[i])
+        pu = ctrl.mapper.logical_to_physical(lba)
+        if compiled.is_read[i]:
+            single[i] = (pu.disk, pu.offset)
+            continue
+        pd, po = ctrl.mapper.parity_unit_of_stripe(pu.stripe)
+        if ctrl.write_policy == "rmw":
+            wfast[i] = (pu.disk, pu.offset, pd, po)
+        else:
+            plans[i] = ("write", [[(pu.disk, pu.offset, True), (pd, po, True)]])
+        if ctrl.data is not None:
+            writes[i] = (pu.stripe % b, pu.disk, pu.offset, lba)
+    return single, wfast, plans, writes
+
+
+class TestHealthyPlanning:
+    """``_CompiledRun`` plans healthy traces with one batch mapping and
+    ``tolist()`` columns; every slot must equal the per-element
+    reference — same tuples, plain Python ints throughout."""
+
+    @pytest.mark.parametrize(
+        "policy,dataplane",
+        [("rmw", False), ("write_through", False), ("rmw", True)],
+        ids=["rmw", "write_through", "dataplane"],
+    )
+    @pytest.mark.parametrize("read_fraction", [1.0, 0.7, 0.0])
+    def test_slots_match_per_element_reference(
+        self, policy, dataplane, read_fraction
+    ):
+        from repro.sim.compile import _CompiledRun
+
+        ctrl = ArrayController(
+            get_layout(13, 4), write_policy=policy, dataplane=dataplane
+        )
+        cfg = WorkloadConfig(
+            interarrival_ms=2.0, read_fraction=read_fraction, seed=17
+        )
+        compiled = compile_workload(ctrl.mapper, cfg, 1500.0)
+        run = _CompiledRun(ctrl, compiled)
+        planned = (run.single, run.wfast, run.plans, run.writes)
+        assert planned == _reference_plan(ctrl, compiled)
+        for slots in planned:
+            assert len(slots) == compiled.n
+        for slot in run.single + run.wfast + run.writes:
+            if slot is not None:
+                assert all(type(x) is int for x in slot)
+
+
 class TestSolverGuards:
     def test_rejects_writes(self):
         lay = ring_layout(5, 3)

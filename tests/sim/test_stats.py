@@ -1,16 +1,44 @@
 """Latency accumulator edge cases: empty and single-sample digests,
 mid-window stability of polled values, and multi-part percentiles."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.sim.stats import (
+    _ZERO_KEY,
     LatencyDigest,
     LatencyStats,
+    _bucket_key,
     percentile_of_parts,
     quantize_latency,
     summarize,
 )
+
+
+def _edge_samples() -> list[float]:
+    """Random latencies plus the values where a vectorized histogram or
+    rank pick could drift from the scalar loop: zeros, negatives, a
+    subnormal, exact powers of two, and bucket lower bounds with their
+    ``nextafter`` neighbours on both sides."""
+    rng = np.random.default_rng(2024)
+    xs = rng.exponential(6.0, size=3000).tolist()
+    xs += [0.0, -0.0, 0.0, -1.5, -1e-300, 5e-324]
+    xs += [2.0**e for e in range(-40, 40)]
+    for x in rng.exponential(6.0, size=300).tolist():
+        lo = quantize_latency(x)
+        xs += [lo, math.nextafter(lo, 0.0), math.nextafter(lo, math.inf)]
+    order = rng.permutation(len(xs))
+    return [xs[i] for i in order]
+
+
+def _loop_bucket_counts(xs) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for x in xs:
+        key = _bucket_key(x) if x > 0.0 else _ZERO_KEY
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 class TestEmpty:
@@ -94,7 +122,8 @@ class TestMidWindowStability:
         # cut point, not just at the end.
         for lo in range(0, 500, 100):
             chunk = samples[lo:lo + 100]
-            scalar.extend(chunk.tolist())
+            for x in chunk.tolist():
+                scalar.record(x)
             vector.extend_array(chunk)
             assert vector.count == scalar.count
             assert vector.total == scalar.total
@@ -144,3 +173,63 @@ class TestPercentileOfParts:
             percentile_of_parts([LatencyDigest(), a, LatencyStats()], 99)
             == quantize_latency(2.0)
         )
+
+
+class TestVectorizedSummaries:
+    """``LatencyStats`` picks percentiles with ``np.partition`` and
+    counts buckets with ``np.unique``; both must equal the scalar loops
+    they replace on every sample, edge values included."""
+
+    @pytest.mark.parametrize(
+        "p", [0, 0.1, 1, 25, 50, 75, 95, 99, 99.9, 100]
+    )
+    def test_percentile_matches_sorted_reference(self, p):
+        xs = _edge_samples()
+        rank = max(0, math.ceil(p / 100.0 * len(xs)) - 1)
+        expected = quantize_latency(sorted(xs)[rank])
+        assert LatencyStats(list(xs)).percentile(p) == expected
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 10, 101])
+    def test_percentile_on_small_lists(self, size):
+        xs = _edge_samples()[:size]
+        for p in (0, 50, 95, 100):
+            rank = max(0, math.ceil(p / 100.0 * size) - 1)
+            assert LatencyStats(list(xs)).percentile(p) == quantize_latency(
+                sorted(xs)[rank]
+            )
+
+    def test_bucket_counts_match_scalar_keys(self):
+        xs = _edge_samples()
+        assert LatencyStats(list(xs)).bucket_counts() == _loop_bucket_counts(xs)
+
+
+class TestDigestExtend:
+    """``LatencyDigest.extend`` folds through ``extend_array``; the
+    reference is one ``record`` call per sample, in order."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256, 4095, 4096, 5000, 100_000])
+    def test_matches_record_loop_across_chunkings(self, chunk):
+        xs = _edge_samples()
+        ref = LatencyDigest()
+        for x in xs:
+            ref.record(x)
+        d = LatencyDigest()
+        for lo in range(0, len(xs), chunk):
+            d.extend(xs[lo:lo + chunk])
+            d.extend([])  # an empty batch is a no-op
+        assert d.count == ref.count
+        assert d.total.hex() == ref.total.hex()  # bit-equal left fold
+        assert d.max == ref.max
+        assert d.bucket_counts() == ref.bucket_counts()
+        assert d.bucket_counts() == _loop_bucket_counts(xs)
+        assert summarize(d) == summarize(ref)
+
+    def test_non_positive_only(self):
+        ref = LatencyDigest()
+        d = LatencyDigest()
+        xs = [0.0, -2.0, -0.0, -1e-9]
+        for x in xs:
+            ref.record(x)
+        d.extend(xs)
+        assert (d.count, d.total, d.max) == (ref.count, ref.total, ref.max)
+        assert d.bucket_counts() == ref.bucket_counts() == {_ZERO_KEY: 4}

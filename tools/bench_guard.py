@@ -35,10 +35,19 @@ The final stdout line is machine-readable JSON (prefixed
 skipped (ratio 0), an explicit ``skip_reason`` — hosted runners can
 log why no verdict bound instead of silently passing.
 
+A sixth, self-relative case guards the exact tier — the engine
+``serve`` lands on when the eager tier tie-aborts.  One shard of the
+serve-shaped mixed fleet ((9,3), 8 ms mean interarrival, read fraction
+0.7, seed 7, 30k requests) tie-aborts, so ``step_compiled`` replays it
+on the exact tier (label ``calendar``).  It is timed through
+``step_compiled`` and through ``schedule_compiled`` + ``sim.run()`` in
+interleaved pairs; the best heap/step wall-time ratio must reach a
+constant floor (host speed cancels out).
+
 Every sim case also names the engine it must land on (``solver``,
-``eager``, ``eager``); a run on any other engine fails the guard even
-with ``BENCH_GUARD_RATIO=0``, and the JSON line lists such cases under
-``wrong_engine``.
+``eager``, ``eager``, and ``calendar`` for the exact tier); a run on
+any other engine fails the guard even with ``BENCH_GUARD_RATIO=0``,
+and the JSON line lists such cases under ``wrong_engine``.
 
 Exit codes: 0 = within threshold (or skipped), 1 = regression or wrong
 engine, 2 = missing/invalid committed artifact.
@@ -86,6 +95,17 @@ OBS_RATIO = 0.95
 #: Interleaved off/on run pairs for the overhead case; the verdict is
 #: the best per-pair on/off ratio.
 OBS_RUNS = 5
+
+#: Exact-tier gate: the best per-pair heap/step wall-time ratio on the
+#: serve-shaped shard must reach this floor.  On a 2-CPU host the
+#: earlier calendar-bucket tier measured 1.37-1.50 and the heap-backed
+#: tier 1.99-2.77.
+EXACT_RATIO = 1.6
+#: The engine the serve-shaped shard must land on: its eager attempt
+#: tie-aborts and the exact tier replays it.
+EXACT_ENGINE = "calendar"
+#: Interleaved step/heap run pairs for the exact-tier case.
+EXACT_RUNS = 5
 
 
 def committed_events_per_s(path: Path) -> dict[str, float]:
@@ -218,6 +238,58 @@ def obs_overhead_case(obs_ratio: float) -> dict:
     }
 
 
+def exact_tier_case() -> dict:
+    """Time one serve-shaped mixed shard through ``step_compiled`` and
+    through the event heap, in interleaved pairs (adjacent runs share
+    the host's load drift, as in :func:`obs_overhead_case`), and report
+    the best heap/step ratio and the engine ``step_compiled`` used."""
+    from repro.core import get_layout
+    from repro.sim import (
+        ArrayController,
+        WorkloadConfig,
+        compile_workload,
+        schedule_compiled,
+        step_compiled,
+    )
+
+    layout = get_layout(9, 3)
+    cfg = WorkloadConfig(interarrival_ms=8.0, read_fraction=0.7, seed=7)
+    trace = compile_workload(
+        ArrayController(layout).mapper, cfg, 8.0 * REQUESTS
+    )
+
+    def timed(step: bool) -> tuple[float, str]:
+        ctrl = ArrayController(layout)
+        t0 = time.perf_counter()
+        if step:
+            step_compiled(ctrl, trace)
+        else:
+            schedule_compiled(ctrl, trace)
+            ctrl.sim.run()
+        return time.perf_counter() - t0, ctrl.last_engine
+
+    _, engine = timed(True)  # warm caches outside the timed pairs
+    step_best = heap_best = float("inf")
+    ratio = 0.0
+    for _ in range(EXACT_RUNS):
+        s, engine = timed(True)
+        h, _ = timed(False)
+        step_best = min(step_best, s)
+        heap_best = min(heap_best, h)
+        ratio = max(ratio, h / s)
+    return {
+        "requests": trace.n,
+        "engine": engine,
+        "expected_engine": EXACT_ENGINE,
+        "engine_ok": engine == EXACT_ENGINE,
+        "step_requests_per_s": trace.n / step_best,
+        "heap_requests_per_s": trace.n / heap_best,
+        "ratio_heap_vs_step": ratio,
+        "floor_ratio": EXACT_RATIO,
+        "ok": ratio >= EXACT_RATIO,
+    }
+
+
 def main() -> int:
     artifact = REPO_ROOT / "BENCH_sim.json"
     try:
@@ -288,6 +360,25 @@ def main() -> int:
                 f"expected {expected!r} -> WRONG ENGINE"
             )
 
+    exact = exact_tier_case()
+    summary["cases"]["exact_tier"] = exact
+    verdict = "OK" if exact["ok"] else "REGRESSION"
+    print(
+        f"bench-guard: {'exact_tier':<24} "
+        f"{exact['step_requests_per_s']:>10,.0f} rq/s step vs "
+        f"{exact['heap_requests_per_s']:>10,.0f} rq/s heap "
+        f"({exact['ratio_heap_vs_step']:.2f}x, floor {EXACT_RATIO:.2f}x) "
+        f"-> {verdict}"
+    )
+    if not exact["ok"]:
+        regressed.append("exact_tier")
+    if not exact["engine_ok"]:
+        wrong_engine.append("exact_tier")
+        print(
+            f"bench-guard: {'exact_tier':<24} ran on engine "
+            f"{exact['engine']!r}, expected {EXACT_ENGINE!r} -> WRONG ENGINE"
+        )
+
     if not summary["skipped"]:
         warm = warm_serve_case(ratio, committed_warm)
         summary["cases"]["warm_serve"] = warm
@@ -337,7 +428,8 @@ def main() -> int:
             f"{(1 - ratio) * 100:.0f}% in {', '.join(regressed)} — check "
             "the engine-selection gate in "
             "repro.sim.compile.execute_compiled, the eager tier's "
-            "fallback rate in repro.sim.batchstep, and (for warm_serve) "
+            "fallback rate in repro.sim.batchstep, (for exact_tier) "
+            "repro.sim.batchstep._step_exact, and (for warm_serve) "
             "the pool/cache reuse counters in "
             "repro.service.runtime.WarmRuntime"
         )
