@@ -31,10 +31,10 @@
 #             shutdown, and zero leaked /dev/shm segments
 #   examples-smoke - run every script under examples/ headless
 #   docs-check     - link-check docs/ + README (local targets only)
-#   bench-guard    - re-time the mixed-path executor and fail on a >20%
-#             events/s regression vs the committed BENCH_sim.json
-#             (override the floor with BENCH_GUARD_RATIO=0.5, or 0 to
-#             record only)
+#   bench-guard    - time each compiled engine against the event heap on
+#             the same trace, and the warm runtime against its cold
+#             first serve; fail when a ratio drops below its floor or
+#             a case lands on the wrong engine
 #   bench   - benchmark suites; writes BENCH_{mapping,sim,service}.json
 #   bench-all - every pytest-benchmark file under benchmarks/
 

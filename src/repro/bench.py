@@ -225,7 +225,7 @@ WARM_SERVE_SPEEDUP_BAR = 2.0
 def warm_serve_scenario():
     """The scenario the ``warm_serve`` bench case (and the bench-guard
     regression case) serve repeatedly — one definition so the guard
-    measures what the committed artifact recorded."""
+    gates the same ratio the bench case records."""
     from .service import FleetScenario
 
     return FleetScenario(
@@ -1134,9 +1134,8 @@ def _warm_serve_case() -> dict:
     Gates three things at once: the >= 2x warm-over-cold bar, canonical
     byte-identity of every warm report against the cold serial runner,
     and zero leaked ``/dev/shm`` segments after :meth:`WarmRuntime.
-    close` — the acceptance criteria of the warm-runtime work, pinned
-    as a committed artifact so ``tools/bench_guard.py`` can fail
-    regressions.
+    close` — the acceptance criteria of the warm-runtime work.
+    ``tools/bench_guard.py`` gates the same warm-over-cold bar.
     """
     import json as _json
     import os

@@ -28,7 +28,7 @@ submit    append a stream chunk: ``{"op": "submit", "times":
           of numbers, booleans, and integers; arrival times must
           be finite, non-negative and non-decreasing across
           chunks, LBAs within ``[0, capacity)`` of the scenario's
-          fleet
+          fleet; at most :data:`BUFFER_LIMIT` requests buffered
 reset     drop the buffered stream
 serve     run the scenario over the buffered stream (clears
           the buffer); reply carries the full report payload
@@ -62,10 +62,15 @@ from .parallel import scenario_fleet
 from .runtime import WarmRuntime
 from .scenario import FleetScenario
 
-__all__ = ["LINE_LIMIT", "ServiceFrontend", "run_frontend"]
+__all__ = ["BUFFER_LIMIT", "LINE_LIMIT", "ServiceFrontend", "run_frontend"]
 
 #: Longest request line, in bytes (asyncio's default stream limit).
 LINE_LIMIT = 2**16
+#: Most requests one front-end holds between serves.  A buffered
+#: request costs 17 bytes (float64 time, bool flag, int64 LBA), so a
+#: full buffer is 68 MiB, and ``serve`` briefly holds it twice while
+#: concatenating the chunks: ~136 MiB per front-end at worst.
+BUFFER_LIMIT = 2**22
 
 _log = logging.getLogger(__name__)
 
@@ -260,6 +265,12 @@ class ServiceFrontend:
             raise ValueError(
                 "times/is_read/lbas must be the same length, got "
                 f"{times.size}/{is_read.size}/{lbas.size}"
+            )
+        if self._buffered + times.size > BUFFER_LIMIT:
+            raise ValueError(
+                f"submit would buffer {self._buffered + times.size} "
+                f"requests, over the limit of {BUFFER_LIMIT} — serve or "
+                "reset first"
             )
         if times.size:
             if not np.isfinite(times).all():

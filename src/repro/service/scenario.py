@@ -201,14 +201,23 @@ class FleetScenarioReport:
     @property
     def all_migrated_verified(self) -> bool:
         """Every planned volume move completed with zero lost requests
-        and (with data planes) a bit-for-bit verified copy (vacuously
-        true without a reshape step)."""
+        on the arrays the moves copy between, and (with data planes) a
+        bit-for-bit verified copy (vacuously true without a reshape
+        step).  Failures never target those arrays (the clash check in
+        :func:`run_fleet_scenario`), so a loss there is the
+        migration's; a loss elsewhere is the failure's."""
         if self.scenario.reshape_to is None:
             return True
         if len(self.migrations) != self.planned_moves:
             return False
-        if self.fleet.lost:
-            return False
+        fleet = self.fleet
+        copied = [o for o in self.migrations if o.units_copied]
+        for a in {a for o in copied for a in (o.source, o.dest)}:
+            done = sum(
+                int(s["count"]) for s in fleet.per_shard_latency[a].values()
+            )
+            if done != fleet.per_shard_scheduled[a]:
+                return False
         if self.scenario.verify_data:
             return all(
                 o.data_verified is True

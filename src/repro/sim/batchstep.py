@@ -5,8 +5,32 @@ The binary heap in :class:`repro.sim.events.Simulator` pays one
 for writes, a closure) per disk event.  For a compiled trace on an
 otherwise-idle array none of that generality is needed: every event is
 either a request arrival (known up front, sorted) or a disk completion
-(created while stepping).  :func:`step_compiled` runs such a trace in
-one of two tiers.
+(created while stepping).  :func:`step_compiled` plans such a trace
+once — one :class:`repro.sim.compile._CompiledRun`, the plan the heap
+pump executes — and runs that plan on one of two tiers.
+
+Eager tier
+----------
+For read-modify-write traces without a data plane, :class:`_EagerCore`
+resolves the disk queues without an event loop.  Because each disk
+queue is FIFO, an IO's completion time is fully determined the moment
+it is submitted: ``max(submit_time, previous completion on that disk)
++ service``.  The only submissions whose *times* are not known up
+front are later phases of multi-phase plans (a small write's phase 2
+is gated on the max of its two phase-1 read completions), so the core
+walks the arrival stream merged with a small min-heap of pending phase
+submissions — two orders of magnitude fewer heap operations than one
+per disk event.  Whenever two submissions from different sources
+collide on the exact same float timestamp the serialization is
+ambiguous; the core detects that before mutating any controller state
+and reports failure, and :func:`step_compiled` hands the same plan to
+the exact tier.  The one relaxation: latency samples are emitted per
+kind in completion-time order with ties broken by the core's retire
+order (the heap breaks them by event sequence number), which leaves
+every report field identical except that ``mean`` may differ by
+float-association error well inside the documented 1e-12 contract.
+The same core runs the windowed executor (:mod:`repro.sim.stream`),
+fed one window at a time; a one-shot run is a single feed.
 
 Exact tier
 ----------
@@ -35,31 +59,9 @@ operations, and the resulting report is bit-identical to
 ``schedule_compiled`` + ``sim.run()`` (property-tested in
 ``tests/sim/test_batchstep.py``).
 
-Like :func:`repro.sim.compile.solve_compiled`, the executor bypasses
+Like :func:`repro.sim.compile.solve_compiled`, both tiers bypass
 ``Simulator`` entirely: ``sim.events_processed`` stays untouched, which
 the tests use to prove which engine ran.
-
-Eager fast tier
----------------
-For read-modify-write traces without a data plane the executor first
-tries an eager queue-resolution pass (:func:`_step_eager` on a healthy
-array, the plan-driven :class:`_EagerCore` on a degraded one).
-Because each disk queue is FIFO, an IO's completion time is fully
-determined the moment it is submitted: ``max(submit_time, previous
-completion on that disk) + service``.  The only submissions whose
-*times* are not known up front are RMW phase-2 writes (gated on the
-max of the two phase-1 read completions), so the pass walks the
-arrival stream merged with a small min-heap of pending phase-2
-submission times — two orders of magnitude fewer heap operations than
-one per disk event.  Whenever two submissions from different sources
-collide on the exact same float timestamp the serialization is
-ambiguous; the pass detects that before mutating any controller state
-and returns ``None``, and :func:`step_compiled` falls back to the
-exact tier.  The one relaxation: latency samples are emitted per kind
-in completion-time order with ties broken by submission order (the
-heap breaks ties by event sequence number), which leaves every report
-field identical except that ``mean`` may differ by float-association
-error well inside the documented 1e-12 contract.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .compile import _CompiledRun
 from .stats import LatencyStats
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoid cycles)
@@ -90,256 +93,6 @@ _GENERIC_WRITE = 4
 # tier's int-only adjacency test (real offsets are small non-negatives,
 # so the difference can never land in [-1, 1]).
 _NO_OFFSET = -(1 << 60)
-
-
-def _step_eager(
-    ctrl: "ArrayController",
-    compiled: "CompiledTrace",
-    seq_s: float,
-    avg_s: float,
-) -> int | None:
-    """Eagerly resolve a healthy-RMW trace without per-event stepping.
-
-    Returns the request count on success, or ``None`` if an exact
-    timestamp tie between submissions from different sources makes the
-    heap's serialization ambiguous — in that case no controller state
-    has been touched and the caller reruns on the exact tier.
-    """
-    sim = ctrl.sim
-    n = compiled.n
-    base = sim.now
-    # Elementwise base + t matches the heap pump's schedule(delay=t).
-    atimes = (base + compiled.times).tolist()
-    is_read = compiled.is_read
-    is_read_l = is_read.tolist()
-    rdisks = compiled.disks.tolist()
-    roffs = compiled.offsets.tolist()
-
-    widx = np.flatnonzero(~is_read)
-    nw = widx.shape[0]
-    if nw:
-        wdd, wod, _ws, wpdd, wpod = ctrl.mapper.map_batch_parity(
-            compiled.lbas[widx]
-        )
-        wd = wdd.tolist()
-        wo = wod.tolist()
-        wpd = wpdd.tolist()
-        wpo = wpod.tolist()
-        wtimes = [atimes[i] for i in widx.tolist()]
-    else:
-        wd = wo = wpd = wpo = wtimes = []
-
-    disks = ctrl.disks
-    v = len(disks)
-    prevc = [float("-inf")] * v  # completion time of the disk's last IO
-    dlast = [
-        _NO_OFFSET if d._last_offset is None else d._last_offset
-        for d in disks
-    ]
-    dbusyt = [d.busy_time for d in disks]
-    ddelay = [d.total_queue_delay for d in disks]
-    dreads = [0] * v
-    dwrites = [0] * v
-
-    rc: list[float] = []  # read completion times, submission order
-    rl: list[float] = []  # read latencies, same order
-    wc: list[float] = []  # write (phase-2 max) completion times
-    wl: list[float] = []
-    rc_app = rc.append
-    rl_app = rl.append
-    wc_app = wc.append
-    wl_app = wl.append
-
-    # Pending phase-2 submissions: (time, gating start, write #).
-    pq: list[tuple[float, float, int]] = []
-    inf = float("inf")
-    maxc = -inf
-    ai = 0
-    wj = 0
-    while True:
-        # --- drain arrivals strictly before the next phase-2 time.
-        limit = pq[0][0] if pq else inf
-        while ai < n:
-            t = atimes[ai]
-            if t >= limit:
-                if t > limit:
-                    break
-                # Arrival and pending phase-2 at the same instant: the
-                # heap's order is ambiguous here, but it only matters
-                # if they touch a common disk — disjoint submissions
-                # commute, so process the arrival first.
-                if is_read_l[ai]:
-                    aset = (rdisks[ai],)
-                else:
-                    aset = (wd[wj], wpd[wj])
-                for tk, _gk, k in pq:
-                    if tk == limit and (wd[k] in aset or wpd[k] in aset):
-                        return None
-            r = ai
-            ai += 1
-            if is_read_l[r]:
-                d = rdisks[r]
-                off = roffs[r]
-                p = prevc[d]
-                if p > t:
-                    ddelay[d] += p - t
-                else:
-                    p = t
-                s = seq_s if -1 <= off - dlast[d] <= 1 else avg_s
-                dlast[d] = off
-                dbusyt[d] += s
-                c = p + s
-                prevc[d] = c
-                dreads[d] += 1
-                if c > maxc:
-                    maxc = c
-                rc_app(c)
-                rl_app(c - t)
-            else:
-                # RMW phase 1: read old data, then old parity.
-                j = wj
-                wj += 1
-                d = wd[j]
-                off = wo[j]
-                p = prevc[d]
-                if p > t:
-                    ddelay[d] += p - t
-                else:
-                    p = t
-                s = seq_s if -1 <= off - dlast[d] <= 1 else avg_s
-                dlast[d] = off
-                dbusyt[d] += s
-                g1 = p
-                c1 = p + s
-                prevc[d] = c1
-                dreads[d] += 1
-                d = wpd[j]
-                off = wpo[j]
-                p = prevc[d]
-                if p > t:
-                    ddelay[d] += p - t
-                else:
-                    p = t
-                s = seq_s if -1 <= off - dlast[d] <= 1 else avg_s
-                dlast[d] = off
-                dbusyt[d] += s
-                c2 = p + s
-                prevc[d] = c2
-                dreads[d] += 1
-                # The phase-2 submission fires inside the completion
-                # event of whichever phase-1 read finishes last; that
-                # event's heap sequence number was assigned when the
-                # read's *service started* (seqs grow chronologically),
-                # so the start time `g` recovers the heap's order
-                # between phase-2 submissions tied on time.
-                if c1 > c2:
-                    tw = c1
-                    g = g1
-                elif c2 > c1:
-                    tw = c2
-                    g = p
-                else:
-                    tw = c1
-                    g = g1 if g1 > p else p
-                heappush(pq, (tw, g, j))
-                if tw < limit:
-                    limit = tw
-        if not pq:
-            break  # arrivals exhausted with nothing in flight
-        # --- retire pending phase-2 submissions up to the next arrival.
-        na = atimes[ai] if ai < n else inf
-        while True:
-            tw, g, j = heappop(pq)
-            if pq and pq[0][0] == tw:
-                # More phase-2 at the same instant.  Distinct gating
-                # start times order them exactly (the heap pops by
-                # (time, seq) and `g` tracks seq order); ties on both
-                # are fine only while the writes touch pairwise-disjoint
-                # disk pairs, since disjoint submissions commute.
-                used = {wd[j], wpd[j]}
-                for tk, gk, k in pq:
-                    if tk == tw and gk == g:
-                        a_, b_ = wd[k], wpd[k]
-                        if a_ in used or b_ in used:
-                            return None
-                        used.add(a_)
-                        used.add(b_)
-            # Phase 2: write new data, then new parity.
-            d = wd[j]
-            off = wo[j]
-            p = prevc[d]
-            if p > tw:
-                ddelay[d] += p - tw
-            else:
-                p = tw
-            s = seq_s if -1 <= off - dlast[d] <= 1 else avg_s
-            dlast[d] = off
-            dbusyt[d] += s
-            c3 = p + s
-            prevc[d] = c3
-            dwrites[d] += 1
-            d = wpd[j]
-            off = wpo[j]
-            p = prevc[d]
-            if p > tw:
-                ddelay[d] += p - tw
-            else:
-                p = tw
-            s = seq_s if -1 <= off - dlast[d] <= 1 else avg_s
-            dlast[d] = off
-            dbusyt[d] += s
-            c4 = p + s
-            prevc[d] = c4
-            dwrites[d] += 1
-            cw = c3 if c3 > c4 else c4
-            if cw > maxc:
-                maxc = cw
-            wc_app(cw)
-            wl_app(cw - wtimes[j])
-            if not pq:
-                break
-            t2 = pq[0][0]
-            if t2 >= na:
-                # t2 == na re-enters the arrival drain, which settles
-                # the arrival/phase-2 tie with the disjointness check.
-                break
-        if ai >= n and not pq:
-            break
-
-    # --- success: write the accumulated state back.
-    for i in range(v):
-        disk = disks[i]
-        disk.busy_time = dbusyt[i]
-        disk.total_queue_delay = ddelay[i]
-        disk.completed_reads += dreads[i]
-        disk.completed_writes += dwrites[i]
-        lo = dlast[i]
-        disk._last_offset = None if lo == _NO_OFFSET else lo
-    # Sinks are created in first-occurrence (stream) order, matching the
-    # heap, and samples land per kind in completion-time order (stable
-    # on submission order for exact ties).
-    nr = n - nw
-    if nr and nw:
-        if int(np.argmax(is_read)) < int(widx[0]):
-            kinds = (("read", rc, rl), ("write", wc, wl))
-        else:
-            kinds = (("write", wc, wl), ("read", rc, rl))
-    elif nr:
-        kinds = (("read", rc, rl),)
-    else:
-        kinds = (("write", wc, wl),)
-    latency = ctrl.latency
-    obs = ctrl.obs if ctrl.obs.enabled else None
-    for kind, cs, ls in kinds:
-        carr = np.asarray(cs)
-        order = np.argsort(carr, kind="stable")
-        sink = latency.setdefault(kind, LatencyStats()).samples
-        lat_sorted = np.asarray(ls)[order]
-        sink.extend(lat_sorted.tolist())
-        if obs is not None:
-            obs.feed(ctrl.obs_shard, kind, carr[order], lat_sorted)
-    sim.now = maxc
-    return n
 
 
 def _drain_pools(
@@ -374,37 +127,49 @@ def _drain_pools(
             del ls[:]
 
 
+def _pending_disks(item: tuple) -> tuple[int, ...]:
+    """The disks a pending-phase heap entry will submit to."""
+    x, pidx = item[5], item[6]
+    if pidx < 0:
+        return (x[0], x[2])
+    return tuple(d for d, _o, _w in x[pidx])
+
+
 class _EagerCore:
-    """Generalized eager queue resolver with window carry-over.
+    """The eager tier: FIFO queue resolution with window carry-over.
 
-    The same idea as :func:`_step_eager` — each disk queue is FIFO, so
-    an IO's completion is known at submission — extended two ways:
+    Requests come from :class:`repro.sim.compile._CompiledRun` plans —
+    the ones the heap pump and the exact tier execute — so every frozen
+    failure state resolves eagerly: healthy single-IO reads and healthy
+    read-modify-writes on their inlined fast paths, degraded
+    reconstruction reads (one phase, many IOs) and degraded writes
+    (multi-phase plans) through :meth:`_run_phase`.
 
-    * **any frozen failure state**: requests are classified from the
-      same :class:`repro.sim.compile._CompiledRun` plans the heap
-      executor uses, so degraded reconstruction reads (one phase, many
-      IOs) and degraded/normal writes (multi-phase plans) resolve
-      eagerly too, not just the healthy RMW shape;
-    * **feed/drain/finish protocol**: the core holds its per-disk
-      accumulators, pending-phase heap, and per-kind sample buffers
-      *across* windows and writes nothing back to the controller until
-      :meth:`finish` — so the streaming executor can feed one compiled
-      window at a time in constant memory, and a tie abort anywhere
-      leaves the controller untouched for an exact replay.
+    The **feed/drain/finish protocol** holds the per-disk accumulators,
+    the pending-phase heap, and per-kind sample buffers *across* feeds
+    and writes nothing back to the controller until :meth:`finish` — so
+    the streaming executor can feed one compiled window at a time in
+    constant memory, :func:`step_compiled` feeds a whole trace once,
+    and a tie abort anywhere leaves the controller untouched for an
+    exact replay.
 
     Heap entries are self-contained ``(time, g, cnt, kind, arrival,
-    phases, phase_idx)`` tuples (window arrays are replaced between
-    feeds, so entries cannot index into them); ``g`` is the service
-    start of the phase's last-finishing IO, which recovers the heap's
-    event-sequence order between same-time submissions, and ``cnt`` is
-    a monotone push counter replaying the heap's final tiebreak.  The
-    ambiguity rules are :func:`_step_eager`'s, generalized to arbitrary
-    phase IO sets: an arrival tied with a pending phase, or two pending
-    phases tied on ``(time, g)``, abort unless their disk sets are
-    disjoint (disjoint submissions commute).
+    payload, phase_idx)`` tuples (window plans are replaced between
+    feeds, so entries cannot index into them).  A healthy write's
+    pending phase 2 carries its ``wfast`` ``(d, off, pd, po)`` tuple as
+    ``payload`` with ``phase_idx`` -1 and is resolved inline; a generic
+    plan carries its phase list and the index of the next phase.  ``g``
+    is the service start of the gating phase's last-finishing IO, which
+    recovers the heap's event-sequence order between same-time
+    submissions, and ``cnt`` is a monotone push counter replaying the
+    heap's final tiebreak.  An arrival tied with a pending phase, or
+    two pending phases tied on ``(time, g)``, abort unless their disk
+    sets are disjoint (disjoint submissions commute).
 
     Restrictions: read-modify-write policy, no data plane (the gate in
     :func:`step_compiled` and the streaming executor enforce both).
+    After a failed :meth:`feed`, :meth:`settle` or :meth:`finish` the
+    core is spent: the caller drops it and replays exactly.
     """
 
     __slots__ = (
@@ -419,12 +184,9 @@ class _EagerCore:
         "dwrites",
         "pq",
         "maxc",
-        "n",
         "_cnt",
         "_kinds",
     )
-
-    _WRITE_KIND = "write"
 
     def __init__(self, ctrl: "ArrayController"):
         disks = ctrl.disks
@@ -441,11 +203,8 @@ class _EagerCore:
         self.ddelay = [d.total_queue_delay for d in disks]
         self.dreads = [0] * v
         self.dwrites = [0] * v
-        # Pending next-phase submissions:
-        # (time, g, cnt, kind, arrival, phases, phase_idx).
         self.pq: list[tuple] = []
         self.maxc = float("-inf")
-        self.n = 0
         self._cnt = 0
         # kind -> (completions, latencies), in emission-source order.
         self._kinds: dict[str, tuple[list[float], list[float]]] = {}
@@ -461,7 +220,7 @@ class _EagerCore:
         order) against the eager FIFO queues.  Returns the phase
         completion (max IO completion) and its gating start ``g`` (the
         start of the last-finishing IO; completion ties take the max
-        start — exactly :func:`_step_eager`'s phase-1 recovery)."""
+        start)."""
         prevc = self.prevc
         dlast = self.dlast
         dbusyt = self.dbusyt
@@ -494,48 +253,22 @@ class _EagerCore:
                 best_g = p
         return best_c, best_g
 
-    def _retire_until(self, na: float) -> bool:
-        """Retire pending phases strictly before ``na`` (the next
-        arrival, or +inf at finish).  False on an order-ambiguous tie."""
-        pq = self.pq
-        while pq and pq[0][0] < na:
-            tw, g, _cnt, kind, at, phases, pidx = heappop(pq)
-            if pq and pq[0][0] == tw:
-                # Same-instant pending phases: distinct gating starts
-                # order them exactly (g tracks event-seq order); ties on
-                # both are fine only while the phases touch pairwise
-                # disjoint disk sets.
-                used = {d for d, _o, _w in phases[pidx]}
-                for item in pq:
-                    if item[0] == tw and item[1] == g:
-                        for d, _o, _w in item[5][item[6]]:
-                            if d in used:
-                                return False
-                            used.add(d)
-            c, g2 = self._run_phase(phases[pidx], tw)
-            pidx += 1
-            if pidx < len(phases):
-                self._cnt += 1
-                heappush(pq, (c, g2, self._cnt, kind, at, phases, pidx))
-            else:
-                if c > self.maxc:
-                    self.maxc = c
-                cs, ls = self._buf(kind)
-                cs.append(c)
-                ls.append(c - at)
-        return True
-
-    def feed(self, run) -> bool:
-        """Consume one planned window (a :class:`_CompiledRun`),
-        interleaving its arrivals with pending phase submissions.
-        Pending phases whose time lands past the window's last arrival
-        stay queued for the next feed.  Returns False on an ambiguous
-        tie (controller state untouched; the caller replays exactly)."""
-        atimes = run.times
-        single = run.single
-        wfast = run.wfast
-        plans = run.plans
-        n = run.n
+    def feed(self, run: _CompiledRun | None) -> bool:
+        """Consume one planned trace or window, interleaving its
+        arrivals with pending phase submissions.  Pending phases whose
+        time lands past the last arrival stay queued for the next feed;
+        ``run=None`` ends the stream and retires all of them.  Returns
+        False on an ambiguous tie (controller state untouched; the
+        caller replays exactly)."""
+        if run is None:
+            atimes = single = wfast = plans = ()
+            n = 0
+        else:
+            atimes = run.times
+            single = run.single
+            wfast = run.wfast
+            plans = run.plans
+            n = run.n
         pq = self.pq
         inf = float("inf")
         prevc = self.prevc
@@ -543,12 +276,17 @@ class _EagerCore:
         dbusyt = self.dbusyt
         ddelay = self.ddelay
         dreads = self.dreads
+        dwrites = self.dwrites
         seq_s = self.seq_s
         avg_s = self.avg_s
-        rbuf = self._buf("read")
-        rc_app = rbuf[0].append
-        rl_app = rbuf[1].append
-        self.n += n
+        run_phase = self._run_phase
+        buf = self._buf
+        rc, rl = buf("read")
+        rc_app, rl_app = rc.append, rl.append
+        wc, wl = buf("write")
+        wc_app, wl_app = wc.append, wl.append
+        maxc = self.maxc
+        cnt = self._cnt
         ai = 0
         while True:
             limit = pq[0][0] if pq else inf
@@ -574,7 +312,7 @@ class _EagerCore:
                             )
                     for item in pq:
                         if item[0] == limit and any(
-                            d in aset for d, _o, _w in item[5][item[6]]
+                            d in aset for d in _pending_disks(item)
                         ):
                             return False
                 r = ai
@@ -595,8 +333,8 @@ class _EagerCore:
                     c = p + s
                     prevc[d] = c
                     dreads[d] += 1
-                    if c > self.maxc:
-                        self.maxc = c
+                    if c > maxc:
+                        maxc = c
                     rc_app(c)
                     rl_app(c - t)
                     continue
@@ -627,6 +365,12 @@ class _EagerCore:
                     c2 = p + s
                     prevc[pd] = c2
                     dreads[pd] += 1
+                    # Phase 2 fires inside the completion event of
+                    # whichever read finishes last; that event's heap
+                    # sequence number was assigned when the read's
+                    # *service started* (seqs grow chronologically), so
+                    # the start time `g` recovers the heap's order
+                    # between phase-2 submissions tied on time.
                     if c1 > c2:
                         tw = c1
                         g = g1
@@ -636,44 +380,100 @@ class _EagerCore:
                     else:
                         tw = c1
                         g = g1 if g1 > p else p
-                    self._cnt += 1
-                    heappush(
-                        pq,
-                        (
-                            tw,
-                            g,
-                            self._cnt,
-                            self._WRITE_KIND,
-                            t,
-                            (((d, off, True), (pd, po, True)),),
-                            0,
-                        ),
-                    )
+                    cnt += 1
+                    heappush(pq, (tw, g, cnt, "write", t, w, -1))
                     if tw < limit:
                         limit = tw
                     continue
                 # Generic plan (degraded reads/writes, or any write in
                 # a degraded run): phase 0 submits at arrival.
                 kind, phases = plans[r]
-                c, g = self._run_phase(phases[0], t)
+                c, g = run_phase(phases[0], t)
                 if len(phases) == 1:
-                    if c > self.maxc:
-                        self.maxc = c
-                    cs, ls = self._buf(kind)
+                    if c > maxc:
+                        maxc = c
+                    cs, ls = buf(kind)
                     cs.append(c)
                     ls.append(c - t)
                 else:
-                    self._cnt += 1
-                    heappush(pq, (c, g, self._cnt, kind, t, phases, 1))
+                    cnt += 1
+                    heappush(pq, (c, g, cnt, kind, t, phases, 1))
                     if c < limit:
                         limit = c
+            if ai < n:
+                # The drain broke on t > limit: retire pending phases
+                # up to the next arrival (ties at the arrival re-enter
+                # the drain, which settles them with the disjointness
+                # check).
+                na = atimes[ai]
+            elif run is None:
+                na = inf
+            else:
+                break
+            while pq and pq[0][0] < na:
+                item = heappop(pq)
+                tw, g, _c, kind, at, x, pidx = item
+                if pq and pq[0][0] == tw:
+                    # Same-instant pending phases: distinct gating
+                    # starts order them exactly (g tracks event-seq
+                    # order); ties on both are fine only while the
+                    # phases touch pairwise disjoint disk sets.
+                    used = set(_pending_disks(item))
+                    for other in pq:
+                        if other[0] == tw and other[1] == g:
+                            for d in _pending_disks(other):
+                                if d in used:
+                                    return False
+                                used.add(d)
+                if pidx < 0:
+                    # Healthy RMW phase 2: write new data, then new
+                    # parity.
+                    d, off, pd, po = x
+                    p = prevc[d]
+                    if p > tw:
+                        ddelay[d] += p - tw
+                    else:
+                        p = tw
+                    s = seq_s if -1 <= off - dlast[d] <= 1 else avg_s
+                    dlast[d] = off
+                    dbusyt[d] += s
+                    c = p + s
+                    prevc[d] = c
+                    dwrites[d] += 1
+                    p = prevc[pd]
+                    if p > tw:
+                        ddelay[pd] += p - tw
+                    else:
+                        p = tw
+                    s = seq_s if -1 <= po - dlast[pd] <= 1 else avg_s
+                    dlast[pd] = po
+                    dbusyt[pd] += s
+                    c4 = p + s
+                    prevc[pd] = c4
+                    dwrites[pd] += 1
+                    if c4 > c:
+                        c = c4
+                    if c > maxc:
+                        maxc = c
+                    wc_app(c)
+                    wl_app(c - at)
+                    continue
+                c, g = run_phase(x[pidx], tw)
+                pidx += 1
+                if pidx < len(x):
+                    cnt += 1
+                    heappush(pq, (c, g, cnt, kind, at, x, pidx))
+                else:
+                    if c > maxc:
+                        maxc = c
+                    cs, ls = buf(kind)
+                    cs.append(c)
+                    ls.append(c - at)
             if ai >= n:
-                return True
-            # Drain broke on t > limit: retire pending phases up to the
-            # next arrival (ties at the arrival re-enter the drain,
-            # which settles them with the disjointness check).
-            if not self._retire_until(atimes[ai]):
-                return False
+                break
+        self.maxc = maxc
+        self._cnt = cnt
+        return True
 
     def drain(self, threshold: float, sink) -> None:
         """Emit buffered samples with completion <= ``threshold`` (the
@@ -687,13 +487,13 @@ class _EagerCore:
         is still untouched, so multi-core callers (the fleet's carry
         mode) can settle *every* shard before the first write-back and
         abort the whole group cleanly."""
-        return self._retire_until(float("inf"))
+        return self.feed(None)
 
     def finish(self, sink) -> bool:
         """Retire everything still pending, emit the remaining samples,
         and write the accumulated disk/clock state back.  Returns False
         on a late ambiguous tie (controller still untouched)."""
-        if not self._retire_until(float("inf")):
+        if not self.feed(None):
             return False
         self.drain(float("inf"), sink)
         ctrl = self.ctrl
@@ -714,31 +514,6 @@ class _EagerCore:
         return True
 
 
-def _eager_planned(
-    ctrl: "ArrayController", compiled: "CompiledTrace"
-) -> int | None:
-    """One-shot :class:`_EagerCore` run over a whole compiled trace
-    (the degraded counterpart of :func:`_step_eager`).  Returns the
-    request count, or ``None`` on an ambiguous tie with the controller
-    untouched."""
-    from .compile import _CompiledRun
-
-    core = _EagerCore(ctrl)
-    if not core.feed(_CompiledRun(ctrl, compiled)):
-        return None
-    latency = ctrl.latency
-    obs = ctrl.obs if ctrl.obs.enabled else None
-
-    def sink(kind: str, lats: list[float], comps=None) -> None:
-        latency.setdefault(kind, LatencyStats()).samples.extend(lats)
-        if obs is not None:
-            obs.feed(ctrl.obs_shard, kind, comps, lats)
-
-    if not core.finish(sink):
-        return None
-    return compiled.n
-
-
 def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
     """Execute a compiled trace with the batch-stepped executor.
 
@@ -750,9 +525,12 @@ def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
     event queue) stays on the heap engine.
 
     The gate, in order: refuse a busy simulator or a non-positive
-    service model; try the eager tier (read-modify-write policy, no
-    data plane); on an ambiguous tie, or for any other shape, run the
-    exact tier (:func:`_step_exact`, labelled ``calendar``).
+    service model; plan the trace once (one
+    :class:`repro.sim.compile._CompiledRun`); for read-modify-write
+    traces without a data plane, feed the plan to the eager tier
+    (:class:`_EagerCore`); on an ambiguous tie, or for any other shape,
+    run the same plan on the exact tier (:func:`_step_exact`, labelled
+    ``calendar``).
 
     Args:
         ctrl: the array controller (any failure state, any write
@@ -777,30 +555,35 @@ def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
         )
     if compiled.n == 0:
         return 0
+    run = _CompiledRun(ctrl, compiled)
     if ctrl.data is None and ctrl.write_policy == "rmw":
-        # Common benched shapes: try the eager tier first; an exact
-        # timestamp tie (order-ambiguous) leaves state untouched and
-        # drops through to the exact tier below.  Healthy traces take
-        # the tuned specialized pass; degraded traces the plan-driven
-        # core (same idea, generic phases).
-        if ctrl.failed_disk is None:
-            eager = _step_eager(
-                ctrl,
-                compiled,
-                params.sequential_service_ms,
-                params.average_service_ms,
-            )
-        else:
-            eager = _eager_planned(ctrl, compiled)
-        if eager is not None:
+        core = _EagerCore(ctrl)
+        if core.feed(run) and core.finish(_controller_sink(ctrl)):
             ctrl.last_engine = "eager"
             ctrl.obs.set_engine(ctrl.obs_shard, "eager")
-            return eager
+            return run.n
+        # An exact timestamp tie (order-ambiguous) left the controller
+        # untouched: free the core's buffers, replay the same plan.
+        del core
         ctrl.obs.count("tie_abort_replays")
-    return _step_exact(ctrl, compiled)
+    return _step_exact(ctrl, run)
 
 
-def _step_exact(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
+def _controller_sink(ctrl: "ArrayController"):
+    """A drain sink appending to the controller's latency samples and,
+    when metrics are on, folding each batch into the recorder."""
+    latency = ctrl.latency
+    obs = ctrl.obs if ctrl.obs.enabled else None
+
+    def sink(kind: str, lats: list[float], comps) -> None:
+        latency.setdefault(kind, LatencyStats()).samples.extend(lats)
+        if obs is not None:
+            obs.feed(ctrl.obs_shard, kind, comps, lats)
+
+    return sink
+
+
+def _step_exact(ctrl: "ArrayController", run: _CompiledRun) -> int:
     """The exact tier: replay the event heap's serialization over a
     private heap of in-flight completions.
 
@@ -809,20 +592,17 @@ def _step_exact(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
     per-disk FIFOs and take their seq when their service starts, as on
     :class:`repro.sim.disk.Disk`.  Arrivals are not pushed: the next
     epoch merges against the heap's head by ``(time, pump_seq)``.  The
-    engine label stays ``calendar`` (a canonical report field)."""
-    from .compile import _CompiledRun
-
+    engine label stays ``calendar`` (a canonical report field).  ``run``
+    is the trace's plan, shared verbatim with the heap pump and the
+    eager tier — same arrays, same fast-path classification, same
+    dataplane contexts."""
     ctrl.last_engine = "calendar"
     ctrl.obs.set_engine(ctrl.obs_shard, "calendar")
     sim = ctrl.sim
-    n = compiled.n
+    n = run.n
     params = ctrl.params
     seq_s = params.sequential_service_ms
     avg_s = params.average_service_ms
-
-    # Request planning is shared verbatim with the heap executor — same
-    # arrays, same fast-path classification, same dataplane contexts.
-    run = _CompiledRun(ctrl, compiled)
     atimes = run.times
     single = run.single
     wfast = run.wfast

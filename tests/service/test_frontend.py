@@ -425,6 +425,36 @@ class TestFrontendHardening:
         assert served["ok"], served
         assert served["report"]["fleet"]["scheduled"] == 2
 
+    def test_submit_refuses_past_the_buffer_limit(self, monkeypatch):
+        """A submit that would take the buffered request count past
+        ``BUFFER_LIMIT`` is refused, naming the limit, with the buffer
+        untouched; filling it exactly to the limit is accepted."""
+        from repro.service import frontend as frontend_mod
+
+        monkeypatch.setattr(frontend_mod, "BUFFER_LIMIT", 3)
+
+        def chunk(times):
+            return {
+                "op": "submit",
+                "times": times,
+                "is_read": [True] * len(times),
+                "lbas": [0] * len(times),
+            }
+
+        async def body(frontend, rpc):
+            first = await rpc(chunk([1.0, 2.0]))
+            refused = await rpc(chunk([3.0, 4.0]))
+            ping = await rpc({"op": "ping"})
+            last = await rpc(chunk([3.0]))
+            return first, refused, ping, last
+
+        first, refused, ping, last = self._rpc_session(_scenario(), body)
+        assert first["ok"] and first["buffered"] == 2
+        assert not refused["ok"]
+        assert "over the limit of 3" in refused["error"]
+        assert ping["ok"] and ping["buffered"] == 2  # buffer untouched
+        assert last["ok"] and last["buffered"] == 3
+
     def test_unexpected_errors_are_replied(self, monkeypatch):
         async def body(frontend, rpc):
             def broken(**kwargs):

@@ -1,10 +1,12 @@
 """Scenario runner: the ``repro serve`` engine end to end."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.service import (
+    FailureEvent,
     FleetScenario,
     check_fleet,
     Fleet,
@@ -88,6 +90,39 @@ class TestScenario:
         )
         assert report.conformance is None
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "reshape_to, array, lost", [(7, 4, 4), (6, 3, 35)]
+    )
+    def test_failure_losses_off_the_moves_are_not_migration_losses(
+        self, reshape_to, array, lost
+    ):
+        """A failure on an array no move touches loses requests to the
+        failure, not to the migration: a 6 -> 7 reshape completes every
+        move, and a no-op reshape plans none, so both pass.  A loss on
+        a move's own array still fails the verdict."""
+        report = run_fleet_scenario(
+            FleetScenario(
+                shards=6,
+                reshape_to=reshape_to,
+                interarrival_ms=0.2,
+                failures=(FailureEvent(375.0, array=array, disk=0),),
+            )
+        )
+        assert report.fleet.lost == lost
+        assert len(report.migrations) == report.planned_moves
+        assert report.all_migrated_verified
+        assert report.passed
+        if report.migrations:
+            dest = next(o.dest for o in report.migrations if o.units_copied)
+            scheduled = list(report.fleet.per_shard_scheduled)
+            scheduled[dest] += 1
+            fleet = dataclasses.replace(
+                report.fleet, per_shard_scheduled=scheduled
+            )
+            broken = dataclasses.replace(report, fleet=fleet)
+            assert not broken.all_migrated_verified
+            assert not broken.passed
 
 
 class TestFleetConformance:

@@ -23,6 +23,7 @@ import pytest
 
 from repro.core import get_layout
 from repro.layouts import raid5_layout, ring_layout
+from repro.obs import MetricsRecorder
 from repro.sim import (
     ArrayController,
     DiskParameters,
@@ -33,6 +34,7 @@ from repro.sim import (
     step_compiled,
 )
 from repro.sim.batchstep import _step_exact
+from repro.sim.compile import _CompiledRun
 from repro.sim.trace import TraceRecord
 
 FAMILIES = {
@@ -84,8 +86,10 @@ def _run(engine, layout_fn, cfg, *, duration=900.0, failed=None,
         schedule_compiled(ctrl, trace)
         ctrl.sim.run()
     else:
-        run = _step_exact if engine == "exact" else step_compiled
-        n = run(ctrl, trace)
+        if engine == "exact":
+            n = _step_exact(ctrl, _CompiledRun(ctrl, trace))
+        else:
+            n = step_compiled(ctrl, trace)
         assert n == trace.n
         # The whole point: the event heap never runs.
         assert ctrl.sim.events_processed == 0
@@ -148,27 +152,28 @@ class TestFleetShardShape:
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("read_fraction", [1.0, 0.6, 0.0])
+@pytest.mark.parametrize("failed", [None, 1])
 class TestDefaultPathReportEquality:
-    """The default path — eager tier eligible on rmw mixes — must
-    agree with the heap on everything except possibly sample order at
-    exact completion-time ties."""
+    """The default path — eager tier eligible on rmw mixes, healthy or
+    degraded — must agree with the heap on everything except possibly
+    sample order at exact completion-time ties."""
 
-    def test_matches_heap(self, family, read_fraction):
+    def test_matches_heap(self, family, read_fraction, failed):
         cfg = WorkloadConfig(
             interarrival_ms=3.0, read_fraction=read_fraction, seed=19
         )
-        heap = _run("heap", FAMILIES[family], cfg)
-        step = _run("step", FAMILIES[family], cfg)
+        heap = _run("heap", FAMILIES[family], cfg, failed=failed)
+        step = _run("step", FAMILIES[family], cfg, failed=failed)
         assert_states_equal(heap, step, sample_order_exact=False)
 
-    def test_summaries_match_heap(self, family, read_fraction):
+    def test_summaries_match_heap(self, family, read_fraction, failed):
         from repro.sim.stats import summarize
 
         cfg = WorkloadConfig(
             interarrival_ms=3.0, read_fraction=read_fraction, seed=23
         )
-        heap = _run("heap", FAMILIES[family], cfg)
-        step = _run("step", FAMILIES[family], cfg)
+        heap = _run("heap", FAMILIES[family], cfg, failed=failed)
+        step = _run("step", FAMILIES[family], cfg, failed=failed)
         for kind in heap.latency:
             a = summarize(heap.latency[kind])
             b = summarize(step.latency[kind])
@@ -233,10 +238,39 @@ class TestEngineOwnership:
 
     def test_engine_label_set(self):
         """step_compiled labels the controller with the tier that
-        actually finished the trace (eager, or calendar after a tie
-        demotion)."""
+        actually finished the trace: this one has no tie, so eager."""
         ctrl = ArrayController(ring_layout(5, 3))
         cfg = WorkloadConfig(interarrival_ms=5.0, seed=1)
         trace = compile_workload(ctrl.mapper, cfg, 200.0)
         step_compiled(ctrl, trace)
-        assert ctrl.last_engine in ("eager", "calendar")
+        assert ctrl.last_engine == "eager"
+
+
+class TestOnePlanPerTrace:
+    """step_compiled plans a trace once: the eager tier and, after a
+    tie abort, the exact tier both run the same ``_CompiledRun``."""
+
+    @staticmethod
+    def _step(monkeypatch, family):
+        loads = []
+        load = _CompiledRun._load
+
+        def counting(self, compiled):
+            loads.append(compiled.n)
+            load(self, compiled)
+
+        monkeypatch.setattr(_CompiledRun, "_load", counting)
+        ctrl = ArrayController(FAMILIES[family]())
+        ctrl.obs = MetricsRecorder(100.0)
+        ctrl.fail_disk(1)
+        cfg = WorkloadConfig(interarrival_ms=3.0, read_fraction=0.6, seed=19)
+        trace = compile_workload(ctrl.mapper, cfg, 900.0)
+        assert step_compiled(ctrl, trace) == trace.n
+        replays = ctrl.obs.counters().get("tie_abort_replays", 0)
+        return ctrl.last_engine, len(loads), replays
+
+    def test_tie_abort_replays_the_same_plan(self, monkeypatch):
+        assert self._step(monkeypatch, "raid5") == ("calendar", 1, 1)
+
+    def test_eager_completion_counts_no_replay(self, monkeypatch):
+        assert self._step(monkeypatch, "holland_gibson") == ("eager", 1, 0)

@@ -73,7 +73,7 @@ class TestSimulateWorkload:
         lay = ring_layout(5, 3)
         common = dict(duration_ms=400.0, config=WorkloadConfig(seed=2))
         mixed = simulate_workload(lay, **common)
-        assert mixed.engine in ("eager", "calendar")
+        assert mixed.engine == "eager"
         solver = simulate_workload(
             lay,
             duration_ms=400.0,
