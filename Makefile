@@ -92,10 +92,14 @@ else
 		--json BENCH_serve_stream_smoke.json
 endif
 
-# Instrumented serve smoke: a growing fleet with metrics + traces on,
-# serially and on 2 workers.  The observability files must be
-# byte-identical across worker counts (cmp), and the trace summarizer
-# must render them.  The BENCH_obs_* artifacts ride the CI upload glob.
+# Instrumented serve smokes with metrics + traces on, serially and on 2
+# workers; the observability files must be byte-identical across worker
+# counts (cmp), and the trace summarizer must render them.  Two pairs: a
+# growing fleet, whose reshape runs the serial path on both sides, and a
+# 4-shard windowed fleet whose default failure pair splits it into 4
+# shard groups on 2 workers (--smoke fails on an unexpected serial
+# fallback), so the grouped path is compared against the serial one.
+# The BENCH_obs_* artifacts ride the CI upload glob.
 smoke-obs:
 	$(PYTHON) -m repro serve --smoke --shards 4 --grow 4:6 --window 128 \
 		--metrics-out BENCH_obs_metrics.jsonl \
@@ -111,6 +115,19 @@ smoke-obs:
 	cmp BENCH_obs_metrics.jsonl BENCH_obs_metrics_parallel.jsonl
 	cmp BENCH_obs_metrics.prom BENCH_obs_metrics_parallel.prom
 	cmp BENCH_obs_trace.jsonl BENCH_obs_trace_parallel.jsonl
+	$(PYTHON) -m repro serve --smoke --shards 4 --window 128 \
+		--metrics-out BENCH_obs_metrics_groups.jsonl \
+		--metrics-prom BENCH_obs_metrics_groups.prom \
+		--trace-out BENCH_obs_trace_groups.jsonl \
+		--json BENCH_serve_obs_groups_smoke.json
+	$(PYTHON) -m repro serve --smoke --shards 4 --window 128 --workers 2 \
+		--metrics-out BENCH_obs_metrics_groups_parallel.jsonl \
+		--metrics-prom BENCH_obs_metrics_groups_parallel.prom \
+		--trace-out BENCH_obs_trace_groups_parallel.jsonl \
+		--json BENCH_serve_obs_groups_smoke_parallel.json
+	cmp BENCH_obs_metrics_groups.jsonl BENCH_obs_metrics_groups_parallel.jsonl
+	cmp BENCH_obs_metrics_groups.prom BENCH_obs_metrics_groups_parallel.prom
+	cmp BENCH_obs_trace_groups.jsonl BENCH_obs_trace_groups_parallel.jsonl
 	@echo "smoke-obs: metrics + trace byte-identical across worker counts"
 	$(PYTHON) -m repro trace BENCH_obs_trace.jsonl --metrics BENCH_obs_metrics.jsonl
 

@@ -11,13 +11,16 @@ Routing is batched end to end.  An incoming request stream (arrival
 times, read flags, fleet-global LBAs) is split per shard with one
 vectorized consistent-hash pass (:class:`ShardMap`), each shard's
 sub-stream is compiled with one ``map_batch`` call
-(:func:`repro.sim.compile.compile_stream`), and execution picks the
-cheapest engine per shard (:func:`repro.sim.compile.execute_compiled`):
-the analytic queue solver for single-phase traces, the batch-stepped
-executor for mixed ones, and the shared event heap only
-when timers (failure injections, migration copies) are armed on the
-clock.  No per-request Python happens between the socket (here: the
-stream vectors) and the disk queues.
+(:func:`repro.sim.compile.compile_stream`), and the shard-set engine
+gate of ``repro.sim`` runs them
+(:func:`repro.sim.compile._execute_shards`; windowed serves run the
+carry driver :func:`repro.sim.stream._windows_carry`): on an idle
+clock each shard takes its cheapest engine — the analytic queue
+solver for single-phase traces, the batch-stepped executor for mixed
+ones — and the shared event heap runs every shard when timers
+(failure injections, migration copies) are armed.  The multi-process
+shard groups call the same gate.  No per-request Python happens
+between the socket (here: the stream vectors) and the disk queues.
 
 Routing is also *mutable* per volume: the fleet routes through a
 volume→shard table seeded from the :class:`ShardMap` and updated one
@@ -33,6 +36,7 @@ fleet under load with zero lost requests" a checkable property.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,16 +48,15 @@ from ..sim.compile import (
     CompiledTrace,
     StreamWindows,
     _CompiledRun,
+    _execute_shards,
     compile_stream,
-    execute_compiled,
     generate_request_stream,
-    schedule_compiled,
 )
 from ..sim.controller import ArrayController
 from ..sim.disk import DiskParameters
 from ..sim.events import Simulator
 from ..sim.stats import LatencyDigest, LatencyStats, merge_summaries, summarize
-from ..sim.stream import _sweep, _volumes, _windows_carry
+from ..sim.stream import _ShardRoute, _sweep, _volumes, _windows_carry
 from ..sim.workload import WorkloadConfig
 from .sharding import ShardMap
 
@@ -233,6 +236,17 @@ class Fleet:
         volumes already point at their destination."""
         return self._volume_route.copy()
 
+    def static_route(self) -> _ShardRoute:
+        """The live routing table (a copy) and the fleet's address
+        geometry as one record — what the windowed engines route each
+        window through while no migration re-routes volumes."""
+        return _ShardRoute(
+            self.volume_route(),
+            self.volume_units,
+            self.shard_capacity,
+            self.capacity,
+        )
+
     def routing_fingerprint(self) -> int:
         """Deterministic digest of the live routing table (the
         :meth:`ShardMap.fingerprint` analogue for mid-migration
@@ -357,21 +371,6 @@ class Fleet:
     # Serving
     # ------------------------------------------------------------------
 
-    def _execute_all(self, compiled: list[CompiledTrace]) -> None:
-        """Batched fast path: simulator idle, so the shards share no
-        events and each executes independently against the common start
-        time — the analytic queue solver for single-phase traces, the
-        batch-stepped executor for mixed ones (see
-        :func:`repro.sim.compile.execute_compiled`).  The shared clock
-        then advances to the fleet-wide makespan."""
-        base = self.sim.now
-        end = base
-        for ctrl, trace in zip(self.controllers, compiled):
-            self.sim.now = base
-            execute_compiled(ctrl, trace)
-            end = max(end, self.sim.now)
-        self.sim.now = end
-
     def serve_stream(
         self,
         times: np.ndarray,
@@ -410,35 +409,14 @@ class Fleet:
         ]
         ios_base = [ctrl.per_disk_completed() for ctrl in self.controllers]
         mig_base = self.migration_dispatch_totals()
-        obs = self._obs
-        if obs.enabled:
-            for s, trace in enumerate(compiled):
-                if trace.n:
-                    obs.arrivals(s, start + trace.times)
-        if not self.sim.pending():
-            # No armed timers or in-flight events: shards are
-            # independent, so each picks its cheapest engine.
-            self._execute_all(compiled)
-        else:
-            for ctrl, trace in zip(self.controllers, compiled):
-                schedule_compiled(ctrl, trace)
-            self.sim.run()
-        # A reshape mid-run grows the controller set; pad the per-shard
-        # snapshots so the report covers the shards born during it.
-        scheduled = [t.n for t in compiled]
-        while len(scheduled) < len(self.controllers):
-            scheduled.append(0)
-            lat_base.append({})
-            ios_base.append([0] * self.layout.v)
-        # Diverted requests count where the coordinators actually
-        # dispatched them (source pre-cutover, destination after).
-        for s, total in enumerate(self.migration_dispatch_totals()):
-            base = mig_base[s] if s < len(mig_base) else 0
-            if total != base:
-                scheduled[s] += total - base
-        # This stream's samples as per-shard exact accumulators.
+        # Each shard picks its cheapest engine on an idle clock; armed
+        # timers or in-flight events put every shard on the heap.
+        _execute_shards(self.controllers, compiled)
+        # This stream's samples as per-shard exact accumulators (shards
+        # a reshape bore mid-run have no earlier samples).
         accs: list[dict[str, LatencyStats]] = []
-        for ctrl, base in zip(self.controllers, lat_base):
+        for i, ctrl in enumerate(self.controllers):
+            base = lat_base[i] if i < len(lat_base) else {}
             shard: dict[str, LatencyStats] = {}
             for kind, st in ctrl.latency.items():
                 fresh = st.samples[base.get(kind, 0):]
@@ -446,10 +424,7 @@ class Fleet:
                     shard[kind] = LatencyStats(samples=fresh)
             accs.append(shard)
         return self._report(
-            scheduled=scheduled,
-            start=start,
-            accs=accs,
-            ios_base=ios_base,
+            [t.n for t in compiled], start, accs, ios_base, mig_base
         )
 
     def serve_workload(
@@ -505,8 +480,8 @@ class Fleet:
           replays that shard's sub-stream exactly on a per-shard
           chained heap pump (``windows`` must be re-iterable for eager;
           one-shot generators stream through the router directly).
-          This is :func:`repro.sim.stream.execute_windows`'s engine
-          driver, over every shard.
+          This is the carry driver of ``repro.sim``'s windowed
+          shard-set gate, over every shard.
         * **window router** (armed timers, live migration, data
           planes): one self-rescheduling event loads each window onto
           the shared heap when it is due — per-window routing follows
@@ -528,56 +503,26 @@ class Fleet:
             {} for _ in self.controllers
         ]
         scheduled = [0] * len(self.controllers)
-        # Carry mode: per-shard carry engines, no event loop (the
-        # windowed analogue of :meth:`_execute_all`).
-        carried = (
-            not self.sim.pending()
-            and (mig is None or mig.done)
-            and _windows_carry(
-                self.sim,
+        n_windows = None
+        if not self.sim.pending() and (mig is None or mig.done):
+            # Carry mode: per-shard carry engines, no event loop.
+            n_windows = _windows_carry(
                 self.controllers,
-                range(len(self.controllers)),
-                route=self._volume_route,
-                volume_units=self.volume_units,
-                shard_capacity=self.shard_capacity,
-                capacity=self.capacity,
-                write_policy=self.write_policy,
-                dataplane=self._dataplane,
-                windows=windows,
-                digests=digests,
-                scheduled=scheduled,
-                read_only_hint=read_only_hint,
+                self.static_route(),
+                windows,
+                digests,
+                scheduled,
+                read_only_hint,
             )
-        )
-        if not carried:
+        if n_windows is None:
             # Router mode — either the clock is busy, or the carry
             # engines declined (nothing touched).
             router = _WindowRouter(self, iter(windows), digests, scheduled)
-            router.start()
             self.sim.run()
-            router.drain()
-        while len(scheduled) < len(self.controllers):
-            if not carried:
-                # Shards born after the final window delivery (a single
-                # oversized window covers the whole stream): the pad in
-                # ``_WindowRouter._deliver`` never saw them — label here
-                # so engine labels match at every window size.
-                born = self.controllers[len(scheduled)]
-                born.last_engine = "windowed-pump"
-                born.obs.set_engine(born.obs_shard, "windowed-pump")
-            scheduled.append(0)
-            ios_base.append([0] * self.layout.v)
-            digests.append({})
-        for s, total in enumerate(self.migration_dispatch_totals()):
-            base = mig_base[s] if s < len(mig_base) else 0
-            if total != base:
-                scheduled[s] += total - base
-        return self._report(
-            scheduled=scheduled,
-            start=start,
-            accs=digests,
-            ios_base=ios_base,
-        )
+            n_windows = router.finish()
+        if n_windows:
+            self._obs.count("window_boundaries", n_windows, volatile=True)
+        return self._report(scheduled, start, digests, ios_base, mig_base)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -589,57 +534,84 @@ class Fleet:
         start: float,
         accs: list[dict[str, LatencyStats | LatencyDigest]],
         ios_base: list[list[int]],
+        mig_base: Sequence[int] = (),
     ) -> FleetReport:
-        duration = self.sim.now - start
-        per_shard_latency: list[dict[str, dict[str, float]]] = []
-        # Kind keys iterate sorted so every latency dict in the report
-        # has a canonical key order — report equality (serial vs merged
-        # multi-process runs) must not hinge on which request kind
-        # happened to complete first.  Fleet-level summaries fold the
-        # per-shard accumulators in shard order (merge_summaries), the
-        # same fold whether they are exact sample lists (materialized
-        # serves), streaming digests (windowed serves), or summaries
-        # merged across worker processes — the byte-identity seam.
-        for shard in accs:
-            per_shard_latency.append(
-                {kind: summarize(shard[kind]) for kind in sorted(shard)}
-            )
-        kinds = sorted({kind for shard in accs for kind in shard})
-        merged = {
+        """Fold one stream's per-shard tallies into its report.  Shards
+        born mid-stream (a reshape grows the controller set) count from
+        zero, and requests the migration coordinators dispatched count
+        where they ran (source pre-cutover, destination after): the
+        dispatch totals now, less ``mig_base``, the totals before the
+        stream.  ``accs`` covers every controller."""
+        n = len(self.controllers)
+        scheduled = list(scheduled) + [0] * (n - len(scheduled))
+        ios_base = list(ios_base) + [[0] * self.layout.v] * (n - len(ios_base))
+        for s, total in enumerate(self.migration_dispatch_totals()):
+            scheduled[s] += total - (mig_base[s] if s < len(mig_base) else 0)
+        return _fold_report(
+            scheduled,
+            accs,
+            [
+                [now - then for now, then in zip(c.per_disk_completed(), base)]
+                for c, base in zip(self.controllers, ios_base)
+            ],
+            self.sim.now - start,
+            [c.last_engine for c in self.controllers],
+        )
+
+
+def _fold_report(
+    scheduled: list[int],
+    accs: list[dict[str, LatencyStats | LatencyDigest]],
+    per_disk_ios: list[list[int]],
+    duration_ms: float,
+    engines: list[str | None],
+) -> FleetReport:
+    """Fold per-shard tallies (indexed by shard id) into one
+    :class:`FleetReport` — the one fold behind the serial fleet's
+    reports and the merged multi-process ones.
+
+    Kind keys iterate sorted so every latency dict in the report has a
+    canonical key order — report equality (serial vs merged
+    multi-process runs) must not hinge on which request kind happened
+    to complete first.  Fleet-level summaries fold the per-shard
+    accumulators in shard order (merge_summaries), the same fold
+    whether they are exact sample lists (materialized serves),
+    streaming digests (windowed serves), or digests merged across
+    worker processes — the byte-identity seam.
+    """
+    kinds = sorted({kind for shard in accs for kind in shard})
+    # One sample per finished request; lost requests have none.
+    completed = int(
+        sum(acc.count for shard in accs for acc in shard.values())
+    )
+    report = FleetReport(
+        shards=len(scheduled),
+        scheduled=int(sum(scheduled)),
+        completed=completed,
+        duration_ms=duration_ms,
+        throughput_rps=(
+            completed / (duration_ms / 1000.0) if duration_ms > 0 else 0.0
+        ),
+        latency={
             kind: merge_summaries(
                 [shard[kind] for shard in accs if kind in shard]
             )
             for kind in kinds
-        }
-        total = int(sum(scheduled))
-        completed = int(
-            sum(acc.count for shard in accs for acc in shard.values())
-        )  # one sample per finished request; lost requests have none
-        report = FleetReport(
-            shards=self.shards,
-            scheduled=total,
-            completed=completed,
-            duration_ms=duration,
-            throughput_rps=(
-                completed / (duration / 1000.0) if duration > 0 else 0.0
-            ),
-            latency=merged,
-            per_shard_scheduled=list(scheduled),
-            per_shard_latency=per_shard_latency,
-            per_disk_ios=[
-                [now - then for now, then in zip(c.per_disk_completed(), base)]
-                for c, base in zip(self.controllers, ios_base)
-            ],
-        )
-        # A plain (non-field) attribute: the engine each shard's
-        # execution actually used.  Kept out of the dataclass fields so
-        # asdict()/equality comparisons — the byte-identity tests —
-        # never see it (windowed and materialized serves legitimately
-        # pick differently-labelled engines for identical reports).
-        object.__setattr__(
-            report, "engines", [c.last_engine for c in self.controllers]
-        )
-        return report
+        },
+        per_shard_scheduled=list(scheduled),
+        per_shard_latency=[
+            {kind: summarize(shard[kind]) for kind in sorted(shard)}
+            for shard in accs
+        ],
+        per_disk_ios=per_disk_ios,
+    )
+    # A plain (non-field) attribute: the engine each shard's execution
+    # actually used.  Kept out of the dataclass fields so
+    # asdict()/equality comparisons — the byte-identity tests — never
+    # see it (windowed and materialized serves legitimately pick
+    # differently-labelled engines for identical reports).
+    object.__setattr__(report, "engines", list(engines))
+    return report
 
 
 class _WindowRouter:
@@ -657,9 +629,15 @@ class _WindowRouter:
     buffered, so heap pressure and sample memory stay constant at any
     horizon while failures, rebuilds, and migration copies interleave
     on the shared clock.
+
+    Construction arms the first window; run the clock, then call
+    :meth:`finish`.
     """
 
-    __slots__ = ("fleet", "it", "digests", "scheduled", "base", "_next", "_lat_base")
+    __slots__ = (
+        "fleet", "it", "digests", "scheduled", "base", "windows", "_next",
+        "_lat_base",
+    )
 
     def __init__(
         self,
@@ -673,21 +651,13 @@ class _WindowRouter:
         self.digests = digests
         self.scheduled = scheduled
         self.base = fleet.sim.now
-        self._next = None
+        self.windows = 0
         # A long-lived fleet's controllers may carry samples from
         # earlier streams; the sweep must only claim this stream's tail.
         self._lat_base = [
             {kind: len(st.samples) for kind, st in ctrl.latency.items()}
             for ctrl in fleet.controllers
         ]
-
-    def start(self) -> None:
-        # Router mode runs every shard on the chained heap pump; label
-        # all controllers up front so serial and multi-process serves
-        # agree even for shards that see no traffic.
-        for ctrl in self.fleet.controllers:
-            ctrl.last_engine = "windowed-pump"
-            ctrl.obs.set_engine(ctrl.obs_shard, "windowed-pump")
         self._next = self._pull()
         if self._next is not None:
             self._arm()
@@ -706,6 +676,7 @@ class _WindowRouter:
         fleet = self.fleet
         times, is_read, lbas = self._next
         self._next = None
+        self.windows += 1
         vols = _volumes(
             lbas, fleet.volume_units, fleet.shard_map.volumes, fleet.capacity
         )
@@ -723,15 +694,9 @@ class _WindowRouter:
                 )
                 shard_ids = np.where(moving, np.int64(-1), shard_ids)
         scheduled = self.scheduled
-        while len(scheduled) < len(fleet.controllers):
-            # Shards born from a reshape mid-run: label them with the
-            # engine that will serve them from here on.
-            born = fleet.controllers[len(scheduled)]
-            born.last_engine = "windowed-pump"
-            born.obs.set_engine(born.obs_shard, "windowed-pump")
-            scheduled.append(0)
+        # Shards a reshape bore mid-run route from here on.
+        scheduled.extend([0] * (len(fleet.controllers) - len(scheduled)))
         obs = fleet._obs
-        obs.count("window_boundaries", volatile=True)
         for s, ctrl in enumerate(fleet.controllers):
             mask = shard_ids == s
             if not mask.any():
@@ -766,3 +731,19 @@ class _WindowRouter:
         for s, ctrl in enumerate(fleet.controllers):
             _sweep(ctrl.latency, lat_base[s], digests[s])
 
+    def finish(self) -> int:
+        """Close the stream once the clock has drained: sweep the last
+        samples, extend the tallies over shards born mid-stream, and
+        label every controller — router mode runs every shard on the
+        chained heap pump, so all of them, including shards born after
+        the last window or that saw no traffic, carry its label and
+        serial and multi-process serves agree at every window size.
+        Returns the number of windows delivered."""
+        self.drain()
+        fleet = self.fleet
+        self.scheduled.extend(
+            [0] * (len(fleet.controllers) - len(self.scheduled))
+        )
+        for ctrl in fleet.controllers:
+            ctrl.set_engine("windowed-pump")
+        return self.windows

@@ -58,9 +58,8 @@ import signal
 
 import numpy as np
 
-from .parallel import scenario_fleet
 from .runtime import WarmRuntime
-from .scenario import FleetScenario
+from .scenario import FleetScenario, scenario_fleet
 
 __all__ = ["BUFFER_LIMIT", "LINE_LIMIT", "ServiceFrontend", "run_frontend"]
 

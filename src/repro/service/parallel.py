@@ -44,11 +44,10 @@ execution groups** (connected components of the coupling relation):
 
 This module holds the worker side of grouped execution: each group
 becomes one :class:`GroupTask` record, executed by
-:func:`_execute_group` (pre-routed compiled slices),
-:func:`_execute_group_windowed` (stream windows) or
-:func:`_execute_migration_group` (a reshape component), each returning
-a :class:`GroupResult`.  The runner that builds the tasks and drives
-them lives in :class:`repro.service.runtime.WarmRuntime`;
+:func:`_execute_group` (pre-routed compiled slices or stream windows)
+or :func:`_execute_migration_group` (a reshape component), each
+returning a :class:`GroupResult`.  The runner that builds the tasks
+and drives them lives in :class:`repro.service.runtime.WarmRuntime`;
 :func:`run_fleet_scenario_parallel` is that runner run once, cold: it
 opens a runtime, serves the scenario through the grouped path, and
 closes it.  The parent generates the fleet stream **once**, routes and
@@ -71,18 +70,17 @@ Why the decomposition is *exact* (not approximate): within one shard,
 event order on the shared clock is decided by ``(time, seq)`` with a
 monotonic sequence number, so removing another shard's events never
 reorders this shard's; shards share no state except through the
-couplings the partition keys on; and each group replicates the serial
-runner's engine choice (the per-shard
-:func:`repro.sim.compile.execute_compiled` fast engines only when the
-whole scenario is failure-free — exactly when the serial fleet's clock
-is idle at serve time) and its final drain-the-clock step.
+couplings the partition keys on; and each group runs the serial
+fleet's own engine gate (:func:`repro.sim.compile._execute_shards`,
+:func:`repro.sim.stream._execute_shard_windows`), allowing the fast
+engines only when the scenario arms no failure and no reshape —
+exactly when the serial fleet's clock is idle at serve time.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -90,17 +88,15 @@ import numpy as np
 from ..core.registry import get_layout
 from ..obs.recorder import MetricsRecorder
 from ..sim.compile import (
-    CompiledTrace,
     StreamWindows,
-    execute_compiled,
+    _execute_shards,
     generate_request_stream,
-    schedule_compiled,
 )
 from ..sim.controller import ArrayController
 from ..sim.events import Simulator
-from ..sim.stats import LatencyDigest, merge_summaries, summarize
-from ..sim.stream import _arm_shard_pump, _windows_carry
-from .fleet import Fleet, FleetReport, _WindowRouter
+from ..sim.stats import LatencyDigest
+from ..sim.stream import _execute_shard_windows, _ShardRoute, _sweep
+from .fleet import FleetReport, _fold_report, _WindowRouter
 from .migration import (
     MigrationCoordinator,
     VolumeMigrationOutcome,
@@ -113,7 +109,7 @@ from .orchestrator import (
     RebuildOutcome,
     validate_failure_schedule,
 )
-from .scenario import FleetScenario, FleetScenarioReport
+from .scenario import FleetScenario, FleetScenarioReport, scenario_fleet
 
 __all__ = [
     "ShardGroup",
@@ -126,7 +122,6 @@ __all__ = [
     "run_fleet_scenario_parallel",
     "canonical_payload",
     "available_cpus",
-    "scenario_fleet",
 ]
 
 
@@ -191,23 +186,6 @@ class GroupPartition:
             for i, g in enumerate(self.groups)
             if g.admission_slots
         }
-
-
-def scenario_fleet(
-    scenario: FleetScenario, *, dataplane: bool = False
-) -> Fleet:
-    """The scenario's fleet, built as the serial runner builds it —
-    routing-only (no data planes) unless ``dataplane`` is set."""
-    return Fleet(
-        scenario.shards,
-        scenario.v,
-        scenario.k,
-        volumes=scenario.volumes,
-        dataplane=dataplane,
-        seed=scenario.seed,
-        placement=scenario.placement,
-        write_policy=scenario.write_policy,
-    )
 
 
 def _validate_scenario(scenario: FleetScenario) -> None:
@@ -409,17 +387,6 @@ def _partition_reshape(scenario: FleetScenario) -> GroupPartition:
 
 
 @dataclass(frozen=True)
-class _StaticRoute:
-    """The parent routing fleet's static volume table and address
-    geometry — what a windowed group filters each window through."""
-
-    table: np.ndarray
-    volume_units: int
-    shard_capacity: int
-    capacity: int
-
-
-@dataclass(frozen=True)
 class GroupTask:
     """One shard group's work order — the single record the grouped
     runner hands an executor, in-process or through the worker pool
@@ -442,22 +409,19 @@ class GroupTask:
     Attributes:
         scenario: the scenario the group belongs to.
         group: the group's arrays, failures and admission share.
-        allow_batched: the serial engine gate — the batched/carry
-            engines only when the whole scenario arms nothing (failure
-            or reshape) on any clock.
         interval_ms: metrics bucket width when the run is instrumented.
         segment: shared-memory segment holding the trace source.
         specs: array specs inside ``segment`` (see above).
-        route: the static routing table (windowed groups only).
+        route: the parent fleet's static routing table and address
+            geometry (windowed groups only).
     """
 
     scenario: FleetScenario
     group: ShardGroup
-    allow_batched: bool
     interval_ms: float | None = None
     segment: str | None = None
     specs: tuple = ()
-    route: _StaticRoute | None = None
+    route: _ShardRoute | None = None
 
     def recorder(self) -> MetricsRecorder | None:
         """A fresh worker-local recorder when the run is instrumented."""
@@ -520,106 +484,6 @@ class _LocalFleet:
         return len(self.controllers)
 
 
-def _digest_latency(ctrl: ArrayController) -> dict[str, LatencyDigest]:
-    """Reduce a controller's raw latency samples into constant-size
-    digests for the result pickle — O(requests) sample lists never
-    cross the process boundary.  Bit-exactness: the digest's seeded
-    ``np.add.accumulate`` fold reproduces ``sum(samples)`` exactly and
-    its percentiles are pure functions of the quantization-bucket
-    counts (see ``repro.sim.stats``), so ``summarize(digest)`` equals
-    ``summarize(LatencyStats(samples))`` for the same completion-order
-    samples."""
-    out: dict[str, LatencyDigest] = {}
-    for kind in sorted(ctrl.latency):
-        samples = ctrl.latency[kind].samples
-        if not samples:
-            continue
-        digest = LatencyDigest()
-        digest.extend_array(np.asarray(samples, dtype=np.float64))
-        out[kind] = digest
-    return out
-
-
-class _GroupRun:
-    """The setup and result bookkeeping both plain-group executors
-    share: the group's controllers on a fresh clock (seeded by *global*
-    shard id, exactly as the serial fleet seeds them), a local
-    :class:`repro.obs.MetricsRecorder` keyed by global shard id when
-    instrumented (so the parent's absorb is a pure placement merge),
-    and the group's failure orchestrator armed with its admission
-    share.  The executors differ only in how traffic reaches the
-    controllers."""
-
-    def __init__(self, task: GroupTask) -> None:
-        self.t0 = time.perf_counter()
-        self.task = task
-        sc, group = task.scenario, task.group
-        self.sim = Simulator()
-        layout = get_layout(sc.v, sc.k)
-        self.controllers = [
-            ArrayController(
-                layout,
-                sim=self.sim,
-                dataplane=sc.verify_data,
-                seed=sc.seed + gid,
-                write_policy=sc.write_policy,
-            )
-            for gid in group.arrays
-        ]
-        self.rec = task.recorder()
-        for gid, ctrl in zip(group.arrays, self.controllers):
-            ctrl.obs_shard = gid
-            if self.rec is not None:
-                ctrl.obs = self.rec
-        self.orchestrator = None
-        if group.failures:
-            local_index = {gid: i for i, gid in enumerate(group.arrays)}
-            shim = _LocalFleet(
-                controllers=self.controllers, sim=self.sim, layout=layout
-            )
-            self.orchestrator = FailureOrchestrator(
-                shim,  # type: ignore[arg-type] - duck-typed Fleet surface
-                tuple(
-                    replace(ev, array=local_index[ev.array])
-                    for ev in group.failures
-                ),
-                admission=group.admission_slots,
-                parallelism=sc.rebuild_parallelism,
-            )
-            self.orchestrator.arm()
-
-    def result(
-        self,
-        scheduled: list[int],
-        digests: list[dict[str, LatencyDigest]] | None = None,
-    ) -> GroupResult:
-        """Close the run: drain the clock and package the outcome
-        (``digests=None`` reduces the controllers' own samples)."""
-        arrays = self.task.group.arrays
-        duration = self.sim.now
-        # Failures scheduled beyond the last completion (empty-stream
-        # edge) — the serial runner's trailing drain, replicated.
-        self.sim.run()
-        outcomes = []
-        if self.orchestrator is not None:
-            outcomes = [
-                replace(o, array=arrays[o.array])
-                for o in self.orchestrator.outcomes
-            ]
-        if digests is None:
-            digests = [_digest_latency(ctrl) for ctrl in self.controllers]
-        return _group_result(
-            self.task,
-            self.t0,
-            self.controllers,
-            self.rec,
-            duration,
-            scheduled,
-            digests,
-            outcomes=outcomes,
-        )
-
-
 def _group_result(
     task: GroupTask,
     t0: float,
@@ -657,45 +521,95 @@ def _group_result(
     )
 
 
-def _execute_group(
-    task: GroupTask, compiled: Sequence[CompiledTrace]
-) -> GroupResult:
-    """Run one group's sub-fleet over its pre-routed compiled slices.
+def _execute_group(task: GroupTask, source) -> GroupResult:
+    """Run one plain group's sub-fleet over its trace source: the
+    group's pre-routed :class:`CompiledTrace` slices (compiled once in
+    the parent — workers never regenerate the fleet stream), or, when
+    ``task.route`` is set, a re-iterable window source filtered to the
+    group's arrays through that static table (the scenario's
+    :class:`StreamWindows` regenerated worker-side, or
+    :class:`repro.sim.compile.ArrayWindows` over shared-memory views of
+    a submitted stream), so peak memory stays one window per shard.
 
-    Mirrors ``run_fleet_scenario`` + ``Fleet.serve_compiled`` step for
-    step for the arrays it owns: same seeds, same pre-routed traces
-    (compiled once in the parent — workers never regenerate the fleet
-    stream), same engine choice, same final clock drain — so the
-    merged report equals the serial one exactly.
+    The group's controllers sit on a fresh clock, seeded by *global*
+    shard id exactly as the serial fleet seeds them; a local recorder
+    keyed by global shard id makes the parent's absorb a pure placement
+    merge; and the group's failure orchestrator is armed with its
+    admission share.  The shard-set engine gate of ``repro.sim``
+    (:func:`repro.sim.compile._execute_shards`,
+    :func:`repro.sim.stream._execute_shard_windows`) then runs the
+    traffic.  The serial fleet takes the batched/carry engines only
+    when its shared clock is idle at serve time — when the scenario
+    arms no failure and no reshape — so a healthy group must not take
+    them just because its own slice is quiet while another group
+    rebuilds.  Whenever anything is armed the gate drains the clock
+    itself (failures past the last completion included), so the merged
+    report equals the serial one exactly.
     """
-    run = _GroupRun(task)
-    sim = run.sim
-    if run.rec is not None:
-        # Same point the serial serve records arrivals (stream start is
-        # sim time 0 in workers, exactly as in the serial scenario run).
-        for gid, trace in zip(task.group.arrays, compiled):
-            if trace.n:
-                run.rec.arrivals(gid, trace.times)
-
-    # Engine choice replicates the serial gate exactly: the serial
-    # fleet takes the per-shard batched engines
-    # (``Fleet._execute_all``) only when its shared clock is idle at
-    # serve time — i.e. when the scenario arms no failures anywhere —
-    # so a healthy group must not take the fast engines just because
-    # its own slice is quiet while another group rebuilds.
-    if task.allow_batched and not sim.pending():
-        base = sim.now
-        end = base
-        for ctrl, trace in zip(run.controllers, compiled):
-            sim.now = base
-            execute_compiled(ctrl, trace)
-            end = max(end, sim.now)
-        sim.now = end
+    t0 = time.perf_counter()
+    sc, arrays = task.scenario, task.group.arrays
+    sim = Simulator()
+    layout = get_layout(sc.v, sc.k)
+    controllers = [
+        ArrayController(
+            layout,
+            sim=sim,
+            dataplane=sc.verify_data,
+            seed=sc.seed + gid,
+            write_policy=sc.write_policy,
+        )
+        for gid in arrays
+    ]
+    rec = task.recorder()
+    for gid, ctrl in zip(arrays, controllers):
+        ctrl.obs_shard = gid
+        if rec is not None:
+            ctrl.obs = rec
+    orchestrator = None
+    if task.group.failures:
+        local_index = {gid: i for i, gid in enumerate(arrays)}
+        shim = _LocalFleet(controllers=controllers, sim=sim, layout=layout)
+        orchestrator = FailureOrchestrator(
+            shim,  # type: ignore[arg-type] - duck-typed Fleet surface
+            tuple(
+                replace(ev, array=local_index[ev.array])
+                for ev in task.group.failures
+            ),
+            admission=task.group.admission_slots,
+            parallelism=sc.rebuild_parallelism,
+        )
+        orchestrator.arm()
+    batched = not sc.failures and sc.reshape_to is None
+    digests: list[dict[str, LatencyDigest]] = [{} for _ in arrays]
+    if task.route is None:
+        _execute_shards(controllers, source, batched=batched)
+        scheduled = [t.n for t in source]
+        for ctrl, digest in zip(controllers, digests):
+            _sweep(ctrl.latency, {}, digest)
     else:
-        for ctrl, trace in zip(run.controllers, compiled):
-            schedule_compiled(ctrl, trace)
-        sim.run()
-    return run.result([t.n for t in compiled])
+        scheduled, _ = _execute_shard_windows(
+            controllers,
+            task.route,
+            source,
+            digests,
+            read_only_hint=sc.read_fraction >= 1.0,
+            batched=batched,
+        )
+    outcomes = []
+    if orchestrator is not None:
+        outcomes = [
+            replace(o, array=arrays[o.array]) for o in orchestrator.outcomes
+        ]
+    return _group_result(
+        task,
+        t0,
+        controllers,
+        rec,
+        sim.now,
+        scheduled,
+        digests,
+        outcomes=outcomes,
+    )
 
 
 def _filtered_windows(windows, keep: np.ndarray, volume_units: int):
@@ -708,67 +622,6 @@ def _filtered_windows(windows, keep: np.ndarray, volume_units: int):
         if len(times):
             mask = keep[lbas // volume_units]
             yield times[mask], is_read[mask], lbas[mask]
-
-
-def _execute_group_windowed(task: GroupTask, windows) -> GroupResult:
-    """Run one group's sub-fleet over a windowed stream.
-
-    ``windows`` is any re-iterable ``(times, is_read, lbas)`` window
-    source — the scenario's seed-deterministic :class:`StreamWindows`
-    regenerated worker-side, or :class:`repro.sim.compile.ArrayWindows`
-    over shared-memory views of a submitted stream — and each window is
-    routed to the group's arrays through the task's static table, so
-    peak memory stays one window per shard at any horizon.  Engine
-    choice mirrors the serial :meth:`Fleet.serve_windows` gate exactly:
-    the carry engines only when the whole scenario arms nothing on any
-    clock, the per-shard chained heap pumps otherwise (the serial
-    window router's per-shard event order, minus other groups' events,
-    which never reorder ours).  Latency reduces into per-shard digests
-    — the same accumulators the serial windowed serve feeds
-    ``_report``.
-    """
-    run = _GroupRun(task)
-    sc, arrays, route = task.scenario, task.group.arrays, task.route
-    digests: list[dict[str, LatencyDigest]] = [{} for _ in arrays]
-    scheduled = [0] * len(arrays)
-    carried = False
-    if task.allow_batched and not run.sim.pending():
-        carried = _windows_carry(
-            run.sim,
-            run.controllers,
-            arrays,
-            route=route.table,
-            volume_units=route.volume_units,
-            shard_capacity=route.shard_capacity,
-            capacity=route.capacity,
-            write_policy=sc.write_policy,
-            dataplane=sc.verify_data,
-            windows=windows,
-            digests=digests,
-            scheduled=scheduled,
-            read_only_hint=sc.read_fraction >= 1.0,
-        )
-    if not carried:
-        # Arm every shard's pump before the one shared run so failure
-        # timers interleave with all of them, exactly as the serial
-        # window router's heap does.
-        pumps = [
-            _arm_shard_pump(
-                ctrl,
-                gid,
-                windows,
-                digests[i],
-                route.table,
-                route.volume_units,
-                route.shard_capacity,
-            )
-            for i, (gid, ctrl) in enumerate(zip(arrays, run.controllers))
-        ]
-        run.sim.run()
-        for i, (count, drain) in enumerate(pumps):
-            drain()
-            scheduled[i] = count[0]
-    return run.result(scheduled, digests)
 
 
 def _execute_migration_group(task: GroupTask) -> GroupResult:
@@ -804,8 +657,9 @@ def _execute_migration_group(task: GroupTask) -> GroupResult:
         # below), so the recorder state stays disjoint across workers.
         fleet.attach_recorder(rec)
     coordinator.arm()
-    static_route = fleet.volume_route()
-    keep = np.isin(static_route, np.array(group.arrays, dtype=np.int64))
+    keep = np.isin(
+        fleet.volume_route(), np.array(group.arrays, dtype=np.int64)
+    )
 
     if scenario.window_size is not None:
         windows = _filtered_windows(
@@ -823,9 +677,8 @@ def _execute_migration_group(task: GroupTask) -> GroupResult:
         ]
         scheduled = [0] * len(fleet.controllers)
         router = _WindowRouter(fleet, windows, digests, scheduled)
-        router.start()
         fleet.sim.run()
-        router.drain()
+        router.finish()
     else:
         times, is_read, lbas = generate_request_stream(
             scenario.workload(), scenario.duration_ms, fleet.capacity
@@ -834,19 +687,12 @@ def _execute_migration_group(task: GroupTask) -> GroupResult:
         compiled, _ = fleet.route_stream(
             times[mask], is_read[mask], lbas[mask]
         )
-        if rec is not None:
-            for s, trace in enumerate(compiled):
-                if trace.n:
-                    rec.arrivals(s, trace.times)
-        for ctrl, trace in zip(fleet.controllers, compiled):
-            schedule_compiled(ctrl, trace)
-        fleet.sim.run()
+        _execute_shards(fleet.controllers, compiled)
         scheduled = [t.n for t in compiled]
-        digests = [_digest_latency(ctrl) for ctrl in fleet.controllers]
-    duration = fleet.sim.now
-    fleet.sim.run()
-    while len(scheduled) < len(fleet.controllers):
-        scheduled.append(0)
+        scheduled += [0] * (len(fleet.controllers) - len(scheduled))
+        digests = [{} for _ in fleet.controllers]
+        for ctrl, digest in zip(fleet.controllers, digests):
+            _sweep(ctrl.latency, {}, digest)
     # The coordinator's dispatches count where they actually ran
     # (fresh coordinator: the base is zero).
     for s, total in enumerate(coordinator.dispatched_per_shard):
@@ -858,7 +704,7 @@ def _execute_migration_group(task: GroupTask) -> GroupResult:
         t0,
         [fleet.controllers[a] for a in local],
         rec,
-        duration,
+        fleet.sim.now,
         [scheduled[a] for a in local],
         [digests[a] for a in local],
         outcomes=[],
@@ -881,17 +727,17 @@ def _merge_results(
 ]:
     """Fold per-group results into one fleet report.
 
-    Placement is by global shard id; per-shard latency digests fold in
-    shard order — the exact order the serial report sums them in, so
-    float reductions (means) agree bit for bit.  A reshape scenario's
-    report covers ``reshape_to`` shards (reshape-born shards a group
-    didn't touch stay zero rows, matching the serial pads); migration
-    outcomes merge sorted by volume id — the canonical order the
-    report serializes them in.
+    Placement is by global shard id; the per-shard tallies then go
+    through the serial fleet's own fold, so float reductions (means)
+    agree bit for bit.  A reshape scenario's report covers
+    ``reshape_to`` shards (reshape-born shards a group didn't touch
+    stay zero rows, matching the serial pads); migration outcomes merge
+    sorted by volume id — the canonical order the report serializes
+    them in.
     """
     n = max(scenario.shards, scenario.reshape_to or 0)
     scheduled = [0] * n
-    accs: list[dict] = [{} for _ in range(n)]
+    accs: list[dict[str, LatencyDigest]] = [{} for _ in range(n)]
     per_disk: list[list[int]] = [[0] * scenario.v for _ in range(n)]
     engines: list[str | None] = [None] * n
     duration = 0.0
@@ -905,46 +751,9 @@ def _merge_results(
             scheduled[gid] = res.scheduled[i]
             per_disk[gid] = res.per_disk_ios[i]
             engines[gid] = res.engines[i]
-            accs[gid] = {
-                kind: digest
-                for kind, digest in res.digests[i].items()
-                if digest.count
-            }
-
-    # Per-shard accumulators feed the same shard-order merge_summaries
-    # fold the serial Fleet._report performs, so merged means and
-    # histograms agree bit for bit.
-    per_shard_latency = [
-        {kind: summarize(shard[kind]) for kind in sorted(shard)}
-        for shard in accs
-    ]
-    kinds = sorted({kind for shard in accs for kind in shard})
-    completed = int(
-        sum(acc.count for shard in accs for acc in shard.values())
-    )
-    report = FleetReport(
-        shards=n,
-        scheduled=int(sum(scheduled)),
-        completed=completed,
-        duration_ms=duration,
-        throughput_rps=(
-            completed / (duration / 1000.0) if duration > 0 else 0.0
-        ),
-        latency={
-            kind: merge_summaries(
-                [shard[kind] for shard in accs if kind in shard]
-            )
-            for kind in kinds
-        },
-        per_shard_scheduled=list(scheduled),
-        per_shard_latency=per_shard_latency,
-        per_disk_ios=per_disk,
-    )
-    # Same non-field attribute Fleet._report sets on the serial path —
-    # the payload's engine keys must agree serial vs merged bit for bit.
-    object.__setattr__(report, "engines", engines)
+            accs[gid] = res.digests[i]
     return (
-        report,
+        _fold_report(scheduled, accs, per_disk, duration, engines),
         tuple(sorted(outcomes, key=lambda o: o.array)),
         tuple(sorted(migrations, key=lambda m: m.volume)),
     )

@@ -90,15 +90,17 @@ from .parallel import (
     ParallelExecution,
     ParallelScenarioRun,
     _execute_group,
-    _execute_group_windowed,
     _execute_migration_group,
     _merge_results,
-    _StaticRoute,
     available_cpus,
     partition_scenario,
+)
+from .scenario import (
+    FleetScenario,
+    FleetScenarioReport,
+    run_fleet_scenario,
     scenario_fleet,
 )
-from .scenario import FleetScenario, FleetScenarioReport, run_fleet_scenario
 
 __all__ = [
     "SEGMENT_PREFIX",
@@ -306,23 +308,21 @@ def _run_group_task(
         return _execute_migration_group(task)
     if shm is None and task.segment is not None:
         shm = _attach(task.segment)
-    if task.route is None:
-        return _execute_group(
-            task, [_trace_from(shm, spec) for spec in task.specs]
-        )
     sc = task.scenario
-    if shm is None:
-        windows = StreamWindows(
+    if task.route is None:
+        source = [_trace_from(shm, spec) for spec in task.specs]
+    elif shm is None:
+        source = StreamWindows(
             sc.workload(),
             sc.duration_ms,
             task.route.capacity,
             window_size=sc.window_size,
         )
     else:
-        windows = ArrayWindows(
+        source = ArrayWindows(
             *(_view(shm, spec) for spec in task.specs), sc.window_size
         )
-    return _execute_group_windowed(task, windows)
+    return _execute_group(task, source)
 
 
 # ----------------------------------------------------------------------
@@ -742,9 +742,6 @@ class WarmRuntime:
             plan = plan_migration(fleet, sc.reshape_to)
             planned_moves = len(plan.moves)
             fingerprint = plan.target_map.fingerprint()
-        # The serial engine gate: the batched/carry engines only when
-        # nothing (failure or reshape) is armed on the shared clock.
-        allow_batched = not sc.failures and sc.reshape_to is None
         interval = recorder.interval_ms if recorder is not None else None
         plain = [g for g in partition.groups if not g.migration_volumes]
 
@@ -757,12 +754,7 @@ class WarmRuntime:
             artifact = self._artifact(stream, fleet)
             shm = artifact.shm
         elif plain:
-            route = _StaticRoute(
-                fleet.volume_route(),
-                fleet.volume_units,
-                fleet.shard_capacity,
-                fleet.capacity,
-            )
+            route = fleet.static_route()
             if stream is not None:
                 # Windowed serves never materialize compiled slices,
                 # but a submitted stream still rides shared memory:
@@ -772,7 +764,7 @@ class WarmRuntime:
 
         def task(g) -> GroupTask:
             if g.migration_volumes:
-                return GroupTask(sc, g, allow_batched, interval)
+                return GroupTask(sc, g, interval)
             if artifact is not None:
                 specs = tuple(artifact.specs[a] for a in g.arrays)
             else:
@@ -780,7 +772,6 @@ class WarmRuntime:
             return GroupTask(
                 sc,
                 g,
-                allow_batched,
                 interval,
                 segment=shm.name if shm is not None else None,
                 specs=specs,
@@ -819,6 +810,13 @@ class WarmRuntime:
                     recorder.absorb(res.obs)
 
         fleet_report, outcomes, migrations = _merge_results(sc, results)
+        if recorder is not None and sc.window_size is not None:
+            # Group executors iterate the stream once per group, so the
+            # window count comes from here: every window but the last
+            # is full.
+            n_windows = -(-fleet_report.scheduled // sc.window_size)
+            if n_windows:
+                recorder.count("window_boundaries", n_windows, volatile=True)
         # Digest-IPC savings: ~one float per completed request that no
         # longer rides the result pickle as a raw sample.
         self.stats.ipc_bytes_avoided += 8 * fleet_report.completed

@@ -56,6 +56,7 @@ __all__ = [
     "FleetScenarioReport",
     "default_failure_schedule",
     "run_fleet_scenario",
+    "scenario_fleet",
 ]
 
 
@@ -390,6 +391,23 @@ class FleetScenarioReport:
         }
 
 
+def scenario_fleet(
+    scenario: FleetScenario, *, dataplane: bool = False
+) -> Fleet:
+    """The scenario's fleet, built as :func:`run_fleet_scenario` builds
+    it — routing-only (no data planes) unless ``dataplane`` is set."""
+    return Fleet(
+        scenario.shards,
+        scenario.v,
+        scenario.k,
+        volumes=scenario.volumes,
+        dataplane=dataplane,
+        seed=scenario.seed,
+        placement=scenario.placement,
+        write_policy=scenario.write_policy,
+    )
+
+
 def run_fleet_scenario(
     scenario: FleetScenario, *, recorder=None, stream=None, precompiled=None
 ) -> FleetScenarioReport:
@@ -452,16 +470,7 @@ def run_fleet_scenario(
             "autoscale and a static reshape_to are mutually exclusive — "
             "the control loop owns grow/shrink decisions"
         )
-    fleet = Fleet(
-        scenario.shards,
-        scenario.v,
-        scenario.k,
-        volumes=scenario.volumes,
-        dataplane=scenario.verify_data,
-        seed=scenario.seed,
-        placement=scenario.placement,
-        write_policy=scenario.write_policy,
-    )
+    fleet = scenario_fleet(scenario, dataplane=scenario.verify_data)
     if recorder is None and policy is not None:
         # The loop decides from live arrival buckets; give it a grid
         # exactly one cadence wide when the caller brought no recorder.

@@ -559,8 +559,7 @@ def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
     if ctrl.data is None and ctrl.write_policy == "rmw":
         core = _EagerCore(ctrl)
         if core.feed(run) and core.finish(_controller_sink(ctrl)):
-            ctrl.last_engine = "eager"
-            ctrl.obs.set_engine(ctrl.obs_shard, "eager")
+            ctrl.set_engine("eager")
             return run.n
         # An exact timestamp tie (order-ambiguous) left the controller
         # untouched: free the core's buffers, replay the same plan.
@@ -596,8 +595,7 @@ def _step_exact(ctrl: "ArrayController", run: _CompiledRun) -> int:
     is the trace's plan, shared verbatim with the heap pump and the
     eager tier — same arrays, same fast-path classification, same
     dataplane contexts."""
-    ctrl.last_engine = "calendar"
-    ctrl.obs.set_engine(ctrl.obs_shard, "calendar")
+    ctrl.set_engine("calendar")
     sim = ctrl.sim
     n = run.n
     params = ctrl.params

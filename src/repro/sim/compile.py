@@ -28,7 +28,10 @@ event loop:
 * :func:`execute_compiled` is the engine-selection seam: analytic
   solver for single-phase traces, the batch-stepped executor
   (:mod:`repro.sim.batchstep`) for mixed traces on an idle array, and
-  the general heap otherwise — all bit-identical.
+  the general heap otherwise — all bit-identical;
+* :func:`_execute_shards` is the same gate for a set of shards on one
+  clock — the serial fleet and every shard group run their traces
+  through it.
 
 :func:`schedule_compiled_scalar` is the thin wrapper that keeps the old
 per-event path alive: the same compiled stream, submitted through the
@@ -756,8 +759,7 @@ def schedule_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
         >>> sum(st.count for st in ctrl.latency.values()) == trace.n
         True
     """
-    ctrl.last_engine = "heap"
-    ctrl.obs.set_engine(ctrl.obs_shard, "heap")
+    ctrl.set_engine("heap")
     _CompiledRun(ctrl, compiled).schedule()
     return compiled.n
 
@@ -850,8 +852,7 @@ def solve_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
         )
     if ctrl.sim.pending():
         raise RuntimeError("solve_compiled requires an idle simulator")
-    ctrl.last_engine = "solver"
-    ctrl.obs.set_engine(ctrl.obs_shard, "solver")
+    ctrl.set_engine("solver")
     n = compiled.n
     if n == 0:
         return 0
@@ -1121,3 +1122,41 @@ def execute_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
     from .batchstep import step_compiled
 
     return step_compiled(ctrl, compiled)
+
+
+def _execute_shards(
+    controllers: Sequence[ArrayController],
+    traces: Sequence[CompiledTrace],
+    *,
+    batched: bool = True,
+) -> None:
+    """Run one compiled trace per controller, all on the controllers'
+    one shared clock — the engine gate for a set of shards.
+
+    With ``batched`` and nothing pending on the clock, the shards share
+    no events, so each runs :func:`execute_compiled` (its fastest exact
+    engine) from the common start time and the clock then advances to
+    the set's makespan.  Otherwise every trace is scheduled on the
+    event heap and the clock drains once, so armed timers (failures,
+    rebuilds, migration copies) interleave with all of them.  A shard
+    group passes ``batched=False`` when the serial fleet's clock would
+    be busy even though its own is idle (a failure armed elsewhere), so
+    its engine labels match the serial run's.  With a metrics recorder
+    attached, each shard's arrivals are recorded first.
+    """
+    sim = controllers[0].sim
+    base = sim.now
+    for ctrl, trace in zip(controllers, traces):
+        if ctrl.obs.enabled and trace.n:
+            ctrl.obs.arrivals(ctrl.obs_shard, base + trace.times)
+    if batched and not sim.pending():
+        end = base
+        for ctrl, trace in zip(controllers, traces):
+            sim.now = base
+            execute_compiled(ctrl, trace)
+            end = max(end, sim.now)
+        sim.now = end
+    else:
+        for ctrl, trace in zip(controllers, traces):
+            schedule_compiled(ctrl, trace)
+        sim.run()

@@ -13,23 +13,22 @@ Timing semantics:
   and write parity only; if the *parity* disk failed, write data only.
 
 Address translation goes through the mapping engine's flat tables.
-Scalar submissions take the one-lookup path; :meth:`submit_read_batch`
-and :meth:`submit_write_batch` translate whole address vectors with one
-:meth:`AddressMapper.map_batch` call before fanning out disk IOs.  Bulk
-traffic with timing (workload replay, trace-driven runs) should instead
-be *compiled*: :mod:`repro.sim.compile` pre-maps a whole trace and
-feeds the controller pre-planned requests (via :meth:`request_plan`)
-with no per-event translation at all.
+Scalar submissions take the one-lookup path; bulk traffic with timing
+(workload replay, trace-driven runs) is *compiled* instead:
+:mod:`repro.sim.compile` pre-maps a whole trace with one
+:meth:`AddressMapper.map_batch` call and feeds the controller
+pre-planned requests (via :meth:`request_plan`) with no per-event
+translation at all.
 
 Content semantics are delegated to an optional :class:`DataPlane` and
-applied atomically per request (batched writes on the healthy path),
-keeping the timing engine and the correctness oracle independent.
+applied atomically per request, keeping the timing engine and the
+correctness oracle independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -93,9 +92,10 @@ class ArrayController:
     obs_shard = 0
     #: Label of the execution engine that last ran this controller's
     #: compiled traffic ("solver" / "eager" / "calendar" / "heap" /
-    #: "windowed-*"), set by every engine entry point.  Not a dataclass
-    #: field anywhere — reports surface it as a plain attribute so
-    #: cross-engine report-equality comparisons stay byte-identical.
+    #: "windowed-*"), set by every engine through :meth:`set_engine`.
+    #: Not a dataclass field anywhere — reports surface it as a plain
+    #: attribute so cross-engine report-equality comparisons stay
+    #: byte-identical.
     last_engine: str | None = None
 
     def __init__(
@@ -184,10 +184,7 @@ class ArrayController:
     ) -> None:
         """Register ``hook(stripe_id, disk, offset, payload)`` to
         observe every data-unit write applied through the per-request
-        content path (content semantics only; timing is unaffected).
-        Batch content scatters (:meth:`DataPlane.write_logical_batch`)
-        bypass hooks — a migration diverts its traffic to the
-        per-request path before relying on them."""
+        content path (content semantics only; timing is unaffected)."""
         self._content_write_hooks.append(hook)
 
     def remove_content_write_hook(
@@ -398,93 +395,15 @@ class ArrayController:
         return kind
 
     # ------------------------------------------------------------------
-    # Batched submission (one map_batch call per vector of addresses)
-    # ------------------------------------------------------------------
-
-    def submit_read_batch(
-        self,
-        lbas: Sequence[int] | np.ndarray,
-        on_done: Callable[[float], None] | None = None,
-    ) -> list[RequestKind]:
-        """Issue a vector of logical reads through the batch mapper.
-
-        Each address still becomes its own request (latency is tracked
-        per request), but address translation is a single vectorized
-        pass.  Returns the request kinds in order.
-        """
-        disks, offsets, stripes = self.mapper.map_batch(lbas, with_stripes=True)
-        b = self.layout.b
-        kinds: list[RequestKind] = []
-        for disk, offset, gs in zip(
-            disks.tolist(), offsets.tolist(), stripes.tolist()
-        ):
-            kind, phases = self._plan_read(disk, offset, gs % b)
-            req = _Request(
-                kind=kind, start=self.sim.now, on_done=on_done, phases=phases
-            )
-            self._issue_phase(req)
-            kinds.append(kind)
-        return kinds
-
-    def submit_write_batch(
-        self,
-        lbas: Sequence[int] | np.ndarray,
-        data: np.ndarray | None = None,
-        on_done: Callable[[float], None] | None = None,
-    ) -> list[RequestKind]:
-        """Issue a vector of logical writes through the batch mapper.
-
-        With a data plane attached and a healthy array, contents are
-        applied with one batched read-modify-write scatter; degraded
-        arrays fall back to the per-request content path.  Returns the
-        request kinds in order.
-
-        Raises:
-            ValueError: if ``data`` is given with the wrong shape.
-        """
-        disks, offsets, stripes = self.mapper.map_batch(lbas, with_stripes=True)
-        b = self.layout.b
-        n = len(disks)
-        if data is not None and (
-            self.data is not None and data.shape != (n, self.data.unit_words)
-        ):
-            raise ValueError(
-                f"batch data must have shape ({n}, {self.data.unit_words}), "
-                f"got {data.shape}"
-            )
-        if self.data is not None:
-            payloads = (
-                data
-                if data is not None
-                else (
-                    np.asarray(lbas, dtype=np.uint64).reshape(n, 1) + 1
-                ).repeat(self.data.unit_words, axis=1)
-            )
-            if self.failed_disk is None:
-                self.data.write_logical_batch(self.mapper, lbas, payloads)
-            else:
-                for i in range(n):
-                    self._apply_write_dataplane(
-                        int(stripes[i]) % b,
-                        int(disks[i]),
-                        int(offsets[i]),
-                        payloads[i],
-                    )
-        kinds: list[RequestKind] = []
-        for disk, offset, gs in zip(
-            disks.tolist(), offsets.tolist(), stripes.tolist()
-        ):
-            kind, phases = self._plan_write(disk, offset, gs % b)
-            req = _Request(
-                kind=kind, start=self.sim.now, on_done=on_done, phases=phases
-            )
-            self._issue_phase(req)
-            kinds.append(kind)
-        return kinds
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+
+    def set_engine(self, label: str) -> None:
+        """Record ``label`` as the engine that ran this controller's
+        traffic: :attr:`last_engine`, and the metrics recorder's label
+        for this shard."""
+        self.last_engine = label
+        self.obs.set_engine(self.obs_shard, label)
 
     def per_disk_completed(self) -> list[int]:
         """Completed IOs per disk."""

@@ -8,9 +8,8 @@ Condition 1 made executable.
 The unit store is one flat ``(v*size, words)`` buffer, so physical
 units address it by ``disk * size + offset`` — the same flat-cell
 convention as :class:`repro.layouts.AddressMapper`'s reverse tables —
-and whole batches of logical reads/writes and full-array parity
-rebuilds run as vectorized gathers/scatters instead of per-unit Python
-loops.
+and batches of logical reads and full-array parity rebuilds run as
+vectorized gathers/scatters instead of per-unit Python loops.
 
 Timing and data are deliberately decoupled: the controller performs
 data-plane operations atomically while the event engine accounts for
@@ -140,7 +139,7 @@ class DataPlane:
         self.store[pd, poff] ^= delta
 
     # ------------------------------------------------------------------
-    # Batched logical access (through the mapping engine)
+    # Batched logical reads (through the mapping engine)
     # ------------------------------------------------------------------
 
     def _check_mapper(self, mapper: AddressMapper) -> None:
@@ -177,49 +176,6 @@ class DataPlane:
         disks, offsets = mapper.map_batch(lbas)
         cells = disks * self.layout.size + offsets
         return self._flat[cells].copy()
-
-    def write_logical_batch(
-        self,
-        mapper: AddressMapper,
-        lbas: Sequence[int] | np.ndarray,
-        data: np.ndarray,
-    ) -> None:
-        """Batched read-modify-write of logical data units.
-
-        Applies ``data[i]`` to ``lbas[i]`` and patches every affected
-        parity unit with the XOR delta — a scatter when all target
-        units are distinct, falling back to sequential small writes
-        when a batch writes the same unit twice (so last-write-wins
-        semantics and parity stay exact).
-
-        Raises:
-            ValueError: if ``data`` is not ``uint64[len(lbas), words]``
-                or the mapper does not match the store.
-        """
-        self._check_mapper(mapper)
-        disks, offsets, stripes, par_disks, par_offsets = mapper.map_batch_parity(
-            lbas
-        )
-        if data.shape != (len(disks), self.unit_words) or data.dtype != np.uint64:
-            raise ValueError(
-                f"batch data must be uint64[{len(disks)}, {self.unit_words}], "
-                f"got {data.dtype}[{data.shape}]"
-            )
-        size = self.layout.size
-        cells = disks * size + offsets
-        if len(np.unique(cells)) != len(cells):
-            for i, cell in enumerate(cells.tolist()):
-                self.small_write(
-                    int(stripes[i]),
-                    cell // size,
-                    cell % size,
-                    data[i],
-                )
-            return
-        par_cells = par_disks * size + par_offsets
-        delta = self._flat[cells] ^ data
-        self._flat[cells] = data
-        np.bitwise_xor.at(self._flat, par_cells, delta)
 
     def reconstruct_unit(self, stripe_id: int, disk: int) -> np.ndarray:
         """Recover disk ``disk``'s unit of a stripe by XOR of the

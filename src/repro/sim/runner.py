@@ -166,7 +166,13 @@ def simulate_rebuild(
     )
     ctrl.fail_disk(failed_disk)
     if workload is not None and workload_duration_ms > 0:
-        drive_workload(ctrl, workload, workload_duration_ms, batched=batched)
+        if batched:
+            drive_workload(ctrl, workload, workload_duration_ms)
+        else:
+            compiled = compile_workload(
+                ctrl.mapper, workload, workload_duration_ms
+            )
+            schedule_compiled_scalar(ctrl, compiled)
     if sparing is None:
         spare_units = None
     elif batched:

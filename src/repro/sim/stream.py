@@ -11,13 +11,19 @@ that carries its queue state across window boundaries, and reduced to
 constant-memory :class:`repro.sim.stats.LatencyDigest` accumulators —
 peak memory is one window, at any horizon.
 
-Reports stay **byte-identical** to the materialized path.
-:func:`execute_windows` is the fleet's windowed carry path run on one
-array — one volume routed to ``ctrl.obs_shard`` — so one driver
-(:func:`_windows_carry`) and one per-shard pump
-(:func:`_arm_shard_pump`) serve single arrays,
-:meth:`repro.service.Fleet.serve_windows`, and multi-process shard
-groups alike.  Three engines mirror :func:`execute_compiled`'s
+Reports stay **byte-identical** to the materialized path.  The engine
+gate for a set of shards on one clock lives here, once:
+:func:`_execute_shard_windows` runs the carry driver
+(:func:`_windows_carry`) on an idle clock and otherwise arms one
+chained heap pump per shard (:func:`_arm_shard_pump`) before one
+``sim.run()``.  :func:`execute_windows` is that gate on one array — one
+volume routed to ``ctrl.obs_shard`` — and multi-process shard groups
+call it for their slice of the fleet;
+:meth:`repro.service.Fleet.serve_windows` runs the same carry driver
+and falls back to its window router, which re-routes windows through
+the live volume table when a reshape moves volumes mid-stream.  Every
+caller passes the stream's routing geometry as one
+:class:`_ShardRoute`.  Three engines mirror :func:`execute_compiled`'s
 selection gate:
 
 * single-phase streams (read-only by construction, or any mix under
@@ -50,8 +56,9 @@ summary byte-identical (see :mod:`repro.sim.stats`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -64,7 +71,6 @@ from .compile import (
     compile_stream,
 )
 from .controller import ArrayController
-from .events import Simulator
 from .stats import LatencyDigest, LatencyStats
 
 __all__ = ["execute_windows"]
@@ -187,37 +193,55 @@ def _volumes(
     return vols
 
 
+@dataclass(frozen=True)
+class _ShardRoute:
+    """A fleet stream's routing geometry, as one record: LBA ``x`` is
+    on volume ``x // volume_units``, which ``table`` assigns to a shard,
+    at local address ``x % shard_capacity``; ``capacity`` bounds the
+    fleet's address space.  A single array is the one-volume route
+    ``table = [ctrl.obs_shard]``."""
+
+    table: np.ndarray
+    volume_units: int
+    shard_capacity: int
+    capacity: int
+
+    def shard_ids(self, lbas: np.ndarray) -> np.ndarray:
+        """Each request's shard.
+
+        Raises:
+            IndexError: on an LBA outside ``[0, capacity)``.
+        """
+        return self.table[
+            _volumes(lbas, self.volume_units, len(self.table), self.capacity)
+        ]
+
+
 def _windows_carry(
-    sim: Simulator,
     controllers: list[ArrayController],
-    gids,
-    *,
-    route: np.ndarray,
-    volume_units: int,
-    shard_capacity: int,
-    capacity: int,
-    write_policy: str,
-    dataplane: bool,
+    route: _ShardRoute,
     windows,
     digests: list[dict[str, LatencyDigest]],
     scheduled: list[int],
     read_only_hint: bool,
-) -> bool:
-    """Carry-engine windowed execution over ``controllers`` serving the
-    global shard ids ``gids`` (``gids[i]`` is what the routing table
-    calls ``controllers[i]``) — one array for :func:`execute_windows`,
-    the whole fleet for a serial serve, one group's slice for a
-    multi-process worker.  ``digests`` and ``scheduled`` are indexed
-    like ``controllers``.  Returns False when the engines don't apply,
-    with the controllers untouched; shards whose eager core hits an
-    ambiguous tie replay on a per-shard chained heap pump before this
-    returns True."""
+) -> int | None:
+    """Carry-engine windowed execution over ``controllers`` on their one
+    idle clock, each serving the shard its ``obs_shard`` names in
+    ``route.table`` — one array for :func:`execute_windows`, the whole
+    fleet for a serial serve, one group's slice for a multi-process
+    worker.  ``digests`` and ``scheduled`` are indexed like
+    ``controllers``.  Returns the number of non-empty windows routed, or
+    None when the engines don't apply, with the controllers untouched;
+    shards whose eager core hits an ambiguous tie replay on a per-shard
+    chained heap pump before this returns."""
+    lead = controllers[0]
+    sim = lead.sim
     base = sim.now
     sinks = [
-        _digest_sink(d, c.obs if c.obs.enabled else None, g)
-        for d, c, g in zip(digests, controllers, gids)
+        _digest_sink(d, c.obs if c.obs.enabled else None, c.obs_shard)
+        for d, c in zip(digests, controllers)
     ]
-    solver = read_only_hint or write_policy == "write_through"
+    solver = read_only_hint or lead.write_policy == "write_through"
     if solver:
         engines = [_WindowedSolver(c) for c in controllers]
         label = "windowed-solver"
@@ -225,17 +249,15 @@ def _windows_carry(
         # The eager tier needs re-iterable windows: an abort replays
         # the whole stream from the top.
         if (
-            dataplane
-            or write_policy != "rmw"
+            lead.data is not None
             or iter(windows) is windows
-            or controllers[0].params.min_service_ms <= 0.0
+            or lead.params.min_service_ms <= 0.0
         ):
-            return False
+            return None
         engines = [_EagerCore(c) for c in controllers]
         label = "windowed-eager"
-    for c, g in zip(controllers, gids):
-        c.last_engine = label
-        c.obs.set_engine(g, label)
+    for c in controllers:
+        c.set_engine(label)
     # Shards whose eager core hit an ambiguous tie: their core is
     # dropped (it wrote nothing back) and their whole sub-stream
     # replays on a per-shard chained heap pump at the end — the
@@ -247,28 +269,29 @@ def _windows_carry(
         fallback.add(i)
         digests[i].clear()
         scheduled[i] = 0
-        obs_i = controllers[i].obs
-        obs_i.reset_shard(gids[i])
-        obs_i.count("tie_abort_replays")
+        ctrl = controllers[i]
+        ctrl.obs.reset_shard(ctrl.obs_shard)
+        ctrl.obs.count("tie_abort_replays")
 
+    n_windows = 0
     for times, is_read, lbas in windows:
         if not len(times):
             continue
-        controllers[0].obs.count("window_boundaries", volatile=True)
-        shard_ids = route[_volumes(lbas, volume_units, len(route), capacity)]
+        n_windows += 1
+        shard_ids = route.shard_ids(lbas)
         for i, ctrl in enumerate(controllers):
             if i in fallback:
                 continue
-            mask = shard_ids == gids[i]
+            mask = shard_ids == ctrl.obs_shard
             if not mask.any():
                 continue
             if ctrl.obs.enabled:
-                ctrl.obs.arrivals(gids[i], base + times[mask])
+                ctrl.obs.arrivals(ctrl.obs_shard, base + times[mask])
             w = compile_stream(
                 ctrl.mapper,
                 times[mask],
                 is_read[mask],
-                lbas[mask] % shard_capacity,
+                lbas[mask] % route.shard_capacity,
             )
             scheduled[i] += w.n
             if solver:
@@ -286,19 +309,13 @@ def _windows_carry(
             if i not in fallback and not eng.settle():
                 demote(i)
     # Finish each shard from the common start time and advance the
-    # shared clock to the fleet-wide makespan.
+    # shared clock to the set's makespan.
     end = base
     for i, eng in enumerate(engines):
         sim.now = base
         if i in fallback:
             count, drain = _arm_shard_pump(
-                controllers[i],
-                gids[i],
-                windows,
-                digests[i],
-                route,
-                volume_units,
-                shard_capacity,
+                controllers[i], route, windows, digests[i]
             )
             sim.run()
             drain()
@@ -308,73 +325,67 @@ def _windows_carry(
         if sim.now > end:
             end = sim.now
     sim.now = end
-    return True
+    return n_windows
 
 
 def _arm_shard_pump(
     ctrl: ArrayController,
-    gid: int,
+    route: _ShardRoute,
     windows,
     digest: dict[str, LatencyDigest],
-    route: np.ndarray,
-    volume_units: int,
-    shard_capacity: int,
-) -> tuple[list[int], object]:
-    """Arm a chained heap pump for the shard the routing table calls
-    ``gid`` over its slice of a windowed stream (a fresh filtered pass
-    — one window buffered at a time).  This is the general engine,
-    able to interleave with foreign events (rebuilds, timers, other
-    shards' pumps).
+) -> tuple[list[int], Callable[[], None]]:
+    """Arm a chained heap pump for the shard ``ctrl.obs_shard`` over its
+    slice of a windowed stream (a fresh filtered pass — one window
+    buffered at a time).  This is the general engine, able to
+    interleave with foreign events (rebuilds, timers, other shards'
+    pumps).
 
-    Returns ``(count, drain)``: ``count[0]`` accumulates the shard's
-    request count as windows are pulled, and ``drain()`` sweeps fresh
-    latency samples into ``digest`` (the pump calls it at each window
-    boundary; call it once more after the clock drains).  The caller
-    runs the simulator — so a worker can arm every shard's pump before
-    one shared ``sim.run()`` when failure timers interleave.
+    Returns ``(count, drain)``: as windows are pulled, ``count[0]``
+    accumulates the shard's request count and ``count[1]`` the
+    stream's non-empty windows; ``drain()`` sweeps fresh latency
+    samples into ``digest`` (the pump calls it at each window boundary;
+    call it once more after the clock drains).  The caller runs the
+    simulator — so a shard set arms every pump before one shared
+    ``sim.run()`` when failure timers interleave.
 
     Metrics recording rides the event-level hooks (the controller's
     ``_record``, the compiled run's inlined sinks), which see every
     completion at its event time — the drain moves samples the
     recorder has already bucketed, so it does not feed the recorder
     again."""
-    ctrl.last_engine = "windowed-pump"
+    ctrl.set_engine("windowed-pump")
     obs = ctrl.obs
-    obs.set_engine(gid, "windowed-pump")
+    gid = ctrl.obs_shard
     base = ctrl.sim.now
+    count = [0, 0]
 
     def slices():
         for times, is_read, lbas in windows:
             if not len(times):
                 continue
-            mask = route[lbas // volume_units] == gid
+            count[1] += 1
+            mask = route.shard_ids(lbas) == gid
             if not mask.any():
                 continue
             if obs.enabled:
                 obs.arrivals(gid, base + times[mask])
-            yield compile_stream(
+            w = compile_stream(
                 ctrl.mapper,
                 times[mask],
                 is_read[mask],
-                lbas[mask] % shard_capacity,
+                lbas[mask] % route.shard_capacity,
             )
+            count[0] += w.n
+            yield w
 
     gen = slices()
     first = next(gen, None)
-    count = [0]
     lat_base = {kind: len(st.samples) for kind, st in ctrl.latency.items()}
     drain = partial(_sweep, ctrl.latency, lat_base, digest)
-    if first is None:
-        return count, drain
-    count[0] = first.n
-
-    def source():
-        w = next(gen, None)
-        if w is not None:
-            count[0] += w.n
-        return w
-
-    _CompiledRun(ctrl, first, source=source, on_window=drain).schedule()
+    if first is not None:
+        _CompiledRun(
+            ctrl, first, source=partial(next, gen, None), on_window=drain
+        ).schedule()
     return count, drain
 
 
@@ -398,15 +409,46 @@ def _sweep(
             del lst[b:]
 
 
-def _checked(windows, obs, capacity: int):
-    """Yield ``windows`` unchanged, refusing LBAs outside ``[0,
-    capacity)`` (the carry path's check) and counting each non-empty
-    window as a window boundary."""
-    for window in windows:
-        if len(window[0]):
-            _volumes(window[2], capacity, 1, capacity)
-            obs.count("window_boundaries", volatile=True)
-        yield window
+def _execute_shard_windows(
+    controllers: list[ArrayController],
+    route: _ShardRoute,
+    windows,
+    digests: list[dict[str, LatencyDigest]],
+    *,
+    read_only_hint: bool = False,
+    batched: bool = True,
+) -> tuple[list[int], int]:
+    """Serve a windowed fleet stream on a set of shards sharing one
+    clock — the windowed engine gate, the streaming twin of
+    :func:`repro.sim.compile._execute_shards`.
+
+    With ``batched`` and nothing pending on the clock, the carry
+    engines run (:func:`_windows_carry`); otherwise, or when they
+    decline, every shard's chained heap pump is armed before one
+    ``sim.run()``, so armed timers interleave with all of them exactly
+    as on the serial window router's heap (other shards' events never
+    reorder a shard's own).  Latency lands in ``digests`` (indexed like
+    ``controllers``).  Returns ``(scheduled, windows)``: the per-shard
+    request counts and the stream's non-empty window count.
+    """
+    scheduled = [0] * len(controllers)
+    sim = controllers[0].sim
+    if batched and not sim.pending():
+        n_windows = _windows_carry(
+            controllers, route, windows, digests, scheduled, read_only_hint
+        )
+        if n_windows is not None:
+            return scheduled, n_windows
+    counts, drains = zip(
+        *(
+            _arm_shard_pump(ctrl, route, windows, digest)
+            for ctrl, digest in zip(controllers, digests)
+        )
+    )
+    sim.run()
+    for drain in drains:
+        drain()
+    return [count[0] for count in counts], counts[0][1]
 
 
 def execute_windows(
@@ -422,8 +464,9 @@ def execute_windows(
     :func:`repro.sim.compile.execute_compiled`: same simulation, same
     per-disk counters and clock, and latency summaries byte-identical
     to the materialized run — but peak memory is one window.  It is
-    the fleet's carry path on one array (one volume, routed to
-    ``ctrl.obs_shard``), so the selection gate is the fleet's:
+    the shard-set gate (:func:`_execute_shard_windows`) on one array
+    (one volume, routed to ``ctrl.obs_shard``), so the selection is the
+    fleet's:
 
     1. a busy simulator → the chained heap pump (window source);
     2. ``read_only_hint`` (the caller knows every request is a read —
@@ -444,34 +487,19 @@ def execute_windows(
     Latency goes to constant-memory digests, not the controller's
     sample lists (the heap pump sweeps ``ctrl.latency`` into the
     digests at window boundaries).  With a metrics recorder attached,
-    every window's arrivals are recorded as it is routed.  Returns
+    every window's arrivals are recorded as it is routed, and the
+    stream's non-empty windows count as ``window_boundaries``.  Returns
     ``(scheduled, digests)``.
     """
     if digests is None:
         digests = {}
-    gid = ctrl.obs_shard
     cap = ctrl.mapper.capacity
-    route = np.full(1, gid, dtype=np.int64)
-    scheduled = [0]
-    if not ctrl.sim.pending() and _windows_carry(
-        ctrl.sim,
-        [ctrl],
-        [gid],
-        route=route,
-        volume_units=cap,
-        shard_capacity=cap,
-        capacity=cap,
-        write_policy=ctrl.write_policy,
-        dataplane=ctrl.data is not None,
-        windows=windows,
-        digests=[digests],
-        scheduled=scheduled,
-        read_only_hint=read_only_hint,
-    ):
-        return scheduled[0], digests
-    count, drain = _arm_shard_pump(
-        ctrl, gid, _checked(windows, ctrl.obs, cap), digests, route, cap, cap
+    route = _ShardRoute(
+        np.full(1, ctrl.obs_shard, dtype=np.int64), cap, cap, cap
     )
-    ctrl.sim.run()
-    drain()
-    return count[0], digests
+    (scheduled,), n_windows = _execute_shard_windows(
+        [ctrl], route, windows, [digests], read_only_hint=read_only_hint
+    )
+    if n_windows:
+        ctrl.obs.count("window_boundaries", n_windows, volatile=True)
+    return scheduled, digests

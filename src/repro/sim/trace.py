@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .compile import (
-    compile_trace,
-    generate_request_stream,
-    schedule_compiled,
-    schedule_compiled_scalar,
-)
+from .compile import compile_trace, generate_request_stream, schedule_compiled
 from .controller import ArrayController
 from .workload import WorkloadConfig
 
@@ -98,10 +93,7 @@ def load_trace(path: str | Path) -> list[TraceRecord]:
 
 
 def replay_trace(
-    controller: ArrayController,
-    records: Sequence[TraceRecord],
-    *,
-    batched: bool = True,
+    controller: ArrayController, records: Sequence[TraceRecord]
 ) -> int:
     """Schedule every trace record on the controller's simulator.
 
@@ -110,14 +102,11 @@ def replay_trace(
     capacity (so one trace can drive arrays of different sizes).
 
     The trace is compiled (one ``map_batch`` for every address) and
-    pumped through the batched executor; ``batched=False`` replays the
-    same compiled stream through the scalar per-event path instead —
-    identical simulation, per-request overhead.
+    pumped through the compiled executor.
 
     Returns the number of requests scheduled; run
     ``controller.sim.run()`` to execute.
     """
-    compiled = compile_trace(controller.mapper, records)
-    if batched:
-        return schedule_compiled(controller, compiled)
-    return schedule_compiled_scalar(controller, compiled)
+    return schedule_compiled(
+        controller, compile_trace(controller.mapper, records)
+    )

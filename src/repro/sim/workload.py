@@ -7,22 +7,17 @@ Everything is seeded for reproducibility.
 
 Generation and execution are decoupled: the stream is drawn as vectors
 by :func:`repro.sim.compile.generate_request_stream`, pre-mapped with
-one ``map_batch`` call, and then either pumped through the compiled
-executor (default) or submitted request-by-request through the
-controller's scalar path (``batched=False``) — both orderings are
-identical, so the two paths produce the same simulation.
+one ``map_batch`` call, and then pumped through the compiled executor
+(:func:`repro.sim.compile.schedule_compiled_scalar` replays the same
+stream request by request through the controller's scalar path — the
+equivalence oracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compile import (
-    StreamWindows,
-    compile_workload,
-    schedule_compiled,
-    schedule_compiled_scalar,
-)
+from .compile import StreamWindows, compile_workload, schedule_compiled
 from .controller import ArrayController
 
 __all__ = ["WorkloadConfig", "StreamWindows", "drive_workload"]
@@ -58,8 +53,6 @@ def drive_workload(
     controller: ArrayController,
     config: WorkloadConfig,
     duration_ms: float,
-    *,
-    batched: bool = True,
 ) -> int:
     """Schedule Poisson arrivals on the controller's simulator.
 
@@ -67,12 +60,10 @@ def drive_workload(
     wait for completions, so queueing shows up as latency), relative to
     the current simulated time — a workload can start mid-simulation
     (e.g. during a rebuild).  The whole stream is compiled (generated
-    and address-translated as vectors) up front; with ``batched=False``
-    the same stream is submitted through the scalar per-event path
-    instead of the compiled executor.  Returns the number of requests
-    scheduled; run ``controller.sim.run()`` to execute them.
+    and address-translated as vectors) up front and scheduled on the
+    compiled executor.  Returns the number of requests scheduled; run
+    ``controller.sim.run()`` to execute them.
     """
-    compiled = compile_workload(controller.mapper, config, duration_ms)
-    if batched:
-        return schedule_compiled(controller, compiled)
-    return schedule_compiled_scalar(controller, compiled)
+    return schedule_compiled(
+        controller, compile_workload(controller.mapper, config, duration_ms)
+    )

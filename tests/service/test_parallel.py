@@ -297,16 +297,22 @@ class TestReshapeComponents:
         assert run.report.all_migrated_verified
         assert len(run.report.migrations) == run.report.planned_moves
 
-    def test_parallel_reshape_windowed_matches_serial(self):
+    @pytest.mark.parametrize("window", [64, 512])
+    def test_parallel_reshape_windowed_matches_serial(self, window):
         """Windowed workers regenerate and filter the stream per
         component; the merged report must still match the serial
-        windowed run byte for byte."""
-        sc = replace_scenario(RESHAPE_SPLIT, window_size=64)
+        windowed run byte for byte.  A window at least as long as the
+        stream (396 requests) is delivered before the reshape bears
+        shards 4 and 5, which must still carry the router's label."""
+        sc = replace_scenario(RESHAPE_SPLIT, window_size=window)
         serial = run_fleet_scenario(sc)
-        run = run_fleet_scenario_parallel(sc, workers=2)
-        assert not run.execution.serial_fallback
-        assert _canon(serial.to_dict()) == _canon(run.to_dict())
-        assert run.report.all_migrated_verified
+        assert serial.engine_per_shard() == ["windowed-pump"] * 6
+        for workers in (1, 2):
+            run = run_fleet_scenario_parallel(sc, workers=workers)
+            assert not run.execution.serial_fallback
+            assert run.report.engine_per_shard() == serial.engine_per_shard()
+            assert _canon(serial.to_dict()) == _canon(run.to_dict())
+            assert run.report.all_migrated_verified
 
 
 class TestWindowedParallel:
@@ -334,6 +340,38 @@ class TestWindowedParallel:
         serial = run_fleet_scenario(sc).to_dict()
         par = run_fleet_scenario_parallel(sc, workers=2).to_dict()
         assert _canon(serial) == _canon(par)
+
+    @pytest.mark.parametrize("verify_data", [False, True], ids=["carry", "pump"])
+    @pytest.mark.parametrize("failures", [0, 2])
+    def test_window_boundaries_counted_once_per_window(
+        self, failures, verify_data
+    ):
+        """Every runner counts each window of the stream once: serial
+        (carry engines or the window router), and 4 groups on 1 or 2
+        workers (carry engines, or one heap pump per shard when data
+        planes or failures rule the carry engines out)."""
+        from repro.obs import MetricsRecorder
+
+        sc = _scenario(
+            duration_ms=500.0,
+            window_size=64,
+            verify_data=verify_data,
+            failures=default_failure_schedule(4, 9, failures, 80.0),
+        )
+        counts = []
+        for workers in (None, 1, 2):
+            rec = MetricsRecorder(50.0, shards=sc.shards)
+            if workers is None:
+                report = run_fleet_scenario(sc, recorder=rec)
+            else:
+                run = run_fleet_scenario_parallel(
+                    sc, workers=workers, recorder=rec
+                )
+                assert len(run.execution.groups) == 4
+                report = run.report
+            counts.append(rec.counters(volatile=True)["window_boundaries"])
+        assert counts == [-(-report.fleet.scheduled // 64)] * 3
+        assert counts[0] == 8
 
     def test_no_stream_materialized_in_parent(self, monkeypatch):
         """The windowed parallel path never calls the whole-stream

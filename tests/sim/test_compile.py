@@ -22,6 +22,8 @@ from repro.sim import (
     compile_workload,
     drive_workload,
     replay_trace,
+    schedule_compiled,
+    schedule_compiled_scalar,
     simulate_rebuild,
     simulate_workload,
     solve_compiled,
@@ -39,6 +41,14 @@ FAMILIES = {
     "raid5": lambda: raid5_layout(6, rotations=4),
     "randomized": lambda: random_layout(10, 4, stripes_per_disk=6, seed=2),
 }
+
+
+def _schedule(ctrl, compiled, batched):
+    """Schedule ``compiled`` on the compiled executor, or (``batched``
+    False) on the scalar per-event oracle."""
+    if batched:
+        return schedule_compiled(ctrl, compiled)
+    return schedule_compiled_scalar(ctrl, compiled)
 
 
 def assert_workload_reports_equal(a, b):
@@ -100,7 +110,7 @@ class TestWorkloadEquivalenceVariants:
         ctrls = []
         for batched in (True, False):
             ctrl = ArrayController(lay, dataplane=True, seed=5)
-            drive_workload(ctrl, cfg, 1200.0, batched=batched)
+            _schedule(ctrl, compile_workload(ctrl.mapper, cfg, 1200.0), batched)
             ctrl.sim.run()
             ctrls.append(ctrl)
         assert np.array_equal(ctrls[0].data.store, ctrls[1].data.store)
@@ -110,8 +120,10 @@ class TestWorkloadEquivalenceVariants:
         lay = ring_layout(5, 3)
         cfg = WorkloadConfig(interarrival_ms=6.0, seed=21)
         c1, c2 = ArrayController(lay), ArrayController(lay)
-        n1 = drive_workload(c1, cfg, 2500.0, batched=True)
-        n2 = drive_workload(c2, cfg, 2500.0, batched=False)
+        n1 = drive_workload(c1, cfg, 2500.0)
+        n2 = schedule_compiled_scalar(
+            c2, compile_workload(c2.mapper, cfg, 2500.0)
+        )
         c1.sim.run()
         c2.sim.run()
         assert n1 == n2
@@ -140,7 +152,12 @@ class TestTraceReplayEquivalence:
         results = []
         for batched in (True, False):
             ctrl = ArrayController(ring_layout(9, 4))
-            n = replay_trace(ctrl, records, batched=batched)
+            if batched:
+                n = replay_trace(ctrl, records)
+            else:
+                n = schedule_compiled_scalar(
+                    ctrl, compile_trace(ctrl.mapper, records)
+                )
             ctrl.sim.run()
             results.append((n, ctrl.per_disk_completed(), ctrl.sim.now,
                             {k: s.count for k, s in ctrl.latency.items()}))
@@ -154,7 +171,7 @@ class TestTraceReplayEquivalence:
         results = []
         for batched in (True, False):
             ctrl = ArrayController(ring_layout(5, 3))
-            replay_trace(ctrl, records, batched=batched)
+            _schedule(ctrl, compile_trace(ctrl.mapper, records), batched)
             ctrl.sim.run()
             results.append((ctrl.per_disk_completed(), ctrl.sim.now))
         assert results[0] == results[1]
@@ -341,7 +358,7 @@ class TestMidRunFailure:
         results = []
         for batched in (True, False):
             ctrl = ArrayController(lay)
-            drive_workload(ctrl, cfg, 1500.0, batched=batched)
+            _schedule(ctrl, compile_workload(ctrl.mapper, cfg, 1500.0), batched)
             ctrl.fail_disk(0)
             ctrl.sim.run()
             results.append(
