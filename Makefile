@@ -16,8 +16,8 @@
 #   smoke-stream - large-horizon streaming smoke: a 10^7-request mixed
 #             fleet served through compiled windows with a peak-RSS
 #             ceiling (--max-rss-mb) — the constant-memory gate.
-#             ~1 min of wall time; skip on slow hosts with
-#             STREAM_SMOKE=0
+#             ~30 s of wall time on a 2-CPU host; skip on slow hosts
+#             with STREAM_SMOKE=0
 #   smoke-obs - instrumented serve smoke: metrics JSONL + Prometheus +
 #             trace span files written on the serial and 2-worker runs
 #             must be byte-identical; the trace summary must render
@@ -25,10 +25,11 @@
 #             spike must fire a grow with zero lost requests, verified
 #             cutovers, and a byte-identically replayable decision log
 #   smoke-frontend - warm serving smoke: serve --listen with a 2-process
-#             pool in a subprocess, submit the same stream twice; the
-#             warm report must be canonically identical to the cold one
-#             and to the batch run, with a proven pool/cache hit, clean
-#             shutdown, and zero leaked /dev/shm segments
+#             pool in a subprocess, submit the same stream twice, then
+#             SIGKILL one pool worker and submit it a third time; every
+#             report must be canonically identical to the batch run,
+#             with a proven pool/cache hit, exactly one pool reboot,
+#             clean shutdown, and zero leaked /dev/shm segments
 #   examples-smoke - run every script under examples/ headless
 #   docs-check     - link-check docs/ + README (local targets only)
 #   bench-guard    - time each compiled engine against the event heap on
@@ -152,8 +153,10 @@ smoke-autoscale:
 
 # Warm-runtime front-end smoke: the persistent pool + shm transport +
 # artifact cache behind `serve --listen --workers 2`, exercised over a
-# real socket from a real subprocess.  The BENCH_frontend_smoke.json
-# artifact rides the CI upload glob.
+# real socket from a real subprocess, including a pool worker killed
+# between serves (the runtime must reboot the pool and rerun the
+# serve).  The BENCH_frontend_smoke.json artifact rides the CI upload
+# glob.
 smoke-frontend:
 	$(PYTHON) tools/frontend_smoke.py
 

@@ -194,7 +194,7 @@ class MetricsRecorder:
     def reset_shard(self, shard: int) -> None:
         """Drop a shard's samples and arrivals — the windowed eager
         tier calls this when a tie abort discards its results and the
-        heap pump replays the shard's stream from scratch."""
+        exact core replays the shard's stream from scratch."""
         self._lat.pop(shard, None)
         self._arrived.pop(shard, None)
 

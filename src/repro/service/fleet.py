@@ -476,12 +476,13 @@ class Fleet:
           boundaries — the analytic solver when every request is
           single-phase (``read_only_hint`` or a write-through fleet),
           the eager core for mixed read-modify-write fleets without
-          data planes.  No event loop at all.  An eager tie abort
-          replays that shard's sub-stream exactly on a per-shard
-          chained heap pump (``windows`` must be re-iterable for eager;
-          one-shot generators stream through the router directly).
-          This is the carry driver of ``repro.sim``'s windowed
-          shard-set gate, over every shard.
+          data planes.  No event loop at all: an eager tie abort
+          replays that shard's sub-stream on the exact core, in the
+          heap pump's order and under its ``windowed-pump`` label
+          (``windows`` must be re-iterable for eager; one-shot
+          generators stream through the router directly).  This is
+          the carry driver of ``repro.sim``'s windowed shard-set gate,
+          over every shard.
         * **window router** (armed timers, live migration, data
           planes): one self-rescheduling event loads each window onto
           the shared heap when it is due — per-window routing follows
@@ -492,8 +493,7 @@ class Fleet:
         ``read_only_hint`` is a caller promise (every request is a
         read); a lying hint raises ``ValueError`` from the solver.
         Reports are byte-identical to the materialized serve of the
-        same stream, with the documented measure-zero exception of
-        exact event-time ties.
+        same stream, engine labels aside.
         """
         start = self.sim.now
         ios_base = [ctrl.per_disk_completed() for ctrl in self.controllers]

@@ -21,7 +21,8 @@ reshapes.  What a runtime keeps warm:
   ``(v, k)`` — and are reused across repeated scenario runs, stream
   windows, and socket submits.  The pool is spawn-safe (everything
   crossing the boundary pickles), reboots when the fleet shape or its
-  group count changes, and drains gracefully on
+  group count changes, reboots and reruns a serve's group tasks once
+  when a dead worker broke it mid-serve, and drains gracefully on
   :meth:`WarmRuntime.close`.
 * **Zero-copy trace transport**: compiled per-shard traces are packed
   once into a ``multiprocessing.shared_memory`` segment (parent writes
@@ -62,9 +63,11 @@ from __future__ import annotations
 import atexit
 import os
 import secrets
+import signal
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from hashlib import blake2b
 from multiprocessing import shared_memory
@@ -290,7 +293,15 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 def _prime_worker(v: int, k: int) -> None:
     """Pool initializer: build the layout / mapper / incidence registry
     entries for the fleet shape once per worker boot, so the first task
-    a worker runs is as warm as the hundredth."""
+    a worker runs is as warm as the hundredth.
+
+    A forked worker first drops the front-end's signal wiring it
+    inherits (the event loop's wakeup fd and a no-op SIGTERM handler).
+    When a worker dies, the executor SIGTERMs the survivors; through
+    that wiring the signal would reach the parent's loop and shut the
+    front-end down instead of ending the worker."""
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     layout = get_layout(v, k)
     get_mapper(layout)
     get_incidence(layout)
@@ -340,6 +351,8 @@ class RuntimeStats:
         runs: serves executed through this runtime.
         pool_warm_hits: runs that reused an already-booted worker pool.
         pool_cold_boots: pool (re)boots — first run, shape change.
+        pool_reboots: pools a dead worker broke mid-serve, rebooted so
+            the serve's group tasks could rerun.
         compile_cache_hits: runs that reused a cached compiled artifact
             (stream generation + ``route_stream`` skipped entirely).
         compile_cache_misses: artifact builds.
@@ -353,6 +366,7 @@ class RuntimeStats:
     runs: int = 0
     pool_warm_hits: int = 0
     pool_cold_boots: int = 0
+    pool_reboots: int = 0
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
     shm_bytes: int = 0
@@ -627,6 +641,7 @@ class WarmRuntime:
             after = payload["runtime"]
             for name in (
                 "pool_warm_hits",
+                "pool_reboots",
                 "compile_cache_hits",
                 "shm_bytes",
                 "ipc_bytes_avoided",
@@ -648,20 +663,39 @@ class WarmRuntime:
             )
         return report.to_dict()
 
-    def _boot_pool(self, size: int) -> WorkerPool:
-        """The worker pool for a run of ``size`` concurrent groups —
-        reused while the size and the fleet shape hold, rebooted when
-        either changes."""
+    def _map_on_pool(
+        self, size: int, tasks: list[GroupTask]
+    ) -> tuple[list[GroupResult], str | None]:
+        """Run ``tasks`` on the worker pool for ``size`` concurrent
+        groups — reused while the size and the fleet shape hold,
+        rebooted when either changes.  Returns the results and the
+        pool's start method.
+
+        A worker that dies (an OOM kill, a SIGKILL) breaks the whole
+        executor.  Group tasks are deterministic, so the pool is
+        rebooted and the tasks rerun once — the report is unchanged; a
+        second break fails the serve.  Only a serve that ran on the
+        reused pool counts as a warm hit."""
         if self._pool is not None and self._pool.workers != size:
             self._pool.close()
             self._pool = None
         if self._pool is None:
             self._pool = WorkerPool(size, mp_context=self._mp_context)
-        if self._pool.ensure((self.scenario.v, self.scenario.k)):
+        pool = self._pool
+        shape = (self.scenario.v, self.scenario.k)
+        warm = not pool.ensure(shape)
+        if not warm:
             self.stats.pool_cold_boots += 1
-        else:
+        try:
+            results = pool.map(tasks)
+        except BrokenProcessPool:
+            pool.close()
+            pool.ensure(shape)
+            self.stats.pool_reboots += 1
+            return pool.map(tasks), pool.context_name
+        if warm:
             self.stats.pool_warm_hits += 1
-        return self._pool
+        return results, pool.context_name
 
     def _run_grouped(self, stream, recorder) -> ParallelScenarioRun:
         """Serve the scenario once through the grouped pipeline — the
@@ -785,9 +819,7 @@ class WarmRuntime:
             if workers <= 1:
                 results = [_run_group_task(t, shm) for t in tasks]
             else:
-                pool = self._boot_pool(workers)
-                context = pool.context_name
-                results = pool.map(tasks)
+                results, context = self._map_on_pool(workers, tasks)
         finally:
             if packed_bytes is not None:
                 # Per-serve raw-stream segments are not cached; release

@@ -34,7 +34,7 @@ fed one window at a time; a one-shot run is a single feed.
 
 Exact tier
 ----------
-:func:`_step_exact` keeps the heap but strips it to plain tuples.  A
+:class:`_ExactCore` keeps the heap but strips it to plain tuples.  A
 disk serves one IO at a time, so only in-flight completions
 ``(time, seq, action, disk, request)`` are heaped — never more than
 ``v`` — while queued IOs wait in per-disk FIFOs.  Arrivals are not
@@ -42,9 +42,14 @@ heaped at all: the next arrival epoch is merged against the heap's
 head by ``(time, pump_seq)``.  The RMW chained-arrival dependency (a
 small write's phase-2 IOs exist only once both phase-1 reads finish)
 is handled naturally: the follow-on IOs are submitted inside their
-parent's completion.  The tier's engine label is ``calendar`` — the
-name of the calendar-queue engine it replaced, kept because it is a
-canonical report field.
+parent's completion.  It is one resumable core with the eager tier's
+feed/finish protocol: :func:`step_compiled` feeds it a whole plan once
+(label ``calendar`` — the name of the calendar-queue engine it
+replaced, kept because it is a canonical report field), and the
+windowed executor feeds a tie-aborted shard one window plan at a time
+(label ``windowed-pump``, the heap pump it replays).  A feed holds its
+last arrival epoch open until the next window shows whether the epoch
+continues, as the chained pump does.
 
 Equality contract
 -----------------
@@ -61,7 +66,8 @@ operations, and the resulting report is bit-identical to
 
 Like :func:`repro.sim.compile.solve_compiled`, both tiers bypass
 ``Simulator`` entirely: ``sim.events_processed`` stays untouched, which
-the tests use to prove which engine ran.
+the tests use to prove which engine ran — the only way to tell an
+exact replay from the heap pump whose label it keeps.
 """
 
 from __future__ import annotations
@@ -529,7 +535,7 @@ def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
     :class:`repro.sim.compile._CompiledRun`); for read-modify-write
     traces without a data plane, feed the plan to the eager tier
     (:class:`_EagerCore`); on an ambiguous tie, or for any other shape,
-    run the same plan on the exact tier (:func:`_step_exact`, labelled
+    feed the same plan to the exact tier (:class:`_ExactCore`, labelled
     ``calendar``).
 
     Args:
@@ -582,138 +588,200 @@ def _controller_sink(ctrl: "ArrayController"):
     return sink
 
 
-def _step_exact(ctrl: "ArrayController", run: _CompiledRun) -> int:
-    """The exact tier: replay the event heap's serialization over a
-    private heap of in-flight completions.
+class _ExactCore:
+    """The exact tier: the event heap's serialization over a private
+    heap of in-flight completions, with window carry-over.
 
     A disk serves one IO at a time, so the heap holds at most ``v``
     ``(time, seq, action, disk, request)`` entries; queued IOs wait in
     per-disk FIFOs and take their seq when their service starts, as on
     :class:`repro.sim.disk.Disk`.  Arrivals are not pushed: the next
-    epoch merges against the heap's head by ``(time, pump_seq)``.  The
-    engine label stays ``calendar`` (a canonical report field).  ``run``
-    is the trace's plan, shared verbatim with the heap pump and the
-    eager tier — same arrays, same fast-path classification, same
-    dataplane contexts."""
-    ctrl.set_engine("calendar")
-    sim = ctrl.sim
-    n = run.n
-    params = ctrl.params
-    seq_s = params.sequential_service_ms
-    avg_s = params.average_service_ms
-    atimes = run.times
-    single = run.single
-    wfast = run.wfast
-    plans = run.plans
-    writes = run.writes
-    latency = ctrl.latency
-    obs = ctrl.obs if ctrl.obs.enabled else None
-    obs_shard = ctrl.obs_shard
+    epoch merges against the heap's head by ``(time, pump_seq)``.  Plans
+    are :class:`repro.sim.compile._CompiledRun` objects, shared verbatim
+    with the heap pump and the eager tier — same arrays, same fast-path
+    classification, same dataplane contexts.
 
-    # Per-disk state, mirroring Disk but in parallel lists.
-    disks = ctrl.disks
-    v = len(disks)
-    dqueue: list[deque] = [deque() for _ in range(v)]
-    dbusy = [False] * v
-    dlast: list[int | None] = [d._last_offset for d in disks]
-    dbusyt = [d.busy_time for d in disks]
-    ddelay = [d.total_queue_delay for d in disks]
-    dreads = [0] * v
-    dwrites = [0] * v
+    The feed protocol is :class:`_EagerCore`'s: the per-disk FIFOs, the
+    in-flight heap, the sequence counters and the in-flight requests
+    persist across :meth:`feed` calls, and :meth:`finish` writes the
+    disk state and clock back — :func:`step_compiled` feeds a whole
+    plan once, the streaming executor one window at a time.  A feed
+    stops right after its last arrival epoch, because the chained pump
+    pulls the next window from inside that epoch's event: a next window
+    whose first arrival shares the instant continues the epoch before
+    the pump re-arms (``pump_seq`` is -1 while the epoch is held open).
+    Each feed re-indexes the previous window's in-flight requests past
+    its own arrivals, so one window plan is alive at a time.
 
-    # Per-request progress state.
-    wrem = [0] * n  # RMW fast path: IOs outstanding in the current phase
-    grem = [0] * n  # generic plans: IOs outstanding in the current phase
-    gidx = [0] * n  # generic plans: next phase index
+    Latency samples append to the controller's sample lists in
+    completion-event order, and fold into a metrics recorder one event
+    at a time, as on the heap; windowed callers sweep the lists into
+    digests between feeds.
+    """
 
-    read_sink: list[float] | None = None
-    write_sink: list[float] | None = None
-    generic_sinks: dict[str, list[float]] = {}
+    __slots__ = (
+        "ctrl",
+        "dqueue",
+        "dbusy",
+        "dlast",
+        "dbusyt",
+        "ddelay",
+        "dreads",
+        "dwrites",
+        "heap",
+        "now",
+        "seqc",
+        "pump_seq",
+        "_cols",
+    )
 
-    heap: list[tuple] = []
-    now = sim.now
-    ai = 0  # next arrival index
-    # Sequence numbers replay the heap's: the arrival pump is armed
-    # first (seq 0), then every submission takes the next number.
-    pump_seq = 0
-    seqc = 1
+    def __init__(self, ctrl: "ArrayController"):
+        disks = ctrl.disks
+        v = len(disks)
+        self.ctrl = ctrl
+        # Per-disk state, mirroring Disk but in parallel lists.
+        self.dqueue: list[deque] = [deque() for _ in range(v)]
+        self.dbusy = [False] * v
+        self.dlast: list[int | None] = [d._last_offset for d in disks]
+        self.dbusyt = [d.busy_time for d in disks]
+        self.ddelay = [d.total_queue_delay for d in disks]
+        self.dreads = [0] * v
+        self.dwrites = [0] * v
+        self.heap: list[tuple] = []
+        self.now = ctrl.sim.now
+        # Sequence numbers replay the heap's: the arrival pump is armed
+        # first, then every submission takes the next number.
+        self.seqc = 0
+        self.pump_seq = -1
+        # The last fed window's per-request columns: arrival times,
+        # wfast, plans, then the progress counters wrem (RMW fast path:
+        # IOs outstanding in the current phase), grem (generic plans:
+        # the same) and gidx (generic plans: next phase index).
+        self._cols: tuple = ((), (), (), (), (), ())
 
-    def submit(d: int, off: int, action: int, req: int) -> None:
-        """Disk.submit: queue on a busy disk, start service inline on
-        an idle one."""
-        nonlocal seqc
-        if dbusy[d]:
-            dqueue[d].append((now, off, action, req))
-            return
-        dbusy[d] = True
-        last = dlast[d]
-        s = seq_s if last is not None and -1 <= off - last <= 1 else avg_s
-        dlast[d] = off
-        dbusyt[d] += s
-        heappush(heap, (now + s, seqc, action, d, req))
-        seqc += 1
+    def _columns(self, run: _CompiledRun) -> tuple:
+        """``run``'s per-request columns, with the previous window's
+        in-flight requests (the ones a heap or queue entry still names)
+        moved to indices past its arrivals."""
+        n = run.n
+        cols = [run.times, run.wfast, run.plans, [0] * n, [0] * n, [0] * n]
+        moved: dict[int, int] = {}
 
-    while True:
-        if heap:
-            top = heap[0]
-            if ai < n:
-                at = atimes[ai]
-                arrival = at < top[0] or (at == top[0] and pump_seq < top[1])
-            else:
-                arrival = False
-        elif ai < n:
-            at = atimes[ai]
-            arrival = True
+        def move(r: int) -> int:
+            j = moved.get(r)
+            if j is None:
+                j = moved[r] = n + len(moved)
+            return j
+
+        heap = self.heap
+        # Same (time, seq) keys, so the list stays a valid heap.
+        heap[:] = [(t, s, a, d, move(r)) for t, s, a, d, r in heap]
+        for q in self.dqueue:
+            if q:
+                entries = [(t, off, a, move(r)) for t, off, a, r in q]
+                q.clear()
+                q.extend(entries)
+        if moved:
+            # Copies, not in-place extends: run's own lists stay as
+            # planned.
+            for i, old in enumerate(self._cols):
+                cols[i] = cols[i] + [old[r] for r in moved]
+        return tuple(cols)
+
+    def feed(self, run: _CompiledRun | None) -> None:
+        """Replay one planned trace or window up to and including its
+        last arrival epoch; ``run=None`` ends the stream and retires
+        everything still in flight."""
+        ctrl = self.ctrl
+        if run is None:
+            n = 0
+            single = writes = ()
         else:
-            break
-        if arrival:
-            # Arrival epoch: submit every request sharing this arrival
-            # time, in stream order (the heap pump).
-            now = at
-            while ai < n and atimes[ai] == at:
-                r = ai
-                ai += 1
-                pos = single[r]
-                if pos is not None:
-                    # Healthy/degraded single-IO read, inlined.
-                    if read_sink is None:
-                        read_sink = latency.setdefault(
-                            "read", LatencyStats()
-                        ).samples
-                    d, off = pos
-                    if dbusy[d]:
-                        dqueue[d].append((at, off, _READ_FAST, r))
-                        continue
-                    dbusy[d] = True
-                    last = dlast[d]
-                    s = (
-                        seq_s
-                        if last is not None and -1 <= off - last <= 1
-                        else avg_s
+            n = run.n
+            single = run.single
+            writes = run.writes
+            self._cols = self._columns(run)
+        atimes, wfast, plans, wrem, grem, gidx = self._cols
+        params = ctrl.params
+        seq_s = params.sequential_service_ms
+        avg_s = params.average_service_ms
+        latency = ctrl.latency
+        obs = ctrl.obs if ctrl.obs.enabled else None
+        obs_shard = ctrl.obs_shard
+        dqueue = self.dqueue
+        dbusy = self.dbusy
+        dlast = self.dlast
+        dbusyt = self.dbusyt
+        ddelay = self.ddelay
+        dreads = self.dreads
+        dwrites = self.dwrites
+
+        # Kinds an earlier feed created keep their sample lists.
+        st = latency.get("read")
+        read_sink = None if st is None else st.samples
+        st = latency.get("write")
+        write_sink = None if st is None else st.samples
+        generic_sinks: dict[str, list[float]] = {}
+
+        heap = self.heap
+        now = self.now
+        seqc = self.seqc
+        pump_seq = self.pump_seq
+        if pump_seq < 0 and n and atimes[0] != now:
+            # The held-open epoch does not continue here: the pump
+            # re-arms after its submissions.
+            pump_seq = seqc
+            seqc += 1
+        ai = 0  # next arrival index
+
+        def submit(d: int, off: int, action: int, req: int) -> None:
+            """Disk.submit: queue on a busy disk, start service inline on
+            an idle one."""
+            nonlocal seqc
+            if dbusy[d]:
+                dqueue[d].append((now, off, action, req))
+                return
+            dbusy[d] = True
+            last = dlast[d]
+            s = seq_s if last is not None and -1 <= off - last <= 1 else avg_s
+            dlast[d] = off
+            dbusyt[d] += s
+            heappush(heap, (now + s, seqc, action, d, req))
+            seqc += 1
+
+        while True:
+            if heap:
+                top = heap[0]
+                if ai < n:
+                    at = atimes[ai]
+                    arrival = at < top[0] or (
+                        at == top[0] and pump_seq < top[1]
                     )
-                    dlast[d] = off
-                    dbusyt[d] += s
-                    heappush(heap, (at + s, seqc, _READ_FAST, d, r))
-                    seqc += 1
-                    continue
-                winfo = writes[r]
-                if winfo is not None:
-                    sid, wd, woff, lba = winfo
-                    ctrl._apply_write_dataplane(
-                        sid, wd, woff, ctrl._default_payload(lba)
-                    )
-                w = wfast[r]
-                if w is not None:
-                    # RMW phase 1: read old data + parity.
-                    if write_sink is None:
-                        write_sink = latency.setdefault(
-                            "write", LatencyStats()
-                        ).samples
-                    wrem[r] = 2
-                    d, off, pd, poff = w
-                    if dbusy[d]:
-                        dqueue[d].append((at, off, _RMW_PHASE1, r))
-                    else:
+                else:
+                    arrival = False
+            elif ai < n:
+                at = atimes[ai]
+                arrival = True
+            else:
+                break
+            if arrival:
+                # Arrival epoch: submit every request sharing this arrival
+                # time, in stream order (the heap pump).
+                now = at
+                while ai < n and atimes[ai] == at:
+                    r = ai
+                    ai += 1
+                    pos = single[r]
+                    if pos is not None:
+                        # Healthy/degraded single-IO read, inlined.
+                        if read_sink is None:
+                            read_sink = latency.setdefault(
+                                "read", LatencyStats()
+                            ).samples
+                        d, off = pos
+                        if dbusy[d]:
+                            dqueue[d].append((at, off, _READ_FAST, r))
+                            continue
                         dbusy[d] = True
                         last = dlast[d]
                         s = (
@@ -723,134 +791,190 @@ def _step_exact(ctrl: "ArrayController", run: _CompiledRun) -> int:
                         )
                         dlast[d] = off
                         dbusyt[d] += s
-                        heappush(heap, (at + s, seqc, _RMW_PHASE1, d, r))
+                        heappush(heap, (at + s, seqc, _READ_FAST, d, r))
                         seqc += 1
-                    if dbusy[pd]:
-                        dqueue[pd].append((at, poff, _RMW_PHASE1, r))
-                    else:
-                        dbusy[pd] = True
-                        last = dlast[pd]
-                        s = (
-                            seq_s
-                            if last is not None and -1 <= poff - last <= 1
-                            else avg_s
+                        continue
+                    winfo = writes[r]
+                    if winfo is not None:
+                        sid, wd, woff, lba = winfo
+                        ctrl._apply_write_dataplane(
+                            sid, wd, woff, ctrl._default_payload(lba)
                         )
-                        dlast[pd] = poff
-                        dbusyt[pd] += s
-                        heappush(heap, (at + s, seqc, _RMW_PHASE1, pd, r))
-                        seqc += 1
-                    continue
-                phase = plans[r][1][0]
-                gidx[r] = 1
-                grem[r] = len(phase)
-                for pd, poff, is_w in phase:
-                    submit(
-                        pd, poff, _GENERIC_WRITE if is_w else _GENERIC_READ, r
-                    )
-            if ai < n:
-                # The pump re-arms for the next epoch *after* this
-                # epoch's submissions (heap order).
-                pump_seq = seqc
-                seqc += 1
-            continue
-
-        t, _seq, action, d, req = heappop(heap)
-        now = t
-        # --- the completion itself (Disk._service_done).
-        if action == _READ_FAST:
-            dreads[d] += 1
-            lat = t - atimes[req]
-            read_sink.append(lat)
-            if obs is not None:
-                obs.record(obs_shard, "read", t, lat)
-        elif action == _RMW_PHASE1:
-            dreads[d] += 1
-            left = wrem[req] - 1
-            wrem[req] = left
-            if not left:
-                # Phase 2: write new data, then new parity.  Both disks
-                # served this request's phase-1 reads, so their last
-                # offsets are set.
-                wrem[req] = 2
-                d2, off, pd, poff = wfast[req]
-                if dbusy[d2]:
-                    dqueue[d2].append((t, off, _RMW_WRITE, req))
-                else:
-                    dbusy[d2] = True
-                    s = seq_s if -1 <= off - dlast[d2] <= 1 else avg_s
-                    dlast[d2] = off
-                    dbusyt[d2] += s
-                    heappush(heap, (t + s, seqc, _RMW_WRITE, d2, req))
-                    seqc += 1
-                if dbusy[pd]:
-                    dqueue[pd].append((t, poff, _RMW_WRITE, req))
-                else:
-                    dbusy[pd] = True
-                    s = seq_s if -1 <= poff - dlast[pd] <= 1 else avg_s
-                    dlast[pd] = poff
-                    dbusyt[pd] += s
-                    heappush(heap, (t + s, seqc, _RMW_WRITE, pd, req))
-                    seqc += 1
-        elif action == _RMW_WRITE:
-            dwrites[d] += 1
-            left = wrem[req] - 1
-            wrem[req] = left
-            if not left:
-                lat = t - atimes[req]
-                write_sink.append(lat)
-                if obs is not None:
-                    obs.record(obs_shard, "write", t, lat)
-        else:
-            if action == _GENERIC_WRITE:
-                dwrites[d] += 1
-            else:
-                dreads[d] += 1
-            left = grem[req] - 1
-            grem[req] = left
-            if not left:
-                kind, phases = plans[req]
-                i = gidx[req]
-                if i < len(phases):
-                    phase = phases[i]
-                    gidx[req] = i + 1
-                    grem[req] = len(phase)
+                    w = wfast[r]
+                    if w is not None:
+                        # RMW phase 1: read old data + parity.
+                        if write_sink is None:
+                            write_sink = latency.setdefault(
+                                "write", LatencyStats()
+                            ).samples
+                        wrem[r] = 2
+                        d, off, pd, poff = w
+                        if dbusy[d]:
+                            dqueue[d].append((at, off, _RMW_PHASE1, r))
+                        else:
+                            dbusy[d] = True
+                            last = dlast[d]
+                            s = (
+                                seq_s
+                                if last is not None and -1 <= off - last <= 1
+                                else avg_s
+                            )
+                            dlast[d] = off
+                            dbusyt[d] += s
+                            heappush(heap, (at + s, seqc, _RMW_PHASE1, d, r))
+                            seqc += 1
+                        if dbusy[pd]:
+                            dqueue[pd].append((at, poff, _RMW_PHASE1, r))
+                        else:
+                            dbusy[pd] = True
+                            last = dlast[pd]
+                            s = (
+                                seq_s
+                                if last is not None and -1 <= poff - last <= 1
+                                else avg_s
+                            )
+                            dlast[pd] = poff
+                            dbusyt[pd] += s
+                            heappush(heap, (at + s, seqc, _RMW_PHASE1, pd, r))
+                            seqc += 1
+                        continue
+                    phase = plans[r][1][0]
+                    gidx[r] = 1
+                    grem[r] = len(phase)
                     for pd, poff, is_w in phase:
                         submit(
                             pd,
                             poff,
                             _GENERIC_WRITE if is_w else _GENERIC_READ,
-                            req,
+                            r,
                         )
-                else:
-                    sink = generic_sinks.get(kind)
-                    if sink is None:
-                        sink = generic_sinks[kind] = latency.setdefault(
-                            kind, LatencyStats()
-                        ).samples
-                    lat = t - atimes[req]
-                    sink.append(lat)
-                    if obs is not None:
-                        obs.record(obs_shard, kind, t, lat)
-        # --- start the disk's next queued IO (Disk._start_next).
-        q = dqueue[d]
-        if q:
-            t_issue, off, a2, r2 = q.popleft()
-            s = seq_s if -1 <= off - dlast[d] <= 1 else avg_s
-            dlast[d] = off
-            dbusyt[d] += s
-            ddelay[d] += t - t_issue
-            heappush(heap, (t + s, seqc, a2, d, r2))
-            seqc += 1
-        else:
-            dbusy[d] = False
+                if ai < n:
+                    # The pump re-arms for the next epoch *after* this
+                    # epoch's submissions (heap order).
+                    pump_seq = seqc
+                    seqc += 1
+                    continue
+                # The plan's last epoch: hold it open for the next feed.
+                pump_seq = -1
+                break
 
-    # --- write the accumulated state back into the controller.
-    for d in range(v):
-        disk = disks[d]
-        disk.busy_time = dbusyt[d]
-        disk.total_queue_delay = ddelay[d]
-        disk.completed_reads += dreads[d]
-        disk.completed_writes += dwrites[d]
-        disk._last_offset = dlast[d]
-    sim.now = now
-    return n
+            t, _seq, action, d, req = heappop(heap)
+            now = t
+            # --- the completion itself (Disk._service_done).
+            if action == _READ_FAST:
+                dreads[d] += 1
+                lat = t - atimes[req]
+                read_sink.append(lat)
+                if obs is not None:
+                    obs.record(obs_shard, "read", t, lat)
+            elif action == _RMW_PHASE1:
+                dreads[d] += 1
+                left = wrem[req] - 1
+                wrem[req] = left
+                if not left:
+                    # Phase 2: write new data, then new parity.  Both disks
+                    # served this request's phase-1 reads, so their last
+                    # offsets are set.
+                    wrem[req] = 2
+                    d2, off, pd, poff = wfast[req]
+                    if dbusy[d2]:
+                        dqueue[d2].append((t, off, _RMW_WRITE, req))
+                    else:
+                        dbusy[d2] = True
+                        s = seq_s if -1 <= off - dlast[d2] <= 1 else avg_s
+                        dlast[d2] = off
+                        dbusyt[d2] += s
+                        heappush(heap, (t + s, seqc, _RMW_WRITE, d2, req))
+                        seqc += 1
+                    if dbusy[pd]:
+                        dqueue[pd].append((t, poff, _RMW_WRITE, req))
+                    else:
+                        dbusy[pd] = True
+                        s = seq_s if -1 <= poff - dlast[pd] <= 1 else avg_s
+                        dlast[pd] = poff
+                        dbusyt[pd] += s
+                        heappush(heap, (t + s, seqc, _RMW_WRITE, pd, req))
+                        seqc += 1
+            elif action == _RMW_WRITE:
+                dwrites[d] += 1
+                left = wrem[req] - 1
+                wrem[req] = left
+                if not left:
+                    lat = t - atimes[req]
+                    write_sink.append(lat)
+                    if obs is not None:
+                        obs.record(obs_shard, "write", t, lat)
+            else:
+                if action == _GENERIC_WRITE:
+                    dwrites[d] += 1
+                else:
+                    dreads[d] += 1
+                left = grem[req] - 1
+                grem[req] = left
+                if not left:
+                    kind, phases = plans[req]
+                    i = gidx[req]
+                    if i < len(phases):
+                        phase = phases[i]
+                        gidx[req] = i + 1
+                        grem[req] = len(phase)
+                        for pd, poff, is_w in phase:
+                            submit(
+                                pd,
+                                poff,
+                                _GENERIC_WRITE if is_w else _GENERIC_READ,
+                                req,
+                            )
+                    else:
+                        sink = generic_sinks.get(kind)
+                        if sink is None:
+                            sink = generic_sinks[kind] = latency.setdefault(
+                                kind, LatencyStats()
+                            ).samples
+                        lat = t - atimes[req]
+                        sink.append(lat)
+                        if obs is not None:
+                            obs.record(obs_shard, kind, t, lat)
+            # --- start the disk's next queued IO (Disk._start_next).
+            q = dqueue[d]
+            if q:
+                t_issue, off, a2, r2 = q.popleft()
+                s = seq_s if -1 <= off - dlast[d] <= 1 else avg_s
+                dlast[d] = off
+                dbusyt[d] += s
+                ddelay[d] += t - t_issue
+                heappush(heap, (t + s, seqc, a2, d, r2))
+                seqc += 1
+            else:
+                dbusy[d] = False
+
+        self.now = now
+        self.seqc = seqc
+        self.pump_seq = pump_seq
+
+    def finish(self) -> None:
+        """Retire everything still in flight, then write the accumulated
+        disk state and the clock back into the controller."""
+        self.feed(None)
+        dbusyt = self.dbusyt
+        ddelay = self.ddelay
+        dreads = self.dreads
+        dwrites = self.dwrites
+        dlast = self.dlast
+        for d, disk in enumerate(self.ctrl.disks):
+            disk.busy_time = dbusyt[d]
+            disk.total_queue_delay = ddelay[d]
+            disk.completed_reads += dreads[d]
+            disk.completed_writes += dwrites[d]
+            disk._last_offset = dlast[d]
+        self.ctrl.sim.now = self.now
+
+
+def _step_exact(ctrl: "ArrayController", run: _CompiledRun) -> int:
+    """The exact tier on one whole plan: a single :class:`_ExactCore`
+    feed, labelled ``calendar`` (a canonical report field)."""
+    ctrl.set_engine("calendar")
+    core = _ExactCore(ctrl)
+    core.feed(run)
+    core.finish()
+    return run.n

@@ -16,9 +16,11 @@ gate for a set of shards on one clock lives here, once:
 :func:`_execute_shard_windows` runs the carry driver
 (:func:`_windows_carry`) on an idle clock and otherwise arms one
 chained heap pump per shard (:func:`_arm_shard_pump`) before one
-``sim.run()``.  :func:`execute_windows` is that gate on one array — one
-volume routed to ``ctrl.obs_shard`` — and multi-process shard groups
-call it for their slice of the fleet;
+``sim.run()`` — the heap runs only when the clock is busy or the
+carry driver declines (data planes, one-shot window generators).
+:func:`execute_windows` is that gate on one array — one volume routed
+to ``ctrl.obs_shard`` — and multi-process shard groups call it for
+their slice of the fleet;
 :meth:`repro.service.Fleet.serve_windows` runs the same carry driver
 and falls back to its window router, which re-routes windows through
 the live volume table when a reshape moves volumes mid-stream.  Every
@@ -38,10 +40,13 @@ selection gate:
   :class:`repro.sim.batchstep._EagerCore` fed window by window, its
   pending-phase heap and per-disk state persisting across feeds.  On
   the core's ambiguity abort (an exact submission-time tie) nothing has
-  touched the controller, so that shard's stream is replayed exactly on
-  the heap pump;
+  touched the controller, so that shard's stream is replayed on
+  :class:`repro.sim.batchstep._ExactCore`, again one window plan at a
+  time: the heap pump's exact serialization without the event heap,
+  keeping the pump's ``windowed-pump`` label (:func:`_replay_exact`);
 * everything else (busy simulator, data plane attached, degenerate
-  service model) streams through the chained heap pump —
+  service model, a mixed stream from a one-shot window generator)
+  streams through the chained heap pump —
   :class:`~repro.sim.compile._CompiledRun` with a window ``source``,
   which loads one window at a time into the real event engine.
 
@@ -58,11 +63,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .batchstep import _drain_pools, _EagerCore
+from .batchstep import _drain_pools, _EagerCore, _ExactCore
 from .compile import (
     CompiledTrace,
     _CompiledRun,
@@ -232,8 +237,9 @@ def _windows_carry(
     worker.  ``digests`` and ``scheduled`` are indexed like
     ``controllers``.  Returns the number of non-empty windows routed, or
     None when the engines don't apply, with the controllers untouched;
-    shards whose eager core hits an ambiguous tie replay on a per-shard
-    chained heap pump before this returns."""
+    shards whose eager core hits an ambiguous tie replay on the exact
+    core (:func:`_replay_exact`), one shard per fresh pass over the
+    windows, before this returns — never on the event heap."""
     lead = controllers[0]
     sim = lead.sim
     base = sim.now
@@ -260,9 +266,9 @@ def _windows_carry(
         c.set_engine(label)
     # Shards whose eager core hit an ambiguous tie: their core is
     # dropped (it wrote nothing back) and their whole sub-stream
-    # replays on a per-shard chained heap pump at the end — the
-    # same per-shard granularity as execute_compiled's eager →
-    # event-engine fallback, so reports stay byte-identical.
+    # replays on the exact core at the end — the same per-shard
+    # granularity as execute_compiled's eager → exact fallback, so
+    # reports stay byte-identical.
     fallback: set[int] = set()
 
     def demote(i: int) -> None:
@@ -314,18 +320,70 @@ def _windows_carry(
     for i, eng in enumerate(engines):
         sim.now = base
         if i in fallback:
-            count, drain = _arm_shard_pump(
+            scheduled[i] = _replay_exact(
                 controllers[i], route, windows, digests[i]
             )
-            sim.run()
-            drain()
-            scheduled[i] = count[0]
         else:
             eng.finish(sinks[i])
         if sim.now > end:
             end = sim.now
     sim.now = end
     return n_windows
+
+
+def _shard_slices(
+    ctrl: ArrayController, route: _ShardRoute, windows, count: list[int]
+) -> Iterator[CompiledTrace]:
+    """Compile the shard ``ctrl.obs_shard``'s slice of each window (a
+    fresh filtered pass — one window buffered at a time), recording its
+    arrivals as it is routed.  ``count[0]`` accumulates the shard's
+    request count and ``count[1]`` the stream's non-empty windows."""
+    obs = ctrl.obs
+    gid = ctrl.obs_shard
+    base = ctrl.sim.now
+    for times, is_read, lbas in windows:
+        if not len(times):
+            continue
+        count[1] += 1
+        mask = route.shard_ids(lbas) == gid
+        if not mask.any():
+            continue
+        if obs.enabled:
+            obs.arrivals(gid, base + times[mask])
+        w = compile_stream(
+            ctrl.mapper,
+            times[mask],
+            is_read[mask],
+            lbas[mask] % route.shard_capacity,
+        )
+        count[0] += w.n
+        yield w
+
+
+def _replay_exact(
+    ctrl: ArrayController,
+    route: _ShardRoute,
+    windows,
+    digest: dict[str, LatencyDigest],
+) -> int:
+    """Replay the shard ``ctrl.obs_shard``'s slice of a windowed stream
+    on :class:`repro.sim.batchstep._ExactCore`, one window plan at a
+    time, and return its request count.  This is the heap pump's
+    serialization without the event heap, so it keeps the pump's
+    ``windowed-pump`` label (a canonical report field); the clock must
+    be idle.  Samples are swept into ``digest`` after every window, and
+    the metrics recorder sees each completion at its event time, as on
+    the pump."""
+    ctrl.set_engine("windowed-pump")
+    count = [0, 0]
+    lat_base = {kind: len(st.samples) for kind, st in ctrl.latency.items()}
+    core = _ExactCore(ctrl)
+    for w in _shard_slices(ctrl, route, windows, count):
+        core.feed(_CompiledRun(ctrl, w))
+        _sweep(ctrl.latency, lat_base, digest)
+    core.finish()
+    _sweep(ctrl.latency, lat_base, digest)
+    return count[0]
 
 
 def _arm_shard_pump(
@@ -335,10 +393,9 @@ def _arm_shard_pump(
     digest: dict[str, LatencyDigest],
 ) -> tuple[list[int], Callable[[], None]]:
     """Arm a chained heap pump for the shard ``ctrl.obs_shard`` over its
-    slice of a windowed stream (a fresh filtered pass — one window
-    buffered at a time).  This is the general engine, able to
-    interleave with foreign events (rebuilds, timers, other shards'
-    pumps).
+    slice of a windowed stream (:func:`_shard_slices`).  This is the
+    general engine, able to interleave with foreign events (rebuilds,
+    timers, other shards' pumps).
 
     Returns ``(count, drain)``: as windows are pulled, ``count[0]``
     accumulates the shard's request count and ``count[1]`` the
@@ -354,31 +411,8 @@ def _arm_shard_pump(
     recorder has already bucketed, so it does not feed the recorder
     again."""
     ctrl.set_engine("windowed-pump")
-    obs = ctrl.obs
-    gid = ctrl.obs_shard
-    base = ctrl.sim.now
     count = [0, 0]
-
-    def slices():
-        for times, is_read, lbas in windows:
-            if not len(times):
-                continue
-            count[1] += 1
-            mask = route.shard_ids(lbas) == gid
-            if not mask.any():
-                continue
-            if obs.enabled:
-                obs.arrivals(gid, base + times[mask])
-            w = compile_stream(
-                ctrl.mapper,
-                times[mask],
-                is_read[mask],
-                lbas[mask] % route.shard_capacity,
-            )
-            count[0] += w.n
-            yield w
-
-    gen = slices()
+    gen = _shard_slices(ctrl, route, windows, count)
     first = next(gen, None)
     lat_base = {kind: len(st.samples) for kind, st in ctrl.latency.items()}
     drain = partial(_sweep, ctrl.latency, lat_base, digest)
@@ -474,9 +508,11 @@ def execute_windows(
        windowed analytic solver;
     3. mixed read-modify-write on a hookless array (no data plane) →
        the windowed eager core; an exact-tie abort replays the stream
-       bit-exactly on the heap pump (``windows`` must be re-iterable
-       for the replay — :class:`~repro.sim.compile.StreamWindows` is;
-       one-shot generators skip the eager tier);
+       bit-exactly on the exact core, with the heap pump's
+       serialization and ``windowed-pump`` label but no heap events
+       (``windows`` must be re-iterable for the replay —
+       :class:`~repro.sim.compile.StreamWindows` is; one-shot
+       generators skip the eager tier);
     4. otherwise → the chained heap pump.
 
     The hint is advisory: an all-read stream without it simply runs on
@@ -485,11 +521,11 @@ def execute_windows(
 
     Raises ``IndexError`` on an LBA outside the array's capacity.
     Latency goes to constant-memory digests, not the controller's
-    sample lists (the heap pump sweeps ``ctrl.latency`` into the
-    digests at window boundaries).  With a metrics recorder attached,
-    every window's arrivals are recorded as it is routed, and the
-    stream's non-empty windows count as ``window_boundaries``.  Returns
-    ``(scheduled, digests)``.
+    sample lists (the heap pump and the exact replay sweep
+    ``ctrl.latency`` into the digests at window boundaries).  With a
+    metrics recorder attached, every window's arrivals are recorded as
+    it is routed, and the stream's non-empty windows count as
+    ``window_boundaries``.  Returns ``(scheduled, digests)``.
     """
     if digests is None:
         digests = {}

@@ -178,6 +178,28 @@ class TestWarmth:
             _assert_clean(runtime)
 
 
+class TestWorkerCrash:
+    def test_killed_worker_reboots_the_pool(self):
+        """A SIGKILLed pool worker breaks the executor.  The next serve
+        reboots the pool, reruns its group tasks and reports the same
+        bytes; the pool keeps serving after it.  The reboot counts as a
+        reboot, not as a warm hit."""
+        scenario = _scenario()
+        cold = _canonical(run_fleet_scenario(scenario).to_dict())
+        with WarmRuntime(scenario, workers=2) as runtime:
+            assert _canonical(runtime.run()) == cold
+            processes = runtime._pool._pool._processes
+            victim = next(iter(processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=30)
+            for _ in range(2):
+                assert _canonical(runtime.run()) == cold
+            assert runtime.stats.pool_reboots == 1
+            assert runtime.stats.pool_cold_boots == 1
+            assert runtime.stats.pool_warm_hits == 1
+            _assert_clean(runtime)
+
+
 class TestInvalidation:
     def test_update_scenario_shape_change_invalidates(self):
         small = _scenario()
@@ -253,7 +275,10 @@ class TestTeardown:
         pid = int(proc.stdout.split()[-1])
         self._assert_child_clean(pid, proc.returncode, proc.stderr)
 
-    def test_sigterm_tears_down_frontend_cleanly(self):
+    @staticmethod
+    def _start_frontend():
+        """Launch ``serve --listen --workers 2``; returns the process,
+        its ready line and its address."""
         proc = subprocess.Popen(
             [
                 sys.executable,
@@ -280,22 +305,74 @@ class TestTeardown:
             stderr=subprocess.PIPE,
             text=True,
         )
+        line = proc.stderr.readline()
+        if not line.startswith("serving on "):
+            proc.kill()
+            raise AssertionError(line)
+        host, _, port = line.split()[-1].rpartition(":")
+        return proc, line, (host, int(port))
+
+    @staticmethod
+    def _rpc(f, op: str) -> dict:
+        f.write(json.dumps({"op": op}).encode() + b"\n")
+        f.flush()
+        reply = json.loads(f.readline())
+        assert reply["ok"], reply
+        return reply
+
+    def test_sigterm_tears_down_frontend_cleanly(self):
+        proc, line, address = self._start_frontend()
         try:
-            line = proc.stderr.readline()
-            assert line.startswith("serving on "), line
-            host, _, port = line.split()[-1].rpartition(":")
             # One real serve so the pool boots and segments exist.
-            with socket.create_connection(
-                (host, int(port)), timeout=120
-            ) as sock:
-                f = sock.makefile("rwb")
-                f.write(b'{"op": "run"}\n')
-                f.flush()
-                reply = json.loads(f.readline())
-                assert reply["ok"], reply
+            with socket.create_connection(address, timeout=120) as sock:
+                self._rpc(sock.makefile("rwb"), "run")
             proc.send_signal(signal.SIGTERM)
             out, err = proc.communicate(timeout=60)
         except BaseException:
             proc.kill()
             raise
         self._assert_child_clean(proc.pid, proc.returncode, line + err)
+
+    def test_killed_worker_keeps_frontend_serving(self):
+        """SIGKILL one pool worker of a live front-end.  The executor
+        then SIGTERMs the surviving worker, which must end that worker,
+        not reach the front-end's event loop through signal wiring
+        inherited at fork.  The next serve reboots the pool."""
+        proc, line, address = self._start_frontend()
+        try:
+            with socket.create_connection(address, timeout=120) as sock:
+                f = sock.makefile("rwb")
+                first = self._rpc(f, "run")["report"]
+                workers = [
+                    int(stat.parent.name)
+                    for stat in Path("/proc").glob("[0-9]*/stat")
+                    if _parent_pid(stat) == proc.pid
+                    and b"resource_tracker"
+                    not in (stat.parent / "cmdline").read_bytes()
+                ]
+                assert workers
+                os.kill(workers[0], signal.SIGKILL)
+                deadline = time.monotonic() + 60
+                while Path(f"/proc/{workers[0]}").exists():
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                second = self._rpc(f, "run")["report"]
+                stats = self._rpc(f, "ping")["runtime"]
+            assert _canonical(second) == _canonical(first)
+            assert stats["pool_reboots"] == 1
+            assert proc.poll() is None
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=60)
+        except BaseException:
+            proc.kill()
+            raise
+        self._assert_child_clean(proc.pid, proc.returncode, line + err)
+
+
+def _parent_pid(stat: Path) -> int | None:
+    """The parent pid in a ``/proc/<pid>/stat`` file, None if the
+    process exited while being read."""
+    try:
+        return int(stat.read_text().rsplit(")", 1)[1].split()[1])
+    except (OSError, IndexError, ValueError):
+        return None

@@ -12,6 +12,7 @@ size keeps boundaries sliding relative to any internal periodicity,
 and a size beyond the stream length degenerates to one window.
 """
 
+import itertools
 import json
 from dataclasses import asdict
 
@@ -25,11 +26,28 @@ from repro.obs import (
     prometheus_text,
     render_metrics_jsonl,
 )
-from repro.sim import WorkloadConfig, simulate_workload
-from repro.sim.compile import StreamWindows, generate_request_stream
+from repro.layouts import ring_layout
+from repro.sim import (
+    WorkloadConfig,
+    compile_workload,
+    runner,
+    schedule_compiled,
+    simulate_workload,
+)
+from repro.sim.batchstep import _EagerCore
+from repro.sim.compile import (
+    StreamWindows,
+    compile_stream,
+    generate_request_stream,
+)
 from repro.sim.controller import ArrayController
+from repro.sim.events import Simulator
 from repro.sim.stats import summarize
-from repro.sim.stream import execute_windows
+from repro.sim.stream import (
+    _execute_shard_windows,
+    _ShardRoute,
+    execute_windows,
+)
 
 LAYOUT = get_layout(9, 3)
 DURATION = 600.0
@@ -142,18 +160,31 @@ class TestWindowedReportEquality:
         assert windowed == materialized
 
 
-#: (id, simulate_workload overrides, engine the windowed run lands on).
-#: The pump case ties exactly on a disk, so the eager core aborts and
-#: the stream replays on the chained heap pump.
+#: (id, simulate_workload overrides, engine the windowed run lands on,
+#: whether it runs on the event heap).  The pump case ties exactly on a
+#: disk, so the eager core aborts and the stream replays on the exact
+#: core: the heap pump's serialization and label, without the heap.
+#: The data-plane case streams through the chained heap pump itself.
 METRICS_CASES = [
-    ("solver", dict(config=_cfg(read_fraction=1.0)), "windowed-solver"),
-    ("eager", dict(config=_cfg()), "windowed-eager"),
-    ("degraded_eager", dict(config=_cfg(), failed_disk=1), "windowed-eager"),
-    ("pump", dict(config=_cfg(interarrival_ms=0.5, seed=0)), "windowed-pump"),
+    ("solver", dict(config=_cfg(read_fraction=1.0)), "windowed-solver", False),
+    ("eager", dict(config=_cfg()), "windowed-eager", False),
+    (
+        "degraded_eager",
+        dict(config=_cfg(), failed_disk=1),
+        "windowed-eager",
+        False,
+    ),
+    (
+        "pump",
+        dict(config=_cfg(interarrival_ms=0.5, seed=0)),
+        "windowed-pump",
+        False,
+    ),
     (
         "dataplane",
         dict(config=_cfg(read_fraction=0.5), verify_data=True),
         "windowed-pump",
+        True,
     ),
 ]
 
@@ -164,13 +195,21 @@ class TestWindowedMetricsIdentity:
     every window size, whichever engine runs."""
 
     @pytest.mark.parametrize(
-        "overrides,engine",
+        "overrides,engine,on_heap",
         [c[1:] for c in METRICS_CASES],
         ids=[c[0] for c in METRICS_CASES],
     )
     def test_rows_and_report_identical_at_every_window_size(
-        self, overrides, engine
+        self, overrides, engine, on_heap, monkeypatch
     ):
+        built = []
+
+        class Spy(ArrayController):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(runner, "ArrayController", Spy)
         outputs = set()
         for ws in (1, 7, 64, 10**6):
             rec = MetricsRecorder(50.0)
@@ -183,6 +222,7 @@ class TestWindowedMetricsIdentity:
             )
             assert report.engine == engine, ws
             assert rec.engines == {0: engine}
+            assert (built[-1].sim.events_processed > 0) == on_heap, ws
             assert 'event="window_boundaries"' in prometheus_text(rec), ws
             outputs.add(
                 (
@@ -194,6 +234,197 @@ class TestWindowedMetricsIdentity:
         ((_, rows),) = outputs
         final = json.loads(rows.splitlines()[-1])
         assert final["totals"]["arrived"] == report.scheduled
+
+
+def _disk_state(ctrl):
+    return [
+        (
+            d.busy_time,
+            d.total_queue_delay,
+            d.completed_reads,
+            d.completed_writes,
+            d._last_offset,
+        )
+        for d in ctrl.disks
+    ]
+
+
+def _rows(rec):
+    """Metrics JSONL without the final row's engine labels and run
+    counters (the only fields that name the path taken)."""
+    rows = build_rows(rec)
+    final = dict(rows[-1])
+    del final["engine"], final["counters"]
+    return render_metrics_jsonl(rows[:-1] + [final])
+
+
+def _split(times, is_read, lbas, ws):
+    return [
+        (times[i : i + ws], is_read[i : i + ws], lbas[i : i + ws])
+        for i in range(0, len(times), ws)
+    ]
+
+
+class TestWindowedExactReplay:
+    """A shard whose windowed eager attempt tie-aborts replays on the
+    exact core, one window at a time, on an idle clock: the heap pump's
+    serialization (and ``windowed-pump`` label) without the event
+    heap."""
+
+    @pytest.mark.parametrize("failed", [None, 1])
+    @pytest.mark.parametrize("tick", [8.0, 5.0])
+    def test_quantized_replay_matches_pump_and_heap(self, tick, failed):
+        """Grid-quantized arrivals mass-produce tied epochs, and window
+        sizes 1, 7 and 64 split them across boundaries: the replay, the
+        windowed gate's chained heap pump and the materialized heap run
+        agree on clock, per-disk state, summaries and metrics rows."""
+        layout = ring_layout(9, 4)
+        cfg = WorkloadConfig(interarrival_ms=2.0, read_fraction=0.6, seed=3)
+        trace = compile_workload(ArrayController(layout).mapper, cfg, 900.0)
+        times = np.floor(trace.times / tick) * tick
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        is_read, lbas = trace.is_read[order], trace.lbas[order]
+
+        def array():
+            ctrl = ArrayController(layout)
+            if failed is not None:
+                ctrl.fail_disk(failed)
+            ctrl.obs = MetricsRecorder(50.0)
+            return ctrl
+
+        heap = array()
+        heap.obs.arrivals(0, times)
+        schedule_compiled(
+            heap, compile_stream(heap.mapper, times, is_read, lbas)
+        )
+        heap.sim.run()
+        expected = (
+            heap.sim.now,
+            _disk_state(heap),
+            {k: summarize(st) for k, st in heap.latency.items()},
+            _rows(heap.obs),
+        )
+        cap = heap.mapper.capacity
+        route = _ShardRoute(np.zeros(1, dtype=np.int64), cap, cap, cap)
+        for ws in (1, 7, 64):
+            windows = _split(times, is_read, lbas, ws)
+            replay, pump = array(), array()
+            _, digests = execute_windows(replay, windows)
+            pump_digests = {}
+            _execute_shard_windows(
+                [pump], route, windows, [pump_digests], batched=False
+            )
+            assert replay.last_engine == pump.last_engine == "windowed-pump"
+            assert replay.sim.events_processed == 0
+            assert pump.sim.events_processed > 0
+            assert replay.obs.counters() == {"tie_abort_replays": 1}
+            for ctrl, dg in ((replay, digests), (pump, pump_digests)):
+                got = (
+                    ctrl.sim.now,
+                    _disk_state(ctrl),
+                    {k: summarize(d) for k, d in dg.items()},
+                    _rows(ctrl.obs),
+                )
+                assert got == expected, (ws, ctrl.sim.events_processed)
+
+    def test_shards_demoting_in_different_windows(self, monkeypatch):
+        """Four shards on one clock, each crafted to tie-abort its eager
+        core at a different point: shards 0 and 2 on an arrival tied
+        with a pending write phase, shard 1 on two tied pending phases
+        mid-stream, shard 3 on two tied pending phases after its last
+        arrival — late, in ``settle()``.  The carry replays all four and
+        matches the ``batched=False`` pump run."""
+        mapper = ArrayController(LAYOUT).mapper
+        cap = mapper.capacity
+        d, o, _s, pd, po = mapper.map_batch_parity(np.arange(cap))
+
+        def first(mask):
+            return int(np.flatnonzero(mask)[0])
+
+        # Writes w1 = (X, parity Y) and w2 = (Z, parity X), reads ry on
+        # Y, rz on Z, rx on X, with every queued IO on a non-adjacent
+        # offset so each one takes the average service time.
+        for x, y, z in itertools.permutations(range(LAYOUT.v), 3):
+            w1, w2 = (d == x) & (pd == y), (d == z) & (pd == x)
+            ry, rz = d == y, d == z
+            if not (w1.any() and w2.any() and ry.any() and rz.any()):
+                continue
+            w1, w2, ry, rz = first(w1), first(w2), first(ry), first(rz)
+            if min(
+                abs(o[w1] - po[w2]), abs(o[ry] - po[w1]), abs(o[rz] - o[w2])
+            ) > 1:
+                break
+        else:
+            raise AssertionError("no disk triple fits the crafted ties")
+        rx = first(d == x)
+        # Filler requests keep off the three disks, so they stay idle
+        # (no last offset) until the crafted requests arrive.
+        fill = np.flatnonzero(~np.isin(d, (x, y, z)) & ~np.isin(pd, (x, y, z)))
+        avg = ArrayController(LAYOUT).params.average_service_ms
+        arrival_tie = [(0.0, False, w1), (avg, True, rx)]
+        pending_tie = [(0.0, True, ry), (0.0, True, rz), (0.0, False, w1),
+                       (0.0, False, w2)]
+        reqs = []
+        for shard, (at, crafted) in enumerate(
+            [(1100.0, arrival_tie), (3100.0, pending_tie),
+             (5100.0, arrival_tie), (8100.0, pending_tie)]
+        ):
+            reqs += [
+                (200.0 * j + 7.0 * shard + 0.25, j % 2 == 0,
+                 shard * cap + int(fill[j % len(fill)]))
+                for j in range(40)
+            ]
+            reqs += [(at + dt, r, shard * cap + int(lba))
+                     for dt, r, lba in crafted]
+        reqs.sort(key=lambda req: req[0])
+        times = np.array([req[0] for req in reqs])
+        is_read = np.array([req[1] for req in reqs])
+        lbas = np.array([req[2] for req in reqs], dtype=np.int64)
+        route = _ShardRoute(np.arange(4, dtype=np.int64), cap, cap, 4 * cap)
+
+        aborts = {}
+        feed = _EagerCore.feed
+
+        def spy(core, run):
+            ok = feed(core, run)
+            if not ok:
+                aborts[core.ctrl.obs_shard] = (
+                    "settle" if run is None else run.times[-1]
+                )
+            return ok
+
+        monkeypatch.setattr(_EagerCore, "feed", spy)
+
+        def serve(batched):
+            sim = Simulator()
+            rec = MetricsRecorder(500.0)
+            ctrls = [ArrayController(LAYOUT, sim=sim) for _ in range(4)]
+            for shard, ctrl in enumerate(ctrls):
+                ctrl.obs, ctrl.obs_shard = rec, shard
+            digests = [{} for _ in ctrls]
+            scheduled, _ = _execute_shard_windows(
+                ctrls, route, _split(times, is_read, lbas, 16), digests,
+                batched=batched,
+            )
+            return sim, rec, (
+                sim.now,
+                scheduled,
+                [_disk_state(c) for c in ctrls],
+                [{k: summarize(v) for k, v in dg.items()} for dg in digests],
+                [c.last_engine for c in ctrls],
+                _rows(rec),
+            )
+
+        sim, rec, carry = serve(True)
+        late = [aborts[shard] for shard in range(3)]
+        assert late == sorted(set(late)) and aborts[3] == "settle", aborts
+        assert sim.events_processed == 0
+        assert rec.counters() == {"tie_abort_replays": 4}
+        sim, rec, pump = serve(False)
+        assert sim.events_processed > 0 and rec.counters() == {}
+        assert carry == pump
+        assert carry[4] == ["windowed-pump"] * 4
 
 
 class TestExecuteWindowsGate:

@@ -27,9 +27,18 @@ per-pair heap/engine wall-time ratio:
   8 ms, read fraction 0.7, seed 7, 30k requests), whose eager attempt
   tie-aborts, so the exact tier (label ``calendar``) replays it.
 
-Each case also names the engine it must land on; a run on any other
-engine fails the guard, and the JSON line lists such cases under
-``wrong_engine``.
+``windowed_exact`` streams the ``exact_tier`` shard in 4096-request
+windows (``StreamWindows``) through ``execute_windows`` — whose
+windowed eager attempt tie-aborts, so the shard replays on the exact
+core one window at a time — and through the windowed gate's chained
+heap pump on the same windows, in interleaved pairs.
+
+Each case also names the engine it must land on, and must leave
+``sim.events_processed`` at 0 (every guarded engine runs off the event
+heap).  A run on any other engine, or on the heap, fails the guard,
+and the JSON line lists such cases under ``wrong_engine``.  For
+``windowed_exact`` the event count is the only tell: both sides carry
+the label ``windowed-pump``.
 
 Runtime cases
 -------------
@@ -85,6 +94,14 @@ CASES = {
     "exact_tier": ((9, 3), 8.0, 0.7, None, "calendar", 1.6),
 }
 
+#: The windowed replay case: the exact_tier shard in windows of this
+#: many requests, and the floor on its best per-pair pump/exact ratio.
+#: Four runs on a 2-CPU host (Python 3.11, NumPy 2.4) measured
+#: 1.6-1.9 — the execute_windows side includes the eager attempt the
+#: tie aborts — against about 1x for a replay pinned to the pump.
+WINDOW = 4096
+WINDOWED_EXACT_FLOOR = 1.3
+
 #: Warm serves timed after the cold one; the best is compared.
 WARM_RUNS = 3
 
@@ -124,7 +141,7 @@ def engine_case(
         ArrayController(layout).mapper, cfg, interarrival_ms * REQUESTS
     )
 
-    def timed(engine: bool) -> tuple[float, str | None]:
+    def timed(engine: bool) -> tuple[float, "ArrayController"]:
         ctrl = ArrayController(layout)
         if failed_disk is not None:
             ctrl.fail_disk(failed_disk)
@@ -134,22 +151,74 @@ def engine_case(
         else:
             schedule_compiled(ctrl, trace)
             ctrl.sim.run()
-        return time.perf_counter() - t0, ctrl.last_engine
+        return time.perf_counter() - t0, ctrl
 
     timed(True)  # warm caches outside the timed pairs
     engine_best = heap_best = float("inf")
     ratio = 0.0
     for _ in range(PAIRS):
-        e, engine = timed(True)
+        e, ctrl = timed(True)
         h, _ = timed(False)
         engine_best = min(engine_best, e)
         heap_best = min(heap_best, h)
         ratio = max(ratio, h / e)
     return {
         "requests": trace.n,
-        "engine": engine,
+        "engine": ctrl.last_engine,
+        "events_processed": ctrl.sim.events_processed,
         "engine_requests_per_s": trace.n / engine_best,
         "heap_requests_per_s": trace.n / heap_best,
+        "ratio_heap_vs_engine": ratio,
+    }
+
+
+def windowed_exact_case() -> dict:
+    """Stream the ``exact_tier`` shard through ``execute_windows`` and
+    through the windowed gate's chained heap pump, in interleaved
+    pairs; report the best pump/exact ratio, the engine label and the
+    heap events the ``execute_windows`` side processed."""
+    import numpy as np
+
+    from repro.core import get_layout
+    from repro.sim import ArrayController, StreamWindows, WorkloadConfig
+    from repro.sim.stream import (
+        _execute_shard_windows,
+        _ShardRoute,
+        execute_windows,
+    )
+
+    layout = get_layout(9, 3)
+    cfg = WorkloadConfig(interarrival_ms=8.0, read_fraction=0.7, seed=7)
+    cap = ArrayController(layout).mapper.capacity
+    windows = StreamWindows(cfg, 8.0 * REQUESTS, cap, window_size=WINDOW)
+    route = _ShardRoute(np.zeros(1, dtype=np.int64), cap, cap, cap)
+
+    def timed(exact: bool) -> tuple[float, int, "ArrayController"]:
+        ctrl = ArrayController(layout)
+        t0 = time.perf_counter()
+        if exact:
+            n, _ = execute_windows(ctrl, windows)
+        else:
+            (n,), _ = _execute_shard_windows(
+                [ctrl], route, windows, [{}], batched=False
+            )
+        return time.perf_counter() - t0, n, ctrl
+
+    timed(True)  # warm caches outside the timed pairs
+    engine_best = heap_best = float("inf")
+    ratio = 0.0
+    for _ in range(PAIRS):
+        e, n, ctrl = timed(True)
+        h, _, _ = timed(False)
+        engine_best = min(engine_best, e)
+        heap_best = min(heap_best, h)
+        ratio = max(ratio, h / e)
+    return {
+        "requests": n,
+        "engine": ctrl.last_engine,
+        "events_processed": ctrl.sim.events_processed,
+        "engine_requests_per_s": n / engine_best,
+        "heap_requests_per_s": n / heap_best,
         "ratio_heap_vs_engine": ratio,
     }
 
@@ -246,11 +315,20 @@ def main() -> int:
     summary: dict = {"cases": {}}
     regressed = []
     wrong_engine = []
-    for name, (vk, gap, rf, failed, expected, floor) in CASES.items():
-        case = engine_case(vk, gap, rf, failed)
+    runs = [
+        (name, lambda c=c: engine_case(*c[:4]), c[4], c[5])
+        for name, c in CASES.items()
+    ]
+    runs.append(
+        ("windowed_exact", windowed_exact_case, "windowed-pump",
+         WINDOWED_EXACT_FLOOR)
+    )
+    for name, run, expected, floor in runs:
+        case = run()
         case.update(
             expected_engine=expected,
-            engine_ok=case["engine"] == expected,
+            engine_ok=case["engine"] == expected
+            and case["events_processed"] == 0,
             floor_ratio=floor,
             ok=case["ratio_heap_vs_engine"] >= floor,
         )
@@ -270,7 +348,8 @@ def main() -> int:
             wrong_engine.append(name)
             print(
                 f"bench-guard: {name:<24} ran on engine "
-                f"{case['engine']!r}, expected {expected!r} -> WRONG ENGINE"
+                f"{case['engine']!r} with {case['events_processed']} heap "
+                f"events, expected {expected!r} off the heap -> WRONG ENGINE"
             )
 
     warm = warm_serve_case()
@@ -311,8 +390,9 @@ def main() -> int:
             f"bench-guard: {', '.join(regressed)} fell below the floor — "
             "check the engine-selection gate in "
             "repro.sim.compile.execute_compiled, the eager tier's "
-            "fallback rate in repro.sim.batchstep, (for exact_tier) "
-            "repro.sim.batchstep._step_exact, and (for warm_serve) "
+            "fallback rate in repro.sim.batchstep, (for exact_tier "
+            "and windowed_exact) repro.sim.batchstep._ExactCore, and "
+            "(for warm_serve) "
             "the pool/cache reuse counters in "
             "repro.service.runtime.WarmRuntime"
         )
@@ -320,8 +400,9 @@ def main() -> int:
         print(
             f"bench-guard: {', '.join(wrong_engine)} fell off the fast "
             "path — check the engine-selection gate in "
-            "repro.sim.compile.execute_compiled and the eager tier's "
-            "tie-abort fallback in repro.sim.batchstep"
+            "repro.sim.compile.execute_compiled, the eager tier's "
+            "tie-abort fallback in repro.sim.batchstep and (for "
+            "windowed_exact) the replay in repro.sim.stream._windows_carry"
         )
     summary["regressed"] = regressed
     summary["wrong_engine"] = wrong_engine

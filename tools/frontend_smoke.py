@@ -12,6 +12,10 @@ the socket), and require
   warm runtime exists for must not change a byte of the report,
 * the front-end's ``ping`` stats to prove the warmth actually
   happened (``pool_warm_hits >= 1``, ``compile_cache_hits >= 1``),
+* a third serve of the stream, after one of the server's pool workers
+  is SIGKILLed, to reply ``ok`` with a report canonically identical to
+  the first and ``pool_reboots == 1`` in the ping stats (the runtime
+  reboots the broken pool and reruns the serve's group tasks),
 * a clean shutdown: exit code 0, no leftover
   ``/dev/shm/repro_wrt_<pid>_*`` segments from the server process,
   and no ``resource_tracker`` warnings or tracebacks on its stderr.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -134,6 +139,36 @@ class _Client:
         self._sock.close()
 
 
+def _pool_workers(pid: int) -> list[int]:
+    """The server's worker-pool processes: its children, less the
+    multiprocessing resource tracker (a child too, but not a worker)."""
+    workers = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+            cmdline = (stat.parent / "cmdline").read_bytes()
+        except (OSError, IndexError, ValueError):
+            continue  # the process exited while being read
+        if ppid == pid and b"resource_tracker" not in cmdline:
+            workers.append(int(stat.parent.name))
+    return sorted(workers)
+
+
+def _kill_worker(server_pid: int) -> int | None:
+    """SIGKILL one pool worker of the server and wait until the server
+    has reaped it (its executor notices the death and marks the pool
+    broken first).  Returns the killed pid, None if there was none."""
+    workers = _pool_workers(server_pid)
+    if not workers:
+        return None
+    victim = workers[0]
+    os.kill(victim, signal.SIGKILL)
+    deadline = time.monotonic() + STARTUP_TIMEOUT_S
+    while Path(f"/proc/{victim}").exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return victim
+
+
 def _submit_and_serve(client: _Client, times, is_read, lbas) -> dict:
     mid = len(times) // 2
     for lo, hi in ((0, mid), (mid, len(times))):
@@ -167,10 +202,13 @@ def main() -> int:
     proc, host, port = _start_server()
     failures: list[str] = []
     stats: dict = {}
+    killed: int | None = None
     try:
         client = _Client(host, port)
         cold = _submit_and_serve(client, times, is_read, lbas)
         warm = _submit_and_serve(client, times, is_read, lbas)
+        killed = _kill_worker(proc.pid)
+        rebooted = _submit_and_serve(client, times, is_read, lbas)
         stats = client.rpc({"op": "ping"})["runtime"]
         client.rpc({"op": "shutdown"})
         client.close()
@@ -179,10 +217,16 @@ def main() -> int:
             failures.append("cold served report differs from batch run")
         if canon(warm) != canon(cold):
             failures.append("warm served report differs from cold serve")
+        if killed is None:
+            failures.append("the server has no pool worker to kill")
+        if canon(rebooted) != canon(cold):
+            failures.append("report after a worker kill differs from cold")
         if stats.get("pool_warm_hits", 0) < 1:
             failures.append(f"no pool reuse across serves: {stats}")
         if stats.get("compile_cache_hits", 0) < 1:
             failures.append(f"no compiled-artifact cache hit: {stats}")
+        if stats.get("pool_reboots") != 1:
+            failures.append(f"killed worker did not reboot the pool: {stats}")
     finally:
         try:
             stderr = proc.communicate(timeout=60)[1] or ""
@@ -205,8 +249,9 @@ def main() -> int:
 
     summary = {
         "requests": int(times.size),
-        "serves": 2,
+        "serves": 3,
         "workers": 2,
+        "killed_worker": killed,
         "runtime": stats,
         "leaked_segments": leaked,
         "failures": failures,
@@ -217,10 +262,11 @@ def main() -> int:
         print(f"smoke-frontend: FAIL: {f}")
     if not failures:
         print(
-            "smoke-frontend: warm report identical to cold and batch "
-            f"({times.size} requests x 2 serves, "
+            "smoke-frontend: warm and post-kill reports identical to "
+            f"cold and batch ({times.size} requests x 3 serves, "
             f"{stats.get('pool_warm_hits', 0)} pool warm hit(s), "
-            f"{stats.get('compile_cache_hits', 0)} cache hit(s)), "
+            f"{stats.get('compile_cache_hits', 0)} cache hit(s), "
+            f"{stats.get('pool_reboots', 0)} pool reboot(s)), "
             "clean shutdown, no leaked segments"
         )
     return 0 if not failures else 1
