@@ -568,7 +568,9 @@ class AutoscaleController:
         self._armed = False
 
     def arm(self) -> None:
-        """Schedule the first tick on the fleet's clock.
+        """Schedule the first tick on the fleet's clock.  Ticks name no
+        shard: a decision can reshape the whole fleet, so every shard
+        stays on the event heap.
 
         Raises:
             RuntimeError: if armed twice.

@@ -17,9 +17,12 @@ gate of ``repro.sim`` runs them
 carry driver :func:`repro.sim.stream._windows_carry`): on an idle
 clock each shard takes its cheapest engine — the analytic queue
 solver for single-phase traces, the batch-stepped executor for mixed
-ones — and the shared event heap runs every shard when timers
-(failure injections, migration copies) are armed.  The multi-process
-shard groups call the same gate.  No per-request Python happens
+ones — and the shared event heap runs the shards that armed timers
+name (a failure injection names its array; a migration copy, every
+shard), while the rest replay the heap's order on the exact core.
+Windowed serves with anything armed take the window router, which
+keeps every shard on the heap.  The multi-process shard groups call
+the same gate.  No per-request Python happens
 between the socket (here: the stream vectors) and the disk queues.
 
 Routing is also *mutable* per volume: the fleet routes through a
@@ -392,6 +395,14 @@ class Fleet:
         """Execute pre-routed per-shard traces (the
         :meth:`route_stream` output) and report.
 
+        The traces run through the shard-set engine gate
+        (:func:`repro.sim.compile._execute_shards`): on an idle clock
+        each shard takes its cheapest exact engine.  With events armed,
+        only the shards they name run on the shared event heap — a
+        failure names its array, a migration every shard — and each
+        other shard replays its trace on the exact core from the
+        stream's start, keeping the heap's label and bits.
+
         Raises:
             ValueError: if the trace count does not match the fleet.
         """
@@ -410,7 +421,7 @@ class Fleet:
         ios_base = [ctrl.per_disk_completed() for ctrl in self.controllers]
         mig_base = self.migration_dispatch_totals()
         # Each shard picks its cheapest engine on an idle clock; armed
-        # timers or in-flight events put every shard on the heap.
+        # events put the shards they name on the heap.
         _execute_shards(self.controllers, compiled)
         # This stream's samples as per-shard exact accumulators (shards
         # a reshape bore mid-run have no earlier samples).
@@ -556,6 +567,7 @@ class Fleet:
             ],
             self.sim.now - start,
             [c.last_engine for c in self.controllers],
+            [c.last_executor for c in self.controllers],
         )
 
 
@@ -565,6 +577,7 @@ def _fold_report(
     per_disk_ios: list[list[int]],
     duration_ms: float,
     engines: list[str | None],
+    executors: list[str | None],
 ) -> FleetReport:
     """Fold per-shard tallies (indexed by shard id) into one
     :class:`FleetReport` — the one fold behind the serial fleet's
@@ -605,12 +618,14 @@ def _fold_report(
         ],
         per_disk_ios=per_disk_ios,
     )
-    # A plain (non-field) attribute: the engine each shard's execution
-    # actually used.  Kept out of the dataclass fields so
-    # asdict()/equality comparisons — the byte-identity tests — never
-    # see it (windowed and materialized serves legitimately pick
-    # differently-labelled engines for identical reports).
+    # Plain (non-field) attributes: the engine label each shard's
+    # execution used, and the executor that ran it.  Kept out of the
+    # dataclass fields so asdict()/equality comparisons — the
+    # byte-identity tests — never see them (windowed and materialized
+    # serves legitimately pick differently-labelled engines for
+    # identical reports).
     object.__setattr__(report, "engines", list(engines))
+    object.__setattr__(report, "executors", list(executors))
     return report
 
 
@@ -745,5 +760,5 @@ class _WindowRouter:
             [0] * (len(fleet.controllers) - len(self.scheduled))
         )
         for ctrl in fleet.controllers:
-            ctrl.set_engine("windowed-pump")
+            ctrl.set_engine("windowed-pump", "event-heap")
         return self.windows

@@ -335,7 +335,10 @@ class MigrationCoordinator:
     # ------------------------------------------------------------------
 
     def arm(self) -> None:
-        """Schedule the reshape on the fleet's shared clock.
+        """Schedule the reshape on the fleet's shared clock.  The event
+        names no shard: the reshape re-routes volumes across the fleet
+        and may add arrays, so it touches every shard and the engine
+        gates keep the whole fleet on the event heap.
 
         Raises:
             RuntimeError: if armed twice.

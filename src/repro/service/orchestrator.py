@@ -220,7 +220,11 @@ class FailureOrchestrator:
     # ------------------------------------------------------------------
 
     def arm(self) -> None:
-        """Schedule every failure on the fleet's shared clock.
+        """Schedule every failure on the fleet's shared clock, each
+        naming its array.  A failure, its admission wait and its rebuild
+        touch only arrays with failures of their own (all named), so
+        the engine gates keep the rest of the fleet off the event
+        heap.
 
         Raises:
             RuntimeError: if armed twice.
@@ -229,7 +233,11 @@ class FailureOrchestrator:
             raise RuntimeError("orchestrator already armed")
         self._armed = True
         for ev in self.failures:
-            self.fleet.sim.at(ev.time_ms, self._make_failure(ev))
+            self.fleet.sim.arm(
+                ev.time_ms,
+                self._make_failure(ev),
+                (self.fleet.controllers[ev.array],),
+            )
 
     def _make_failure(self, ev: FailureEvent):
         def fire() -> None:

@@ -74,7 +74,10 @@ couplings the partition keys on; and each group runs the serial
 fleet's own engine gate (:func:`repro.sim.compile._execute_shards`,
 :func:`repro.sim.stream._execute_shard_windows`), allowing the fast
 engines only when the scenario arms no failure and no reshape —
-exactly when the serial fleet's clock is idle at serve time.
+exactly when the serial fleet's clock is idle at serve time.  Past
+that, the gate picks per shard on both sides: only shards an armed
+event names run on the event heap, and the rest replay the heap's
+serialization on the exact core.
 """
 
 from __future__ import annotations
@@ -453,6 +456,8 @@ class GroupResult:
         engines: per-shard engine labels (group order; ``None`` entries
             for shards that never ran an engine).  Always populated —
             the report surfaces engine choice even with metrics off.
+        executors: per-shard executors that ran them (group order; the
+            report's volatile ``executor_per_shard``).
         obs: the worker's :class:`repro.obs.MetricsRecorder` when the
             run is instrumented (the parent absorbs it), else ``None``.
     """
@@ -466,6 +471,7 @@ class GroupResult:
     digests: list[dict[str, LatencyDigest]]
     migrations: list[VolumeMigrationOutcome] = field(default_factory=list)
     engines: list[str | None] = field(default_factory=list)
+    executors: list[str | None] = field(default_factory=list)
     obs: MetricsRecorder | None = None
 
 
@@ -517,6 +523,7 @@ def _group_result(
         digests=digests,
         migrations=migrations or [],
         engines=[ctrl.last_engine for ctrl in controllers],
+        executors=[ctrl.last_executor for ctrl in controllers],
         obs=rec,
     )
 
@@ -538,13 +545,16 @@ def _execute_group(task: GroupTask, source) -> GroupResult:
     admission share.  The shard-set engine gate of ``repro.sim``
     (:func:`repro.sim.compile._execute_shards`,
     :func:`repro.sim.stream._execute_shard_windows`) then runs the
-    traffic.  The serial fleet takes the batched/carry engines only
-    when its shared clock is idle at serve time — when the scenario
-    arms no failure and no reshape — so a healthy group must not take
-    them just because its own slice is quiet while another group
-    rebuilds.  Whenever anything is armed the gate drains the clock
-    itself (failures past the last completion included), so the merged
-    report equals the serial one exactly.
+    traffic.  The serial fleet takes the fastest engines only when its
+    shared clock is idle at serve time — when the scenario arms no
+    failure and no reshape — so every group of a scenario that arms
+    either passes ``fleet_busy``: a group's own clock may be idle while
+    another group rebuilds.  The gate then decides per shard, exactly
+    as on the serial clock: a shard whose failure this group armed runs
+    on the event heap, every other shard replays the heap's
+    serialization on the exact core under the heap's labels.  The gate
+    drains the clock itself (failures past the last completion
+    included), so the merged report equals the serial one exactly.
     """
     t0 = time.perf_counter()
     sc, arrays = task.scenario, task.group.arrays
@@ -579,10 +589,10 @@ def _execute_group(task: GroupTask, source) -> GroupResult:
             parallelism=sc.rebuild_parallelism,
         )
         orchestrator.arm()
-    batched = not sc.failures and sc.reshape_to is None
+    fleet_busy = bool(sc.failures) or sc.reshape_to is not None
     digests: list[dict[str, LatencyDigest]] = [{} for _ in arrays]
     if task.route is None:
-        _execute_shards(controllers, source, batched=batched)
+        _execute_shards(controllers, source, fleet_busy=fleet_busy)
         scheduled = [t.n for t in source]
         for ctrl, digest in zip(controllers, digests):
             _sweep(ctrl.latency, {}, digest)
@@ -593,7 +603,7 @@ def _execute_group(task: GroupTask, source) -> GroupResult:
             source,
             digests,
             read_only_hint=sc.read_fraction >= 1.0,
-            batched=batched,
+            fleet_busy=fleet_busy,
         )
     outcomes = []
     if orchestrator is not None:
@@ -740,6 +750,7 @@ def _merge_results(
     accs: list[dict[str, LatencyDigest]] = [{} for _ in range(n)]
     per_disk: list[list[int]] = [[0] * scenario.v for _ in range(n)]
     engines: list[str | None] = [None] * n
+    executors: list[str | None] = [None] * n
     duration = 0.0
     outcomes: list[RebuildOutcome] = []
     migrations: list[VolumeMigrationOutcome] = []
@@ -751,9 +762,10 @@ def _merge_results(
             scheduled[gid] = res.scheduled[i]
             per_disk[gid] = res.per_disk_ios[i]
             engines[gid] = res.engines[i]
+            executors[gid] = res.executors[i]
             accs[gid] = res.digests[i]
     return (
-        _fold_report(scheduled, accs, per_disk, duration, engines),
+        _fold_report(scheduled, accs, per_disk, duration, engines, executors),
         tuple(sorted(outcomes, key=lambda o: o.array)),
         tuple(sorted(migrations, key=lambda m: m.volume)),
     )
@@ -829,18 +841,26 @@ class ParallelScenarioRun:
 
 
 _VOLATILE_KEYS = frozenset(
-    {"wall_s", "parallel", "serial_fallback", "fallback_reason", "runtime"}
+    {
+        "wall_s",
+        "parallel",
+        "serial_fallback",
+        "fallback_reason",
+        "runtime",
+        "executor_per_shard",
+    }
 )
 
 
 def canonical_payload(payload: dict) -> dict:
     """A report payload with run-to-run-volatile fields removed: wall
     clock times (``wall_s`` at any depth), the ``parallel``
-    execution-metadata section, and the warm runtime's ``runtime``
-    stats section (cache hits and pool reuse are properties of the
-    serving session, not of the report).  Two runs of the same
-    scenario — serial, ``workers=1``, ``workers=N``, cold or warm —
-    must produce *identical* canonical payloads; this is the
+    execution-metadata section, the warm runtime's ``runtime`` stats
+    section (cache hits and pool reuse are properties of the serving
+    session, not of the report), and ``executor_per_shard`` (which
+    executor replayed each shard's engine serialization).  Two runs of
+    the same scenario — serial, ``workers=1``, ``workers=N``, cold or
+    warm — must produce *identical* canonical payloads; this is the
     merge-equality gate the tests and the benchmark suite check with
     ``json.dumps(..., sort_keys=True)`` string comparison.
     """

@@ -252,6 +252,13 @@ class FleetScenarioReport:
         only received dispatched requests)."""
         return list(getattr(self.fleet, "engines", None) or [])
 
+    def executor_per_shard(self) -> list[str | None]:
+        """The executor that ran each shard (``event-heap`` /
+        ``exact-core`` / ``eager`` / ``solver``) — the engine label
+        names a serialization, which ``heap`` and ``windowed-pump``
+        shards may get from either the event heap or the exact core."""
+        return list(getattr(self.fleet, "executors", None) or [])
+
     def engine_label(self) -> str | None:
         """One label for the whole run: the common engine when every
         shard agrees, ``"mixed"`` otherwise, ``None`` when no shard ran
@@ -308,6 +315,9 @@ class FleetScenarioReport:
             # identity holds per execution mode.)
             "engine": self.engine_label(),
             "engine_per_shard": self.engine_per_shard(),
+            # Volatile (stripped by canonical_payload): a serial and a
+            # grouped serve may replay a shard on different executors.
+            "executor_per_shard": self.executor_per_shard(),
             "fleet": {
                 "shards": self.fleet.shards,
                 "scheduled": self.fleet.scheduled,

@@ -45,9 +45,14 @@ is handled naturally: the follow-on IOs are submitted inside their
 parent's completion.  It is one resumable core with the eager tier's
 feed/finish protocol: :func:`step_compiled` feeds it a whole plan once
 (label ``calendar`` — the name of the calendar-queue engine it
-replaced, kept because it is a canonical report field), and the
-windowed executor feeds a tie-aborted shard one window plan at a time
-(label ``windowed-pump``, the heap pump it replays).  A feed holds its
+replaced, kept because it is a canonical report field), the shard-set
+gates feed it a quiet shard beside armed ones (labels ``heap`` and
+``windowed-pump``, the serializations it reproduces), and the windowed
+executor feeds a tie-aborted shard one window plan at a time (label
+``windowed-pump``).  The core owns the whole timeline, so a healthy
+controller without content hooks takes each plan's data-plane small
+writes as one fold (:meth:`repro.sim.dataplane.DataPlane.fold_small_writes`)
+instead of one numpy write per arrival.  A feed holds its
 last arrival epoch open until the next window shows whether the epoch
 continues, as the chained pump does.
 
@@ -536,7 +541,10 @@ def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
     traces without a data plane, feed the plan to the eager tier
     (:class:`_EagerCore`); on an ambiguous tie, or for any other shape,
     feed the same plan to the exact tier (:class:`_ExactCore`, labelled
-    ``calendar``).
+    ``calendar``), which folds a healthy, hookless data plane's small
+    writes into one vectorized pass.  (The shard-set gate
+    :func:`repro.sim.compile._execute_shards` replays a quiet shard
+    beside armed ones on the same exact tier, labelled ``heap``.)
 
     Args:
         ctrl: the array controller (any failure state, any write
@@ -565,7 +573,7 @@ def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
     if ctrl.data is None and ctrl.write_policy == "rmw":
         core = _EagerCore(ctrl)
         if core.feed(run) and core.finish(_controller_sink(ctrl)):
-            ctrl.set_engine("eager")
+            ctrl.set_engine("eager", "eager")
             return run.n
         # An exact timestamp tie (order-ambiguous) left the controller
         # untouched: free the core's buffers, replay the same plan.
@@ -700,6 +708,12 @@ class _ExactCore:
             n = run.n
             single = run.single
             writes = run.writes
+            if ctrl.data is not None and ctrl._fold_write_dataplane(
+                run._compiled
+            ):
+                # The core owns the timeline: the plan's healthy small
+                # writes land in one fold, not one numpy write each.
+                writes = (None,) * n
             self._cols = self._columns(run)
         atimes, wfast, plans, wrem, grem, gidx = self._cols
         params = ctrl.params
@@ -970,10 +984,14 @@ class _ExactCore:
         self.ctrl.sim.now = self.now
 
 
-def _step_exact(ctrl: "ArrayController", run: _CompiledRun) -> int:
+def _step_exact(
+    ctrl: "ArrayController", run: _CompiledRun, label: str = "calendar"
+) -> int:
     """The exact tier on one whole plan: a single :class:`_ExactCore`
-    feed, labelled ``calendar`` (a canonical report field)."""
-    ctrl.set_engine("calendar")
+    feed, labelled ``calendar`` (a canonical report field) — or, for a
+    quiet shard the fleet gate replays beside armed ones, ``heap``: the
+    serialization it reproduces."""
+    ctrl.set_engine(label, "exact-core")
     core = _ExactCore(ctrl)
     core.feed(run)
     core.finish()

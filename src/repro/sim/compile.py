@@ -30,8 +30,10 @@ event loop:
   (:mod:`repro.sim.batchstep`) for mixed traces on an idle array, and
   the general heap otherwise — all bit-identical;
 * :func:`_execute_shards` is the same gate for a set of shards on one
-  clock — the serial fleet and every shard group run their traces
-  through it.
+  clock — the serial fleet, every shard group and the warm runtime run
+  their traces through it.  On a busy clock it picks per shard: the
+  event heap for shards an armed event names, the exact core for the
+  rest.
 
 :func:`schedule_compiled_scalar` is the thin wrapper that keeps the old
 per-event path alive: the same compiled stream, submitted through the
@@ -443,6 +445,18 @@ class _ObsSink:
         self.obs.record(self.shard, self.kind, self.sim.now, lat)
 
 
+def _tail(compiled: CompiledTrace, start: int) -> CompiledTrace:
+    """The requests of ``compiled`` from ``start`` on."""
+    return CompiledTrace(
+        times=compiled.times[start:],
+        is_read=compiled.is_read[start:],
+        lbas=compiled.lbas[start:],
+        disks=compiled.disks[start:],
+        offsets=compiled.offsets[start:],
+        stripes=compiled.stripes[start:],
+    )
+
+
 class _CompiledRun:
     """Chained-arrival pump: one pending event drives the whole trace.
 
@@ -516,8 +530,8 @@ class _CompiledRun:
         self.n = compiled.n
         self._i = 0
         # Plans are valid for this failure state; if a disk fails after
-        # scheduling but before an arrival fires, that request re-plans
-        # live (matching the scalar path's fire-time planning).
+        # scheduling, the next arrival event re-plans the rest of the
+        # window (matching the scalar path's fire-time planning).
         self._planned_failed = ctrl.failed_disk
         self._compiled = compiled
 
@@ -525,10 +539,10 @@ class _CompiledRun:
         disks = compiled.disks.tolist()
         offsets = compiled.offsets.tolist()
         is_read = compiled.is_read.tolist()
-        # Fast paths: healthy single-IO reads carry just (disk, offset)
-        # and healthy read-modify-writes a flat (d, o, pd, po) — no
-        # request object, no phase lists.  Everything degraded carries a
-        # full (kind, phases) plan.
+        # Fast paths: single-IO reads carry just (disk, offset) and
+        # read-modify-writes that touch no failed disk a flat (d, o,
+        # pd, po) — no request object, no phase lists.  Everything
+        # degraded carries a full (kind, phases) plan.
         self.single: list[tuple[int, int] | None]
         self.wfast: list[tuple[int, int, int, int] | None] = [None] * self.n
         self.plans: list[tuple[str, list[list[tuple[int, int, bool]]]] | None] = (
@@ -538,51 +552,56 @@ class _CompiledRun:
         self.writes: list[tuple[int, int, int, int] | None] = [None] * self.n
 
         failed = ctrl.failed_disk
-        rmw = ctrl.write_policy == "rmw"
         if failed is None:
-            # One map_batch_parity over the writes; every slot is filled
-            # from tolist() columns, so it holds plain Python ints.
             self.single = [
                 pos if r else None
                 for pos, r in zip(zip(disks, offsets), is_read)
             ]
-            widx = np.flatnonzero(~compiled.is_read)
-            if widx.size:
-                wlbas = compiled.lbas[widx]
-                wd, wo, ws, wpd, wpo = ctrl.mapper.map_batch_parity(wlbas)
-                slots = widx.tolist()
-                wd, wo = wd.tolist(), wo.tolist()
-                ios = zip(wd, wo, wpd.tolist(), wpo.tolist())
-                if rmw:
-                    wfast = self.wfast
-                    for i, w in zip(slots, ios):
-                        wfast[i] = w
-                else:
-                    # Write-through: new data + parity in one phase.
-                    plans = self.plans
-                    for i, (d, o, pd, po) in zip(slots, ios):
-                        plans[i] = ("write", [[(d, o, True), (pd, po, True)]])
-                if ctrl.data is not None:
-                    writes = self.writes
-                    ctx = zip((ws % b).tolist(), wd, wo, wlbas.tolist())
-                    for i, w in zip(slots, ctx):
-                        writes[i] = w
         else:
-            self.single = [None] * self.n
-            stripes = compiled.stripes.tolist()
-            lbas = compiled.lbas.tolist()
-            for i, r in enumerate(is_read):
-                d, o, sid = disks[i], offsets[i], stripes[i] % b
-                if r:
-                    kind, phases = ctrl.request_plan(True, d, o, sid)
-                    if kind == "read":
-                        self.single[i] = (d, o)
-                    else:
-                        self.plans[i] = (kind, phases)
+            # Reads on a surviving disk stay single-IO; reads of the
+            # failed disk reconstruct from the rest of the stripe.
+            self.single = [
+                pos if r and pos[0] != failed else None
+                for pos, r in zip(zip(disks, offsets), is_read)
+            ]
+            plans = self.plans
+            lost = np.flatnonzero(compiled.is_read & (compiled.disks == failed))
+            sids = (compiled.stripes[lost] % b).tolist()
+            for i, sid in zip(lost.tolist(), sids):
+                plans[i] = ctrl.request_plan(True, disks[i], offsets[i], sid)
+        widx = np.flatnonzero(~compiled.is_read)
+        if not widx.size:
+            return
+        # One map_batch_parity over the writes; every slot is filled
+        # from tolist() columns, so it holds plain Python ints.
+        wlbas = compiled.lbas[widx]
+        wd, wo, ws, wpd, wpo = ctrl.mapper.map_batch_parity(wlbas)
+        slots = widx.tolist()
+        wd, wo = wd.tolist(), wo.tolist()
+        ios = zip(wd, wo, wpd.tolist(), wpo.tolist())
+        plans = self.plans
+        if failed is not None:
+            for i, w, sid in zip(slots, ios, (ws % b).tolist()):
+                d, o, pd, po = w
+                if d == failed or pd == failed:
+                    plans[i] = ctrl.request_plan(False, d, o, sid)
+                elif ctrl.write_policy == "rmw":
+                    self.wfast[i] = w
                 else:
-                    self.plans[i] = ctrl.request_plan(False, d, o, sid)
-                    if ctrl.data is not None:
-                        self.writes[i] = (sid, d, o, lbas[i])
+                    plans[i] = ("write", [[(d, o, True), (pd, po, True)]])
+        elif ctrl.write_policy == "rmw":
+            wfast = self.wfast
+            for i, w in zip(slots, ios):
+                wfast[i] = w
+        else:
+            # Write-through: new data + parity in one phase.
+            for i, (d, o, pd, po) in zip(slots, ios):
+                plans[i] = ("write", [[(d, o, True), (pd, po, True)]])
+        if ctrl.data is not None:
+            writes = self.writes
+            ctx = zip((ws % b).tolist(), wd, wo, wlbas.tolist())
+            for i, w in zip(slots, ctx):
+                writes[i] = w
 
     def schedule(self) -> None:
         """Arm the pump (no-op for an empty trace)."""
@@ -599,42 +618,40 @@ class _CompiledRun:
         # the epoch continues in the same event, preserving the heap's
         # one-pump-event-per-epoch serialization.
         while True:
+            if ctrl.failed_disk != self._planned_failed:
+                # A disk failed since the window was planned.  Plans are
+                # a pure function of the failure state, which cannot
+                # change while this event runs (fail injections are
+                # events of their own), so the rest of the window
+                # re-plans once — what fire-time planning would give
+                # each request — and stays on the inlined paths.
+                self._load(_tail(self._compiled, self._i))
             times = self.times
             i = self._i
             n = self.n
-            # The failure state cannot change while this event runs
-            # (fail injections are events of their own), so one
-            # stale-plan check covers the whole epoch and the
-            # healthy-read fast path inlines submission: one DiskIO, no
-            # per-request dispatch.
-            if ctrl.failed_disk == self._planned_failed:
-                single = self.single
-                disks = ctrl.disks
-                sink = self._read_sink
-                while i < n and times[i] == now:
-                    pos = single[i]
-                    if pos is not None:
-                        if sink is None:
-                            sink = ctrl.latency.setdefault(
-                                "read", LatencyStats()
-                            ).samples
-                            if ctrl.obs.enabled:
-                                sink = _ObsSink(
-                                    sink, ctrl.obs, ctrl.obs_shard, "read", sim
-                                )
-                            self._read_sink = sink
-                        disks[pos[0]].submit(
-                            DiskIO(
-                                offset=pos[1], is_write=False, latency_sink=sink
+            # The healthy-read fast path inlines submission: one DiskIO,
+            # no per-request dispatch.
+            single = self.single
+            disks = ctrl.disks
+            sink = self._read_sink
+            while i < n and times[i] == now:
+                pos = single[i]
+                if pos is not None:
+                    if sink is None:
+                        sink = ctrl.latency.setdefault(
+                            "read", LatencyStats()
+                        ).samples
+                        if ctrl.obs.enabled:
+                            sink = _ObsSink(
+                                sink, ctrl.obs, ctrl.obs_shard, "read", sim
                             )
-                        )
-                    else:
-                        self._submit(i, now)
-                    i += 1
-            else:
-                while i < n and times[i] == now:
-                    self._replan_live(i, now)
-                    i += 1
+                        self._read_sink = sink
+                    disks[pos[0]].submit(
+                        DiskIO(offset=pos[1], is_write=False, latency_sink=sink)
+                    )
+                else:
+                    self._submit(i, now)
+                i += 1
             self._i = i
             if i < n:
                 sim.at(times[i], self._fire)
@@ -657,23 +674,6 @@ class _CompiledRun:
             if nxt.n:
                 self._load(nxt)
                 return True
-
-    def _replan_live(self, i: int, now: float) -> None:
-        """Fire-time planning for a request whose compile-time plan went
-        stale (a disk failed mid-run) — exactly what the scalar path
-        does for every request."""
-        ctrl = self.ctrl
-        c = self._compiled
-        d, o = int(c.disks[i]), int(c.offsets[i])
-        sid = int(c.stripes[i]) % ctrl.layout.b
-        is_read = bool(c.is_read[i])
-        if not is_read and ctrl.data is not None:
-            ctrl._apply_write_dataplane(
-                sid, d, o, ctrl._default_payload(int(c.lbas[i]))
-            )
-        kind, phases = ctrl.request_plan(is_read, d, o, sid)
-        req = _Request(kind=kind, start=now, on_done=None, phases=phases)
-        ctrl._issue_phase(req)
 
     def _submit(self, i: int, now: float) -> None:
         """Submit a non-single-IO request (writes and degraded plans);
@@ -759,7 +759,7 @@ def schedule_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
         >>> sum(st.count for st in ctrl.latency.values()) == trace.n
         True
     """
-    ctrl.set_engine("heap")
+    ctrl.set_engine("heap", "event-heap")
     _CompiledRun(ctrl, compiled).schedule()
     return compiled.n
 
@@ -852,7 +852,7 @@ def solve_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
         )
     if ctrl.sim.pending():
         raise RuntimeError("solve_compiled requires an idle simulator")
-    ctrl.set_engine("solver")
+    ctrl.set_engine("solver", "solver")
     n = compiled.n
     if n == 0:
         return 0
@@ -948,9 +948,12 @@ def _solve_fifo(
             counts[widx[wnormal]] = 2
             kind_code[widx[wnormal]] = 2
             kind_code[widx[~wnormal]] = 3
-            if ctrl.data is not None:
+            if ctrl.data is not None and not ctrl._fold_write_dataplane(
+                compiled
+            ):
                 # Content semantics in request order, exactly as the
-                # event engine applies them at each write's arrival.
+                # event engine applies them at each write's arrival
+                # (a healthy, hookless array folds them in one pass).
                 b = ctrl.layout.b
                 wlbas = compiled.lbas[widx].tolist()
                 for j in range(len(widx)):
@@ -1124,39 +1127,70 @@ def execute_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
     return step_compiled(ctrl, compiled)
 
 
+def _on_heap(ctrl: ArrayController, armed: frozenset | None) -> bool:
+    """Whether a shard of a set on a busy clock must run on the event
+    heap: something foreign is scheduled on it (``armed`` names it, or
+    is ``None`` — a pending event that names no shard may touch any),
+    or its degenerate service model rules the exact core out."""
+    return armed is None or ctrl in armed or ctrl.params.min_service_ms <= 0.0
+
+
 def _execute_shards(
     controllers: Sequence[ArrayController],
     traces: Sequence[CompiledTrace],
     *,
-    batched: bool = True,
+    fleet_busy: bool = False,
 ) -> None:
     """Run one compiled trace per controller, all on the controllers'
     one shared clock — the engine gate for a set of shards.
 
-    With ``batched`` and nothing pending on the clock, the shards share
-    no events, so each runs :func:`execute_compiled` (its fastest exact
-    engine) from the common start time and the clock then advances to
-    the set's makespan.  Otherwise every trace is scheduled on the
-    event heap and the clock drains once, so armed timers (failures,
-    rebuilds, migration copies) interleave with all of them.  A shard
-    group passes ``batched=False`` when the serial fleet's clock would
-    be busy even though its own is idle (a failure armed elsewhere), so
-    its engine labels match the serial run's.  With a metrics recorder
-    attached, each shard's arrivals are recorded first.
+    On an idle clock the shards share no events, so each runs
+    :func:`execute_compiled` (its fastest exact engine) from the common
+    start time and the clock then advances to the set's makespan.
+
+    When the clock carries foreign events (failure timers, rebuild IO,
+    migration copies) — or, with ``fleet_busy``, the serial fleet's
+    clock would although this one is idle (a shard group of a scenario
+    that arms failures elsewhere) — the gate decides per shard.  A shard
+    goes to the event heap only if something foreign is scheduled on
+    it (:meth:`repro.sim.events.Simulator.armed_shards` names it; a
+    pending event naming no shard puts every shard there): its trace is
+    scheduled, and the clock drains once so the armed events interleave
+    with it.  Every other shard replays its trace on the exact core
+    (:class:`repro.sim.batchstep._ExactCore`), off the clock, from the
+    common start time — the heap's own ``(time, seq)`` serialization,
+    so it keeps the heap's label ``heap`` and its bits; only
+    ``last_executor`` says ``exact-core``.  The clock then advances to
+    the later of the heap's drain and the replays' ends.  With a
+    metrics recorder attached, each shard's arrivals are recorded
+    first.
     """
     sim = controllers[0].sim
     base = sim.now
     for ctrl, trace in zip(controllers, traces):
         if ctrl.obs.enabled and trace.n:
             ctrl.obs.arrivals(ctrl.obs_shard, base + trace.times)
-    if batched and not sim.pending():
-        end = base
+    end = base
+    if not fleet_busy and not sim.pending():
         for ctrl, trace in zip(controllers, traces):
             sim.now = base
             execute_compiled(ctrl, trace)
             end = max(end, sim.now)
         sim.now = end
-    else:
-        for ctrl, trace in zip(controllers, traces):
-            schedule_compiled(ctrl, trace)
-        sim.run()
+        return
+    from .batchstep import _step_exact
+
+    armed = sim.armed_shards()
+    heap = []
+    for ctrl, trace in zip(controllers, traces):
+        if _on_heap(ctrl, armed):
+            heap.append((ctrl, trace))
+            continue
+        sim.now = base
+        _step_exact(ctrl, _CompiledRun(ctrl, trace), "heap")
+        end = max(end, sim.now)
+    sim.now = base
+    for ctrl, trace in heap:
+        schedule_compiled(ctrl, trace)
+    sim.run()
+    sim.now = max(end, sim.now)

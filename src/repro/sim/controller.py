@@ -97,6 +97,12 @@ class ArrayController:
     #: attribute so cross-engine report-equality comparisons stay
     #: byte-identical.
     last_engine: str | None = None
+    #: The executor that actually ran that traffic ("event-heap" /
+    #: "exact-core" / "eager" / "solver").  ``heap`` and
+    #: ``windowed-pump`` name a serialization that either the event
+    #: heap or the exact core replays; this says which one did.
+    #: Volatile: never in a canonical report or the metrics.
+    last_executor: str | None = None
 
     def __init__(
         self,
@@ -349,6 +355,32 @@ class ArrayController:
         assert self.data is not None
         return np.full(self.data.unit_words, lba + 1, dtype=np.uint64)
 
+    def _fold_write_dataplane(self, compiled) -> bool:
+        """Apply every write of a compiled trace (default payloads) to
+        the data plane in one :meth:`DataPlane.fold_small_writes` — for
+        an engine that owns the whole timeline, where no rebuild or
+        copy reads the store mid-run.  The fold is only exact for
+        healthy small writes observed by nobody: with a failed disk or
+        a registered content / degraded-write hook it declines
+        (returns False, nothing applied) and the caller keeps the
+        per-write path."""
+        assert self.data is not None
+        if (
+            self.failed_disk is not None
+            or self._degraded_write_hooks
+            or self._content_write_hooks
+        ):
+            return False
+        w = ~compiled.is_read
+        if w.any():
+            self.data.fold_small_writes(
+                compiled.stripes[w] % self.layout.b,
+                compiled.disks[w],
+                compiled.offsets[w],
+                (compiled.lbas[w] + 1).astype(np.uint64)[:, None],
+            )
+        return True
+
     def request_plan(
         self, is_read: bool, disk: int, offset: int, stripe_id: int
     ) -> tuple[RequestKind, list[list[tuple[int, int, bool]]]]:
@@ -398,11 +430,13 @@ class ArrayController:
     # Reporting
     # ------------------------------------------------------------------
 
-    def set_engine(self, label: str) -> None:
+    def set_engine(self, label: str, executor: str) -> None:
         """Record ``label`` as the engine that ran this controller's
         traffic: :attr:`last_engine`, and the metrics recorder's label
-        for this shard."""
+        for this shard; ``executor`` goes to :attr:`last_executor`
+        only."""
         self.last_engine = label
+        self.last_executor = executor
         self.obs.set_engine(self.obs_shard, label)
 
     def per_disk_completed(self) -> list[int]:

@@ -5,6 +5,11 @@ a monotonic tie-breaking sequence number (equal-time events fire in
 schedule order, which keeps runs deterministic).  The exact tier of
 :mod:`repro.sim.batchstep` replays this ``(time, seq)`` serialization
 without callbacks, over a private heap of in-flight disk completions.
+
+Events armed with :meth:`Simulator.arm` name the shards (array
+controllers) they touch; :meth:`Simulator.armed_shards` reports them,
+which is how the shard-set engine gates keep a shard off the heap when
+nothing foreign is scheduled on it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ class Simulator:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._processed = 0
+        # seq -> the shards an armed event names (see arm()); entries of
+        # fired events are pruned by armed_shards().
+        self._claims: dict[int, frozenset] = {}
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` at ``now + delay``.
@@ -55,6 +63,33 @@ class Simulator:
             )
         heapq.heappush(self._heap, (time, self._seq, fn))
         self._seq += 1
+
+    def arm(self, time: float, fn: Callable[[], None], shards) -> None:
+        """Run ``fn`` at absolute time ``time``, like :meth:`at`, naming
+        the ``shards`` (array controllers) the event and everything it
+        sets off touch — a failure timer names its array, whose rebuild
+        IO it starts.  An event scheduled without names (:meth:`at`,
+        :meth:`schedule`) may touch any shard.
+
+        Raises:
+            ValueError: if ``time`` is in the past.
+        """
+        seq = self._seq
+        self.at(time, fn)
+        self._claims[seq] = frozenset(shards)
+
+    def armed_shards(self) -> frozenset | None:
+        """The shards that pending events name, or ``None`` when some
+        pending event names none (so it may touch every shard)."""
+        claims = self._claims
+        live: dict[int, frozenset] = {}
+        for _time, seq, _fn in self._heap:
+            names = claims.get(seq)
+            if names is None:
+                return None
+            live[seq] = names
+        self._claims = live
+        return frozenset().union(*live.values())
 
     def step(self) -> bool:
         """Fire the next event; return False if the queue is empty."""

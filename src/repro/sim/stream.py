@@ -14,10 +14,11 @@ peak memory is one window, at any horizon.
 Reports stay **byte-identical** to the materialized path.  The engine
 gate for a set of shards on one clock lives here, once:
 :func:`_execute_shard_windows` runs the carry driver
-(:func:`_windows_carry`) on an idle clock and otherwise arms one
-chained heap pump per shard (:func:`_arm_shard_pump`) before one
-``sim.run()`` — the heap runs only when the clock is busy or the
-carry driver declines (data planes, one-shot window generators).
+(:func:`_windows_carry`) on an idle clock; otherwise it arms a chained
+heap pump (:func:`_arm_shard_pump`) for each shard an armed event
+names before one ``sim.run()``, and replays every other shard on the
+exact core (:func:`_replay_exact`) — the heap runs only for shards
+that carry foreign events, or for one-shot window generators.
 :func:`execute_windows` is that gate on one array — one volume routed
 to ``ctrl.obs_shard`` — and multi-process shard groups call it for
 their slice of the fleet;
@@ -44,11 +45,14 @@ selection gate:
   :class:`repro.sim.batchstep._ExactCore`, again one window plan at a
   time: the heap pump's exact serialization without the event heap,
   keeping the pump's ``windowed-pump`` label (:func:`_replay_exact`);
-* everything else (busy simulator, data plane attached, degenerate
-  service model, a mixed stream from a one-shot window generator)
-  streams through the chained heap pump —
+* a shard with foreign events scheduled on it (a failure timer, a
+  migration copy), a degenerate service model, or a mixed stream from
+  a one-shot window generator streams through the chained heap pump —
   :class:`~repro.sim.compile._CompiledRun` with a window ``source``,
-  which loads one window at a time into the real event engine.
+  which loads one window at a time into the real event engine.  Every
+  other shard the carry engines decline (data plane attached) or a
+  busy clock rules out replays on the exact core, under the pump's
+  label.
 
 Sample *emission* is the part windowing could reorder, so every engine
 defers a sample until no later request can complete before it (a
@@ -72,6 +76,7 @@ from .compile import (
     CompiledTrace,
     _CompiledRun,
     _KIND_NAMES,
+    _on_heap,
     _solve_fifo,
     compile_stream,
 )
@@ -250,7 +255,7 @@ def _windows_carry(
     solver = read_only_hint or lead.write_policy == "write_through"
     if solver:
         engines = [_WindowedSolver(c) for c in controllers]
-        label = "windowed-solver"
+        label, executor = "windowed-solver", "solver"
     else:
         # The eager tier needs re-iterable windows: an abort replays
         # the whole stream from the top.
@@ -261,9 +266,9 @@ def _windows_carry(
         ):
             return None
         engines = [_EagerCore(c) for c in controllers]
-        label = "windowed-eager"
+        label, executor = "windowed-eager", "eager"
     for c in controllers:
-        c.set_engine(label)
+        c.set_engine(label, executor)
     # Shards whose eager core hit an ambiguous tie: their core is
     # dropped (it wrote nothing back) and their whole sub-stream
     # replays on the exact core at the end — the same per-shard
@@ -320,7 +325,7 @@ def _windows_carry(
     for i, eng in enumerate(engines):
         sim.now = base
         if i in fallback:
-            scheduled[i] = _replay_exact(
+            scheduled[i], _ = _replay_exact(
                 controllers[i], route, windows, digests[i]
             )
         else:
@@ -365,16 +370,17 @@ def _replay_exact(
     route: _ShardRoute,
     windows,
     digest: dict[str, LatencyDigest],
-) -> int:
+) -> tuple[int, int]:
     """Replay the shard ``ctrl.obs_shard``'s slice of a windowed stream
     on :class:`repro.sim.batchstep._ExactCore`, one window plan at a
-    time, and return its request count.  This is the heap pump's
-    serialization without the event heap, so it keeps the pump's
-    ``windowed-pump`` label (a canonical report field); the clock must
-    be idle.  Samples are swept into ``digest`` after every window, and
+    time, and return its request count and the stream's non-empty
+    window count.  This is the heap pump's serialization without the
+    event heap, so it keeps the pump's ``windowed-pump`` label (a
+    canonical report field); nothing foreign may be scheduled on the
+    shard.  Samples are swept into ``digest`` after every window, and
     the metrics recorder sees each completion at its event time, as on
     the pump."""
-    ctrl.set_engine("windowed-pump")
+    ctrl.set_engine("windowed-pump", "exact-core")
     count = [0, 0]
     lat_base = {kind: len(st.samples) for kind, st in ctrl.latency.items()}
     core = _ExactCore(ctrl)
@@ -383,7 +389,7 @@ def _replay_exact(
         _sweep(ctrl.latency, lat_base, digest)
     core.finish()
     _sweep(ctrl.latency, lat_base, digest)
-    return count[0]
+    return count[0], count[1]
 
 
 def _arm_shard_pump(
@@ -410,7 +416,7 @@ def _arm_shard_pump(
     completion at its event time — the drain moves samples the
     recorder has already bucketed, so it does not feed the recorder
     again."""
-    ctrl.set_engine("windowed-pump")
+    ctrl.set_engine("windowed-pump", "event-heap")
     count = [0, 0]
     gen = _shard_slices(ctrl, route, windows, count)
     first = next(gen, None)
@@ -450,39 +456,62 @@ def _execute_shard_windows(
     digests: list[dict[str, LatencyDigest]],
     *,
     read_only_hint: bool = False,
-    batched: bool = True,
+    fleet_busy: bool = False,
 ) -> tuple[list[int], int]:
     """Serve a windowed fleet stream on a set of shards sharing one
     clock — the windowed engine gate, the streaming twin of
     :func:`repro.sim.compile._execute_shards`.
 
-    With ``batched`` and nothing pending on the clock, the carry
-    engines run (:func:`_windows_carry`); otherwise, or when they
-    decline, every shard's chained heap pump is armed before one
-    ``sim.run()``, so armed timers interleave with all of them exactly
-    as on the serial window router's heap (other shards' events never
-    reorder a shard's own).  Latency lands in ``digests`` (indexed like
-    ``controllers``).  Returns ``(scheduled, windows)``: the per-shard
-    request counts and the stream's non-empty window count.
+    On an idle clock (and without ``fleet_busy``) the carry engines run
+    (:func:`_windows_carry`).  Otherwise, or when they decline (data
+    planes, a degenerate service model, one-shot windows), the gate
+    decides per shard, as the materialized one does: a shard that an
+    armed event names (or every shard, when a pending event names
+    none) gets a chained heap pump, and every pump is armed before one
+    ``sim.run()``, so the armed events interleave with them exactly as
+    on the serial window router's heap (other shards' events never
+    reorder a shard's own).  Every other shard replays on the exact
+    core (:func:`_replay_exact`) from the common start time, under the
+    pump's label — when the windows are re-iterable; a one-shot window
+    source has one pass to give, so it streams through the pump.  The
+    clock ends at the later of the heap's drain and the replays' ends.
+    Latency lands in ``digests`` (indexed like ``controllers``).
+    Returns ``(scheduled, windows)``: the per-shard request counts and
+    the stream's non-empty window count.
     """
     scheduled = [0] * len(controllers)
     sim = controllers[0].sim
-    if batched and not sim.pending():
+    if not fleet_busy and not sim.pending():
         n_windows = _windows_carry(
             controllers, route, windows, digests, scheduled, read_only_hint
         )
         if n_windows is not None:
             return scheduled, n_windows
-    counts, drains = zip(
-        *(
-            _arm_shard_pump(ctrl, route, windows, digest)
-            for ctrl, digest in zip(controllers, digests)
+    base = end = sim.now
+    armed = sim.armed_shards()
+    replayable = iter(windows) is not windows
+    n_windows = 0
+    pumped = []
+    for i, ctrl in enumerate(controllers):
+        if not replayable or _on_heap(ctrl, armed):
+            pumped.append(i)
+            continue
+        sim.now = base
+        scheduled[i], n_windows = _replay_exact(
+            ctrl, route, windows, digests[i]
         )
-    )
+        end = max(end, sim.now)
+    sim.now = base
+    pumps = [
+        (i, *_arm_shard_pump(controllers[i], route, windows, digests[i]))
+        for i in pumped
+    ]
     sim.run()
-    for drain in drains:
+    for i, count, drain in pumps:
         drain()
-    return [count[0] for count in counts], counts[0][1]
+        scheduled[i], n_windows = count
+    sim.now = max(end, sim.now)
+    return scheduled, n_windows
 
 
 def execute_windows(
@@ -502,7 +531,9 @@ def execute_windows(
     (one volume, routed to ``ctrl.obs_shard``), so the selection is the
     fleet's:
 
-    1. a busy simulator → the chained heap pump (window source);
+    1. a busy simulator → the chained heap pump (window source) when
+       a pending event names this array or names none; events naming
+       only other arrays leave it to the exact-core replay of 4;
     2. ``read_only_hint`` (the caller knows every request is a read —
        e.g. ``read_fraction >= 1``) or write-through policy → the
        windowed analytic solver;
@@ -513,7 +544,9 @@ def execute_windows(
        (``windows`` must be re-iterable for the replay —
        :class:`~repro.sim.compile.StreamWindows` is; one-shot
        generators skip the eager tier);
-    4. otherwise → the chained heap pump.
+    4. otherwise (a data plane) → the same exact-core replay, when
+       the windows are re-iterable and the service model positive;
+       else the chained heap pump.
 
     The hint is advisory: an all-read stream without it simply runs on
     the eager core, whose read recurrence performs the identical float

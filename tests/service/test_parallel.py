@@ -11,10 +11,14 @@ comparing raw bytes on disk.
 
 import json
 import pickle
+import random
 
 import pytest
 
+from repro.obs import MetricsRecorder, build_rows, prometheus_text
+from repro.obs import render_metrics_jsonl
 from repro.service import (
+    FailureEvent,
     FleetScenario,
     canonical_payload,
     default_failure_schedule,
@@ -22,7 +26,8 @@ from repro.service import (
     run_fleet_scenario,
     run_fleet_scenario_parallel,
 )
-from repro.service.parallel import ShardGroup
+from repro.service.parallel import _VOLATILE_KEYS, ShardGroup
+from repro.sim.events import Simulator
 
 
 def _canon(payload: dict) -> str:
@@ -495,6 +500,197 @@ class TestSpawnSafety:
             assert (clone.times == trace.times).all()
             assert (clone.is_read == trace.is_read).all()
             assert (clone.lbas == trace.lbas).all()
+
+
+#: Failure-placement cells for the per-shard gate: (v, k) planner pair,
+#: shards, failures, admission.  Cells with more failures than
+#: admission slots couple the failed arrays into one group.
+GATE_CELLS = [
+    (9, 3, 2, 1, 1),
+    (13, 4, 3, 2, 1),
+    (10, 4, 4, 3, 2),
+    (16, 4, 6, 2, 2),
+]
+
+
+def _gate_scenario(cell, verify_data, window) -> FleetScenario:
+    """A cell's scenario: failures on seeded random arrays and disks,
+    at seeded times — some before the first arrival, some past the
+    horizon."""
+    v, k, shards, count, admission = cell
+    rng = random.Random(repr(cell))
+    failures = tuple(
+        FailureEvent(
+            time_ms=round(rng.uniform(0.0, 320.0), 3),
+            array=a,
+            disk=rng.randrange(v),
+        )
+        for a in sorted(rng.sample(range(shards), count))
+    )
+    return FleetScenario(
+        shards=shards,
+        v=v,
+        k=k,
+        duration_ms=250.0,
+        interarrival_ms=0.5,
+        failures=failures,
+        admission=admission,
+        verify_data=verify_data,
+        window_size=window,
+        check_conformance=False,
+    )
+
+
+class TestPerShardGate:
+    """Only shards a failure names run on the event heap; the rest
+    replay the heap's serialization on the exact core.  Every output
+    must equal the all-heap serialization, where every shard counts as
+    armed."""
+
+    @pytest.mark.parametrize("window", [None, 64], ids=["whole", "windowed"])
+    @pytest.mark.parametrize("verify_data", [False, True], ids=["plain", "data"])
+    @pytest.mark.parametrize(
+        "cell", GATE_CELLS, ids=["-".join(map(str, c)) for c in GATE_CELLS]
+    )
+    def test_gate_equals_all_heap(self, cell, verify_data, window, monkeypatch):
+        sc = _gate_scenario(cell, verify_data, window)
+
+        def serve(workers):
+            rec = MetricsRecorder(25.0, shards=sc.shards)
+            if workers is None:
+                payload = run_fleet_scenario(sc, recorder=rec).to_dict()
+            else:
+                payload = run_fleet_scenario_parallel(
+                    sc, workers=workers, recorder=rec
+                ).to_dict()
+            outputs = (
+                _canon(payload),
+                render_metrics_jsonl(build_rows(rec)),
+                prometheus_text(rec),
+            )
+            return outputs, payload["executor_per_shard"]
+
+        with monkeypatch.context() as m:
+            m.setattr(Simulator, "armed_shards", lambda self: None)
+            all_heap, heap_executors = serve(None)
+        assert set(heap_executors) == {"event-heap"}
+        serial, serial_executors = serve(None)
+        grouped, grouped_executors = serve(2)
+        assert serial == all_heap
+        assert grouped == all_heap
+        failed = {ev.array for ev in sc.failures}
+        for s, executor in enumerate(grouped_executors):
+            assert executor == ("event-heap" if s in failed else "exact-core")
+        if window is None:
+            assert serial_executors == grouped_executors
+        else:
+            # The serial window router stays on the heap.
+            assert set(serial_executors) == {"event-heap"}
+
+    @pytest.mark.parametrize("write_policy", ["rmw", "write_through"])
+    def test_quiet_shards_match_all_heap_state(self, write_policy, monkeypatch):
+        """Beyond the report: every shard's data-plane bytes, disk
+        accumulators, latency samples in recording order and the clock
+        equal the all-heap serve's — the exact core and the small-write
+        fold replay the heap bit for bit."""
+        from repro.service import FailureOrchestrator, Fleet
+        from repro.sim import WorkloadConfig, generate_request_stream
+
+        cfg = WorkloadConfig(interarrival_ms=0.5, read_fraction=0.5, seed=8)
+
+        def serve():
+            fleet = Fleet(
+                3, 13, 4, dataplane=True, seed=4, write_policy=write_policy
+            )
+            FailureOrchestrator(
+                fleet, (FailureEvent(120.0, 1, 5),), admission=1
+            ).arm()
+            fleet.serve_stream(
+                *generate_request_stream(cfg, 400.0, fleet.capacity)
+            )
+            fleet.sim.run()
+            return fleet.sim.now, [
+                (
+                    c.data.store.tobytes(),
+                    [(d.busy_time, d.total_queue_delay, d.completed_ios,
+                      d._last_offset) for d in c.disks],
+                    {k: st.samples for k, st in sorted(c.latency.items())},
+                    c.last_engine,
+                )
+                for c in fleet.controllers
+            ], [c.last_executor for c in fleet.controllers]
+
+        with monkeypatch.context() as m:
+            m.setattr(Simulator, "armed_shards", lambda self: None)
+            heap_now, heap_state, heap_executors = serve()
+        now, state, executors = serve()
+        assert heap_executors == ["event-heap"] * 3
+        assert executors == ["exact-core", "event-heap", "exact-core"]
+        assert (now, state) == (heap_now, heap_state)
+
+    def test_quiet_shard_adds_no_heap_events(self):
+        """A 2-shard serve through the gate processes exactly the heap
+        events of its failed shard served alone."""
+        from repro.service import FailureOrchestrator, Fleet
+        from repro.sim import WorkloadConfig, generate_request_stream
+        from repro.sim.compile import _execute_shards, _tail
+
+        cfg = WorkloadConfig(interarrival_ms=1.0, read_fraction=0.6, seed=5)
+        router = Fleet(2, 13, 4, seed=3)
+        traces, _ = router.route_stream(
+            *generate_request_stream(cfg, 600.0, router.capacity)
+        )
+
+        def serve(shard_traces):
+            fleet = Fleet(2, 13, 4, dataplane=True, seed=3)
+            FailureOrchestrator(
+                fleet, (FailureEvent(150.0, 0, 2),), admission=1
+            ).arm()
+            _execute_shards(fleet.controllers, shard_traces)
+            return fleet
+
+        both = serve(traces)
+        alone = serve([traces[0], _tail(traces[1], traces[1].n)])
+        assert traces[1].n > 0
+        assert both.sim.events_processed == alone.sim.events_processed > 0
+        assert [c.last_engine for c in both.controllers] == ["heap", "heap"]
+        assert [c.last_executor for c in both.controllers] == [
+            "event-heap",
+            "exact-core",
+        ]
+
+
+class TestExecutorList:
+    def test_executor_per_shard_is_volatile(self):
+        payload = run_fleet_scenario_parallel(FAILURES, workers=1).to_dict()
+        assert payload["executor_per_shard"] == [
+            "event-heap",
+            "event-heap",
+            "exact-core",
+            "exact-core",
+        ]
+        assert payload["engine_per_shard"] == ["heap"] * 4
+        assert "executor_per_shard" not in canonical_payload(payload)
+
+    def test_no_canonical_field_uses_the_executor_key(self):
+        """canonical_payload strips volatile keys at any depth, so the
+        executor list's key must name nothing else in the report."""
+        payload = run_fleet_scenario(
+            _scenario(failures=default_failure_schedule(4, 9, 1, 80.0))
+        ).to_dict()
+
+        def count(node):
+            if isinstance(node, dict):
+                return sum(
+                    (k == "executor_per_shard") + count(v)
+                    for k, v in node.items()
+                )
+            if isinstance(node, list):
+                return sum(count(v) for v in node)
+            return 0
+
+        assert "executor_per_shard" in _VOLATILE_KEYS
+        assert "executor_per_shard" in payload and count(payload) == 1
 
 
 class TestCanonicalPayload:

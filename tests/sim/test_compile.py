@@ -349,6 +349,19 @@ class TestSolverGuards:
         assert ctrl.last_engine == "solver"
 
 
+def _mid_run_state(ctrl):
+    """Everything a failure re-plan could get wrong: per-disk counters
+    and float accumulators, the clock, every latency sample in
+    recording order, and the data plane's bytes."""
+    return (
+        ctrl.per_disk_completed(),
+        [(d.busy_time, d.total_queue_delay) for d in ctrl.disks],
+        ctrl.sim.now,
+        {k: list(st.samples) for k, st in sorted(ctrl.latency.items())},
+        None if ctrl.data is None else ctrl.data.store.tobytes(),
+    )
+
+
 class TestMidRunFailure:
     def test_disk_failure_after_scheduling_replans_live(self):
         # A disk failing between drive_workload() and sim.run() must not
@@ -361,9 +374,25 @@ class TestMidRunFailure:
             _schedule(ctrl, compile_workload(ctrl.mapper, cfg, 1500.0), batched)
             ctrl.fail_disk(0)
             ctrl.sim.run()
-            results.append(
-                (ctrl.per_disk_completed(), ctrl.sim.now,
-                 {k: s.count for k, s in sorted(ctrl.latency.items())})
-            )
+            results.append(_mid_run_state(ctrl))
         assert results[0] == results[1]
-        assert "degraded_read" in results[0][2] or "degraded_write" in results[0][2]
+        assert "degraded_read" in results[0][3] or "degraded_write" in results[0][3]
+
+    @pytest.mark.parametrize("dataplane", [False, True])
+    @pytest.mark.parametrize("fail_at", [700.0, 1499.0])
+    def test_failure_event_mid_run_replans_once(self, fail_at, dataplane):
+        """A failure timer firing mid-stream: the compiled pump re-plans
+        the rest of its window once and must still match the scalar
+        path's per-request fire-time planning, sample for sample."""
+        lay = ring_layout(9, 4)
+        cfg = WorkloadConfig(interarrival_ms=4.0, read_fraction=0.6, seed=31)
+        results = []
+        for batched in (True, False):
+            ctrl = ArrayController(lay, dataplane=dataplane, seed=3)
+            _schedule(ctrl, compile_workload(ctrl.mapper, cfg, 1500.0), batched)
+            ctrl.sim.at(fail_at, lambda ctrl=ctrl: ctrl.fail_disk(2))
+            ctrl.sim.run()
+            results.append(_mid_run_state(ctrl))
+        assert results[0] == results[1]
+        assert {"read", "write"} <= set(results[0][3])
+        assert "degraded_read" in results[0][3] or "degraded_write" in results[0][3]

@@ -78,3 +78,108 @@ class TestDataPlane:
             dp.small_write(int(sid), d, off, rng.integers(0, 2**63, size=dp.unit_words, dtype=np.uint64))
         for victim in range(5):
             assert np.array_equal(dp.reconstruct_disk(victim), dp.snapshot_disk(victim))
+
+
+def _fold_vs_sequential(layout, writes, seed=4):
+    """Apply ``writes`` — ``(stripe, disk, offset, payload)`` tuples —
+    through ``fold_small_writes`` on one plane and ``small_write`` one
+    by one on another; return both planes."""
+    folded, sequential = DataPlane(layout, seed=seed), DataPlane(layout, seed=seed)
+    for sid, d, off, payload in writes:
+        sequential.small_write(sid, d, off, payload)
+    cols = list(zip(*writes))
+    folded.fold_small_writes(
+        np.array(cols[0]), np.array(cols[1]), np.array(cols[2]), np.stack(cols[3])
+    )
+    return folded, sequential
+
+
+class TestFoldSmallWrites:
+    """One vectorized fold must leave the store byte-identical to the
+    same writes applied with sequential small_write calls."""
+
+    def test_repeated_writes_to_one_cell(self):
+        lay = ring_layout(9, 4)
+        d, off = lay.stripes[3].data_units()[1]
+        writes = [
+            (3, d, off, np.full(8, value, dtype=np.uint64))
+            for value in (11, 12, 11, 99)
+        ]
+        folded, sequential = _fold_vs_sequential(lay, writes)
+        assert np.array_equal(folded.store, sequential.store)
+
+    def test_several_cells_of_one_stripe(self):
+        lay = ring_layout(9, 4)
+        rng = np.random.default_rng(1)
+        units = lay.stripes[5].data_units()
+        writes = [
+            (5, *units[int(i)], rng.integers(0, 2**63, size=8, dtype=np.uint64))
+            for i in rng.integers(0, len(units), size=12)
+        ]
+        folded, sequential = _fold_vs_sequential(lay, writes)
+        assert np.array_equal(folded.store, sequential.store)
+
+    def test_many_stripes(self):
+        lay = ring_layout(13, 4)
+        rng = np.random.default_rng(2)
+        writes = []
+        for sid in rng.integers(0, lay.b, size=400).tolist():
+            units = lay.stripes[sid].data_units()
+            d, off = units[int(rng.integers(0, len(units)))]
+            writes.append(
+                (sid, d, off, rng.integers(0, 2**63, size=8, dtype=np.uint64))
+            )
+        folded, sequential = _fold_vs_sequential(lay, writes)
+        assert np.array_equal(folded.store, sequential.store)
+        assert folded.all_parity_consistent()
+
+    def test_empty_fold_is_a_no_op(self):
+        dp = DataPlane(ring_layout(5, 3), seed=6)
+        before = dp.store.copy()
+        empty = np.zeros(0, dtype=np.int64)
+        dp.fold_small_writes(empty, empty, empty, np.zeros((0, 8), np.uint64))
+        assert np.array_equal(dp.store, before)
+
+
+class TestControllerFold:
+    """The controller folds a trace's writes only when nothing can
+    observe them one at a time: no failed disk, no hooks."""
+
+    def _trace(self, ctrl):
+        from repro.sim import WorkloadConfig, compile_workload
+
+        cfg = WorkloadConfig(interarrival_ms=1.0, read_fraction=0.3, seed=9)
+        return compile_workload(ctrl.mapper, cfg, 200.0)
+
+    def test_fold_matches_per_write_path(self):
+        from repro.sim import ArrayController
+
+        folded = ArrayController(ring_layout(9, 4), dataplane=True, seed=2)
+        stepped = ArrayController(ring_layout(9, 4), dataplane=True, seed=2)
+        trace = self._trace(folded)
+        assert folded._fold_write_dataplane(trace)
+        b = stepped.layout.b
+        for i in np.flatnonzero(~trace.is_read).tolist():
+            lba = int(trace.lbas[i])
+            stepped._apply_write_dataplane(
+                int(trace.stripes[i]) % b,
+                int(trace.disks[i]),
+                int(trace.offsets[i]),
+                stepped._default_payload(lba),
+            )
+        assert np.array_equal(folded.data.store, stepped.data.store)
+
+    @pytest.mark.parametrize("observer", ["failed", "degraded_hook", "content_hook"])
+    def test_declines_when_writes_are_observed(self, observer):
+        from repro.sim import ArrayController
+
+        ctrl = ArrayController(ring_layout(9, 4), dataplane=True, seed=2)
+        if observer == "failed":
+            ctrl.fail_disk(1)
+        elif observer == "degraded_hook":
+            ctrl.add_degraded_write_hook(lambda off, data: None)
+        else:
+            ctrl.add_content_write_hook(lambda sid, d, off, data: None)
+        before = ctrl.data.store.copy()
+        assert not ctrl._fold_write_dataplane(self._trace(ctrl))
+        assert np.array_equal(ctrl.data.store, before)

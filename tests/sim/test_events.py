@@ -57,6 +57,38 @@ class TestSimulator:
         sim.run()
         assert hit == [7.0]
 
+    def test_armed_shards_names_pending_claims(self):
+        sim = Simulator()
+        a, b = object(), object()
+        assert sim.armed_shards() == frozenset()
+        sim.arm(5.0, lambda: None, (a,))
+        sim.arm(8.0, lambda: None, (a, b))
+        assert sim.armed_shards() == {a, b}
+        sim.run(until=6.0)
+        assert sim.armed_shards() == {b, a}
+        sim.run()
+        assert sim.armed_shards() == frozenset()
+
+    def test_unnamed_pending_event_arms_every_shard(self):
+        sim = Simulator()
+        sim.arm(5.0, lambda: None, (object(),))
+        sim.at(7.0, lambda: None)
+        assert sim.armed_shards() is None
+        sim.run(until=6.0)
+        assert sim.armed_shards() is None
+        sim.run()
+        assert sim.armed_shards() == frozenset()
+
+    def test_arm_fires_like_at(self):
+        sim = Simulator()
+        log = []
+        sim.at(3.0, lambda: log.append("at"))
+        sim.arm(3.0, lambda: log.append("arm"), ())
+        sim.run()
+        assert log == ["at", "arm"]
+        with pytest.raises(ValueError, match="past"):
+            sim.arm(1.0, lambda: None, ())
+
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):

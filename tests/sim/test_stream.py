@@ -164,7 +164,8 @@ class TestWindowedReportEquality:
 #: whether it runs on the event heap).  The pump case ties exactly on a
 #: disk, so the eager core aborts and the stream replays on the exact
 #: core: the heap pump's serialization and label, without the heap.
-#: The data-plane case streams through the chained heap pump itself.
+#: The data-plane case rules the carry engines out; nothing foreign is
+#: scheduled on its one shard, so it replays on the exact core too.
 METRICS_CASES = [
     ("solver", dict(config=_cfg(read_fraction=1.0)), "windowed-solver", False),
     ("eager", dict(config=_cfg()), "windowed-eager", False),
@@ -184,7 +185,7 @@ METRICS_CASES = [
         "dataplane",
         dict(config=_cfg(read_fraction=0.5), verify_data=True),
         "windowed-pump",
-        True,
+        False,
     ),
 ]
 
@@ -234,6 +235,12 @@ class TestWindowedMetricsIdentity:
         ((_, rows),) = outputs
         final = json.loads(rows.splitlines()[-1])
         assert final["totals"]["arrived"] == report.scheduled
+
+
+def _all_heap(sim):
+    """Arm a no-op naming no shard: every shard on the clock then counts
+    as armed, so the gates run the all-heap serialization."""
+    sim.at(sim.now, lambda: None)
 
 
 def _disk_state(ctrl):
@@ -312,9 +319,8 @@ class TestWindowedExactReplay:
             replay, pump = array(), array()
             _, digests = execute_windows(replay, windows)
             pump_digests = {}
-            _execute_shard_windows(
-                [pump], route, windows, [pump_digests], batched=False
-            )
+            _all_heap(pump.sim)
+            _execute_shard_windows([pump], route, windows, [pump_digests])
             assert replay.last_engine == pump.last_engine == "windowed-pump"
             assert replay.sim.events_processed == 0
             assert pump.sim.events_processed > 0
@@ -334,7 +340,7 @@ class TestWindowedExactReplay:
         with a pending write phase, shard 1 on two tied pending phases
         mid-stream, shard 3 on two tied pending phases after its last
         arrival — late, in ``settle()``.  The carry replays all four and
-        matches the ``batched=False`` pump run."""
+        matches the all-heap pump run."""
         mapper = ArrayController(LAYOUT).mapper
         cap = mapper.capacity
         d, o, _s, pd, po = mapper.map_batch_parity(np.arange(cap))
@@ -396,16 +402,17 @@ class TestWindowedExactReplay:
 
         monkeypatch.setattr(_EagerCore, "feed", spy)
 
-        def serve(batched):
+        def serve(all_heap):
             sim = Simulator()
             rec = MetricsRecorder(500.0)
             ctrls = [ArrayController(LAYOUT, sim=sim) for _ in range(4)]
             for shard, ctrl in enumerate(ctrls):
                 ctrl.obs, ctrl.obs_shard = rec, shard
             digests = [{} for _ in ctrls]
+            if all_heap:
+                _all_heap(sim)
             scheduled, _ = _execute_shard_windows(
-                ctrls, route, _split(times, is_read, lbas, 16), digests,
-                batched=batched,
+                ctrls, route, _split(times, is_read, lbas, 16), digests
             )
             return sim, rec, (
                 sim.now,
@@ -416,15 +423,65 @@ class TestWindowedExactReplay:
                 _rows(rec),
             )
 
-        sim, rec, carry = serve(True)
+        sim, rec, carry = serve(False)
         late = [aborts[shard] for shard in range(3)]
         assert late == sorted(set(late)) and aborts[3] == "settle", aborts
         assert sim.events_processed == 0
         assert rec.counters() == {"tie_abort_replays": 4}
-        sim, rec, pump = serve(False)
+        sim, rec, pump = serve(True)
         assert sim.events_processed > 0 and rec.counters() == {}
         assert carry == pump
         assert carry[4] == ["windowed-pump"] * 4
+
+
+class TestWindowedPerShardGate:
+    @pytest.mark.parametrize("ws", [1, 16, 10**6])
+    def test_named_shard_pumps_beside_quiet_replay(self, ws):
+        """Two data-plane shards on one clock, a failure armed naming
+        shard 0: shard 0 streams through the heap pump, shard 1 replays
+        on the exact core, and both match the all-heap serialization —
+        clock, disk state, summaries, metrics rows and store bytes."""
+        cap = ArrayController(LAYOUT).mapper.capacity
+        route = _ShardRoute(np.arange(2, dtype=np.int64), cap, cap, 2 * cap)
+        times, is_read, lbas = generate_request_stream(
+            _cfg(interarrival_ms=0.5), DURATION, 2 * cap
+        )
+        windows = _split(times, is_read, lbas, ws)
+
+        def serve(all_heap):
+            sim = Simulator()
+            rec = MetricsRecorder(50.0)
+            ctrls = [
+                ArrayController(LAYOUT, sim=sim, dataplane=True, seed=s)
+                for s in range(2)
+            ]
+            for shard, ctrl in enumerate(ctrls):
+                ctrl.obs, ctrl.obs_shard = rec, shard
+            sim.arm(DURATION / 3, lambda: ctrls[0].fail_disk(4), ctrls[:1])
+            if all_heap:
+                _all_heap(sim)
+            digests = [{} for _ in ctrls]
+            scheduled, n_windows = _execute_shard_windows(
+                ctrls, route, windows, digests
+            )
+            state = (
+                sim.now,
+                scheduled,
+                n_windows,
+                [_disk_state(c) for c in ctrls],
+                [{k: summarize(d) for k, d in dg.items()} for dg in digests],
+                [c.last_engine for c in ctrls],
+                [c.data.store.tobytes() for c in ctrls],
+                render_metrics_jsonl(build_rows(rec)),
+            )
+            return state, [c.last_executor for c in ctrls]
+
+        heap, heap_executors = serve(True)
+        gated, executors = serve(False)
+        assert heap_executors == ["event-heap"] * 2
+        assert executors == ["event-heap", "exact-core"]
+        assert gated == heap
+        assert "degraded_read" in gated[4][0] and gated[5] == ["windowed-pump"] * 2
 
 
 class TestExecuteWindowsGate:

@@ -30,8 +30,8 @@ per-pair heap/engine wall-time ratio:
 ``windowed_exact`` streams the ``exact_tier`` shard in 4096-request
 windows (``StreamWindows``) through ``execute_windows`` — whose
 windowed eager attempt tie-aborts, so the shard replays on the exact
-core one window at a time — and through the windowed gate's chained
-heap pump on the same windows, in interleaved pairs.
+core one window at a time — and through the chained heap pump on the
+same windows, in interleaved pairs.
 
 Each case also names the engine it must land on, and must leave
 ``sim.events_processed`` at 0 (every guarded engine runs off the event
@@ -39,6 +39,17 @@ heap).  A run on any other engine, or on the heap, fails the guard,
 and the JSON line lists such cases under ``wrong_engine``.  For
 ``windowed_exact`` the event count is the only tell: both sides carry
 the label ``windowed-pump``.
+
+``quiet_beside_failure`` is a 2-shard fleet in the ``fleet_rebuild``
+shard shape ((31,6), data planes on, 4 ms aggregate interarrival, read
+fraction 0.7, seed 7, 30k requests) with one failure armed on shard 0:
+the shard-set gate (``repro.sim.compile._execute_shards``) against the
+all-heap schedule of the same traces, in interleaved pairs.  The gate
+must keep shard 1 off the heap (it replays on the exact core, its
+small writes folded into the data plane in one pass).  Both sides
+carry the label ``heap``, so the tell is the heap's event count: the
+gated run must process exactly as many events as the same run with
+shard 1's trace empty, or the case is a wrong engine.
 
 Runtime cases
 -------------
@@ -101,6 +112,17 @@ CASES = {
 #: tie aborts — against about 1x for a replay pinned to the pump.
 WINDOW = 4096
 WINDOWED_EXACT_FLOOR = 1.3
+
+#: The quiet-shard case: aggregate mean interarrival of its 2-shard
+#: stream, the failure time as a fraction of the horizon, and the floor
+#: on its best per-pair all-heap/gated ratio.  The failed shard runs on
+#: the heap on both sides, so the ratio tops out well below the quiet
+#: shard's own gain: seven runs on a 2-CPU host (Python 3.11, NumPy
+#: 2.4) measured 1.50-1.82, against 1.16 with the quiet shard on the
+#: heap.
+QUIET_INTERARRIVAL_MS = 4.0
+QUIET_FAIL_AT = 0.25
+QUIET_FLOOR = 1.3
 
 #: Warm serves timed after the cold one; the best is compared.
 WARM_RUNS = 3
@@ -174,18 +196,14 @@ def engine_case(
 
 def windowed_exact_case() -> dict:
     """Stream the ``exact_tier`` shard through ``execute_windows`` and
-    through the windowed gate's chained heap pump, in interleaved
-    pairs; report the best pump/exact ratio, the engine label and the
-    heap events the ``execute_windows`` side processed."""
+    through the chained heap pump, in interleaved pairs; report the
+    best pump/exact ratio, the engine label and the heap events the
+    ``execute_windows`` side processed."""
     import numpy as np
 
     from repro.core import get_layout
     from repro.sim import ArrayController, StreamWindows, WorkloadConfig
-    from repro.sim.stream import (
-        _execute_shard_windows,
-        _ShardRoute,
-        execute_windows,
-    )
+    from repro.sim.stream import _arm_shard_pump, _ShardRoute, execute_windows
 
     layout = get_layout(9, 3)
     cfg = WorkloadConfig(interarrival_ms=8.0, read_fraction=0.7, seed=7)
@@ -199,9 +217,10 @@ def windowed_exact_case() -> dict:
         if exact:
             n, _ = execute_windows(ctrl, windows)
         else:
-            (n,), _ = _execute_shard_windows(
-                [ctrl], route, windows, [{}], batched=False
-            )
+            count, drain = _arm_shard_pump(ctrl, route, windows, {})
+            ctrl.sim.run()
+            drain()
+            n = count[0]
         return time.perf_counter() - t0, n, ctrl
 
     timed(True)  # warm caches outside the timed pairs
@@ -217,6 +236,64 @@ def windowed_exact_case() -> dict:
         "requests": n,
         "engine": ctrl.last_engine,
         "events_processed": ctrl.sim.events_processed,
+        "engine_requests_per_s": n / engine_best,
+        "heap_requests_per_s": n / heap_best,
+        "ratio_heap_vs_engine": ratio,
+    }
+
+
+def quiet_beside_failure_case() -> dict:
+    """Serve a 2-shard (31,6) fleet with data planes and a failure
+    armed on shard 0 through the shard-set gate and through the
+    all-heap schedule, in interleaved pairs; report the best
+    heap/gated ratio, shard 1's engine label, and the heap events shard
+    1 added (the gated run against the same run with shard 1's trace
+    emptied)."""
+    from repro.service import FailureEvent, FailureOrchestrator, Fleet
+    from repro.sim import WorkloadConfig, generate_request_stream
+    from repro.sim.compile import _execute_shards, _tail, schedule_compiled
+
+    cfg = WorkloadConfig(
+        interarrival_ms=QUIET_INTERARRIVAL_MS, read_fraction=0.7, seed=7
+    )
+    horizon = QUIET_INTERARRIVAL_MS * REQUESTS
+    router = Fleet(2, 31, 6, seed=7)
+    traces, _ = router.route_stream(
+        *generate_request_stream(cfg, horizon, router.capacity)
+    )
+
+    def timed(gated: bool, shard_traces) -> tuple[float, "Fleet"]:
+        fleet = Fleet(2, 31, 6, dataplane=True, seed=7)
+        FailureOrchestrator(
+            fleet, (FailureEvent(horizon * QUIET_FAIL_AT, 0, 0),), admission=1
+        ).arm()
+        t0 = time.perf_counter()
+        if gated:
+            _execute_shards(fleet.controllers, shard_traces)
+        else:
+            for ctrl, trace in zip(fleet.controllers, shard_traces):
+                schedule_compiled(ctrl, trace)
+            fleet.sim.run()
+        return time.perf_counter() - t0, fleet
+
+    timed(True, traces)  # warm caches outside the timed pairs
+    engine_best = heap_best = float("inf")
+    ratio = 0.0
+    for _ in range(PAIRS):
+        e, fleet = timed(True, traces)
+        h, _ = timed(False, traces)
+        engine_best = min(engine_best, e)
+        heap_best = min(heap_best, h)
+        ratio = max(ratio, h / e)
+    _, alone = timed(True, [traces[0], _tail(traces[1], traces[1].n)])
+    n = sum(t.n for t in traces)
+    return {
+        "requests": n,
+        "engine": fleet.controllers[1].last_engine,
+        "executor": fleet.controllers[1].last_executor,
+        "events_processed": (
+            fleet.sim.events_processed - alone.sim.events_processed
+        ),
         "engine_requests_per_s": n / engine_best,
         "heap_requests_per_s": n / heap_best,
         "ratio_heap_vs_engine": ratio,
@@ -323,6 +400,10 @@ def main() -> int:
         ("windowed_exact", windowed_exact_case, "windowed-pump",
          WINDOWED_EXACT_FLOOR)
     )
+    runs.append(
+        ("quiet_beside_failure", quiet_beside_failure_case, "heap",
+         QUIET_FLOOR)
+    )
     for name, run, expected, floor in runs:
         case = run()
         case.update(
@@ -391,8 +472,10 @@ def main() -> int:
             "check the engine-selection gate in "
             "repro.sim.compile.execute_compiled, the eager tier's "
             "fallback rate in repro.sim.batchstep, (for exact_tier "
-            "and windowed_exact) repro.sim.batchstep._ExactCore, and "
-            "(for warm_serve) "
+            "and windowed_exact) repro.sim.batchstep._ExactCore, (for "
+            "quiet_beside_failure) the per-shard rule of "
+            "repro.sim.compile._execute_shards and the data-plane fold, "
+            "and (for warm_serve) "
             "the pool/cache reuse counters in "
             "repro.service.runtime.WarmRuntime"
         )
@@ -401,8 +484,10 @@ def main() -> int:
             f"bench-guard: {', '.join(wrong_engine)} fell off the fast "
             "path — check the engine-selection gate in "
             "repro.sim.compile.execute_compiled, the eager tier's "
-            "tie-abort fallback in repro.sim.batchstep and (for "
-            "windowed_exact) the replay in repro.sim.stream._windows_carry"
+            "tie-abort fallback in repro.sim.batchstep, (for "
+            "windowed_exact) the replay in repro.sim.stream._windows_carry "
+            "and (for quiet_beside_failure) the shard attribution of "
+            "repro.sim.events.Simulator.armed_shards"
         )
     summary["regressed"] = regressed
     summary["wrong_engine"] = wrong_engine
