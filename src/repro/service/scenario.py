@@ -254,9 +254,10 @@ class FleetScenarioReport:
 
     def executor_per_shard(self) -> list[str | None]:
         """The executor that ran each shard (``event-heap`` /
-        ``exact-core`` / ``eager`` / ``solver``) — the engine label
-        names a serialization, which ``heap`` and ``windowed-pump``
-        shards may get from either the event heap or the exact core."""
+        ``exact-native`` / ``exact-core`` / ``eager`` / ``solver``) —
+        the engine label names a serialization, which ``heap`` and
+        ``windowed-pump`` shards may get from either the event heap or
+        the exact core (compiled, or the Python reference)."""
         return list(getattr(self.fleet, "executors", None) or [])
 
     def engine_label(self) -> str | None:

@@ -56,6 +56,18 @@ instead of one numpy write per arrival.  A feed holds its
 last arrival epoch open until the next window shows whether the epoch
 continues, as the chained pump does.
 
+Every exact replay gets its core from one factory, :func:`_exact_core`.
+Plans made only of healthy single-IO reads and healthy
+read-modify-writes (a healthy ``rmw`` controller whose data plane, if
+any, folds its writes) replay on a compiled twin,
+:class:`repro.sim.native.NativeExactCore`: a C kernel built on first
+use that runs the same protocol and the same float operations in the
+same order, from columns instead of per-request tuples (volatile
+executor ``exact-native``).  The Python :class:`_ExactCore` (executor
+``exact-core``) runs everything else — degraded and write-through
+plans, hooked data planes, hosts where the kernel did not build — and
+stays the reference the kernel is tested against.
+
 Equality contract
 -----------------
 The exact tier replays the heap's exact serialization.  Each event
@@ -89,6 +101,7 @@ from .stats import LatencyStats
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoid cycles)
     from .compile import CompiledTrace
     from .controller import ArrayController
+    from .native import NativeExactCore
 
 __all__ = ["step_compiled"]
 
@@ -540,9 +553,10 @@ def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
     :class:`repro.sim.compile._CompiledRun`); for read-modify-write
     traces without a data plane, feed the plan to the eager tier
     (:class:`_EagerCore`); on an ambiguous tie, or for any other shape,
-    feed the same plan to the exact tier (:class:`_ExactCore`, labelled
-    ``calendar``), which folds a healthy, hookless data plane's small
-    writes into one vectorized pass.  (The shard-set gate
+    feed the same plan to the exact tier (:func:`_exact_core`: the
+    compiled kernel where it applies, else :class:`_ExactCore`;
+    labelled ``calendar``), which folds a healthy, hookless data plane's
+    small writes into one vectorized pass.  (The shard-set gate
     :func:`repro.sim.compile._execute_shards` replays a quiet shard
     beside armed ones on the same exact tier, labelled ``heap``.)
 
@@ -696,11 +710,14 @@ class _ExactCore:
                 cols[i] = cols[i] + [old[r] for r in moved]
         return tuple(cols)
 
-    def feed(self, run: _CompiledRun | None) -> None:
-        """Replay one planned trace or window up to and including its
-        last arrival epoch; ``run=None`` ends the stream and retires
+    def feed(self, run: "_CompiledRun | CompiledTrace | None") -> None:
+        """Replay one trace or window (planned here unless it comes as a
+        :class:`~repro.sim.compile._CompiledRun`) up to and including
+        its last arrival epoch; ``run=None`` ends the stream and retires
         everything still in flight."""
         ctrl = self.ctrl
+        if run is not None and not isinstance(run, _CompiledRun):
+            run = _CompiledRun(ctrl, run)
         if run is None:
             n = 0
             single = writes = ()
@@ -984,15 +1001,48 @@ class _ExactCore:
         self.ctrl.sim.now = self.now
 
 
+def _exact_core(
+    ctrl: "ArrayController", label: str
+) -> "_ExactCore | NativeExactCore":
+    """The exact tier's core for one replay on ``ctrl``, labelled
+    ``label`` — the factory every exact replay goes through.
+
+    The compiled kernel (:class:`repro.sim.native.NativeExactCore`,
+    executor ``exact-native``) takes the plans a healthy ``rmw``
+    controller makes — single-IO reads and healthy read-modify-writes —
+    when a data plane, if attached, folds its writes
+    (:meth:`~repro.sim.controller.ArrayController._folds_writes`) and
+    the kernel loaded on this host.  Everything else replays on the
+    Python :class:`_ExactCore` (executor ``exact-core``): degraded or
+    write-through plans, a data plane observed by hooks, and hosts
+    where the kernel did not build."""
+    core = None
+    if (
+        ctrl.failed_disk is None
+        and ctrl.write_policy == "rmw"
+        and (ctrl.data is None or ctrl._folds_writes())
+    ):
+        # Imported here, not at module level: `import repro` stays free
+        # of the loader's ctypes/subprocess imports.
+        from . import native
+
+        lib = native.kernel()
+        if lib is not None:
+            core = native.NativeExactCore(lib, ctrl)
+    ctrl.set_engine(label, "exact-core" if core is None else "exact-native")
+    return _ExactCore(ctrl) if core is None else core
+
+
 def _step_exact(
-    ctrl: "ArrayController", run: _CompiledRun, label: str = "calendar"
+    ctrl: "ArrayController",
+    plan: "CompiledTrace | _CompiledRun",
+    label: str = "calendar",
 ) -> int:
-    """The exact tier on one whole plan: a single :class:`_ExactCore`
-    feed, labelled ``calendar`` (a canonical report field) — or, for a
-    quiet shard the fleet gate replays beside armed ones, ``heap``: the
-    serialization it reproduces."""
-    ctrl.set_engine(label, "exact-core")
-    core = _ExactCore(ctrl)
-    core.feed(run)
+    """The exact tier on one whole plan: a single feed of the core
+    :func:`_exact_core` picks, labelled ``calendar`` (a canonical report
+    field) — or, for a quiet shard the fleet gate replays beside armed
+    ones, ``heap``: the serialization it reproduces."""
+    core = _exact_core(ctrl, label)
+    core.feed(plan)
     core.finish()
-    return run.n
+    return plan.n

@@ -1157,10 +1157,11 @@ def _execute_shards(
     pending event naming no shard puts every shard there): its trace is
     scheduled, and the clock drains once so the armed events interleave
     with it.  Every other shard replays its trace on the exact core
-    (:class:`repro.sim.batchstep._ExactCore`), off the clock, from the
+    (:func:`repro.sim.batchstep._exact_core`), off the clock, from the
     common start time — the heap's own ``(time, seq)`` serialization,
     so it keeps the heap's label ``heap`` and its bits; only
-    ``last_executor`` says ``exact-core``.  The clock then advances to
+    ``last_executor`` says ``exact-native`` (the compiled kernel) or
+    ``exact-core`` (the Python core).  The clock then advances to
     the later of the heap's drain and the replays' ends.  With a
     metrics recorder attached, each shard's arrivals are recorded
     first.
@@ -1187,7 +1188,7 @@ def _execute_shards(
             heap.append((ctrl, trace))
             continue
         sim.now = base
-        _step_exact(ctrl, _CompiledRun(ctrl, trace), "heap")
+        _step_exact(ctrl, trace, "heap")
         end = max(end, sim.now)
     sim.now = base
     for ctrl, trace in heap:

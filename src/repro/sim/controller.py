@@ -98,9 +98,10 @@ class ArrayController:
     #: byte-identical.
     last_engine: str | None = None
     #: The executor that actually ran that traffic ("event-heap" /
-    #: "exact-core" / "eager" / "solver").  ``heap`` and
-    #: ``windowed-pump`` name a serialization that either the event
-    #: heap or the exact core replays; this says which one did.
+    #: "exact-native" / "exact-core" / "eager" / "solver").  ``heap``,
+    #: ``windowed-pump`` and ``calendar`` name a serialization that the
+    #: event heap or the exact core (compiled ``exact-native``, or the
+    #: Python ``exact-core``) replays; this says which one did.
     #: Volatile: never in a canonical report or the metrics.
     last_executor: str | None = None
 
@@ -355,6 +356,16 @@ class ArrayController:
         assert self.data is not None
         return np.full(self.data.unit_words, lba + 1, dtype=np.uint64)
 
+    def _folds_writes(self) -> bool:
+        """Whether :meth:`_fold_write_dataplane` accepts a trace in the
+        current state: no failed disk, no content or degraded-write
+        hook."""
+        return (
+            self.failed_disk is None
+            and not self._degraded_write_hooks
+            and not self._content_write_hooks
+        )
+
     def _fold_write_dataplane(self, compiled) -> bool:
         """Apply every write of a compiled trace (default payloads) to
         the data plane in one :meth:`DataPlane.fold_small_writes` — for
@@ -365,11 +376,7 @@ class ArrayController:
         (returns False, nothing applied) and the caller keeps the
         per-write path."""
         assert self.data is not None
-        if (
-            self.failed_disk is not None
-            or self._degraded_write_hooks
-            or self._content_write_hooks
-        ):
+        if not self._folds_writes():
             return False
         w = ~compiled.is_read
         if w.any():

@@ -41,10 +41,12 @@ selection gate:
   :class:`repro.sim.batchstep._EagerCore` fed window by window, its
   pending-phase heap and per-disk state persisting across feeds.  On
   the core's ambiguity abort (an exact submission-time tie) nothing has
-  touched the controller, so that shard's stream is replayed on
-  :class:`repro.sim.batchstep._ExactCore`, again one window plan at a
-  time: the heap pump's exact serialization without the event heap,
-  keeping the pump's ``windowed-pump`` label (:func:`_replay_exact`);
+  touched the controller, so that shard's stream is replayed on the
+  exact core (:func:`repro.sim.batchstep._exact_core`: the compiled
+  kernel for these healthy read-modify-write plans), again one window
+  at a time: the heap pump's exact serialization without the event
+  heap, keeping the pump's ``windowed-pump`` label
+  (:func:`_replay_exact`);
 * a shard with foreign events scheduled on it (a failure timer, a
   migration copy), a degenerate service model, or a mixed stream from
   a one-shot window generator streams through the chained heap pump —
@@ -71,7 +73,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .batchstep import _drain_pools, _EagerCore, _ExactCore
+from .batchstep import _drain_pools, _EagerCore, _exact_core
 from .compile import (
     CompiledTrace,
     _CompiledRun,
@@ -372,20 +374,19 @@ def _replay_exact(
     digest: dict[str, LatencyDigest],
 ) -> tuple[int, int]:
     """Replay the shard ``ctrl.obs_shard``'s slice of a windowed stream
-    on :class:`repro.sim.batchstep._ExactCore`, one window plan at a
-    time, and return its request count and the stream's non-empty
-    window count.  This is the heap pump's serialization without the
-    event heap, so it keeps the pump's ``windowed-pump`` label (a
-    canonical report field); nothing foreign may be scheduled on the
-    shard.  Samples are swept into ``digest`` after every window, and
-    the metrics recorder sees each completion at its event time, as on
-    the pump."""
-    ctrl.set_engine("windowed-pump", "exact-core")
+    on the exact core :func:`repro.sim.batchstep._exact_core` picks,
+    one window at a time, and return its request count and the
+    stream's non-empty window count.  This is the heap pump's
+    serialization without the event heap, so it keeps the pump's
+    ``windowed-pump`` label (a canonical report field); nothing foreign
+    may be scheduled on the shard.  Samples are swept into ``digest``
+    after every window, and the metrics recorder folds each completion
+    into its event time's bucket, as on the pump."""
     count = [0, 0]
     lat_base = {kind: len(st.samples) for kind, st in ctrl.latency.items()}
-    core = _ExactCore(ctrl)
+    core = _exact_core(ctrl, "windowed-pump")
     for w in _shard_slices(ctrl, route, windows, count):
-        core.feed(_CompiledRun(ctrl, w))
+        core.feed(w)
         _sweep(ctrl.latency, lat_base, digest)
     core.finish()
     _sweep(ctrl.latency, lat_base, digest)

@@ -580,7 +580,7 @@ class TestPerShardGate:
         assert grouped == all_heap
         failed = {ev.array for ev in sc.failures}
         for s, executor in enumerate(grouped_executors):
-            assert executor == ("event-heap" if s in failed else "exact-core")
+            assert executor == ("event-heap" if s in failed else "exact-native")
         if window is None:
             assert serial_executors == grouped_executors
         else:
@@ -625,7 +625,9 @@ class TestPerShardGate:
             heap_now, heap_state, heap_executors = serve()
         now, state, executors = serve()
         assert heap_executors == ["event-heap"] * 3
-        assert executors == ["exact-core", "event-heap", "exact-core"]
+        # The kernel takes healthy read-modify-writes only.
+        quiet = "exact-native" if write_policy == "rmw" else "exact-core"
+        assert executors == [quiet, "event-heap", quiet]
         assert (now, state) == (heap_now, heap_state)
 
     def test_quiet_shard_adds_no_heap_events(self):
@@ -656,7 +658,7 @@ class TestPerShardGate:
         assert [c.last_engine for c in both.controllers] == ["heap", "heap"]
         assert [c.last_executor for c in both.controllers] == [
             "event-heap",
-            "exact-core",
+            "exact-native",
         ]
 
 
@@ -666,8 +668,8 @@ class TestExecutorList:
         assert payload["executor_per_shard"] == [
             "event-heap",
             "event-heap",
-            "exact-core",
-            "exact-core",
+            "exact-native",
+            "exact-native",
         ]
         assert payload["engine_per_shard"] == ["heap"] * 4
         assert "executor_per_shard" not in canonical_payload(payload)

@@ -8,7 +8,9 @@ same latency samples.
 
 Two equality tiers, matching the engine's two tiers:
 
-* the **exact** tier (``_step_exact``, called directly here) is
+* the **exact** tier (``_step_exact``, called directly here: the
+  compiled kernel on healthy read-modify-write plans, the Python
+  ``_ExactCore`` otherwise — and that reference core on its own) is
   bit-exact against the heap including sample ORDER (it replays the
   heap's ``(time, seq)`` serialization event for event);
 * the **default** path may take the eager FIFO tier, whose documented
@@ -33,7 +35,7 @@ from repro.sim import (
     schedule_compiled,
     step_compiled,
 )
-from repro.sim.batchstep import _step_exact
+from repro.sim.batchstep import _ExactCore, _step_exact
 from repro.sim.compile import _CompiledRun
 from repro.sim.trace import TraceRecord
 
@@ -88,6 +90,11 @@ def _run(engine, layout_fn, cfg, *, duration=900.0, failed=None,
     else:
         if engine == "exact":
             n = _step_exact(ctrl, _CompiledRun(ctrl, trace))
+        elif engine == "python":
+            core = _ExactCore(ctrl)
+            core.feed(trace)
+            core.finish()
+            n = trace.n
         else:
             n = step_compiled(ctrl, trace)
         assert n == trace.n
@@ -129,6 +136,14 @@ class TestCalendarBitExactness:
                      policy=policy)
         assert_states_equal(heap, exact)
         assert exact.last_engine == "calendar"
+        assert exact.last_executor == (
+            "exact-native"
+            if failed is None and policy == "rmw"
+            else "exact-core"
+        )
+        python = _run("python", FAMILIES[family], cfg, failed=failed,
+                      policy=policy)
+        assert_states_equal(heap, python)
 
 
 class TestFleetShardShape:
@@ -143,6 +158,8 @@ class TestFleetShardShape:
         heap = _run("heap", layout, cfg, duration=240_000.0)
         exact = _run("exact", layout, cfg, duration=240_000.0)
         assert_states_equal(heap, exact)
+        python = _run("python", layout, cfg, duration=240_000.0)
+        assert_states_equal(heap, python)
         # Through the gate: the eager attempt tie-aborts without a
         # trace, and the exact tier replays the whole trace.
         step = _run("step", layout, cfg, duration=240_000.0)
@@ -194,6 +211,8 @@ class TestQuantizedTies:
         heap = _run("heap", FAMILIES["ring"], cfg, quantize=tick)
         exact = _run("exact", FAMILIES["ring"], cfg, quantize=tick)
         assert_states_equal(heap, exact)
+        python = _run("python", FAMILIES["ring"], cfg, quantize=tick)
+        assert_states_equal(heap, python)
 
     def test_default_path_survives_mass_ties(self):
         """The eager tier either resolves the ties or falls back to the

@@ -1,0 +1,361 @@
+"""The compiled exact core against its Python reference.
+
+:class:`repro.sim.native.NativeExactCore` must leave a controller in
+exactly the state :class:`repro.sim.batchstep._ExactCore` leaves it in —
+sample lists (compared by ``repr``, so every bit and the kind order
+count), disk accumulators, last offsets, the clock, data-plane bytes and
+metrics rows — whether a trace is fed once or window by window.  The
+loader's fallbacks (no compiler, a compile error, a failed ``dlopen``)
+must leave every serve's canonical report unchanged.
+"""
+
+import os
+import subprocess
+import sys
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core import get_layout
+from repro.layouts import ring_layout
+from repro.obs import MetricsRecorder, build_rows, render_metrics_jsonl
+from repro.service import (
+    FleetScenario,
+    canonical_payload,
+    run_fleet_scenario,
+    run_fleet_scenario_parallel,
+)
+from repro.service.scenario import default_failure_schedule
+from repro.sim import (
+    ArrayController,
+    WorkloadConfig,
+    compile_stream,
+    compile_workload,
+    native,
+)
+from repro.sim.batchstep import _exact_core, _ExactCore
+from repro.sim.compile import generate_request_stream
+
+def _fail_load(path):
+    raise native.KernelUnavailable("dlopen failed: forced by the test")
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Make the kernel's loader fail, so exact replays fall back to the
+    Python core (with one RuntimeWarning) for the rest of the test."""
+    native.kernel.cache_clear()
+    monkeypatch.setattr(native, "_load", _fail_load)
+    yield
+    native.kernel.cache_clear()
+
+
+MIXES = {
+    # (layout, mean interarrival ms, read fraction, seed, arrival grid)
+    "ring-mixed": (lambda: ring_layout(9, 4), 2.0, 0.6, 3, None),
+    "ring-quantized": (lambda: ring_layout(9, 4), 2.0, 0.6, 3, 5.0),
+    "hg-writes": (lambda: get_layout(13, 4), 1.5, 0.0, 11, None),
+    "hg-reads-quantized": (lambda: get_layout(13, 4), 1.0, 1.0, 5, 4.0),
+    "fleet-shard": (lambda: get_layout(9, 3), 8.0, 0.7, 7, 8.0),
+}
+
+
+def _stream(mix):
+    layout, gap, read_fraction, seed, tick = MIXES[mix]
+    cap = ArrayController(layout()).mapper.capacity
+    cfg = WorkloadConfig(
+        interarrival_ms=gap, read_fraction=read_fraction, seed=seed
+    )
+    times, is_read, lbas = generate_request_stream(cfg, 1200.0 * gap, cap)
+    if tick is not None:
+        # Grid-snapped arrivals: tied epochs, and epochs tied with
+        # completions, split across window boundaries.
+        times = np.floor(times / tick) * tick
+        order = np.argsort(times, kind="stable")
+        times, is_read, lbas = times[order], is_read[order], lbas[order]
+    return layout, times, is_read, lbas
+
+
+def _replay(core_kind, mix, window, dataplane, metrics):
+    """Two back-to-back replays on one controller (the second starts
+    from the first's disk state, kinds and a non-zero clock), each fed
+    in ``window``-request windows (None: one feed)."""
+    layout, times, is_read, lbas = _stream(mix)
+    ctrl = ArrayController(layout(), dataplane=dataplane, seed=4)
+    if metrics:
+        ctrl.obs = MetricsRecorder(40.0)
+    half = len(times) // 2
+    for lo, hi in ((0, half), (half, len(times))):
+        if core_kind == "python":
+            ctrl.set_engine("calendar", "exact-core")
+            core = _ExactCore(ctrl)
+        else:
+            core = _exact_core(ctrl, "calendar")
+            assert ctrl.last_executor == "exact-native"
+        step = window or hi - lo
+        t0 = times[lo]
+        for i in range(lo, hi, step):
+            j = min(i + step, hi)
+            core.feed(
+                compile_stream(
+                    ctrl.mapper, times[i:j] - t0, is_read[i:j], lbas[i:j]
+                )
+            )
+        core.finish()
+    return {
+        "samples": repr([(k, st.samples) for k, st in ctrl.latency.items()]),
+        "clock": repr(ctrl.sim.now),
+        "disks": repr(
+            [
+                (
+                    d.busy_time,
+                    d.total_queue_delay,
+                    d.completed_reads,
+                    d.completed_writes,
+                    d._last_offset,
+                )
+                for d in ctrl.disks
+            ]
+        ),
+        "store": None if ctrl.data is None else ctrl.data.store.tobytes(),
+        "metrics": (
+            render_metrics_jsonl(build_rows(ctrl.obs)) if metrics else None
+        ),
+    }
+
+
+#: (mix, window) cases: every mix one-shot and in 7- and 64-request
+#: windows; single-request windows on the tie-heavy mixes.
+WINDOWED = [(mix, w) for mix in sorted(MIXES) for w in (None, 7, 64)] + [
+    ("fleet-shard", 1),
+    ("ring-quantized", 1),
+]
+
+
+@pytest.mark.parametrize("metrics", [False, True], ids=["plain", "metrics"])
+@pytest.mark.parametrize("dataplane", [False, True], ids=["nodata", "data"])
+@pytest.mark.parametrize("mix, window", WINDOWED, ids=str)
+def test_kernel_matches_python_core(mix, window, dataplane, metrics):
+    ref = _replay("python", mix, window, dataplane, metrics)
+    got = _replay("native", mix, window, dataplane, metrics)
+    assert got == ref
+
+
+class TestEligibility:
+    """The factory gives the kernel only plans it can take."""
+
+    @pytest.mark.parametrize(
+        "setup, executor",
+        [
+            (lambda c: None, "exact-native"),
+            (lambda c: c.fail_disk(1), "exact-core"),
+            (lambda c: c.add_content_write_hook(lambda *a: None), "exact-core"),
+        ],
+        ids=["healthy", "degraded", "hooked"],
+    )
+    def test_executor(self, setup, executor):
+        ctrl = ArrayController(get_layout(9, 3), dataplane=True)
+        setup(ctrl)
+        core = _exact_core(ctrl, "heap")
+        assert ctrl.last_executor == executor
+        assert isinstance(core, _ExactCore) == (executor == "exact-core")
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("disks", 9, "disk id out of range"),
+            ("disks", -1, "disk id out of range"),
+            ("offsets", -1, "negative offset"),
+            ("is_read", None, "ragged"),
+        ],
+    )
+    def test_kernel_refuses_bad_columns(self, field, value, match):
+        """No column a ``CompiledTrace`` can carry reaches the kernel
+        unchecked: a disk id outside ``[0, v)``, a negative offset or a
+        ragged column raises before the call."""
+        ctrl = ArrayController(get_layout(9, 3))
+        trace = compile_workload(ctrl.mapper, WorkloadConfig(seed=2), 200.0)
+        reads = np.flatnonzero(trace.is_read)
+        if value is None:
+            bad = replace(trace, is_read=trace.is_read[:-1])
+        else:
+            col = getattr(trace, field).copy()
+            col[reads[0]] = value
+            bad = replace(trace, **{field: col})
+        core = _exact_core(ctrl, "calendar")
+        with pytest.raises(ValueError, match=match):
+            core.feed(bad)
+
+    def test_core_is_spent_after_finish(self):
+        ctrl = ArrayController(get_layout(9, 3))
+        trace = compile_workload(ctrl.mapper, WorkloadConfig(seed=2), 200.0)
+        core = _exact_core(ctrl, "calendar")
+        core.feed(trace)
+        core.finish()
+        with pytest.raises(RuntimeError, match="after finish"):
+            core.feed(trace)
+
+    def test_write_through_stays_on_python_core(self):
+        ctrl = ArrayController(get_layout(9, 3), write_policy="write_through")
+        assert isinstance(_exact_core(ctrl, "calendar"), _ExactCore)
+        assert ctrl.last_executor == "exact-core"
+
+
+def _serves():
+    """A healthy serve whose shards tie-abort onto the exact tier (once
+    materialized, once in windows), and a serve with failures whose
+    quiet shards replay beside them (once materialized, once in windows
+    through the in-process grouped runner)."""
+    mixed = FleetScenario(
+        shards=2,
+        v=9,
+        k=3,
+        duration_ms=120_000.0,
+        interarrival_ms=4.0,
+        read_fraction=0.7,
+        verify_data=False,
+        check_conformance=False,
+        seed=3,
+    )
+    failing = FleetScenario(
+        shards=4,
+        v=9,
+        k=3,
+        duration_ms=300.0,
+        interarrival_ms=1.0,
+        read_fraction=0.7,
+        failures=default_failure_schedule(4, 9, 2, 80.0),
+        admission=2,
+        verify_data=True,
+    )
+    return [
+        run_fleet_scenario(mixed).to_dict(),
+        run_fleet_scenario(replace(mixed, window_size=4096)).to_dict(),
+        run_fleet_scenario(failing).to_dict(),
+        run_fleet_scenario_parallel(
+            replace(failing, window_size=64), workers=1
+        ).to_dict(),
+    ]
+
+
+def test_forced_fallback_serves_the_same_report(request):
+    """With the loader failing, every exact replay runs on the Python
+    core: canonical reports are unchanged, the executors read
+    ``exact-core`` where the kernel ran, and one warning names why."""
+    kernel_payloads = _serves()
+    assert [p["engine_per_shard"] for p in kernel_payloads] == [
+        ["calendar"] * 2,
+        ["windowed-pump"] * 2,
+        ["heap"] * 4,
+        ["windowed-pump"] * 4,
+    ]
+    request.getfixturevalue("no_kernel")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fallback_payloads = _serves()
+    for got, ref in zip(fallback_payloads, kernel_payloads):
+        assert canonical_payload(got) == canonical_payload(ref)
+        assert got["executor_per_shard"] == [
+            "exact-core" if e == "exact-native" else e
+            for e in ref["executor_per_shard"]
+        ]
+    for payload in kernel_payloads[:2]:
+        assert payload["executor_per_shard"] == ["exact-native"] * 2
+    for payload in kernel_payloads[2:]:
+        assert payload["executor_per_shard"].count("exact-native") == 2
+    messages = [
+        str(w.message) for w in caught if w.category is RuntimeWarning
+    ]
+    assert len(messages) == 1
+    assert "dlopen failed: forced by the test" in messages[0]
+
+
+class TestBuild:
+    """The loader's failure reasons, and its cache directory rules."""
+
+    def test_concurrent_first_compile(self, tmp_path):
+        """Two processes compile into one empty cache directory at once:
+        both load, and no temporary file is left behind."""
+        src = str(Path(native.__file__).parents[2])
+        code = (
+            "import sys; from pathlib import Path; "
+            "from repro.sim import native; "
+            "native._load(native._build(Path(sys.argv[1]))); print('ok')"
+        )
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code, str(tmp_path)],
+                env=dict(os.environ, PYTHONPATH=src),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for _ in range(2)
+        ]
+        outs = [p.communicate(timeout=120) for p in procs]
+        for p, (out, err) in zip(procs, outs):
+            assert p.returncode == 0 and out.strip() == "ok", err
+        assert [f.name for f in tmp_path.iterdir()] == [
+            native._build(tmp_path).name
+        ]
+
+    def test_import_loads_nothing(self):
+        """``import repro`` neither builds nor imports the loader: the
+        first eligible replay does."""
+        code = (
+            "import sys, repro, repro.service; "
+            "assert 'repro.sim.native' not in sys.modules; print('ok')"
+        )
+        src = str(Path(native.__file__).parents[2])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.stdout.strip() == "ok", out.stderr
+
+    def test_compile_error_names_its_first_line(self, tmp_path, monkeypatch):
+        bad = tmp_path / "exactcore.c"
+        bad.write_text("this is not C\n")
+        monkeypatch.setattr(native, "SOURCE", bad)
+        with pytest.raises(native.KernelUnavailable, match="failed: .*error"):
+            native._build(tmp_path)
+        assert list(tmp_path.iterdir()) == [bad]
+
+    def test_os_error_falls_back_with_a_warning(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(native, "_cache_dir", lambda: tmp_path / "gone")
+        native.kernel.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning, match="No such file"):
+                assert native.kernel() is None
+        finally:
+            native.kernel.cache_clear()
+
+    def test_missing_compiler(self, monkeypatch):
+        monkeypatch.setattr(
+            native.sysconfig, "get_config_var", lambda name: "no-such-cc -O"
+        )
+        with pytest.raises(
+            native.KernelUnavailable, match="'no-such-cc' not found"
+        ):
+            native._compiler()
+
+    def test_private_cache_dir_when_pycache_unusable(self, tmp_path, monkeypatch):
+        """A module directory that cannot hold ``__pycache__`` sends the
+        build to a 0700 per-user directory under the tempdir, and a
+        directory there that others can open is refused."""
+        blocker = tmp_path / "pkg"
+        blocker.write_text("")  # a file: its __pycache__ cannot exist
+        monkeypatch.setattr(native, "SOURCE", blocker / "exactcore.c")
+        monkeypatch.setattr(native.tempfile, "tempdir", str(tmp_path))
+        private = native._cache_dir()
+        assert private.parent == tmp_path
+        assert private.stat().st_mode & 0o777 == 0o700
+        private.chmod(0o755)
+        with pytest.raises(native.KernelUnavailable, match="not private"):
+            native._cache_dir()

@@ -479,7 +479,7 @@ class TestWindowedPerShardGate:
         heap, heap_executors = serve(True)
         gated, executors = serve(False)
         assert heap_executors == ["event-heap"] * 2
-        assert executors == ["event-heap", "exact-core"]
+        assert executors == ["event-heap", "exact-native"]
         assert gated == heap
         assert "degraded_read" in gated[4][0] and gated[5] == ["windowed-pump"] * 2
 

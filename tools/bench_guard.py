@@ -25,13 +25,23 @@ per-pair heap/engine wall-time ratio:
   eager tier on degraded plans;
 * ``exact_tier`` — one shard of the serve-shaped mixed fleet ((9,3),
   8 ms, read fraction 0.7, seed 7, 30k requests), whose eager attempt
-  tie-aborts, so the exact tier (label ``calendar``) replays it.
+  tie-aborts, so the exact tier (label ``calendar``) replays it on the
+  compiled exact core.
 
 ``windowed_exact`` streams the ``exact_tier`` shard in 4096-request
 windows (``StreamWindows``) through ``execute_windows`` — whose
-windowed eager attempt tie-aborts, so the shard replays on the exact
-core one window at a time — and through the chained heap pump on the
-same windows, in interleaved pairs.
+windowed eager attempt tie-aborts, so the shard replays on the
+compiled exact core one window at a time — and through the chained
+heap pump on the same windows, in interleaved pairs.
+
+``native_exact`` replays the ``exact_tier`` shard's plan (one
+``_CompiledRun``) through the exact tier's factory — the compiled
+kernel, ``repro.sim.native.NativeExactCore`` — and on the Python
+``repro.sim.batchstep._ExactCore``, one feed each, in interleaved
+pairs; its ratio is Python/kernel, not heap/engine.  It must land on
+the executor ``exact-native``: a host where the kernel did not build
+or load falls back to the Python core silently in ``serve`` (one
+warning), and here reads as a wrong engine.
 
 Each case also names the engine it must land on, and must leave
 ``sim.events_processed`` at 0 (every guarded engine runs off the event
@@ -96,22 +106,24 @@ PAIRS = 5
 #: per-pair heap/engine wall-time ratio).  Each floor sits well below
 #: the best-pair ratios four runs measured on a 2-CPU host (Python
 #: 3.11, NumPy 2.4) — solver 13.1-15.4, eager 5.8-7.1, degraded eager
-#: 2.4-2.95, exact tier 1.8-2.2 — and well above the ~1x of a run
-#: pinned to the heap.
+#: 2.4-2.95, exact tier 4.6-5.4 on the compiled exact core (the Python
+#: core read 1.8-2.2) — and well above the ~1x of a run pinned to the
+#: heap.
 CASES = {
     "read_only_solver": ((13, 4), 5.0, 1.0, None, "solver", 8.0),
     "mixed_rw_executor": ((13, 4), 5.0, 0.7, None, "eager", 3.5),
     "degraded_mixed_executor": ((13, 4), 5.0, 0.7, 1, "eager", 1.7),
-    "exact_tier": ((9, 3), 8.0, 0.7, None, "calendar", 1.6),
+    "exact_tier": ((9, 3), 8.0, 0.7, None, "calendar", 3.0),
 }
 
 #: The windowed replay case: the exact_tier shard in windows of this
 #: many requests, and the floor on its best per-pair pump/exact ratio.
-#: Four runs on a 2-CPU host (Python 3.11, NumPy 2.4) measured
-#: 1.6-1.9 — the execute_windows side includes the eager attempt the
-#: tie aborts — against about 1x for a replay pinned to the pump.
+#: Five runs on a 2-CPU host (Python 3.11, NumPy 2.4) measured
+#: 3.5-4.3 on the compiled exact core (the Python core read 1.6-1.9) —
+#: the execute_windows side includes the eager attempt the tie aborts —
+#: against about 1x for a replay pinned to the pump.
 WINDOW = 4096
-WINDOWED_EXACT_FLOOR = 1.3
+WINDOWED_EXACT_FLOOR = 2.5
 
 #: The quiet-shard case: aggregate mean interarrival of its 2-shard
 #: stream, the failure time as a fraction of the horizon, and the floor
@@ -123,6 +135,11 @@ WINDOWED_EXACT_FLOOR = 1.3
 QUIET_INTERARRIVAL_MS = 4.0
 QUIET_FAIL_AT = 0.25
 QUIET_FLOOR = 1.3
+
+#: The compiled exact core's floor on its best per-pair Python/kernel
+#: ratio (see ``native_exact`` in the module docstring).  Five runs on
+#: a 2-CPU host (Python 3.11, NumPy 2.4, gcc 12.2) measured 12.4-15.0.
+NATIVE_EXACT_FLOOR = 6.0
 
 #: Warm serves timed after the cold one; the best is compared.
 WARM_RUNS = 3
@@ -300,6 +317,54 @@ def quiet_beside_failure_case() -> dict:
     }
 
 
+def native_exact_case() -> dict:
+    """Replay the ``exact_tier`` shard's plan (one ``_CompiledRun``) on
+    the exact tier's factory — the compiled kernel, one feed — and on
+    the Python ``_ExactCore``, one feed, in interleaved pairs; report
+    the best Python/kernel ratio and the executor the factory picked."""
+    from repro.core import get_layout
+    from repro.sim import ArrayController, WorkloadConfig, compile_workload
+    from repro.sim.batchstep import _ExactCore, _step_exact
+    from repro.sim.compile import _CompiledRun
+
+    layout = get_layout(9, 3)
+    cfg = WorkloadConfig(interarrival_ms=8.0, read_fraction=0.7, seed=7)
+    trace = compile_workload(
+        ArrayController(layout).mapper, cfg, 8.0 * REQUESTS
+    )
+
+    def timed(kernel: bool) -> tuple[float, "ArrayController"]:
+        ctrl = ArrayController(layout)
+        run = _CompiledRun(ctrl, trace)
+        t0 = time.perf_counter()
+        if kernel:
+            _step_exact(ctrl, run)
+        else:
+            core = _ExactCore(ctrl)
+            core.feed(run)
+            core.finish()
+        return time.perf_counter() - t0, ctrl
+
+    timed(True)  # build or load the kernel outside the timed pairs
+    engine_best = ref_best = float("inf")
+    ratio = 0.0
+    for _ in range(PAIRS):
+        e, ctrl = timed(True)
+        p, _ = timed(False)
+        engine_best = min(engine_best, e)
+        ref_best = min(ref_best, p)
+        ratio = max(ratio, p / e)
+    return {
+        "requests": trace.n,
+        "engine": ctrl.last_executor,
+        "reference": "exact-core",
+        "events_processed": ctrl.sim.events_processed,
+        "engine_requests_per_s": trace.n / engine_best,
+        "heap_requests_per_s": trace.n / ref_best,
+        "ratio_heap_vs_engine": ratio,
+    }
+
+
 def warm_serve_case() -> dict:
     """Serve the bench suite's warm-serve scenario through one warm
     runtime: the cold first serve (pool boot, artifact build and pack)
@@ -404,6 +469,10 @@ def main() -> int:
         ("quiet_beside_failure", quiet_beside_failure_case, "heap",
          QUIET_FLOOR)
     )
+    runs.append(
+        ("native_exact", native_exact_case, "exact-native",
+         NATIVE_EXACT_FLOOR)
+    )
     for name, run, expected, floor in runs:
         case = run()
         case.update(
@@ -419,7 +488,8 @@ def main() -> int:
             f"bench-guard: {name:<24} "
             f"{case['engine_requests_per_s']:>10,.0f} rq/s "
             f"{case['engine']} vs "
-            f"{case['heap_requests_per_s']:>10,.0f} rq/s heap "
+            f"{case['heap_requests_per_s']:>10,.0f} rq/s "
+            f"{case.get('reference', 'heap')} "
             f"({case['ratio_heap_vs_engine']:.2f}x, floor {floor:.2f}x) "
             f"-> {verdict}"
         )
@@ -471,8 +541,9 @@ def main() -> int:
             f"bench-guard: {', '.join(regressed)} fell below the floor — "
             "check the engine-selection gate in "
             "repro.sim.compile.execute_compiled, the eager tier's "
-            "fallback rate in repro.sim.batchstep, (for exact_tier "
-            "and windowed_exact) repro.sim.batchstep._ExactCore, (for "
+            "fallback rate in repro.sim.batchstep, (for exact_tier, "
+            "windowed_exact and native_exact) repro.sim.native's "
+            "compiled exact core, (for "
             "quiet_beside_failure) the per-shard rule of "
             "repro.sim.compile._execute_shards and the data-plane fold, "
             "and (for warm_serve) "
@@ -485,9 +556,11 @@ def main() -> int:
             "path — check the engine-selection gate in "
             "repro.sim.compile.execute_compiled, the eager tier's "
             "tie-abort fallback in repro.sim.batchstep, (for "
-            "windowed_exact) the replay in repro.sim.stream._windows_carry "
-            "and (for quiet_beside_failure) the shard attribution of "
-            "repro.sim.events.Simulator.armed_shards"
+            "windowed_exact) the replay in repro.sim.stream._windows_carry, "
+            "(for quiet_beside_failure) the shard attribution of "
+            "repro.sim.events.Simulator.armed_shards and (for "
+            "native_exact) the kernel build warning of "
+            "repro.sim.native.kernel"
         )
     summary["regressed"] = regressed
     summary["wrong_engine"] = wrong_engine
