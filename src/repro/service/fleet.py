@@ -13,17 +13,17 @@ vectorized consistent-hash pass (:class:`ShardMap`), each shard's
 sub-stream is compiled with one ``map_batch`` call
 (:func:`repro.sim.compile.compile_stream`), and the shard-set engine
 gate of ``repro.sim`` runs them
-(:func:`repro.sim.compile._execute_shards`; windowed serves run the
-carry driver :func:`repro.sim.stream._windows_carry`): on an idle
-clock each shard takes its cheapest engine — the analytic queue
-solver for single-phase traces, the batch-stepped executor for mixed
-ones — and the shared event heap runs the shards that armed timers
-name (a failure injection names its array; a migration copy, every
-shard), while the rest replay the heap's order on the exact core.
-Windowed serves with anything armed take the window router, which
-keeps every shard on the heap.  The multi-process shard groups call
-the same gate.  No per-request Python happens
-between the socket (here: the stream vectors) and the disk queues.
+(:func:`repro.sim.compile._execute_shards`; windowed serves,
+:func:`repro.sim.stream._execute_shard_windows`): on an idle clock
+each shard takes its cheapest engine — the analytic queue solver for
+single-phase traces, the batch-stepped executor for mixed ones — and
+the shared event heap runs the shards that armed timers name (a
+failure injection names its array), while the rest replay the heap's
+order on the exact core.  Only windowed serves that must route live
+(a migration, a pending event naming no shard) take the window
+router, which keeps every shard on the heap.  The multi-process shard
+groups call the same gates.  No per-request Python happens between the
+socket (here: the stream vectors) and the disk queues.
 
 Routing is also *mutable* per volume: the fleet routes through a
 volume→shard table seeded from the :class:`ShardMap` and updated one
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.registry import get_layout
+from ..core.registry import get_layout, get_plan
 from ..layouts import Layout
 from ..obs.nullrec import NULL_RECORDER
 from ..sim.compile import (
@@ -59,7 +59,14 @@ from ..sim.controller import ArrayController
 from ..sim.disk import DiskParameters
 from ..sim.events import Simulator
 from ..sim.stats import LatencyDigest, LatencyStats, merge_summaries, summarize
-from ..sim.stream import _ShardRoute, _sweep, _volumes, _windows_carry
+from ..sim.stream import (
+    _carry_label,
+    _execute_shard_windows,
+    _ShardRoute,
+    _slice_window,
+    _sweep,
+    _volumes,
+)
 from ..sim.workload import WorkloadConfig
 from .sharding import ShardMap
 
@@ -158,6 +165,8 @@ class Fleet:
         if shards < 1:
             raise ValueError(f"a fleet needs >= 1 shard, got {shards}")
         self.sim = Simulator()
+        # The planner's pick for (v, k), and the layout it builds.
+        self.plan = get_plan(v, k)
         self.layout: Layout = get_layout(v, k)
         self.seed = seed
         self.placement = placement
@@ -482,24 +491,25 @@ class Fleet:
         :class:`repro.sim.compile.StreamWindows` over the fleet
         capacity, typically.  Two modes mirror :meth:`serve_compiled`:
 
-        * **carry** (idle clock, no live migration): each shard runs a
-          windowed engine that carries its queue state across window
-          boundaries — the analytic solver when every request is
-          single-phase (``read_only_hint`` or a write-through fleet),
-          the eager core for mixed read-modify-write fleets without
-          data planes.  No event loop at all: an eager tie abort
-          replays that shard's sub-stream on the exact core, in the
-          heap pump's order and under its ``windowed-pump`` label
-          (``windows`` must be re-iterable for eager; one-shot
-          generators stream through the router directly).  This is
-          the carry driver of ``repro.sim``'s windowed shard-set gate,
-          over every shard.
-        * **window router** (armed timers, live migration, data
-          planes): one self-rescheduling event loads each window onto
-          the shared heap when it is due — per-window routing follows
-          the *live* volume table, so migration cutovers mid-stream
-          take effect, and diverted windows are handed to the
-          coordinator with absolute arrival times.
+        * **shard-set gate** (static routing): ``repro.sim``'s windowed
+          gate (:func:`repro.sim.stream._execute_shard_windows`) over
+          every shard.  On an idle clock each shard carries its queue
+          state across window boundaries — the analytic solver when
+          every request is single-phase (``read_only_hint`` or a
+          write-through fleet), the eager core for mixed
+          read-modify-write fleets without data planes.  Otherwise only
+          the shards an armed event names (a failure names its array)
+          run on the shared heap; every other shard, and every eager
+          tie abort, replays on the exact core in the heap pump's order
+          and under its ``windowed-pump`` label.
+        * **window router** (live routing — a live migration, a pending
+          event naming no shard such as a reshape or an autoscale tick,
+          or a one-shot source the carry engines do not take, since the
+          gate gives each heap shard a pass of its own): one
+          self-rescheduling event loads each window onto the shared
+          heap for every shard, routed through the *live* volume table,
+          so cutovers mid-stream take effect; diverted windows go to
+          the coordinator with absolute arrival times.
 
         ``read_only_hint`` is a caller promise (every request is a
         read); a lying hint raises ``ValueError`` from the solver.
@@ -513,24 +523,27 @@ class Fleet:
         digests: list[dict[str, LatencyDigest]] = [
             {} for _ in self.controllers
         ]
-        scheduled = [0] * len(self.controllers)
-        n_windows = None
-        if not self.sim.pending() and (mig is None or mig.done):
-            # Carry mode: per-shard carry engines, no event loop.
-            n_windows = _windows_carry(
+        if (
+            (mig is not None and not mig.done)
+            or self.sim.armed_shards() is None
+            or (
+                iter(windows) is windows
+                and _carry_label(self.controllers, windows, read_only_hint)
+                is None
+            )
+        ):
+            scheduled = [0] * len(self.controllers)
+            router = _WindowRouter(self, iter(windows), digests, scheduled)
+            self.sim.run()
+            n_windows = router.finish()
+        else:
+            scheduled, n_windows = _execute_shard_windows(
                 self.controllers,
                 self.static_route(),
                 windows,
                 digests,
-                scheduled,
-                read_only_hint,
+                read_only_hint=read_only_hint,
             )
-        if n_windows is None:
-            # Router mode — either the clock is busy, or the carry
-            # engines declined (nothing touched).
-            router = _WindowRouter(self, iter(windows), digests, scheduled)
-            self.sim.run()
-            n_windows = router.finish()
         if n_windows:
             self._obs.count("window_boundaries", n_windows, volatile=True)
         return self._report(scheduled, start, digests, ios_base, mig_base)
@@ -630,20 +643,28 @@ def _fold_report(
 
 
 class _WindowRouter:
-    """Streams a windowed fleet workload onto the shared event heap.
+    """Streams a windowed fleet workload onto the shared event heap for
+    the serves that must route live (see :meth:`Fleet.serve_windows`).
 
     One self-rescheduling event per window: at the first arrival time
     of window *W*, the router sweeps completed latency samples into the
-    per-shard digests, routes *W* through the **live** volume table
-    (so migration cutovers that happened since the last window take
+    per-shard digests, routes *W* through the **live** volume table (so
+    migration cutovers that happened since the last window take
     effect), hands any diverted sub-stream to the coordinator with
-    absolute arrival times, compiles each shard's slice, and arms one
+    absolute arrival times, compiles each shard's slice
+    (:func:`repro.sim.stream._slice_window`), and arms one
     :class:`repro.sim.compile._CompiledRun` pump per non-empty slice —
     all of whose arrivals fire before the next window is due (windows
     partition the stream by time).  Exactly one window is ever
     buffered, so heap pressure and sample memory stay constant at any
     horizon while failures, rebuilds, and migration copies interleave
     on the shared clock.
+
+    Known gap: a window's first arrival epoch takes its heap sequence
+    number when the router delivers the window, where the chained pump
+    (and so the materialized serve) numbers it at the end of the
+    previous epoch.  At exact time ties across a window boundary the
+    schedules can differ.
 
     Construction arms the first window; run the clock, then call
     :meth:`finish`.
@@ -689,7 +710,8 @@ class _WindowRouter:
     def _deliver(self) -> None:
         self.drain()
         fleet = self.fleet
-        times, is_read, lbas = self._next
+        window = self._next
+        times, is_read, lbas = window
         self._next = None
         self.windows += 1
         vols = _volumes(
@@ -711,24 +733,14 @@ class _WindowRouter:
         scheduled = self.scheduled
         # Shards a reshape bore mid-run route from here on.
         scheduled.extend([0] * (len(fleet.controllers) - len(scheduled)))
-        obs = fleet._obs
-        for s, ctrl in enumerate(fleet.controllers):
-            mask = shard_ids == s
-            if not mask.any():
-                continue
-            if obs.enabled:
-                obs.arrivals(s, self.base + times[mask])
-            w = compile_stream(
-                ctrl.mapper,
-                times[mask],
-                is_read[mask],
-                lbas[mask] % fleet.shard_capacity,
-            )
-            scheduled[s] += w.n
+        for s, w in _slice_window(
+            enumerate(fleet.controllers), shard_ids, window,
+            fleet.shard_capacity, self.base, scheduled,
+        ):
             # The explicit base keeps arrival times bit-equal to a
             # stream-start schedule even though the pump is built
             # mid-run.
-            _CompiledRun(ctrl, w, base=self.base).schedule()
+            _CompiledRun(fleet.controllers[s], w, base=self.base).schedule()
         self._next = self._pull()
         if self._next is not None:
             self._arm()

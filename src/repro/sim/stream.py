@@ -13,21 +13,17 @@ peak memory is one window, at any horizon.
 
 Reports stay **byte-identical** to the materialized path.  The engine
 gate for a set of shards on one clock lives here, once:
-:func:`_execute_shard_windows` runs the carry driver
-(:func:`_windows_carry`) on an idle clock; otherwise it arms a chained
-heap pump (:func:`_arm_shard_pump`) for each shard an armed event
-names before one ``sim.run()``, and replays every other shard on the
-exact core (:func:`_replay_exact`) — the heap runs only for shards
-that carry foreign events, or for one-shot window generators.
-:func:`execute_windows` is that gate on one array — one volume routed
-to ``ctrl.obs_shard`` — and multi-process shard groups call it for
-their slice of the fleet;
-:meth:`repro.service.Fleet.serve_windows` runs the same carry driver
-and falls back to its window router, which re-routes windows through
-the live volume table when a reshape moves volumes mid-stream.  Every
-caller passes the stream's routing geometry as one
-:class:`_ShardRoute`.  Three engines mirror :func:`execute_compiled`'s
-selection gate:
+:func:`_execute_shard_windows` reads the windows once per class of
+shard: one carry pass (:func:`_windows_carry`) on an idle clock, ONE
+exact-core replay pass (:func:`_replay_exact`), and a chained heap
+pump (:func:`_arm_shard_pump`) per shard an armed event names, armed
+before one ``sim.run()``; one slicer (:func:`_slice_window`) serves
+them all.  :func:`execute_windows` is that gate on one array, shard
+groups call it for their slice, and
+:meth:`repro.service.Fleet.serve_windows` for the fleet unless it must
+route live (its window router).  Every caller passes the stream's
+routing geometry as one :class:`_ShardRoute`.  Three engines mirror
+:func:`execute_compiled`'s selection gate:
 
 * single-phase streams (read-only by construction, or any mix under
   ``write_policy="write_through"``) run on :class:`_WindowedSolver` —
@@ -41,20 +37,19 @@ selection gate:
   :class:`repro.sim.batchstep._EagerCore` fed window by window, its
   pending-phase heap and per-disk state persisting across feeds.  On
   the core's ambiguity abort (an exact submission-time tie) nothing has
-  touched the controller, so that shard's stream is replayed on the
+  touched the controller, so that shard joins the replay pass: the
   exact core (:func:`repro.sim.batchstep._exact_core`: the compiled
   kernel for these healthy read-modify-write plans), again one window
-  at a time: the heap pump's exact serialization without the event
-  heap, keeping the pump's ``windowed-pump`` label
-  (:func:`_replay_exact`);
+  at a time — the heap pump's exact serialization without the event
+  heap, keeping the pump's ``windowed-pump`` label;
 * a shard with foreign events scheduled on it (a failure timer, a
-  migration copy), a degenerate service model, or a mixed stream from
-  a one-shot window generator streams through the chained heap pump —
-  :class:`~repro.sim.compile._CompiledRun` with a window ``source``,
-  which loads one window at a time into the real event engine.  Every
-  other shard the carry engines decline (data plane attached) or a
-  busy clock rules out replays on the exact core, under the pump's
-  label.
+  migration copy) or a degenerate service model streams through the
+  chained heap pump — :class:`~repro.sim.compile._CompiledRun` with a
+  window ``source``, which loads one window at a time into the real
+  event engine.  Every other shard the carry engines decline (a data
+  plane, a one-shot mixed stream) or a busy clock rules out replays on
+  the exact core, under the pump's label.  A one-shot source has one
+  pass to give, so the gate refuses one that would need more.
 
 Sample *emission* is the part windowing could reorder, so every engine
 defers a sample until no later request can complete before it (a
@@ -218,15 +213,64 @@ class _ShardRoute:
     shard_capacity: int
     capacity: int
 
-    def shard_ids(self, lbas: np.ndarray) -> np.ndarray:
-        """Each request's shard.
+    def routed(self, windows) -> Iterator[tuple[_Window, np.ndarray]]:
+        """One pass over ``windows``: each non-empty window with its
+        requests' shards.
 
         Raises:
             IndexError: on an LBA outside ``[0, capacity)``.
         """
-        return self.table[
-            _volumes(lbas, self.volume_units, len(self.table), self.capacity)
-        ]
+        units, n, cap = self.volume_units, len(self.table), self.capacity
+        for window in windows:
+            if len(window[0]):
+                yield window, self.table[_volumes(window[2], units, n, cap)]
+
+
+def _slice_window(
+    shards: Iterable[tuple[int, ArrayController]],
+    shard_ids: np.ndarray,
+    window: _Window,
+    shard_capacity: int,
+    base: float,
+    scheduled: list[int],
+) -> Iterator[tuple[int, CompiledTrace]]:
+    """Compile each shard's slice of one routed window — the slicing
+    loop of every windowed engine and of the fleet's window router.  For
+    each ``(index, ctrl)`` of ``shards`` whose shard ``ctrl.obs_shard``
+    the window reaches (``shard_ids``), record its arrivals (stream
+    start ``base``), add its size to ``scheduled[index]`` and yield
+    ``(index, slice)``."""
+    times, is_read, lbas = window
+    for i, ctrl in shards:
+        mask = shard_ids == ctrl.obs_shard
+        if not mask.any():
+            continue
+        if ctrl.obs.enabled:
+            ctrl.obs.arrivals(ctrl.obs_shard, base + times[mask])
+        local = lbas[mask] % shard_capacity
+        w = compile_stream(ctrl.mapper, times[mask], is_read[mask], local)
+        scheduled[i] += w.n
+        yield i, w
+
+
+def _carry_label(
+    controllers: list[ArrayController],
+    windows,
+    read_only_hint: bool,
+    fleet_busy: bool = False,
+) -> str | None:
+    """The label of the carry engine a shard set runs on an idle clock:
+    ``windowed-solver`` for single-phase streams, ``windowed-eager`` for
+    mixed read-modify-write on hookless arrays with a positive service
+    model and re-iterable windows (an abort replays from the top).  None
+    on a busy clock, with ``fleet_busy``, or when neither applies."""
+    lead = controllers[0]
+    if fleet_busy or lead.sim.pending():
+        return None
+    if read_only_hint or lead.write_policy == "write_through":
+        return "windowed-solver"
+    eager = lead.data is None and lead.params.min_service_ms > 0.0
+    return "windowed-eager" if eager and iter(windows) is not windows else None
 
 
 def _windows_carry(
@@ -235,47 +279,25 @@ def _windows_carry(
     windows,
     digests: list[dict[str, LatencyDigest]],
     scheduled: list[int],
-    read_only_hint: bool,
-) -> int | None:
-    """Carry-engine windowed execution over ``controllers`` on their one
-    idle clock, each serving the shard its ``obs_shard`` names in
-    ``route.table`` — one array for :func:`execute_windows`, the whole
-    fleet for a serial serve, one group's slice for a multi-process
-    worker.  ``digests`` and ``scheduled`` are indexed like
-    ``controllers``.  Returns the number of non-empty windows routed, or
-    None when the engines don't apply, with the controllers untouched;
-    shards whose eager core hits an ambiguous tie replay on the exact
-    core (:func:`_replay_exact`), one shard per fresh pass over the
-    windows, before this returns — never on the event heap."""
-    lead = controllers[0]
-    sim = lead.sim
-    base = sim.now
+    label: str,
+) -> tuple[int, float, list[int]]:
+    """The carry pass: feed every shard's carry engine (``label``) one
+    window at a time, then finish each from the common start time.
+    Returns the non-empty window count, the latest finish, and the
+    shards whose eager core hit an ambiguous tie — cleared, for the
+    caller to replay (:func:`_replay_exact`): the per-shard granularity
+    of ``execute_compiled``'s eager → exact fallback."""
+    sim = controllers[0].sim
+    base = end = sim.now
     sinks = [
         _digest_sink(d, c.obs if c.obs.enabled else None, c.obs_shard)
         for d, c in zip(digests, controllers)
     ]
-    solver = read_only_hint or lead.write_policy == "write_through"
-    if solver:
-        engines = [_WindowedSolver(c) for c in controllers]
-        label, executor = "windowed-solver", "solver"
-    else:
-        # The eager tier needs re-iterable windows: an abort replays
-        # the whole stream from the top.
-        if (
-            lead.data is not None
-            or iter(windows) is windows
-            or lead.params.min_service_ms <= 0.0
-        ):
-            return None
-        engines = [_EagerCore(c) for c in controllers]
-        label, executor = "windowed-eager", "eager"
+    solver = label == "windowed-solver"
+    engine = _WindowedSolver if solver else _EagerCore
+    engines = [engine(c) for c in controllers]
     for c in controllers:
-        c.set_engine(label, executor)
-    # Shards whose eager core hit an ambiguous tie: their core is
-    # dropped (it wrote nothing back) and their whole sub-stream
-    # replays on the exact core at the end — the same per-shard
-    # granularity as execute_compiled's eager → exact fallback, so
-    # reports stay byte-identical.
+        c.set_engine(label, label.removeprefix("windowed-"))
     fallback: set[int] = set()
 
     def demote(i: int) -> None:
@@ -287,110 +309,74 @@ def _windows_carry(
         ctrl.obs.count("tie_abort_replays")
 
     n_windows = 0
-    for times, is_read, lbas in windows:
-        if not len(times):
-            continue
+    for window, ids in route.routed(windows):
         n_windows += 1
-        shard_ids = route.shard_ids(lbas)
-        for i, ctrl in enumerate(controllers):
-            if i in fallback:
-                continue
-            mask = shard_ids == ctrl.obs_shard
-            if not mask.any():
-                continue
-            if ctrl.obs.enabled:
-                ctrl.obs.arrivals(ctrl.obs_shard, base + times[mask])
-            w = compile_stream(
-                ctrl.mapper,
-                times[mask],
-                is_read[mask],
-                lbas[mask] % route.shard_capacity,
-            )
-            scheduled[i] += w.n
+        live = [(i, c) for i, c in enumerate(controllers) if i not in fallback]
+        for i, w in _slice_window(
+            live, ids, window, route.shard_capacity, base, scheduled
+        ):
             if solver:
                 engines[i].feed(w, sinks[i])
-            else:
-                run = _CompiledRun(ctrl, w)
-                if not engines[i].feed(run):
-                    demote(i)
-                    continue
+                continue
+            run = _CompiledRun(controllers[i], w)
+            if engines[i].feed(run):
                 engines[i].drain(run.times[-1], sinks[i])
+            else:
+                demote(i)
     if not solver:
         # Settle every surviving shard before the first write-back
         # so a late abort still demotes cleanly.
         for i, eng in enumerate(engines):
             if i not in fallback and not eng.settle():
                 demote(i)
-    # Finish each shard from the common start time and advance the
-    # shared clock to the set's makespan.
-    end = base
     for i, eng in enumerate(engines):
-        sim.now = base
-        if i in fallback:
-            scheduled[i], _ = _replay_exact(
-                controllers[i], route, windows, digests[i]
-            )
-        else:
+        if i not in fallback:
+            sim.now = base
             eng.finish(sinks[i])
-        if sim.now > end:
-            end = sim.now
-    sim.now = end
-    return n_windows
-
-
-def _shard_slices(
-    ctrl: ArrayController, route: _ShardRoute, windows, count: list[int]
-) -> Iterator[CompiledTrace]:
-    """Compile the shard ``ctrl.obs_shard``'s slice of each window (a
-    fresh filtered pass — one window buffered at a time), recording its
-    arrivals as it is routed.  ``count[0]`` accumulates the shard's
-    request count and ``count[1]`` the stream's non-empty windows."""
-    obs = ctrl.obs
-    gid = ctrl.obs_shard
-    base = ctrl.sim.now
-    for times, is_read, lbas in windows:
-        if not len(times):
-            continue
-        count[1] += 1
-        mask = route.shard_ids(lbas) == gid
-        if not mask.any():
-            continue
-        if obs.enabled:
-            obs.arrivals(gid, base + times[mask])
-        w = compile_stream(
-            ctrl.mapper,
-            times[mask],
-            is_read[mask],
-            lbas[mask] % route.shard_capacity,
-        )
-        count[0] += w.n
-        yield w
+            end = max(end, sim.now)
+    sim.now = base
+    return n_windows, end, sorted(fallback)
 
 
 def _replay_exact(
-    ctrl: ArrayController,
+    controllers: list[ArrayController],
+    shards: list[int],
     route: _ShardRoute,
     windows,
-    digest: dict[str, LatencyDigest],
-) -> tuple[int, int]:
-    """Replay the shard ``ctrl.obs_shard``'s slice of a windowed stream
-    on the exact core :func:`repro.sim.batchstep._exact_core` picks,
-    one window at a time, and return its request count and the
-    stream's non-empty window count.  This is the heap pump's
-    serialization without the event heap, so it keeps the pump's
-    ``windowed-pump`` label (a canonical report field); nothing foreign
-    may be scheduled on the shard.  Samples are swept into ``digest``
-    after every window, and the metrics recorder folds each completion
-    into its event time's bucket, as on the pump."""
-    count = [0, 0]
-    lat_base = {kind: len(st.samples) for kind, st in ctrl.latency.items()}
-    core = _exact_core(ctrl, "windowed-pump")
-    for w in _shard_slices(ctrl, route, windows, count):
-        core.feed(w)
-        _sweep(ctrl.latency, lat_base, digest)
-    core.finish()
-    _sweep(ctrl.latency, lat_base, digest)
-    return count[0], count[1]
+    digests: list[dict[str, LatencyDigest]],
+    scheduled: list[int],
+) -> tuple[int, float]:
+    """Replay ``shards`` (indices into ``controllers``) on the exact
+    core :func:`repro.sim.batchstep._exact_core` picks for each, all in
+    one pass over ``windows``, each core from the common start time;
+    return the non-empty window count and the latest finish.  This is
+    the heap pump's serialization without the event heap, so it keeps
+    the pump's ``windowed-pump`` label; nothing foreign may be
+    scheduled on these shards.  Samples are swept into ``digests`` after
+    every window; the recorder buckets completions as on the pump."""
+    sim = controllers[0].sim
+    base = end = sim.now
+    pairs = [(i, controllers[i]) for i in shards]
+    lat_base = {
+        i: {kind: len(st.samples) for kind, st in c.latency.items()}
+        for i, c in pairs
+    }
+    cores = {i: _exact_core(c, "windowed-pump") for i, c in pairs}
+    n_windows = 0
+    for window, ids in route.routed(windows):
+        n_windows += 1
+        for i, w in _slice_window(
+            pairs, ids, window, route.shard_capacity, base, scheduled
+        ):
+            cores[i].feed(w)
+            _sweep(controllers[i].latency, lat_base[i], digests[i])
+    for i, ctrl in pairs:
+        sim.now = base
+        cores[i].finish()
+        _sweep(ctrl.latency, lat_base[i], digests[i])
+        end = max(end, sim.now)
+    sim.now = base
+    return n_windows, end
 
 
 def _arm_shard_pump(
@@ -400,7 +386,7 @@ def _arm_shard_pump(
     digest: dict[str, LatencyDigest],
 ) -> tuple[list[int], Callable[[], None]]:
     """Arm a chained heap pump for the shard ``ctrl.obs_shard`` over its
-    slice of a windowed stream (:func:`_shard_slices`).  This is the
+    slice of a windowed stream, in a pass of its own.  This is the
     general engine, able to interleave with foreign events (rebuilds,
     timers, other shards' pumps).
 
@@ -419,7 +405,17 @@ def _arm_shard_pump(
     again."""
     ctrl.set_engine("windowed-pump", "event-heap")
     count = [0, 0]
-    gen = _shard_slices(ctrl, route, windows, count)
+    base = ctrl.sim.now
+
+    def slices() -> Iterator[CompiledTrace]:
+        for window, ids in route.routed(windows):
+            count[1] += 1
+            for _, w in _slice_window(
+                ((0, ctrl),), ids, window, route.shard_capacity, base, count
+            ):
+                yield w
+
+    gen = slices()
     first = next(gen, None)
     lat_base = {kind: len(st.samples) for kind, st in ctrl.latency.items()}
     drain = partial(_sweep, ctrl.latency, lat_base, digest)
@@ -460,52 +456,56 @@ def _execute_shard_windows(
     fleet_busy: bool = False,
 ) -> tuple[list[int], int]:
     """Serve a windowed fleet stream on a set of shards sharing one
-    clock — the windowed engine gate, the streaming twin of
-    :func:`repro.sim.compile._execute_shards`.
+    clock — the windowed engine gate of every serve whose routing is
+    static, the streaming twin of
+    :func:`repro.sim.compile._execute_shards`.  Each shard falls in one
+    class, and each class reads ``windows`` once:
 
-    On an idle clock (and without ``fleet_busy``) the carry engines run
-    (:func:`_windows_carry`).  Otherwise, or when they decline (data
-    planes, a degenerate service model, one-shot windows), the gate
-    decides per shard, as the materialized one does: a shard that an
-    armed event names (or every shard, when a pending event names
-    none) gets a chained heap pump, and every pump is armed before one
-    ``sim.run()``, so the armed events interleave with them exactly as
-    on the serial window router's heap (other shards' events never
-    reorder a shard's own).  Every other shard replays on the exact
-    core (:func:`_replay_exact`) from the common start time, under the
-    pump's label — when the windows are re-iterable; a one-shot window
-    source has one pass to give, so it streams through the pump.  The
-    clock ends at the later of the heap's drain and the replays' ends.
-    Latency lands in ``digests`` (indexed like ``controllers``).
-    Returns ``(scheduled, windows)``: the per-shard request counts and
-    the stream's non-empty window count.
+    * **carry** — idle clock, no ``fleet_busy``, a carry engine applies
+      (:func:`_carry_label`): one carry pass (:func:`_windows_carry`);
+    * **heap** — an armed event names the shard (or a pending event
+      names none, or its service model is degenerate): a chained pump
+      (:func:`_arm_shard_pump`) each, all armed before one
+      ``sim.run()``, so armed events interleave as on an all-heap clock;
+    * **exact replay** — every other shard, and carry shards whose
+      eager core tie-aborts: ONE pass for all (:func:`_replay_exact`).
+
+    The clock ends at the set's makespan.  Latency lands in ``digests``
+    (indexed like ``controllers``).  Returns ``(scheduled, windows)``:
+    the per-shard request counts and the non-empty window count.
+    Raises ``ValueError``, touching nothing, when a one-shot source
+    (its own iterator) would need more than one pass: splitting it
+    between passes would drop requests.
     """
     scheduled = [0] * len(controllers)
     sim = controllers[0].sim
-    if not fleet_busy and not sim.pending():
-        n_windows = _windows_carry(
-            controllers, route, windows, digests, scheduled, read_only_hint
-        )
-        if n_windows is not None:
-            return scheduled, n_windows
     base = end = sim.now
-    armed = sim.armed_shards()
-    replayable = iter(windows) is not windows
+    label = _carry_label(controllers, windows, read_only_hint, fleet_busy)
+    heap: list[int] = []
     n_windows = 0
-    pumped = []
-    for i, ctrl in enumerate(controllers):
-        if not replayable or _on_heap(ctrl, armed):
-            pumped.append(i)
-            continue
-        sim.now = base
-        scheduled[i], n_windows = _replay_exact(
-            ctrl, route, windows, digests[i]
+    if label is not None:
+        n_windows, end, replay = _windows_carry(
+            controllers, route, windows, digests, scheduled, label
         )
-        end = max(end, sim.now)
-    sim.now = base
+    else:
+        armed = sim.armed_shards()
+        replay = []
+        for i, ctrl in enumerate(controllers):
+            (heap if _on_heap(ctrl, armed) else replay).append(i)
+        passes = len(heap) + bool(replay)
+        if passes > 1 and iter(windows) is windows:
+            raise ValueError(
+                f"a one-shot window source has one pass to give, and "
+                f"this shard set needs {passes}: pass re-iterable windows"
+            )
+    if replay:
+        n_windows, replayed = _replay_exact(
+            controllers, replay, route, windows, digests, scheduled
+        )
+        end = max(end, replayed)
     pumps = [
         (i, *_arm_shard_pump(controllers[i], route, windows, digests[i]))
-        for i in pumped
+        for i in heap
     ]
     sim.run()
     for i, count, drain in pumps:
@@ -545,9 +545,9 @@ def execute_windows(
        (``windows`` must be re-iterable for the replay —
        :class:`~repro.sim.compile.StreamWindows` is; one-shot
        generators skip the eager tier);
-    4. otherwise (a data plane) → the same exact-core replay, when
-       the windows are re-iterable and the service model positive;
-       else the chained heap pump.
+    4. otherwise (a data plane, a one-shot mixed stream) → the same
+       exact-core replay, in the stream's one pass, when the service
+       model is positive; else the chained heap pump.
 
     The hint is advisory: an all-read stream without it simply runs on
     the eager core, whose read recurrence performs the identical float

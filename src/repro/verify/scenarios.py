@@ -33,6 +33,7 @@ __all__ = [
     "ConformanceScenario",
     "catalog_pairs",
     "default_scenarios",
+    "plan_workload_bound",
     "run_scenario",
     "run_conformance_sweep",
     "scenarios_for_pair",
@@ -97,20 +98,26 @@ class ConformanceScenario:
     )
 
 
+def plan_workload_bound(plan: LayoutPlan) -> float | None:
+    """The Condition 3 cap a planner-chosen construction's theorems
+    entitle it to, or None for the declustering ideal
+    ``(k-1)/(v-1)``.  Theorems 10-12 bound a stairway plan's rebuild
+    reads by its source array — the perturbed prime power ``q``, not
+    ``v`` — at ``(k-1)/(q-1)``."""
+    if plan.method.startswith("stairway"):
+        return (plan.k - 1) / (plan.detail["q"] - 1)
+    return None
+
+
 def _plan_scenario(plan: LayoutPlan, *, max_size: int) -> ConformanceScenario:
     """Scenario for a planner-chosen construction, with tolerances
     derived from the plan's own guarantees."""
-    workload_bound = None
-    if plan.method.startswith("stairway"):
-        # Theorems 10-12 bound rebuild reads by the source array: the
-        # perturbed prime power q, not v.
-        workload_bound = (plan.k - 1) / (plan.detail["q"] - 1)
     return ConformanceScenario(
         name=f"{plan.method}:v{plan.v}k{plan.k}",
         family="catalog",
         build=plan.build,
         parity_spread_allowance=0 if plan.balanced else 1,
-        workload_bound=workload_bound,
+        workload_bound=plan_workload_bound(plan),
         max_size=max_size,
     )
 

@@ -346,6 +346,10 @@ class TestAutoscaledScenario:
         assert summary.replay_identical is True
         assert summary.ok is True
         assert report.passed
+        # The serve runs in DEFAULT_AUTOSCALE_WINDOW windows, and the
+        # autoscale ticks name no shard: it routes live, every shard
+        # (those the grow bore included) on the heap.
+        assert report.fleet.executors == ["event-heap"] * 4
 
     def test_payload_carries_autoscale_section(self):
         payload = run_fleet_scenario(_autoscaled_scenario()).to_dict()

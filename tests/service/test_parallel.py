@@ -581,11 +581,8 @@ class TestPerShardGate:
         failed = {ev.array for ev in sc.failures}
         for s, executor in enumerate(grouped_executors):
             assert executor == ("event-heap" if s in failed else "exact-native")
-        if window is None:
-            assert serial_executors == grouped_executors
-        else:
-            # The serial window router stays on the heap.
-            assert set(serial_executors) == {"event-heap"}
+        # Serial windowed serves take the same shard-set gate.
+        assert serial_executors == grouped_executors
 
     @pytest.mark.parametrize("write_policy", ["rmw", "write_through"])
     def test_quiet_shards_match_all_heap_state(self, write_policy, monkeypatch):

@@ -134,6 +134,28 @@ class TestFleetConformance:
         assert conf.passed
         assert "PASS" in conf.summary()
 
+    def test_stairway_plan_held_to_its_theorem_bound(self):
+        """Theorems 10-12 cap a stairway plan's Condition 3 workload at
+        ``(k-1)/(q-1)``, not the declustering ideal ``(k-1)/(v-1)``:
+        (21,5) measures 0.40 against 4/20 = 0.20, and passes the gate as
+        it passes ``verify --all``.  A bound its layout exceeds still
+        fails it."""
+        fleet = Fleet(2, 21, 5, seed=0)
+        assert fleet.plan.method.startswith("stairway")
+        assert check_fleet(fleet).passed
+        assert run_fleet_scenario(
+            FleetScenario(shards=2, v=21, k=5, duration_ms=50.0)
+        ).passed
+        plan = fleet.plan
+        fleet.plan = dataclasses.replace(
+            plan, detail={**plan.detail, "q": 2 * plan.detail["q"]}
+        )
+        conf = check_fleet(fleet)
+        assert not conf.passed
+        assert conf.to_dict()["layouts"][0]["violations"] == [
+            "reconstruction balance"
+        ]
+
     def test_to_dict_shape(self):
         conf = check_fleet(Fleet(2, 13, 4, seed=0))
         d = conf.to_dict()

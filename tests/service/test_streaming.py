@@ -3,27 +3,33 @@ window_size=...)`` / the scenario ``window_size`` knob, serial and
 multi-process.
 
 The contract: a windowed serve is byte-identical to the materialized
-serve of the same stream — through the carry engines (idle clock), the
-window router (armed rebuild timers, live migration, data planes),
-and the parallel runner's per-group window pumps.  Scenario payloads
-are compared in canonical JSON form; the windowed scenario echoes its
-``window_size``, so scenario-vs-scenario comparisons strip that one
-field (everything below the echo must match byte for byte).
+serve of the same stream — through the shard-set gate (carry engines
+on an idle clock; heap pumps for shards an armed rebuild timer names
+and exact-core replays for the rest, data planes included), the
+window router (live migration), and the parallel runner's per-group
+gates.  Scenario payloads are compared in canonical JSON form; the
+windowed scenario echoes its ``window_size``, so scenario-vs-scenario
+comparisons strip that one field (everything below the echo must
+match byte for byte).
 """
 
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from repro.service import (
+    FailureOrchestrator,
     Fleet,
     FleetScenario,
     canonical_payload,
     default_failure_schedule,
     run_fleet_scenario,
 )
-from repro.sim import WorkloadConfig
+from repro.sim import WorkloadConfig, generate_request_stream
+from repro.sim.compile import ArrayWindows, StreamWindows
+from repro.sim.disk import DiskParameters
 
 DURATION = 400.0
 WINDOW_SIZES = (1, 13, 64, 10**6)
@@ -50,9 +56,11 @@ def _workload(**overrides) -> WorkloadConfig:
     return WorkloadConfig(**base)
 
 
-#: (id, Fleet kwargs, workload) — one per serve_windows mode: the two
-#: carry engines (eager / solver), the router forced by data planes,
-#: the single-phase write-through fleet, and a non-ring placement.
+#: (id, Fleet kwargs, workload) — one per serve_windows engine: the
+#: two carry engines (eager / solver), the exact-core replay a data
+#: plane forces (the id predates the gate, when data planes took the
+#: window router), the single-phase write-through fleet, and a non-ring
+#: placement.
 FLEET_CASES = [
     ("mixed_carry_eager", dict(dataplane=False), _workload()),
     ("read_only_solver", dict(dataplane=False), _workload(read_fraction=1.0)),
@@ -83,6 +91,87 @@ class TestServeWindowEquality:
                 )
             )
             assert windowed == materialized, ws
+
+
+#: Integer service times (8 ms average, 4 ms sequential): with arrivals
+#: floored to a 4 ms grid, exact time ties land everywhere, across
+#: window boundaries too.
+TIE_PARAMS = DiskParameters(
+    average_seek_ms=5,
+    rotational_latency_ms=2,
+    transfer_ms_per_unit=1,
+    sequential_seek_ms=1,
+)
+
+
+class TestTieHeavyWindows:
+    @pytest.mark.parametrize("ws", [1, 64])
+    @pytest.mark.parametrize("dataplane", [False, True], ids=["plain", "data"])
+    @pytest.mark.parametrize(
+        "failures", [False, True], ids=["healthy", "failures"]
+    )
+    def test_windowed_equals_materialized_at_ties(
+        self, failures, dataplane, ws
+    ):
+        """At exact time ties across window boundaries, a windowed serve
+        with failure timers or data planes equals the materialized one:
+        the shard-set gate's pumps and replays number each window's
+        first arrival epoch as the materialized heap does (the window
+        router, which numbers it on delivery, would not)."""
+
+        def serve(windowed: bool) -> dict:
+            fleet = Fleet(
+                4, 9, 3, disk_params=TIE_PARAMS, dataplane=dataplane, seed=0
+            )
+            if failures:
+                FailureOrchestrator(
+                    fleet, default_failure_schedule(4, 9, 2, 100.0),
+                    admission=2,
+                ).arm()
+            times, is_read, lbas = generate_request_stream(
+                _workload(interarrival_ms=0.6, read_fraction=0.6, seed=0),
+                300.0,
+                fleet.capacity,
+            )
+            times = np.floor(times / 4.0) * 4.0
+            if windowed:
+                report = fleet.serve_windows(
+                    ArrayWindows(times, is_read, lbas, ws)
+                )
+            else:
+                report = fleet.serve_stream(times, is_read, lbas)
+            fleet.sim.run()
+            return asdict(report)
+
+        assert serve(True) == serve(False)
+
+
+class TestOneShotSource:
+    @pytest.mark.parametrize(
+        "failures", [False, True], ids=["healthy", "failures"]
+    )
+    def test_one_shot_generator_schedules_every_request(self, failures):
+        """A one-shot window generator on a 4-shard fleet: the gate
+        would need one pass per heap shard, which such a source cannot
+        give, so the serve keeps it on one pass and schedules (and
+        reports) exactly what the materialized serve does."""
+
+        def fleet() -> Fleet:
+            f = Fleet(4, 9, 3, seed=0)
+            if failures:
+                FailureOrchestrator(
+                    f, default_failure_schedule(4, 9, 2, 100.0), admission=2
+                ).arm()
+            return f
+
+        config = _workload()
+        materialized = fleet()
+        expected = asdict(materialized.serve_workload(config, DURATION))
+        windowed = fleet()
+        one_shot = iter(
+            StreamWindows(config, DURATION, windowed.capacity, window_size=32)
+        )
+        assert asdict(windowed.serve_windows(one_shot)) == expected
 
 
 def _scenario(**overrides) -> FleetScenario:
@@ -132,6 +221,13 @@ class TestScenarioWindowed:
                 ignore_window=True,
             )
             assert windowed == materialized, ws
+
+    def test_reshape_stays_on_the_router(self):
+        """A reshape moves volumes mid-stream, so its windowed serve
+        routes live: every shard on the heap."""
+        reshape = dict(SCENARIO_CASES)["reshape_mid_stream"]
+        report = run_fleet_scenario(_scenario(window_size=64, **reshape))
+        assert report.fleet.executors == ["event-heap"] * 6
 
     def test_windowed_scenario_still_passes_gates(self):
         report = run_fleet_scenario(

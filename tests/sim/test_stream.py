@@ -272,6 +272,17 @@ def _split(times, is_read, lbas, ws):
     ]
 
 
+class _Passes(list):
+    """Re-iterable windows that count the passes begun over them (an
+    ``iter()`` probe that reads nothing is not a pass)."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        yield from super().__iter__()
+
+
 class TestWindowedExactReplay:
     """A shard whose windowed eager attempt tie-aborts replays on the
     exact core, one window at a time, on an idle clock: the heap pump's
@@ -339,8 +350,9 @@ class TestWindowedExactReplay:
         core at a different point: shards 0 and 2 on an arrival tied
         with a pending write phase, shard 1 on two tied pending phases
         mid-stream, shard 3 on two tied pending phases after its last
-        arrival — late, in ``settle()``.  The carry replays all four and
-        matches the all-heap pump run."""
+        arrival — late, in ``settle()``.  The carry replays all four, in
+        one pass over the windows after the carry pass, and matches the
+        all-heap pump run."""
         mapper = ArrayController(LAYOUT).mapper
         cap = mapper.capacity
         d, o, _s, pd, po = mapper.map_batch_parity(np.arange(cap))
@@ -411,10 +423,11 @@ class TestWindowedExactReplay:
             digests = [{} for _ in ctrls]
             if all_heap:
                 _all_heap(sim)
+            windows = _Passes(_split(times, is_read, lbas, 16))
             scheduled, _ = _execute_shard_windows(
-                ctrls, route, _split(times, is_read, lbas, 16), digests
+                ctrls, route, windows, digests
             )
-            return sim, rec, (
+            return sim, rec, windows.passes, (
                 sim.now,
                 scheduled,
                 [_disk_state(c) for c in ctrls],
@@ -423,13 +436,16 @@ class TestWindowedExactReplay:
                 _rows(rec),
             )
 
-        sim, rec, carry = serve(False)
+        sim, rec, passes, carry = serve(False)
         late = [aborts[shard] for shard in range(3)]
         assert late == sorted(set(late)) and aborts[3] == "settle", aborts
         assert sim.events_processed == 0
         assert rec.counters() == {"tie_abort_replays": 4}
-        sim, rec, pump = serve(True)
+        # The carry pass, then one replay pass for all four shards.
+        assert passes == 2
+        sim, rec, passes, pump = serve(True)
         assert sim.events_processed > 0 and rec.counters() == {}
+        assert passes == 4  # one chained pump per shard
         assert carry == pump
         assert carry[4] == ["windowed-pump"] * 4
 
@@ -502,9 +518,10 @@ class TestExecuteWindowsGate:
             execute_windows(ctrl, windows, read_only_hint=True)
 
     def test_one_shot_generator_streams_through_pump(self):
-        """A non-re-iterable window source skips the eager tier (no
-        replay possible) and still reproduces the materialized report
-        through the chained heap pump."""
+        """A non-re-iterable window source skips the eager tier (an
+        abort could not replay) and still reproduces the materialized
+        report, replaying the heap pump's serialization on the exact
+        core in its one pass (the id predates the replay)."""
         cfg = _cfg()
         materialized = asdict(
             simulate_workload(LAYOUT, duration_ms=400.0, config=cfg)
@@ -515,10 +532,32 @@ class TestExecuteWindowsGate:
         )
         scheduled, digests = execute_windows(ctrl, one_shot)
         assert ctrl.last_engine == "windowed-pump"
+        assert ctrl.last_executor == "exact-native"
+        assert ctrl.sim.events_processed == 0
         assert scheduled == materialized["scheduled"]
         latency = {kind: summarize(d) for kind, d in digests.items()}
         assert latency == materialized["latency"]
         assert ctrl.per_disk_completed() == materialized["per_disk_ios"]
+
+    def test_one_shot_source_refused_when_passes_split(self):
+        """Two shards on one clock, a failure naming shard 0: the gate
+        needs a pump pass for shard 0 and a replay pass for shard 1, so
+        a one-shot source is refused before anything is read or
+        touched, never split between the passes."""
+        cap = ArrayController(LAYOUT).mapper.capacity
+        route = _ShardRoute(np.arange(2, dtype=np.int64), cap, cap, 2 * cap)
+        windows = StreamWindows(_cfg(), DURATION, 2 * cap, window_size=32)
+        sim = Simulator()
+        ctrls = [ArrayController(LAYOUT, sim=sim, seed=s) for s in range(2)]
+        for shard, ctrl in enumerate(ctrls):
+            ctrl.obs_shard = shard
+        sim.arm(DURATION / 3, lambda: ctrls[0].fail_disk(4), ctrls[:1])
+        one_shot = iter(windows)
+        with pytest.raises(ValueError, match="one-shot"):
+            _execute_shard_windows(ctrls, route, one_shot, [{}, {}])
+        assert len(list(one_shot)) == len(list(windows))
+        assert [c.last_engine for c in ctrls] == [None, None]
+        assert sim.pending()
 
     @pytest.mark.parametrize("lba", [-1, 10**6])
     @pytest.mark.parametrize("one_shot", [False, True], ids=["carry", "pump"])

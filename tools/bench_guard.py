@@ -61,6 +61,15 @@ carry the label ``heap``, so the tell is the heap's event count: the
 gated run must process exactly as many events as the same run with
 shard 1's trace empty, or the case is a wrong engine.
 
+``quiet_windowed`` is its windowed twin: the same fleet, failure and
+stream served through ``Fleet.serve_windows`` in ``WINDOW``-request
+windows (the serial fleet's windowed shard-set gate) against the
+fleet's window router, which keeps every shard on the heap.  Shard 1
+must replay on the compiled exact core (executor ``exact-native``) and
+add no heap events (against the same windows with shard 1's requests
+removed); the window router, a host without the kernel, or a gate
+that sends the serve back to the router reads as a wrong engine.
+
 Runtime cases
 -------------
 ``warm_serve`` serves the bench suite's warm-serve scenario through one
@@ -135,6 +144,12 @@ WINDOWED_EXACT_FLOOR = 2.5
 QUIET_INTERARRIVAL_MS = 4.0
 QUIET_FAIL_AT = 0.25
 QUIET_FLOOR = 1.3
+
+#: The floor on ``quiet_windowed``'s best per-pair router/gated ratio
+#: (the same stream in ``WINDOW``-request windows).  Seven runs on a
+#: 2-CPU host (Python 3.11, NumPy 2.4, gcc 12.2) measured 2.14-2.74,
+#: against about 1x for a serve left on the router.
+QUIET_WINDOWED_FLOOR = 1.6
 
 #: The compiled exact core's floor on its best per-pair Python/kernel
 #: ratio (see ``native_exact`` in the module docstring).  Five runs on
@@ -259,6 +274,33 @@ def windowed_exact_case() -> dict:
     }
 
 
+def quiet_stream() -> tuple:
+    """The quiet-shard cases' 2-shard (31,6) stream: ``(router,
+    stream)`` — a fleet to route with, and the fleet-global columns."""
+    from repro.service import Fleet
+    from repro.sim import WorkloadConfig, generate_request_stream
+
+    cfg = WorkloadConfig(
+        interarrival_ms=QUIET_INTERARRIVAL_MS, read_fraction=0.7, seed=7
+    )
+    router = Fleet(2, 31, 6, seed=7)
+    stream = generate_request_stream(
+        cfg, QUIET_INTERARRIVAL_MS * REQUESTS, router.capacity
+    )
+    return router, stream
+
+
+def quiet_fleet() -> "Fleet":
+    """A fresh quiet-shard fleet: data planes on, one failure armed on
+    shard 0 a quarter into the horizon."""
+    from repro.service import FailureEvent, FailureOrchestrator, Fleet
+
+    fleet = Fleet(2, 31, 6, dataplane=True, seed=7)
+    at = QUIET_INTERARRIVAL_MS * REQUESTS * QUIET_FAIL_AT
+    FailureOrchestrator(fleet, (FailureEvent(at, 0, 0),), admission=1).arm()
+    return fleet
+
+
 def quiet_beside_failure_case() -> dict:
     """Serve a 2-shard (31,6) fleet with data planes and a failure
     armed on shard 0 through the shard-set gate and through the
@@ -266,24 +308,13 @@ def quiet_beside_failure_case() -> dict:
     heap/gated ratio, shard 1's engine label, and the heap events shard
     1 added (the gated run against the same run with shard 1's trace
     emptied)."""
-    from repro.service import FailureEvent, FailureOrchestrator, Fleet
-    from repro.sim import WorkloadConfig, generate_request_stream
     from repro.sim.compile import _execute_shards, _tail, schedule_compiled
 
-    cfg = WorkloadConfig(
-        interarrival_ms=QUIET_INTERARRIVAL_MS, read_fraction=0.7, seed=7
-    )
-    horizon = QUIET_INTERARRIVAL_MS * REQUESTS
-    router = Fleet(2, 31, 6, seed=7)
-    traces, _ = router.route_stream(
-        *generate_request_stream(cfg, horizon, router.capacity)
-    )
+    router, stream = quiet_stream()
+    traces, _ = router.route_stream(*stream)
 
     def timed(gated: bool, shard_traces) -> tuple[float, "Fleet"]:
-        fleet = Fleet(2, 31, 6, dataplane=True, seed=7)
-        FailureOrchestrator(
-            fleet, (FailureEvent(horizon * QUIET_FAIL_AT, 0, 0),), admission=1
-        ).arm()
+        fleet = quiet_fleet()
         t0 = time.perf_counter()
         if gated:
             _execute_shards(fleet.controllers, shard_traces)
@@ -308,6 +339,59 @@ def quiet_beside_failure_case() -> dict:
         "requests": n,
         "engine": fleet.controllers[1].last_engine,
         "executor": fleet.controllers[1].last_executor,
+        "events_processed": (
+            fleet.sim.events_processed - alone.sim.events_processed
+        ),
+        "engine_requests_per_s": n / engine_best,
+        "heap_requests_per_s": n / heap_best,
+        "ratio_heap_vs_engine": ratio,
+    }
+
+
+def quiet_windowed_case() -> dict:
+    """The windowed twin of ``quiet_beside_failure``: the same fleet,
+    failure and stream served through ``Fleet.serve_windows`` in
+    ``WINDOW``-request windows (the shard-set gate) and through the
+    fleet's window router (every shard on the heap), in interleaved
+    pairs; report the best router/gated ratio, shard 1's executor, and
+    the heap events shard 1 added (the gated run against the same
+    windows with shard 1's requests removed)."""
+    from repro.service.fleet import _WindowRouter
+    from repro.sim.compile import ArrayWindows
+
+    router, stream = quiet_stream()
+    windows = list(ArrayWindows(*stream, WINDOW))
+    alone_windows = [
+        (times[ids == 0], is_read[ids == 0], lbas[ids == 0])
+        for (times, is_read, lbas), ids in router.static_route().routed(windows)
+    ]
+
+    def timed(gated: bool, source) -> tuple[float, "Fleet"]:
+        fleet = quiet_fleet()
+        t0 = time.perf_counter()
+        if gated:
+            fleet.serve_windows(source)
+        else:
+            heap = _WindowRouter(fleet, iter(source), [{}, {}], [0, 0])
+            fleet.sim.run()
+            heap.finish()
+        return time.perf_counter() - t0, fleet
+
+    timed(True, windows)  # warm caches outside the timed pairs
+    engine_best = heap_best = float("inf")
+    ratio = 0.0
+    for _ in range(PAIRS):
+        e, fleet = timed(True, windows)
+        h, _ = timed(False, windows)
+        engine_best = min(engine_best, e)
+        heap_best = min(heap_best, h)
+        ratio = max(ratio, h / e)
+    _, alone = timed(True, alone_windows)
+    n = len(stream[0])
+    return {
+        "requests": n,
+        "engine": fleet.controllers[1].last_executor,
+        "reference": "window router",
         "events_processed": (
             fleet.sim.events_processed - alone.sim.events_processed
         ),
@@ -470,6 +554,10 @@ def main() -> int:
          QUIET_FLOOR)
     )
     runs.append(
+        ("quiet_windowed", quiet_windowed_case, "exact-native",
+         QUIET_WINDOWED_FLOOR)
+    )
+    runs.append(
         ("native_exact", native_exact_case, "exact-native",
          NATIVE_EXACT_FLOOR)
     )
@@ -544,8 +632,10 @@ def main() -> int:
             "fallback rate in repro.sim.batchstep, (for exact_tier, "
             "windowed_exact and native_exact) repro.sim.native's "
             "compiled exact core, (for "
-            "quiet_beside_failure) the per-shard rule of "
-            "repro.sim.compile._execute_shards and the data-plane fold, "
+            "quiet_beside_failure and quiet_windowed) the per-shard rule "
+            "of repro.sim.compile._execute_shards / "
+            "repro.sim.stream._execute_shard_windows and the data-plane "
+            "fold, "
             "and (for warm_serve) "
             "the pool/cache reuse counters in "
             "repro.service.runtime.WarmRuntime"
@@ -556,9 +646,12 @@ def main() -> int:
             "path — check the engine-selection gate in "
             "repro.sim.compile.execute_compiled, the eager tier's "
             "tie-abort fallback in repro.sim.batchstep, (for "
-            "windowed_exact) the replay in repro.sim.stream._windows_carry, "
-            "(for quiet_beside_failure) the shard attribution of "
-            "repro.sim.events.Simulator.armed_shards and (for "
+            "windowed_exact) the replay pass in "
+            "repro.sim.stream._execute_shard_windows, "
+            "(for quiet_beside_failure and quiet_windowed) the shard "
+            "attribution of repro.sim.events.Simulator.armed_shards, (for "
+            "quiet_windowed) the router choice in "
+            "repro.service.Fleet.serve_windows and (for "
             "native_exact) the kernel build warning of "
             "repro.sim.native.kernel"
         )
