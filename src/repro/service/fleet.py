@@ -51,6 +51,7 @@ from ..sim.compile import (
     CompiledTrace,
     StreamWindows,
     _CompiledRun,
+    _check_times,
     _execute_shards,
     compile_stream,
     generate_request_stream,
@@ -350,10 +351,12 @@ class Fleet:
 
         Raises:
             IndexError: if any LBA falls outside the fleet capacity.
+            ValueError: on a NaN, infinite or negative arrival time.
         """
         times = np.asarray(times, dtype=np.float64)
         is_read = np.asarray(is_read, dtype=bool)
         lbas = np.ascontiguousarray(lbas, dtype=np.int64)
+        _check_times(times)
         vols = _volumes(
             lbas, self.volume_units, self.shard_map.volumes, self.capacity
         )

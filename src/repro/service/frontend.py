@@ -58,6 +58,7 @@ import signal
 
 import numpy as np
 
+from ..sim.compile import _check_times
 from .runtime import WarmRuntime
 from .scenario import FleetScenario, scenario_fleet
 
@@ -272,8 +273,7 @@ class ServiceFrontend:
                 "reset first"
             )
         if times.size:
-            if not np.isfinite(times).all():
-                raise ValueError("arrival times must be finite")
+            _check_times(times)
             if lbas.min() < 0 or lbas.max() >= self._capacity:
                 raise ValueError(
                     f"LBAs must lie in [0, {self._capacity}), got "
@@ -281,10 +281,6 @@ class ServiceFrontend:
                 )
             if (times[1:] < times[:-1]).any():
                 raise ValueError("arrival times must be non-decreasing")
-            if times[0] < 0.0:
-                raise ValueError(
-                    f"arrival times must be >= 0, got {float(times[0])}"
-                )
             if self._chunks and times[0] < self._chunks[-1][0][-1]:
                 raise ValueError(
                     "chunk starts before the previously submitted chunk "

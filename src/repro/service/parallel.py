@@ -91,6 +91,7 @@ import numpy as np
 from ..core.registry import get_layout
 from ..obs.recorder import MetricsRecorder
 from ..sim.compile import (
+    ArrayWindows,
     StreamWindows,
     _execute_shards,
     generate_request_stream,
@@ -597,12 +598,17 @@ def _execute_group(task: GroupTask, source) -> GroupResult:
         for ctrl, digest in zip(controllers, digests):
             _sweep(ctrl.latency, {}, digest)
     else:
+        read_only = sc.read_fraction >= 1.0
+        if isinstance(source, ArrayWindows):
+            # As in the serial runner: a submitted stream may carry
+            # writes whatever the scenario's mix.
+            read_only = read_only and bool(source.is_read.all())
         scheduled, _ = _execute_shard_windows(
             controllers,
             task.route,
             source,
             digests,
-            read_only_hint=sc.read_fraction >= 1.0,
+            read_only_hint=read_only,
             fleet_busy=fleet_busy,
         )
     outcomes = []

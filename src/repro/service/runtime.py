@@ -123,6 +123,10 @@ SEGMENT_PREFIX = "repro_wrt_"
 #: packed-segment layout is one contiguous run of these per shard.
 _TRACE_FIELDS = ("times", "is_read", "lbas", "disks", "offsets", "stripes")
 
+#: Compiled artifacts a :class:`WarmRuntime` keeps resident, evicted
+#: least recently used first.
+ARTIFACT_CACHE_SIZE = 4
+
 
 # ----------------------------------------------------------------------
 # Segment lifecycle (parent side)
@@ -487,7 +491,9 @@ class WarmRuntime:
             applies).
         mp_context: start method — ``"auto"`` (fork where available),
             ``"spawn"``, or ``"forkserver"``.
-        cache_artifacts: compiled artifacts kept resident (LRU).
+
+    The compiled-artifact cache keeps the :data:`ARTIFACT_CACHE_SIZE`
+    most recently used artifacts resident.
 
     Use as a context manager or call :meth:`close`; segments are also
     unlinked by the ``atexit`` safety net if neither happens.
@@ -499,19 +505,13 @@ class WarmRuntime:
         *,
         workers: int = 1,
         mp_context: str = "auto",
-        cache_artifacts: int = 4,
     ) -> None:
-        if cache_artifacts < 1:
-            raise ValueError(
-                f"cache_artifacts must be >= 1, got {cache_artifacts}"
-            )
         self.scenario = scenario
         self.workers = max(1, int(workers))
         self.stats = RuntimeStats()
         self._mp_context = mp_context
         self._pool: WorkerPool | None = None
         self._cache: OrderedDict[tuple, _Artifact] = OrderedDict()
-        self._cache_cap = cache_artifacts
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -596,7 +596,7 @@ class WarmRuntime:
         )
         self._cache[key] = art
         self.stats.shm_bytes += nbytes
-        while len(self._cache) > self._cache_cap:
+        while len(self._cache) > ARTIFACT_CACHE_SIZE:
             _, old = self._cache.popitem(last=False)
             self._drop(old)
         return art

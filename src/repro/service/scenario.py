@@ -541,9 +541,12 @@ def run_fleet_scenario(
     elif stream is not None:
         times, is_read, lbas = stream
         if window_size is not None:
+            # The scenario's mix vouches for its synthetic stream only:
+            # a submitted stream is read-only when all of it is reads.
             report = fleet.serve_windows(
                 ArrayWindows(times, is_read, lbas, window_size),
-                read_only_hint=scenario.read_fraction >= 1.0,
+                read_only_hint=scenario.read_fraction >= 1.0
+                and bool(np.all(is_read)),
             )
         else:
             report = fleet.serve_stream(

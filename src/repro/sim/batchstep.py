@@ -43,7 +43,7 @@ head by ``(time, pump_seq)``.  The RMW chained-arrival dependency (a
 small write's phase-2 IOs exist only once both phase-1 reads finish)
 is handled naturally: the follow-on IOs are submitted inside their
 parent's completion.  It is one resumable core with the eager tier's
-feed/finish protocol: :func:`step_compiled` feeds it a whole plan once
+protocol: :func:`step_compiled` feeds it a whole plan once
 (label ``calendar`` — the name of the calendar-queue engine it
 replaced, kept because it is a canonical report field), the shard-set
 gates feed it a quiet shard beside armed ones (labels ``heap`` and
@@ -67,6 +67,24 @@ executor ``exact-native``).  The Python :class:`_ExactCore` (executor
 ``exact-core``) runs everything else — degraded and write-through
 plans, hooked data planes, hosts where the kernel did not build — and
 stays the reference the kernel is tested against.
+
+One protocol
+------------
+Both tiers, the compiled kernel and the analytic solver
+(:class:`repro.sim.compile._WindowedSolver`) are the off-heap engines,
+and they share one protocol: ``feed(trace_or_plan, sink) -> bool`` and
+``finish(sink) -> bool``.  ``sink(kind, lats, comps)`` takes one kind's
+latencies and completion times as float64 arrays, in the engine's
+emission order; the exact cores buffer each feed's completions and
+emit them at its end, the eager core only the completions no later
+request can precede.  A feed returns False only on the eager core's
+tie abort, before it emits anything; ``finish`` emits what is left
+and writes the disk state and clock back through one helper,
+:func:`_write_back`.  The sink decides where samples go —
+:func:`repro.sim.compile._controller_sink` extends the controller's
+sample lists and feeds the metrics recorder, the windowed executor's
+digest sink folds constant-memory digests — so no engine touches
+``ctrl.latency`` or the recorder itself.
 
 Equality contract
 -----------------
@@ -95,8 +113,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .compile import _CompiledRun
-from .stats import LatencyStats
+from .compile import _CompiledRun, _controller_sink, _drain_pools
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoid cycles)
     from .compile import CompiledTrace
@@ -119,38 +136,6 @@ _GENERIC_WRITE = 4
 _NO_OFFSET = -(1 << 60)
 
 
-def _drain_pools(
-    pools: dict[str, tuple[list[float], list[float]]], threshold: float, sink
-) -> None:
-    """Emit pooled samples with completion <= ``threshold`` — the drain
-    shared by the windowed engines.  ``pools`` maps each kind to its
-    ``(completions, latencies)`` lists in submission order.  Every later
-    request arrives at or after the threshold, so its completion cannot
-    sort before the emitted prefix, and emitted prefixes concatenate
-    into exactly the one-shot completion-sorted order.  ``sink(kind,
-    lats, comps)`` receives each kind's latencies completion-sorted,
-    ties by submission order, plus the matching completion times (for
-    metrics bucketing)."""
-    for kind, (cs, ls) in pools.items():
-        if not cs:
-            continue
-        carr = np.asarray(cs)
-        ready = carr <= threshold
-        if not ready.any():
-            continue
-        larr = np.asarray(ls)
-        ready_c = carr[ready]
-        order = np.argsort(ready_c, kind="stable")
-        sink(kind, larr[ready][order].tolist(), ready_c[order])
-        keep = ~ready
-        if keep.any():
-            cs[:] = carr[keep].tolist()
-            ls[:] = larr[keep].tolist()
-        else:
-            del cs[:]
-            del ls[:]
-
-
 def _pending_disks(item: tuple) -> tuple[int, ...]:
     """The disks a pending-phase heap entry will submit to."""
     x, pidx = item[5], item[6]
@@ -169,13 +154,14 @@ class _EagerCore:
     reconstruction reads (one phase, many IOs) and degraded writes
     (multi-phase plans) through :meth:`_run_phase`.
 
-    The **feed/drain/finish protocol** holds the per-disk accumulators,
-    the pending-phase heap, and per-kind sample buffers *across* feeds
-    and writes nothing back to the controller until :meth:`finish` — so
-    the streaming executor can feed one compiled window at a time in
-    constant memory, :func:`step_compiled` feeds a whole trace once,
-    and a tie abort anywhere leaves the controller untouched for an
-    exact replay.
+    It runs the off-heap engines' **feed/finish protocol**: the
+    per-disk accumulators, the pending-phase heap and the undrained
+    samples persist *across* feeds, each feed emits the samples no
+    later request can precede into its sink, and nothing is written
+    back to the controller until :meth:`finish` — so the streaming
+    executor can feed one compiled window at a time in constant memory,
+    :func:`step_compiled` feeds a whole trace once, and a tie abort
+    anywhere leaves the controller untouched for an exact replay.
 
     Heap entries are self-contained ``(time, g, cnt, kind, arrival,
     payload, phase_idx)`` tuples (window plans are replaced between
@@ -192,8 +178,8 @@ class _EagerCore:
 
     Restrictions: read-modify-write policy, no data plane (the gate in
     :func:`step_compiled` and the streaming executor enforce both).
-    After a failed :meth:`feed`, :meth:`settle` or :meth:`finish` the
-    core is spent: the caller drops it and replays exactly.
+    After a failed :meth:`feed` or :meth:`finish` the core is spent:
+    the caller drops it, and what it emitted, and replays exactly.
     """
 
     __slots__ = (
@@ -210,6 +196,7 @@ class _EagerCore:
         "maxc",
         "_cnt",
         "_kinds",
+        "_pools",
     )
 
     def __init__(self, ctrl: "ArrayController"):
@@ -230,8 +217,10 @@ class _EagerCore:
         self.pq: list[tuple] = []
         self.maxc = float("-inf")
         self._cnt = 0
-        # kind -> (completions, latencies), in emission-source order.
+        # kind -> (completions, latencies) since the last drain, in
+        # emission-source order; the pools hold the undrained rest.
         self._kinds: dict[str, tuple[list[float], list[float]]] = {}
+        self._pools: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def _buf(self, kind: str) -> tuple[list[float], list[float]]:
         b = self._kinds.get(kind)
@@ -277,7 +266,48 @@ class _EagerCore:
                 best_g = p
         return best_c, best_g
 
-    def feed(self, run: _CompiledRun | None) -> bool:
+    def feed(self, plan: "_CompiledRun | CompiledTrace", sink) -> bool:
+        """Consume one trace or window (planned here unless it comes as
+        a :class:`~repro.sim.compile._CompiledRun`), then emit every
+        buffered sample with completion <= its last arrival (everything
+        still pending completes strictly later).  Returns False on an
+        ambiguous tie, before emitting anything."""
+        run = plan if isinstance(plan, _CompiledRun) else _CompiledRun(
+            self.ctrl, plan
+        )
+        if not self._step(run):
+            return False
+        if run.n:
+            self._drain(run.times[-1], sink)
+        return True
+
+    def finish(self, sink) -> bool:
+        """Retire everything still pending, emit the remaining samples,
+        and write the accumulated disk/clock state back.  Returns False
+        on a late ambiguous tie (controller still untouched)."""
+        if not self._step(None):
+            return False
+        self._drain(float("inf"), sink)
+        last = [None if lo == _NO_OFFSET else lo for lo in self.dlast]
+        now = self.maxc if self.maxc > float("-inf") else self.ctrl.sim.now
+        state = self.dbusyt, self.ddelay, self.dreads, self.dwrites, last
+        _write_back(self.ctrl, *state, now)
+        return True
+
+    def _drain(self, threshold: float, sink) -> None:
+        """Move the samples buffered since the last drain into the
+        pools, as arrays, and emit those with completion <=
+        ``threshold`` (:func:`~repro.sim.compile._drain_pools`)."""
+        fresh = [
+            (kind, np.array(cs), np.array(ls))
+            for kind, (cs, ls) in self._kinds.items()
+            if cs
+        ]
+        for cs, ls in self._kinds.values():
+            del cs[:], ls[:]
+        _drain_pools(self._pools, fresh, threshold, sink)
+
+    def _step(self, run: _CompiledRun | None) -> bool:
         """Consume one planned trace or window, interleaving its
         arrivals with pending phase submissions.  Pending phases whose
         time lands past the last arrival stay queued for the next feed;
@@ -499,44 +529,6 @@ class _EagerCore:
         self._cnt = cnt
         return True
 
-    def drain(self, threshold: float, sink) -> None:
-        """Emit buffered samples with completion <= ``threshold`` (the
-        fed stream's last arrival: everything still pending completes
-        strictly later) — see :func:`_drain_pools`."""
-        _drain_pools(self._kinds, threshold, sink)
-
-    def settle(self) -> bool:
-        """Retire everything still pending without emitting or writing
-        anything back.  False on a late ambiguous tie — the controller
-        is still untouched, so multi-core callers (the fleet's carry
-        mode) can settle *every* shard before the first write-back and
-        abort the whole group cleanly."""
-        return self.feed(None)
-
-    def finish(self, sink) -> bool:
-        """Retire everything still pending, emit the remaining samples,
-        and write the accumulated disk/clock state back.  Returns False
-        on a late ambiguous tie (controller still untouched)."""
-        if not self.feed(None):
-            return False
-        self.drain(float("inf"), sink)
-        ctrl = self.ctrl
-        dbusyt = self.dbusyt
-        ddelay = self.ddelay
-        dreads = self.dreads
-        dwrites = self.dwrites
-        dlast = self.dlast
-        for i, disk in enumerate(ctrl.disks):
-            disk.busy_time = dbusyt[i]
-            disk.total_queue_delay = ddelay[i]
-            disk.completed_reads += dreads[i]
-            disk.completed_writes += dwrites[i]
-            lo = dlast[i]
-            disk._last_offset = None if lo == _NO_OFFSET else lo
-        if self.maxc > float("-inf"):
-            ctrl.sim.now = self.maxc
-        return True
-
 
 def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
     """Execute a compiled trace with the batch-stepped executor.
@@ -585,29 +577,43 @@ def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
         return 0
     run = _CompiledRun(ctrl, compiled)
     if ctrl.data is None and ctrl.write_policy == "rmw":
+        # The batches reach the controller only once the finish stands:
+        # a late tie abort must leave it untouched.
+        batches: list[tuple] = []
         core = _EagerCore(ctrl)
-        if core.feed(run) and core.finish(_controller_sink(ctrl)):
+
+        def keep(*batch) -> None:
+            batches.append(batch)
+
+        if core.feed(run, keep) and core.finish(keep):
+            sink = _controller_sink(ctrl)
+            for batch in batches:
+                sink(*batch)
             ctrl.set_engine("eager", "eager")
             return run.n
         # An exact timestamp tie (order-ambiguous) left the controller
         # untouched: free the core's buffers, replay the same plan.
-        del core
+        del core, batches
         ctrl.obs.count("tie_abort_replays")
     return _step_exact(ctrl, run)
 
 
-def _controller_sink(ctrl: "ArrayController"):
-    """A drain sink appending to the controller's latency samples and,
-    when metrics are on, folding each batch into the recorder."""
-    latency = ctrl.latency
-    obs = ctrl.obs if ctrl.obs.enabled else None
-
-    def sink(kind: str, lats: list[float], comps) -> None:
-        latency.setdefault(kind, LatencyStats()).samples.extend(lats)
-        if obs is not None:
-            obs.feed(ctrl.obs_shard, kind, comps, lats)
-
-    return sink
+def _write_back(
+    ctrl: "ArrayController", busy, delay, reads, writes, last, now: float
+) -> None:
+    """Write an off-heap engine's per-disk state — busy time, queue
+    delay, IO counts, last offsets (None: no IO yet) — and its clock
+    ``now`` back into ``ctrl``: the one write-back of every
+    ``finish``."""
+    for disk, bt, dl, nr, nw, lo in zip(
+        ctrl.disks, busy, delay, reads, writes, last
+    ):
+        disk.busy_time = bt
+        disk.total_queue_delay = dl
+        disk.completed_reads += nr
+        disk.completed_writes += nw
+        disk._last_offset = lo
+    ctrl.sim.now = now
 
 
 class _ExactCore:
@@ -623,11 +629,11 @@ class _ExactCore:
     with the heap pump and the eager tier — same arrays, same fast-path
     classification, same dataplane contexts.
 
-    The feed protocol is :class:`_EagerCore`'s: the per-disk FIFOs, the
-    in-flight heap, the sequence counters and the in-flight requests
-    persist across :meth:`feed` calls, and :meth:`finish` writes the
-    disk state and clock back — :func:`step_compiled` feeds a whole
-    plan once, the streaming executor one window at a time.  A feed
+    It runs :class:`_EagerCore`'s feed/finish protocol: the per-disk
+    FIFOs, the in-flight heap, the sequence counters and the in-flight
+    requests persist across :meth:`feed` calls, and :meth:`finish`
+    writes the disk state and clock back — :func:`step_compiled` feeds
+    a whole plan once, the streaming executor one window at a time.  A feed
     stops right after its last arrival epoch, because the chained pump
     pulls the next window from inside that epoch's event: a next window
     whose first arrival shares the instant continues the epoch before
@@ -635,10 +641,10 @@ class _ExactCore:
     Each feed re-indexes the previous window's in-flight requests past
     its own arrivals, so one window plan is alive at a time.
 
-    Latency samples append to the controller's sample lists in
-    completion-event order, and fold into a metrics recorder one event
-    at a time, as on the heap; windowed callers sweep the lists into
-    digests between feeds.
+    Each feed buffers its completions per kind in completion-event
+    order — the order the heap appends them — and emits them into its
+    sink at the end (read, write, then the generic kinds); it never
+    aborts, so both calls return True.
     """
 
     __slots__ = (
@@ -710,11 +716,12 @@ class _ExactCore:
                 cols[i] = cols[i] + [old[r] for r in moved]
         return tuple(cols)
 
-    def feed(self, run: "_CompiledRun | CompiledTrace | None") -> None:
+    def feed(self, run: "_CompiledRun | CompiledTrace | None", sink) -> bool:
         """Replay one trace or window (planned here unless it comes as a
         :class:`~repro.sim.compile._CompiledRun`) up to and including
-        its last arrival epoch; ``run=None`` ends the stream and retires
-        everything still in flight."""
+        its last arrival epoch, then emit its completions into
+        ``sink``; ``run=None`` ends the stream and retires everything
+        still in flight."""
         ctrl = self.ctrl
         if run is not None and not isinstance(run, _CompiledRun):
             run = _CompiledRun(ctrl, run)
@@ -736,9 +743,6 @@ class _ExactCore:
         params = ctrl.params
         seq_s = params.sequential_service_ms
         avg_s = params.average_service_ms
-        latency = ctrl.latency
-        obs = ctrl.obs if ctrl.obs.enabled else None
-        obs_shard = ctrl.obs_shard
         dqueue = self.dqueue
         dbusy = self.dbusy
         dlast = self.dlast
@@ -747,12 +751,10 @@ class _ExactCore:
         dreads = self.dreads
         dwrites = self.dwrites
 
-        # Kinds an earlier feed created keep their sample lists.
-        st = latency.get("read")
-        read_sink = None if st is None else st.samples
-        st = latency.get("write")
-        write_sink = None if st is None else st.samples
-        generic_sinks: dict[str, list[float]] = {}
+        # This feed's completions per kind: (latencies, completion times).
+        rl, rc, wl, wc = [], [], [], []
+        rl_app, rc_app, wl_app, wc_app = rl.append, rc.append, wl.append, wc.append
+        generic: dict[str, tuple[list[float], list[float]]] = {}
 
         heap = self.heap
         now = self.now
@@ -805,10 +807,6 @@ class _ExactCore:
                     pos = single[r]
                     if pos is not None:
                         # Healthy/degraded single-IO read, inlined.
-                        if read_sink is None:
-                            read_sink = latency.setdefault(
-                                "read", LatencyStats()
-                            ).samples
                         d, off = pos
                         if dbusy[d]:
                             dqueue[d].append((at, off, _READ_FAST, r))
@@ -834,10 +832,6 @@ class _ExactCore:
                     w = wfast[r]
                     if w is not None:
                         # RMW phase 1: read old data + parity.
-                        if write_sink is None:
-                            write_sink = latency.setdefault(
-                                "write", LatencyStats()
-                            ).samples
                         wrem[r] = 2
                         d, off, pd, poff = w
                         if dbusy[d]:
@@ -894,10 +888,8 @@ class _ExactCore:
             # --- the completion itself (Disk._service_done).
             if action == _READ_FAST:
                 dreads[d] += 1
-                lat = t - atimes[req]
-                read_sink.append(lat)
-                if obs is not None:
-                    obs.record(obs_shard, "read", t, lat)
+                rl_app(t - atimes[req])
+                rc_app(t)
             elif action == _RMW_PHASE1:
                 dreads[d] += 1
                 left = wrem[req] - 1
@@ -931,10 +923,8 @@ class _ExactCore:
                 left = wrem[req] - 1
                 wrem[req] = left
                 if not left:
-                    lat = t - atimes[req]
-                    write_sink.append(lat)
-                    if obs is not None:
-                        obs.record(obs_shard, "write", t, lat)
+                    wl_app(t - atimes[req])
+                    wc_app(t)
             else:
                 if action == _GENERIC_WRITE:
                     dwrites[d] += 1
@@ -957,15 +947,11 @@ class _ExactCore:
                                 req,
                             )
                     else:
-                        sink = generic_sinks.get(kind)
-                        if sink is None:
-                            sink = generic_sinks[kind] = latency.setdefault(
-                                kind, LatencyStats()
-                            ).samples
-                        lat = t - atimes[req]
-                        sink.append(lat)
-                        if obs is not None:
-                            obs.record(obs_shard, kind, t, lat)
+                        buf = generic.get(kind)
+                        if buf is None:
+                            buf = generic[kind] = ([], [])
+                        buf[0].append(t - atimes[req])
+                        buf[1].append(t)
             # --- start the disk's next queued IO (Disk._start_next).
             q = dqueue[d]
             if q:
@@ -982,23 +968,23 @@ class _ExactCore:
         self.now = now
         self.seqc = seqc
         self.pump_seq = pump_seq
+        for kind, (lats, comps) in (
+            ("read", (rl, rc)),
+            ("write", (wl, wc)),
+            *generic.items(),
+        ):
+            if lats:
+                sink(kind, np.array(lats), np.array(comps))
+        return True
 
-    def finish(self) -> None:
-        """Retire everything still in flight, then write the accumulated
-        disk state and the clock back into the controller."""
-        self.feed(None)
-        dbusyt = self.dbusyt
-        ddelay = self.ddelay
-        dreads = self.dreads
-        dwrites = self.dwrites
-        dlast = self.dlast
-        for d, disk in enumerate(self.ctrl.disks):
-            disk.busy_time = dbusyt[d]
-            disk.total_queue_delay = ddelay[d]
-            disk.completed_reads += dreads[d]
-            disk.completed_writes += dwrites[d]
-            disk._last_offset = dlast[d]
-        self.ctrl.sim.now = self.now
+    def finish(self, sink) -> bool:
+        """Retire everything still in flight into ``sink``, then write
+        the accumulated disk state and the clock back into the
+        controller."""
+        self.feed(None, sink)
+        state = self.dbusyt, self.ddelay, self.dreads, self.dwrites, self.dlast
+        _write_back(self.ctrl, *state, self.now)
+        return True
 
 
 def _exact_core(
@@ -1043,6 +1029,7 @@ def _step_exact(
     field) — or, for a quiet shard the fleet gate replays beside armed
     ones, ``heap``: the serialization it reproduces."""
     core = _exact_core(ctrl, label)
-    core.feed(plan)
-    core.finish()
+    sink = _controller_sink(ctrl)
+    core.feed(plan, sink)
+    core.finish(sink)
     return plan.n

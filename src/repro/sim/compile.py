@@ -213,7 +213,8 @@ class ArrayWindows:
 
     Raises:
         ValueError: on a non-positive window size, mismatched array
-            lengths, or arrival times that are not non-decreasing.
+            lengths, or arrival times that are not finite, are negative
+            or are not non-decreasing.
     """
 
     __slots__ = ("times", "is_read", "lbas", "window_size")
@@ -229,6 +230,7 @@ class ArrayWindows:
                 "times/is_read/lbas must be the same length, got "
                 f"{len(self.times)}/{len(self.is_read)}/{len(self.lbas)}"
             )
+        _check_times(self.times)
         if self.times.size and (self.times[1:] < self.times[:-1]).any():
             raise ValueError("arrival times must be non-decreasing")
         self.window_size = int(window_size)
@@ -241,6 +243,19 @@ class ArrayWindows:
                 self.times[i : i + w],
                 self.is_read[i : i + w],
                 self.lbas[i : i + w],
+            )
+
+
+def _check_times(times: np.ndarray) -> None:
+    """Refuse arrival times no engine can schedule: NaN, infinite or
+    negative — for the library entry points and the service
+    front-end's ``submit`` alike."""
+    if times.size:
+        if not np.isfinite(times).all():
+            raise ValueError("arrival times must be finite")
+        if times.min() < 0.0:
+            raise ValueError(
+                f"arrival times must be >= 0, got {float(times.min())}"
             )
 
 
@@ -339,7 +354,8 @@ def compile_stream(
     Arrival order is normalized with a stable sort (ties keep stream
     order — exactly the event engine's tie-breaking), and the whole
     address vector is translated with one :meth:`AddressMapper.map_batch`
-    call.
+    call.  A NaN, infinite or negative arrival time raises
+    ``ValueError``: no engine can schedule it.
 
     Example:
         >>> import numpy as np
@@ -361,6 +377,7 @@ def compile_stream(
     lbas = np.ascontiguousarray(lbas, dtype=np.int64)
     if not (len(times) == len(is_read) == len(lbas)):
         raise ValueError("times/is_read/lbas must have equal lengths")
+    _check_times(times)
     if len(times) > 1 and bool((np.diff(times) < 0).any()):
         order = np.argsort(times, kind="stable")
         times, is_read, lbas = times[order], is_read[order], lbas[order]
@@ -815,7 +832,9 @@ def solve_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
     recurrence directly — same float operations, same order as the
     event engine — then back-fills the controller's disk counters,
     latency samples, and clock, so reports built on top are
-    indistinguishable from an event-driven run.
+    indistinguishable from an event-driven run.  It is one feed and
+    the finish of :class:`_WindowedSolver`, the engine the windowed
+    executor feeds one window at a time.
 
     Three trace shapes are single-phase: read-only traces (healthy or
     degraded), and — under ``write_policy="write_through"`` — any mixed
@@ -843,52 +862,135 @@ def solve_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
         RuntimeError: if the simulator already has pending events (the
             solver models a dedicated, otherwise-idle array).
     """
-    has_writes = not compiled.read_only()
-    if has_writes and ctrl.write_policy != "write_through":
-        raise ValueError(
-            "solve_compiled handles read-only traces under the "
-            "read-modify-write policy (write-through traces are "
-            "single-phase and always solvable)"
-        )
-    if ctrl.sim.pending():
-        raise RuntimeError("solve_compiled requires an idle simulator")
+    solver = _WindowedSolver(ctrl)
+    sink = _controller_sink(ctrl)
+    solver.feed(compiled, sink)
     ctrl.set_engine("solver", "solver")
-    n = compiled.n
-    if n == 0:
-        return 0
-    sim = ctrl.sim
-    times = sim.now + compiled.times
-    req_completion, kind_code = _solve_fifo(
-        ctrl, compiled, times, [float("-inf")] * len(ctrl.disks)
-    )
+    solver.finish(sink)
+    return compiled.n
 
-    # --- latency samples, recorded in completion order like the event
-    # engine would.
-    latencies = req_completion - times
-    done_order = np.argsort(req_completion, kind="stable")
+
+def _controller_sink(ctrl: ArrayController):
+    """The one-shot sample sink: extend the controller's sample lists
+    (as Python floats) and, when metrics are on, fold each batch into
+    the recorder.  Every off-heap engine emits ``sink(kind, lats,
+    comps)`` with float64 arrays, per kind in its emission order."""
+    latency = ctrl.latency
     obs = ctrl.obs if ctrl.obs.enabled else None
-    if kind_code is None:
-        lat_done = latencies[done_order]
-        ctrl.latency.setdefault("read", LatencyStats()).samples.extend(
-            lat_done.tolist()
-        )
+
+    def sink(kind: str, lats: np.ndarray, comps: np.ndarray) -> None:
+        st = latency.get(kind)
+        if st is None:
+            latency[kind] = LatencyStats(lats.tolist())
+        else:
+            st.samples.extend(lats.tolist())
         if obs is not None:
-            obs.feed(ctrl.obs_shard, "read", req_completion[done_order], lat_done)
-    else:
-        kinds_done = kind_code[done_order]
-        lat_done = latencies[done_order]
-        comp_done = req_completion[done_order] if obs is not None else None
-        for code, name in enumerate(_KIND_NAMES):
-            mask = kinds_done == code
-            sel = lat_done[mask]
-            if len(sel):
-                ctrl.latency.setdefault(name, LatencyStats()).samples.extend(
-                    sel.tolist()
-                )
-                if obs is not None:
-                    obs.feed(ctrl.obs_shard, name, comp_done[mask], sel)
-    sim.now = float(req_completion.max())
-    return n
+            obs.feed(ctrl.obs_shard, kind, comps, lats)
+
+    return sink
+
+
+def _drain_pools(
+    pools: dict[str, tuple[np.ndarray, np.ndarray]],
+    fresh,
+    threshold: float,
+    sink,
+) -> None:
+    """Pool ``fresh`` ``(kind, comps, lats)`` arrays (submission order)
+    behind each kind's held samples, then emit every pooled sample with
+    completion <= ``threshold`` — the drain of the analytic solver and
+    the eager core.  Every later request arrives at or after the
+    threshold, so its completion cannot sort before the emitted prefix,
+    and emitted prefixes concatenate into exactly the one-shot
+    completion-sorted order.  ``sink(kind, lats, comps)`` receives each
+    kind's ready latencies completion-sorted, ties by submission order,
+    with the matching completion times.  The held rest stays sorted the
+    same way, which is all the next stable sort needs."""
+    for kind, comps, lats in fresh:
+        held = pools.get(kind)
+        if held is not None and held[0].size:
+            comps = np.concatenate((held[0], comps))
+            lats = np.concatenate((held[1], lats))
+        pools[kind] = (comps, lats)
+    for kind, (comps, lats) in pools.items():
+        if not comps.size:
+            continue
+        order = np.argsort(comps, kind="stable")
+        comps, lats = comps[order], lats[order]
+        ready = int(np.searchsorted(comps, threshold, side="right"))
+        if ready:
+            sink(kind, lats[:ready], comps[:ready])
+        pools[kind] = (comps[ready:], lats[ready:])
+
+
+class _WindowedSolver:
+    """The analytic single-phase solver, fed one trace or window at a
+    time.
+
+    Each feed runs the FIFO kernel (:func:`_solve_fifo`) with the
+    per-disk previous completions carried in ``prev``, while last
+    offset / busy time / queue delay round-trip through the disk
+    objects between windows (the same additions in the same order as
+    one whole-trace solve, so every float is bit-equal).  Request
+    completions pool per kind as arrays, in request order, and drain
+    (:func:`_drain_pools`) once no later request can land among them —
+    a stable completion sort then breaks ties by request order, as the
+    heap's completion events do.  It runs the off-heap engines'
+    protocol: ``feed(trace, sink)`` and ``finish(sink)``, both True.
+    """
+
+    __slots__ = ("ctrl", "base", "prev", "maxc", "_pools")
+
+    def __init__(self, ctrl: ArrayController):
+        if ctrl.sim.pending():
+            raise RuntimeError("the analytic solver requires an idle simulator")
+        self.ctrl = ctrl
+        self.base = ctrl.sim.now
+        self.prev = [float("-inf")] * len(ctrl.disks)
+        self.maxc = float("-inf")
+        # kind -> (completions, latencies) not yet emitted.
+        self._pools: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def feed(self, compiled: CompiledTrace, sink) -> bool:
+        """Solve one compiled trace or window and emit every pooled
+        sample that can no longer be preceded (completion <= its last
+        arrival).
+
+        Raises:
+            ValueError: on a write under the read-modify-write policy
+                (multi-phase; not a single-phase stream).
+        """
+        ctrl = self.ctrl
+        if not compiled.n:
+            return True
+        if not compiled.read_only() and ctrl.write_policy != "write_through":
+            raise ValueError(
+                "the analytic solver handles read-only traces under the "
+                "read-modify-write policy (write-through traces are "
+                "single-phase and always solvable)"
+            )
+        times = self.base + compiled.times
+        comps, kind_code = _solve_fifo(ctrl, compiled, times, self.prev)
+        self.maxc = max(self.maxc, float(comps.max()))
+        lats = comps - times
+        if kind_code is None:
+            fresh = [("read", comps, lats)]
+        else:
+            fresh = [
+                (name, comps[mask], lats[mask])
+                for code, name in enumerate(_KIND_NAMES)
+                if (mask := kind_code == code).any()
+            ]
+        _drain_pools(self._pools, fresh, float(times[-1]), sink)
+        return True
+
+    def finish(self, sink) -> bool:
+        """Emit everything still pooled and advance the clock to the
+        last completion."""
+        _drain_pools(self._pools, (), float("inf"), sink)
+        if self.maxc > float("-inf"):
+            self.ctrl.sim.now = self.maxc
+        return True
 
 
 def _solve_fifo(

@@ -15,9 +15,9 @@ The kernel reads columns, not per-request tuples: arrival times as
 :class:`repro.sim.compile._CompiledRun` uses), read flags, data units,
 and one :meth:`~repro.layouts.AddressMapper.map_batch_parity` pass for
 the writes' units.  It returns each kind's latencies and completion
-times in completion-event order; :class:`NativeExactCore` appends them
-to the controller's sample lists and, with a metrics recorder on, folds
-them in with :meth:`repro.obs.MetricsRecorder.feed`.
+times in completion-event order, as float64 arrays, and
+:class:`NativeExactCore` hands them to the feed's sink as they are —
+read, then write, as the Python core emits them.
 
 Build and load
 --------------
@@ -57,8 +57,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .batchstep import _write_back
 from .compile import _CompiledRun
-from .stats import LatencyStats
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoid cycles)
     from .compile import CompiledTrace
@@ -245,9 +245,10 @@ class NativeExactCore:
         # they bound the next call's sample buffers.
         self._pending = [0, 0]
 
-    def feed(self, plan: "CompiledTrace | _CompiledRun") -> None:
+    def feed(self, plan: "CompiledTrace | _CompiledRun", sink) -> bool:
         """Replay one trace or window up to and including its last
-        arrival epoch (held open for the next feed).  A
+        arrival epoch (held open for the next feed), emitting its
+        completions into ``sink``.  A
         :class:`~repro.sim.compile._CompiledRun` is read for its trace
         and base only — the kernel needs no per-request tuples."""
         ctrl = self.ctrl
@@ -257,13 +258,17 @@ class NativeExactCore:
             compiled, base = plan, self._base
         n = compiled.n
         if not n:
-            return
+            return True
         at = np.ascontiguousarray(base + compiled.times, dtype=np.float64)
         is_read = np.ascontiguousarray(compiled.is_read, dtype=np.bool_)
         disks = _int64(compiled.disks)
         offsets = _int64(compiled.offsets)
         if any(len(c) != n for c in (is_read, disks, offsets)):
             raise ValueError("compiled exact core: ragged input columns")
+        if not np.isfinite(at).all():
+            # A NaN never compares equal, so the kernel's epoch loop
+            # would never end.
+            raise ValueError("compiled exact core: non-finite arrival time")
         widx = np.flatnonzero(~is_read)
         wd, wo, _ws, wpd, wpo = ctrl.mapper.map_batch_parity(compiled.lbas[widx])
         wcols = [_int64(c) for c in (wd, wo, wpd, wpo)]
@@ -281,23 +286,15 @@ class NativeExactCore:
                 raise ValueError("compiled exact core: negative offset")
         if ctrl.data is not None and not ctrl._fold_write_dataplane(compiled):
             raise RuntimeError("compiled exact core: data-plane fold declined")
-        # Kinds are created in first-arrival order, as the Python core
-        # creates them when their first request arrives.
-        kinds = [("read", n - nw), ("write", nw)]
-        if not is_read[0]:
-            kinds.reverse()
-        for kind, count in kinds:
-            if count:
-                ctrl.latency.setdefault(kind, LatencyStats())
-        self._run(n, nw, at, is_read.view(np.uint8), disks, offsets, wcols)
+        self._run(n, nw, at, is_read.view(np.uint8), disks, offsets, wcols, sink)
+        return True
 
-    def finish(self) -> None:
-        """Retire everything still in flight, then write the disk state
-        and the clock back into the controller and free the kernel's
-        memory."""
-        self._run(0, 0, None, None, None, None, [None] * 4)
-        disks = self.ctrl.disks
-        v = len(disks)
+    def finish(self, sink) -> bool:
+        """Retire everything still in flight into ``sink``, then write
+        the disk state and the clock back into the controller and free
+        the kernel's memory."""
+        self._run(0, 0, None, None, None, None, [None] * 4, sink)
+        v = len(self.ctrl.disks)
         busyt = np.empty(v)
         delay = np.empty(v)
         reads = np.empty(v, dtype=np.int64)
@@ -316,26 +313,17 @@ class NativeExactCore:
             ctypes.byref(now),
         )
         self._free()
-        rows = zip(
-            disks,
-            busyt.tolist(),
-            delay.tolist(),
-            reads.tolist(),
-            writes.tolist(),
-            last.tolist(),
-            has_last.tolist(),
-        )
-        for disk, bt, dl, nr, nw, lo, has in rows:
-            disk.busy_time = bt
-            disk.total_queue_delay = dl
-            disk.completed_reads += nr
-            disk.completed_writes += nw
-            disk._last_offset = lo if has else None
-        self.ctrl.sim.now = now.value
+        offsets = [
+            lo if has else None
+            for lo, has in zip(last.tolist(), has_last.tolist())
+        ]
+        state = (a.tolist() for a in (busyt, delay, reads, writes))
+        _write_back(self.ctrl, *state, offsets, now.value)
+        return True
 
-    def _run(self, n, nw, at, is_read, disks, offsets, wcols) -> None:
+    def _run(self, n, nw, at, is_read, disks, offsets, wcols, sink) -> None:
         """One kernel call (``n == 0`` ends the stream), then emit the
-        completed requests' samples."""
+        completed requests' samples into ``sink``."""
         if not self._free.alive:
             raise RuntimeError("compiled exact core: fed after finish()")
         rcap = self._pending[0] + n - nw
@@ -371,13 +359,7 @@ class NativeExactCore:
             )
         k_read, k_write = counts.tolist()
         self._pending = [rcap - k_read, wcap - k_write]
-        ctrl = self.ctrl
-        obs = ctrl.obs if ctrl.obs.enabled else None
-        for kind, lats, comps, k in (
-            ("read", rlat, rcomp, k_read),
-            ("write", wlat, wcomp, k_write),
-        ):
-            if k:
-                ctrl.latency[kind].samples.extend(lats[:k].tolist())
-                if obs is not None:
-                    obs.feed(ctrl.obs_shard, kind, comps[:k], lats[:k])
+        if k_read:
+            sink("read", rlat[:k_read], rcomp[:k_read])
+        if k_write:
+            sink("write", wlat[:k_write], wcomp[:k_write])

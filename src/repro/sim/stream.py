@@ -14,21 +14,21 @@ peak memory is one window, at any horizon.
 Reports stay **byte-identical** to the materialized path.  The engine
 gate for a set of shards on one clock lives here, once:
 :func:`_execute_shard_windows` reads the windows once per class of
-shard: one carry pass (:func:`_windows_carry`) on an idle clock, ONE
-exact-core replay pass (:func:`_replay_exact`), and a chained heap
-pump (:func:`_arm_shard_pump`) per shard an armed event names, armed
-before one ``sim.run()``; one slicer (:func:`_slice_window`) serves
-them all.  :func:`execute_windows` is that gate on one array, shard
-groups call it for their slice, and
+shard: one off-heap pass (:func:`_off_heap_pass`) on the carry engines
+on an idle clock, ONE off-heap pass on the exact core for the shards
+replayed exactly, and a chained heap pump (:func:`_arm_shard_pump`)
+per shard an armed event names, armed before one ``sim.run()``; one
+slicer (:func:`_slice_window`) serves them all.  :func:`execute_windows`
+is that gate on one array, shard groups call it for their slice, and
 :meth:`repro.service.Fleet.serve_windows` for the fleet unless it must
 route live (its window router).  Every caller passes the stream's
 routing geometry as one :class:`_ShardRoute`.  Three engines mirror
 :func:`execute_compiled`'s selection gate:
 
 * single-phase streams (read-only by construction, or any mix under
-  ``write_policy="write_through"``) run on :class:`_WindowedSolver` —
-  the FIFO kernel of :func:`~repro.sim.compile.solve_compiled`
-  (:func:`~repro.sim.compile._solve_fifo`) with the per-disk
+  ``write_policy="write_through"``) run on
+  :class:`~repro.sim.compile._WindowedSolver` — the engine of
+  :func:`~repro.sim.compile.solve_compiled` — with the per-disk
   recurrence state (previous completion, last offset, busy/delay
   accumulators) carried between windows.  Partitioning a disk's IO
   sequence does not change the float left-fold, so every completion is
@@ -37,11 +37,12 @@ routing geometry as one :class:`_ShardRoute`.  Three engines mirror
   :class:`repro.sim.batchstep._EagerCore` fed window by window, its
   pending-phase heap and per-disk state persisting across feeds.  On
   the core's ambiguity abort (an exact submission-time tie) nothing has
-  touched the controller, so that shard joins the replay pass: the
-  exact core (:func:`repro.sim.batchstep._exact_core`: the compiled
-  kernel for these healthy read-modify-write plans), again one window
-  at a time — the heap pump's exact serialization without the event
-  heap, keeping the pump's ``windowed-pump`` label;
+  touched the controller, so the pass demotes that shard — its
+  digests, counts and recorder samples cleared — to the replay pass:
+  the exact core (:func:`repro.sim.batchstep._exact_core`: the
+  compiled kernel for these healthy read-modify-write plans), again
+  one window at a time — the heap pump's exact serialization without
+  the event heap, keeping the pump's ``windowed-pump`` label;
 * a shard with foreign events scheduled on it (a failure timer, a
   migration copy) or a degenerate service model streams through the
   chained heap pump — :class:`~repro.sim.compile._CompiledRun` with a
@@ -51,9 +52,13 @@ routing geometry as one :class:`_ShardRoute`.  Three engines mirror
   the exact core, under the pump's label.  A one-shot source has one
   pass to give, so the gate refuses one that would need more.
 
-Sample *emission* is the part windowing could reorder, so every engine
-defers a sample until no later request can complete before it (a
-window's last arrival bounds all future completions) and emits in
+All three off-heap engines run one protocol, ``feed(trace, sink)`` and
+``finish(sink)`` (see :mod:`repro.sim.batchstep`), and emit into a
+digest sink (:func:`_digest_sink`) that folds each float64 batch
+straight into the shard's digests and the metrics recorder.  Sample
+*emission* is the part windowing could reorder, so every engine emits
+a sample only once no later request can complete before it (a
+window's last arrival bounds all future completions) and in
 completion order with the engine's own tie-break — concatenated window
 emissions reproduce the materialized emission order exactly, which
 makes the digest's running mean bit-equal to ``sum(samples)`` and every
@@ -68,13 +73,12 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .batchstep import _drain_pools, _EagerCore, _exact_core
+from .batchstep import _EagerCore, _exact_core
 from .compile import (
     CompiledTrace,
     _CompiledRun,
-    _KIND_NAMES,
+    _WindowedSolver,
     _on_heap,
-    _solve_fifo,
     compile_stream,
 )
 from .controller import ArrayController
@@ -86,100 +90,25 @@ __all__ = ["execute_windows"]
 _Window = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _digest_sink(digests: dict[str, LatencyDigest], obs=None, shard: int = 0):
-    """Build a drain sink folding samples into per-kind digests.
+def _digest_sink(ctrl: ArrayController, digests: dict[str, LatencyDigest]):
+    """The windowed sample sink: fold each batch into the per-kind
+    ``digests`` and, when metrics are on, into the recorder's
+    completion-time buckets.  The engines' emission contract
+    (completion-sorted per kind, windowed batches concatenating into
+    the one-shot order) is exactly what keeps every digest fold and
+    every per-bucket fold byte-identical across window sizes."""
+    obs = ctrl.obs if ctrl.obs.enabled else None
+    shard = ctrl.obs_shard
 
-    When a metrics recorder ``obs`` is supplied, each drained batch is
-    also folded into its completion-time buckets — the drain contract
-    (completion-sorted emission, windowed prefixes of the one-shot
-    order) is exactly what keeps the recorder's per-bucket folds
-    byte-identical across window sizes.
-    """
-
-    def sink(kind: str, lats: list[float], comps=None) -> None:
+    def sink(kind: str, lats: np.ndarray, comps: np.ndarray) -> None:
         d = digests.get(kind)
         if d is None:
             d = digests[kind] = LatencyDigest()
-        d.extend(lats)
+        d.extend_array(lats)
         if obs is not None:
             obs.feed(shard, kind, comps, lats)
 
     return sink
-
-
-class _WindowedSolver:
-    """The analytic single-phase solver, fed one window at a time.
-
-    Each feed runs the shared FIFO kernel
-    (:func:`repro.sim.compile._solve_fifo`) with the per-disk previous
-    completions carried in ``prev``, while last offset / busy time /
-    queue delay round-trip through the disk objects between windows
-    (the same additions in the same order as one whole-trace solve, so
-    every float is bit-equal).  Request completions pool per kind in
-    request order and drain (:func:`repro.sim.batchstep._drain_pools`)
-    once no later request can land among them — a stable completion
-    sort then breaks ties by request order, exactly the one-shot
-    solver's ``done_order``.
-    """
-
-    __slots__ = ("ctrl", "base", "prev", "maxc", "_kinds")
-
-    def __init__(self, ctrl: ArrayController):
-        if ctrl.sim.pending():
-            raise RuntimeError("the windowed solver requires an idle simulator")
-        self.ctrl = ctrl
-        self.base = ctrl.sim.now
-        self.prev = [float("-inf")] * len(ctrl.disks)
-        self.maxc = float("-inf")
-        # kind -> (completions, latencies), in request order.
-        self._kinds: dict[str, tuple[list[float], list[float]]] = {}
-
-    def feed(self, compiled: CompiledTrace, sink) -> int:
-        """Solve one compiled window and emit every pooled sample that
-        can no longer be preceded (completion <= this window's last
-        arrival).  Returns the window's request count.
-
-        Raises:
-            ValueError: on a write under the read-modify-write policy
-                (multi-phase; not a single-phase stream).
-        """
-        ctrl = self.ctrl
-        n = compiled.n
-        if n == 0:
-            return 0
-        if not compiled.read_only() and ctrl.write_policy != "write_through":
-            raise ValueError(
-                "the windowed solver handles read-only streams under the "
-                "read-modify-write policy (write-through streams are "
-                "single-phase and always solvable)"
-            )
-        times = self.base + compiled.times
-        comps, kind_code = _solve_fifo(ctrl, compiled, times, self.prev)
-        top = float(comps.max())
-        if top > self.maxc:
-            self.maxc = top
-        lats = comps - times
-        if kind_code is None:
-            parts = [("read", comps, lats)]
-        else:
-            parts = [
-                (name, comps[mask], lats[mask])
-                for code, name in enumerate(_KIND_NAMES)
-                if (mask := kind_code == code).any()
-            ]
-        for name, c, lat in parts:
-            cs, ls = self._kinds.setdefault(name, ([], []))
-            cs.extend(c.tolist())
-            ls.extend(lat.tolist())
-        _drain_pools(self._kinds, float(times[-1]), sink)
-        return n
-
-    def finish(self, sink) -> None:
-        """Emit everything still pooled and advance the clock to the
-        last completion (the one-shot solver's final ``sim.now``)."""
-        _drain_pools(self._kinds, float("inf"), sink)
-        if self.maxc > float("-inf"):
-            self.ctrl.sim.now = self.maxc
 
 
 def _volumes(
@@ -273,35 +202,52 @@ def _carry_label(
     return "windowed-eager" if eager and iter(windows) is not windows else None
 
 
-def _windows_carry(
+def _engine(ctrl: ArrayController, label: str):
+    """A fresh off-heap engine for ``ctrl``, labelled ``label``: the
+    analytic solver (``windowed-solver``) or the eager core
+    (``windowed-eager``) of a carry pass, or the exact core
+    :func:`repro.sim.batchstep._exact_core` picks (``windowed-pump``:
+    the heap pump's serialization, without the heap)."""
+    if label == "windowed-pump":
+        return _exact_core(ctrl, label)
+    ctrl.set_engine(label, label.removeprefix("windowed-"))
+    if label == "windowed-solver":
+        return _WindowedSolver(ctrl)
+    return _EagerCore(ctrl)
+
+
+def _off_heap_pass(
     controllers: list[ArrayController],
     route: _ShardRoute,
     windows,
     digests: list[dict[str, LatencyDigest]],
     scheduled: list[int],
+    shards: Iterable[int],
     label: str,
 ) -> tuple[int, float, list[int]]:
-    """The carry pass: feed every shard's carry engine (``label``) one
-    window at a time, then finish each from the common start time.
-    Returns the non-empty window count, the latest finish, and the
-    shards whose eager core hit an ambiguous tie — cleared, for the
-    caller to replay (:func:`_replay_exact`): the per-shard granularity
-    of ``execute_compiled``'s eager → exact fallback."""
+    """One pass over ``windows`` for ``shards`` (indices into
+    ``controllers``), each on a fresh off-heap engine labelled
+    ``label`` (:func:`_engine`): feed every engine its slice of each
+    window, then finish each from the common start time, every sample
+    draining into the shard's digests (:func:`_digest_sink`).
+
+    A shard whose feed or finish returns False — the eager core's
+    ambiguous-tie abort — is demoted: its digests, request count and
+    recorder samples are cleared and ``tie_abort_replays`` counted; it
+    skips the rest of the pass.  Returns the non-empty window count,
+    the latest finish, and the demoted shards, for the caller to replay
+    on the exact core in a second pass — the per-shard granularity of
+    :func:`~repro.sim.batchstep.step_compiled`'s eager → exact
+    fallback."""
     sim = controllers[0].sim
     base = end = sim.now
-    sinks = [
-        _digest_sink(d, c.obs if c.obs.enabled else None, c.obs_shard)
-        for d, c in zip(digests, controllers)
-    ]
-    solver = label == "windowed-solver"
-    engine = _WindowedSolver if solver else _EagerCore
-    engines = [engine(c) for c in controllers]
-    for c in controllers:
-        c.set_engine(label, label.removeprefix("windowed-"))
-    fallback: set[int] = set()
+    engines = {i: _engine(controllers[i], label) for i in shards}
+    sinks = {i: _digest_sink(controllers[i], digests[i]) for i in engines}
+    demoted: list[int] = []
 
     def demote(i: int) -> None:
-        fallback.add(i)
+        del engines[i]
+        demoted.append(i)
         digests[i].clear()
         scheduled[i] = 0
         ctrl = controllers[i]
@@ -311,72 +257,19 @@ def _windows_carry(
     n_windows = 0
     for window, ids in route.routed(windows):
         n_windows += 1
-        live = [(i, c) for i, c in enumerate(controllers) if i not in fallback]
+        live = [(i, controllers[i]) for i in engines]
         for i, w in _slice_window(
             live, ids, window, route.shard_capacity, base, scheduled
         ):
-            if solver:
-                engines[i].feed(w, sinks[i])
-                continue
-            run = _CompiledRun(controllers[i], w)
-            if engines[i].feed(run):
-                engines[i].drain(run.times[-1], sinks[i])
-            else:
+            if not engines[i].feed(w, sinks[i]):
                 demote(i)
-    if not solver:
-        # Settle every surviving shard before the first write-back
-        # so a late abort still demotes cleanly.
-        for i, eng in enumerate(engines):
-            if i not in fallback and not eng.settle():
-                demote(i)
-    for i, eng in enumerate(engines):
-        if i not in fallback:
-            sim.now = base
-            eng.finish(sinks[i])
-            end = max(end, sim.now)
-    sim.now = base
-    return n_windows, end, sorted(fallback)
-
-
-def _replay_exact(
-    controllers: list[ArrayController],
-    shards: list[int],
-    route: _ShardRoute,
-    windows,
-    digests: list[dict[str, LatencyDigest]],
-    scheduled: list[int],
-) -> tuple[int, float]:
-    """Replay ``shards`` (indices into ``controllers``) on the exact
-    core :func:`repro.sim.batchstep._exact_core` picks for each, all in
-    one pass over ``windows``, each core from the common start time;
-    return the non-empty window count and the latest finish.  This is
-    the heap pump's serialization without the event heap, so it keeps
-    the pump's ``windowed-pump`` label; nothing foreign may be
-    scheduled on these shards.  Samples are swept into ``digests`` after
-    every window; the recorder buckets completions as on the pump."""
-    sim = controllers[0].sim
-    base = end = sim.now
-    pairs = [(i, controllers[i]) for i in shards]
-    lat_base = {
-        i: {kind: len(st.samples) for kind, st in c.latency.items()}
-        for i, c in pairs
-    }
-    cores = {i: _exact_core(c, "windowed-pump") for i, c in pairs}
-    n_windows = 0
-    for window, ids in route.routed(windows):
-        n_windows += 1
-        for i, w in _slice_window(
-            pairs, ids, window, route.shard_capacity, base, scheduled
-        ):
-            cores[i].feed(w)
-            _sweep(controllers[i].latency, lat_base[i], digests[i])
-    for i, ctrl in pairs:
+    for i, engine in list(engines.items()):
         sim.now = base
-        cores[i].finish()
-        _sweep(ctrl.latency, lat_base[i], digests[i])
+        if not engine.finish(sinks[i]):
+            demote(i)
         end = max(end, sim.now)
     sim.now = base
-    return n_windows, end
+    return n_windows, end, sorted(demoted)
 
 
 def _arm_shard_pump(
@@ -462,13 +355,15 @@ def _execute_shard_windows(
     class, and each class reads ``windows`` once:
 
     * **carry** — idle clock, no ``fleet_busy``, a carry engine applies
-      (:func:`_carry_label`): one carry pass (:func:`_windows_carry`);
+      (:func:`_carry_label`): one off-heap pass (:func:`_off_heap_pass`)
+      on the analytic solver or the eager core;
     * **heap** — an armed event names the shard (or a pending event
       names none, or its service model is degenerate): a chained pump
       (:func:`_arm_shard_pump`) each, all armed before one
       ``sim.run()``, so armed events interleave as on an all-heap clock;
     * **exact replay** — every other shard, and carry shards whose
-      eager core tie-aborts: ONE pass for all (:func:`_replay_exact`).
+      eager core tie-aborts: ONE off-heap pass for all, on the exact
+      core (label ``windowed-pump``).
 
     The clock ends at the set's makespan.  Latency lands in ``digests``
     (indexed like ``controllers``).  Returns ``(scheduled, windows)``:
@@ -479,14 +374,15 @@ def _execute_shard_windows(
     """
     scheduled = [0] * len(controllers)
     sim = controllers[0].sim
-    base = end = sim.now
+    end = sim.now
+    off_heap = partial(
+        _off_heap_pass, controllers, route, windows, digests, scheduled
+    )
     label = _carry_label(controllers, windows, read_only_hint, fleet_busy)
     heap: list[int] = []
     n_windows = 0
     if label is not None:
-        n_windows, end, replay = _windows_carry(
-            controllers, route, windows, digests, scheduled, label
-        )
+        n_windows, end, replay = off_heap(range(len(controllers)), label)
     else:
         armed = sim.armed_shards()
         replay = []
@@ -499,9 +395,7 @@ def _execute_shard_windows(
                 f"this shard set needs {passes}: pass re-iterable windows"
             )
     if replay:
-        n_windows, replayed = _replay_exact(
-            controllers, replay, route, windows, digests, scheduled
-        )
+        n_windows, replayed, _ = off_heap(replay, "windowed-pump")
         end = max(end, replayed)
     pumps = [
         (i, *_arm_shard_pump(controllers[i], route, windows, digests[i]))
@@ -536,17 +430,19 @@ def execute_windows(
        a pending event names this array or names none; events naming
        only other arrays leave it to the exact-core replay of 4;
     2. ``read_only_hint`` (the caller knows every request is a read —
-       e.g. ``read_fraction >= 1``) or write-through policy → the
-       windowed analytic solver;
+       e.g. a synthetic stream with ``read_fraction >= 1``) or
+       write-through policy → one off-heap pass on the windowed
+       analytic solver;
     3. mixed read-modify-write on a hookless array (no data plane) →
-       the windowed eager core; an exact-tie abort replays the stream
-       bit-exactly on the exact core, with the heap pump's
+       one off-heap pass on the windowed eager core; an exact-tie
+       abort demotes the array, and a second off-heap pass replays the
+       stream bit-exactly on the exact core, with the heap pump's
        serialization and ``windowed-pump`` label but no heap events
        (``windows`` must be re-iterable for the replay —
        :class:`~repro.sim.compile.StreamWindows` is; one-shot
        generators skip the eager tier);
     4. otherwise (a data plane, a one-shot mixed stream) → the same
-       exact-core replay, in the stream's one pass, when the service
+       exact-core pass, in the stream's one pass, when the service
        model is positive; else the chained heap pump.
 
     The hint is advisory: an all-read stream without it simply runs on
@@ -555,8 +451,8 @@ def execute_windows(
 
     Raises ``IndexError`` on an LBA outside the array's capacity.
     Latency goes to constant-memory digests, not the controller's
-    sample lists (the heap pump and the exact replay sweep
-    ``ctrl.latency`` into the digests at window boundaries).  With a
+    sample lists (the off-heap engines emit into the digests; the heap
+    pump sweeps ``ctrl.latency`` into them at window boundaries).  With a
     metrics recorder attached, every window's arrivals are recorded as
     it is routed, and the stream's non-empty windows count as
     ``window_boundaries``.  Returns ``(scheduled, digests)``.

@@ -26,6 +26,7 @@ from repro.service import (
     leaked_segments,
     run_fleet_scenario,
 )
+from repro.service import runtime as runtime_mod
 from repro.sim import generate_request_stream
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -151,9 +152,10 @@ class TestWarmth:
             assert stats.ipc_bytes_avoided > 0
             _assert_clean(runtime)
 
-    def test_artifact_cache_is_bounded_lru(self):
+    def test_artifact_cache_is_bounded_lru(self, monkeypatch):
+        monkeypatch.setattr(runtime_mod, "ARTIFACT_CACHE_SIZE", 1)
         scenario = _scenario()
-        with WarmRuntime(scenario, cache_artifacts=1) as runtime:
+        with WarmRuntime(scenario) as runtime:
             runtime.run()
             one = runtime.stats.shm_bytes
             assert one > 0

@@ -14,7 +14,7 @@ match byte for byte).
 """
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from repro.service import (
     FailureOrchestrator,
     Fleet,
     FleetScenario,
+    WarmRuntime,
     canonical_payload,
     default_failure_schedule,
     run_fleet_scenario,
@@ -239,3 +240,66 @@ class TestScenarioWindowed:
         assert report.passed
         assert report.all_rebuilt_verified
         assert len(report.rebuilds) == 2
+
+
+def _submitted(n: int, seed: int, capacity: int, horizon: float):
+    """A seeded mixed stream of ``n`` requests, as a client submits it."""
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0.0, horizon, n))
+    return times, rng.random(n) < 0.6, rng.integers(0, capacity, n)
+
+
+class TestSubmittedStreamUnderReadOnlyMix:
+    """A scenario's ``read_fraction`` describes its synthetic stream
+    only: a submitted stream with writes serves in windows under a
+    read-only mix — serially and on warm worker groups — and equals its
+    materialized serve."""
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "warm2"])
+    def test_windowed_serve_takes_the_writes(self, workers):
+        scenario = _scenario(shards=2, read_fraction=1.0, seed=3)
+        stream = _submitted(200, 11, Fleet(2, 9, 3, seed=3).capacity, 300.0)
+        materialized = run_fleet_scenario(scenario, stream=stream)
+        windowed = replace(scenario, window_size=64)
+        if workers is None:
+            payload = run_fleet_scenario(windowed, stream=stream).to_dict()
+        else:
+            with WarmRuntime(windowed, workers=workers) as runtime:
+                payload = runtime.run(stream=stream)
+        assert payload["fleet"]["completed"] == 200
+        assert _canon(payload, ignore_window=True) == _canon(
+            materialized.to_dict(), ignore_window=True
+        )
+
+
+class TestBadArrivalTimes:
+    """NaN, infinite and negative arrival times — the ones the
+    front-end's ``submit`` refuses — are refused by the library too,
+    materialized and windowed, before anything is scheduled."""
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.nan, "finite"),
+            (np.inf, "finite"),
+            (-np.inf, "finite"),
+            (-1.0, ">= 0"),
+        ],
+        ids=["nan", "inf", "-inf", "negative"],
+    )
+    def test_refused(self, bad, match):
+        scenario = _scenario(shards=2, seed=3)
+        fleet = Fleet(2, 9, 3, seed=3)
+        times, is_read, lbas = _submitted(50, 5, fleet.capacity, 100.0)
+        times[-1] = bad
+        for window_size in (None, 16):
+            with pytest.raises(ValueError, match=match):
+                run_fleet_scenario(
+                    replace(scenario, window_size=window_size),
+                    stream=(times, is_read, lbas),
+                )
+        with pytest.raises(ValueError, match=match):
+            fleet.serve_stream(times, is_read, lbas)
+        assert fleet.sim.now == 0.0 and not fleet.sim.pending()
+        assert all(not c.latency for c in fleet.controllers)
+

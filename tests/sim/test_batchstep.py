@@ -36,7 +36,7 @@ from repro.sim import (
     step_compiled,
 )
 from repro.sim.batchstep import _ExactCore, _step_exact
-from repro.sim.compile import _CompiledRun
+from repro.sim.compile import _CompiledRun, _controller_sink
 from repro.sim.trace import TraceRecord
 
 FAMILIES = {
@@ -92,8 +92,9 @@ def _run(engine, layout_fn, cfg, *, duration=900.0, failed=None,
             n = _step_exact(ctrl, _CompiledRun(ctrl, trace))
         elif engine == "python":
             core = _ExactCore(ctrl)
-            core.feed(trace)
-            core.finish()
+            sink = _controller_sink(ctrl)
+            core.feed(trace, sink)
+            core.finish(sink)
             n = trace.n
         else:
             n = step_compiled(ctrl, trace)

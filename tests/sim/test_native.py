@@ -37,7 +37,7 @@ from repro.sim import (
     native,
 )
 from repro.sim.batchstep import _exact_core, _ExactCore
-from repro.sim.compile import generate_request_stream
+from repro.sim.compile import _controller_sink, generate_request_stream
 
 def _fail_load(path):
     raise native.KernelUnavailable("dlopen failed: forced by the test")
@@ -95,6 +95,7 @@ def _replay(core_kind, mix, window, dataplane, metrics):
         else:
             core = _exact_core(ctrl, "calendar")
             assert ctrl.last_executor == "exact-native"
+        sink = _controller_sink(ctrl)
         step = window or hi - lo
         t0 = times[lo]
         for i in range(lo, hi, step):
@@ -102,9 +103,10 @@ def _replay(core_kind, mix, window, dataplane, metrics):
             core.feed(
                 compile_stream(
                     ctrl.mapper, times[i:j] - t0, is_read[i:j], lbas[i:j]
-                )
+                ),
+                sink,
             )
-        core.finish()
+        core.finish(sink)
     return {
         "samples": repr([(k, st.samples) for k, st in ctrl.latency.items()]),
         "clock": repr(ctrl.sim.now),
@@ -169,13 +171,14 @@ class TestEligibility:
             ("disks", 9, "disk id out of range"),
             ("disks", -1, "disk id out of range"),
             ("offsets", -1, "negative offset"),
+            ("times", np.nan, "non-finite arrival"),
             ("is_read", None, "ragged"),
         ],
     )
     def test_kernel_refuses_bad_columns(self, field, value, match):
         """No column a ``CompiledTrace`` can carry reaches the kernel
-        unchecked: a disk id outside ``[0, v)``, a negative offset or a
-        ragged column raises before the call."""
+        unchecked: a disk id outside ``[0, v)``, a negative offset, a
+        NaN arrival time or a ragged column raises before the call."""
         ctrl = ArrayController(get_layout(9, 3))
         trace = compile_workload(ctrl.mapper, WorkloadConfig(seed=2), 200.0)
         reads = np.flatnonzero(trace.is_read)
@@ -187,16 +190,17 @@ class TestEligibility:
             bad = replace(trace, **{field: col})
         core = _exact_core(ctrl, "calendar")
         with pytest.raises(ValueError, match=match):
-            core.feed(bad)
+            core.feed(bad, _controller_sink(ctrl))
 
     def test_core_is_spent_after_finish(self):
         ctrl = ArrayController(get_layout(9, 3))
         trace = compile_workload(ctrl.mapper, WorkloadConfig(seed=2), 200.0)
         core = _exact_core(ctrl, "calendar")
-        core.feed(trace)
-        core.finish()
+        sink = _controller_sink(ctrl)
+        core.feed(trace, sink)
+        core.finish(sink)
         with pytest.raises(RuntimeError, match="after finish"):
-            core.feed(trace)
+            core.feed(trace, sink)
 
     def test_write_through_stays_on_python_core(self):
         ctrl = ArrayController(get_layout(9, 3), write_policy="write_through")

@@ -34,16 +34,18 @@ from repro.sim import (
     schedule_compiled,
     simulate_workload,
 )
-from repro.sim.batchstep import _EagerCore
+from repro.sim.batchstep import _EagerCore, _exact_core, _ExactCore
 from repro.sim.compile import (
     StreamWindows,
+    _WindowedSolver,
     compile_stream,
     generate_request_stream,
 )
 from repro.sim.controller import ArrayController
 from repro.sim.events import Simulator
-from repro.sim.stats import summarize
+from repro.sim.stats import LatencyStats, summarize
 from repro.sim.stream import (
+    _digest_sink,
     _execute_shard_windows,
     _ShardRoute,
     execute_windows,
@@ -350,7 +352,7 @@ class TestWindowedExactReplay:
         core at a different point: shards 0 and 2 on an arrival tied
         with a pending write phase, shard 1 on two tied pending phases
         mid-stream, shard 3 on two tied pending phases after its last
-        arrival — late, in ``settle()``.  The carry replays all four, in
+        arrival — late, in ``finish()``.  The carry replays all four, in
         one pass over the windows after the carry pass, and matches the
         all-heap pump run."""
         mapper = ArrayController(LAYOUT).mapper
@@ -402,17 +404,22 @@ class TestWindowedExactReplay:
         route = _ShardRoute(np.arange(4, dtype=np.int64), cap, cap, 4 * cap)
 
         aborts = {}
-        feed = _EagerCore.feed
+        feed, finish = _EagerCore.feed, _EagerCore.finish
 
-        def spy(core, run):
-            ok = feed(core, run)
+        def spy_feed(core, plan, sink):
+            ok = feed(core, plan, sink)
             if not ok:
-                aborts[core.ctrl.obs_shard] = (
-                    "settle" if run is None else run.times[-1]
-                )
+                aborts[core.ctrl.obs_shard] = plan.times[-1]
             return ok
 
-        monkeypatch.setattr(_EagerCore, "feed", spy)
+        def spy_finish(core, sink):
+            ok = finish(core, sink)
+            if not ok:
+                aborts[core.ctrl.obs_shard] = "finish"
+            return ok
+
+        monkeypatch.setattr(_EagerCore, "feed", spy_feed)
+        monkeypatch.setattr(_EagerCore, "finish", spy_finish)
 
         def serve(all_heap):
             sim = Simulator()
@@ -438,7 +445,7 @@ class TestWindowedExactReplay:
 
         sim, rec, passes, carry = serve(False)
         late = [aborts[shard] for shard in range(3)]
-        assert late == sorted(set(late)) and aborts[3] == "settle", aborts
+        assert late == sorted(set(late)) and aborts[3] == "finish", aborts
         assert sim.events_processed == 0
         assert rec.counters() == {"tie_abort_replays": 4}
         # The carry pass, then one replay pass for all four shards.
@@ -581,3 +588,146 @@ class TestExecuteWindowsGate:
         )
         assert materialized.scheduled == windowed.scheduled == 0
         assert asdict(windowed) == asdict(materialized)
+
+
+def _native_core(ctrl):
+    core = _exact_core(ctrl, "windowed-pump")
+    assert ctrl.last_executor == "exact-native"
+    return core
+
+
+#: (id, engine factory, layout, failed disk, mean interarrival ms, read
+#: fraction, seed, arrival grid ms) — one case per off-heap engine: the
+#: analytic solver on reads, the eager core on a tie-free mix, and both
+#: exact cores on a grid-snapped mix full of ties (the Python core on a
+#: degraded array too).
+PROTOCOL_CASES = [
+    ("solver", _WindowedSolver, get_layout(13, 4), None, 1.0, 1.0, 5, None),
+    ("eager", _EagerCore, get_layout(13, 4), None, 5.0, 0.7, 7, None),
+    ("python-exact", _ExactCore, ring_layout(9, 4), None, 2.0, 0.6, 3, 5.0),
+    ("kernel", _native_core, ring_layout(9, 4), None, 2.0, 0.6, 3, 5.0),
+    ("python-degraded", _ExactCore, ring_layout(9, 4), 1, 2.0, 0.6, 3, 5.0),
+]
+EXACT_CASES = ("python-exact", "kernel", "python-degraded")
+
+
+class TestSinkProtocol:
+    """Every off-heap engine runs one protocol: ``feed(trace, sink)``
+    and ``finish(sink)``, emitting ``sink(kind, lats, comps)`` batches
+    of float64 arrays.  Fed whole or in 1-, 7- or 64-request windows,
+    each kind's batches concatenate into the same arrays, the exact
+    cores' into the heap's own sample lists, and the controller's
+    sample lists stay untouched: the sink is the only way out."""
+
+    @staticmethod
+    def _stream(case):
+        _id, _engine, layout, failed, gap, read_fraction, seed, tick = case
+        cap = ArrayController(layout).mapper.capacity
+        cfg = WorkloadConfig(
+            interarrival_ms=gap, read_fraction=read_fraction, seed=seed
+        )
+        times, is_read, lbas = generate_request_stream(cfg, 500.0 * gap, cap)
+        if tick is not None:
+            times = np.floor(times / tick) * tick
+        return times, is_read, lbas
+
+    @staticmethod
+    def _controller(case):
+        ctrl = ArrayController(case[2])
+        if case[3] is not None:
+            ctrl.fail_disk(case[3])
+        return ctrl
+
+    def _feed(self, case, window, make_sink=None):
+        """Feed the case's stream in ``window``-request windows (None:
+        whole) into the sink ``make_sink(ctrl)`` builds (None: one
+        recording every batch); returns the controller and the
+        recorded ``(kind, lats, comps)`` batches."""
+        times, is_read, lbas = self._stream(case)
+        ctrl = self._controller(case)
+        engine = case[1](ctrl)
+        batches = []
+
+        def record(*batch):
+            batches.append(batch)
+
+        sink = record if make_sink is None else make_sink(ctrl)
+        step = window or len(times)
+        for i in range(0, len(times), step):
+            j = i + step
+            trace = compile_stream(
+                ctrl.mapper, times[i:j], is_read[i:j], lbas[i:j]
+            )
+            assert engine.feed(trace, sink) is True
+        assert engine.finish(sink) is True
+        assert ctrl.sim.events_processed == 0
+        return ctrl, batches
+
+    @staticmethod
+    def _joined(batches):
+        kinds = {}
+        for kind, lats, comps in batches:
+            for arr in (lats, comps):
+                assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+            assert len(lats) == len(comps) and len(lats)
+            assert (np.diff(comps) >= 0).all()  # completion-sorted
+            kinds.setdefault(kind, []).append((lats, comps))
+        return {
+            kind: tuple(np.concatenate(col).tobytes() for col in zip(*parts))
+            for kind, parts in kinds.items()
+        }
+
+    @pytest.mark.parametrize(
+        "case", PROTOCOL_CASES, ids=[c[0] for c in PROTOCOL_CASES]
+    )
+    def test_batches_concatenate_identically(self, case):
+        whole_ctrl, whole = self._feed(case, None)
+        assert whole_ctrl.latency == {}
+        ref = self._joined(whole)
+        assert sum(len(b[1]) for b in whole) == len(self._stream(case)[0])
+        for window in (1, 7, 64):
+            ctrl, batches = self._feed(case, window)
+            assert ctrl.latency == {}
+            assert self._joined(batches) == ref, window
+            assert _disk_state(ctrl) == _disk_state(whole_ctrl), window
+            assert ctrl.sim.now == whole_ctrl.sim.now
+        if case[0] in EXACT_CASES:
+            times, is_read, lbas = self._stream(case)
+            heap = self._controller(case)
+            schedule_compiled(
+                heap, compile_stream(heap.mapper, times, is_read, lbas)
+            )
+            heap.sim.run()
+            assert {
+                kind: np.array(st.samples).tobytes()
+                for kind, st in heap.latency.items()
+            } == {kind: lats for kind, (lats, _c) in ref.items()}
+            assert _disk_state(heap) == _disk_state(whole_ctrl)
+            assert heap.sim.now == whole_ctrl.sim.now
+
+    @pytest.mark.parametrize(
+        "case", PROTOCOL_CASES, ids=[c[0] for c in PROTOCOL_CASES]
+    )
+    def test_digest_sink_leaves_controller_lists_alone(self, case):
+        digests = {}
+        rec = MetricsRecorder(50.0)
+
+        def make_sink(ctrl):
+            ctrl.obs = rec
+            return _digest_sink(ctrl, digests)
+
+        ctrl, _ = self._feed(case, 64, make_sink)
+        assert ctrl.latency == {}
+        _, batches = self._feed(case, None)
+        expected = {
+            kind: summarize(LatencyStats(np.frombuffer(lats).tolist()))
+            for kind, (lats, _c) in self._joined(batches).items()
+        }
+        assert {k: summarize(d) for k, d in digests.items()} == expected
+        assert sum(
+            d.count
+            for kinds in rec._lat.values()
+            for buckets in kinds.values()
+            for d in buckets.values()
+        ) == sum(int(s["count"]) for s in expected.values())
+

@@ -29,16 +29,18 @@ per-pair heap/engine wall-time ratio:
   compiled exact core.
 
 ``windowed_exact`` streams the ``exact_tier`` shard in 4096-request
-windows (``StreamWindows``) through ``execute_windows`` — whose
-windowed eager attempt tie-aborts, so the shard replays on the
-compiled exact core one window at a time — and through the chained
-heap pump on the same windows, in interleaved pairs.
+windows (``StreamWindows``) through ``execute_windows`` — whose first
+off-heap pass feeds the windowed eager core until it tie-aborts, so a
+second off-heap pass replays the shard on the compiled exact core one
+window at a time, into a digest sink — and through the chained heap
+pump on the same windows, in interleaved pairs.
 
 ``native_exact`` replays the ``exact_tier`` shard's plan (one
 ``_CompiledRun``) through the exact tier's factory — the compiled
 kernel, ``repro.sim.native.NativeExactCore`` — and on the Python
-``repro.sim.batchstep._ExactCore``, one feed each, in interleaved
-pairs; its ratio is Python/kernel, not heap/engine.  It must land on
+``repro.sim.batchstep._ExactCore``, one feed and a finish each into
+the controller's sample sink, in interleaved pairs; its ratio is
+Python/kernel, not heap/engine.  It must land on
 the executor ``exact-native``: a host where the kernel did not build
 or load falls back to the Python core silently in ``serve`` (one
 warning), and here reads as a wrong engine.
@@ -112,12 +114,13 @@ PAIRS = 5
 
 #: The guarded engine cases: name -> ((v, k), mean interarrival ms,
 #: read fraction, failed disk, expected engine, floor on the best
-#: per-pair heap/engine wall-time ratio).  Each floor sits well below
-#: the best-pair ratios four runs measured on a 2-CPU host (Python
-#: 3.11, NumPy 2.4) — solver 13.1-15.4, eager 5.8-7.1, degraded eager
-#: 2.4-2.95, exact tier 4.6-5.4 on the compiled exact core (the Python
-#: core read 1.8-2.2) — and well above the ~1x of a run pinned to the
-#: heap.
+#: per-pair heap/engine wall-time ratio).  Each floor sits below the
+#: best-pair ratios three runs measured on a 2-CPU host (Python 3.11.7,
+#: NumPy 2.4.6, gcc 12.2) — solver 11.1-11.7, eager 4.4-5.9, degraded
+#: eager 3.7, exact tier 4.2 on the compiled exact core — and well above
+#: the ~1x of a run pinned to the heap.  The host runs at two speeds,
+#: so one run can read well above these (the solver case alone read
+#: 11.4-18.8 in six more runs).
 CASES = {
     "read_only_solver": ((13, 4), 5.0, 1.0, None, "solver", 8.0),
     "mixed_rw_executor": ((13, 4), 5.0, 0.7, None, "eager", 3.5),
@@ -127,9 +130,8 @@ CASES = {
 
 #: The windowed replay case: the exact_tier shard in windows of this
 #: many requests, and the floor on its best per-pair pump/exact ratio.
-#: Five runs on a 2-CPU host (Python 3.11, NumPy 2.4) measured
-#: 3.5-4.3 on the compiled exact core (the Python core read 1.6-1.9) —
-#: the execute_windows side includes the eager attempt the tie aborts —
+#: Three runs on that host measured 3.9-4.1 on the compiled exact core
+#: — the execute_windows side includes the eager pass the tie aborts —
 #: against about 1x for a replay pinned to the pump.
 WINDOW = 4096
 WINDOWED_EXACT_FLOOR = 2.5
@@ -138,22 +140,21 @@ WINDOWED_EXACT_FLOOR = 2.5
 #: stream, the failure time as a fraction of the horizon, and the floor
 #: on its best per-pair all-heap/gated ratio.  The failed shard runs on
 #: the heap on both sides, so the ratio tops out well below the quiet
-#: shard's own gain: seven runs on a 2-CPU host (Python 3.11, NumPy
-#: 2.4) measured 1.50-1.82, against 1.16 with the quiet shard on the
-#: heap.
+#: shard's own gain: three runs on that host measured 2.07 (an earlier
+#: run read 1.16 with the quiet shard on the heap).
 QUIET_INTERARRIVAL_MS = 4.0
 QUIET_FAIL_AT = 0.25
 QUIET_FLOOR = 1.3
 
 #: The floor on ``quiet_windowed``'s best per-pair router/gated ratio
-#: (the same stream in ``WINDOW``-request windows).  Seven runs on a
-#: 2-CPU host (Python 3.11, NumPy 2.4, gcc 12.2) measured 2.14-2.74,
-#: against about 1x for a serve left on the router.
+#: (the same stream in ``WINDOW``-request windows).  Three runs on that
+#: host measured 2.02-2.07, against about 1x for a serve left on the
+#: router.
 QUIET_WINDOWED_FLOOR = 1.6
 
 #: The compiled exact core's floor on its best per-pair Python/kernel
-#: ratio (see ``native_exact`` in the module docstring).  Five runs on
-#: a 2-CPU host (Python 3.11, NumPy 2.4, gcc 12.2) measured 12.4-15.0.
+#: ratio (see ``native_exact`` in the module docstring).  Three runs on
+#: that host measured 11.4-11.6.
 NATIVE_EXACT_FLOOR = 6.0
 
 #: Warm serves timed after the cold one; the best is compared.
@@ -403,13 +404,14 @@ def quiet_windowed_case() -> dict:
 
 def native_exact_case() -> dict:
     """Replay the ``exact_tier`` shard's plan (one ``_CompiledRun``) on
-    the exact tier's factory — the compiled kernel, one feed — and on
-    the Python ``_ExactCore``, one feed, in interleaved pairs; report
-    the best Python/kernel ratio and the executor the factory picked."""
+    the exact tier's factory — the compiled kernel — and on the Python
+    ``_ExactCore``, one feed and a finish each into the controller's
+    sample sink, in interleaved pairs; report the best Python/kernel
+    ratio and the executor the factory picked."""
     from repro.core import get_layout
     from repro.sim import ArrayController, WorkloadConfig, compile_workload
     from repro.sim.batchstep import _ExactCore, _step_exact
-    from repro.sim.compile import _CompiledRun
+    from repro.sim.compile import _CompiledRun, _controller_sink
 
     layout = get_layout(9, 3)
     cfg = WorkloadConfig(interarrival_ms=8.0, read_fraction=0.7, seed=7)
@@ -425,8 +427,9 @@ def native_exact_case() -> dict:
             _step_exact(ctrl, run)
         else:
             core = _ExactCore(ctrl)
-            core.feed(run)
-            core.finish()
+            sink = _controller_sink(ctrl)
+            core.feed(run, sink)
+            core.finish(sink)
         return time.perf_counter() - t0, ctrl
 
     timed(True)  # build or load the kernel outside the timed pairs
