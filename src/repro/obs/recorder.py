@@ -23,8 +23,8 @@ Why bucketing (not raw event logs) keeps the byte-identity invariant:
   :class:`~repro.sim.stats.LatencyDigest` of its completion-time
   bucket therefore performs the identical left-to-right float fold per
   (shard, kind, bucket) no matter how the stream was chunked.
-* **Arrivals** are a pure function of the workload stream, bucketed
-  with one vectorized ``bincount`` per routed slice.
+* **Arrivals** are a pure function of the workload stream, counted
+  per bucket with one vectorized search per routed slice.
 * **Gauges** (rebuild progress) are recorded at simulated event times
   that the parallel runner's decomposition proves identical to the
   serial run's.
@@ -49,6 +49,31 @@ from ..sim.stats import LatencyDigest, bucket_keys_array
 from .nullrec import NULL_RECORDER, NullRecorder
 
 __all__ = ["MetricsRecorder", "NullRecorder", "NULL_RECORDER"]
+
+
+def _bucket_runs(q: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(bucket, start, stop)`` for each run of equal ``floor(q)`` in
+    a non-empty, non-decreasing ``q`` — times over the bucket interval,
+    the grid function of the scalar paths (record/arrive)."""
+    n = len(q)
+    lo, hi = math.floor(q[0]), math.floor(q[-1])
+    if hi - lo < n:
+        # Bucket b starts at the first q >= b: one search per bucket
+        # edge instead of a floor per sample.
+        buckets = range(lo, hi + 1)
+        edges = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        cuts = np.searchsorted(q, edges).tolist()
+    else:
+        # More buckets than samples: one floor per sample.
+        floors = np.floor(q)
+        cuts = (np.flatnonzero(floors[1:] != floors[:-1]) + 1).tolist()
+        buckets = [math.floor(q[c]) for c in (0, *cuts)]
+    bounds = [0, *cuts, n]
+    return [
+        (b, start, stop)
+        for b, start, stop in zip(buckets, bounds, bounds[1:])
+        if stop > start
+    ]
 
 
 class MetricsRecorder:
@@ -105,31 +130,19 @@ class MetricsRecorder:
             return
         comps = np.asarray(comps, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)
-        # floor(t / interval) — same grid function as the scalar paths
-        # (record/arrive); division + floor is one vectorized pass
-        # where floor_divide would pay a per-element correction step.
-        buckets = np.floor(comps / self.interval_ms).astype(np.int64)
         # One whole-batch histogram-key pass: the per-bucket slices
         # below reuse views of it instead of paying ~n_buckets small
         # vectorized calls.
         keys = bucket_keys_array(lats)
         per_kind = self._lat.setdefault(shard, {}).setdefault(kind, {})
-        first = int(buckets[0])
-        if first == int(buckets[-1]):
-            digest = per_kind.get(first)
-            if digest is None:
-                digest = per_kind[first] = LatencyDigest()
-            digest.extend_keyed(lats, keys)
-            return
-        cuts = np.flatnonzero(buckets[1:] != buckets[:-1]) + 1
-        start = 0
-        for stop in list(cuts) + [n]:
-            b = int(buckets[start])
+        runs = _bucket_runs(comps / self.interval_ms)
+        # Every run's maximum in one pass.
+        peaks = np.maximum.reduceat(lats, [start for _b, start, _s in runs])
+        for (b, start, stop), peak in zip(runs, peaks.tolist()):
             digest = per_kind.get(b)
             if digest is None:
                 digest = per_kind[b] = LatencyDigest()
-            digest.extend_keyed(lats[start:stop], keys[start:stop])
-            start = stop
+            digest.extend_keyed(lats[start:stop], keys[start:stop], peak)
 
     def record(self, shard: int, kind: str, t: float, lat: float) -> None:
         """Fold one completed request (heap/calendar engines, which see
@@ -145,16 +158,14 @@ class MetricsRecorder:
         """Bucket a routed slice's arrival times (vectorized)."""
         if not len(times):
             return
-        buckets = np.floor(
-            np.asarray(times, dtype=np.float64) / self.interval_ms
-        ).astype(np.int64)
-        # bincount beats unique here (no sort); offsetting by the
-        # slice's first bucket keeps the dense array one slice wide.
-        lo = int(buckets.min())
-        counts = np.bincount(buckets - lo)
+        q = np.asarray(times, dtype=np.float64) / self.interval_ms
+        if (q[1:] < q[:-1]).any():
+            # A window compile_stream has yet to sort: counts do not
+            # depend on the order.
+            q.sort()
         d = self._arrived.setdefault(shard, {})
-        for b in np.flatnonzero(counts).tolist():
-            d[b + lo] = d.get(b + lo, 0) + int(counts[b])
+        for b, start, stop in _bucket_runs(q):
+            d[b] = d.get(b, 0) + stop - start
 
     def arrive(self, shard: int, t: float) -> None:
         """Bucket one arrival (per-request dispatch paths, e.g. traffic

@@ -63,6 +63,7 @@ from ..sim.stats import LatencyDigest, LatencyStats, merge_summaries, summarize
 from ..sim.stream import (
     _carry_label,
     _execute_shard_windows,
+    _in_order,
     _ShardRoute,
     _slice_window,
     _sweep,
@@ -515,7 +516,11 @@ class Fleet:
           the coordinator with absolute arrival times.
 
         ``read_only_hint`` is a caller promise (every request is a
-        read); a lying hint raises ``ValueError`` from the solver.
+        read); a lying hint raises ``ValueError`` from the solver, as
+        does a window that starts before the previous window's last
+        arrival, in either mode — when that window is pulled, so the
+        fleet is left mid-serve and is discarded
+        (:func:`repro.sim.stream._in_order`).
         Reports are byte-identical to the materialized serve of the
         same stream, engine labels aside.
         """
@@ -686,7 +691,7 @@ class _WindowRouter:
         scheduled: list[int],
     ):
         self.fleet = fleet
-        self.it = it
+        self.it = _in_order(it)
         self.digests = digests
         self.scheduled = scheduled
         self.base = fleet.sim.now
@@ -702,10 +707,9 @@ class _WindowRouter:
             self._arm()
 
     def _pull(self):
-        for w in self.it:
-            if len(w[0]):
-                return w
-        return None
+        """The next non-empty window, in arrival order
+        (:func:`repro.sim.stream._in_order`), or None at the end."""
+        return next(self.it, None)
 
     def _arm(self) -> None:
         self.fleet.sim.at(self.base + float(self._next[0][0]), self._deliver)

@@ -5,9 +5,13 @@ The binary heap in :class:`repro.sim.events.Simulator` pays one
 for writes, a closure) per disk event.  For a compiled trace on an
 otherwise-idle array none of that generality is needed: every event is
 either a request arrival (known up front, sorted) or a disk completion
-(created while stepping).  :func:`step_compiled` plans such a trace
-once — one :class:`repro.sim.compile._CompiledRun`, the plan the heap
-pump executes — and runs that plan on one of two tiers.
+(created while stepping).  :func:`step_compiled` runs such a trace on
+one of two tiers, each a Python core with a compiled twin
+(:mod:`repro.sim.native`) for healthy plans.  A trace is planned once,
+for the core that runs it: a Python core runs a
+:class:`repro.sim.compile._CompiledRun` — the plan the heap pump
+executes — and a compiled core the trace's validated columns
+(:class:`repro.sim.native.KernelRun`).
 
 Eager tier
 ----------
@@ -23,14 +27,25 @@ submissions — two orders of magnitude fewer heap operations than one
 per disk event.  Whenever two submissions from different sources
 collide on the exact same float timestamp the serialization is
 ambiguous; the core detects that before mutating any controller state
-and reports failure, and :func:`step_compiled` hands the same plan to
-the exact tier.  The one relaxation: latency samples are emitted per
+and reports failure, and :func:`step_compiled` hands the trace to the
+exact tier.  The one relaxation: latency samples are emitted per
 kind in completion-time order with ties broken by the core's retire
 order (the heap breaks them by event sequence number), which leaves
 every report field identical except that ``mean`` may differ by
 float-association error well inside the documented 1e-12 contract.
 The same core runs the windowed executor (:mod:`repro.sim.stream`),
 fed one window at a time; a one-shot run is a single feed.
+
+Every eager run gets its core from one factory, :func:`_eager_core`.
+A healthy controller's plans — single-IO reads and healthy
+read-modify-writes — run on a compiled twin,
+:class:`repro.sim.native.NativeEagerCore` (volatile executor
+``eager-native``): the same pending-phase heap, the same two tie-abort
+rules and the same per-disk float operations in the same order, fed
+columns, its samples pooled and drained exactly as the Python core's.
+Degraded plans, and hosts where the kernel did not build, run on
+:class:`_EagerCore` (executor ``eager``), which stays the reference
+the kernel is tested against.
 
 Exact tier
 ----------
@@ -43,7 +58,7 @@ head by ``(time, pump_seq)``.  The RMW chained-arrival dependency (a
 small write's phase-2 IOs exist only once both phase-1 reads finish)
 is handled naturally: the follow-on IOs are submitted inside their
 parent's completion.  It is one resumable core with the eager tier's
-protocol: :func:`step_compiled` feeds it a whole plan once
+protocol: :func:`step_compiled` feeds it a whole trace once
 (label ``calendar`` — the name of the calendar-queue engine it
 replaced, kept because it is a canonical report field), the shard-set
 gates feed it a quiet shard beside armed ones (labels ``heap`` and
@@ -70,7 +85,7 @@ stays the reference the kernel is tested against.
 
 One protocol
 ------------
-Both tiers, the compiled kernel and the analytic solver
+Both tiers' cores, Python and compiled, and the analytic solver
 (:class:`repro.sim.compile._WindowedSolver`) are the off-heap engines,
 and they share one protocol: ``feed(trace_or_plan, sink) -> bool`` and
 ``finish(sink) -> bool``.  ``sink(kind, lats, comps)`` takes one kind's
@@ -118,7 +133,7 @@ from .compile import _CompiledRun, _controller_sink, _drain_pools
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoid cycles)
     from .compile import CompiledTrace
     from .controller import ArrayController
-    from .native import NativeExactCore
+    from .native import KernelRun, NativeEagerCore, NativeExactCore
 
 __all__ = ["step_compiled"]
 
@@ -178,6 +193,8 @@ class _EagerCore:
 
     Restrictions: read-modify-write policy, no data plane (the gate in
     :func:`step_compiled` and the streaming executor enforce both).
+    :class:`repro.sim.native.NativeEagerCore` is its compiled twin for
+    healthy plans (:func:`_eager_core` picks).
     After a failed :meth:`feed` or :meth:`finish` the core is spent:
     the caller drops it, and what it emitted, and replays exactly.
     """
@@ -265,6 +282,11 @@ class _EagerCore:
             elif c == best_c and p > best_g:
                 best_g = p
         return best_c, best_g
+
+    def plan(self, compiled: "CompiledTrace") -> _CompiledRun:
+        """The plan this core runs ``compiled`` as: one
+        :class:`~repro.sim.compile._CompiledRun`."""
+        return _CompiledRun(self.ctrl, compiled)
 
     def feed(self, plan: "_CompiledRun | CompiledTrace", sink) -> bool:
         """Consume one trace or window (planned here unless it comes as
@@ -541,16 +563,21 @@ def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
     event queue) stays on the heap engine.
 
     The gate, in order: refuse a busy simulator or a non-positive
-    service model; plan the trace once (one
-    :class:`repro.sim.compile._CompiledRun`); for read-modify-write
-    traces without a data plane, feed the plan to the eager tier
-    (:class:`_EagerCore`); on an ambiguous tie, or for any other shape,
-    feed the same plan to the exact tier (:func:`_exact_core`: the
-    compiled kernel where it applies, else :class:`_ExactCore`;
-    labelled ``calendar``), which folds a healthy, hookless data plane's
-    small writes into one vectorized pass.  (The shard-set gate
-    :func:`repro.sim.compile._execute_shards` replays a quiet shard
-    beside armed ones on the same exact tier, labelled ``heap``.)
+    service model; for read-modify-write traces without a data plane,
+    feed the trace to the eager tier (:func:`_eager_core`: the compiled
+    kernel for a healthy controller, else :class:`_EagerCore`); on an
+    ambiguous tie, or for any other shape, feed it to the exact tier
+    (:func:`_exact_core`: the compiled kernel where it applies, else
+    :class:`_ExactCore`; labelled ``calendar``), which folds a healthy,
+    hookless data plane's small writes into one vectorized pass.  The
+    trace is planned once, for the eager core that runs it — a
+    :class:`repro.sim.compile._CompiledRun` for :class:`_EagerCore`, the
+    validated columns (:class:`repro.sim.native.KernelRun`) for the
+    compiled core — and the exact replay after a tie abort reuses that
+    plan.  (The
+    shard-set gate :func:`repro.sim.compile._execute_shards` replays a
+    quiet shard beside armed ones on the same exact tier, labelled
+    ``heap``.)
 
     Args:
         ctrl: the array controller (any failure state, any write
@@ -575,27 +602,31 @@ def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
         )
     if compiled.n == 0:
         return 0
-    run = _CompiledRun(ctrl, compiled)
+    plan: "CompiledTrace | _CompiledRun | KernelRun" = compiled
     if ctrl.data is None and ctrl.write_policy == "rmw":
+        core = _eager_core(ctrl, "eager")
+        # One plan, built once: the exact replay after a tie abort runs
+        # what the eager attempt ran — a _CompiledRun for the Python
+        # cores, validated columns for the compiled ones (_kernel_core
+        # gives both tiers the kernel or neither).
+        plan = core.plan(compiled)
         # The batches reach the controller only once the finish stands:
         # a late tie abort must leave it untouched.
         batches: list[tuple] = []
-        core = _EagerCore(ctrl)
 
         def keep(*batch) -> None:
             batches.append(batch)
 
-        if core.feed(run, keep) and core.finish(keep):
+        if core.feed(plan, keep) and core.finish(keep):
             sink = _controller_sink(ctrl)
             for batch in batches:
                 sink(*batch)
-            ctrl.set_engine("eager", "eager")
-            return run.n
+            return compiled.n
         # An exact timestamp tie (order-ambiguous) left the controller
         # untouched: free the core's buffers, replay the same plan.
         del core, batches
         ctrl.obs.count("tie_abort_replays")
-    return _step_exact(ctrl, run)
+    return _step_exact(ctrl, plan)
 
 
 def _write_back(
@@ -987,6 +1018,42 @@ class _ExactCore:
         return True
 
 
+def _kernel_core(ctrl: "ArrayController", name: str):
+    """The compiled kernel's core class ``name`` (from
+    :mod:`repro.sim.native`) on ``ctrl``, when the kernel takes the
+    plans ``ctrl`` makes — a healthy ``rmw`` controller, whose data
+    plane, if attached, folds its writes
+    (:meth:`~repro.sim.controller.ArrayController._folds_writes`) — and
+    loaded on this host; else None."""
+    if ctrl.failed_disk is not None or ctrl.write_policy != "rmw":
+        return None
+    if ctrl.data is not None and not ctrl._folds_writes():
+        return None
+    # Imported here, not at module level: `import repro` stays free of
+    # the loader's ctypes/subprocess imports.
+    from . import native
+
+    lib = native.kernel()
+    return None if lib is None else getattr(native, name)(lib, ctrl)
+
+
+def _eager_core(
+    ctrl: "ArrayController", label: str
+) -> "_EagerCore | NativeEagerCore":
+    """The eager tier's core for one run on ``ctrl`` (a
+    read-modify-write controller without a data plane; the callers
+    check), labelled ``label`` — the twin of :func:`_exact_core`.
+
+    The compiled kernel (:class:`repro.sim.native.NativeEagerCore`,
+    executor ``eager-native``) takes a healthy controller's plans when
+    the kernel loaded on this host; degraded plans, and hosts where the
+    kernel did not build, run on the Python :class:`_EagerCore`
+    (executor ``eager``)."""
+    core = _kernel_core(ctrl, "NativeEagerCore")
+    ctrl.set_engine(label, "eager" if core is None else "eager-native")
+    return _EagerCore(ctrl) if core is None else core
+
+
 def _exact_core(
     ctrl: "ArrayController", label: str
 ) -> "_ExactCore | NativeExactCore":
@@ -996,32 +1063,19 @@ def _exact_core(
     The compiled kernel (:class:`repro.sim.native.NativeExactCore`,
     executor ``exact-native``) takes the plans a healthy ``rmw``
     controller makes — single-IO reads and healthy read-modify-writes —
-    when a data plane, if attached, folds its writes
-    (:meth:`~repro.sim.controller.ArrayController._folds_writes`) and
-    the kernel loaded on this host.  Everything else replays on the
-    Python :class:`_ExactCore` (executor ``exact-core``): degraded or
+    when a data plane, if attached, folds its writes and the kernel
+    loaded on this host.  Everything else replays on the Python
+    :class:`_ExactCore` (executor ``exact-core``): degraded or
     write-through plans, a data plane observed by hooks, and hosts
     where the kernel did not build."""
-    core = None
-    if (
-        ctrl.failed_disk is None
-        and ctrl.write_policy == "rmw"
-        and (ctrl.data is None or ctrl._folds_writes())
-    ):
-        # Imported here, not at module level: `import repro` stays free
-        # of the loader's ctypes/subprocess imports.
-        from . import native
-
-        lib = native.kernel()
-        if lib is not None:
-            core = native.NativeExactCore(lib, ctrl)
+    core = _kernel_core(ctrl, "NativeExactCore")
     ctrl.set_engine(label, "exact-core" if core is None else "exact-native")
     return _ExactCore(ctrl) if core is None else core
 
 
 def _step_exact(
     ctrl: "ArrayController",
-    plan: "CompiledTrace | _CompiledRun",
+    plan: "CompiledTrace | _CompiledRun | KernelRun",
     label: str = "calendar",
 ) -> int:
     """The exact tier on one whole plan: a single feed of the core

@@ -1,22 +1,32 @@
-/* The exact tier's compiled core.
+/* The compiled off-heap cores: the exact tier and the eager tier.
  *
- * A C twin of repro.sim.batchstep._ExactCore for plans made only of
- * healthy single-IO reads and healthy read-modify-writes: it replays
- * the event heap's (time, seq) serialization bit for bit, with the same
- * feed/finish protocol.  repro.sim.native builds this file on first use
- * (-O2 -shared -fPIC -ffp-contract=off, never -ffast-math: every float
- * operation must round exactly as the Python core's does) and drives
- * it through ctypes.
+ * Two C twins of repro.sim.batchstep's Python cores, for plans made
+ * only of healthy single-IO reads and healthy read-modify-writes, each
+ * with its twin's feed/finish protocol and the same float operations
+ * in the same order, so the same bits:
  *
- * State persisting across feeds: per-disk FIFOs of queued IOs, the
- * in-flight heap (a disk serves one IO at a time, so it never holds
- * more than v completions), the sequence counters, and a slab of
- * in-flight requests (arrival time, a write's data and parity units,
- * IOs outstanding in its current phase).  The caller validates every
- * input column before a call: disk ids lie in [0, v) and offsets are
- * non-negative.
+ * - the exact core (xc_*) twins _ExactCore: it replays the event
+ *   heap's (time, seq) serialization;
+ * - the eager core (xe_*) twins _EagerCore: it resolves each IO on its
+ *   disk's FIFO at submission, keeps pending RMW phase 2s in a heap
+ *   keyed (time, gating start, push count), and gives up (XE_TIE) at
+ *   the first order-ambiguous tie.
+ *
+ * repro.sim.native builds this file on first use (-O2 -shared -fPIC
+ * -ffp-contract=off, never -ffast-math: every float operation must
+ * round exactly as the Python cores' do) and drives it through ctypes.
+ *
+ * Both cores begin with the per-disk state they share (Disks), so
+ * xd_state reads either one.  The exact core also keeps per-disk FIFOs
+ * of queued IOs, the in-flight heap (a disk serves one IO at a time, so
+ * it never holds more than v completions), the sequence counters, and
+ * a slab of in-flight requests (arrival time, a write's data and
+ * parity units, IOs outstanding in its current phase).  The caller
+ * validates every input column before a call: disk ids lie in [0, v)
+ * and offsets are non-negative.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -24,9 +34,99 @@ enum { READ_FAST = 0, RMW_PHASE1 = 1, RMW_WRITE = 2 };
 
 enum {
     XC_OK = 0,
+    XE_TIE = 1,       /* the eager core met an order-ambiguous tie */
     XC_NOMEM = -1,    /* an allocation failed */
     XC_OVERFLOW = -2, /* a sample buffer or a column ran out */
 };
+
+typedef struct {
+    int64_t v;
+    double seq_s, avg_s;
+    double clock; /* exact: the replay clock; eager: the last completion */
+    uint8_t *has_last;
+    int64_t *last, *reads, *writes;
+    double *busyt, *delay;
+} Disks;
+
+static void disks_free(Disks *k)
+{
+    free(k->has_last);
+    free(k->last);
+    free(k->reads);
+    free(k->writes);
+    free(k->busyt);
+    free(k->delay);
+}
+
+static int disks_init(Disks *k, int64_t v, double seq_s, double avg_s,
+                      double clock, const int64_t *last,
+                      const uint8_t *has_last, const double *busyt,
+                      const double *delay)
+{
+    size_t n = v > 0 ? (size_t)v : 1;
+    k->v = v;
+    k->seq_s = seq_s;
+    k->avg_s = avg_s;
+    k->clock = clock;
+    k->has_last = calloc(n, 1);
+    k->last = calloc(n, sizeof *k->last);
+    k->reads = calloc(n, sizeof *k->reads);
+    k->writes = calloc(n, sizeof *k->writes);
+    k->busyt = calloc(n, sizeof *k->busyt);
+    k->delay = calloc(n, sizeof *k->delay);
+    if (!k->has_last || !k->last || !k->reads || !k->writes || !k->busyt ||
+        !k->delay)
+        return XC_NOMEM;
+    for (int64_t d = 0; d < v; d++) {
+        k->last[d] = last[d];
+        k->has_last[d] = has_last[d];
+        k->busyt[d] = busyt[d];
+        k->delay[d] = delay[d];
+    }
+    return XC_OK;
+}
+
+/* Disk.last_offset adjacency: a sequential access when |off - last| <= 1
+ * (exact for non-negative offsets, without signed overflow). */
+static inline double service(const Disks *k, int64_t d, int64_t off)
+{
+    return k->has_last[d] &&
+                   (uint64_t)off - (uint64_t)k->last[d] + 1u <= 2u
+               ? k->seq_s
+               : k->avg_s;
+}
+
+/* Start serving an IO at offset off on disk d: its service time, with
+ * the disk's last offset and busy time updated. */
+static inline double serve(Disks *k, int64_t d, int64_t off)
+{
+    double s = service(k, d, off);
+    k->last[d] = off;
+    k->has_last[d] = 1;
+    k->busyt[d] += s;
+    return s;
+}
+
+/* Copy either core's per-disk accumulators, last offsets and clock out
+ * (a core pointer is a pointer to its Disks, its first member). */
+void xd_state(const Disks *k, double *busyt, double *delay, int64_t *reads,
+              int64_t *writes, int64_t *last, uint8_t *has_last,
+              double *clock)
+{
+    for (int64_t d = 0; d < k->v; d++) {
+        busyt[d] = k->busyt[d];
+        delay[d] = k->delay[d];
+        reads[d] = k->reads[d];
+        writes[d] = k->writes[d];
+        last[d] = k->last[d];
+        has_last[d] = k->has_last[d];
+    }
+    *clock = k->clock;
+}
+
+/* ------------------------------------------------------------------
+ * The exact core
+ * ------------------------------------------------------------------ */
 
 typedef struct {
     double t;    /* completion time */
@@ -55,13 +155,10 @@ typedef struct {
 } Req;
 
 typedef struct {
-    int64_t v;
-    double seq_s, avg_s, now;
+    Disks k; /* first, for xd_state; k.clock is the replay clock */
     int64_t seqc, pump_seq;
     Fifo *q;
-    uint8_t *busy, *has_last;
-    int64_t *last, *reads, *writes;
-    double *busyt, *delay;
+    uint8_t *busy;
     Event *heap;
     int64_t hlen;
     Req *req;
@@ -74,16 +171,11 @@ void xc_free(Core *S)
     if (!S)
         return;
     if (S->q)
-        for (int64_t d = 0; d < S->v; d++)
+        for (int64_t d = 0; d < S->k.v; d++)
             free(S->q[d].buf);
+    disks_free(&S->k);
     free(S->q);
     free(S->busy);
-    free(S->has_last);
-    free(S->last);
-    free(S->reads);
-    free(S->writes);
-    free(S->busyt);
-    free(S->delay);
     free(S->heap);
     free(S->req);
     free(S->free_slots);
@@ -97,43 +189,18 @@ Core *xc_new(int64_t v, double seq_s, double avg_s, double now,
     Core *S = calloc(1, sizeof *S);
     if (!S)
         return NULL;
-    S->v = v;
-    S->seq_s = seq_s;
-    S->avg_s = avg_s;
-    S->now = now;
     S->pump_seq = -1;
     size_t n = v > 0 ? (size_t)v : 1;
     S->q = calloc(n, sizeof *S->q);
     S->busy = calloc(n, 1);
-    S->has_last = calloc(n, 1);
-    S->last = calloc(n, sizeof *S->last);
-    S->reads = calloc(n, sizeof *S->reads);
-    S->writes = calloc(n, sizeof *S->writes);
-    S->busyt = calloc(n, sizeof *S->busyt);
-    S->delay = calloc(n, sizeof *S->delay);
     S->heap = calloc(n, sizeof *S->heap);
-    if (!S->q || !S->busy || !S->has_last || !S->last || !S->reads ||
-        !S->writes || !S->busyt || !S->delay || !S->heap) {
+    if (disks_init(&S->k, v, seq_s, avg_s, now, last, has_last, busyt,
+                   delay) != XC_OK ||
+        !S->q || !S->busy || !S->heap) {
         xc_free(S);
         return NULL;
     }
-    for (int64_t d = 0; d < v; d++) {
-        S->last[d] = last[d];
-        S->has_last[d] = has_last[d];
-        S->busyt[d] = busyt[d];
-        S->delay[d] = delay[d];
-    }
     return S;
-}
-
-/* Disk.last_offset adjacency: a sequential access when |off - last| <= 1
- * (exact for non-negative offsets, without signed overflow). */
-static inline double service(const Core *S, int64_t d, int64_t off)
-{
-    return S->has_last[d] &&
-                   (uint64_t)off - (uint64_t)S->last[d] + 1u <= 2u
-               ? S->seq_s
-               : S->avg_s;
 }
 
 static inline int before(const Event *a, const Event *b)
@@ -227,13 +294,10 @@ static int submit(Core *S, int64_t d, int64_t off, int32_t action,
 {
     if (S->busy[d])
         return fifo_push(&S->q[d], now, off, req, action);
-    if (S->hlen >= S->v)
+    if (S->hlen >= S->k.v)
         return XC_OVERFLOW;
     S->busy[d] = 1;
-    double s = service(S, d, off);
-    S->last[d] = off;
-    S->has_last[d] = 1;
-    S->busyt[d] += s;
+    double s = serve(&S->k, d, off);
     Event e = {now + s, S->seqc++, req, (int32_t)d, action};
     heap_push(S, e);
     return XC_OK;
@@ -252,8 +316,9 @@ int xc_feed(Core *S, int64_t n, const double *at, const uint8_t *isr,
             const int64_t *wpo, double *rlat, double *rcomp, int64_t rcap,
             double *wlat, double *wcomp, int64_t wcap, int64_t *counts)
 {
+    Disks *k = &S->k;
     int64_t ai = 0, wi = 0, nr = 0, nwr = 0;
-    double now = S->now;
+    double now = k->clock;
     int rc = XC_OK;
     if (S->pump_seq < 0 && n && at[0] != now)
         /* The held-open epoch does not continue here: the pump re-arms
@@ -328,7 +393,7 @@ int xc_feed(Core *S, int64_t n, const double *at, const uint8_t *isr,
         Req *q = &S->req[e.req];
         now = t;
         if (e.action == READ_FAST) {
-            S->reads[dk]++;
+            k->reads[dk]++;
             if (nr >= rcap) {
                 rc = XC_OVERFLOW;
                 goto out;
@@ -338,7 +403,7 @@ int xc_feed(Core *S, int64_t n, const double *at, const uint8_t *isr,
             nr++;
             S->free_slots[S->nfree++] = e.req;
         } else if (e.action == RMW_PHASE1) {
-            S->reads[dk]++;
+            k->reads[dk]++;
             if (!--q->rem) {
                 /* Phase 2: write new data, then new parity. */
                 q->rem = 2;
@@ -349,7 +414,7 @@ int xc_feed(Core *S, int64_t n, const double *at, const uint8_t *isr,
                     goto out;
             }
         } else {
-            S->writes[dk]++;
+            k->writes[dk]++;
             if (!--q->rem) {
                 if (nwr >= wcap) {
                     rc = XC_OVERFLOW;
@@ -367,11 +432,8 @@ int xc_feed(Core *S, int64_t n, const double *at, const uint8_t *isr,
             Queued qe = f->buf[f->head];
             f->head = (f->head + 1) % f->cap;
             f->len--;
-            double s = service(S, dk, qe.off);
-            S->last[dk] = qe.off;
-            S->has_last[dk] = 1;
-            S->busyt[dk] += s;
-            S->delay[dk] += t - qe.t;
+            double s = serve(k, dk, qe.off);
+            k->delay[dk] += t - qe.t;
             Event ne = {t + s, S->seqc++, qe.req, (int32_t)dk, qe.action};
             heap_push(S, ne);
         } else {
@@ -379,23 +441,289 @@ int xc_feed(Core *S, int64_t n, const double *at, const uint8_t *isr,
         }
     }
 out:
-    S->now = now;
+    k->clock = now;
     counts[0] = nr;
     counts[1] = nwr;
     return rc;
 }
 
-/* Copy the per-disk accumulators, last offsets and the clock out. */
-void xc_state(const Core *S, double *busyt, double *delay, int64_t *reads,
-              int64_t *writes, int64_t *last, uint8_t *has_last, double *now)
+/* ------------------------------------------------------------------
+ * The eager core
+ * ------------------------------------------------------------------ */
+
+typedef struct {
+    double tw;   /* phase-2 submission time: the later phase-1 read */
+    double g;    /* that read's service start (the heap's seq order) */
+    int64_t cnt; /* push count: the final tiebreak */
+    double at;   /* arrival time */
+    int64_t d, off, pd, po;
+} Pend;
+
+typedef struct {
+    Disks k;       /* first, for xd_state; k.clock is the last completion */
+    double *prevc; /* each disk's previous completion */
+    int64_t *mark; /* the phase-2 tie check's disk marks */
+    int64_t stamp;
+    Pend *pq; /* pending phase 2s, a min-heap on (tw, g, cnt) */
+    int64_t plen, pcap, cnt;
+} Eager;
+
+void xe_free(Eager *E)
 {
-    for (int64_t d = 0; d < S->v; d++) {
-        busyt[d] = S->busyt[d];
-        delay[d] = S->delay[d];
-        reads[d] = S->reads[d];
-        writes[d] = S->writes[d];
-        last[d] = S->last[d];
-        has_last[d] = S->has_last[d];
+    if (!E)
+        return;
+    disks_free(&E->k);
+    free(E->prevc);
+    free(E->mark);
+    free(E->pq);
+    free(E);
+}
+
+Eager *xe_new(int64_t v, double seq_s, double avg_s, double clock,
+              const int64_t *last, const uint8_t *has_last,
+              const double *busyt, const double *delay)
+{
+    Eager *E = calloc(1, sizeof *E);
+    if (!E)
+        return NULL;
+    size_t n = v > 0 ? (size_t)v : 1;
+    E->prevc = malloc(n * sizeof *E->prevc);
+    E->mark = calloc(n, sizeof *E->mark);
+    if (disks_init(&E->k, v, seq_s, avg_s, clock, last, has_last, busyt,
+                   delay) != XC_OK ||
+        !E->prevc || !E->mark) {
+        xe_free(E);
+        return NULL;
     }
-    *now = S->now;
+    for (int64_t d = 0; d < v; d++)
+        E->prevc[d] = -INFINITY;
+    return E;
+}
+
+static inline int pend_before(const Pend *a, const Pend *b)
+{
+    return a->tw < b->tw ||
+           (a->tw == b->tw &&
+            (a->g < b->g || (a->g == b->g && a->cnt < b->cnt)));
+}
+
+static int pend_push(Eager *E, const Pend *w)
+{
+    if (E->plen == E->pcap) {
+        int64_t cap = E->pcap ? 2 * E->pcap : 256;
+        Pend *b = realloc(E->pq, (size_t)cap * sizeof *b);
+        if (!b)
+            return XC_NOMEM;
+        E->pq = b;
+        E->pcap = cap;
+    }
+    int64_t i = E->plen++;
+    while (i) {
+        int64_t p = (i - 1) >> 1;
+        if (!pend_before(w, &E->pq[p]))
+            break;
+        E->pq[i] = E->pq[p];
+        i = p;
+    }
+    E->pq[i] = *w;
+    return XC_OK;
+}
+
+static Pend pend_pop(Eager *E)
+{
+    Pend top = E->pq[0];
+    int64_t n = --E->plen;
+    if (!n)
+        return top;
+    Pend last = E->pq[n];
+    int64_t i = 0;
+    for (;;) {
+        int64_t c = 2 * i + 1;
+        if (c >= n)
+            break;
+        if (c + 1 < n && pend_before(&E->pq[c + 1], &E->pq[c]))
+            c++;
+        if (!pend_before(&E->pq[c], &last))
+            break;
+        E->pq[i] = E->pq[c];
+        i = c;
+    }
+    E->pq[i] = last;
+    return top;
+}
+
+/* One IO submitted at t to disk d's FIFO: it starts at the later of t
+ * and the disk's previous completion (the wait counts as queue delay).
+ * Returns its completion; *start receives its service start. */
+static inline double resolve(Eager *E, int64_t d, int64_t off, double t,
+                             double *start)
+{
+    double p = E->prevc[d];
+    if (p > t)
+        E->k.delay[d] += p - t;
+    else
+        p = t;
+    double c = p + serve(&E->k, d, off);
+    E->prevc[d] = c;
+    *start = p;
+    return c;
+}
+
+/* Consume one window's n arrivals (columns as xc_feed's), interleaved
+ * with the pending phase 2s, which retire up to the window's last
+ * arrival; n == 0 ends the stream and retires all of them.  Reads
+ * resolve at arrival, writes when their phase 2 retires: latencies and
+ * completion times land in rlat/rcomp and wlat/wcomp in that order, and
+ * counts receives how many of each.  Returns XE_TIE on an arrival tied
+ * with a pending phase 2 on a shared disk, or on two pending phase 2s
+ * tied on (time, gating start) on a shared disk — the core is then
+ * spent. */
+int xe_feed(Eager *E, int64_t n, const double *at, const uint8_t *isr,
+            const int64_t *d, const int64_t *off, int64_t nw,
+            const int64_t *wd, const int64_t *wo, const int64_t *wpd,
+            const int64_t *wpo, double *rlat, double *rcomp, int64_t rcap,
+            double *wlat, double *wcomp, int64_t wcap, int64_t *counts)
+{
+    Disks *k = &E->k;
+    int64_t ai = 0, wi = 0, nr = 0, nwr = 0;
+    double maxc = k->clock;
+    int rc = XC_OK;
+    for (;;) {
+        double limit = E->plen ? E->pq[0].tw : INFINITY;
+        while (ai < n) {
+            double t = at[ai];
+            if (t >= limit) {
+                if (t > limit)
+                    break;
+                /* An arrival and a pending phase 2 at the same instant:
+                 * the heap's order is ambiguous, but only matters when
+                 * they share a disk (disjoint submissions commute). */
+                int64_t a0, a1;
+                if (isr[ai]) {
+                    a0 = a1 = d[ai];
+                } else {
+                    if (wi >= nw) {
+                        rc = XC_OVERFLOW;
+                        goto out;
+                    }
+                    a0 = wd[wi];
+                    a1 = wpd[wi];
+                }
+                for (int64_t i = 0; i < E->plen; i++) {
+                    const Pend *o = &E->pq[i];
+                    if (o->tw == limit && (o->d == a0 || o->d == a1 ||
+                                           o->pd == a0 || o->pd == a1)) {
+                        rc = XE_TIE;
+                        goto out;
+                    }
+                }
+            }
+            int64_t r = ai++;
+            double g1, g2;
+            if (isr[r]) {
+                /* Single-IO read: resolves entirely at arrival. */
+                double c = resolve(E, d[r], off[r], t, &g1);
+                k->reads[d[r]]++;
+                if (c > maxc)
+                    maxc = c;
+                if (nr >= rcap) {
+                    rc = XC_OVERFLOW;
+                    goto out;
+                }
+                rcomp[nr] = c;
+                rlat[nr] = c - t;
+                nr++;
+                continue;
+            }
+            if (wi >= nw) {
+                rc = XC_OVERFLOW;
+                goto out;
+            }
+            Pend w = {0.0, 0.0, 0, t, wd[wi], wo[wi], wpd[wi], wpo[wi]};
+            wi++;
+            /* RMW phase 1: read old data, then old parity. */
+            double c1 = resolve(E, w.d, w.off, t, &g1);
+            k->reads[w.d]++;
+            double c2 = resolve(E, w.pd, w.po, t, &g2);
+            k->reads[w.pd]++;
+            /* Phase 2 fires in the completion event of the read that
+             * finishes last, whose heap sequence number was taken when
+             * its service started: that start orders phase 2s tied on
+             * time. */
+            if (c1 > c2) {
+                w.tw = c1;
+                w.g = g1;
+            } else if (c2 > c1) {
+                w.tw = c2;
+                w.g = g2;
+            } else {
+                w.tw = c1;
+                w.g = g1 > g2 ? g1 : g2;
+            }
+            w.cnt = ++E->cnt;
+            rc = pend_push(E, &w);
+            if (rc != XC_OK)
+                goto out;
+            if (w.tw < limit)
+                limit = w.tw;
+        }
+        double na;
+        if (ai < n)
+            /* Retire pending phase 2s up to the next arrival (ties at
+             * the arrival re-enter the arrival loop's check). */
+            na = at[ai];
+        else if (!n)
+            na = INFINITY;
+        else
+            break;
+        while (E->plen && E->pq[0].tw < na) {
+            Pend w = pend_pop(E);
+            if (E->plen && E->pq[0].tw == w.tw) {
+                /* Same-instant phase 2s: distinct gating starts order
+                 * them exactly; ties on both are fine only while they
+                 * touch pairwise disjoint disks. */
+                int64_t s = ++E->stamp;
+                E->mark[w.d] = E->mark[w.pd] = s;
+                for (int64_t i = 0; i < E->plen; i++) {
+                    const Pend *o = &E->pq[i];
+                    if (o->tw != w.tw || o->g != w.g)
+                        continue;
+                    if (E->mark[o->d] == s) {
+                        rc = XE_TIE;
+                        goto out;
+                    }
+                    E->mark[o->d] = s;
+                    if (E->mark[o->pd] == s) {
+                        rc = XE_TIE;
+                        goto out;
+                    }
+                    E->mark[o->pd] = s;
+                }
+            }
+            /* Phase 2: write new data, then new parity. */
+            double p;
+            double c = resolve(E, w.d, w.off, w.tw, &p);
+            k->writes[w.d]++;
+            double c4 = resolve(E, w.pd, w.po, w.tw, &p);
+            k->writes[w.pd]++;
+            if (c4 > c)
+                c = c4;
+            if (c > maxc)
+                maxc = c;
+            if (nwr >= wcap) {
+                rc = XC_OVERFLOW;
+                goto out;
+            }
+            wcomp[nwr] = c;
+            wlat[nwr] = c - w.at;
+            nwr++;
+        }
+        if (ai >= n)
+            break;
+    }
+    k->clock = maxc;
+out:
+    counts[0] = nr;
+    counts[1] = nwr;
+    return rc;
 }

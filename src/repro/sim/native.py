@@ -1,23 +1,37 @@
-"""The exact tier's compiled core: build, load and drive ``exactcore.c``.
+"""The compiled off-heap cores: build, load and drive ``exactcore.c``.
 
-:class:`NativeExactCore` is a C twin of
-:class:`repro.sim.batchstep._ExactCore` for plans made only of healthy
-single-IO reads and healthy read-modify-writes: the same feed/finish
-protocol, the same ``(time, seq)`` serialization, the same float
-operations in the same order — so the same bits.  The factory
-:func:`repro.sim.batchstep._exact_core` hands it every replay it can
-take (a healthy ``rmw`` controller whose data plane, if any, folds its
-writes) and keeps the Python core for everything else, which stays the
-reference the tests compare against.
+One C library carries twins of both of :mod:`repro.sim.batchstep`'s
+Python cores, for plans made only of healthy single-IO reads and
+healthy read-modify-writes — the same feed/finish protocol, the same
+float operations in the same order, so the same bits:
 
-The kernel reads columns, not per-request tuples: arrival times as
-``base + compiled.times`` (the float op
+* :class:`NativeEagerCore` twins :class:`~repro.sim.batchstep._EagerCore`
+  (executor ``eager-native``): FIFO resolution at submission, the same
+  pending-phase heap and the same two tie-abort rules; a feed returns
+  False on a tie abort before it emits anything;
+* :class:`NativeExactCore` twins :class:`~repro.sim.batchstep._ExactCore`
+  (executor ``exact-native``): the event heap's ``(time, seq)``
+  serialization.
+
+The factories :func:`repro.sim.batchstep._eager_core` and
+:func:`~repro.sim.batchstep._exact_core` hand them every run they can
+take (a healthy ``rmw`` controller; for the exact core, a data plane
+that folds its writes) and keep the Python cores for everything else;
+those stay the references the tests compare against.
+
+The kernel reads columns, not per-request tuples, prepared and
+validated for both cores by one helper (:func:`_columns`): arrival
+times as ``base + compiled.times`` (the float op
 :class:`repro.sim.compile._CompiledRun` uses), read flags, data units,
 and one :meth:`~repro.layouts.AddressMapper.map_batch_parity` pass for
-the writes' units.  It returns each kind's latencies and completion
-times in completion-event order, as float64 arrays, and
-:class:`NativeExactCore` hands them to the feed's sink as they are —
-read, then write, as the Python core emits them.
+the writes' units — one :class:`KernelRun` per trace, which
+:func:`repro.sim.batchstep.step_compiled` hands the exact core after an
+eager tie abort.  Each feed returns each kind's latencies and
+completion times as float64 arrays: the exact core's in
+completion-event order, handed to the sink as they are (read, then
+write, as the Python core emits them); the eager core's in retire
+order, pooled and drained by :func:`repro.sim.compile._drain_pools`
+exactly as the Python eager core's are.
 
 Build and load
 --------------
@@ -31,11 +45,11 @@ of the source, the compiler command, the flags and the platform.  Each
 compile writes a temporary name that ``os.replace`` then moves into
 place, so concurrent processes (pool workers) never load a
 half-written file.
-Nothing happens at import: the first eligible replay builds or loads
-the kernel.  When anything fails — no compiler, a compile error, no
+Nothing happens at import: the first eligible run builds or loads the
+kernel.  When anything fails — no compiler, a compile error, no
 writable directory, a failed ``dlopen`` — :func:`kernel` returns None,
 one ``RuntimeWarning`` per process names the reason, and the Python
-core runs instead.
+cores run instead.
 """
 
 from __future__ import annotations
@@ -58,13 +72,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .batchstep import _write_back
-from .compile import _CompiledRun
+from .compile import _CompiledRun, _drain_pools
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoid cycles)
     from .compile import CompiledTrace
     from .controller import ArrayController
 
-__all__ = ["NativeExactCore", "kernel"]
+__all__ = ["NativeEagerCore", "NativeExactCore", "kernel"]
 
 #: The kernel's source, shipped beside this module.
 SOURCE = Path(__file__).with_name("exactcore.c")
@@ -75,6 +89,9 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
 _F64 = ctypes.c_double
+
+#: ``xe_feed``'s return code for a tie abort (errors are negative).
+_TIE = 1
 
 
 class KernelUnavailable(RuntimeError):
@@ -161,19 +178,24 @@ def _load(path: Path) -> ctypes.CDLL:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise KernelUnavailable(f"dlopen failed: {exc}") from None
-    lib.xc_new.argtypes = [_I64, _F64, _F64, _F64, _P, _P, _P, _P]
-    lib.xc_new.restype = _P
-    lib.xc_free.argtypes = [_P]
-    lib.xc_free.restype = None
-    lib.xc_feed.argtypes = [
+    feed = [
         _P, _I64, _P, _P, _P, _P,  # core, n, at, isr, d, off
         _I64, _P, _P, _P, _P,  # nw, wd, wo, wpd, wpo
         _P, _P, _I64,  # rlat, rcomp, rcap
         _P, _P, _I64, _P,  # wlat, wcomp, wcap, counts
     ]
-    lib.xc_feed.restype = ctypes.c_int
-    lib.xc_state.argtypes = [_P] * 8
-    lib.xc_state.restype = None
+    for core in ("xc", "xe"):  # the exact core, the eager core
+        new, free, step = (
+            getattr(lib, f"{core}_{f}") for f in ("new", "free", "feed")
+        )
+        new.argtypes = [_I64, _F64, _F64, _F64, _P, _P, _P, _P]
+        new.restype = _P
+        free.argtypes = [_P]
+        free.restype = None
+        step.argtypes = feed
+        step.restype = ctypes.c_int
+    lib.xd_state.argtypes = [_P] * 8
+    lib.xd_state.restype = None
     return lib
 
 
@@ -188,8 +210,8 @@ def kernel() -> ctypes.CDLL | None:
         return _load(_build(_cache_dir()))
     except (KernelUnavailable, OSError) as exc:
         warnings.warn(
-            f"compiled exact core unavailable: {exc}; exact replays run "
-            "on the Python exact core",
+            f"compiled cores unavailable: {exc}; the eager and exact "
+            "tiers run on their Python cores",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -200,7 +222,217 @@ def _int64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-class NativeExactCore:
+def _columns(
+    ctrl: "ArrayController", compiled: "CompiledTrace", base: float
+) -> tuple:
+    """``compiled``'s kernel columns for either core: arrival times
+    ``base + compiled.times`` (the float op
+    :class:`~repro.sim.compile._CompiledRun` uses), read flags as bytes,
+    data units, and the writes' data and parity units, ``(wd, wo, wpd,
+    wpo)``, from one ``map_batch_parity`` pass — every column validated
+    before the kernel sees it.
+
+    Raises:
+        ValueError: on ragged columns, a non-finite arrival time, a disk
+            id outside ``[0, v)`` or a negative offset.
+    """
+    n = compiled.n
+    at = np.ascontiguousarray(base + compiled.times, dtype=np.float64)
+    is_read = np.ascontiguousarray(compiled.is_read, dtype=np.bool_)
+    disks = _int64(compiled.disks)
+    offsets = _int64(compiled.offsets)
+    if any(len(c) != n for c in (is_read, disks, offsets)):
+        raise ValueError("compiled kernel: ragged input columns")
+    if not np.isfinite(at).all():
+        # A NaN never compares equal, so the exact core's epoch loop
+        # would never end.
+        raise ValueError("compiled kernel: non-finite arrival time")
+    widx = np.flatnonzero(~is_read)
+    wd, wo, _ws, wpd, wpo = ctrl.mapper.map_batch_parity(compiled.lbas[widx])
+    wcols = [_int64(c) for c in (wd, wo, wpd, wpo)]
+    if any(len(c) != widx.size for c in wcols):
+        raise ValueError("compiled kernel: ragged write columns")
+    # The kernel indexes per-disk arrays with these ids and trusts its
+    # adjacency arithmetic to non-negative offsets.
+    v = len(ctrl.disks)
+    for col in (disks, wcols[0], wcols[2]):
+        if col.size and not (0 <= col.min() and col.max() < v):
+            raise ValueError("compiled kernel: disk id out of range")
+    for col in (offsets, wcols[1], wcols[3]):
+        if col.size and col.min() < 0:
+            raise ValueError("compiled kernel: negative offset")
+    return at, is_read.view(np.uint8), disks, offsets, wcols
+
+
+class KernelRun:
+    """A trace's kernel columns (:func:`_columns`), built and
+    validated once for either compiled core — the kernel's counterpart
+    of :class:`~repro.sim.compile._CompiledRun`: the exact replay after
+    an eager tie abort runs the columns the eager attempt ran."""
+
+    __slots__ = ("compiled", "n", "cols")
+
+    def __init__(
+        self, ctrl: "ArrayController", compiled: "CompiledTrace", base: float
+    ):
+        self.compiled = compiled
+        self.n = compiled.n
+        self.cols = _columns(ctrl, compiled, base)
+
+
+class _KernelCore:
+    """What both compiled cores share: a kernel-side core built from
+    the controller's disk state, fed validated columns, and read back
+    and freed by ``finish`` (a ``weakref.finalize`` frees an abandoned
+    core's memory).  Arrival times are ``base + times`` from the clock
+    at construction: the core owns the timeline, so the base stays put
+    across feeds."""
+
+    __slots__ = ("ctrl", "_lib", "_core", "_free", "_feed", "_base",
+                 "_pending", "__weakref__")
+    #: The kernel's entry-point prefix: ``xc`` exact, ``xe`` eager.
+    _PREFIX = ""
+    #: The name errors carry.
+    _NAME = ""
+
+    def __init__(
+        self, lib: ctypes.CDLL, ctrl: "ArrayController", clock: float
+    ):
+        disks = ctrl.disks
+        params = ctrl.params
+        last = [d._last_offset for d in disks]
+        offsets = _int64([0 if o is None else o for o in last])
+        has_last = np.array([o is not None for o in last], dtype=np.uint8)
+        busyt = np.array([d.busy_time for d in disks], dtype=np.float64)
+        delay = np.array([d.total_queue_delay for d in disks], dtype=np.float64)
+        core = getattr(lib, f"{self._PREFIX}_new")(
+            len(disks),
+            params.sequential_service_ms,
+            params.average_service_ms,
+            clock,
+            offsets.ctypes.data,
+            has_last.ctypes.data,
+            busyt.ctypes.data,
+            delay.ctypes.data,
+        )
+        if not core:
+            raise MemoryError(f"{self._NAME}: allocation failed")
+        self.ctrl = ctrl
+        self._lib = lib
+        self._core = core
+        self._free = weakref.finalize(
+            self, getattr(lib, f"{self._PREFIX}_free"), core
+        )
+        self._feed = getattr(lib, f"{self._PREFIX}_feed")
+        self._base = ctrl.sim.now
+        # Requests fed but not yet completed, per kind (read, write):
+        # they bound the next call's sample buffers.
+        self._pending = [0, 0]
+
+    def plan(self, compiled: "CompiledTrace") -> KernelRun:
+        """The plan this core runs ``compiled`` as: its validated
+        columns, from the stream base."""
+        return KernelRun(self.ctrl, compiled, self._base)
+
+    def _columns_of(self, plan) -> KernelRun | None:
+        """``plan`` (a trace, a :class:`KernelRun`, or a
+        :class:`~repro.sim.compile._CompiledRun`, read for its trace and
+        base only — the kernel needs no per-request tuples) as columns;
+        None when it is empty."""
+        if not plan.n:
+            return None
+        if isinstance(plan, KernelRun):
+            return plan
+        if isinstance(plan, _CompiledRun):
+            return KernelRun(self.ctrl, plan._compiled, plan._base)
+        return self.plan(plan)
+
+    def _run(self, cols: tuple | None) -> tuple | None:
+        """One kernel feed of ``cols`` (None ends the stream).  Returns
+        the completed requests' ``(kind, lats, comps)`` arrays, read
+        then write, or None on a tie abort, which frees the core."""
+        if not self._free.alive:
+            raise RuntimeError(
+                f"{self._NAME}: fed after finish() or a tie abort"
+            )
+        if cols is None:
+            n = nw = 0
+            ptrs = [None] * 8
+        else:
+            at, is_read, disks, offsets, wcols = cols
+            n, nw = at.size, wcols[0].size
+            ptrs = [
+                c.ctypes.data for c in (at, is_read, disks, offsets, *wcols)
+            ]
+        rcap = self._pending[0] + n - nw
+        wcap = self._pending[1] + nw
+        out = np.empty(2 * (rcap + wcap))
+        rlat, rcomp = out[:rcap], out[rcap : 2 * rcap]
+        wlat, wcomp = out[2 * rcap : 2 * rcap + wcap], out[2 * rcap + wcap :]
+        counts = np.zeros(2, dtype=np.int64)
+        rc = self._feed(
+            self._core,
+            n,
+            *ptrs[:4],
+            nw,
+            *ptrs[4:],
+            rlat.ctypes.data,
+            rcomp.ctypes.data,
+            rcap,
+            wlat.ctypes.data,
+            wcomp.ctypes.data,
+            wcap,
+            counts.ctypes.data,
+        )
+        if rc == _TIE:
+            self._free()
+            return None
+        if rc:
+            raise (MemoryError if rc == -1 else RuntimeError)(
+                f"{self._NAME}: feed failed (code {rc})"
+            )
+        k_read, k_write = counts.tolist()
+        self._pending = [rcap - k_read, wcap - k_write]
+        return [
+            ("read", rlat[:k_read], rcomp[:k_read]),
+            ("write", wlat[:k_write], wcomp[:k_write]),
+        ]
+
+    def _state(self) -> tuple:
+        """Read the kernel's per-disk state back and free its memory:
+        ``(busy, delay, reads, writes, last offsets, clock)``, with None
+        for a disk that served no IO yet."""
+        v = len(self.ctrl.disks)
+        busyt = np.empty(v)
+        delay = np.empty(v)
+        reads = np.empty(v, dtype=np.int64)
+        writes = np.empty(v, dtype=np.int64)
+        last = np.empty(v, dtype=np.int64)
+        has_last = np.empty(v, dtype=np.uint8)
+        clock = ctypes.c_double()
+        self._lib.xd_state(
+            self._core,
+            busyt.ctypes.data,
+            delay.ctypes.data,
+            reads.ctypes.data,
+            writes.ctypes.data,
+            last.ctypes.data,
+            has_last.ctypes.data,
+            ctypes.byref(clock),
+        )
+        self._free()
+        offsets = [
+            lo if has else None
+            for lo, has in zip(last.tolist(), has_last.tolist())
+        ]
+        return (
+            *(a.tolist() for a in (busyt, delay, reads, writes)),
+            offsets,
+            clock.value,
+        )
+
+
+class NativeExactCore(_KernelCore):
     """:class:`repro.sim.batchstep._ExactCore`'s feed/finish protocol on
     the compiled kernel, for a healthy ``rmw`` controller (the factory
     checks; a data plane must fold its writes).
@@ -209,157 +441,97 @@ class NativeExactCore:
     sequence counters and the in-flight requests — persists across
     :meth:`feed` calls; :meth:`finish` retires everything in flight,
     writes the disk state and the clock back, and frees the kernel's
-    memory (a ``weakref.finalize`` frees an abandoned core's)."""
+    memory."""
 
-    __slots__ = ("ctrl", "_lib", "_core", "_free", "_base", "_pending",
-                 "__weakref__")
+    __slots__ = ()
+    _PREFIX = "xc"
+    _NAME = "compiled exact core"
 
     def __init__(self, lib: ctypes.CDLL, ctrl: "ArrayController"):
-        disks = ctrl.disks
-        params = ctrl.params
-        last = [d._last_offset for d in disks]
-        offsets = _int64([0 if o is None else o for o in last])
-        has_last = np.array([o is not None for o in last], dtype=np.uint8)
-        busyt = np.array([d.busy_time for d in disks], dtype=np.float64)
-        delay = np.array([d.total_queue_delay for d in disks], dtype=np.float64)
-        core = lib.xc_new(
-            len(disks),
-            params.sequential_service_ms,
-            params.average_service_ms,
-            ctrl.sim.now,
-            offsets.ctypes.data,
-            has_last.ctypes.data,
-            busyt.ctypes.data,
-            delay.ctypes.data,
-        )
-        if not core:
-            raise MemoryError("compiled exact core: allocation failed")
-        self.ctrl = ctrl
-        self._lib = lib
-        self._core = core
-        self._free = weakref.finalize(self, lib.xc_free, core)
-        # Arrival times are base + times, as _CompiledRun computes them;
-        # the replay owns the clock, so the base stays put across feeds.
-        self._base = ctrl.sim.now
-        # Requests fed but not yet completed, per kind (read, write):
-        # they bound the next call's sample buffers.
-        self._pending = [0, 0]
+        super().__init__(lib, ctrl, ctrl.sim.now)
 
-    def feed(self, plan: "CompiledTrace | _CompiledRun", sink) -> bool:
+    def feed(
+        self, plan: "CompiledTrace | KernelRun | _CompiledRun", sink
+    ) -> bool:
         """Replay one trace or window up to and including its last
         arrival epoch (held open for the next feed), emitting its
-        completions into ``sink``.  A
-        :class:`~repro.sim.compile._CompiledRun` is read for its trace
-        and base only — the kernel needs no per-request tuples."""
-        ctrl = self.ctrl
-        if isinstance(plan, _CompiledRun):
-            compiled, base = plan._compiled, plan._base
-        else:
-            compiled, base = plan, self._base
-        n = compiled.n
-        if not n:
+        completions into ``sink``."""
+        run = self._columns_of(plan)
+        if run is None:
             return True
-        at = np.ascontiguousarray(base + compiled.times, dtype=np.float64)
-        is_read = np.ascontiguousarray(compiled.is_read, dtype=np.bool_)
-        disks = _int64(compiled.disks)
-        offsets = _int64(compiled.offsets)
-        if any(len(c) != n for c in (is_read, disks, offsets)):
-            raise ValueError("compiled exact core: ragged input columns")
-        if not np.isfinite(at).all():
-            # A NaN never compares equal, so the kernel's epoch loop
-            # would never end.
-            raise ValueError("compiled exact core: non-finite arrival time")
-        widx = np.flatnonzero(~is_read)
-        wd, wo, _ws, wpd, wpo = ctrl.mapper.map_batch_parity(compiled.lbas[widx])
-        wcols = [_int64(c) for c in (wd, wo, wpd, wpo)]
-        nw = widx.size
-        if any(len(c) != nw for c in wcols):
-            raise ValueError("compiled exact core: ragged write columns")
-        # The kernel indexes per-disk arrays with these ids and trusts
-        # its adjacency arithmetic to non-negative offsets.
-        v = len(ctrl.disks)
-        for col in (disks, wcols[0], wcols[2]):
-            if col.size and not (0 <= col.min() and col.max() < v):
-                raise ValueError("compiled exact core: disk id out of range")
-        for col in (offsets, wcols[1], wcols[3]):
-            if col.size and col.min() < 0:
-                raise ValueError("compiled exact core: negative offset")
-        if ctrl.data is not None and not ctrl._fold_write_dataplane(compiled):
+        ctrl = self.ctrl
+        if ctrl.data is not None and not ctrl._fold_write_dataplane(
+            run.compiled
+        ):
             raise RuntimeError("compiled exact core: data-plane fold declined")
-        self._run(n, nw, at, is_read.view(np.uint8), disks, offsets, wcols, sink)
+        self._emit(self._run(run.cols), sink)
         return True
 
     def finish(self, sink) -> bool:
         """Retire everything still in flight into ``sink``, then write
         the disk state and the clock back into the controller and free
         the kernel's memory."""
-        self._run(0, 0, None, None, None, None, [None] * 4, sink)
-        v = len(self.ctrl.disks)
-        busyt = np.empty(v)
-        delay = np.empty(v)
-        reads = np.empty(v, dtype=np.int64)
-        writes = np.empty(v, dtype=np.int64)
-        last = np.empty(v, dtype=np.int64)
-        has_last = np.empty(v, dtype=np.uint8)
-        now = ctypes.c_double()
-        self._lib.xc_state(
-            self._core,
-            busyt.ctypes.data,
-            delay.ctypes.data,
-            reads.ctypes.data,
-            writes.ctypes.data,
-            last.ctypes.data,
-            has_last.ctypes.data,
-            ctypes.byref(now),
-        )
-        self._free()
-        offsets = [
-            lo if has else None
-            for lo, has in zip(last.tolist(), has_last.tolist())
-        ]
-        state = (a.tolist() for a in (busyt, delay, reads, writes))
-        _write_back(self.ctrl, *state, offsets, now.value)
+        self._emit(self._run(None), sink)
+        _write_back(self.ctrl, *self._state())
         return True
 
-    def _run(self, n, nw, at, is_read, disks, offsets, wcols, sink) -> None:
-        """One kernel call (``n == 0`` ends the stream), then emit the
-        completed requests' samples into ``sink``."""
-        if not self._free.alive:
-            raise RuntimeError("compiled exact core: fed after finish()")
-        rcap = self._pending[0] + n - nw
-        wcap = self._pending[1] + nw
-        out = np.empty(2 * (rcap + wcap))
-        rlat, rcomp = out[:rcap], out[rcap : 2 * rcap]
-        wlat, wcomp = out[2 * rcap : 2 * rcap + wcap], out[2 * rcap + wcap :]
-        counts = np.zeros(2, dtype=np.int64)
+    @staticmethod
+    def _emit(batches, sink) -> None:
+        for kind, lats, comps in batches:
+            if lats.size:
+                sink(kind, lats, comps)
 
-        def ptr(a):
-            return None if a is None else a.ctypes.data
 
-        rc = self._lib.xc_feed(
-            self._core,
-            n,
-            ptr(at),
-            ptr(is_read),
-            ptr(disks),
-            ptr(offsets),
-            nw,
-            *map(ptr, wcols),
-            ptr(rlat),
-            ptr(rcomp),
-            rcap,
-            ptr(wlat),
-            ptr(wcomp),
-            wcap,
-            ptr(counts),
-        )
-        if rc:
-            raise (MemoryError if rc == -1 else RuntimeError)(
-                f"compiled exact core: feed failed (code {rc})"
-            )
-        k_read, k_write = counts.tolist()
-        self._pending = [rcap - k_read, wcap - k_write]
-        if k_read:
-            sink("read", rlat[:k_read], rcomp[:k_read])
-        if k_write:
-            sink("write", wlat[:k_write], wcomp[:k_write])
+class NativeEagerCore(_KernelCore):
+    """:class:`repro.sim.batchstep._EagerCore`'s feed/finish protocol on
+    the compiled kernel, for a healthy ``rmw`` controller without a
+    data plane (the factory checks).
+
+    The per-disk accumulators and the pending phase-2 heap persist in
+    the kernel across :meth:`feed` calls, and the undrained samples in
+    :func:`~repro.sim.compile._drain_pools` pools here, as in the Python
+    core: each feed emits every sample no later request can precede.
+    A tie abort — :meth:`feed` or :meth:`finish` returning False —
+    emits nothing, leaves the controller untouched and frees the
+    kernel's memory: the core is spent, and the caller replays
+    exactly."""
+
+    __slots__ = ("_pools",)
+    _PREFIX = "xe"
+    _NAME = "compiled eager core"
+
+    def __init__(self, lib: ctypes.CDLL, ctrl: "ArrayController"):
+        # The kernel's clock is the latest completion so far.
+        super().__init__(lib, ctrl, float("-inf"))
+        self._pools: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def feed(
+        self, plan: "CompiledTrace | KernelRun | _CompiledRun", sink
+    ) -> bool:
+        """Consume one trace or window, then emit every sample with
+        completion <= its last arrival.  Returns False on an ambiguous
+        tie, before emitting anything."""
+        run = self._columns_of(plan)
+        if run is None:
+            return True
+        return self._drain(self._run(run.cols), float(run.cols[0][-1]), sink)
+
+    def finish(self, sink) -> bool:
+        """Retire every pending phase 2, emit the remaining samples, and
+        write the disk state and clock back.  Returns False on a late
+        ambiguous tie (controller still untouched)."""
+        if not self._drain(self._run(None), float("inf"), sink):
+            return False
+        *state, maxc = self._state()
+        now = maxc if maxc > float("-inf") else self.ctrl.sim.now
+        _write_back(self.ctrl, *state, now)
+        return True
+
+    def _drain(self, batches, threshold: float, sink) -> bool:
+        """Pool one feed's samples and emit those with completion <=
+        ``threshold`` (False, emitting nothing, after a tie abort)."""
+        if batches is None:
+            return False
+        fresh = [(k, comps, lats) for k, lats, comps in batches if lats.size]
+        _drain_pools(self._pools, fresh, threshold, sink)
+        return True

@@ -77,20 +77,36 @@ def _bucket_value(key: int) -> float:
     return math.ldexp(0.5 + (key & _QUANT_MASK) / _QUANT_SCALE, key >> _QUANT_BITS)
 
 
+#: The smallest positive normal double: at and above it (below
+#: infinity) a sample's key reads straight off its bits.
+_MIN_NORMAL = float(np.finfo(np.float64).tiny)
+
+
 def bucket_keys_array(arr):
     """Vectorized :func:`_bucket_key` over a float64 ndarray.
 
-    Reproduces the scalar path bit for bit: ``np.frexp`` matches
-    ``math.frexp``, the mantissa scaling is the same double
-    arithmetic, and ``astype(int64)`` truncates like ``int()``.
-    Non-positive samples map to :data:`_ZERO_KEY` as in
-    :meth:`LatencyDigest.record`.
+    Reproduces the scalar path bit for bit.  For positive normal
+    finite samples — every latency in practice — the key is read off
+    the IEEE bits: ``math.frexp``'s exponent is the biased exponent
+    less 1022, and ``(m - 0.5) * 2**13`` truncated is the top
+    ``_QUANT_BITS`` fraction bits (``m - 0.5`` and the power-of-two
+    scaling are exact).  Anything else takes ``np.frexp``, which
+    matches ``math.frexp``, with the same double arithmetic and an
+    ``astype(int64)`` that truncates like ``int()``.  Non-positive
+    samples map to :data:`_ZERO_KEY` as in :meth:`LatencyDigest.record`.
     """
+    lo = arr.min()
+    if lo >= _MIN_NORMAL and arr.max() < np.inf:
+        # The sign bit is clear, so the bits above the top fraction
+        # bits are the biased exponent: subtracting 1022 there leaves
+        # the low _QUANT_BITS (the sub-bucket) as they are.
+        bits = arr.view(np.int64) >> (52 - _QUANT_BITS)
+        return bits - (1022 << _QUANT_BITS)
     m, e = np.frexp(arr)
     keys = (e.astype(np.int64) << _QUANT_BITS) | (
         (m - 0.5) * _QUANT_SCALE
     ).astype(np.int64)
-    if arr.min() <= 0.0:
+    if lo <= 0.0:
         keys = np.where(arr > 0.0, keys, _ZERO_KEY)
     return keys
 
@@ -229,9 +245,10 @@ class LatencyDigest:
             return
         self.extend_keyed(arr, bucket_keys_array(arr))
 
-    def extend_keyed(self, arr, keys) -> None:
+    def extend_keyed(self, arr, keys, peak: float | None = None) -> None:
         """Add a float64 ndarray of samples whose histogram keys were
-        already computed (:func:`bucket_keys_array`), in order.
+        already computed (:func:`bucket_keys_array`), in order;
+        ``peak`` is their maximum, when the caller has it.
 
         State-identical to :meth:`record` per element: the running
         total performs the same left-to-right float fold
@@ -251,9 +268,10 @@ class LatencyDigest:
         buf[1:] = arr
         np.add.accumulate(buf, out=buf)
         self.total = float(buf[-1])
-        peak = arr.max()
+        if peak is None:
+            peak = float(arr.max())
         if peak > self.max:
-            self.max = float(peak)
+            self.max = peak
         self._pending.append(keys)
         self._pending_n += n
         self._cache = None

@@ -73,7 +73,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .batchstep import _EagerCore, _exact_core
+from .batchstep import _eager_core, _exact_core
 from .compile import (
     CompiledTrace,
     _CompiledRun,
@@ -143,16 +143,42 @@ class _ShardRoute:
     capacity: int
 
     def routed(self, windows) -> Iterator[tuple[_Window, np.ndarray]]:
-        """One pass over ``windows``: each non-empty window with its
-        requests' shards.
+        """One pass over ``windows``: each non-empty window
+        (:func:`_in_order`) with its requests' shards.
 
         Raises:
             IndexError: on an LBA outside ``[0, capacity)``.
+            ValueError: on a window that starts before the previous
+                one's last arrival.
         """
         units, n, cap = self.volume_units, len(self.table), self.capacity
-        for window in windows:
-            if len(window[0]):
-                yield window, self.table[_volumes(window[2], units, n, cap)]
+        for window in _in_order(windows):
+            yield window, self.table[_volumes(window[2], units, n, cap)]
+
+
+def _in_order(windows) -> Iterator[_Window]:
+    """``windows``' non-empty windows, each refused unless it starts at
+    or after the previous one's last arrival — the check of every pass
+    that routes windows (equal times across a boundary stay legal, and
+    :func:`~repro.sim.compile.compile_stream` sorts within a window).
+
+    Windows stream, so the check runs as each window is pulled: a
+    refusal comes after the windows before it were routed, and leaves
+    that partial serve behind — their arrivals in an attached recorder,
+    and on the fleet's window router, their events on the heap.  The
+    caller discards the controllers (the fleet) it was serving on.
+
+    Raises:
+        ValueError: on arrival times that go back across a boundary.
+    """
+    last = -np.inf
+    for window in windows:
+        times = window[0]
+        if len(times):
+            if times.min() < last:
+                raise ValueError("arrival times must be non-decreasing")
+            last = times.max()
+            yield window
 
 
 def _slice_window(
@@ -205,15 +231,16 @@ def _carry_label(
 def _engine(ctrl: ArrayController, label: str):
     """A fresh off-heap engine for ``ctrl``, labelled ``label``: the
     analytic solver (``windowed-solver``) or the eager core
-    (``windowed-eager``) of a carry pass, or the exact core
+    :func:`repro.sim.batchstep._eager_core` picks (``windowed-eager``)
+    of a carry pass, or the exact core
     :func:`repro.sim.batchstep._exact_core` picks (``windowed-pump``:
     the heap pump's serialization, without the heap)."""
     if label == "windowed-pump":
         return _exact_core(ctrl, label)
-    ctrl.set_engine(label, label.removeprefix("windowed-"))
-    if label == "windowed-solver":
-        return _WindowedSolver(ctrl)
-    return _EagerCore(ctrl)
+    if label == "windowed-eager":
+        return _eager_core(ctrl, label)
+    ctrl.set_engine(label, "solver")
+    return _WindowedSolver(ctrl)
 
 
 def _off_heap_pass(
@@ -449,7 +476,10 @@ def execute_windows(
     the eager core, whose read recurrence performs the identical float
     operations, so the report does not change — only the speed.
 
-    Raises ``IndexError`` on an LBA outside the array's capacity.
+    Raises ``IndexError`` on an LBA outside the array's capacity, and
+    ``ValueError`` on a window that starts before the previous window's
+    last arrival — when that window is reached, with the windows before
+    it already routed (:func:`_in_order`).
     Latency goes to constant-memory digests, not the controller's
     sample lists (the off-heap engines emit into the digests; the heap
     pump sweeps ``ctrl.latency`` into them at window boundaries).  With a

@@ -86,6 +86,41 @@ class TestRecorderIngestion:
         rec.arrive(2, 15.5)
         assert rec.arrival_buckets(2) == {0: 2, 1: 2}
 
+    @pytest.mark.parametrize("interval", [0.3, 1.0, 7.0])
+    def test_batch_buckets_match_the_scalar_grid(self, interval):
+        """``feed`` and ``arrivals`` find a sorted batch's buckets with
+        one search per bucket edge (or one floor per sample when the
+        batch spans more buckets than it has samples), ``arrivals``
+        after sorting an out-of-order slice; either way every sample
+        lands where ``record`` / ``arrive`` put it — times sitting
+        exactly on bucket edges, gaps of empty buckets and out-of-order
+        arrivals included."""
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 9, 40, 300):
+            times = np.sort(rng.uniform(0.0, 60.0, n))
+            times[: n // 3] = np.floor(times[: n // 3])  # on the edges
+            times.sort()
+            lats = rng.uniform(0.5, 9.0, n)
+            batch = MetricsRecorder(interval)
+            scalar = MetricsRecorder(interval)
+            batch.feed(0, "read", times, lats)
+            batch.arrivals(0, times[::-1])  # out of order
+            batch.arrivals(1, times)
+            for t, lat in zip(times.tolist(), lats.tolist()):
+                scalar.record(0, "read", t, lat)
+                scalar.arrive(0, t)
+                scalar.arrive(1, t)
+            got = batch.latency_buckets(0)["read"]
+            ref = scalar.latency_buckets(0)["read"]
+            assert sorted(got) == sorted(ref)
+            assert [got[b].count for b in sorted(got)] == [
+                ref[b].count for b in sorted(ref)
+            ]
+            for shard in (0, 1):
+                assert batch.arrival_buckets(shard) == scalar.arrival_buckets(
+                    shard
+                )
+
     def test_empty_feeds_are_noops(self):
         rec = MetricsRecorder(10.0)
         rec.feed(0, "read", np.array([]), np.array([]))

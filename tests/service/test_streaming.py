@@ -19,6 +19,8 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from repro.core import get_layout
+from repro.obs import MetricsRecorder
 from repro.service import (
     FailureOrchestrator,
     Fleet,
@@ -28,8 +30,9 @@ from repro.service import (
     default_failure_schedule,
     run_fleet_scenario,
 )
-from repro.sim import WorkloadConfig, generate_request_stream
+from repro.sim import ArrayController, WorkloadConfig, generate_request_stream
 from repro.sim.compile import ArrayWindows, StreamWindows
+from repro.sim.stream import execute_windows
 from repro.sim.disk import DiskParameters
 
 DURATION = 400.0
@@ -303,3 +306,88 @@ class TestBadArrivalTimes:
         assert fleet.sim.now == 0.0 and not fleet.sim.pending()
         assert all(not c.latency for c in fleet.controllers)
 
+
+
+def _going_back(capacity: int, reads: bool) -> list:
+    """Two windows whose arrivals go back across the boundary: 10
+    requests at 10-19 ms, then 10 at 0-9 ms (every third a write unless
+    ``reads``)."""
+    lbas = np.random.default_rng(0).integers(0, capacity, 20)
+    is_read = np.ones(20, dtype=bool) if reads else np.arange(20) % 3 != 0
+    times = np.arange(20.0)
+    return [
+        (times[10:], is_read[:10], lbas[:10]),
+        (times[:10], is_read[10:], lbas[10:]),
+    ]
+
+
+class TestWindowsGoingBack:
+    """A window that starts before the previous window's last arrival
+    is refused wherever windows are routed — every engine of the
+    shard-set gate and the fleet's window router — with the error
+    ``ArrayWindows`` and the front-end's ``submit`` raise.  (The idle
+    clock's engines used to serve such a stream, with later latencies
+    than the same requests sorted.)  Equal times across a boundary stay
+    legal.
+
+    Windows stream, so the refusal comes when the offending window is
+    pulled, after the windows before it were routed: the tests pin that
+    partial serve — the first window's 10 arrivals in the recorder,
+    and, on the window router, the clock at its first arrival with
+    events still on the heap."""
+
+    @pytest.mark.parametrize(
+        "dataplane, reads, label",
+        [
+            (False, True, "windowed-solver"),
+            (False, False, "windowed-eager"),
+            (True, False, "windowed-pump"),
+        ],
+        ids=["solver", "eager", "exact-replay"],
+    )
+    def test_execute_windows_refuses(self, dataplane, reads, label):
+        ctrl = ArrayController(get_layout(9, 3), dataplane=dataplane, seed=1)
+        ctrl.obs = MetricsRecorder(5.0)
+        windows = _going_back(ctrl.mapper.capacity, reads)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            execute_windows(ctrl, windows, read_only_hint=reads)
+        assert ctrl.last_engine == label
+        assert ctrl.obs.arrival_buckets(0) == {2: 5, 3: 5}
+        assert ctrl.sim.now == 0.0 and not ctrl.sim.pending()
+
+    @pytest.mark.parametrize("one_shot", [False, True], ids=["gate", "router"])
+    def test_serve_windows_refuses(self, one_shot):
+        fleet = Fleet(2, 9, 3, seed=1)
+        recorder = MetricsRecorder(5.0)
+        fleet.attach_recorder(recorder)
+        windows = _going_back(fleet.capacity, False)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            fleet.serve_windows(iter(windows) if one_shot else windows)
+        arrived = [recorder.arrival_buckets(s) for s in range(2)]
+        assert sum(sum(a.values()) for a in arrived) == 10
+        assert max(b for a in arrived for b in a) == 3
+        # The gate refuses before it schedules anything; the router
+        # dies inside its heap, mid-serve.
+        assert fleet.sim.now == (10.0 if one_shot else 0.0)
+        assert bool(fleet.sim.pending()) == one_shot
+
+    @pytest.mark.parametrize("one_shot", [False, True], ids=["gate", "router"])
+    def test_equal_times_across_a_boundary(self, one_shot):
+        """Windows sharing an arrival time across their boundary serve
+        as the one window of the same stream does."""
+        capacity = Fleet(2, 9, 3, seed=1).capacity
+        times = np.repeat(np.arange(10.0), 2)
+        is_read = np.arange(20) % 3 != 0
+        lbas = np.random.default_rng(1).integers(0, capacity, 20)
+        split = [
+            (times[:11], is_read[:11], lbas[:11]),
+            (times[11:], is_read[11:], lbas[11:]),
+        ]
+        whole = Fleet(2, 9, 3, seed=1).serve_windows(
+            [(times, is_read, lbas)]
+        )
+        windowed = Fleet(2, 9, 3, seed=1).serve_windows(
+            iter(split) if one_shot else split
+        )
+        assert asdict(windowed)["latency"] == asdict(whole)["latency"]
+        assert windowed.duration_ms == whole.duration_ms

@@ -35,6 +35,7 @@ from repro.sim import (
     schedule_compiled,
     step_compiled,
 )
+from repro.sim import native
 from repro.sim.batchstep import _ExactCore, _step_exact
 from repro.sim.compile import _CompiledRun, _controller_sink
 from repro.sim.trace import TraceRecord
@@ -267,30 +268,62 @@ class TestEngineOwnership:
 
 
 class TestOnePlanPerTrace:
-    """step_compiled plans a trace once: the eager tier and, after a
-    tie abort, the exact tier both run the same ``_CompiledRun``."""
+    """step_compiled plans a trace once.  A degraded trace: the Python
+    eager tier and, after a tie abort, the Python exact tier both run
+    the same ``_CompiledRun``.  A healthy trace goes from columns to
+    the compiled eager core and, after a tie abort, the compiled exact
+    core, both on the same validated columns (one ``_columns`` pass)
+    and with no ``_CompiledRun`` at all."""
 
     @staticmethod
-    def _step(monkeypatch, family):
+    def _step(monkeypatch, family, failed=1):
         loads = []
         load = _CompiledRun._load
+        columns = []
+        build = native._columns
 
         def counting(self, compiled):
             loads.append(compiled.n)
             load(self, compiled)
 
+        def counting_columns(ctrl, compiled, base):
+            columns.append(compiled.n)
+            return build(ctrl, compiled, base)
+
         monkeypatch.setattr(_CompiledRun, "_load", counting)
+        monkeypatch.setattr(native, "_columns", counting_columns)
         ctrl = ArrayController(FAMILIES[family]())
         ctrl.obs = MetricsRecorder(100.0)
-        ctrl.fail_disk(1)
+        if failed is not None:
+            ctrl.fail_disk(failed)
         cfg = WorkloadConfig(interarrival_ms=3.0, read_fraction=0.6, seed=19)
         trace = compile_workload(ctrl.mapper, cfg, 900.0)
         assert step_compiled(ctrl, trace) == trace.n
         replays = ctrl.obs.counters().get("tie_abort_replays", 0)
-        return ctrl.last_engine, len(loads), replays
+        return (
+            ctrl.last_engine,
+            ctrl.last_executor,
+            len(loads),
+            len(columns),
+            replays,
+        )
 
     def test_tie_abort_replays_the_same_plan(self, monkeypatch):
-        assert self._step(monkeypatch, "raid5") == ("calendar", 1, 1)
+        assert self._step(monkeypatch, "raid5") == (
+            "calendar", "exact-core", 1, 0, 1
+        )
 
     def test_eager_completion_counts_no_replay(self, monkeypatch):
-        assert self._step(monkeypatch, "holland_gibson") == ("eager", 1, 0)
+        assert self._step(monkeypatch, "holland_gibson") == (
+            "eager", "eager", 1, 0, 0
+        )
+
+    def test_healthy_eager_completion_builds_no_plan(self, monkeypatch):
+        assert self._step(monkeypatch, "holland_gibson", None) == (
+            "eager", "eager-native", 0, 1, 0
+        )
+
+    def test_healthy_tie_abort_builds_no_plan(self, monkeypatch):
+        assert self._step(monkeypatch, "ring", None) == (
+            "calendar", "exact-native", 0, 1, 1
+        )

@@ -2,6 +2,7 @@
 mid-window stability of polled values, and multi-part percentiles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.sim.stats import (
     LatencyDigest,
     LatencyStats,
     _bucket_key,
+    bucket_keys_array,
     percentile_of_parts,
     quantize_latency,
     summarize,
@@ -223,6 +225,16 @@ class TestDigestExtend:
         assert d.bucket_counts() == ref.bucket_counts()
         assert d.bucket_counts() == _loop_bucket_counts(xs)
         assert summarize(d) == summarize(ref)
+
+    def test_keys_of_normal_samples_read_off_the_bits(self):
+        """All-normal, finite batches take the bit-level key path; it
+        must match the scalar ``_bucket_key`` down to the octave ends
+        and the smallest and largest normal doubles."""
+        xs = [x for x in _edge_samples() if x >= sys.float_info.min]
+        xs += [sys.float_info.min, sys.float_info.max, 0.5, 1.0]
+        xs += [math.nextafter(2.0**e, 0.0) for e in range(-30, 30)]
+        keys = bucket_keys_array(np.array(xs))
+        assert keys.tolist() == [_bucket_key(x) for x in xs]
 
     def test_non_positive_only(self):
         ref = LatencyDigest()

@@ -34,7 +34,12 @@ from repro.sim import (
     schedule_compiled,
     simulate_workload,
 )
-from repro.sim.batchstep import _EagerCore, _exact_core, _ExactCore
+from repro.sim.batchstep import (
+    _eager_core,
+    _EagerCore,
+    _exact_core,
+    _ExactCore,
+)
 from repro.sim.compile import (
     StreamWindows,
     _WindowedSolver,
@@ -43,6 +48,7 @@ from repro.sim.compile import (
 )
 from repro.sim.controller import ArrayController
 from repro.sim.events import Simulator
+from repro.sim.native import NativeEagerCore
 from repro.sim.stats import LatencyStats, summarize
 from repro.sim.stream import (
     _digest_sink,
@@ -404,22 +410,30 @@ class TestWindowedExactReplay:
         route = _ShardRoute(np.arange(4, dtype=np.int64), cap, cap, 4 * cap)
 
         aborts = {}
-        feed, finish = _EagerCore.feed, _EagerCore.finish
 
-        def spy_feed(core, plan, sink):
-            ok = feed(core, plan, sink)
-            if not ok:
-                aborts[core.ctrl.obs_shard] = plan.times[-1]
-            return ok
+        def spy_feed(feed):
+            def spied(core, plan, sink):
+                ok = feed(core, plan, sink)
+                if not ok:
+                    aborts[core.ctrl.obs_shard] = plan.times[-1]
+                return ok
 
-        def spy_finish(core, sink):
-            ok = finish(core, sink)
-            if not ok:
-                aborts[core.ctrl.obs_shard] = "finish"
-            return ok
+            return spied
 
-        monkeypatch.setattr(_EagerCore, "feed", spy_feed)
-        monkeypatch.setattr(_EagerCore, "finish", spy_finish)
+        def spy_finish(finish):
+            def spied(core, sink):
+                ok = finish(core, sink)
+                if not ok:
+                    aborts[core.ctrl.obs_shard] = "finish"
+                return ok
+
+            return spied
+
+        # Whichever eager core runs: the compiled one, or the Python
+        # one on a host without the kernel.
+        for cls in (_EagerCore, NativeEagerCore):
+            monkeypatch.setattr(cls, "feed", spy_feed(cls.feed))
+            monkeypatch.setattr(cls, "finish", spy_finish(cls.finish))
 
         def serve(all_heap):
             sim = Simulator()
@@ -596,14 +610,22 @@ def _native_core(ctrl):
     return core
 
 
+def _native_eager(ctrl):
+    core = _eager_core(ctrl, "windowed-eager")
+    assert ctrl.last_executor == "eager-native"
+    return core
+
+
 #: (id, engine factory, layout, failed disk, mean interarrival ms, read
 #: fraction, seed, arrival grid ms) — one case per off-heap engine: the
-#: analytic solver on reads, the eager core on a tie-free mix, and both
-#: exact cores on a grid-snapped mix full of ties (the Python core on a
-#: degraded array too).
+#: analytic solver on reads, both eager cores on a tie-free mix, and
+#: both exact cores on a grid-snapped mix full of ties (the Python core
+#: on a degraded array too).
 PROTOCOL_CASES = [
     ("solver", _WindowedSolver, get_layout(13, 4), None, 1.0, 1.0, 5, None),
     ("eager", _EagerCore, get_layout(13, 4), None, 5.0, 0.7, 7, None),
+    ("eager-kernel", _native_eager, get_layout(13, 4), None, 5.0, 0.7, 7,
+     None),
     ("python-exact", _ExactCore, ring_layout(9, 4), None, 2.0, 0.6, 3, 5.0),
     ("kernel", _native_core, ring_layout(9, 4), None, 2.0, 0.6, 3, 5.0),
     ("python-degraded", _ExactCore, ring_layout(9, 4), 1, 2.0, 0.6, 3, 5.0),

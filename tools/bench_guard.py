@@ -20,13 +20,18 @@ per-pair heap/engine wall-time ratio:
 * ``read_only_solver`` — (13,4), 5 ms mean interarrival, reads only,
   seed 7, 30k requests: the analytic solver;
 * ``mixed_rw_executor`` — the same at read fraction 0.7: the eager
-  tier;
+  tier, on the compiled eager core (executor ``eager-native``);
 * ``degraded_mixed_executor`` — that mix with disk 1 failed: the
-  eager tier on degraded plans;
+  eager tier on degraded plans, on the Python eager core (executor
+  ``eager``);
 * ``exact_tier`` — one shard of the serve-shaped mixed fleet ((9,3),
   8 ms, read fraction 0.7, seed 7, 30k requests), whose eager attempt
   tie-aborts, so the exact tier (label ``calendar``) replays it on the
-  compiled exact core.
+  compiled exact core (executor ``exact-native``).
+
+Each of these names its label and its executor: a host where the
+kernel did not build, or a gate that sends healthy plans back to a
+Python core, reads as a wrong engine.
 
 ``windowed_exact`` streams the ``exact_tier`` shard in 4096-request
 windows (``StreamWindows``) through ``execute_windows`` — whose first
@@ -44,6 +49,15 @@ Python/kernel, not heap/engine.  It must land on
 the executor ``exact-native``: a host where the kernel did not build
 or load falls back to the Python core silently in ``serve`` (one
 warning), and here reads as a wrong engine.
+
+``native_eager`` is its eager twin: ``mixed_rw_executor``'s trace
+through the eager tier's factory — the compiled kernel,
+``repro.sim.native.NativeEagerCore`` — and on the Python
+``repro.sim.batchstep._EagerCore``, one feed of the compiled trace and
+a finish each into the controller's sample sink, in interleaved pairs
+(the Python side plans its ``_CompiledRun`` inside the feed, as
+``serve`` did before the kernel took the tier).  Its ratio is
+Python/kernel, and it must land on the executor ``eager-native``.
 
 Each case also names the engine it must land on, and must leave
 ``sim.events_processed`` at 0 (every guarded engine runs off the event
@@ -113,49 +127,62 @@ REQUESTS = 30_000
 PAIRS = 5
 
 #: The guarded engine cases: name -> ((v, k), mean interarrival ms,
-#: read fraction, failed disk, expected engine, floor on the best
-#: per-pair heap/engine wall-time ratio).  Each floor sits below the
-#: best-pair ratios three runs measured on a 2-CPU host (Python 3.11.7,
-#: NumPy 2.4.6, gcc 12.2) — solver 11.1-11.7, eager 4.4-5.9, degraded
-#: eager 3.7, exact tier 4.2 on the compiled exact core — and well above
-#: the ~1x of a run pinned to the heap.  The host runs at two speeds,
-#: so one run can read well above these (the solver case alone read
-#: 11.4-18.8 in six more runs).
+#: read fraction, failed disk, expected ``label/executor``, floor on
+#: the best per-pair heap/engine wall-time ratio).  Each floor sits
+#: well below the best-pair ratios three runs measured on a 2-CPU host
+#: (Python 3.11.7, NumPy 2.4.6, gcc 12.2) — solver 13.4-15.2, eager
+#: 44.8-59.8 on the compiled eager core, degraded eager 3.9-4.5 on the
+#: Python eager core, exact tier 20.8-28.4 on the compiled eager and
+#: exact cores — and well above the ~1x of a run pinned to the heap.
+#: The eager and exact-tier floors also sit above what the Python cores
+#: read there (eager 4.4-5.9, exact tier 4.2, the eager attempt in
+#: Python), so a gate that sends healthy plans back to Python fails on
+#: speed as well as on its executor.  The host runs at two speeds, so
+#: one run can read well above these (the solver case alone read
+#: 11.4-18.8 in six runs).
 CASES = {
-    "read_only_solver": ((13, 4), 5.0, 1.0, None, "solver", 8.0),
-    "mixed_rw_executor": ((13, 4), 5.0, 0.7, None, "eager", 3.5),
-    "degraded_mixed_executor": ((13, 4), 5.0, 0.7, 1, "eager", 1.7),
-    "exact_tier": ((9, 3), 8.0, 0.7, None, "calendar", 3.0),
+    "read_only_solver": ((13, 4), 5.0, 1.0, None, "solver/solver", 8.0),
+    "mixed_rw_executor": (
+        (13, 4), 5.0, 0.7, None, "eager/eager-native", 15.0,
+    ),
+    "degraded_mixed_executor": ((13, 4), 5.0, 0.7, 1, "eager/eager", 1.7),
+    "exact_tier": ((9, 3), 8.0, 0.7, None, "calendar/exact-native", 8.0),
 }
 
 #: The windowed replay case: the exact_tier shard in windows of this
 #: many requests, and the floor on its best per-pair pump/exact ratio.
-#: Three runs on that host measured 3.9-4.1 on the compiled exact core
-#: — the execute_windows side includes the eager pass the tie aborts —
-#: against about 1x for a replay pinned to the pump.
+#: Three runs on that host measured 12.3-14.7 — the execute_windows
+#: side includes the compiled eager pass the tie aborts, then the
+#: compiled exact core's replay pass (3.9-4.1 with the eager pass in
+#: Python) — against about 1x for a replay pinned to the pump.
 WINDOW = 4096
-WINDOWED_EXACT_FLOOR = 2.5
+WINDOWED_EXACT_FLOOR = 6.0
 
 #: The quiet-shard case: aggregate mean interarrival of its 2-shard
 #: stream, the failure time as a fraction of the horizon, and the floor
 #: on its best per-pair all-heap/gated ratio.  The failed shard runs on
 #: the heap on both sides, so the ratio tops out well below the quiet
-#: shard's own gain: three runs on that host measured 2.07 (an earlier
-#: run read 1.16 with the quiet shard on the heap).
+#: shard's own gain: three runs on that host measured 2.10-3.09 (an
+#: earlier run read 1.16 with the quiet shard on the heap).
 QUIET_INTERARRIVAL_MS = 4.0
 QUIET_FAIL_AT = 0.25
 QUIET_FLOOR = 1.3
 
 #: The floor on ``quiet_windowed``'s best per-pair router/gated ratio
 #: (the same stream in ``WINDOW``-request windows).  Three runs on that
-#: host measured 2.02-2.07, against about 1x for a serve left on the
+#: host measured 2.05-2.24, against about 1x for a serve left on the
 #: router.
 QUIET_WINDOWED_FLOOR = 1.6
 
 #: The compiled exact core's floor on its best per-pair Python/kernel
 #: ratio (see ``native_exact`` in the module docstring).  Three runs on
-#: that host measured 11.4-11.6.
+#: that host measured 11.8-14.1.
 NATIVE_EXACT_FLOOR = 6.0
+
+#: The compiled eager core's floor on its best per-pair Python/kernel
+#: ratio (see ``native_eager`` in the module docstring).  Three runs on
+#: that host measured 13.1-15.3.
+NATIVE_EAGER_FLOOR = 6.0
 
 #: Warm serves timed after the cold one; the best is compared.
 WARM_RUNS = 3
@@ -178,7 +205,7 @@ def engine_case(
 ) -> dict:
     """Time one compiled trace through ``execute_compiled`` and through
     the event heap in interleaved pairs; report the best heap/engine
-    ratio and the engine ``execute_compiled`` landed on."""
+    ratio and the ``label/executor`` ``execute_compiled`` landed on."""
     from repro.core import get_layout
     from repro.sim import (
         ArrayController,
@@ -219,7 +246,7 @@ def engine_case(
         ratio = max(ratio, h / e)
     return {
         "requests": trace.n,
-        "engine": ctrl.last_engine,
+        "engine": f"{ctrl.last_engine}/{ctrl.last_executor}",
         "events_processed": ctrl.sim.events_processed,
         "engine_requests_per_s": trace.n / engine_best,
         "heap_requests_per_s": trace.n / heap_best,
@@ -452,6 +479,54 @@ def native_exact_case() -> dict:
     }
 
 
+def native_eager_case() -> dict:
+    """Run ``mixed_rw_executor``'s trace on the eager tier's factory —
+    the compiled kernel — and on the Python ``_EagerCore``, one feed of
+    the compiled trace and a finish each into the controller's sample
+    sink, in interleaved pairs; report the best Python/kernel ratio and
+    the executor the factory picked."""
+    from repro.core import get_layout
+    from repro.sim import ArrayController, WorkloadConfig, compile_workload
+    from repro.sim.batchstep import _eager_core, _EagerCore
+    from repro.sim.compile import _controller_sink
+
+    vk, gap, read_fraction, *_ = CASES["mixed_rw_executor"]
+    layout = get_layout(*vk)
+    cfg = WorkloadConfig(
+        interarrival_ms=gap, read_fraction=read_fraction, seed=7
+    )
+    mapper = ArrayController(layout).mapper
+    trace = compile_workload(mapper, cfg, gap * REQUESTS)
+
+    def timed(kernel: bool) -> tuple[float, "ArrayController"]:
+        ctrl = ArrayController(layout)
+        t0 = time.perf_counter()
+        core = _eager_core(ctrl, "eager") if kernel else _EagerCore(ctrl)
+        sink = _controller_sink(ctrl)
+        if not (core.feed(trace, sink) and core.finish(sink)):
+            raise RuntimeError("native_eager: the eager tier tie-aborted")
+        return time.perf_counter() - t0, ctrl
+
+    timed(True)  # build or load the kernel outside the timed pairs
+    engine_best = ref_best = float("inf")
+    ratio = 0.0
+    for _ in range(PAIRS):
+        e, ctrl = timed(True)
+        p, _ = timed(False)
+        engine_best = min(engine_best, e)
+        ref_best = min(ref_best, p)
+        ratio = max(ratio, p / e)
+    return {
+        "requests": trace.n,
+        "engine": ctrl.last_executor,
+        "reference": "eager",
+        "events_processed": ctrl.sim.events_processed,
+        "engine_requests_per_s": trace.n / engine_best,
+        "heap_requests_per_s": trace.n / ref_best,
+        "ratio_heap_vs_engine": ratio,
+    }
+
+
 def warm_serve_case() -> dict:
     """Serve the bench suite's warm-serve scenario through one warm
     runtime: the cold first serve (pool boot, artifact build and pack)
@@ -564,6 +639,10 @@ def main() -> int:
         ("native_exact", native_exact_case, "exact-native",
          NATIVE_EXACT_FLOOR)
     )
+    runs.append(
+        ("native_eager", native_eager_case, "eager-native",
+         NATIVE_EAGER_FLOOR)
+    )
     for name, run, expected, floor in runs:
         case = run()
         case.update(
@@ -634,7 +713,8 @@ def main() -> int:
             "repro.sim.compile.execute_compiled, the eager tier's "
             "fallback rate in repro.sim.batchstep, (for exact_tier, "
             "windowed_exact and native_exact) repro.sim.native's "
-            "compiled exact core, (for "
+            "compiled exact core, (for mixed_rw_executor and "
+            "native_eager) its compiled eager core, (for "
             "quiet_beside_failure and quiet_windowed) the per-shard rule "
             "of repro.sim.compile._execute_shards / "
             "repro.sim.stream._execute_shard_windows and the data-plane "
@@ -655,7 +735,8 @@ def main() -> int:
             "attribution of repro.sim.events.Simulator.armed_shards, (for "
             "quiet_windowed) the router choice in "
             "repro.service.Fleet.serve_windows and (for "
-            "native_exact) the kernel build warning of "
+            "mixed_rw_executor, exact_tier, native_exact and "
+            "native_eager) the kernel build warning of "
             "repro.sim.native.kernel"
         )
     summary["regressed"] = regressed
