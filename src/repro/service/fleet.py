@@ -59,7 +59,7 @@ from ..sim.compile import (
 from ..sim.controller import ArrayController
 from ..sim.disk import DiskParameters
 from ..sim.events import Simulator
-from ..sim.stats import LatencyDigest, LatencyStats, merge_summaries, summarize
+from ..sim.stats import LatencyDigest, LatencyStats, merge_states
 from ..sim.stream import (
     _carry_label,
     _execute_shard_windows,
@@ -372,13 +372,15 @@ class Fleet:
                 shard_ids = np.where(moving, np.int64(-1), shard_ids)
         compiled = []
         for s, ctrl in enumerate(self.controllers):
-            mask = shard_ids == s
+            # One index gather per shard: each column is read once, not
+            # once per boolean mask.
+            idx = np.flatnonzero(shard_ids == s)
             compiled.append(
                 compile_stream(
                     ctrl.mapper,
-                    times[mask],
-                    is_read[mask],
-                    lbas[mask] % self.shard_capacity,
+                    times[idx],
+                    is_read[idx],
+                    lbas[idx] % self.shard_capacity,
                 )
             )
         return compiled, shard_ids
@@ -436,16 +438,17 @@ class Fleet:
         # Each shard picks its cheapest engine on an idle clock; armed
         # events put the shards they name on the heap.
         _execute_shards(self.controllers, compiled)
-        # This stream's samples as per-shard exact accumulators (shards
-        # a reshape bore mid-run have no earlier samples).
+        # This stream's samples as per-shard exact accumulators over
+        # array slices (shards a reshape bore mid-run have no earlier
+        # samples).
         accs: list[dict[str, LatencyStats]] = []
         for i, ctrl in enumerate(self.controllers):
             base = lat_base[i] if i < len(lat_base) else {}
             shard: dict[str, LatencyStats] = {}
             for kind, st in ctrl.latency.items():
-                fresh = st.samples[base.get(kind, 0):]
-                if fresh:
-                    shard[kind] = LatencyStats(samples=fresh)
+                b = base.get(kind, 0)
+                if st.count > b:
+                    shard[kind] = LatencyStats(st.since(b))
             accs.append(shard)
         return self._report(
             [t.n for t in compiled], start, accs, ios_base, mig_base
@@ -607,16 +610,21 @@ def _fold_report(
     Kind keys iterate sorted so every latency dict in the report has a
     canonical key order — report equality (serial vs merged
     multi-process runs) must not hinge on which request kind happened
-    to complete first.  Fleet-level summaries fold the per-shard
-    accumulators in shard order (merge_summaries), the same fold
-    whether they are exact sample lists (materialized serves),
+    to complete first.  Each (shard, kind) accumulator is reduced once
+    to its :class:`~repro.sim.stats.LatencyState`, which feeds both its
+    ``per_shard_latency`` row and the fleet-level fold in shard order
+    (:func:`~repro.sim.stats.merge_states`) — the same fold whether
+    the accumulators are exact samples (materialized serves),
     streaming digests (windowed serves), or digests merged across
-    worker processes — the byte-identity seam.
+    worker processes: the byte-identity seam.
     """
-    kinds = sorted({kind for shard in accs for kind in shard})
+    states = [
+        {kind: acc.state() for kind, acc in shard.items()} for shard in accs
+    ]
+    kinds = sorted({kind for shard in states for kind in shard})
     # One sample per finished request; lost requests have none.
     completed = int(
-        sum(acc.count for shard in accs for acc in shard.values())
+        sum(st.count for shard in states for st in shard.values())
     )
     report = FleetReport(
         shards=len(scheduled),
@@ -627,15 +635,15 @@ def _fold_report(
             completed / (duration_ms / 1000.0) if duration_ms > 0 else 0.0
         ),
         latency={
-            kind: merge_summaries(
-                [shard[kind] for shard in accs if kind in shard]
+            kind: merge_states(
+                [shard[kind] for shard in states if kind in shard]
             )
             for kind in kinds
         },
         per_shard_scheduled=list(scheduled),
         per_shard_latency=[
-            {kind: summarize(shard[kind]) for kind in sorted(shard)}
-            for shard in accs
+            {kind: shard[kind].summary() for kind in sorted(shard)}
+            for shard in states
         ],
         per_disk_ios=per_disk_ios,
     )
@@ -699,7 +707,7 @@ class _WindowRouter:
         # A long-lived fleet's controllers may carry samples from
         # earlier streams; the sweep must only claim this stream's tail.
         self._lat_base = [
-            {kind: len(st.samples) for kind, st in ctrl.latency.items()}
+            {kind: st.count for kind, st in ctrl.latency.items()}
             for ctrl in fleet.controllers
         ]
         self._next = self._pull()

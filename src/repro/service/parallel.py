@@ -451,7 +451,7 @@ class GroupResult:
         wall_s: worker wall-clock for the group (build + simulate).
         digests: per-shard ``{kind: LatencyDigest}`` accumulators
             (group order) — O(buckets) result IPC, summary-identical to
-            the exact sample lists (see ``repro.sim.stats``).
+            the exact samples' (see ``repro.sim.stats``).
         migrations: completed volume moves this group's coordinator
             executed (global ids, completion order).
         engines: per-shard engine labels (group order; ``None`` entries

@@ -51,7 +51,7 @@ the serial runner would compute (routing is a pure function of the
 fleet shape and the stream), shared-memory views are bit-equal to the
 arrays they pack, and worker results return constant-size
 :class:`repro.sim.LatencyDigest` accumulators whose summaries are
-bit-identical to the exact sample lists (see ``repro.sim.stats``).
+bit-identical to the exact samples' (see ``repro.sim.stats``).
 ``canonical_payload`` strips the volatile ``runtime`` stats section,
 so warm-pool, shared-memory, digest-IPC reports compare equal to cold
 serial reports at every window size and worker count — the matrix

@@ -96,10 +96,10 @@ request can precede.  A feed returns False only on the eager core's
 tie abort, before it emits anything; ``finish`` emits what is left
 and writes the disk state and clock back through one helper,
 :func:`_write_back`.  The sink decides where samples go —
-:func:`repro.sim.compile._controller_sink` extends the controller's
-sample lists and feeds the metrics recorder, the windowed executor's
-digest sink folds constant-memory digests — so no engine touches
-``ctrl.latency`` or the recorder itself.
+:func:`repro.sim.compile._controller_sink` keeps each array as the
+controller's exact samples and feeds the metrics recorder, the
+windowed executor's digest sink folds constant-memory digests — so no
+engine touches ``ctrl.latency`` or the recorder itself.
 
 Equality contract
 -----------------

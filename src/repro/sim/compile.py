@@ -444,21 +444,22 @@ def compile_trace(
 
 class _ObsSink:
     """Latency-sink adapter for the heap engine's inlined read path:
-    appends to the controller's samples list (the raw-list fast path)
-    and folds the sample into the metrics recorder at the completion
-    event, where ``sim.now`` is the completion time."""
+    appends to the controller's sample tail (the raw-list fast path,
+    :attr:`LatencyStats.tail`) and folds the sample into the metrics
+    recorder at the completion event, where ``sim.now`` is the
+    completion time."""
 
-    __slots__ = ("samples", "obs", "shard", "kind", "sim")
+    __slots__ = ("tail", "obs", "shard", "kind", "sim")
 
-    def __init__(self, samples, obs, shard, kind, sim):
-        self.samples = samples
+    def __init__(self, tail, obs, shard, kind, sim):
+        self.tail = tail
         self.obs = obs
         self.shard = shard
         self.kind = kind
         self.sim = sim
 
     def append(self, lat: float) -> None:
-        self.samples.append(lat)
+        self.tail.append(lat)
         self.obs.record(self.shard, self.kind, self.sim.now, lat)
 
 
@@ -492,7 +493,8 @@ class _CompiledRun:
     ``base + t`` float op as the materialized pump, so absolute times
     agree bit-exactly no matter how the stream is chunked.  An optional
     ``on_window`` callback fires between windows (the streaming runners
-    drain latency-sample lists into constant-memory digests there).
+    drain the controller's latency samples into constant-memory
+    digests there).
     """
 
     __slots__ = (
@@ -657,7 +659,7 @@ class _CompiledRun:
                     if sink is None:
                         sink = ctrl.latency.setdefault(
                             "read", LatencyStats()
-                        ).samples
+                        ).tail
                         if ctrl.obs.enabled:
                             sink = _ObsSink(
                                 sink, ctrl.obs, ctrl.obs_shard, "read", sim
@@ -871,19 +873,20 @@ def solve_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
 
 
 def _controller_sink(ctrl: ArrayController):
-    """The one-shot sample sink: extend the controller's sample lists
-    (as Python floats) and, when metrics are on, fold each batch into
-    the recorder.  Every off-heap engine emits ``sink(kind, lats,
-    comps)`` with float64 arrays, per kind in its emission order."""
+    """The one-shot sample sink: append each batch's float64 array to
+    the controller's :class:`LatencyStats` as it is (no Python floats)
+    and, when metrics are on, fold the batch into the recorder.  Every
+    off-heap engine emits ``sink(kind, lats, comps)`` with float64
+    arrays, per kind in its emission order, and never writes to an
+    emitted array again."""
     latency = ctrl.latency
     obs = ctrl.obs if ctrl.obs.enabled else None
 
     def sink(kind: str, lats: np.ndarray, comps: np.ndarray) -> None:
         st = latency.get(kind)
         if st is None:
-            latency[kind] = LatencyStats(lats.tolist())
-        else:
-            st.samples.extend(lats.tolist())
+            st = latency[kind] = LatencyStats()
+        st.extend_array(lats)
         if obs is not None:
             obs.feed(ctrl.obs_shard, kind, comps, lats)
 

@@ -2,50 +2,59 @@
 
 Two latency accumulators share one summary contract:
 
-* :class:`LatencyStats` keeps every raw sample (exact, O(n) memory) —
-  the default for materialized runs, where tests compare sample lists
-  bit-for-bit;
+* :class:`LatencyStats` keeps every raw sample (exact, O(n) memory) as
+  float64 arrays — the default for materialized runs, where tests
+  compare sample sequences bit-for-bit;
 * :class:`LatencyDigest` keeps only a running count/sum/max plus a
   log-bucketed histogram (constant memory) — what the streaming
   windowed executors feed, so a 10^8-request horizon does not hold
   10^8 floats.
 
-For the two to be byte-identical in summaries, the summary statistics
-must be computable from either representation with the same float
-operations:
+Each accumulator reduces, in one pass, to a :class:`LatencyState`:
+count, total, max and the sorted bucket histogram.  Every summary is a
+function of states alone, and for the two accumulators to be
+byte-identical in summaries, their states must be computable with the
+same float operations:
 
 * ``count`` and ``max`` are trivially exact in both;
-* ``mean`` is the left-to-right running sum divided by the count — the
-  digest accumulates its sum in the exact order samples are emitted,
-  which the windowed executors arrange to match the order the
-  materialized engines append them, so ``sum(samples)`` and the running
-  sum are bit-identical;
+* ``total`` is the strict left-to-right fold ``((0.0 + x0) + x1) + ...``
+  of the samples in emission order (:func:`left_fold`, shared by both
+  accumulators) — not the builtin ``sum``, which Python 3.12 made
+  compensated.  The windowed executors emit samples in the order the
+  materialized engines append them, so the digest's running total and
+  the exact fold are bit-identical, and ``mean`` is ``total / count``;
 * percentiles are **quantized**: every sample is snapped to the lower
   bound of a base-2 logarithmic bucket (:func:`quantize_latency`,
   relative resolution 2^-12 ≈ 0.02%) before the nearest-rank pick.
   Quantization makes the percentile a pure function of the bucket
   *counts* — order-independent and mergeable — so the digest's
-  histogram and the exact sample list agree bit-for-bit.
+  histogram and the exact samples' agree bit-for-bit.  A rank is one
+  ``np.cumsum`` and one ``np.searchsorted`` over the histogram.
 
-Fleet reports merge per-shard accumulators with
-:func:`merge_summaries`: counts and histograms add, maxes max, and the
-merged mean folds per-part sums left-to-right in part order — the same
-fold whether the parts are lists or digests, so serial, windowed, and
-process-parallel fleet reports stay byte-identical.
+Fleet reports merge per-shard states with :func:`merge_states`
+(:func:`merge_summaries` over accumulators): counts add, maxes max,
+the merged mean folds per-part totals left-to-right in part order, and
+percentiles rank over the parts' histograms joined with one
+concatenate and one sort — the same fold whether the parts are exact
+samples or digests, so serial, windowed, and process-parallel fleet
+reports stay byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "LatencyStats",
     "LatencyDigest",
+    "LatencyState",
+    "left_fold",
     "quantize_latency",
     "summarize",
+    "merge_states",
     "merge_summaries",
     "percentile_of_parts",
 ]
@@ -124,62 +133,229 @@ def _rank(p: float, count: int) -> int:
     return max(0, math.ceil(p / 100.0 * count) - 1)
 
 
-def _bucket_percentile(buckets: dict[int, int], count: int, p: float) -> float:
-    target = _rank(p, count)
-    seen = 0
-    for key in sorted(buckets):
-        seen += buckets[key]
-        if seen > target:
-            return _bucket_value(key)
-    return 0.0  # pragma: no cover - counts always sum to count
+def left_fold(arr: np.ndarray, start: float = 0.0) -> float:
+    """The strict left-to-right float sum ``((start + x0) + x1) + ...``
+    of a float64 ndarray — the running total of both accumulators.
+
+    ``np.add.accumulate`` is a sequential accumulation (each partial
+    carries a loop dependency, so no reassociation, unlike the pairwise
+    ``np.sum`` and the compensated builtin ``sum`` of Python 3.12), and
+    seeding the buffer with ``start`` continues an earlier fold bit for
+    bit."""
+    n = arr.size
+    if not n:
+        return start
+    buf = np.empty(n + 1)
+    buf[0] = start
+    buf[1:] = arr
+    np.add.accumulate(buf, out=buf)
+    return float(buf[-1])
 
 
-@dataclass
+def _histogram(keys: np.ndarray, counts: np.ndarray):
+    """Sort a ``(keys, counts)`` histogram by key, summing the counts
+    of repeated keys."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    counts = counts[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    idx = np.flatnonzero(first)
+    return keys[idx], np.add.reduceat(counts, idx)
+
+
+def _ranked(keys: np.ndarray, counts: np.ndarray, count: int, ps) -> list[float]:
+    """Quantized nearest-rank percentiles ``ps`` over a key-sorted
+    histogram of ``count`` samples (a key may repeat: it ranks the
+    same).  The rank-``r`` sample sits in the first bucket whose
+    running count exceeds ``r``."""
+    idx = np.searchsorted(
+        np.cumsum(counts), [_rank(p, count) for p in ps], side="right"
+    )
+    return [_bucket_value(key) for key in keys[idx].tolist()]
+
+
+_NO_KEYS = np.empty(0, dtype=np.int64)
+
+
+class LatencyState(NamedTuple):
+    """One accumulator's samples, reduced: how many, their left-fold
+    ``total`` (:func:`left_fold`), their ``max`` (0.0 when empty) and
+    their bucket histogram — ``keys`` ascending and unique, ``counts``
+    beside them."""
+
+    count: int
+    total: float
+    max: float
+    keys: np.ndarray
+    counts: np.ndarray
+
+    def percentile(self, p: float) -> float:
+        """Quantized nearest-rank percentile, ``p`` in [0, 100] (0.0
+        when empty)."""
+        if not self.count:
+            return 0.0
+        return _ranked(self.keys, self.counts, self.count, (p,))[0]
+
+    def summary(self) -> dict[str, float]:
+        """Mean / p50 / p95 / max summary dict (``max`` is the exact raw
+        maximum; percentiles are quantized — see the module docstring)."""
+        count = self.count
+        if not count:
+            return dict(_EMPTY_SUMMARY)
+        p50, p95 = _ranked(self.keys, self.counts, count, (50, 95))
+        return {
+            "count": float(count),
+            "mean": self.total / count,
+            "p50": p50,
+            "p95": p95,
+            "max": self.max,
+        }
+
+    def bucket_counts(self) -> dict[int, int]:
+        """The histogram as a ``{key: count}`` dict, keys ascending."""
+        return dict(zip(self.keys.tolist(), self.counts.tolist()))
+
+
+_EMPTY_SUMMARY = {"count": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
+_EMPTY_STATE = LatencyState(0, 0.0, 0.0, _NO_KEYS, _NO_KEYS)
+
+
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    """``chunks`` as one float64 array (the chunk itself when alone)."""
+    if len(chunks) == 1:
+        return chunks[0]
+    return np.concatenate(chunks) if chunks else np.empty(0)
+
+
 class LatencyStats:
-    """Exact collection of request latencies (milliseconds)."""
+    """Exact collection of request latencies (milliseconds), in order.
 
-    samples: list[float] = field(default_factory=list)
+    Samples live in float64 chunks: the arrays the off-heap engines
+    emit (:meth:`extend_array`, kept as they are) and, behind them,
+    ``tail`` — the list the event heap appends Python floats to, one
+    completion at a time (:meth:`record`; the heap pump and the
+    controller cache the list or its ``record``).  Every array read
+    seals ``tail`` into a chunk *in place*, so a cached list stays the
+    live one.  ``samples`` is the whole ordered sequence as a list.
+
+    Args:
+        samples: initial samples — a float64 ndarray (kept as a
+            chunk) or any sequence of floats.
+    """
+
+    __slots__ = ("tail", "_chunks")
+
+    def __init__(self, samples=()) -> None:
+        self._chunks: list[np.ndarray] = []
+        self.tail: list[float] = []
+        if isinstance(samples, np.ndarray):
+            self.extend_array(samples)
+        else:
+            self.tail.extend(samples)
 
     def record(self, latency: float) -> None:
         """Add one sample."""
-        self.samples.append(latency)
+        self.tail.append(latency)
+
+    def extend_array(self, arr: np.ndarray) -> None:
+        """Add a float64 ndarray of samples in order.  The array is
+        kept, not copied: the caller must not write to it again."""
+        if arr.size:
+            self._seal()
+            self._chunks.append(arr)
+
+    def _seal(self) -> None:
+        """Move ``tail``'s floats into a chunk, emptying the list in
+        place."""
+        tail = self.tail
+        if tail:
+            self._chunks.append(np.array(tail, dtype=np.float64))
+            tail.clear()
+
+    def _split(self, start: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """Seal the tail, then part the chunks at sample ``start``: the
+        chunks before it (views, never copied) and the samples from it
+        on as one array."""
+        self._seal()
+        kept: list[np.ndarray] = []
+        fresh: list[np.ndarray] = []
+        for chunk in self._chunks:
+            cut = min(max(start, 0), chunk.size)
+            if cut:
+                kept.append(chunk[:cut])
+            if cut < chunk.size:
+                fresh.append(chunk[cut:])
+            start -= chunk.size
+        return kept, _joined(fresh)
+
+    def since(self, start: int) -> np.ndarray:
+        """The samples from index ``start`` on, in order, as one float64
+        array (do not write to it).  A long-lived prefix before
+        ``start`` is never copied."""
+        kept, fresh = self._split(start)
+        self._chunks = kept + [fresh] if fresh.size else kept
+        return fresh
+
+    def array(self) -> np.ndarray:
+        """Every sample in order as one float64 array (do not write to
+        it)."""
+        return self.since(0)
+
+    def take(self, start: int) -> np.ndarray:
+        """Remove the samples from index ``start`` on and return them
+        (:meth:`since`)."""
+        kept, fresh = self._split(start)
+        self._chunks = kept
+        return fresh
+
+    @property
+    def samples(self) -> list[float]:
+        """Every sample in order, as a list of floats (a copy)."""
+        return self.array().tolist()
 
     @property
     def count(self) -> int:
-        return len(self.samples)
+        return sum(chunk.size for chunk in self._chunks) + len(self.tail)
 
     @property
     def total(self) -> float:
         """Left-to-right sum of the samples (0.0 when empty)."""
-        return sum(self.samples) if self.samples else 0.0
+        return left_fold(self.array())
 
     @property
     def mean(self) -> float:
         """Arithmetic mean (0.0 when empty)."""
-        return sum(self.samples) / len(self.samples) if self.samples else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over quantized samples, ``p`` in
-        [0, 100] (see :func:`quantize_latency`).  The rank-th order
-        statistic is picked with ``np.partition`` — the same value a
-        full sort puts there, without the sort."""
-        if not self.samples:
-            return 0.0
-        k = _rank(p, len(self.samples))
-        return quantize_latency(float(np.partition(self.samples, k)[k]))
+        n = self.count
+        return self.total / n if n else 0.0
 
     @property
     def max(self) -> float:
-        return max(self.samples) if self.samples else 0.0
+        arr = self.array()
+        return float(arr.max()) if arr.size else 0.0
+
+    def state(self) -> LatencyState:
+        """The samples reduced to a :class:`LatencyState` in one pass:
+        the left fold, the max, and the histogram of their keys
+        (:func:`bucket_keys_array`)."""
+        arr = self.array()
+        if not arr.size:
+            return _EMPTY_STATE
+        keys, counts = np.unique(bucket_keys_array(arr), return_counts=True)
+        return LatencyState(
+            arr.size, left_fold(arr), float(arr.max()), keys, counts
+        )
+
+    def percentile(self, p: float) -> float:
+        """Nearest-rank percentile over quantized samples, ``p`` in
+        [0, 100] (see :func:`quantize_latency`)."""
+        return self.state().percentile(p)
 
     def bucket_counts(self) -> dict[int, int]:
         """Quantization-bucket histogram of the samples (keys ascending;
         :func:`bucket_keys_array` reproduces :func:`_bucket_key`)."""
-        if not self.samples:
-            return {}
-        keys = bucket_keys_array(np.asarray(self.samples, dtype=np.float64))
-        uk, uc = np.unique(keys, return_counts=True)
-        return dict(zip(uk.tolist(), uc.tolist()))
+        return self.state().bucket_counts()
 
 
 #: extend_array defers histogram counting into pending key arrays and
@@ -216,7 +392,7 @@ class LatencyDigest:
         self._pending_n = 0
         self._hkeys = None
         self._hcounts = None
-        self._cache: dict[int, int] | None = None
+        self._cache: LatencyState | None = None
 
     def record(self, latency: float) -> None:
         """Add one sample (order matters for the bit-exact mean)."""
@@ -251,11 +427,8 @@ class LatencyDigest:
         ``peak`` is their maximum, when the caller has it.
 
         State-identical to :meth:`record` per element: the running
-        total performs the same left-to-right float fold
-        (``np.add.accumulate`` is a strict sequential accumulation —
-        each partial carries a loop dependency, so no reassociation —
-        and seeding the buffer with the prior total reproduces
-        ``((total + x0) + x1) + ...`` bit for bit).  Histogram
+        total continues the same left-to-right float fold
+        (:func:`left_fold` seeded with the prior total).  Histogram
         counting is deferred: key arrays queue in ``_pending`` and
         consolidate vectorized, so no per-sample Python object is
         ever built."""
@@ -263,11 +436,7 @@ class LatencyDigest:
         if not n:
             return
         self.count += n
-        buf = np.empty(n + 1)
-        buf[0] = self.total
-        buf[1:] = arr
-        np.add.accumulate(buf, out=buf)
-        self.total = float(buf[-1])
+        self.total = left_fold(arr, self.total)
         if peak is None:
             peak = float(arr.max())
         if peak > self.max:
@@ -283,72 +452,71 @@ class LatencyDigest:
         histogram pair — pure counting, so order is irrelevant."""
         if not self._pending:
             return
-        batch = (
-            np.concatenate(self._pending)
-            if len(self._pending) > 1
-            else self._pending[0]
-        )
+        batch = _joined(self._pending)
         self._pending = []
         self._pending_n = 0
         uk, uc = np.unique(batch, return_counts=True)
         if self._hkeys is None:
             self._hkeys, self._hcounts = uk, uc
             return
-        allk = np.concatenate([self._hkeys, uk])
-        allc = np.concatenate([self._hcounts, uc])
-        order = np.argsort(allk, kind="stable")
-        allk = allk[order]
-        allc = allc[order]
-        first = np.empty(len(allk), dtype=bool)
-        first[0] = True
-        np.not_equal(allk[1:], allk[:-1], out=first[1:])
-        idx = np.flatnonzero(first)
-        self._hkeys = allk[idx]
-        self._hcounts = np.add.reduceat(allc, idx)
+        self._hkeys, self._hcounts = _histogram(
+            np.concatenate([self._hkeys, uk]),
+            np.concatenate([self._hcounts, uc]),
+        )
 
-    def _counts(self) -> dict[int, int]:
-        """The combined histogram (scalar + vector paths), cached
-        until the next ingestion."""
-        cache = self._cache
-        if cache is None:
+    def state(self) -> LatencyState:
+        """The digest as a :class:`LatencyState`: its running tallies
+        and the combined histogram of both ingestion paths, cached
+        until the next sample."""
+        state = self._cache
+        if state is None:
             self._consolidate()
-            cache = dict(self._buckets)
-            if self._hkeys is not None:
-                if cache:
-                    for key, k in zip(
-                        self._hkeys.tolist(), self._hcounts.tolist()
-                    ):
-                        cache[key] = cache.get(key, 0) + k
-                else:
-                    cache = dict(
-                        zip(self._hkeys.tolist(), self._hcounts.tolist())
-                    )
-            self._cache = cache
-        return cache
+            keys, counts = self._hkeys, self._hcounts
+            if self._buckets:
+                n = len(self._buckets)
+                bkeys = np.fromiter(self._buckets, np.int64, n)
+                bcounts = np.fromiter(self._buckets.values(), np.int64, n)
+                if keys is not None:
+                    bkeys = np.concatenate([keys, bkeys])
+                    bcounts = np.concatenate([counts, bcounts])
+                keys, counts = _histogram(bkeys, bcounts)
+            elif keys is None:
+                keys = counts = _NO_KEYS
+            state = self._cache = LatencyState(
+                self.count, self.total, self.max, keys, counts
+            )
+        return state
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, p: float) -> float:
-        if not self.count:
-            return 0.0
-        return _bucket_percentile(self._counts(), self.count, p)
+        return self.state().percentile(p)
 
     def bucket_counts(self) -> dict[int, int]:
-        return dict(self._counts())
+        return self.state().bucket_counts()
 
 
 def summarize(stats: LatencyStats | LatencyDigest) -> dict[str, float]:
-    """Mean / p50 / p95 / max summary dict (``max`` is the exact raw
-    maximum; percentiles are quantized — see the module docstring)."""
-    return {
-        "count": float(stats.count),
-        "mean": stats.mean,
-        "p50": stats.percentile(50),
-        "p95": stats.percentile(95),
-        "max": stats.max,
-    }
+    """Mean / p50 / p95 / max summary dict of one accumulator (see
+    :meth:`LatencyState.summary`)."""
+    return stats.state().summary()
+
+
+def _pooled(states: list[LatencyState]) -> tuple[int, np.ndarray, np.ndarray]:
+    """The non-empty ``states``' sample count and their histograms
+    joined into one key-sorted histogram (one concatenate, one sort;
+    keys may repeat across parts)."""
+    live = [st for st in states if st.count]
+    count = sum(st.count for st in live)
+    if len(live) == 1:
+        return count, live[0].keys, live[0].counts
+    if not live:
+        return 0, _NO_KEYS, _NO_KEYS
+    keys = np.concatenate([st.keys for st in live])
+    order = np.argsort(keys, kind="stable")
+    return count, keys[order], np.concatenate([st.counts for st in live])[order]
 
 
 def percentile_of_parts(
@@ -357,57 +525,51 @@ def percentile_of_parts(
     """Quantized nearest-rank percentile over the union of several
     accumulators (0.0 when all are empty).
 
-    Like :func:`merge_summaries`, the rank is taken over the summed
+    Like :func:`merge_summaries`, the rank is taken over the joined
     bucket histograms, so the result is a pure order-independent
-    function of the per-part state — exact lists and streaming digests
-    agree bit for bit.  This is how service-level objectives query
-    percentiles the summary dict does not carry (e.g. p99 over the
-    buckets of one time window) without changing the report schema.
+    function of the per-part state — exact samples and streaming
+    digests agree bit for bit.  This is how service-level objectives
+    query percentiles the summary dict does not carry (e.g. p99 over
+    the buckets of one time window) without changing the report schema.
     """
-    count = 0
-    buckets: dict[int, int] = {}
-    for part in parts:
-        c = part.count
-        if not c:
-            continue
-        count += c
-        for key, k in part.bucket_counts().items():
-            buckets[key] = buckets.get(key, 0) + k
+    count, keys, counts = _pooled([part.state() for part in parts])
     if not count:
         return 0.0
-    return _bucket_percentile(buckets, count, p)
+    return _ranked(keys, counts, count, (p,))[0]
 
 
-def merge_summaries(parts: list[LatencyStats | LatencyDigest]) -> dict[str, float]:
-    """Summarize the union of several accumulators.
+def merge_states(states: list[LatencyState]) -> dict[str, float]:
+    """Summarize the union of several accumulators' states.
 
-    The merged mean folds per-part sums left-to-right in part order;
-    percentiles rank over the summed bucket histograms.  Both are pure
-    functions of the (ordered) per-part state, so the result is
-    identical whether the parts are exact lists or streaming digests —
-    the byte-identity seam between materialized, windowed, and
-    process-parallel fleet reports.
+    The merged mean folds per-part totals left-to-right in part order;
+    the max is the largest part max (0.0 floor); percentiles rank over
+    the joined bucket histograms.  All are pure functions of the
+    (ordered) per-part states, so the result is identical whether the
+    parts are exact samples or streaming digests — the byte-identity
+    seam between materialized, windowed, and process-parallel fleet
+    reports.
     """
-    count = 0
     total = 0.0
     peak = 0.0
-    buckets: dict[int, int] = {}
-    for part in parts:
-        c = part.count
-        if not c:
-            continue
-        count += c
-        total += part.total
-        if part.max > peak:
-            peak = part.max
-        for key, k in part.bucket_counts().items():
-            buckets[key] = buckets.get(key, 0) + k
+    for st in states:
+        if st.count:
+            total += st.total
+            if st.max > peak:
+                peak = st.max
+    count, keys, counts = _pooled(states)
     if not count:
-        return {"count": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
+        return dict(_EMPTY_SUMMARY)
+    p50, p95 = _ranked(keys, counts, count, (50, 95))
     return {
         "count": float(count),
         "mean": total / count,
-        "p50": _bucket_percentile(buckets, count, 50),
-        "p95": _bucket_percentile(buckets, count, 95),
+        "p50": p50,
+        "p95": p95,
         "max": peak,
     }
+
+
+def merge_summaries(parts: list[LatencyStats | LatencyDigest]) -> dict[str, float]:
+    """Summarize the union of several accumulators
+    (:func:`merge_states` over their states)."""
+    return merge_states([part.state() for part in parts])

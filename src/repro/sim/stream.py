@@ -61,7 +61,8 @@ a sample only once no later request can complete before it (a
 window's last arrival bounds all future completions) and in
 completion order with the engine's own tie-break — concatenated window
 emissions reproduce the materialized emission order exactly, which
-makes the digest's running mean bit-equal to ``sum(samples)`` and every
+makes the digest's running total bit-equal to the left fold of the
+materialized samples (:func:`repro.sim.stats.left_fold`) and every
 summary byte-identical (see :mod:`repro.sim.stats`).
 """
 
@@ -194,16 +195,18 @@ def _slice_window(
     each ``(index, ctrl)`` of ``shards`` whose shard ``ctrl.obs_shard``
     the window reaches (``shard_ids``), record its arrivals (stream
     start ``base``), add its size to ``scheduled[index]`` and yield
-    ``(index, slice)``."""
+    ``(index, slice)``.  Each slice's columns are gathered through one
+    index array of its requests."""
     times, is_read, lbas = window
     for i, ctrl in shards:
-        mask = shard_ids == ctrl.obs_shard
-        if not mask.any():
+        idx = np.flatnonzero(shard_ids == ctrl.obs_shard)
+        if not idx.size:
             continue
+        at = times[idx]
         if ctrl.obs.enabled:
-            ctrl.obs.arrivals(ctrl.obs_shard, base + times[mask])
-        local = lbas[mask] % shard_capacity
-        w = compile_stream(ctrl.mapper, times[mask], is_read[mask], local)
+            ctrl.obs.arrivals(ctrl.obs_shard, base + at)
+        local = lbas[idx] % shard_capacity
+        w = compile_stream(ctrl.mapper, at, is_read[idx], local)
         scheduled[i] += w.n
         yield i, w
 
@@ -337,7 +340,7 @@ def _arm_shard_pump(
 
     gen = slices()
     first = next(gen, None)
-    lat_base = {kind: len(st.samples) for kind, st in ctrl.latency.items()}
+    lat_base = {kind: st.count for kind, st in ctrl.latency.items()}
     drain = partial(_sweep, ctrl.latency, lat_base, digest)
     if first is not None:
         _CompiledRun(
@@ -353,17 +356,16 @@ def _sweep(
 ) -> None:
     """Move each kind's samples past ``lat_base[kind]`` (a long-lived
     controller may hold earlier streams' samples) into ``digest``, in
-    recording order.  The lists are trimmed in place: the pump and the
-    controller cache them as their recording sinks."""
+    recording order, as one array slice (:meth:`LatencyStats.take`).
+    The heap's sample tails empty in place: the pump and the controller
+    cache them as their recording sinks."""
     for kind, st in latency.items():
-        lst = st.samples
         b = lat_base.get(kind, 0)
-        if len(lst) > b:
+        if st.count > b:
             d = digest.get(kind)
             if d is None:
                 d = digest[kind] = LatencyDigest()
-            d.extend(lst[b:])
-            del lst[b:]
+            d.extend_array(st.take(b))
 
 
 def _execute_shard_windows(
@@ -481,7 +483,7 @@ def execute_windows(
     last arrival — when that window is reached, with the windows before
     it already routed (:func:`_in_order`).
     Latency goes to constant-memory digests, not the controller's
-    sample lists (the off-heap engines emit into the digests; the heap
+    exact samples (the off-heap engines emit into the digests; the heap
     pump sweeps ``ctrl.latency`` into them at window boundaries).  With a
     metrics recorder attached, every window's arrivals are recorded as
     it is routed, and the stream's non-empty windows count as

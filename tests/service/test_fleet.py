@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from repro.service import Fleet
-from repro.sim import WorkloadConfig, simulate_workload
+from repro.sim import (
+    LatencyStats,
+    WorkloadConfig,
+    merge_summaries,
+    simulate_workload,
+    summarize,
+)
 from repro.sim.compile import generate_request_stream
 
 
@@ -157,13 +163,49 @@ class TestServing:
         assert eight.scheduled == one.scheduled
         assert eight.throughput_rps > 1.5 * one.throughput_rps
 
-    def test_repeated_serves_report_independently(self):
+    @pytest.mark.parametrize(
+        "order", [("heap", "off"), ("off", "heap")], ids=["heap-first", "off-first"]
+    )
+    def test_repeated_serves_report_independently(self, order):
         """A long-lived fleet serves many streams; each report must
-        cover its own stream only, not cumulative controller state."""
+        cover its own stream only, not cumulative controller state —
+        also when the samples before it sit in a different storage:
+        heap-appended floats beside off-heap engine arrays."""
         fleet = Fleet(2, 9, 3, seed=0)
         cfg = WorkloadConfig(interarrival_ms=1.0, read_fraction=0.8, seed=6)
-        first = fleet.serve_workload(cfg, 200.0)
-        second = fleet.serve_workload(cfg, 200.0)
+        reports = []
+        for path in order:
+            if path == "heap":
+                # A pending event naming no shard sends every shard to
+                # the event heap.
+                fleet.sim.at(fleet.sim.now, lambda: None)
+            before = [
+                {kind: st.samples for kind, st in c.latency.items()}
+                for c in fleet.controllers
+            ]
+            rep = fleet.serve_workload(cfg, 200.0)
+            on_heap = [e == "event-heap" for e in rep.executors]
+            assert on_heap == [path == "heap"] * 2
+            # Exactly the samples this serve added, shard by shard.
+            added = [
+                {
+                    kind: LatencyStats(st.samples[len(prior.get(kind, [])):])
+                    for kind, st in sorted(c.latency.items())
+                }
+                for c, prior in zip(fleet.controllers, before)
+            ]
+            assert rep.per_shard_latency == [
+                {kind: summarize(st) for kind, st in shard.items()}
+                for shard in added
+            ]
+            assert rep.latency == {
+                kind: merge_summaries(
+                    [shard[kind] for shard in added if kind in shard]
+                )
+                for kind in sorted({k for shard in added for k in shard})
+            }
+            reports.append(rep)
+        first, second = reports
         assert second.scheduled == first.scheduled
         for kind, summary in second.latency.items():
             assert summary["count"] == first.latency[kind]["count"]

@@ -1,5 +1,6 @@
 """Latency accumulator edge cases: empty and single-sample digests,
-mid-window stability of polled values, and multi-part percentiles."""
+mid-window stability of polled values, multi-part percentiles, the
+left-fold total, and the array fold against the dict-fold reference."""
 
 import math
 import sys
@@ -8,11 +9,15 @@ import numpy as np
 import pytest
 
 from repro.sim.stats import (
+    _CONSOLIDATE_AT,
     _ZERO_KEY,
     LatencyDigest,
     LatencyStats,
     _bucket_key,
+    _bucket_value,
     bucket_keys_array,
+    left_fold,
+    merge_summaries,
     percentile_of_parts,
     quantize_latency,
     summarize,
@@ -178,8 +183,8 @@ class TestPercentileOfParts:
 
 
 class TestVectorizedSummaries:
-    """``LatencyStats`` picks percentiles with ``np.partition`` and
-    counts buckets with ``np.unique``; both must equal the scalar loops
+    """``LatencyStats`` counts buckets with ``np.unique`` and ranks
+    percentiles over that histogram; both must equal the scalar loops
     they replace on every sample, edge values included."""
 
     @pytest.mark.parametrize(
@@ -245,3 +250,166 @@ class TestDigestExtend:
         d.extend(xs)
         assert (d.count, d.total, d.max) == (ref.count, ref.total, ref.max)
         assert d.bucket_counts() == ref.bucket_counts() == {_ZERO_KEY: 4}
+
+
+def _loop_total(xs) -> float:
+    """The left fold, one float addition at a time."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+class TestLeftFold:
+    """Both accumulators total their samples with the strict left fold
+    — never the builtin ``sum``, which Python 3.12 made compensated, so
+    a materialized mean would drift from a windowed or grouped one."""
+
+    @pytest.mark.parametrize("source", ["edge", "exponential"])
+    def test_totals_match_the_for_loop(self, source):
+        if source == "edge":
+            xs = _edge_samples()
+        else:
+            xs = np.random.default_rng(30).exponential(6.0, 30_000).tolist()
+        ref = _loop_total(xs)
+        mean = ref / len(xs)
+        exact = LatencyStats(xs)
+        digest = LatencyDigest()
+        digest.extend(xs)
+        assert left_fold(np.array(xs)).hex() == ref.hex()
+        assert exact.total.hex() == digest.total.hex() == ref.hex()
+        assert exact.mean.hex() == digest.mean.hex() == mean.hex()
+        for acc in (exact, digest):
+            assert summarize(acc)["mean"].hex() == mean.hex()
+        # A fold seeded with the prefix's total continues it bit for bit.
+        half = len(xs) // 2
+        rest = left_fold(np.array(xs[half:]), _loop_total(xs[:half]))
+        assert rest.hex() == ref.hex()
+
+
+def _bucket_walk(buckets: dict[int, int], count: int, p: float) -> float:
+    """The dict fold's rank: walk the sorted keys until the running
+    count passes the nearest rank."""
+    target = max(0, math.ceil(p / 100.0 * count) - 1)
+    seen = 0
+    for key in sorted(buckets):
+        seen += buckets[key]
+        if seen > target:
+            return _bucket_value(key)
+    raise AssertionError("bucket counts must sum to the count")
+
+
+def _dict_part(kind: str, xs: list[float]) -> tuple:
+    """What one part fed ``xs`` holds, computed sample by sample:
+    count, left-fold total, max (the builtin ``max`` for exact samples,
+    a running max from 0.0 for a digest) and the scalar-key
+    histogram."""
+    if kind == "stats":
+        peak = max(xs) if xs else 0.0
+    else:
+        peak = 0.0
+        for x in xs:
+            if x > peak:
+                peak = x
+    return len(xs), _loop_total(xs), peak, _loop_bucket_counts(xs)
+
+
+def _dict_merge(parts: list[tuple]) -> tuple:
+    """The per-key dict merge of several parts: counts and histograms
+    add key by key, totals fold in part order, maxes max from 0.0."""
+    count, total, peak = 0, 0.0, 0.0
+    buckets: dict[int, int] = {}
+    for c, t, m, b in parts:
+        if not c:
+            continue
+        count += c
+        total += t
+        if m > peak:
+            peak = m
+        for key, k in b.items():
+            buckets[key] = buckets.get(key, 0) + k
+    return count, total, peak, buckets
+
+
+def _dict_summary(part: tuple) -> dict[str, float]:
+    count, total, peak, buckets = part
+    if not count:
+        return {"count": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
+    return {
+        "count": float(count),
+        "mean": total / count,
+        "p50": _bucket_walk(buckets, count, 50),
+        "p95": _bucket_walk(buckets, count, 95),
+        "max": peak,
+    }
+
+
+def _bits(summary: dict[str, float]) -> dict[str, str]:
+    return {key: value.hex() for key, value in summary.items()}
+
+
+def _fed(kind: str, xs: list[float], rng) -> LatencyStats | LatencyDigest:
+    """An accumulator fed ``xs`` in order through all of its paths:
+    exact samples by ``record``, then ``extend_array``, then
+    ``record``; a digest by ``record`` (scalar-path buckets), then
+    ``extend_array`` consolidated by a poll, then a staged
+    ``extend_array``, then ``record`` again."""
+    a, b, c = sorted(rng.integers(0, len(xs) + 1, size=3).tolist())
+    if kind == "stats":
+        acc = LatencyStats()
+        for x in xs[:a]:
+            acc.record(x)
+        acc.extend_array(np.array(xs[a:c]))
+    else:
+        acc = LatencyDigest()
+        for x in xs[:a]:
+            acc.record(x)
+        acc.extend_array(np.array(xs[a:b]))
+        acc.state()  # consolidates the staged keys into sorted arrays
+        acc.extend_array(np.array(xs[b:c]))
+    for x in xs[c:]:
+        acc.record(x)
+    return acc
+
+
+#: Percentiles the multi-part rank is checked at.
+PARTS_PERCENTILES = (0, 0.1, 1, 25, 50, 95, 99, 99.9, 100)
+
+
+class TestArrayFoldMatchesDictFold:
+    """``summarize``, ``merge_summaries`` and ``percentile_of_parts``
+    rank with ``np.cumsum`` + ``np.searchsorted`` over array
+    histograms joined by one sort; the reference is the dict fold —
+    a sorted-key walk over histograms merged key by key — computed
+    from the raw samples, and the two must agree bit for bit."""
+
+    def _check(self, kinds, samples, rng):
+        parts = [_fed(kind, xs, rng) for kind, xs in zip(kinds, samples)]
+        refs = [_dict_part(kind, xs) for kind, xs in zip(kinds, samples)]
+        for part, ref in zip(parts, refs):
+            assert _bits(summarize(part)) == _bits(_dict_summary(ref))
+        merged = _dict_merge(refs)
+        assert _bits(merge_summaries(parts)) == _bits(_dict_summary(merged))
+        count, _t, _m, buckets = merged
+        for p in PARTS_PERCENTILES:
+            expected = _bucket_walk(buckets, count, p) if count else 0.0
+            assert percentile_of_parts(parts, p).hex() == expected.hex()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_mixes(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.array(_edge_samples())
+        kinds, samples = [], []
+        for _ in range(int(rng.integers(1, 7))):
+            kinds.append("stats" if rng.random() < 0.5 else "digest")
+            n = int(rng.choice([0, 1, 2, 7, 300, _CONSOLIDATE_AT + 5]))
+            samples.append(rng.choice(pool, size=n).tolist())
+        self._check(kinds, samples, rng)
+
+    def test_edge_samples_in_every_part_kind(self):
+        xs = _edge_samples()
+        self._check(
+            ["stats", "digest", "stats", "digest", "digest"],
+            [xs, xs, [], [], xs[::-1]],
+            np.random.default_rng(1),
+        )
