@@ -96,19 +96,22 @@ endif
 # Instrumented serve smokes with metrics + traces on, serially and on 2
 # workers; the observability files must be byte-identical across worker
 # counts (cmp), and the trace summarizer must render them.  Two pairs: a
-# growing fleet, whose reshape runs the serial path on both sides, and a
+# 12-volume fleet growing 4 -> 6, whose reshape's move graph splits into
+# two migration components and one idle array, so the --workers 2 side
+# runs 3 shard groups on 2 workers (migration groups included); and a
 # 4-shard windowed fleet whose default failure pair splits it into 4
 # shard groups on 2 workers (--smoke fails on an unexpected serial
-# fallback), so the grouped path is compared against the serial one.
+# fallback).  Both compare the grouped path against the serial one.
 # The BENCH_obs_* artifacts ride the CI upload glob.
 smoke-obs:
 	$(PYTHON) -m repro serve --smoke --shards 4 --grow 4:6 --window 128 \
+		--volumes 12 --seed 9 \
 		--metrics-out BENCH_obs_metrics.jsonl \
 		--metrics-prom BENCH_obs_metrics.prom \
 		--trace-out BENCH_obs_trace.jsonl \
 		--json BENCH_serve_obs_smoke.json
 	$(PYTHON) -m repro serve --smoke --shards 4 --grow 4:6 --window 128 \
-		--workers 2 \
+		--volumes 12 --seed 9 --workers 2 \
 		--metrics-out BENCH_obs_metrics_parallel.jsonl \
 		--metrics-prom BENCH_obs_metrics_parallel.prom \
 		--trace-out BENCH_obs_trace_parallel.jsonl \

@@ -160,8 +160,8 @@ class MetricsRecorder:
             return
         q = np.asarray(times, dtype=np.float64) / self.interval_ms
         if (q[1:] < q[:-1]).any():
-            # A window compile_stream has yet to sort: counts do not
-            # depend on the order.
+            # Routers hand over slices in arrival order, but counts do
+            # not depend on it.
             q.sort()
         d = self._arrived.setdefault(shard, {})
         for b, start, stop in _bucket_runs(q):

@@ -50,16 +50,16 @@ from ..obs.nullrec import NULL_RECORDER
 from ..sim.compile import (
     CompiledTrace,
     StreamWindows,
+    _compile_ordered,
     _CompiledRun,
-    _check_times,
     _execute_shards,
-    compile_stream,
+    _in_arrival_order,
     generate_request_stream,
 )
 from ..sim.controller import ArrayController
 from ..sim.disk import DiskParameters
 from ..sim.events import Simulator
-from ..sim.stats import LatencyDigest, LatencyStats, merge_states
+from ..sim.stats import LatencyDigest, LatencyState, LatencyStats, merge_states
 from ..sim.stream import (
     _carry_label,
     _execute_shard_windows,
@@ -72,7 +72,30 @@ from ..sim.stream import (
 from ..sim.workload import WorkloadConfig
 from .sharding import ShardMap
 
-__all__ = ["Fleet", "FleetReport"]
+__all__ = ["Fleet", "FleetReport", "ShardTally"]
+
+
+@dataclass(frozen=True)
+class ShardTally:
+    """One shard's share of a served stream: the record every fleet
+    executor (the serial :class:`Fleet`, plain and migration shard
+    groups, across processes too) hands the report fold.
+
+    Attributes:
+        scheduled: requests routed to the shard (a migration's diverted
+            requests count where its coordinator dispatched them).
+        latency: per request kind, the stream's samples reduced to a
+            :class:`~repro.sim.stats.LatencyState`.
+        per_disk_ios: IOs each of the shard's disks completed.
+        engine: the engine label its execution used (``None`` if none).
+        executor: what ran that engine's serialization.
+    """
+
+    scheduled: int
+    latency: dict[str, LatencyState]
+    per_disk_ios: list[int]
+    engine: str | None
+    executor: str | None
 
 
 @dataclass(frozen=True)
@@ -96,6 +119,11 @@ class FleetReport:
         per_shard_scheduled: requests routed to each shard.
         per_shard_latency: per-shard latency summaries.
         per_disk_ios: completed IOs per disk, per shard.
+
+    The fold keeps the :class:`ShardTally` records it read as the plain
+    attribute ``tallies``, not a field, so ``asdict()`` and equality
+    never see engine labels (windowed and materialized serves pick
+    differently-labelled engines for identical reports).
     """
 
     shards: int
@@ -120,6 +148,16 @@ class FleetReport:
         active = [c for c in self.per_shard_scheduled if c > 0]
         return max(active) / min(active) if active else 1.0
 
+    @property
+    def engines(self) -> list[str | None]:
+        """The engine label each shard's execution used."""
+        return [t.engine for t in self.tallies]
+
+    @property
+    def executors(self) -> list[str | None]:
+        """The executor that ran each shard's engine."""
+        return [t.executor for t in self.tallies]
+
 
 class Fleet:
     """N array shards, one shared clock, batched request routing.
@@ -134,7 +172,6 @@ class Fleet:
         dataplane: attach byte-level data planes (enables bit-for-bit
             rebuild and migration verification at simulation cost).
         seed: shard-ring seed and per-array data-plane fill seed base.
-        replicas: consistent-hash ring points per shard.
         placement: :class:`ShardMap` placement policy — ``"ring"``
             (baseline), ``"p2c"``, or ``"weighted"``.  The non-ring
             policies balance per-volume *traffic weights* (each
@@ -160,7 +197,6 @@ class Fleet:
         disk_params: DiskParameters | None = None,
         dataplane: bool = False,
         seed: int = 0,
-        replicas: int = 64,
         placement: str = "ring",
         write_policy: str = "rmw",
     ):
@@ -175,23 +211,12 @@ class Fleet:
         self._disk_params = disk_params
         self._dataplane = dataplane
         self.write_policy = write_policy
-        self.controllers = [
-            ArrayController(
-                self.layout,
-                sim=self.sim,
-                disk_params=disk_params,
-                dataplane=dataplane,
-                seed=seed + i,
-                write_policy=write_policy,
-            )
-            for i in range(shards)
-        ]
         # Metrics recording: the null default makes uninstrumented
-        # serves free; attach_recorder swaps in a real recorder and
-        # tags every controller with its fleet-global shard id.
+        # serves free; attach_recorder swaps in a real recorder.  Every
+        # controller carries its fleet-global shard id.
         self._obs = NULL_RECORDER
-        for i, ctrl in enumerate(self.controllers):
-            ctrl.obs_shard = i
+        self.controllers: list[ArrayController] = []
+        self.ensure_shards(shards)
         self.shard_capacity = self.controllers[0].mapper.capacity
         # The logical address space is fixed at creation: growing the
         # fleet adds serving capacity for the *same* volumes (the
@@ -204,7 +229,6 @@ class Fleet:
             shards,
             n_volumes,
             seed=seed,
-            replicas=replicas,
             policy=placement,
             weights=self.volume_weights(n_volumes),
         )
@@ -275,8 +299,9 @@ class Fleet:
 
     def ensure_shards(self, target: int) -> None:
         """Grow the controller set to ``target`` arrays on the shared
-        clock (no-op when already that large).  New arrays serve no
-        volumes until a migration cuts some over to them."""
+        clock (no-op when already that large), as the fleet builds its
+        first ones.  Arrays added later serve no volumes until a
+        migration cuts some over to them."""
         while len(self.controllers) < target:
             i = len(self.controllers)
             ctrl = ArrayController(
@@ -335,10 +360,11 @@ class Fleet:
     ) -> tuple[list[CompiledTrace], np.ndarray]:
         """Split and compile a fleet-global stream per shard.
 
-        One vectorized pass: global LBA → volume → live routing table,
-        then one ``map_batch``-backed compile per shard over its
-        sub-stream (global LBAs fold onto the shard's address space).
-        Relative arrival order within a shard is preserved.
+        The stream is checked and stable-sorted into arrival order once
+        (ties keep stream order), routed through the live volume table
+        (:meth:`_route_live`), and each shard's sub-stream compiled with
+        one ``map_batch`` call (global LBAs fold onto the shard's
+        address space) and no second check.
 
         While a migration is active, requests to moving volumes are
         *diverted*: they carry shard id ``-1`` here and are handed to
@@ -348,16 +374,41 @@ class Fleet:
 
         Returns:
             ``(compiled, shard_ids)`` — one :class:`CompiledTrace` per
-            shard plus each request's routed shard (``-1`` = diverted).
+            shard plus each request's routed shard (``-1`` = diverted),
+            in input order.
 
         Raises:
             IndexError: if any LBA falls outside the fleet capacity.
-            ValueError: on a NaN, infinite or negative arrival time.
+            ValueError: on columns of unequal length, or a NaN,
+                infinite or negative arrival time.
         """
-        times = np.asarray(times, dtype=np.float64)
-        is_read = np.asarray(is_read, dtype=bool)
-        lbas = np.ascontiguousarray(lbas, dtype=np.int64)
-        _check_times(times)
+        times, is_read, lbas, order = _in_arrival_order(times, is_read, lbas)
+        shard_ids = self._route_live(times, is_read, lbas, self.sim.now)
+        compiled = []
+        for s, ctrl in enumerate(self.controllers):
+            # One index gather per shard: each column is read once, not
+            # once per boolean mask.
+            idx = np.flatnonzero(shard_ids == s)
+            compiled.append(
+                _compile_ordered(
+                    ctrl.mapper,
+                    times[idx],
+                    is_read[idx],
+                    lbas[idx] % self.shard_capacity,
+                )
+            )
+        if order is not None:
+            unsorted = np.empty_like(shard_ids)
+            unsorted[order] = shard_ids
+            shard_ids = unsorted
+        return compiled, shard_ids
+
+    def _route_live(self, times, is_read, lbas, base: float) -> np.ndarray:
+        """Each request's shard through the live volume table (LBA →
+        volume → shard) — the one live-routing step of
+        :meth:`route_stream` and the window router.  Requests a live
+        migration claims get shard ``-1`` and go to its coordinator, in
+        arrival order, at absolute times ``base + times``."""
         vols = _volumes(
             lbas, self.volume_units, self.shard_map.volumes, self.capacity
         )
@@ -367,23 +418,13 @@ class Fleet:
             moving = mig.claims(vols)
             if moving.any():
                 mig.register_stream(
-                    times[moving], is_read[moving], lbas[moving], vols[moving]
+                    base + times[moving],
+                    is_read[moving],
+                    lbas[moving],
+                    vols[moving],
                 )
                 shard_ids = np.where(moving, np.int64(-1), shard_ids)
-        compiled = []
-        for s, ctrl in enumerate(self.controllers):
-            # One index gather per shard: each column is read once, not
-            # once per boolean mask.
-            idx = np.flatnonzero(shard_ids == s)
-            compiled.append(
-                compile_stream(
-                    ctrl.mapper,
-                    times[idx],
-                    is_read[idx],
-                    lbas[idx] % self.shard_capacity,
-                )
-            )
-        return compiled, shard_ids
+        return shard_ids
 
     # ------------------------------------------------------------------
     # Serving
@@ -514,9 +555,9 @@ class Fleet:
           or a one-shot source the carry engines do not take, since the
           gate gives each heap shard a pass of its own): one
           self-rescheduling event loads each window onto the shared
-          heap for every shard, routed through the *live* volume table,
-          so cutovers mid-stream take effect; diverted windows go to
-          the coordinator with absolute arrival times.
+          heap for every shard, routed through the *live* volume table
+          (:meth:`_route_live`, as :meth:`route_stream` routes a
+          materialized stream), so cutovers mid-stream take effect.
 
         ``read_only_hint`` is a caller promise (every request is a
         read); a lying hint raises ``ValueError`` from the solver, as
@@ -525,7 +566,8 @@ class Fleet:
         fleet is left mid-serve and is discarded
         (:func:`repro.sim.stream._in_order`).
         Reports are byte-identical to the materialized serve of the
-        same stream, engine labels aside.
+        same stream, engine labels aside.  The scenario runners, not
+        this serve, count its windows as ``window_boundaries``.
         """
         start = self.sim.now
         ios_base = [ctrl.per_disk_completed() for ctrl in self.controllers]
@@ -546,17 +588,15 @@ class Fleet:
             scheduled = [0] * len(self.controllers)
             router = _WindowRouter(self, iter(windows), digests, scheduled)
             self.sim.run()
-            n_windows = router.finish()
+            router.finish()
         else:
-            scheduled, n_windows = _execute_shard_windows(
+            scheduled, _ = _execute_shard_windows(
                 self.controllers,
                 self.static_route(),
                 windows,
                 digests,
                 read_only_hint=read_only_hint,
             )
-        if n_windows:
-            self._obs.count("window_boundaries", n_windows, volatile=True)
         return self._report(scheduled, start, digests, ios_base, mig_base)
 
     # ------------------------------------------------------------------
@@ -571,38 +611,53 @@ class Fleet:
         ios_base: list[list[int]],
         mig_base: Sequence[int] = (),
     ) -> FleetReport:
-        """Fold one stream's per-shard tallies into its report.  Shards
-        born mid-stream (a reshape grows the controller set) count from
-        zero, and requests the migration coordinators dispatched count
-        where they ran (source pre-cutover, destination after): the
-        dispatch totals now, less ``mig_base``, the totals before the
-        stream.  ``accs`` covers every controller."""
+        """Fold one stream's per-shard accumulators into its report, one
+        :class:`ShardTally` per controller.  Shards born mid-stream (a
+        reshape grows the controller set) count from zero, and requests
+        the migration coordinators dispatched count where they ran
+        (source pre-cutover, destination after): the dispatch totals
+        now, less ``mig_base``, the totals before the stream.  ``accs``
+        covers every controller."""
         n = len(self.controllers)
         scheduled = list(scheduled) + [0] * (n - len(scheduled))
-        ios_base = list(ios_base) + [[0] * self.layout.v] * (n - len(ios_base))
         for s, total in enumerate(self.migration_dispatch_totals()):
             scheduled[s] += total - (mig_base[s] if s < len(mig_base) else 0)
         return _fold_report(
-            scheduled,
-            accs,
             [
-                [now - then for now, then in zip(c.per_disk_completed(), base)]
-                for c, base in zip(self.controllers, ios_base)
+                _tally(
+                    ctrl,
+                    scheduled[s],
+                    accs[s],
+                    ios_base[s] if s < len(ios_base) else None,
+                )
+                for s, ctrl in enumerate(self.controllers)
             ],
             self.sim.now - start,
-            [c.last_engine for c in self.controllers],
-            [c.last_executor for c in self.controllers],
         )
 
 
-def _fold_report(
-    scheduled: list[int],
-    accs: list[dict[str, LatencyStats | LatencyDigest]],
-    per_disk_ios: list[list[int]],
-    duration_ms: float,
-    engines: list[str | None],
-    executors: list[str | None],
-) -> FleetReport:
+def _tally(
+    ctrl: ArrayController,
+    scheduled: int,
+    accs: dict[str, LatencyStats | LatencyDigest],
+    ios_base: list[int] | None = None,
+) -> ShardTally:
+    """``ctrl``'s tally of one stream: each kind's accumulator (exact
+    samples or a digest) reduced once to its state, and the IOs its
+    disks completed since ``ios_base`` (ever, when None)."""
+    ios = ctrl.per_disk_completed()
+    if ios_base is not None:
+        ios = [now - then for now, then in zip(ios, ios_base)]
+    return ShardTally(
+        scheduled,
+        {kind: acc.state() for kind, acc in accs.items()},
+        ios,
+        ctrl.last_engine,
+        ctrl.last_executor,
+    )
+
+
+def _fold_report(tallies: list[ShardTally], duration_ms: float) -> FleetReport:
     """Fold per-shard tallies (indexed by shard id) into one
     :class:`FleetReport` — the one fold behind the serial fleet's
     reports and the merged multi-process ones.
@@ -610,25 +665,22 @@ def _fold_report(
     Kind keys iterate sorted so every latency dict in the report has a
     canonical key order — report equality (serial vs merged
     multi-process runs) must not hinge on which request kind happened
-    to complete first.  Each (shard, kind) accumulator is reduced once
-    to its :class:`~repro.sim.stats.LatencyState`, which feeds both its
+    to complete first.  Each (shard, kind)
+    :class:`~repro.sim.stats.LatencyState` feeds both its
     ``per_shard_latency`` row and the fleet-level fold in shard order
     (:func:`~repro.sim.stats.merge_states`) — the same fold whether
-    the accumulators are exact samples (materialized serves),
-    streaming digests (windowed serves), or digests merged across
-    worker processes: the byte-identity seam.
+    the states came from exact samples (materialized serves),
+    streaming digests (windowed serves), or worker processes: the
+    byte-identity seam.
     """
-    states = [
-        {kind: acc.state() for kind, acc in shard.items()} for shard in accs
-    ]
-    kinds = sorted({kind for shard in states for kind in shard})
+    kinds = sorted({kind for t in tallies for kind in t.latency})
     # One sample per finished request; lost requests have none.
     completed = int(
-        sum(st.count for shard in states for st in shard.values())
+        sum(st.count for t in tallies for st in t.latency.values())
     )
     report = FleetReport(
-        shards=len(scheduled),
-        scheduled=int(sum(scheduled)),
+        shards=len(tallies),
+        scheduled=int(sum(t.scheduled for t in tallies)),
         completed=completed,
         duration_ms=duration_ms,
         throughput_rps=(
@@ -636,25 +688,18 @@ def _fold_report(
         ),
         latency={
             kind: merge_states(
-                [shard[kind] for shard in states if kind in shard]
+                [t.latency[kind] for t in tallies if kind in t.latency]
             )
             for kind in kinds
         },
-        per_shard_scheduled=list(scheduled),
+        per_shard_scheduled=[t.scheduled for t in tallies],
         per_shard_latency=[
-            {kind: shard[kind].summary() for kind in sorted(shard)}
-            for shard in states
+            {kind: t.latency[kind].summary() for kind in sorted(t.latency)}
+            for t in tallies
         ],
-        per_disk_ios=per_disk_ios,
+        per_disk_ios=[t.per_disk_ios for t in tallies],
     )
-    # Plain (non-field) attributes: the engine label each shard's
-    # execution used, and the executor that ran it.  Kept out of the
-    # dataclass fields so asdict()/equality comparisons — the
-    # byte-identity tests — never see them (windowed and materialized
-    # serves legitimately pick differently-labelled engines for
-    # identical reports).
-    object.__setattr__(report, "engines", list(engines))
-    object.__setattr__(report, "executors", list(executors))
+    object.__setattr__(report, "tallies", tuple(tallies))
     return report
 
 
@@ -663,12 +708,13 @@ class _WindowRouter:
     the serves that must route live (see :meth:`Fleet.serve_windows`).
 
     One self-rescheduling event per window: at the first arrival time
-    of window *W*, the router sweeps completed latency samples into the
-    per-shard digests, routes *W* through the **live** volume table (so
-    migration cutovers that happened since the last window take
-    effect), hands any diverted sub-stream to the coordinator with
-    absolute arrival times, compiles each shard's slice
-    (:func:`repro.sim.stream._slice_window`), and arms one
+    of window *W* (checked and in arrival order,
+    :func:`repro.sim.stream._in_order`), the router sweeps completed
+    latency samples into the per-shard digests, routes *W* through the
+    fleet's live-routing step (:meth:`Fleet._route_live`: migration
+    cutovers that happened since the last window take effect, and a
+    live migration's share goes to its coordinator), compiles each
+    shard's slice (:func:`repro.sim.stream._slice_window`), and arms one
     :class:`repro.sim.compile._CompiledRun` pump per non-empty slice —
     all of whose arrivals fire before the next window is due (windows
     partition the stream by time).  Exactly one window is ever
@@ -687,8 +733,7 @@ class _WindowRouter:
     """
 
     __slots__ = (
-        "fleet", "it", "digests", "scheduled", "base", "windows", "_next",
-        "_lat_base",
+        "fleet", "it", "digests", "scheduled", "base", "_next", "_lat_base",
     )
 
     def __init__(
@@ -703,48 +748,27 @@ class _WindowRouter:
         self.digests = digests
         self.scheduled = scheduled
         self.base = fleet.sim.now
-        self.windows = 0
         # A long-lived fleet's controllers may carry samples from
         # earlier streams; the sweep must only claim this stream's tail.
         self._lat_base = [
             {kind: st.count for kind, st in ctrl.latency.items()}
             for ctrl in fleet.controllers
         ]
-        self._next = self._pull()
+        self._pull()
+
+    def _pull(self) -> None:
+        """Buffer the next non-empty window and arm its delivery at its
+        first arrival (nothing at the end of the stream)."""
+        self._next = next(self.it, None)
         if self._next is not None:
-            self._arm()
-
-    def _pull(self):
-        """The next non-empty window, in arrival order
-        (:func:`repro.sim.stream._in_order`), or None at the end."""
-        return next(self.it, None)
-
-    def _arm(self) -> None:
-        self.fleet.sim.at(self.base + float(self._next[0][0]), self._deliver)
+            at = self.base + float(self._next[0][0])
+            self.fleet.sim.at(at, self._deliver)
 
     def _deliver(self) -> None:
         self.drain()
         fleet = self.fleet
         window = self._next
-        times, is_read, lbas = window
-        self._next = None
-        self.windows += 1
-        vols = _volumes(
-            lbas, fleet.volume_units, fleet.shard_map.volumes, fleet.capacity
-        )
-        shard_ids = fleet._volume_route[vols]
-        mig = fleet._migration
-        if mig is not None and not mig.done:
-            moving = mig.claims(vols)
-            if moving.any():
-                mig.register_stream(
-                    self.base + times[moving],
-                    is_read[moving],
-                    lbas[moving],
-                    vols[moving],
-                    absolute=True,
-                )
-                shard_ids = np.where(moving, np.int64(-1), shard_ids)
+        shard_ids = fleet._route_live(*window, self.base)
         scheduled = self.scheduled
         # Shards a reshape bore mid-run route from here on.
         scheduled.extend([0] * (len(fleet.controllers) - len(scheduled)))
@@ -756,9 +780,7 @@ class _WindowRouter:
             # stream-start schedule even though the pump is built
             # mid-run.
             _CompiledRun(fleet.controllers[s], w, base=self.base).schedule()
-        self._next = self._pull()
-        if self._next is not None:
-            self._arm()
+        self._pull()
 
     def drain(self) -> None:
         """Sweep each controller's fresh latency samples (in recording
@@ -773,19 +795,13 @@ class _WindowRouter:
         for s, ctrl in enumerate(fleet.controllers):
             _sweep(ctrl.latency, lat_base[s], digests[s])
 
-    def finish(self) -> int:
+    def finish(self) -> None:
         """Close the stream once the clock has drained: sweep the last
-        samples, extend the tallies over shards born mid-stream, and
-        label every controller — router mode runs every shard on the
-        chained heap pump, so all of them, including shards born after
-        the last window or that saw no traffic, carry its label and
-        serial and multi-process serves agree at every window size.
-        Returns the number of windows delivered."""
+        samples and label every controller — router mode runs every
+        shard on the chained heap pump, so all of them, including
+        shards born after the last window or that saw no traffic, carry
+        its label and serial and multi-process serves agree at every
+        window size."""
         self.drain()
-        fleet = self.fleet
-        self.scheduled.extend(
-            [0] * (len(fleet.controllers) - len(self.scheduled))
-        )
-        for ctrl in fleet.controllers:
+        for ctrl in self.fleet.controllers:
             ctrl.set_engine("windowed-pump", "event-heap")
-        return self.windows

@@ -558,17 +558,14 @@ class MigrationCoordinator:
         is_read: np.ndarray,
         lbas: np.ndarray,
         vols: np.ndarray,
-        *,
-        absolute: bool = False,
     ) -> None:
-        """Take ownership of a diverted sub-stream (arrival times
-        relative to the current clock, like a compiled trace, or —
-        with ``absolute=True`` — already on the shared clock, as the
-        fleet's window router registers them: windows are diverted
-        mid-run, when ``sim.now`` has moved past the stream origin)."""
+        """Take ownership of a diverted sub-stream, in arrival order,
+        its times on the shared clock (the fleet's live-routing step
+        adds the stream origin: a window is diverted mid-run, when
+        ``sim.now`` has moved past it)."""
         _StreamPump(
             self,
-            times.tolist() if absolute else (self.fleet.sim.now + times).tolist(),
+            times.tolist(),
             is_read.tolist(),
             lbas.tolist(),
             vols.tolist(),

@@ -58,10 +58,12 @@ stream.  Everything crossing the process boundary is spawn-safe:
 workers receive a picklable :class:`GroupTask`, rebuild
 layouts/mappers through their own local registry, and simulate only
 their own arrays on a fresh clock.  Per-group results are merged
-**deterministically** — per-shard latency digests placed by global
-shard id and folded in shard order (exactly the serial report's
-float-summation order), rebuild outcomes re-sorted — so the merged
-report is equal to the serial shared-clock report field for field,
+**deterministically** — each shard's
+:class:`~repro.service.fleet.ShardTally` (the record the serial fleet
+builds too) placed by global shard id and folded in shard order
+(exactly the serial report's float-summation order), rebuild outcomes
+re-sorted — so the merged report is equal to the serial shared-clock
+report field for field,
 and ``workers=N`` output is byte-identical to ``workers=1`` after
 :func:`canonical_payload` strips the wall-clock and
 execution-metadata fields that legitimately differ run to run.
@@ -98,9 +100,8 @@ from ..sim.compile import (
 )
 from ..sim.controller import ArrayController
 from ..sim.events import Simulator
-from ..sim.stats import LatencyDigest
-from ..sim.stream import _execute_shard_windows, _ShardRoute, _sweep
-from .fleet import FleetReport, _fold_report, _WindowRouter
+from ..sim.stream import _execute_shard_windows, _ShardRoute
+from .fleet import FleetReport, ShardTally, _fold_report, _tally
 from .migration import (
     MigrationCoordinator,
     VolumeMigrationOutcome,
@@ -437,42 +438,32 @@ class GroupTask:
 @dataclass
 class GroupResult:
     """One group's simulation outcome — everything the merge needs.
-    Latency crosses back as constant-size digests, never raw samples,
-    and summaries are computed only over the merged digests so they
-    match the serial report bit for bit.
+    Each shard crosses back as one :class:`~repro.service.fleet.ShardTally`
+    whose latency is already reduced to constant-size states, never raw
+    samples; the merge folds them as the serial report folds its own,
+    so summaries match it bit for bit.
 
     Attributes:
         arrays: global shard ids (ascending, mirrors the group spec).
-        scheduled: per-shard routed request counts (group order).
-        per_disk_ios: per-shard completed-IO vectors (group order).
+        tallies: one tally per array (group order): routed requests,
+            latency states, per-disk IOs, engine label and executor
+            (the engine is ``None`` for a shard that never ran one).
         duration_ms: this group's makespan on its own clock.
         outcomes: completed rebuilds (global array ids, completion
             order).
         wall_s: worker wall-clock for the group (build + simulate).
-        digests: per-shard ``{kind: LatencyDigest}`` accumulators
-            (group order) — O(buckets) result IPC, summary-identical to
-            the exact samples' (see ``repro.sim.stats``).
         migrations: completed volume moves this group's coordinator
             executed (global ids, completion order).
-        engines: per-shard engine labels (group order; ``None`` entries
-            for shards that never ran an engine).  Always populated —
-            the report surfaces engine choice even with metrics off.
-        executors: per-shard executors that ran them (group order; the
-            report's volatile ``executor_per_shard``).
         obs: the worker's :class:`repro.obs.MetricsRecorder` when the
             run is instrumented (the parent absorbs it), else ``None``.
     """
 
     arrays: tuple[int, ...]
-    scheduled: list[int]
-    per_disk_ios: list[list[int]]
+    tallies: list[ShardTally]
     duration_ms: float
     outcomes: list[RebuildOutcome]
     wall_s: float
-    digests: list[dict[str, LatencyDigest]]
     migrations: list[VolumeMigrationOutcome] = field(default_factory=list)
-    engines: list[str | None] = field(default_factory=list)
-    executors: list[str | None] = field(default_factory=list)
     obs: MetricsRecorder | None = None
 
 
@@ -497,15 +488,14 @@ def _group_result(
     controllers: list[ArrayController],
     rec: MetricsRecorder | None,
     duration: float,
-    scheduled: list[int],
-    digests: list[dict[str, LatencyDigest]],
+    tallies: list[ShardTally],
     *,
     outcomes: list[RebuildOutcome],
     migrations: list[VolumeMigrationOutcome] | None = None,
 ) -> GroupResult:
-    """Package a finished group (``controllers`` and the per-shard
-    lists in group order), recording each shard's queue-delay stat
-    when instrumented."""
+    """Package a finished group (``controllers`` and ``tallies`` in
+    group order), recording each shard's queue-delay stat when
+    instrumented."""
     arrays = task.group.arrays
     if rec is not None:
         for gid, ctrl in zip(arrays, controllers):
@@ -516,15 +506,11 @@ def _group_result(
             )
     return GroupResult(
         arrays=arrays,
-        scheduled=scheduled,
-        per_disk_ios=[ctrl.per_disk_completed() for ctrl in controllers],
+        tallies=tallies,
         duration_ms=duration,
         outcomes=outcomes,
         wall_s=time.perf_counter() - t0,
-        digests=digests,
         migrations=migrations or [],
-        engines=[ctrl.last_engine for ctrl in controllers],
-        executors=[ctrl.last_executor for ctrl in controllers],
         obs=rec,
     )
 
@@ -591,23 +577,26 @@ def _execute_group(task: GroupTask, source) -> GroupResult:
         )
         orchestrator.arm()
     fleet_busy = bool(sc.failures) or sc.reshape_to is not None
-    digests: list[dict[str, LatencyDigest]] = [{} for _ in arrays]
     if task.route is None:
         _execute_shards(controllers, source, fleet_busy=fleet_busy)
         scheduled = [t.n for t in source]
-        for ctrl, digest in zip(controllers, digests):
-            _sweep(ctrl.latency, {}, digest)
+        # Fresh controllers: every sample is this serve's.
+        accs = [
+            {kind: st for kind, st in ctrl.latency.items() if st.count}
+            for ctrl in controllers
+        ]
     else:
         read_only = sc.read_fraction >= 1.0
         if isinstance(source, ArrayWindows):
             # As in the serial runner: a submitted stream may carry
             # writes whatever the scenario's mix.
             read_only = read_only and bool(source.is_read.all())
+        accs = [{} for _ in arrays]  # one kind -> digest map per shard
         scheduled, _ = _execute_shard_windows(
             controllers,
             task.route,
             source,
-            digests,
+            accs,
             read_only_hint=read_only,
             fleet_busy=fleet_busy,
         )
@@ -622,22 +611,9 @@ def _execute_group(task: GroupTask, source) -> GroupResult:
         controllers,
         rec,
         sim.now,
-        scheduled,
-        digests,
+        [_tally(*shard) for shard in zip(controllers, scheduled, accs)],
         outcomes=outcomes,
     )
-
-
-def _filtered_windows(windows, keep: np.ndarray, volume_units: int):
-    """A windowed fleet stream restricted to the volumes a worker's
-    arrays serve under the *static* routing table (moving volumes
-    route to their source array until cutover, and the source is
-    always in the migration component, so the static filter captures
-    every request the worker must see)."""
-    for times, is_read, lbas in windows:
-        if len(times):
-            mask = keep[lbas // volume_units]
-            yield times[mask], is_read[mask], lbas[mask]
 
 
 def _execute_migration_group(task: GroupTask) -> GroupResult:
@@ -648,10 +624,14 @@ def _execute_migration_group(task: GroupTask) -> GroupResult:
     component stay idle — zero events), attaches a coordinator
     filtered to the component's moves with its static share of the
     copy budget, and serves only the traffic the static routing table
-    sends to the component's arrays.  Because the component is closed
-    under the move graph, every diverted request, mirror write, and
-    copy IO lands inside it — the same events the serial run produces
-    on these arrays, in the same per-shard order.
+    sends to the component's arrays, through the fleet's own serve
+    (:meth:`Fleet.serve_stream`, or :meth:`Fleet.serve_windows`, whose
+    window router the live migration selects).  Because the component
+    is closed under the move graph, every diverted request, mirror
+    write, and copy IO lands inside it — the same events the serial
+    run produces on these arrays, in the same per-shard order — and
+    the report's tallies for the component's arrays are the serial
+    run's.
     """
     t0 = time.perf_counter()
     scenario, group = task.scenario, task.group
@@ -673,56 +653,31 @@ def _execute_migration_group(task: GroupTask) -> GroupResult:
         # below), so the recorder state stays disjoint across workers.
         fleet.attach_recorder(rec)
     coordinator.arm()
-    keep = np.isin(
-        fleet.volume_route(), np.array(group.arrays, dtype=np.int64)
-    )
+    # The static routing table's share of the component: moving volumes
+    # route to their source array until cutover, and the source is in
+    # the component, so this keeps every request the worker must see.
+    keep = np.isin(fleet.volume_route(), group.arrays)
 
-    if scenario.window_size is not None:
-        windows = _filtered_windows(
-            StreamWindows(
-                scenario.workload(),
-                scenario.duration_ms,
-                fleet.capacity,
-                window_size=scenario.window_size,
-            ),
-            keep,
-            fleet.volume_units,
-        )
-        digests: list[dict[str, LatencyDigest]] = [
-            {} for _ in fleet.controllers
-        ]
-        scheduled = [0] * len(fleet.controllers)
-        router = _WindowRouter(fleet, windows, digests, scheduled)
-        fleet.sim.run()
-        router.finish()
-    else:
-        times, is_read, lbas = generate_request_stream(
-            scenario.workload(), scenario.duration_ms, fleet.capacity
-        )
+    def kept(times, is_read, lbas):
         mask = keep[lbas // fleet.volume_units]
-        compiled, _ = fleet.route_stream(
-            times[mask], is_read[mask], lbas[mask]
-        )
-        _execute_shards(fleet.controllers, compiled)
-        scheduled = [t.n for t in compiled]
-        scheduled += [0] * (len(fleet.controllers) - len(scheduled))
-        digests = [{} for _ in fleet.controllers]
-        for ctrl, digest in zip(fleet.controllers, digests):
-            _sweep(ctrl.latency, {}, digest)
-    # The coordinator's dispatches count where they actually ran
-    # (fresh coordinator: the base is zero).
-    for s, total in enumerate(coordinator.dispatched_per_shard):
-        scheduled[s] += total
+        return times[mask], is_read[mask], lbas[mask]
 
-    local = list(group.arrays)
+    workload, horizon = scenario.workload(), scenario.duration_ms
+    if scenario.window_size is None:
+        stream = generate_request_stream(workload, horizon, fleet.capacity)
+        report = fleet.serve_stream(*kept(*stream))
+    else:
+        windows = StreamWindows(
+            workload, horizon, fleet.capacity, window_size=scenario.window_size
+        )
+        report = fleet.serve_windows(kept(*window) for window in windows)
     return _group_result(
         task,
         t0,
-        [fleet.controllers[a] for a in local],
+        [fleet.controllers[a] for a in group.arrays],
         rec,
         fleet.sim.now,
-        [scheduled[a] for a in local],
-        [digests[a] for a in local],
+        [report.tallies[a] for a in group.arrays],
         outcomes=[],
         migrations=list(coordinator.outcomes),
     )
@@ -743,20 +698,18 @@ def _merge_results(
 ]:
     """Fold per-group results into one fleet report.
 
-    Placement is by global shard id; the per-shard tallies then go
-    through the serial fleet's own fold, so float reductions (means)
-    agree bit for bit.  A reshape scenario's report covers
-    ``reshape_to`` shards (reshape-born shards a group didn't touch
-    stay zero rows, matching the serial pads); migration outcomes merge
-    sorted by volume id — the canonical order the report serializes
-    them in.
+    Each :class:`~repro.service.fleet.ShardTally` is placed by global
+    shard id and the tallies go through the serial fleet's own fold,
+    so float reductions (means) agree bit for bit.  A reshape
+    scenario's report covers ``reshape_to`` shards (reshape-born shards
+    a group didn't touch stay zero rows, matching the serial pads);
+    migration outcomes merge sorted by volume id — the canonical order
+    the report serializes them in.
     """
     n = max(scenario.shards, scenario.reshape_to or 0)
-    scheduled = [0] * n
-    accs: list[dict[str, LatencyDigest]] = [{} for _ in range(n)]
-    per_disk: list[list[int]] = [[0] * scenario.v for _ in range(n)]
-    engines: list[str | None] = [None] * n
-    executors: list[str | None] = [None] * n
+    tallies = [
+        ShardTally(0, {}, [0] * scenario.v, None, None) for _ in range(n)
+    ]
     duration = 0.0
     outcomes: list[RebuildOutcome] = []
     migrations: list[VolumeMigrationOutcome] = []
@@ -764,14 +717,10 @@ def _merge_results(
         duration = max(duration, res.duration_ms)
         outcomes.extend(res.outcomes)
         migrations.extend(res.migrations)
-        for i, gid in enumerate(res.arrays):
-            scheduled[gid] = res.scheduled[i]
-            per_disk[gid] = res.per_disk_ios[i]
-            engines[gid] = res.engines[i]
-            executors[gid] = res.executors[i]
-            accs[gid] = res.digests[i]
+        for gid, tally in zip(res.arrays, res.tallies):
+            tallies[gid] = tally
     return (
-        _fold_report(scheduled, accs, per_disk, duration, engines, executors),
+        _fold_report(tallies, duration),
         tuple(sorted(outcomes, key=lambda o: o.array)),
         tuple(sorted(migrations, key=lambda m: m.volume)),
     )

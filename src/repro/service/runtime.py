@@ -49,12 +49,13 @@ The canonical byte-identity contract is non-negotiable and holds by
 construction: cached slices are exactly the ``route_stream`` output
 the serial runner would compute (routing is a pure function of the
 fleet shape and the stream), shared-memory views are bit-equal to the
-arrays they pack, and worker results return constant-size
-:class:`repro.sim.LatencyDigest` accumulators whose summaries are
-bit-identical to the exact samples' (see ``repro.sim.stats``).
-``canonical_payload`` strips the volatile ``runtime`` stats section,
-so warm-pool, shared-memory, digest-IPC reports compare equal to cold
-serial reports at every window size and worker count — the matrix
+arrays they pack, and workers return one
+:class:`repro.service.fleet.ShardTally` per shard, whose constant-size
+latency states fold exactly as the exact samples' do (see
+``repro.sim.stats``).  ``canonical_payload`` strips the volatile
+``runtime`` stats section, so warm-pool, shared-memory, tally-IPC
+reports compare equal to cold serial reports at every window size and
+worker count — the matrix
 ``tests/service/test_runtime.py`` pins.
 """
 
@@ -101,6 +102,7 @@ from .parallel import (
 from .scenario import (
     FleetScenario,
     FleetScenarioReport,
+    _count_windows,
     run_fleet_scenario,
     scenario_fleet,
 )
@@ -364,7 +366,8 @@ class RuntimeStats:
         ipc_bytes_avoided: cumulative estimate of bytes kept off the
             pickle channel — trace bytes shipped as segment handles
             instead of arrays, plus ~8 bytes per completed request
-            returned as digest state instead of a raw sample.
+            returned inside a shard tally's latency states instead of
+            as a raw sample.
     """
 
     runs: int = 0
@@ -843,13 +846,8 @@ class WarmRuntime:
 
         fleet_report, outcomes, migrations = _merge_results(sc, results)
         if recorder is not None and sc.window_size is not None:
-            # Group executors iterate the stream once per group, so the
-            # window count comes from here: every window but the last
-            # is full.
-            n_windows = -(-fleet_report.scheduled // sc.window_size)
-            if n_windows:
-                recorder.count("window_boundaries", n_windows, volatile=True)
-        # Digest-IPC savings: ~one float per completed request that no
+            _count_windows(recorder, fleet_report.scheduled, sc.window_size)
+        # Tally-IPC savings: ~one float per completed request that no
         # longer rides the result pickle as a raw sample.
         self.stats.ipc_bytes_avoided += 8 * fleet_report.completed
         report = FleetScenarioReport(

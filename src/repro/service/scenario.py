@@ -402,6 +402,15 @@ class FleetScenarioReport:
         }
 
 
+def _count_windows(recorder, requests: int, window_size: int) -> None:
+    """Count a windowed serve's ``window_boundaries`` once, in its
+    runner: every window but the last is full, so there are
+    ``ceil(requests / window_size)``, however many passes read them."""
+    n = -(-requests // window_size)
+    if n:
+        recorder.count("window_boundaries", n, volatile=True)
+
+
 def scenario_fleet(
     scenario: FleetScenario, *, dataplane: bool = False
 ) -> Fleet:
@@ -565,6 +574,8 @@ def run_fleet_scenario(
     # edge where arming happened with nothing else pending.
     fleet.sim.run()
     if recorder is not None:
+        if window_size is not None:
+            _count_windows(recorder, report.scheduled, window_size)
         # Cumulative queue delay is a scalar left-fold in per-disk
         # arrival order on every engine path, so this sum is bit-exact
         # across engines, window sizes, and worker counts.

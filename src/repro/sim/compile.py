@@ -222,16 +222,10 @@ class ArrayWindows:
     def __init__(self, times, is_read, lbas, window_size: int) -> None:
         if window_size < 1:
             raise ValueError("window_size must be >= 1")
-        self.times = np.asarray(times, dtype=np.float64)
-        self.is_read = np.asarray(is_read, dtype=bool)
-        self.lbas = np.ascontiguousarray(lbas, dtype=np.int64)
-        if not (len(self.times) == len(self.is_read) == len(self.lbas)):
-            raise ValueError(
-                "times/is_read/lbas must be the same length, got "
-                f"{len(self.times)}/{len(self.is_read)}/{len(self.lbas)}"
-            )
-        _check_times(self.times)
-        if self.times.size and (self.times[1:] < self.times[:-1]).any():
+        self.times, self.is_read, self.lbas, order = _in_arrival_order(
+            times, is_read, lbas
+        )
+        if order is not None:
             raise ValueError("arrival times must be non-decreasing")
         self.window_size = int(window_size)
 
@@ -257,6 +251,32 @@ def _check_times(times: np.ndarray) -> None:
             raise ValueError(
                 f"arrival times must be >= 0, got {float(times.min())}"
             )
+
+
+def _in_arrival_order(times, is_read, lbas):
+    """A stream's columns as float64 / bool / int64 arrays, checked
+    (:func:`_check_times`) and stable-sorted into arrival order (ties
+    keep stream order: the event engine's tie-break), plus that sort —
+    None when they were in order already.
+
+    Raises:
+        ValueError: on columns of unequal length, or a NaN, infinite or
+            negative arrival time.
+    """
+    times = np.ascontiguousarray(times, dtype=np.float64)
+    is_read = np.ascontiguousarray(is_read, dtype=bool)
+    lbas = np.ascontiguousarray(lbas, dtype=np.int64)
+    if not (len(times) == len(is_read) == len(lbas)):
+        raise ValueError(
+            "times/is_read/lbas must be the same length, got "
+            f"{len(times)}/{len(is_read)}/{len(lbas)}"
+        )
+    _check_times(times)
+    order = None
+    if len(times) > 1 and bool((times[1:] < times[:-1]).any()):
+        order = np.argsort(times, kind="stable")
+        times, is_read, lbas = times[order], is_read[order], lbas[order]
+    return times, is_read, lbas, order
 
 
 def generate_request_stream(
@@ -372,24 +392,18 @@ def compile_stream(
         >>> trace.disks.shape                     # pre-mapped coordinates
         (3,)
     """
-    times = np.ascontiguousarray(times, dtype=np.float64)
-    is_read = np.ascontiguousarray(is_read, dtype=bool)
-    lbas = np.ascontiguousarray(lbas, dtype=np.int64)
-    if not (len(times) == len(is_read) == len(lbas)):
-        raise ValueError("times/is_read/lbas must have equal lengths")
-    _check_times(times)
-    if len(times) > 1 and bool((np.diff(times) < 0).any()):
-        order = np.argsort(times, kind="stable")
-        times, is_read, lbas = times[order], is_read[order], lbas[order]
+    times, is_read, lbas, _ = _in_arrival_order(times, is_read, lbas)
+    return _compile_ordered(mapper, times, is_read, lbas)
+
+
+def _compile_ordered(
+    mapper: AddressMapper, times, is_read, lbas
+) -> CompiledTrace:
+    """:func:`compile_stream` for columns already checked and in arrival
+    order (:func:`_in_arrival_order`) — a shard's slice of a routed
+    stream or window — so nothing is checked or sorted twice."""
     disks, offsets, stripes = mapper.map_batch(lbas, with_stripes=True)
-    return CompiledTrace(
-        times=times,
-        is_read=is_read,
-        lbas=lbas,
-        disks=disks,
-        offsets=offsets,
-        stripes=stripes,
-    )
+    return CompiledTrace(times, is_read, lbas, disks, offsets, stripes)
 
 
 def compile_workload(

@@ -77,10 +77,11 @@ import numpy as np
 from .batchstep import _eager_core, _exact_core
 from .compile import (
     CompiledTrace,
+    _compile_ordered,
+    _in_arrival_order,
     _CompiledRun,
     _WindowedSolver,
     _on_heap,
-    compile_stream,
 )
 from .controller import ArrayController
 from .stats import LatencyDigest, LatencyStats
@@ -158,10 +159,12 @@ class _ShardRoute:
 
 
 def _in_order(windows) -> Iterator[_Window]:
-    """``windows``' non-empty windows, each refused unless it starts at
-    or after the previous one's last arrival — the check of every pass
-    that routes windows (equal times across a boundary stay legal, and
-    :func:`~repro.sim.compile.compile_stream` sorts within a window).
+    """``windows``' non-empty windows, each checked and stable-sorted
+    into arrival order (:func:`~repro.sim.compile._in_arrival_order`)
+    and refused unless it starts at or after the previous one's last
+    arrival — the check of every pass that routes windows, made once
+    per window, so each shard's slice compiles without another (equal
+    times across a boundary stay legal).
 
     Windows stream, so the check runs as each window is pulled: a
     refusal comes after the windows before it were routed, and leaves
@@ -170,16 +173,18 @@ def _in_order(windows) -> Iterator[_Window]:
     caller discards the controllers (the fleet) it was serving on.
 
     Raises:
-        ValueError: on arrival times that go back across a boundary.
+        ValueError: on a window with columns of unequal length or a
+            NaN, infinite or negative arrival time, or on arrival times
+            that go back across a boundary.
     """
     last = -np.inf
     for window in windows:
-        times = window[0]
-        if len(times):
-            if times.min() < last:
+        if len(window[0]):
+            times, is_read, lbas, _ = _in_arrival_order(*window)
+            if times[0] < last:
                 raise ValueError("arrival times must be non-decreasing")
-            last = times.max()
-            yield window
+            last = times[-1]
+            yield times, is_read, lbas
 
 
 def _slice_window(
@@ -190,13 +195,14 @@ def _slice_window(
     base: float,
     scheduled: list[int],
 ) -> Iterator[tuple[int, CompiledTrace]]:
-    """Compile each shard's slice of one routed window — the slicing
-    loop of every windowed engine and of the fleet's window router.  For
-    each ``(index, ctrl)`` of ``shards`` whose shard ``ctrl.obs_shard``
-    the window reaches (``shard_ids``), record its arrivals (stream
-    start ``base``), add its size to ``scheduled[index]`` and yield
-    ``(index, slice)``.  Each slice's columns are gathered through one
-    index array of its requests."""
+    """Compile each shard's slice of one routed window, already checked
+    and in arrival order (:func:`_in_order`) — the slicing loop of
+    every windowed engine and of the fleet's window router.  For each
+    ``(index, ctrl)`` of ``shards`` whose shard ``ctrl.obs_shard`` the
+    window reaches (``shard_ids``), record its arrivals (stream start
+    ``base``), add its size to ``scheduled[index]`` and yield ``(index,
+    slice)``.  Each slice's columns are gathered through one index
+    array of its requests."""
     times, is_read, lbas = window
     for i, ctrl in shards:
         idx = np.flatnonzero(shard_ids == ctrl.obs_shard)
@@ -206,7 +212,7 @@ def _slice_window(
         if ctrl.obs.enabled:
             ctrl.obs.arrivals(ctrl.obs_shard, base + at)
         local = lbas[idx] % shard_capacity
-        w = compile_stream(ctrl.mapper, at, is_read[idx], local)
+        w = _compile_ordered(ctrl.mapper, at, is_read[idx], local)
         scheduled[i] += w.n
         yield i, w
 

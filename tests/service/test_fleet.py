@@ -59,6 +59,23 @@ class TestRouting:
             assert (trace.times == times[mask]).all()
             assert (trace.lbas == lbas[mask] % fleet.shard_capacity).all()
 
+    def test_out_of_order_stream_routes_as_its_stable_sort(self):
+        """A stream out of arrival order compiles as its stable sort
+        (ties keep stream order), and its shard ids come back in input
+        order."""
+        fleet = Fleet(4, 9, 3, seed=0)
+        times, is_read, lbas = _stream(fleet, n=300)
+        perm = np.random.default_rng(2).permutation(len(times))
+        stream = (np.floor(times)[perm], is_read[perm], lbas[perm])
+        compiled, ids = fleet.route_stream(*stream)
+        order = np.argsort(stream[0], kind="stable")
+        ref, ref_ids = fleet.route_stream(*(col[order] for col in stream))
+        assert (ids[order] == ref_ids).all()
+        fields = ("times", "is_read", "lbas", "disks", "offsets", "stripes")
+        for got, want in zip(compiled, ref):
+            for name in fields:
+                assert (getattr(got, name) == getattr(want, name)).all()
+
 
 class TestServing:
     def test_single_shard_fleet_matches_simulate_workload(self):

@@ -2,6 +2,8 @@
 grow/shrink, bit-for-bit verification, drain/cutover bookkeeping, and
 the shared admission budget."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,86 @@ class TestCoordinatorEdges:
             MigrationCoordinator(fleet, 8, at_ms=-1.0)
         with pytest.raises(ValueError):
             MigrationCoordinator(fleet, 8, at_ms=1.0, copy_parallelism=0)
+
+
+def _moving_fleet(dataplane=False):
+    """The 12-volume fleet that grows 4 -> 6 at 5 ms (volumes 6, 7 and
+    11 move)."""
+    fleet = Fleet(4, 9, 3, volumes=12, seed=9, dataplane=dataplane)
+    co = MigrationCoordinator(fleet, 6, at_ms=5.0)
+    co.arm()
+    return fleet, co
+
+
+def _stable_sorted(times, is_read, lbas):
+    order = np.argsort(times, kind="stable")
+    return times[order], is_read[order], lbas[order]
+
+
+def _shuffled_stream(capacity, n=600, seed=3):
+    """``n`` requests on a 1 ms grid (so arrival times tie) over the
+    whole address space, in a seeded random order."""
+    rng = np.random.default_rng(seed)
+    times = np.floor(rng.uniform(0.0, 300.0, n))
+    return times, rng.random(n) < 0.6, rng.integers(0, capacity, n)
+
+
+class TestOutOfOrderStreams:
+    """A stream (or a window) out of arrival order serves as its stable
+    sort does, also while a live migration diverts part of it: the
+    router checks and sorts each stream and window once, before the
+    coordinator takes its share (a diverted sub-stream used to keep the
+    input order and fail mid-serve with "cannot schedule into the
+    past")."""
+
+    @staticmethod
+    def _serve(mode, stream, dataplane=False):
+        fleet, co = _moving_fleet(dataplane)
+        if mode == "stream":
+            report = fleet.serve_stream(*stream)
+        else:
+            report = fleet.serve_windows(stream)
+        assert co.done and co.all_verified
+        return asdict(report)
+
+    @pytest.mark.parametrize("mode", ["stream", "window"])
+    def test_diverted_requests_out_of_order(self, mode):
+        fleet, co = _moving_fleet()
+        vu = fleet.volume_units
+        assert co.claims(np.array([6, 0])).tolist() == [True, False]
+        times = np.array([0.0, 50.0, 20.0, 60.0])
+        is_read = np.array([True, False, True, True])
+        lbas = np.array([0, 6 * vu + 1, 6 * vu + 2, 3], dtype=np.int64)
+        stream = (times, is_read, lbas)
+        wrap = (lambda s: s) if mode == "stream" else (lambda s: [s])
+        got = self._serve(mode, wrap(stream))
+        assert got["completed"] == 4
+        assert got == self._serve(mode, wrap(_stable_sorted(*stream)))
+
+    @pytest.mark.parametrize("dataplane", [False, True])
+    def test_shuffled_stream(self, dataplane):
+        stream = _shuffled_stream(_moving_fleet()[0].capacity)
+        got = self._serve("stream", stream, dataplane)
+        assert got["scheduled"] == got["completed"] == 600
+        assert got == self._serve("stream", _stable_sorted(*stream), dataplane)
+
+    @pytest.mark.parametrize("dataplane", [False, True])
+    def test_windows_shuffled_within(self, dataplane):
+        """Windows in order whose requests are not: each serves as its
+        stable sort, on the window router."""
+        times, is_read, lbas = _stable_sorted(
+            *_shuffled_stream(_moving_fleet()[0].capacity)
+        )
+        rng = np.random.default_rng(4)
+        windows = []
+        for i in range(0, len(times), 64):
+            perm = i + rng.permutation(min(64, len(times) - i))
+            windows.append((times[perm], is_read[perm], lbas[perm]))
+        got = self._serve("window", windows, dataplane)
+        assert got["completed"] == 600
+        assert got == self._serve(
+            "window", [_stable_sorted(*w) for w in windows], dataplane
+        )
 
 
 class TestScenarioIntegration:

@@ -319,6 +319,35 @@ class TestReshapeComponents:
             assert _canon(serial.to_dict()) == _canon(run.to_dict())
             assert run.report.all_migrated_verified
 
+    @pytest.mark.parametrize("window", [None, 64, 512])
+    def test_migration_groups_record_as_serial(self, window):
+        """Migration groups with a recorder: on 1 and 2 workers the
+        metrics JSONL and Prometheus text equal the serial run's byte
+        for byte, and each window of the stream counts once."""
+        sc = replace_scenario(RESHAPE_SPLIT, window_size=window)
+        outputs = []
+        for workers in (None, 1, 2):
+            rec = MetricsRecorder(50.0, shards=sc.shards)
+            if workers is None:
+                report = run_fleet_scenario(sc, recorder=rec)
+            else:
+                run = run_fleet_scenario_parallel(
+                    sc, workers=workers, recorder=rec
+                )
+                assert not run.execution.serial_fallback
+                assert len(run.execution.groups) == 3
+                report = run.report
+            boundaries = rec.counters(volatile=True).get("window_boundaries")
+            if window is None:
+                assert boundaries is None
+            else:
+                assert boundaries == -(-report.fleet.scheduled // window)
+            outputs.append(
+                (render_metrics_jsonl(build_rows(rec)), prometheus_text(rec))
+            )
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
 
 class TestWindowedParallel:
     """Windowed scenarios ship a window *iterator* to workers (never a
