@@ -16,8 +16,8 @@
 #   smoke-stream - large-horizon streaming smoke: a 10^7-request mixed
 #             fleet served through compiled windows with a peak-RSS
 #             ceiling (--max-rss-mb) — the constant-memory gate.
-#             ~30 s of wall time on a 2-CPU host; skip on slow hosts
-#             with STREAM_SMOKE=0
+#             About 5 s of wall time on a 2-CPU host; skip on slow
+#             hosts with STREAM_SMOKE=0
 #   smoke-obs - instrumented serve smoke: metrics JSONL + Prometheus +
 #             trace span files written on the serial and 2-worker runs
 #             must be byte-identical; the trace summary must render
@@ -33,11 +33,13 @@
 #   examples-smoke - run every script under examples/ headless
 #   docs-check     - link-check docs/ + README (local targets only)
 #   bench-guard    - time each compiled engine against the event heap on
-#             the same trace, and the warm runtime against its cold
-#             first serve; fail when a ratio drops below its floor or
-#             a case lands on the wrong engine
-#   bench   - benchmark suites; writes BENCH_{mapping,sim,service}.json
-#   bench-all - every pytest-benchmark file under benchmarks/
+#             the same trace, map_batch against the scalar mapping
+#             loop, and the warm runtime against its cold first serve;
+#             fail when a ratio drops below its floor or a case lands
+#             on the wrong engine
+#   bench-all - the paper-table benches (benchmarks/bench_*.py, timed by
+#             pytest-benchmark; PYTEST_ADDOPTS=--benchmark-disable runs
+#             them once each as plain assertions)
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -46,7 +48,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # the plain serial run otherwise (the container image does not ship it).
 XDIST := $(shell $(PYTHON) -c "import pytest_xdist" 2>/dev/null && echo "-n auto")
 
-.PHONY: check test doctest verify smoke smoke-parallel smoke-stream smoke-obs smoke-autoscale smoke-frontend examples-smoke docs-check bench-guard bench bench-all
+.PHONY: check test doctest verify smoke smoke-parallel smoke-stream smoke-obs smoke-autoscale smoke-frontend examples-smoke docs-check bench-guard bench-all
 
 check: test doctest verify smoke smoke-parallel smoke-stream smoke-obs smoke-autoscale smoke-frontend examples-smoke bench-guard
 
@@ -172,8 +174,7 @@ docs-check:
 bench-guard:
 	$(PYTHON) tools/bench_guard.py
 
-bench:
-	$(PYTHON) -m repro bench
-
+# pytest's default file pattern (test_*.py) matches no bench_*.py file,
+# so the benches are named explicitly.
 bench-all:
-	$(PYTHON) -m pytest benchmarks -q
+	$(PYTHON) -m pytest benchmarks/bench_*.py -q

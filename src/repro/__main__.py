@@ -16,13 +16,13 @@ Commands:
                        concurrent rebuilds + live ``--grow``/
                        ``--shrink`` volume migration) and emit a JSON
                        report (see ``docs/SCENARIOS.md``).
-* ``bench``          — run the benchmark suites and write the
-                       ``BENCH_*.json`` artifacts.
+* ``trace FILE``     — summarize a ``serve --trace-out`` span file.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .core import census, enumerate_plans, plan_layout
@@ -160,11 +160,47 @@ def _parse_reshape_spec(spec: str, flag: str, grow: bool) -> tuple[int, int]:
     return start, target
 
 
-def _peak_rss_mb() -> float | None:
-    """Peak RSS of this process in MiB, or None when unavailable."""
-    from .bench import peak_rss_mb
+def _vm_hwm_mb(status_path: str = "/proc/self/status") -> float | None:
+    """Peak RSS from procfs ``VmHWM`` in MiB, or None when the file is
+    unreadable or carries no high-water-mark line (non-Linux)."""
+    try:
+        with open(status_path) as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
 
-    return peak_rss_mb()
+
+def _rusage_mb(ru_maxrss: int, platform: str) -> float:
+    """Normalize a ``getrusage`` peak to MiB: the BSD interface leaves
+    the unit to the platform — KiB everywhere that matters except
+    macOS, which reports bytes."""
+    if platform == "darwin":
+        ru_maxrss //= 1024
+    return ru_maxrss / 1024.0
+
+
+def peak_rss_mb() -> float | None:
+    """Peak RSS of this process in MiB, or None when unavailable (the
+    ``serve --max-rss-mb`` gate's reading).
+
+    Prefers ``/proc/self/status`` ``VmHWM`` (per-mm, so it resets
+    across ``exec`` — ``ru_maxrss`` is inherited by subprocesses on
+    Linux, which would make a child's reading reflect the parent's
+    high-water mark); falls back to ``getrusage`` elsewhere.
+    """
+    hwm = _vm_hwm_mb()
+    if hwm is not None:
+        return hwm
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX platforms
+        return None
+    return _rusage_mb(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, sys.platform
+    )
 
 
 def _load_autoscale_policy(path: str) -> "AutoscalePolicy":
@@ -204,6 +240,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         run_fleet_scenario,
     )
 
+    if args.failures is not None and args.failures < 0:
+        raise ValueError(f"--failures must be >= 0, got {args.failures}")
+    if args.max_rss_mb is not None and not (
+        math.isfinite(args.max_rss_mb) and args.max_rss_mb > 0
+    ):
+        raise ValueError(
+            f"--max-rss-mb must be finite and > 0, got {args.max_rss_mb:g}"
+        )
     if args.smoke:
         # The CI/make-check quick mode: still a real fleet with a real
         # concurrent failure pair, just a short horizon.
@@ -247,25 +291,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.duration * 0.25,
         )
 
-    recorder = None
-    if args.metrics_out or args.metrics_prom:
-        from .obs import MetricsRecorder
-
-        interval = args.metrics_interval
-        if interval is None:
-            # Default grid: 20 snapshot buckets across the horizon.
-            # With an autoscale policy the recorder is the control
-            # loop's input, so the default pins the grid to the
-            # policy cadence — requesting metrics files must not
-            # change what the autoscaler sees (an explicit
-            # --metrics-interval changes the decision inputs, and is
-            # validated against the policy lookback).
-            if policy is not None:
-                interval = policy.cadence_ms
-            else:
-                interval = args.duration / 20.0
-        recorder = MetricsRecorder(interval, shards=args.shards)
-
     scenario = FleetScenario(
         shards=args.shards,
         v=args.v,
@@ -289,6 +314,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         autoscale=policy,
     )
+    recorder = None
+    if args.metrics_out or args.metrics_prom:
+        from .obs import MetricsRecorder
+
+        interval = args.metrics_interval
+        if interval is None:
+            # Default grid: 20 snapshot buckets across the horizon.
+            # With an autoscale policy the recorder is the control
+            # loop's input, so the default pins the grid to the
+            # policy cadence — requesting metrics files must not
+            # change what the autoscaler sees (an explicit
+            # --metrics-interval changes the decision inputs, and is
+            # validated against the policy lookback).
+            if policy is not None:
+                interval = policy.cadence_ms
+            else:
+                interval = args.duration / 20.0
+        recorder = MetricsRecorder(interval, shards=args.shards)
     if args.listen:
         from .service import run_frontend
 
@@ -437,7 +480,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     rss_exceeded = False
-    peak_mb = _peak_rss_mb()
+    peak_mb = peak_rss_mb()
     if peak_mb is not None:
         print(f"peak rss: {peak_mb:.1f} MiB", file=sys.stderr)
         if args.max_rss_mb is not None and peak_mb > args.max_rss_mb:
@@ -492,12 +535,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(text)
     ok = payload["passed"] and not unexpected_fallback and not rss_exceeded
     return 0 if ok else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import run_bench_suite
-
-    return 0 if run_bench_suite(args.suite, args.out_dir) else 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -819,22 +856,6 @@ def main(argv: list[str] | None = None) -> int:
         "the worst-balance snapshot to the summary",
     )
     p.set_defaults(fn=_cmd_trace)
-
-    p = sub.add_parser(
-        "bench", help="run benchmark suites, write BENCH_*.json artifacts"
-    )
-    p.add_argument(
-        "--suite",
-        choices=("all", "mapping", "sim", "service"),
-        default="all",
-        help="which suite to run (default: all)",
-    )
-    p.add_argument(
-        "--out-dir",
-        default=".",
-        help="directory for the JSON artifacts (default: cwd)",
-    )
-    p.set_defaults(fn=_cmd_bench)
 
     args = parser.parse_args(argv)
     try:

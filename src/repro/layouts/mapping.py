@@ -54,31 +54,21 @@ class AddressMapper:
     """Bidirectional logical/physical mapping for a layout.
 
     Logical data units are numbered in stripe order (stripe 0's data
-    units first).  Parity units have no logical address.
+    units first).  Parity units have no logical address.  The lookup
+    tables (and batch outputs) are ``int32`` whenever every offset,
+    stripe id, logical address and cell across all iterations fits,
+    ``int64`` otherwise (:attr:`index_dtype`).
 
     Args:
         layout: the data layout (one iteration).
         iterations: how many times the layout tiles each disk (a disk
             has ``layout.size * iterations`` units).
-        index_dtype: table/element dtype override (``np.int32`` or
-            ``np.int64``).  Default ``None`` picks ``int32`` whenever
-            every offset, stripe id, and logical address across all
-            iterations fits, ``int64`` otherwise — the override exists
-            for the benchmark suite's before/after comparison.
 
     Raises:
-        ValueError: on a non-positive iteration count, an unsupported
-            ``index_dtype``, or an ``int32`` override whose address
-            space does not fit 32 bits.
+        ValueError: on a non-positive iteration count.
     """
 
-    def __init__(
-        self,
-        layout: Layout,
-        *,
-        iterations: int = 1,
-        index_dtype: np.dtype | type | None = None,
-    ):
+    def __init__(self, layout: Layout, *, iterations: int = 1):
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
         self.layout = layout
@@ -97,19 +87,7 @@ class AddressMapper:
             (layout.v * layout.size - layout.b) * iterations,
             layout.v * layout.size * iterations,
         )
-        if index_dtype is None:
-            dtype = np.dtype(np.int32 if extreme < 2**31 else np.int64)
-        else:
-            dtype = np.dtype(index_dtype)
-            if dtype not in (np.dtype(np.int32), np.dtype(np.int64)):
-                raise ValueError(
-                    f"index_dtype must be int32 or int64, got {dtype}"
-                )
-            if dtype == np.dtype(np.int32) and extreme >= 2**31:
-                raise ValueError(
-                    f"address space too large for int32 tables "
-                    f"(max value {extreme})"
-                )
+        dtype = np.dtype(np.int32 if extreme < 2**31 else np.int64)
         self._dtype = dtype
         typecode = "i" if dtype == np.dtype(np.int32) else "q"
         itemsize = dtype.itemsize

@@ -90,9 +90,10 @@ class MetricsRecorder:
     enabled = True
 
     def __init__(self, interval_ms: float, shards: int = 1) -> None:
-        if interval_ms <= 0:
+        if not (math.isfinite(interval_ms) and interval_ms > 0):
             raise ValueError(
-                f"metrics interval must be > 0 ms, got {interval_ms}"
+                f"metrics interval must be finite and > 0 ms, got "
+                f"{interval_ms}"
             )
         self.interval_ms = float(interval_ms)
         self.shards = int(shards)

@@ -202,6 +202,8 @@ class Fleet:
     ):
         if shards < 1:
             raise ValueError(f"a fleet needs >= 1 shard, got {shards}")
+        if volumes is not None and volumes < 1:
+            raise ValueError(f"a fleet needs >= 1 volume, got {volumes}")
         self.sim = Simulator()
         # The planner's pick for (v, k), and the layout it builds.
         self.plan = get_plan(v, k)

@@ -54,6 +54,7 @@ runner enforces this.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -270,8 +271,10 @@ class MigrationCoordinator:
     ):
         if copy_parallelism < 1:
             raise ValueError("copy_parallelism must be >= 1")
-        if at_ms < 0:
-            raise ValueError(f"reshape time {at_ms} is negative")
+        if not (math.isfinite(at_ms) and at_ms >= 0):
+            raise ValueError(
+                f"reshape time {at_ms} must be finite and non-negative"
+            )
         self.fleet = fleet
         self.at_ms = at_ms
         self.admission_controller = (

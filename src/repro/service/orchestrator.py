@@ -26,6 +26,7 @@ underlying sweep, so with data planes attached the fleet-level verdict
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -54,7 +55,8 @@ def validate_failure_schedule(
 
     Raises:
         ValueError: on an out-of-range array/disk target, a negative
-            failure time, or two failures on one (single-parity) array.
+            or non-finite failure time, or two failures on one
+            (single-parity) array.
     """
     seen_arrays: set[int] = set()
     for ev in failures:
@@ -67,8 +69,10 @@ def validate_failure_schedule(
             raise ValueError(
                 f"failure targets disk {ev.disk} in a {v}-disk array"
             )
-        if ev.time_ms < 0:
-            raise ValueError(f"failure time {ev.time_ms} is negative")
+        if not (math.isfinite(ev.time_ms) and ev.time_ms >= 0):
+            raise ValueError(
+                f"failure time {ev.time_ms} must be finite and non-negative"
+            )
         if ev.array in seen_arrays:
             raise ValueError(
                 f"two failures target array {ev.array}; the "

@@ -133,7 +133,7 @@ __all__ = [
 def available_cpus() -> int:
     """CPUs this process may actually use (affinity-aware where the
     platform exposes it) — what ``workers=None`` auto-sizes to and what
-    the benchmark suite records next to its scaling numbers."""
+    the report's ``parallel`` section records as ``cpu_count``."""
     try:
         return len(os.sched_getaffinity(0)) or 1
     except AttributeError:  # pragma: no cover - non-Linux
@@ -816,8 +816,8 @@ def canonical_payload(payload: dict) -> dict:
     executor replayed each shard's engine serialization).  Two runs of
     the same scenario — serial, ``workers=1``, ``workers=N``, cold or
     warm — must produce *identical* canonical payloads; this is the
-    merge-equality gate the tests and the benchmark suite check with
-    ``json.dumps(..., sort_keys=True)`` string comparison.
+    merge-equality gate the tests and ``make smoke-parallel`` check
+    with ``json.dumps(..., sort_keys=True)`` string comparison.
     """
 
     def strip(node):

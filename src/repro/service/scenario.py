@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..sim.compile import ArrayWindows
+from ..sim.compile import ArrayWindows, _check_horizon
 from ..sim.disk import DiskParameters
 from ..sim.workload import WorkloadConfig
 from .autoscale import (
@@ -155,6 +155,12 @@ class FleetScenario:
     window_size: int | None = None
     seed: int = 0
     autoscale: AutoscalePolicy | None = None
+
+    def __post_init__(self) -> None:
+        # Up front: the default reshape time (and a caller's default
+        # failure times) derive from the horizon, and their checks
+        # would name the wrong field.
+        _check_horizon(self.duration_ms)
 
     def workload(self) -> WorkloadConfig:
         """The scenario's synthetic workload config."""

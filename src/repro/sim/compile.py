@@ -37,8 +37,7 @@ event loop:
 
 :func:`schedule_compiled_scalar` is the thin wrapper that keeps the old
 per-event path alive: the same compiled stream, submitted through the
-controller's scalar entry points — the equivalence oracle for tests and
-the baseline for ``benchmarks/bench_sim.py``.
+controller's scalar entry points — the equivalence oracle for tests.
 
 The whole pipeline in four lines (doctests here run in ``make
 check``):
@@ -55,6 +54,7 @@ True
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -144,7 +144,7 @@ class StreamWindows:
         if window_size < 1:
             raise ValueError("window_size must be >= 1")
         self.config = config
-        self.duration_ms = float(duration_ms)
+        self.duration_ms = _check_horizon(duration_ms)
         self.capacity = int(capacity)
         self.window_size = int(window_size)
         ss = np.random.SeedSequence(config.seed)
@@ -240,6 +240,18 @@ class ArrayWindows:
             )
 
 
+def _check_horizon(duration_ms: float) -> float:
+    """A workload horizon as a float, refused when it is NaN, infinite
+    or negative: no stream of arrivals ends there (a NaN or infinite
+    horizon would never end a windowed one)."""
+    duration_ms = float(duration_ms)
+    if not (math.isfinite(duration_ms) and duration_ms >= 0):
+        raise ValueError(
+            f"duration_ms must be finite and non-negative, got {duration_ms}"
+        )
+    return duration_ms
+
+
 def _check_times(times: np.ndarray) -> None:
     """Refuse arrival times no engine can schedule: NaN, infinite or
     negative — for the library entry points and the service
@@ -303,6 +315,7 @@ def generate_request_stream(
         >>> bool(times[-1] < 50.0 and lbas.max() < 24)
         True
     """
+    duration_ms = _check_horizon(duration_ms)
     window = max(64, int(duration_ms / config.interarrival_ms * 1.25) + 16)
     parts = list(StreamWindows(config, duration_ms, capacity, window_size=window))
     if not parts:

@@ -15,6 +15,7 @@ equivalence oracle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .compile import StreamWindows, compile_workload, schedule_compiled
@@ -41,12 +42,17 @@ class WorkloadConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.interarrival_ms <= 0:
-            raise ValueError("interarrival_ms must be positive")
+        ia = self.interarrival_ms
+        if not (math.isfinite(ia) and ia > 0):
+            raise ValueError(
+                f"interarrival_ms must be finite and positive, got {ia}"
+            )
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError("read_fraction must be within [0, 1]")
-        if self.zipf_theta < 0:
-            raise ValueError("zipf_theta must be >= 0")
+        if not (math.isfinite(self.zipf_theta) and self.zipf_theta >= 0):
+            raise ValueError(
+                f"zipf_theta must be finite and >= 0, got {self.zipf_theta}"
+            )
 
 
 def drive_workload(

@@ -1,6 +1,6 @@
-"""Unit coverage for the bench suite's peak-RSS probe.
+"""Unit coverage for the CLI's peak-RSS probe.
 
-``peak_rss_mb`` feeds the CLI's ``--max-rss-mb`` gate, so its two
+``peak_rss_mb`` feeds ``serve --max-rss-mb``'s gate, so its two
 sources — procfs ``VmHWM`` and the ``getrusage`` fallback with its
 platform-dependent unit — are pinned here without monkeypatching the
 live process state.
@@ -8,7 +8,7 @@ live process state.
 
 import sys
 
-from repro.bench import _rusage_mb, _vm_hwm_mb, peak_rss_mb
+from repro.__main__ import _rusage_mb, _vm_hwm_mb, peak_rss_mb
 
 
 class TestVmHwm:
@@ -52,13 +52,13 @@ class TestPeakRss:
     def test_fallback_used_without_procfs(self, monkeypatch):
         """With procfs unavailable the probe still answers via
         getrusage where the resource module exists."""
-        import repro.bench as bench
+        import repro.__main__ as cli
 
-        monkeypatch.setattr(bench, "_vm_hwm_mb", lambda: None)
+        monkeypatch.setattr(cli, "_vm_hwm_mb", lambda: None)
         try:
             import resource  # noqa: F401
         except ImportError:
-            assert bench.peak_rss_mb() is None
+            assert cli.peak_rss_mb() is None
         else:
-            peak = bench.peak_rss_mb()
+            peak = cli.peak_rss_mb()
             assert peak is not None and peak > 0.0

@@ -1,6 +1,8 @@
 """Unit coverage for :class:`repro.obs.MetricsRecorder` and the null
 recorder default."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,9 @@ class TestNullRecorder:
 
 class TestRecorderIngestion:
     def test_interval_must_be_positive(self):
-        with pytest.raises(ValueError, match="interval"):
-            MetricsRecorder(0.0)
+        for interval in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="interval"):
+                MetricsRecorder(interval)
 
     def test_feed_buckets_by_completion_time(self):
         rec = MetricsRecorder(10.0)

@@ -25,19 +25,26 @@ def _mapper(case_index: int, seed: int, iterations: int) -> AddressMapper:
     return AddressMapper(layout, iterations=iterations)
 
 
+#: Past 2^31 cells for every random case, so the mapper picks int64
+#: tables (the small counts all fit int32).
+_WIDE_ITERATIONS = 2**28
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     case=st.integers(min_value=0, max_value=len(_RANDOM_CASES) - 1),
     seed=st.integers(min_value=0, max_value=7),
-    iterations=st.integers(min_value=1, max_value=3),
+    iterations=st.sampled_from((_WIDE_ITERATIONS, 1, 2, 3)),
     data=st.data(),
 )
 def test_map_batch_matches_scalar(case, seed, iterations, data):
     mapper = _mapper(case, seed, iterations)
+    wide = iterations == _WIDE_ITERATIONS
+    assert mapper.index_dtype == (np.int64 if wide else np.int32)
     lbas = data.draw(
         st.lists(
             st.integers(min_value=0, max_value=mapper.capacity - 1),
-            min_size=0,
+            min_size=int(wide),  # the int64 tables always map something
             max_size=64,
         )
     )

@@ -173,12 +173,24 @@ class TestServing:
                 slow_rep.latency[kind]["mean"]
             )
 
-    def test_throughput_improves_with_shards(self):
-        cfg = WorkloadConfig(interarrival_ms=0.3, read_fraction=0.9, seed=7)
-        one = Fleet(1, 9, 3, seed=0).serve_workload(cfg, 1000.0)
-        eight = Fleet(8, 9, 3, seed=0).serve_workload(cfg, 1000.0)
+    @pytest.mark.parametrize(
+        "interarrival_ms, duration_ms, bar",
+        [(0.3, 1000.0, 1.5), (0.2, 8000.0, 2.5)],
+        ids=["short", "scaling-bar"],
+    )
+    def test_throughput_improves_with_shards(
+        self, interarrival_ms, duration_ms, bar
+    ):
+        """Simulated throughput (the makespan includes the queue drain)
+        of eight arrays against one at the same offered load; at 0.2 ms
+        over 8 s the eight read about 3.5x."""
+        cfg = WorkloadConfig(
+            interarrival_ms=interarrival_ms, read_fraction=0.9, seed=7
+        )
+        one = Fleet(1, 9, 3, seed=0).serve_workload(cfg, duration_ms)
+        eight = Fleet(8, 9, 3, seed=0).serve_workload(cfg, duration_ms)
         assert eight.scheduled == one.scheduled
-        assert eight.throughput_rps > 1.5 * one.throughput_rps
+        assert eight.throughput_rps > bar * one.throughput_rps
 
     @pytest.mark.parametrize(
         "order", [("heap", "off"), ("off", "heap")], ids=["heap-first", "off-first"]
@@ -233,6 +245,37 @@ class TestServing:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             Fleet(0, 9, 3)
+        # Refused before the volume extent divides by the count.
+        with pytest.raises(ValueError, match="volume"):
+            Fleet(2, 9, 3, volumes=0)
         fleet = Fleet(2, 9, 3)
         with pytest.raises(ValueError):
             fleet.serve_compiled([])
+
+
+#: Request-level max/min shard balance the p2c and weighted placements
+#: must hold on uniform traffic.
+BALANCE_BAR = 1.3
+
+
+def _uniform_read_balance(placement: str) -> float:
+    """Max/min requests per shard of an 8-shard (9,3) fleet serving a
+    uniform read stream: 0.2 ms aggregate interarrival over 8 s, seed 7
+    (39,848 requests, enough that p2c's randomized choices settle
+    inside the bar)."""
+    fleet = Fleet(8, 9, 3, seed=0, placement=placement)
+    cfg = WorkloadConfig(interarrival_ms=0.2, read_fraction=1.0, seed=7)
+    rep = fleet.serve_stream(
+        *generate_request_stream(cfg, 8000.0, fleet.capacity)
+    )
+    assert rep.scheduled == 39_848
+    return rep.shard_balance
+
+
+class TestPlacementBalance:
+    @pytest.mark.parametrize("placement", ["p2c", "weighted"])
+    def test_placement_holds_balance_bar(self, placement):
+        """p2c reads about 1.27 and weighted 1.03, where the ring
+        baseline (uniform volume routing) reads about 2.1."""
+        balance = _uniform_read_balance(placement)
+        assert balance <= BALANCE_BAR < _uniform_read_balance("ring")

@@ -2,6 +2,7 @@
 grow/shrink, bit-for-bit verification, drain/cutover bookkeeping, and
 the shared admission budget."""
 
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -236,6 +237,9 @@ class TestCoordinatorEdges:
             MigrationCoordinator(fleet, 8, at_ms=-1.0)
         with pytest.raises(ValueError):
             MigrationCoordinator(fleet, 8, at_ms=1.0, copy_parallelism=0)
+        for at_ms in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="reshape time"):
+                MigrationCoordinator(fleet, 8, at_ms=at_ms)
 
 
 def _moving_fleet(dataplane=False):

@@ -1,6 +1,8 @@
 """Failure orchestration: concurrent multi-array rebuilds, bit-for-bit
 verification, and the admission-control knob."""
 
+import math
+
 import pytest
 
 from repro.service import (
@@ -107,6 +109,9 @@ class TestValidation:
             FailureOrchestrator(fleet, (FailureEvent(0.0, 0, 9),))
         with pytest.raises(ValueError):
             FailureOrchestrator(fleet, (FailureEvent(-1.0, 0, 0),))
+        for time_ms in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="failure time"):
+                FailureOrchestrator(fleet, (FailureEvent(time_ms, 0, 0),))
         with pytest.raises(ValueError):
             FailureOrchestrator(
                 fleet, (FailureEvent(0.0, 1, 0), FailureEvent(5.0, 1, 1))

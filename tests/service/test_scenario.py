@@ -164,7 +164,50 @@ class TestFleetConformance:
         assert d["layouts"][0]["v"] == 13
 
 
+#: Inputs ``serve`` must refuse up front, each paired with the field
+#: its one ``error:`` line must name (exit 2, no traceback).  NaN slips
+#: through ``x < 0`` range checks into a report that still passes, a
+#: zero volume count would divide by zero, and a NaN or infinite
+#: horizon never ends a stream.
+BAD_SERVE_INPUTS = [
+    (["--smoke", "--reshape-at", "nan", "--grow", "2:3"], "reshape time"),
+    (["--smoke", "--failure-spec", "nan:0:1"], "failure time"),
+    (["--smoke", "--zipf", "nan"], "zipf_theta"),
+    (["--smoke", "--zipf", "inf"], "zipf_theta"),
+    (["--smoke", "--interarrival", "nan"], "interarrival_ms"),
+    (["--smoke", "--max-rss-mb", "nan"], "--max-rss-mb"),
+    (["--smoke", "--failures", "-1"], "--failures"),
+    (["--smoke", "--volumes", "0"], "volume"),
+    (["--duration", "inf"], "duration_ms"),
+    (["--duration", "nan"], "duration_ms"),
+    (
+        ["--smoke", "--metrics-interval", "nan", "--metrics-out", "{tmp}/m"],
+        "metrics interval",
+    ),
+]
+
+
 class TestServeCLI:
+    @pytest.mark.parametrize(
+        "argv, field",
+        BAD_SERVE_INPUTS,
+        ids=[" ".join(argv) for argv, _ in BAD_SERVE_INPUTS],
+    )
+    def test_bad_input_refused(self, argv, field, tmp_path, capsys):
+        from repro.__main__ import main
+
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(["serve", *argv, "--json", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
+    def test_scenario_horizon_validated(self, duration):
+        with pytest.raises(ValueError, match="duration_ms"):
+            FleetScenario(duration_ms=duration)
+
     def test_smoke_exit_zero(self, tmp_path, capsys):
         from repro.__main__ import main
 

@@ -14,6 +14,7 @@ and a size beyond the stream length degenerates to one window.
 
 import itertools
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -117,6 +118,14 @@ class TestStreamWindows:
     def test_window_size_validated(self):
         with pytest.raises(ValueError, match="window_size"):
             StreamWindows(_cfg(), DURATION, 100, window_size=0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
+    def test_horizon_validated(self, duration):
+        """A NaN or infinite horizon would never end the windows."""
+        with pytest.raises(ValueError, match="duration_ms"):
+            StreamWindows(_cfg(), duration, 100)
+        with pytest.raises(ValueError, match="duration_ms"):
+            generate_request_stream(_cfg(), duration, 100)
 
 
 #: (id, simulate_workload overrides) — one per engine/failure state

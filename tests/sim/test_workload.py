@@ -1,5 +1,7 @@
 """Tests for synthetic workload generation."""
 
+import math
+
 import pytest
 
 from repro.layouts import ring_layout
@@ -14,6 +16,10 @@ class TestWorkloadConfig:
             WorkloadConfig(read_fraction=1.5)
         with pytest.raises(ValueError):
             WorkloadConfig(zipf_theta=-1)
+        for name in ("interarrival_ms", "zipf_theta"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    WorkloadConfig(**{name: value})
 
 
 class TestDriveWorkload:

@@ -86,15 +86,23 @@ add no heap events (against the same windows with shard 1's requests
 removed); the window router, a host without the kernel, or a gate
 that sends the serve back to the router reads as a wrong engine.
 
+Mapping case
+------------
+``map_batch`` translates 100k random addresses of the (33,5) layout at
+4 iterations through ``AddressMapper.map_batch`` and through the
+scalar ``logical_to_physical`` loop, in interleaved pairs: the best
+per-pair scalar/batch ratio must reach ``MAP_BATCH_FLOOR``, and the two
+paths must agree address for address.
+
 Runtime cases
 -------------
-``warm_serve`` serves the bench suite's warm-serve scenario through one
-``repro.service.runtime.WarmRuntime`` (persistent pool + shared-memory
-transport + compiled-artifact cache): the cold first serve's wall time
-over the best warm serve's must reach
-``repro.bench.WARM_SERVE_SPEEDUP_BAR``.  A regression that silently
-reboots the pool, misses the artifact cache, or re-pickles traces per
-serve drags the ratio toward 1.
+``warm_serve`` serves ``warm_serve_scenario()`` (a healthy 4-shard
+fleet) through one ``repro.service.runtime.WarmRuntime`` (persistent
+pool + shared-memory transport + compiled-artifact cache): the cold
+first serve's wall time over the best warm serve's must reach
+``WARM_SERVE_SPEEDUP_BAR``.  A regression that silently reboots the
+pool, misses the artifact cache, or re-pickles traces per serve drags
+the ratio toward 1.
 
 ``obs_overhead``: the mixed path with a live ``MetricsRecorder``
 attached must reach 0.95x of its own metrics-off throughput.
@@ -184,8 +192,26 @@ NATIVE_EXACT_FLOOR = 6.0
 #: that host measured 13.1-15.3.
 NATIVE_EAGER_FLOOR = 6.0
 
+#: The mapping case's address count, and the floor on its best
+#: per-pair scalar/batch ratio.  Three runs on that host measured
+#: 254-337x; a batch path that fell back to per-address Python would
+#: read about 1x.
+MAP_ADDRESSES = 100_000
+MAP_BATCH_FLOOR = 5.0
+
+#: The warm-serve case's worker pool.  Spawn is deliberate: the cold
+#: first serve pays the full cold path (pool boot with interpreter
+#: start and registry priming, stream generation, routing) while warm
+#: serves reuse all of it, so the ratio measures exactly what the
+#: runtime amortizes and does not depend on the host's core count.
+WARM_SERVE_WORKERS = 2
+WARM_SERVE_MP_CONTEXT = "spawn"
+WARM_SERVE_DURATION_MS = 4_000.0
 #: Warm serves timed after the cold one; the best is compared.
 WARM_RUNS = 3
+#: The floor on the cold/warm wall-time ratio.  Cold and warm run on
+#: the same host, so the ratio holds on one core too.
+WARM_SERVE_SPEEDUP_BAR = 2.0
 
 #: Observability overhead gate: the mixed path with a live
 #: MetricsRecorder attached must reach this fraction of its own
@@ -527,16 +553,76 @@ def native_eager_case() -> dict:
     }
 
 
-def warm_serve_case() -> dict:
-    """Serve the bench suite's warm-serve scenario through one warm
-    runtime: the cold first serve (pool boot, artifact build and pack)
-    against the best of the warm serves that follow."""
-    from repro.bench import (
-        WARM_SERVE_MP_CONTEXT,
-        WARM_SERVE_SPEEDUP_BAR,
-        WARM_SERVE_WORKERS,
-        warm_serve_scenario,
+def map_batch_case() -> dict:
+    """Translate one random address vector through ``map_batch`` and
+    through the scalar ``logical_to_physical`` loop in interleaved
+    pairs; report the best per-pair scalar/batch ratio and whether the
+    two paths agree."""
+    import numpy as np
+
+    from repro.core import get_layout, get_mapper
+
+    mapper = get_mapper(get_layout(33, 5), iterations=4)
+    lbas = np.random.default_rng(7).integers(
+        0, mapper.capacity, size=MAP_ADDRESSES, dtype=np.int64
     )
+    lba_list = lbas.tolist()
+    to_phys = mapper.logical_to_physical
+
+    def timed(batch: bool) -> tuple[float, object]:
+        t0 = time.perf_counter()
+        if batch:
+            out = mapper.map_batch(lbas)
+        else:
+            out = [(pu.disk, pu.offset) for pu in map(to_phys, lba_list)]
+        return time.perf_counter() - t0, out
+
+    timed(True)  # warm caches outside the timed pairs
+    batch_best = scalar_best = float("inf")
+    ratio = 0.0
+    for _ in range(PAIRS):
+        b, (disks, offsets) = timed(True)
+        a, scalar = timed(False)
+        batch_best = min(batch_best, b)
+        scalar_best = min(scalar_best, a)
+        ratio = max(ratio, a / b)
+    agree = list(zip(disks.tolist(), offsets.tolist())) == scalar
+    return {
+        "addresses": MAP_ADDRESSES,
+        "batch_maps_per_s": MAP_ADDRESSES / batch_best,
+        "scalar_maps_per_s": MAP_ADDRESSES / scalar_best,
+        "ratio_scalar_vs_batch": ratio,
+        "agree": agree,
+        "floor_ratio": MAP_BATCH_FLOOR,
+        "ok": agree and ratio >= MAP_BATCH_FLOOR,
+    }
+
+
+def warm_serve_scenario():
+    """The healthy 4-shard (9,3) fleet ``warm_serve`` serves
+    repeatedly: 0.2 ms aggregate interarrival, read fraction 0.9,
+    workload seed 7, data planes on."""
+    from repro.service import FleetScenario
+
+    return FleetScenario(
+        shards=4,
+        v=9,
+        k=3,
+        duration_ms=WARM_SERVE_DURATION_MS,
+        interarrival_ms=0.2,
+        read_fraction=0.9,
+        workload_seed=7,
+        failures=(),
+        admission=2,
+        verify_data=True,
+        seed=0,
+    )
+
+
+def warm_serve_case() -> dict:
+    """Serve ``warm_serve_scenario()`` through one warm runtime: the
+    cold first serve (pool boot, artifact build and pack) against the
+    best of the warm serves that follow."""
     from repro.service.runtime import WarmRuntime
 
     runtime = WarmRuntime(
@@ -706,6 +792,23 @@ def main() -> int:
         }
         print("bench-guard: obs_overhead          skipped (BENCH_GUARD_OBS_RATIO<=0)")
 
+    # Last, so that the scalar loops' million short-lived objects do
+    # not churn the allocator just before the obs_overhead timings,
+    # which sit close to their floor.
+    mapping = map_batch_case()
+    summary["cases"]["map_batch"] = mapping
+    verdict = "OK" if mapping["ok"] else "REGRESSION"
+    print(
+        f"bench-guard: {'map_batch':<24} "
+        f"{mapping['batch_maps_per_s']:>10,.0f} maps/s batch vs "
+        f"{mapping['scalar_maps_per_s']:>10,.0f} maps/s scalar "
+        f"({mapping['ratio_scalar_vs_batch']:.2f}x, "
+        f"floor {MAP_BATCH_FLOOR:.2f}x, agree {mapping['agree']}) "
+        f"-> {verdict}"
+    )
+    if not mapping["ok"]:
+        regressed.append("map_batch")
+
     if regressed:
         print(
             f"bench-guard: {', '.join(regressed)} fell below the floor — "
@@ -719,6 +822,8 @@ def main() -> int:
             "of repro.sim.compile._execute_shards / "
             "repro.sim.stream._execute_shard_windows and the data-plane "
             "fold, "
+            "(for map_batch) AddressMapper.map_batch in "
+            "repro.layouts.mapping, "
             "and (for warm_serve) "
             "the pool/cache reuse counters in "
             "repro.service.runtime.WarmRuntime"
