@@ -317,6 +317,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     recorder = None
     if args.metrics_out or args.metrics_prom:
         from .obs import MetricsRecorder
+        from .obs.snapshot import check_snapshot_grid
 
         interval = args.metrics_interval
         if interval is None:
@@ -332,6 +333,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             else:
                 interval = args.duration / 20.0
         recorder = MetricsRecorder(interval, shards=args.shards)
+        check_snapshot_grid(args.duration / interval, interval)
     if args.listen:
         from .service import run_frontend
 
@@ -701,7 +703,8 @@ def main(argv: list[str] | None = None) -> int:
         "--reshape-at",
         type=float,
         default=None,
-        help="when the grow/shrink fires (ms; default: duration/4)",
+        help="when the grow/shrink fires (ms, at most --duration; "
+        "default: duration/4)",
     )
     p.add_argument(
         "--autoscale",
@@ -819,7 +822,8 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=None,
         metavar="MS",
-        help="snapshot grid width in simulated ms (default: duration/20)",
+        help="snapshot grid width in simulated ms (default: duration/20; "
+        "at most 10,000 snapshots over the horizon)",
     )
     p.add_argument(
         "--metrics-prom",

@@ -38,6 +38,22 @@ __all__ = [
     "prometheus_text",
 ]
 
+#: The most snapshot rows one metrics file may hold (about 10 MB of
+#: JSONL on an 8-shard fleet): a finer grid is refused up front.
+MAX_SNAPSHOT_ROWS = 10_000
+
+
+def check_snapshot_grid(rows: float, interval_ms: float) -> None:
+    """Raise ``ValueError``, naming the metrics interval, when a grid of
+    ``interval_ms`` buckets needs ``rows`` snapshot rows, more than
+    :data:`MAX_SNAPSHOT_ROWS`."""
+    if rows > MAX_SNAPSHOT_ROWS:
+        raise ValueError(
+            f"metrics interval {interval_ms:g} ms is too fine: its grid "
+            f"needs {rows:,.0f} snapshot rows, more than the "
+            f"{MAX_SNAPSHOT_ROWS:,} a metrics file may hold"
+        )
+
 
 def _admission_intervals(payload: dict) -> tuple[list, list]:
     """(active, queued) occupancy intervals of the shared admission
@@ -85,10 +101,13 @@ def build_rows(
     recorder: MetricsRecorder, payload: dict | None = None
 ) -> list[dict]:
     """Render a recorder (plus an optional scenario report payload)
-    into snapshot rows ready for JSONL serialization."""
+    into snapshot rows ready for JSONL serialization — refused before
+    any row is built when its grid needs more than
+    :data:`MAX_SNAPSHOT_ROWS` (:func:`check_snapshot_grid`)."""
     iv = recorder.interval_ms
-    n_shards = recorder.shard_count()
     last = recorder.last_bucket()
+    check_snapshot_grid(last + 1, iv)
+    n_shards = recorder.shard_count()
     progress = recorder.gauge_series("rebuild_progress")
     scale = recorder.gauge_series("autoscale_shards")
     active_iv: list = []

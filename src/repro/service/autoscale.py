@@ -692,25 +692,7 @@ class AutoscaleController:
                         else decision.t_ms
                     ),
                     "all_verified": verified,
-                    "volumes": [
-                        {
-                            "volume": o.volume,
-                            "source": o.source,
-                            "dest": o.dest,
-                            "units_copied": o.units_copied,
-                            "requested_at_ms": o.requested_at_ms,
-                            "started_at_ms": o.started_at_ms,
-                            "copied_at_ms": o.copied_at_ms,
-                            "cutover_at_ms": o.cutover_at_ms,
-                            "admission_delay_ms": o.admission_delay_ms,
-                            "copy_ms": o.copy_ms,
-                            "drain_ms": o.drain_ms,
-                            "held_requests": o.held_requests,
-                            "forwarded_writes": o.forwarded_writes,
-                            "data_verified": o.data_verified,
-                        }
-                        for o in outcomes
-                    ],
+                    "volumes": [o.to_dict() for o in outcomes],
                 }
             )
         return out

@@ -520,8 +520,7 @@ class Fleet:
             return self.serve_windows(
                 StreamWindows(
                     config, duration_ms, self.capacity, window_size=window_size
-                ),
-                read_only_hint=config.read_fraction >= 1.0,
+                )
             )
         times, is_read, lbas = generate_request_stream(
             config, duration_ms, self.capacity
@@ -545,13 +544,14 @@ class Fleet:
           gate (:func:`repro.sim.stream._execute_shard_windows`) over
           every shard.  On an idle clock each shard carries its queue
           state across window boundaries — the analytic solver when
-          every request is single-phase (``read_only_hint`` or a
-          write-through fleet), the eager core for mixed
-          read-modify-write fleets without data planes.  Otherwise only
-          the shards an armed event names (a failure names its array)
-          run on the shared heap; every other shard, and every eager
-          tie abort, replays on the exact core in the heap pump's order
-          and under its ``windowed-pump`` label.
+          every request is single-phase (the source's ``read_only``
+          attribute, or a write-through fleet), the eager core on its
+          eligible shards (healthy, read-modify-write, no data plane)
+          for mixed streams.  Only the shards an armed event names (a
+          failure names its array) run on the shared heap; every other
+          shard, and every eager tie abort, replays on the exact core
+          in the heap pump's order and under its ``windowed-pump``
+          label.
         * **window router** (live routing — a live migration, a pending
           event naming no shard such as a reshape or an autoscale tick,
           or a one-shot source the carry engines do not take, since the
@@ -561,10 +561,11 @@ class Fleet:
           (:meth:`_route_live`, as :meth:`route_stream` routes a
           materialized stream), so cutovers mid-stream take effect.
 
-        ``read_only_hint`` is a caller promise (every request is a
-        read); a lying hint raises ``ValueError`` from the solver, as
-        does a window that starts before the previous window's last
-        arrival, in either mode — when that window is pulled, so the
+        Any source without ``read_only`` counts as mixed.
+        ``read_only_hint`` is ignored, kept for the end-to-end harness
+        (``benchmarks/e2e/workloads.py``), which still passes it.  A
+        window that starts before the previous window's last arrival
+        raises ``ValueError`` in either mode — when it is pulled, so the
         fleet is left mid-serve and is discarded
         (:func:`repro.sim.stream._in_order`).
         Reports are byte-identical to the materialized serve of the
@@ -583,8 +584,7 @@ class Fleet:
             or self.sim.armed_shards() is None
             or (
                 iter(windows) is windows
-                and _carry_label(self.controllers, windows, read_only_hint)
-                is None
+                and _carry_label(self.controllers, windows) is None
             )
         ):
             scheduled = [0] * len(self.controllers)
@@ -593,11 +593,7 @@ class Fleet:
             router.finish()
         else:
             scheduled, _ = _execute_shard_windows(
-                self.controllers,
-                self.static_route(),
-                windows,
-                digests,
-                read_only_hint=read_only_hint,
+                self.controllers, self.static_route(), windows, digests
             )
         return self._report(scheduled, start, digests, ios_base, mig_base)
 

@@ -222,6 +222,26 @@ class VolumeMigrationOutcome:
         """Drain + cutover duration."""
         return self.cutover_at_ms - self.copied_at_ms
 
+    def to_dict(self) -> dict:
+        """The move as a report row — the scenario report's
+        ``migration.volumes`` and each autoscale event's ``volumes``."""
+        return {
+            "volume": self.volume,
+            "source": self.source,
+            "dest": self.dest,
+            "units_copied": self.units_copied,
+            "requested_at_ms": self.requested_at_ms,
+            "started_at_ms": self.started_at_ms,
+            "copied_at_ms": self.copied_at_ms,
+            "cutover_at_ms": self.cutover_at_ms,
+            "admission_delay_ms": self.admission_delay_ms,
+            "copy_ms": self.copy_ms,
+            "drain_ms": self.drain_ms,
+            "held_requests": self.held_requests,
+            "forwarded_writes": self.forwarded_writes,
+            "data_verified": self.data_verified,
+        }
+
 
 class MigrationCoordinator:
     """Executes a :class:`MigrationPlan` live, on the fleet's clock.

@@ -93,7 +93,6 @@ import numpy as np
 from ..core.registry import get_layout
 from ..obs.recorder import MetricsRecorder
 from ..sim.compile import (
-    ArrayWindows,
     StreamWindows,
     _execute_shards,
     generate_request_stream,
@@ -586,19 +585,9 @@ def _execute_group(task: GroupTask, source) -> GroupResult:
             for ctrl in controllers
         ]
     else:
-        read_only = sc.read_fraction >= 1.0
-        if isinstance(source, ArrayWindows):
-            # As in the serial runner: a submitted stream may carry
-            # writes whatever the scenario's mix.
-            read_only = read_only and bool(source.is_read.all())
         accs = [{} for _ in arrays]  # one kind -> digest map per shard
         scheduled, _ = _execute_shard_windows(
-            controllers,
-            task.route,
-            source,
-            accs,
-            read_only_hint=read_only,
-            fleet_busy=fleet_busy,
+            controllers, task.route, source, accs, fleet_busy=fleet_busy
         )
     outcomes = []
     if orchestrator is not None:

@@ -113,7 +113,8 @@ class FleetScenario:
         reshape_to: grow/shrink step — target shard count to migrate
             to mid-run (``None`` = no reconfiguration).
         reshape_at_ms: when the reshape fires (default: a quarter into
-            the horizon).
+            the horizon; refused past the horizon, where the migration
+            would run alone after the traffic and stretch the makespan).
         copy_parallelism: concurrent unit copies per migrating volume.
         write_policy: small-write handling on every shard — ``"rmw"``
             (read-modify-write) or ``"write_through"`` (single-phase).
@@ -161,6 +162,12 @@ class FleetScenario:
         # failure times) derive from the horizon, and their checks
         # would name the wrong field.
         _check_horizon(self.duration_ms)
+        at = self.reshape_at_ms
+        if self.reshape_to is not None and at is not None and at > self.duration_ms:
+            raise ValueError(
+                f"reshape time {at:g} ms is past the {self.duration_ms:g} ms "
+                "workload horizon"
+            )
 
     def workload(self) -> WorkloadConfig:
         """The scenario's synthetic workload config."""
@@ -372,25 +379,8 @@ class FleetScenarioReport:
                     # Sorted by volume id — canonical order, same
                     # rationale as the rebuilds section.
                     "volumes": [
-                        {
-                            "volume": o.volume,
-                            "source": o.source,
-                            "dest": o.dest,
-                            "units_copied": o.units_copied,
-                            "requested_at_ms": o.requested_at_ms,
-                            "started_at_ms": o.started_at_ms,
-                            "copied_at_ms": o.copied_at_ms,
-                            "cutover_at_ms": o.cutover_at_ms,
-                            "admission_delay_ms": o.admission_delay_ms,
-                            "copy_ms": o.copy_ms,
-                            "drain_ms": o.drain_ms,
-                            "held_requests": o.held_requests,
-                            "forwarded_writes": o.forwarded_writes,
-                            "data_verified": o.data_verified,
-                        }
-                        for o in sorted(
-                            self.migrations, key=lambda o: o.volume
-                        )
+                        o.to_dict()
+                        for o in sorted(self.migrations, key=lambda o: o.volume)
                     ],
                 }
                 if sc.reshape_to is not None
@@ -556,12 +546,8 @@ def run_fleet_scenario(
     elif stream is not None:
         times, is_read, lbas = stream
         if window_size is not None:
-            # The scenario's mix vouches for its synthetic stream only:
-            # a submitted stream is read-only when all of it is reads.
             report = fleet.serve_windows(
-                ArrayWindows(times, is_read, lbas, window_size),
-                read_only_hint=scenario.read_fraction >= 1.0
-                and bool(np.all(is_read)),
+                ArrayWindows(times, is_read, lbas, window_size)
             )
         else:
             report = fleet.serve_stream(

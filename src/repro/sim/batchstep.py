@@ -15,37 +15,39 @@ executes — and a compiled core the trace's validated columns
 
 Eager tier
 ----------
-For read-modify-write traces without a data plane, :class:`_EagerCore`
-resolves the disk queues without an event loop.  Because each disk
+The eager tier takes one domain, decided per controller by
+:func:`_eager_eligible`: healthy read-modify-write arrays without a
+data plane, whose plans are single-IO reads and healthy
+read-modify-writes.  :class:`_EagerCore` resolves their disk queues
+without an event loop.  Because each disk
 queue is FIFO, an IO's completion time is fully determined the moment
 it is submitted: ``max(submit_time, previous completion on that disk)
 + service``.  The only submissions whose *times* are not known up
-front are later phases of multi-phase plans (a small write's phase 2
-is gated on the max of its two phase-1 read completions), so the core
-walks the arrival stream merged with a small min-heap of pending phase
-submissions — two orders of magnitude fewer heap operations than one
-per disk event.  Whenever two submissions from different sources
-collide on the exact same float timestamp the serialization is
-ambiguous; the core detects that before mutating any controller state
-and reports failure, and :func:`step_compiled` hands the trace to the
-exact tier.  The one relaxation: latency samples are emitted per
-kind in completion-time order with ties broken by the core's retire
-order (the heap breaks them by event sequence number), which leaves
-every report field identical except that ``mean`` may differ by
-float-association error well inside the documented 1e-12 contract.
-The same core runs the windowed executor (:mod:`repro.sim.stream`),
-fed one window at a time; a one-shot run is a single feed.
+front are small writes' phase 2s (gated on the max of their two
+phase-1 read completions), so the core walks the arrival stream merged
+with a small min-heap of pending phase 2s — two orders of magnitude
+fewer heap operations than one per disk event.  Whenever two
+submissions from different sources collide on the exact same float
+timestamp the serialization is ambiguous; the core detects that
+before mutating any controller state and reports failure, and
+:func:`step_compiled` hands the trace to the exact tier.  The one
+relaxation: latency samples are emitted per kind in completion-time
+order with ties broken by the core's retire order (the heap breaks
+them by event sequence number), which leaves every report field
+identical except that ``mean`` may differ by float-association error
+well inside the documented 1e-12 contract — for healthy traces only,
+since a degraded one never enters the eager tier.  The same core runs
+the windowed executor (:mod:`repro.sim.stream`), fed one window at a
+time; a one-shot run is a single feed.
 
-Every eager run gets its core from one factory, :func:`_eager_core`.
-A healthy controller's plans — single-IO reads and healthy
-read-modify-writes — run on a compiled twin,
+Every eager run gets its core from one factory, :func:`_eager_core`,
+which refuses a controller outside the domain.  Its compiled twin,
 :class:`repro.sim.native.NativeEagerCore` (volatile executor
-``eager-native``): the same pending-phase heap, the same two tie-abort
-rules and the same per-disk float operations in the same order, fed
-columns, its samples pooled and drained exactly as the Python core's.
-Degraded plans, and hosts where the kernel did not build, run on
-:class:`_EagerCore` (executor ``eager``), which stays the reference
-the kernel is tested against.
+``eager-native``), runs the same pending-phase heap, the same two
+tie-abort rules and the same per-disk float operations in the same
+order, fed columns, its samples pooled and drained exactly as the
+Python core's.  Hosts where the kernel did not build run
+:class:`_EagerCore` (executor ``eager``), the kernel's reference.
 
 Exact tier
 ----------
@@ -63,13 +65,14 @@ protocol: :func:`step_compiled` feeds it a whole trace once
 replaced, kept because it is a canonical report field), the shard-set
 gates feed it a quiet shard beside armed ones (labels ``heap`` and
 ``windowed-pump``, the serializations it reproduces), and the windowed
-executor feeds a tie-aborted shard one window plan at a time (label
-``windowed-pump``).  The core owns the whole timeline, so a healthy
-controller without content hooks takes each plan's data-plane small
-writes as one fold (:meth:`repro.sim.dataplane.DataPlane.fold_small_writes`)
-instead of one numpy write per arrival.  A feed holds its
-last arrival epoch open until the next window shows whether the epoch
-continues, as the chained pump does.
+executor feeds a tie-aborted or degraded shard one window plan at a
+time (label ``windowed-pump``).  The core owns the whole timeline, so
+a healthy controller without content hooks takes each plan's
+data-plane small writes as one fold
+(:meth:`repro.sim.dataplane.DataPlane.fold_small_writes`) instead of
+one numpy write per arrival.  A feed holds its last arrival epoch open
+until the next window shows whether the epoch continues, as the
+chained pump does.
 
 Every exact replay gets its core from one factory, :func:`_exact_core`.
 Plans made only of healthy single-IO reads and healthy
@@ -91,7 +94,7 @@ and they share one protocol: ``feed(trace_or_plan, sink) -> bool`` and
 ``finish(sink) -> bool``.  ``sink(kind, lats, comps)`` takes one kind's
 latencies and completion times as float64 arrays, in the engine's
 emission order; the exact cores buffer each feed's completions and
-emit them at its end, the eager core only the completions no later
+emit them at its end, the eager cores only the completions no later
 request can precede.  A feed returns False only on the eager core's
 tie abort, before it emits anything; ``finish`` emits what is left
 and writes the disk state and clock back through one helper,
@@ -151,23 +154,29 @@ _GENERIC_WRITE = 4
 _NO_OFFSET = -(1 << 60)
 
 
-def _pending_disks(item: tuple) -> tuple[int, ...]:
-    """The disks a pending-phase heap entry will submit to."""
-    x, pidx = item[5], item[6]
-    if pidx < 0:
-        return (x[0], x[2])
-    return tuple(d for d, _o, _w in x[pidx])
+def _eager_eligible(ctrl: "ArrayController") -> bool:
+    """Whether ``ctrl``'s traces may take the eager tier — the one
+    domain both eager cores cover: healthy ``rmw`` plans, no data
+    plane, a positive service model.  Both engine gates
+    (:func:`step_compiled`, :func:`repro.sim.stream._execute_shard_windows`)
+    ask it per shard; every other trace replays on the exact tier."""
+    return (
+        ctrl.failed_disk is None
+        and ctrl.write_policy == "rmw"
+        and ctrl.data is None
+        and ctrl.params.min_service_ms > 0.0
+    )
 
 
 class _EagerCore:
     """The eager tier: FIFO queue resolution with window carry-over.
 
     Requests come from :class:`repro.sim.compile._CompiledRun` plans —
-    the ones the heap pump and the exact tier execute — so every frozen
-    failure state resolves eagerly: healthy single-IO reads and healthy
-    read-modify-writes on their inlined fast paths, degraded
-    reconstruction reads (one phase, many IOs) and degraded writes
-    (multi-phase plans) through :meth:`_run_phase`.
+    the ones the heap pump and the exact tier execute — on an
+    eager-eligible controller (:func:`_eager_eligible`; the factory
+    :func:`_eager_core` checks): single-IO reads, resolved at arrival,
+    and healthy read-modify-writes, whose phase 1 resolves at arrival
+    and whose phase 2 waits in the pending heap.
 
     It runs the off-heap engines' **feed/finish protocol**: the
     per-disk accumulators, the pending-phase heap and the undrained
@@ -178,23 +187,19 @@ class _EagerCore:
     :func:`step_compiled` feeds a whole trace once, and a tie abort
     anywhere leaves the controller untouched for an exact replay.
 
-    Heap entries are self-contained ``(time, g, cnt, kind, arrival,
-    payload, phase_idx)`` tuples (window plans are replaced between
-    feeds, so entries cannot index into them).  A healthy write's
-    pending phase 2 carries its ``wfast`` ``(d, off, pd, po)`` tuple as
-    ``payload`` with ``phase_idx`` -1 and is resolved inline; a generic
-    plan carries its phase list and the index of the next phase.  ``g``
-    is the service start of the gating phase's last-finishing IO, which
-    recovers the heap's event-sequence order between same-time
-    submissions, and ``cnt`` is a monotone push counter replaying the
-    heap's final tiebreak.  An arrival tied with a pending phase, or
-    two pending phases tied on ``(time, g)``, abort unless their disk
-    sets are disjoint (disjoint submissions commute).
+    Heap entries are self-contained ``(time, g, cnt, arrival, io)``
+    tuples, one per pending phase 2, ``io`` being the write's ``wfast``
+    ``(d, off, pd, po)`` tuple (window plans are replaced between feeds,
+    so entries cannot index into them).  ``g`` is the service start of
+    the last-finishing phase-1 read, which recovers the heap's
+    event-sequence order between same-time submissions, and ``cnt`` is
+    a monotone push counter replaying the heap's final tiebreak.  An
+    arrival tied with a pending phase 2, or two phase 2s tied on
+    ``(time, g)``, abort unless their disk sets are disjoint (disjoint
+    submissions commute).
 
-    Restrictions: read-modify-write policy, no data plane (the gate in
-    :func:`step_compiled` and the streaming executor enforce both).
-    :class:`repro.sim.native.NativeEagerCore` is its compiled twin for
-    healthy plans (:func:`_eager_core` picks).
+    :class:`repro.sim.native.NativeEagerCore` is its compiled twin on
+    the same domain (:func:`_eager_core` picks).
     After a failed :meth:`feed` or :meth:`finish` the core is spent:
     the caller drops it, and what it emitted, and replays exactly.
     """
@@ -235,53 +240,12 @@ class _EagerCore:
         self.maxc = float("-inf")
         self._cnt = 0
         # kind -> (completions, latencies) since the last drain, in
-        # emission-source order; the pools hold the undrained rest.
-        self._kinds: dict[str, tuple[list[float], list[float]]] = {}
+        # retire order; the pools hold the undrained rest.
+        self._kinds: dict[str, tuple[list[float], list[float]]] = {
+            "read": ([], []),
+            "write": ([], []),
+        }
         self._pools: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _buf(self, kind: str) -> tuple[list[float], list[float]]:
-        b = self._kinds.get(kind)
-        if b is None:
-            b = self._kinds[kind] = ([], [])
-        return b
-
-    def _run_phase(self, phase, t: float) -> tuple[float, float]:
-        """Resolve one phase's IOs (submitted together at ``t``, plan
-        order) against the eager FIFO queues.  Returns the phase
-        completion (max IO completion) and its gating start ``g`` (the
-        start of the last-finishing IO; completion ties take the max
-        start)."""
-        prevc = self.prevc
-        dlast = self.dlast
-        dbusyt = self.dbusyt
-        ddelay = self.ddelay
-        dreads = self.dreads
-        dwrites = self.dwrites
-        seq_s = self.seq_s
-        avg_s = self.avg_s
-        best_c = float("-inf")
-        best_g = float("-inf")
-        for d, off, is_w in phase:
-            p = prevc[d]
-            if p > t:
-                ddelay[d] += p - t
-            else:
-                p = t
-            s = seq_s if -1 <= off - dlast[d] <= 1 else avg_s
-            dlast[d] = off
-            dbusyt[d] += s
-            c = p + s
-            prevc[d] = c
-            if is_w:
-                dwrites[d] += 1
-            else:
-                dreads[d] += 1
-            if c > best_c:
-                best_c = c
-                best_g = p
-            elif c == best_c and p > best_g:
-                best_g = p
-        return best_c, best_g
 
     def plan(self, compiled: "CompiledTrace") -> _CompiledRun:
         """The plan this core runs ``compiled`` as: one
@@ -331,19 +295,18 @@ class _EagerCore:
 
     def _step(self, run: _CompiledRun | None) -> bool:
         """Consume one planned trace or window, interleaving its
-        arrivals with pending phase submissions.  Pending phases whose
-        time lands past the last arrival stay queued for the next feed;
+        arrivals with pending phase-2 submissions.  Phase 2s whose time
+        lands past the last arrival stay queued for the next feed;
         ``run=None`` ends the stream and retires all of them.  Returns
         False on an ambiguous tie (controller state untouched; the
         caller replays exactly)."""
         if run is None:
-            atimes = single = wfast = plans = ()
+            atimes = single = wfast = ()
             n = 0
         else:
             atimes = run.times
             single = run.single
             wfast = run.wfast
-            plans = run.plans
             n = run.n
         pq = self.pq
         inf = float("inf")
@@ -355,11 +318,9 @@ class _EagerCore:
         dwrites = self.dwrites
         seq_s = self.seq_s
         avg_s = self.avg_s
-        run_phase = self._run_phase
-        buf = self._buf
-        rc, rl = buf("read")
+        rc, rl = self._kinds["read"]
         rc_app, rl_app = rc.append, rl.append
-        wc, wl = buf("write")
+        wc, wl = self._kinds["write"]
         wc_app, wl_app = wc.append, wl.append
         maxc = self.maxc
         cnt = self._cnt
@@ -371,32 +332,26 @@ class _EagerCore:
                 if t >= limit:
                     if t > limit:
                         break
-                    # Arrival and pending phase at the same instant: the
-                    # heap's order is ambiguous, but it only matters if
-                    # they touch a common disk — disjoint submissions
-                    # commute, so process the arrival first.
+                    # Arrival and pending phase 2 at the same instant:
+                    # the heap's order is ambiguous, but it only
+                    # matters if they touch a common disk — disjoint
+                    # submissions commute, so process the arrival first.
                     pos = single[ai]
                     if pos is not None:
                         aset = (pos[0],)
                     else:
                         w = wfast[ai]
-                        if w is not None:
-                            aset = (w[0], w[2])
-                        else:
-                            aset = tuple(
-                                d for d, _o, _w in plans[ai][1][0]
-                            )
+                        aset = (w[0], w[2])
                     for item in pq:
-                        if item[0] == limit and any(
-                            d in aset for d in _pending_disks(item)
+                        if item[0] == limit and (
+                            item[4][0] in aset or item[4][2] in aset
                         ):
                             return False
                 r = ai
                 ai += 1
                 pos = single[r]
                 if pos is not None:
-                    # Single-IO read (healthy, or surviving-disk
-                    # degraded): resolves entirely at arrival.
+                    # Single-IO read: resolves entirely at arrival.
                     d, off = pos
                     p = prevc[d]
                     if p > t:
@@ -414,70 +369,53 @@ class _EagerCore:
                     rc_app(c)
                     rl_app(c - t)
                     continue
+                # Healthy RMW phase 1: read old data, then parity.
                 w = wfast[r]
-                if w is not None:
-                    # Healthy RMW phase 1: read old data, then parity.
-                    d, off, pd, po = w
-                    p = prevc[d]
-                    if p > t:
-                        ddelay[d] += p - t
-                    else:
-                        p = t
-                    s = seq_s if -1 <= off - dlast[d] <= 1 else avg_s
-                    dlast[d] = off
-                    dbusyt[d] += s
-                    g1 = p
-                    c1 = p + s
-                    prevc[d] = c1
-                    dreads[d] += 1
-                    p = prevc[pd]
-                    if p > t:
-                        ddelay[pd] += p - t
-                    else:
-                        p = t
-                    s = seq_s if -1 <= po - dlast[pd] <= 1 else avg_s
-                    dlast[pd] = po
-                    dbusyt[pd] += s
-                    c2 = p + s
-                    prevc[pd] = c2
-                    dreads[pd] += 1
-                    # Phase 2 fires inside the completion event of
-                    # whichever read finishes last; that event's heap
-                    # sequence number was assigned when the read's
-                    # *service started* (seqs grow chronologically), so
-                    # the start time `g` recovers the heap's order
-                    # between phase-2 submissions tied on time.
-                    if c1 > c2:
-                        tw = c1
-                        g = g1
-                    elif c2 > c1:
-                        tw = c2
-                        g = p
-                    else:
-                        tw = c1
-                        g = g1 if g1 > p else p
-                    cnt += 1
-                    heappush(pq, (tw, g, cnt, "write", t, w, -1))
-                    if tw < limit:
-                        limit = tw
-                    continue
-                # Generic plan (degraded reads/writes, or any write in
-                # a degraded run): phase 0 submits at arrival.
-                kind, phases = plans[r]
-                c, g = run_phase(phases[0], t)
-                if len(phases) == 1:
-                    if c > maxc:
-                        maxc = c
-                    cs, ls = buf(kind)
-                    cs.append(c)
-                    ls.append(c - t)
+                d, off, pd, po = w
+                p = prevc[d]
+                if p > t:
+                    ddelay[d] += p - t
                 else:
-                    cnt += 1
-                    heappush(pq, (c, g, cnt, kind, t, phases, 1))
-                    if c < limit:
-                        limit = c
+                    p = t
+                s = seq_s if -1 <= off - dlast[d] <= 1 else avg_s
+                dlast[d] = off
+                dbusyt[d] += s
+                g1 = p
+                c1 = p + s
+                prevc[d] = c1
+                dreads[d] += 1
+                p = prevc[pd]
+                if p > t:
+                    ddelay[pd] += p - t
+                else:
+                    p = t
+                s = seq_s if -1 <= po - dlast[pd] <= 1 else avg_s
+                dlast[pd] = po
+                dbusyt[pd] += s
+                c2 = p + s
+                prevc[pd] = c2
+                dreads[pd] += 1
+                # Phase 2 fires inside the completion event of whichever
+                # read finishes last; that event's heap sequence number
+                # was assigned when the read's *service started* (seqs
+                # grow chronologically), so the start time `g` recovers
+                # the heap's order between phase-2 submissions tied on
+                # time.
+                if c1 > c2:
+                    tw = c1
+                    g = g1
+                elif c2 > c1:
+                    tw = c2
+                    g = p
+                else:
+                    tw = c1
+                    g = g1 if g1 > p else p
+                cnt += 1
+                heappush(pq, (tw, g, cnt, t, w))
+                if tw < limit:
+                    limit = tw
             if ai < n:
-                # The drain broke on t > limit: retire pending phases
+                # The drain broke on t > limit: retire pending phase 2s
                 # up to the next arrival (ties at the arrival re-enter
                 # the drain, which settles them with the disjointness
                 # check).
@@ -487,64 +425,49 @@ class _EagerCore:
             else:
                 break
             while pq and pq[0][0] < na:
-                item = heappop(pq)
-                tw, g, _c, kind, at, x, pidx = item
+                tw, g, _c, at, x = heappop(pq)
+                d, off, pd, po = x
                 if pq and pq[0][0] == tw:
-                    # Same-instant pending phases: distinct gating
-                    # starts order them exactly (g tracks event-seq
-                    # order); ties on both are fine only while the
-                    # phases touch pairwise disjoint disk sets.
-                    used = set(_pending_disks(item))
+                    # Same-instant phase 2s: distinct gating starts
+                    # order them exactly (g tracks event-seq order);
+                    # ties on both are fine only while they touch
+                    # pairwise disjoint disks.
+                    used = {d, pd}
                     for other in pq:
                         if other[0] == tw and other[1] == g:
-                            for d in _pending_disks(other):
-                                if d in used:
+                            for od in (other[4][0], other[4][2]):
+                                if od in used:
                                     return False
-                                used.add(d)
-                if pidx < 0:
-                    # Healthy RMW phase 2: write new data, then new
-                    # parity.
-                    d, off, pd, po = x
-                    p = prevc[d]
-                    if p > tw:
-                        ddelay[d] += p - tw
-                    else:
-                        p = tw
-                    s = seq_s if -1 <= off - dlast[d] <= 1 else avg_s
-                    dlast[d] = off
-                    dbusyt[d] += s
-                    c = p + s
-                    prevc[d] = c
-                    dwrites[d] += 1
-                    p = prevc[pd]
-                    if p > tw:
-                        ddelay[pd] += p - tw
-                    else:
-                        p = tw
-                    s = seq_s if -1 <= po - dlast[pd] <= 1 else avg_s
-                    dlast[pd] = po
-                    dbusyt[pd] += s
-                    c4 = p + s
-                    prevc[pd] = c4
-                    dwrites[pd] += 1
-                    if c4 > c:
-                        c = c4
-                    if c > maxc:
-                        maxc = c
-                    wc_app(c)
-                    wl_app(c - at)
-                    continue
-                c, g = run_phase(x[pidx], tw)
-                pidx += 1
-                if pidx < len(x):
-                    cnt += 1
-                    heappush(pq, (c, g, cnt, kind, at, x, pidx))
+                                used.add(od)
+                # Phase 2: write new data, then new parity.
+                p = prevc[d]
+                if p > tw:
+                    ddelay[d] += p - tw
                 else:
-                    if c > maxc:
-                        maxc = c
-                    cs, ls = buf(kind)
-                    cs.append(c)
-                    ls.append(c - at)
+                    p = tw
+                s = seq_s if -1 <= off - dlast[d] <= 1 else avg_s
+                dlast[d] = off
+                dbusyt[d] += s
+                c = p + s
+                prevc[d] = c
+                dwrites[d] += 1
+                p = prevc[pd]
+                if p > tw:
+                    ddelay[pd] += p - tw
+                else:
+                    p = tw
+                s = seq_s if -1 <= po - dlast[pd] <= 1 else avg_s
+                dlast[pd] = po
+                dbusyt[pd] += s
+                c4 = p + s
+                prevc[pd] = c4
+                dwrites[pd] += 1
+                if c4 > c:
+                    c = c4
+                if c > maxc:
+                    maxc = c
+                wc_app(c)
+                wl_app(c - at)
             if ai >= n:
                 break
         self.maxc = maxc
@@ -563,21 +486,22 @@ def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
     event queue) stays on the heap engine.
 
     The gate, in order: refuse a busy simulator or a non-positive
-    service model; for read-modify-write traces without a data plane,
-    feed the trace to the eager tier (:func:`_eager_core`: the compiled
-    kernel for a healthy controller, else :class:`_EagerCore`); on an
-    ambiguous tie, or for any other shape, feed it to the exact tier
-    (:func:`_exact_core`: the compiled kernel where it applies, else
-    :class:`_ExactCore`; labelled ``calendar``), which folds a healthy,
-    hookless data plane's small writes into one vectorized pass.  The
-    trace is planned once, for the eager core that runs it — a
-    :class:`repro.sim.compile._CompiledRun` for :class:`_EagerCore`, the
-    validated columns (:class:`repro.sim.native.KernelRun`) for the
-    compiled core — and the exact replay after a tie abort reuses that
-    plan.  (The
-    shard-set gate :func:`repro.sim.compile._execute_shards` replays a
-    quiet shard beside armed ones on the same exact tier, labelled
-    ``heap``.)
+    service model; on an eager-eligible controller
+    (:func:`_eager_eligible`: healthy, ``rmw``, no data plane), feed
+    the trace to the eager tier (:func:`_eager_core`: the compiled
+    kernel, else :class:`_EagerCore`); on an ambiguous tie, or for any
+    other controller — a degraded one included, with no eager attempt
+    — feed it to the exact tier (:func:`_exact_core`: the compiled
+    kernel where it applies, else :class:`_ExactCore`; labelled
+    ``calendar``), which folds a healthy, hookless data plane's small
+    writes into one vectorized pass.  The trace is planned once, for
+    the core that runs it first — a
+    :class:`repro.sim.compile._CompiledRun` for a Python core, the
+    validated columns (:class:`repro.sim.native.KernelRun`) for a
+    compiled one — and the exact replay after a tie abort reuses that
+    plan.  (The shard-set gate :func:`repro.sim.compile._execute_shards`
+    replays a quiet shard beside armed ones on the same exact tier,
+    labelled ``heap``.)
 
     Args:
         ctrl: the array controller (any failure state, any write
@@ -603,7 +527,7 @@ def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
     if compiled.n == 0:
         return 0
     plan: "CompiledTrace | _CompiledRun | KernelRun" = compiled
-    if ctrl.data is None and ctrl.write_policy == "rmw":
+    if _eager_eligible(ctrl):
         core = _eager_core(ctrl, "eager")
         # One plan, built once: the exact replay after a tie abort runs
         # what the eager attempt ran — a _CompiledRun for the Python
@@ -1040,15 +964,25 @@ def _kernel_core(ctrl: "ArrayController", name: str):
 def _eager_core(
     ctrl: "ArrayController", label: str
 ) -> "_EagerCore | NativeEagerCore":
-    """The eager tier's core for one run on ``ctrl`` (a
-    read-modify-write controller without a data plane; the callers
-    check), labelled ``label`` — the twin of :func:`_exact_core`.
+    """The eager tier's core for one run on ``ctrl``, labelled
+    ``label`` — the twin of :func:`_exact_core`.
 
     The compiled kernel (:class:`repro.sim.native.NativeEagerCore`,
-    executor ``eager-native``) takes a healthy controller's plans when
-    the kernel loaded on this host; degraded plans, and hosts where the
-    kernel did not build, run on the Python :class:`_EagerCore`
-    (executor ``eager``)."""
+    executor ``eager-native``) runs when it loaded on this host, the
+    Python :class:`_EagerCore` (executor ``eager``) where it did not.
+
+    Raises:
+        ValueError: if ``ctrl`` is not eager-eligible
+            (:func:`_eager_eligible`), a degraded controller say: the
+            gates send those to :func:`_exact_core`, so a gate slipped.
+    """
+    if not _eager_eligible(ctrl):
+        raise ValueError(
+            "the eager tier takes healthy rmw controllers without a data "
+            f"plane only, got failed_disk={ctrl.failed_disk}, "
+            f"write_policy={ctrl.write_policy!r}, data plane "
+            f"{ctrl.data is not None}, params {ctrl.params}"
+        )
     core = _kernel_core(ctrl, "NativeEagerCore")
     ctrl.set_engine(label, "eager" if core is None else "eager-native")
     return _EagerCore(ctrl) if core is None else core

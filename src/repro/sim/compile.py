@@ -119,7 +119,8 @@ class StreamWindows:
 
     Each ``iter()`` builds fresh generators, so one ``StreamWindows``
     can be iterated independently many times (the fleet's per-shard
-    pumps each own an iterator).
+    pumps each own an iterator).  ``read_only`` (``read_fraction >=
+    1``) tells the windowed gate to pick the analytic solver.
 
     Example:
         >>> from repro.sim import WorkloadConfig
@@ -144,6 +145,7 @@ class StreamWindows:
         if window_size < 1:
             raise ValueError("window_size must be >= 1")
         self.config = config
+        self.read_only = config.read_fraction >= 1.0
         self.duration_ms = _check_horizon(duration_ms)
         self.capacity = int(capacity)
         self.window_size = int(window_size)
@@ -209,7 +211,8 @@ class ArrayWindows:
     windows when the arrays came from the same config.  This is how
     externally submitted request streams (the service front-end's
     socket chunks) ride the same constant-memory serving path as
-    synthetic workloads.
+    synthetic workloads.  ``read_only`` (all flags reads) tells the
+    windowed gate to pick the analytic solver.
 
     Raises:
         ValueError: on a non-positive window size, mismatched array
@@ -217,7 +220,7 @@ class ArrayWindows:
             or are not non-decreasing.
     """
 
-    __slots__ = ("times", "is_read", "lbas", "window_size")
+    __slots__ = ("times", "is_read", "lbas", "window_size", "read_only")
 
     def __init__(self, times, is_read, lbas, window_size: int) -> None:
         if window_size < 1:
@@ -228,6 +231,7 @@ class ArrayWindows:
         if order is not None:
             raise ValueError("arrival times must be non-decreasing")
         self.window_size = int(window_size)
+        self.read_only = bool(self.is_read.all())
 
     def __iter__(self):
         n = self.times.size
@@ -1218,16 +1222,16 @@ def execute_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
        ``write_policy="write_through"`` → the analytic queue solver
        (:func:`solve_compiled`, no event stepping at all);
     3. otherwise → the batch-stepped executor
-       (:func:`repro.sim.batchstep.step_compiled`): its eager tier,
-       or on an order-ambiguous tie its exact tier (label
-       ``calendar``), which replays the heap's event order.
+       (:func:`repro.sim.batchstep.step_compiled`): its eager tier on
+       a healthy array, else (or on an order-ambiguous tie) its exact
+       tier (label ``calendar``), which replays the heap's event order.
 
     All three engines produce report-identical results — same clock,
     same per-disk counters and float accumulators, same latency-sample
-    multisets and summaries (the batch-stepped executor's eager tier
-    may order samples at *exact* completion-time ties by submission
-    instead of event-seq, which leaves every summary statistic equal
-    and the mean within float re-association; see
+    multisets and summaries (the batch-stepped executor's eager tier,
+    healthy traces only, may order samples at *exact* completion-time
+    ties by submission instead of event-seq, which leaves every summary
+    statistic equal and the mean within float re-association; see
     :mod:`repro.sim.batchstep`) — so callers choose purely on speed.
     Returns the request count; the trace is fully executed on return.
 

@@ -17,7 +17,9 @@ The factories :func:`repro.sim.batchstep._eager_core` and
 :func:`~repro.sim.batchstep._exact_core` hand them every run they can
 take (a healthy ``rmw`` controller; for the exact core, a data plane
 that folds its writes) and keep the Python cores for everything else;
-those stay the references the tests compare against.
+those stay the references the tests compare against.  The eager tier
+takes nothing else (its factory refuses a degraded controller), so
+both eager cores cover one domain.
 
 The kernel reads columns, not per-request tuples, prepared and
 validated for both cores by one helper (:func:`_columns`): arrival
@@ -484,8 +486,8 @@ class NativeExactCore(_KernelCore):
 
 class NativeEagerCore(_KernelCore):
     """:class:`repro.sim.batchstep._EagerCore`'s feed/finish protocol on
-    the compiled kernel, for a healthy ``rmw`` controller without a
-    data plane (the factory checks).
+    the compiled kernel, for the eager tier's whole domain — a healthy
+    ``rmw`` controller without a data plane (the factory checks).
 
     The per-disk accumulators and the pending phase-2 heap persist in
     the kernel across :meth:`feed` calls, and the undrained samples in

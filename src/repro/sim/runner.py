@@ -248,9 +248,7 @@ def simulate_workload(
             cfg, duration_ms, ctrl.mapper.capacity, window_size=window_size
         )
         # The engines record arrivals as windows are routed.
-        scheduled, latency = execute_windows(
-            ctrl, windows, read_only_hint=cfg.read_fraction >= 1.0
-        )
+        scheduled, latency = execute_windows(ctrl, windows)
     else:
         compiled = compile_workload(ctrl.mapper, cfg, duration_ms)
         if batched:

@@ -25,32 +25,34 @@ route live (its window router).  Every caller passes the stream's
 routing geometry as one :class:`_ShardRoute`.  Three engines mirror
 :func:`execute_compiled`'s selection gate:
 
-* single-phase streams (read-only by construction, or any mix under
-  ``write_policy="write_through"``) run on
-  :class:`~repro.sim.compile._WindowedSolver` — the engine of
+* single-phase streams (a source whose ``read_only`` attribute says
+  it is all reads, or any mix under ``write_policy="write_through"``)
+  run on :class:`~repro.sim.compile._WindowedSolver` — the engine of
   :func:`~repro.sim.compile.solve_compiled` — with the per-disk
   recurrence state (previous completion, last offset, busy/delay
   accumulators) carried between windows.  Partitioning a disk's IO
   sequence does not change the float left-fold, so every completion is
   bit-equal to the whole-trace solve;
-* mixed read-modify-write streams on a hookless array run on
-  :class:`repro.sim.batchstep._EagerCore` fed window by window, its
-  pending-phase heap and per-disk state persisting across feeds.  On
-  the core's ambiguity abort (an exact submission-time tie) nothing has
-  touched the controller, so the pass demotes that shard — its
-  digests, counts and recorder samples cleared — to the replay pass:
-  the exact core (:func:`repro.sim.batchstep._exact_core`: the
-  compiled kernel for these healthy read-modify-write plans), again
-  one window at a time — the heap pump's exact serialization without
-  the event heap, keeping the pump's ``windowed-pump`` label;
+* mixed streams on the shards the eager tier takes
+  (:func:`repro.sim.batchstep._eager_eligible`: healthy
+  read-modify-write arrays without a data plane) run on the eager core
+  fed window by window, its pending-phase heap and per-disk state
+  persisting across feeds.  On the core's ambiguity abort (an exact
+  submission-time tie) nothing has touched the controller, so the pass
+  demotes that shard — its digests, counts and recorder samples
+  cleared — to the replay pass: the exact core
+  (:func:`repro.sim.batchstep._exact_core`), again one window at a
+  time — the heap pump's exact serialization without the event heap,
+  keeping the pump's ``windowed-pump`` label;
 * a shard with foreign events scheduled on it (a failure timer, a
   migration copy) or a degenerate service model streams through the
   chained heap pump — :class:`~repro.sim.compile._CompiledRun` with a
   window ``source``, which loads one window at a time into the real
-  event engine.  Every other shard the carry engines decline (a data
-  plane, a one-shot mixed stream) or a busy clock rules out replays on
-  the exact core, under the pump's label.  A one-shot source has one
-  pass to give, so the gate refuses one that would need more.
+  event engine.  Every other shard the carry engines decline (a
+  degraded array, a data plane, a one-shot mixed stream) or a busy
+  clock rules out replays on the exact core, under the pump's label.
+  A one-shot source has one pass to give, so the gate refuses one that
+  would need more.
 
 All three off-heap engines run one protocol, ``feed(trace, sink)`` and
 ``finish(sink)`` (see :mod:`repro.sim.batchstep`), and emit into a
@@ -74,7 +76,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .batchstep import _eager_core, _exact_core
+from .batchstep import _eager_core, _eager_eligible, _exact_core
 from .compile import (
     CompiledTrace,
     _compile_ordered,
@@ -220,21 +222,24 @@ def _slice_window(
 def _carry_label(
     controllers: list[ArrayController],
     windows,
-    read_only_hint: bool,
     fleet_busy: bool = False,
 ) -> str | None:
     """The label of the carry engine a shard set runs on an idle clock:
-    ``windowed-solver`` for single-phase streams, ``windowed-eager`` for
-    mixed read-modify-write on hookless arrays with a positive service
-    model and re-iterable windows (an abort replays from the top).  None
+    ``windowed-solver`` for single-phase streams (a source whose
+    ``read_only`` attribute says so — any other iterable counts as
+    mixed — or a write-through fleet), ``windowed-eager`` for mixed
+    streams in re-iterable windows (an abort replays from the top) when
+    some shard is eager-eligible (the gate carries only those).  None
     on a busy clock, with ``fleet_busy``, or when neither applies."""
     lead = controllers[0]
     if fleet_busy or lead.sim.pending():
         return None
-    if read_only_hint or lead.write_policy == "write_through":
+    read_only = getattr(windows, "read_only", False)
+    if read_only or lead.write_policy == "write_through":
         return "windowed-solver"
-    eager = lead.data is None and lead.params.min_service_ms > 0.0
-    return "windowed-eager" if eager and iter(windows) is not windows else None
+    if iter(windows) is windows or not any(map(_eager_eligible, controllers)):
+        return None
+    return "windowed-eager"
 
 
 def _engine(ctrl: ArrayController, label: str):
@@ -380,7 +385,6 @@ def _execute_shard_windows(
     windows,
     digests: list[dict[str, LatencyDigest]],
     *,
-    read_only_hint: bool = False,
     fleet_busy: bool = False,
 ) -> tuple[list[int], int]:
     """Serve a windowed fleet stream on a set of shards sharing one
@@ -390,15 +394,17 @@ def _execute_shard_windows(
     class, and each class reads ``windows`` once:
 
     * **carry** — idle clock, no ``fleet_busy``, a carry engine applies
-      (:func:`_carry_label`): one off-heap pass (:func:`_off_heap_pass`)
+      (:func:`_carry_label`) and takes the shard (the eager core only
+      eager-eligible ones): one off-heap pass (:func:`_off_heap_pass`)
       on the analytic solver or the eager core;
     * **heap** — an armed event names the shard (or a pending event
       names none, or its service model is degenerate): a chained pump
       (:func:`_arm_shard_pump`) each, all armed before one
       ``sim.run()``, so armed events interleave as on an all-heap clock;
-    * **exact replay** — every other shard, and carry shards whose
-      eager core tie-aborts: ONE off-heap pass for all, on the exact
-      core (label ``windowed-pump``).
+    * **exact replay** — every other shard (a degraded one beside an
+      eager carry, say), and carry shards whose eager core tie-aborts:
+      ONE off-heap pass for all, on the exact core (label
+      ``windowed-pump``).
 
     The clock ends at the set's makespan.  Latency lands in ``digests``
     (indexed like ``controllers``).  Returns ``(scheduled, windows)``:
@@ -413,14 +419,19 @@ def _execute_shard_windows(
     off_heap = partial(
         _off_heap_pass, controllers, route, windows, digests, scheduled
     )
-    label = _carry_label(controllers, windows, read_only_hint, fleet_busy)
+    label = _carry_label(controllers, windows, fleet_busy)
     heap: list[int] = []
+    replay: list[int] = []
     n_windows = 0
     if label is not None:
-        n_windows, end, replay = off_heap(range(len(controllers)), label)
+        carry = []
+        eager = label == "windowed-eager"
+        for i, ctrl in enumerate(controllers):
+            (replay if eager and not _eager_eligible(ctrl) else carry).append(i)
+        n_windows, end, demoted = off_heap(carry, label)
+        replay = sorted(replay + demoted)
     else:
         armed = sim.armed_shards()
-        replay = []
         for i, ctrl in enumerate(controllers):
             (heap if _on_heap(ctrl, armed) else replay).append(i)
         passes = len(heap) + bool(replay)
@@ -448,7 +459,6 @@ def execute_windows(
     ctrl: ArrayController,
     windows: Iterable[_Window],
     *,
-    read_only_hint: bool = False,
     digests: dict[str, LatencyDigest] | None = None,
 ) -> tuple[int, dict[str, LatencyDigest]]:
     """Run a windowed request stream through the fastest exact engine.
@@ -464,25 +474,27 @@ def execute_windows(
     1. a busy simulator → the chained heap pump (window source) when
        a pending event names this array or names none; events naming
        only other arrays leave it to the exact-core replay of 4;
-    2. ``read_only_hint`` (the caller knows every request is a read —
-       e.g. a synthetic stream with ``read_fraction >= 1``) or
+    2. a source whose ``read_only`` attribute says every request is a
+       read (:class:`~repro.sim.compile.StreamWindows` and
+       :class:`~repro.sim.compile.ArrayWindows` carry one) or
        write-through policy → one off-heap pass on the windowed
        analytic solver;
-    3. mixed read-modify-write on a hookless array (no data plane) →
-       one off-heap pass on the windowed eager core; an exact-tie
-       abort demotes the array, and a second off-heap pass replays the
-       stream bit-exactly on the exact core, with the heap pump's
-       serialization and ``windowed-pump`` label but no heap events
-       (``windows`` must be re-iterable for the replay —
-       :class:`~repro.sim.compile.StreamWindows` is; one-shot
-       generators skip the eager tier);
-    4. otherwise (a data plane, a one-shot mixed stream) → the same
-       exact-core pass, in the stream's one pass, when the service
-       model is positive; else the chained heap pump.
+    3. a mixed stream on an eager-eligible array
+       (:func:`~repro.sim.batchstep._eager_eligible`: healthy,
+       read-modify-write, no data plane) → one off-heap pass on the
+       windowed eager core; an exact-tie abort demotes the array, and
+       a second off-heap pass replays the stream bit-exactly on the
+       exact core, with the heap pump's serialization and
+       ``windowed-pump`` label but no heap events (``windows`` must be
+       re-iterable for the replay; one-shot generators skip the eager
+       tier);
+    4. otherwise (a degraded array, a data plane, a one-shot mixed
+       stream) → the same exact-core pass, in the stream's one pass,
+       when the service model is positive; else the chained heap pump.
 
-    The hint is advisory: an all-read stream without it simply runs on
-    the eager core, whose read recurrence performs the identical float
-    operations, so the report does not change — only the speed.
+    Any other iterable counts as mixed: its all-read stream runs on the
+    eager core, whose read recurrence performs the identical float
+    operations — the same report, at another speed and label.
 
     Raises ``IndexError`` on an LBA outside the array's capacity, and
     ``ValueError`` on a window that starts before the previous window's
@@ -502,7 +514,7 @@ def execute_windows(
         np.full(1, ctrl.obs_shard, dtype=np.int64), cap, cap, cap
     )
     (scheduled,), n_windows = _execute_shard_windows(
-        [ctrl], route, windows, [digests], read_only_hint=read_only_hint
+        [ctrl], route, windows, [digests]
     )
     if n_windows:
         ctrl.obs.count("window_boundaries", n_windows, volatile=True)

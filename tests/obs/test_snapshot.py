@@ -3,9 +3,15 @@
 import json
 
 import numpy as np
+import pytest
 
 from repro.obs import MetricsRecorder, build_rows, prometheus_text, render_metrics_jsonl
-from repro.obs.snapshot import _admission_intervals, _carry_forward, _occupancy
+from repro.obs.snapshot import (
+    MAX_SNAPSHOT_ROWS,
+    _admission_intervals,
+    _carry_forward,
+    _occupancy,
+)
 
 
 def _loaded_recorder() -> MetricsRecorder:
@@ -79,6 +85,26 @@ class TestBuildRows:
     def test_empty_recorder_renders_final_only(self):
         rows = build_rows(MetricsRecorder(10.0))
         assert [r["type"] for r in rows] == ["final"]
+
+    def test_grid_at_the_row_cap_renders(self):
+        rec = MetricsRecorder(0.1)
+        rec.arrivals(0, np.array([(MAX_SNAPSHOT_ROWS - 0.5) * 0.1]))
+        assert len(build_rows(rec)) == MAX_SNAPSHOT_ROWS + 1
+
+    @pytest.mark.parametrize("observe", ["arrival", "completion", "gauge"])
+    def test_grid_past_the_row_cap_refused(self, observe):
+        """One observation past the cap's last bucket is refused before
+        any row is built, whatever recorded it."""
+        rec = MetricsRecorder(0.1)
+        t = (MAX_SNAPSHOT_ROWS + 0.5) * 0.1
+        if observe == "arrival":
+            rec.arrivals(0, np.array([t]))
+        elif observe == "completion":
+            rec.feed(0, "read", np.array([t]), np.array([1.0]))
+        else:
+            rec.gauge("rebuild_progress", 0, t, 0.5)
+        with pytest.raises(ValueError, match="metrics interval 0.1 ms"):
+            build_rows(rec)
 
 
 class TestAdmissionOccupancy:

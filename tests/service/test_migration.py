@@ -13,6 +13,7 @@ from repro.service import (
     Fleet,
     FleetScenario,
     MigrationCoordinator,
+    VolumeMigrationOutcome,
     plan_migration,
     run_fleet_scenario,
 )
@@ -240,6 +241,33 @@ class TestCoordinatorEdges:
         for at_ms in (math.nan, math.inf):
             with pytest.raises(ValueError, match="reshape time"):
                 MigrationCoordinator(fleet, 8, at_ms=at_ms)
+
+    def test_outcome_row(self):
+        """One serializer for a move: the report's ``migration.volumes``
+        rows and each autoscale event's ``volumes`` — 14 keys, in this
+        order (the report JSON is not key-sorted)."""
+        o = VolumeMigrationOutcome(
+            volume=5, source=1, dest=3, units_copied=8,
+            requested_at_ms=10.0, started_at_ms=12.5, copied_at_ms=20.0,
+            cutover_at_ms=21.0, drained_requests=4, held_requests=2,
+            forwarded_writes=6, data_verified=True,
+        )
+        assert list(o.to_dict().items()) == [
+            ("volume", 5), ("source", 1), ("dest", 3), ("units_copied", 8),
+            ("requested_at_ms", 10.0), ("started_at_ms", 12.5),
+            ("copied_at_ms", 20.0), ("cutover_at_ms", 21.0),
+            ("admission_delay_ms", 2.5), ("copy_ms", 7.5), ("drain_ms", 1.0),
+            ("held_requests", 2), ("forwarded_writes", 6),
+            ("data_verified", True),
+        ]
+
+    def test_reshape_after_the_traffic_accepted(self):
+        """The coordinator knows no horizon: a library caller may arm a
+        reshape after a stream on purpose (the scenario bounds its own
+        reshape time by its horizon)."""
+        fleet = Fleet(4, 9, 3, seed=0)
+        MigrationCoordinator(fleet, 8, at_ms=1e300).arm()
+        assert fleet.sim.pending()
 
 
 def _moving_fleet(dataplane=False):

@@ -184,6 +184,16 @@ BAD_SERVE_INPUTS = [
         ["--smoke", "--metrics-interval", "nan", "--metrics-out", "{tmp}/m"],
         "metrics interval",
     ),
+    (["--smoke", "--grow", "2:3", "--reshape-at", "1e300"], "reshape time"),
+    (["--smoke", "--shrink", "3:2", "--reshape-at", "401"], "reshape time"),
+    (
+        ["--smoke", "--metrics-interval", "0.01", "--metrics-out", "{tmp}/m"],
+        "metrics interval",
+    ),
+    (
+        ["--smoke", "--metrics-interval", "1e-9", "--metrics-prom", "{tmp}/m"],
+        "metrics interval",
+    ),
 ]
 
 
@@ -207,6 +217,15 @@ class TestServeCLI:
     def test_scenario_horizon_validated(self, duration):
         with pytest.raises(ValueError, match="duration_ms"):
             FleetScenario(duration_ms=duration)
+
+    def test_reshape_time_within_horizon(self):
+        """A reshape may fire at the horizon, not past it (the
+        migration would then run alone and stretch the makespan); a
+        reshape time means nothing without a reshape."""
+        with pytest.raises(ValueError, match="reshape time"):
+            FleetScenario(duration_ms=100.0, reshape_to=9, reshape_at_ms=101.0)
+        FleetScenario(duration_ms=100.0, reshape_to=9, reshape_at_ms=100.0)
+        FleetScenario(duration_ms=100.0, reshape_at_ms=1e300)
 
     def test_smoke_exit_zero(self, tmp_path, capsys):
         from repro.__main__ import main

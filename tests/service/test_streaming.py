@@ -22,6 +22,7 @@ import pytest
 from repro.core import get_layout
 from repro.obs import MetricsRecorder
 from repro.service import (
+    FailureEvent,
     FailureOrchestrator,
     Fleet,
     FleetScenario,
@@ -148,6 +149,49 @@ class TestTieHeavyWindows:
             return asdict(report)
 
         assert serve(True) == serve(False)
+
+
+class TestServeAgainAfterFailure:
+    """A fleet that served through a failure keeps the failed array
+    degraded: its rebuild restores the data to a spare, not the array's
+    failure state.  Served again on an idle clock, the windowed gate
+    decides per shard: the healthy arrays keep their eager carry, the
+    degraded one replays on the exact core with no eager attempt — and
+    the report equals the materialized serve of the same stream."""
+
+    @pytest.mark.parametrize("ws", [1, 64, 10**6])
+    @pytest.mark.parametrize("failed", [0, 2], ids=["lead", "inner"])
+    def test_degraded_array_replays_beside_healthy_carry(self, failed, ws):
+        def serve(window_size):
+            fleet = Fleet(4, 9, 3, seed=0)
+            FailureOrchestrator(
+                fleet, (FailureEvent(100.0, failed, 1),), admission=2
+            ).arm()
+            fleet.serve_workload(_workload(), DURATION)
+            fleet.sim.run()
+            assert not fleet.sim.pending()
+            assert [c.failed_disk for c in fleet.controllers] == [
+                1 if i == failed else None for i in range(4)
+            ]
+            rec = MetricsRecorder(50.0)
+            fleet.attach_recorder(rec)
+            report = fleet.serve_workload(
+                _workload(seed=4), DURATION, window_size=window_size
+            )
+            assert rec.counters().get("tie_abort_replays", 0) == 0
+            return report
+
+        materialized, windowed = serve(None), serve(ws)
+        assert asdict(windowed) == asdict(materialized)
+        healthy = ["eager", "eager-native"]
+        for i, (m, w, x) in enumerate(
+            zip(materialized.engines, windowed.engines, windowed.executors)
+        ):
+            if i == failed:
+                assert (m, w, x) == ("calendar", "windowed-pump", "exact-core")
+            else:
+                assert m == "eager" and w == "windowed-eager", i
+                assert x in healthy, i
 
 
 class TestOneShotSource:
@@ -308,17 +352,27 @@ class TestBadArrivalTimes:
 
 
 
-def _going_back(capacity: int, reads: bool) -> list:
+class _Windows(list):
+    """Re-iterable windows that say whether they are all reads."""
+
+    read_only = False
+
+
+def _going_back(capacity: int, reads: bool) -> _Windows:
     """Two windows whose arrivals go back across the boundary: 10
     requests at 10-19 ms, then 10 at 0-9 ms (every third a write unless
-    ``reads``)."""
+    ``reads``, which the windows then say)."""
     lbas = np.random.default_rng(0).integers(0, capacity, 20)
     is_read = np.ones(20, dtype=bool) if reads else np.arange(20) % 3 != 0
     times = np.arange(20.0)
-    return [
-        (times[10:], is_read[:10], lbas[:10]),
-        (times[:10], is_read[10:], lbas[10:]),
-    ]
+    windows = _Windows(
+        [
+            (times[10:], is_read[:10], lbas[:10]),
+            (times[:10], is_read[10:], lbas[10:]),
+        ]
+    )
+    windows.read_only = reads
+    return windows
 
 
 class TestWindowsGoingBack:
@@ -350,7 +404,7 @@ class TestWindowsGoingBack:
         ctrl.obs = MetricsRecorder(5.0)
         windows = _going_back(ctrl.mapper.capacity, reads)
         with pytest.raises(ValueError, match="non-decreasing"):
-            execute_windows(ctrl, windows, read_only_hint=reads)
+            execute_windows(ctrl, windows)
         assert ctrl.last_engine == label
         assert ctrl.obs.arrival_buckets(0) == {2: 5, 3: 5}
         assert ctrl.sim.now == 0.0 and not ctrl.sim.pending()

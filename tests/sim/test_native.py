@@ -436,6 +436,41 @@ class TestEligibility:
         assert isinstance(_exact_core(ctrl, "calendar"), _ExactCore)
         assert ctrl.last_executor == "exact-core"
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _failed(ArrayController(get_layout(9, 3))),
+            lambda: ArrayController(get_layout(9, 3), dataplane=True),
+            lambda: ArrayController(
+                get_layout(9, 3), write_policy="write_through"
+            ),
+            lambda: ArrayController(
+                get_layout(9, 3),
+                disk_params=DiskParameters(
+                    average_seek_ms=0.0,
+                    rotational_latency_ms=0.0,
+                    transfer_ms_per_unit=0.0,
+                    sequential_seek_ms=0.0,
+                ),
+            ),
+        ],
+        ids=["degraded", "dataplane", "write-through", "zero-service"],
+    )
+    def test_eager_factory_refuses_outside_its_domain(self, make):
+        """Both eager cores cover healthy rmw plans only: the factory
+        refuses any other controller loudly, before it labels it, so a
+        gate that slips cannot run a degraded trace on the eager
+        tier."""
+        ctrl = make()
+        with pytest.raises(ValueError, match="eager tier takes"):
+            _eager_core(ctrl, "eager")
+        assert ctrl.last_engine is None
+
+
+def _failed(ctrl):
+    ctrl.fail_disk(1)
+    return ctrl
+
 
 def _serves():
     """A healthy serve whose shards tie-abort onto the exact tier (once

@@ -42,6 +42,7 @@ from repro.sim.batchstep import (
     _ExactCore,
 )
 from repro.sim.compile import (
+    ArrayWindows,
     StreamWindows,
     _WindowedSolver,
     compile_stream,
@@ -181,15 +182,16 @@ class TestWindowedReportEquality:
 #: whether it runs on the event heap).  The pump case ties exactly on a
 #: disk, so the eager core aborts and the stream replays on the exact
 #: core: the heap pump's serialization and label, without the heap.
-#: The data-plane case rules the carry engines out; nothing foreign is
-#: scheduled on its one shard, so it replays on the exact core too.
+#: The degraded and data-plane cases rule the eager tier out; nothing
+#: foreign is scheduled on their one shard, so they replay on the exact
+#: core too.
 METRICS_CASES = [
     ("solver", dict(config=_cfg(read_fraction=1.0)), "windowed-solver", False),
     ("eager", dict(config=_cfg()), "windowed-eager", False),
     (
         "degraded_eager",
         dict(config=_cfg(), failed_disk=1),
-        "windowed-eager",
+        "windowed-pump",
         False,
     ),
     (
@@ -301,10 +303,10 @@ class _Passes(list):
 
 
 class TestWindowedExactReplay:
-    """A shard whose windowed eager attempt tie-aborts replays on the
-    exact core, one window at a time, on an idle clock: the heap pump's
-    serialization (and ``windowed-pump`` label) without the event
-    heap."""
+    """A shard whose windowed eager attempt tie-aborts, or a degraded
+    shard, which makes no eager attempt, replays on the exact core, one
+    window at a time, on an idle clock: the heap pump's serialization
+    (and ``windowed-pump`` label) without the event heap."""
 
     @pytest.mark.parametrize("failed", [None, 1])
     @pytest.mark.parametrize("tick", [8.0, 5.0])
@@ -352,7 +354,8 @@ class TestWindowedExactReplay:
             assert replay.last_engine == pump.last_engine == "windowed-pump"
             assert replay.sim.events_processed == 0
             assert pump.sim.events_processed > 0
-            assert replay.obs.counters() == {"tie_abort_replays": 1}
+            aborts = {"tie_abort_replays": 1} if failed is None else {}
+            assert replay.obs.counters() == aborts
             for ctrl, dg in ((replay, digests), (pump, pump_digests)):
                 got = (
                     ctrl.sim.now,
@@ -537,15 +540,39 @@ class TestExecuteWindowsGate:
                 LAYOUT, duration_ms=50.0, window_size=8, batched=False
             )
 
-    def test_lying_read_only_hint_raises(self):
-        """The hint is a caller promise; a mixed stream under it must
-        fail loudly in the solver, not silently mis-simulate."""
+    @pytest.mark.parametrize(
+        "source, engine",
+        [
+            ("stream", "windowed-solver"),
+            ("arrays", "windowed-solver"),
+            ("list", "windowed-eager"),
+        ],
+    )
+    def test_source_says_whether_it_is_all_reads(self, source, engine):
+        """``StreamWindows`` and ``ArrayWindows`` carry ``read_only``,
+        true for an all-read stream only, which then takes the analytic
+        solver; any other iterable counts as mixed, and the same reads
+        run on the eager core — the same report either way."""
+        cap = ArrayController(LAYOUT).mapper.capacity
+
+        def windows(cfg):
+            if source == "arrays":
+                stream = generate_request_stream(cfg, DURATION, cap)
+                return ArrayWindows(*stream, 16)
+            w = StreamWindows(cfg, DURATION, cap, 16)
+            return list(w) if source == "list" else w
+
+        assert not getattr(windows(_cfg()), "read_only", False)
+        cfg = _cfg(read_fraction=1.0)
         ctrl = ArrayController(LAYOUT)
-        windows = StreamWindows(
-            _cfg(read_fraction=0.5), 100.0, ctrl.mapper.capacity, window_size=16
+        scheduled, digests = execute_windows(ctrl, windows(cfg))
+        assert ctrl.last_engine == engine
+        materialized = asdict(
+            simulate_workload(LAYOUT, duration_ms=DURATION, config=cfg)
         )
-        with pytest.raises(ValueError, match="read-only"):
-            execute_windows(ctrl, windows, read_only_hint=True)
+        assert scheduled == materialized["scheduled"]
+        latency = {kind: summarize(d) for kind, d in digests.items()}
+        assert latency == materialized["latency"]
 
     def test_one_shot_generator_streams_through_pump(self):
         """A non-re-iterable window source skips the eager tier (an

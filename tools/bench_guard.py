@@ -4,9 +4,10 @@ Every case is self-relative: both sides of each ratio run on the same
 host, in interleaved pairs, so host speed cancels out and no committed
 ``BENCH_*.json`` row is involved.  A change that quietly knocks an
 engine back onto a slow path (the solver onto the heap, the eager tier
-into its fallback, the degraded planner onto per-event stepping, the
-warm runtime into a cold boot) shows up as a ratio far below its
-floor, while the same code on a slower host reads the same ratio.
+into its fallback, a degraded trace from the exact core onto per-event
+stepping, the warm runtime into a cold boot) shows up as a ratio far
+below its floor, while the same code on a slower host reads the same
+ratio.
 
 Engine cases
 ------------
@@ -21,17 +22,19 @@ per-pair heap/engine wall-time ratio:
   seed 7, 30k requests: the analytic solver;
 * ``mixed_rw_executor`` — the same at read fraction 0.7: the eager
   tier, on the compiled eager core (executor ``eager-native``);
-* ``degraded_mixed_executor`` — that mix with disk 1 failed: the
-  eager tier on degraded plans, on the Python eager core (executor
-  ``eager``);
+* ``degraded_mixed_executor`` — that mix with disk 1 failed: a
+  degraded trace never tries the eager tier, so the exact tier (label
+  ``calendar``) replays it on the Python exact core (executor
+  ``exact-core``), the one core that takes degraded plans;
 * ``exact_tier`` — one shard of the serve-shaped mixed fleet ((9,3),
   8 ms, read fraction 0.7, seed 7, 30k requests), whose eager attempt
   tie-aborts, so the exact tier (label ``calendar``) replays it on the
   compiled exact core (executor ``exact-native``).
 
 Each of these names its label and its executor: a host where the
-kernel did not build, or a gate that sends healthy plans back to a
-Python core, reads as a wrong engine.
+kernel did not build, a gate that sends healthy plans back to a
+Python core, or one that lets a degraded trace into the eager tier,
+reads as a wrong engine.
 
 ``windowed_exact`` streams the ``exact_tier`` shard in 4096-request
 windows (``StreamWindows``) through ``execute_windows`` — whose first
@@ -137,11 +140,14 @@ PAIRS = 5
 #: The guarded engine cases: name -> ((v, k), mean interarrival ms,
 #: read fraction, failed disk, expected ``label/executor``, floor on
 #: the best per-pair heap/engine wall-time ratio).  Each floor sits
-#: well below the best-pair ratios three runs measured on a 2-CPU host
-#: (Python 3.11.7, NumPy 2.4.6, gcc 12.2) — solver 13.4-15.2, eager
-#: 44.8-59.8 on the compiled eager core, degraded eager 3.9-4.5 on the
-#: Python eager core, exact tier 20.8-28.4 on the compiled eager and
-#: exact cores — and well above the ~1x of a run pinned to the heap.
+#: below the best-pair ratios three runs measured on a 2-CPU host
+#: (Python 3.11.7, NumPy 2.4.6, gcc 12.2) — solver 9.9-18.5, eager
+#: 65.5-73.1 on the compiled eager core, degraded 2.18-2.33 on the
+#: Python exact core (2.43-2.69 in six more runs; the Python eager core,
+#: which took degraded plans before they left the eager tier, read
+#: 3.79-5.88 in six runs interleaved with those), exact tier 26.7-30.4
+#: on the compiled eager and exact cores — and well above the ~1x of a
+#: run pinned to the heap.
 #: The eager and exact-tier floors also sit above what the Python cores
 #: read there (eager 4.4-5.9, exact tier 4.2, the eager attempt in
 #: Python), so a gate that sends healthy plans back to Python fails on
@@ -153,7 +159,9 @@ CASES = {
     "mixed_rw_executor": (
         (13, 4), 5.0, 0.7, None, "eager/eager-native", 15.0,
     ),
-    "degraded_mixed_executor": ((13, 4), 5.0, 0.7, 1, "eager/eager", 1.7),
+    "degraded_mixed_executor": (
+        (13, 4), 5.0, 0.7, 1, "calendar/exact-core", 1.7,
+    ),
     "exact_tier": ((9, 3), 8.0, 0.7, None, "calendar/exact-native", 8.0),
 }
 
