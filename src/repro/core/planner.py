@@ -18,12 +18,17 @@ best one:
    approximately balanced, size ``k(c-1)(q-1)``.
 6. **hg** — Holland–Gibson ``k``-copy baseline; perfectly balanced,
    size ``k·r`` (kept for comparison).
+
+Methods 2, 3 and 6 predict from the design the catalog builds (one of
+at most :data:`PLANNED_DESIGN_BLOCKS` blocks), so their predictions are
+what the plan builds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ..algebra import min_prime_power_factor, is_prime_power
@@ -105,11 +110,12 @@ class LayoutPlan:
     Attributes:
         v, k: target array and stripe size.
         method: construction tag (see module docstring).
-        predicted_size: upper bound on the layout size (units/disk) the
-            method will produce.  Exact for the geometric constructions
-            (ring/removal/stairway); design-based methods may come in
-            *smaller* when the generic redundancy reduction finds extra
-            duplicate blocks at build time.
+        predicted_size: the layout size (units/disk) the method will
+            produce — exact for the geometric methods, and for the
+            design-based ones whose design planning builds (up to
+            :data:`PLANNED_DESIGN_BLOCKS` blocks); past that an upper
+            bound (the catalog candidate before its redundancy
+            reduction).
         balanced: whether parity balance is perfect (vs within one unit
             or the stairway band).
         detail: method-specific parameters (e.g. ``q, c, w``).
@@ -165,6 +171,57 @@ def _removal_candidates(v: int, k: int) -> list[LayoutPlan]:
     return plans
 
 
+#: The most blocks a catalog candidate may have for planning to build
+#: its design.  Building costs about 7-80 us a block in Python (2-CPU
+#: host: (128,16)'s 16,256-block candidate 0.12 s, (333,7)'s 110,556
+#: blocks 2 s, (1000,8)'s 999,000 blocks 25 s), so with the cap a plan
+#: costs at most about a second and a half instead of up to minutes.
+PLANNED_DESIGN_BLOCKS = 20_000
+
+
+def _design_plans(v: int, k: int, name: str, b: int) -> list[LayoutPlan]:
+    """The design-based plans (``flow_single``, ``flow_lcm``, ``hg``)
+    over the catalog's cheapest candidate ``name`` of ``b`` blocks.
+
+    A candidate of at most :data:`PLANNED_DESIGN_BLOCKS` blocks is
+    built here, once (:func:`best_design`, redundancy reduction
+    included), and every plan predicts from that design's ``b`` and
+    builds from it, so each prediction is exact.  A larger candidate
+    is not built until asked: its plans keep the candidate's ``b``,
+    which bounds the size from above.
+    """
+    design = None
+    if b <= PLANNED_DESIGN_BLOCKS:
+        design = best_design(v, k)
+        b = design.b
+    r = k * b // v
+    copies = math.lcm(b, v) // b
+
+    def build(method: str) -> Layout:
+        d = best_design(v, k) if design is None else design
+        if method == "hg":
+            return holland_gibson_layout(d)
+        n = copies if method == "flow_lcm" else 1
+        return layout_from_design(d, copies=n, parity="flow")
+
+    claims = [("flow_single", r, b % v == 0, {})]
+    if copies > 1:
+        claims.append(("flow_lcm", r * copies, True, {"copies": copies}))
+    claims.append(("hg", k * r, True, {}))
+    return [
+        LayoutPlan(
+            v=v,
+            k=k,
+            method=method,
+            predicted_size=size,
+            balanced=balanced,
+            detail={"design": name, "b": b, **extra},
+            _builder=partial(build, method),
+        )
+        for method, size, balanced, extra in claims
+    ]
+
+
 def enumerate_plans(v: int, k: int) -> list[LayoutPlan]:
     """All applicable constructions for ``(v, k)``, sorted by
     ``(predicted_size, imbalance)``.
@@ -191,47 +248,7 @@ def enumerate_plans(v: int, k: int) -> list[LayoutPlan]:
 
     candidates = candidate_constructions(v, k)
     if candidates:
-        design_name, b = candidates[0]
-        r = k * b // v
-        copies = math.lcm(b, v) // b
-        plans.append(
-            LayoutPlan(
-                v=v,
-                k=k,
-                method="flow_single",
-                predicted_size=r,
-                balanced=(b % v == 0),
-                detail={"design": design_name, "b": b},
-                _builder=lambda: layout_from_design(
-                    best_design(v, k), copies=1, parity="flow"
-                ),
-            )
-        )
-        if copies > 1:
-            plans.append(
-                LayoutPlan(
-                    v=v,
-                    k=k,
-                    method="flow_lcm",
-                    predicted_size=r * copies,
-                    balanced=True,
-                    detail={"design": design_name, "b": b, "copies": copies},
-                    _builder=lambda: layout_from_design(
-                        best_design(v, k), copies=copies, parity="flow"
-                    ),
-                )
-            )
-        plans.append(
-            LayoutPlan(
-                v=v,
-                k=k,
-                method="hg",
-                predicted_size=k * r,
-                balanced=True,
-                detail={"design": design_name, "b": b},
-                _builder=lambda: holland_gibson_layout(best_design(v, k)),
-            )
-        )
+        plans.extend(_design_plans(v, k, *candidates[0]))
 
     plans.extend(_removal_candidates(v, k))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..verify import ConformanceReport, check_layout, plan_workload_bound
+from ..verify import ConformanceReport, check_layout, plan_tolerances
 from .fleet import Fleet
 
 __all__ = ["FleetConformance", "check_fleet"]
@@ -71,20 +71,21 @@ def check_fleet(fleet: Fleet, *, mapper_samples: int = 256) -> FleetConformance:
 
     Distinctness is by identity — shards built through the registry
     share one layout object, so the common case is one check no matter
-    the shard count.  The fleet's own layout is held to the tolerance
-    its plan's theorems entitle it to, as ``verify --all`` holds it
-    (:func:`repro.verify.plan_workload_bound`: a stairway plan's
-    Condition 3 cap is ``(k-1)/(q-1)``, not the declustering ideal).
+    the shard count.  The fleet's own layout is held to its plan's
+    claims, as ``verify --all`` holds it
+    (:func:`repro.verify.plan_tolerances`: perfect parity balance when
+    the plan claims it, and a stairway plan's Condition 3 cap of
+    ``(k-1)/(q-1)``, not the declustering ideal).
     """
     seen: dict[int, object] = {}
     for ctrl in fleet.controllers:
         seen.setdefault(id(ctrl.layout), ctrl.layout)
-    bound = plan_workload_bound(fleet.plan)
+    claims = plan_tolerances(fleet.plan)
     reports = tuple(
         check_layout(
             layout,
-            workload_bound=bound if layout is fleet.layout else None,
             mapper_samples=mapper_samples,
+            **(claims if layout is fleet.layout else {}),
         )
         for layout in seen.values()
     )

@@ -61,7 +61,6 @@ from ..sim.disk import DiskParameters
 from ..sim.events import Simulator
 from ..sim.stats import LatencyDigest, LatencyState, LatencyStats, merge_states
 from ..sim.stream import (
-    _carry_label,
     _execute_shard_windows,
     _in_order,
     _ShardRoute,
@@ -551,15 +550,17 @@ class Fleet:
           failure names its array) run on the shared heap; every other
           shard, and every eager tie abort, replays on the exact core
           in the heap pump's order and under its ``windowed-pump``
-          label.
-        * **window router** (live routing — a live migration, a pending
-          event naming no shard such as a reshape or an autoscale tick,
-          or a one-shot source the carry engines do not take, since the
-          gate gives each heap shard a pass of its own): one
-          self-rescheduling event loads each window onto the shared
-          heap for every shard, routed through the *live* volume table
-          (:meth:`_route_live`, as :meth:`route_stream` routes a
-          materialized stream), so cutovers mid-stream take effect.
+          label.  A one-shot source (an iterator that is its own
+          ``iter()``) is served in its one pass, or refused with a
+          ``ValueError`` before a window is read when heap shards
+          would need passes of their own.
+        * **window router** (live routing only — a live migration, or a
+          pending event naming no shard such as a reshape or an
+          autoscale tick): one self-rescheduling event loads each
+          window onto the shared heap for every shard, routed through
+          the *live* volume table (:meth:`_route_live`, as
+          :meth:`route_stream` routes a materialized stream), so
+          cutovers mid-stream take effect.
 
         Any source without ``read_only`` counts as mixed.
         ``read_only_hint`` is ignored, kept for the end-to-end harness
@@ -579,14 +580,7 @@ class Fleet:
         digests: list[dict[str, LatencyDigest]] = [
             {} for _ in self.controllers
         ]
-        if (
-            (mig is not None and not mig.done)
-            or self.sim.armed_shards() is None
-            or (
-                iter(windows) is windows
-                and _carry_label(self.controllers, windows) is None
-            )
-        ):
+        if (mig is not None and not mig.done) or self.sim.armed_shards() is None:
             scheduled = [0] * len(self.controllers)
             router = _WindowRouter(self, iter(windows), digests, scheduled)
             self.sim.run()
@@ -724,7 +718,7 @@ class _WindowRouter:
     number when the router delivers the window, where the chained pump
     (and so the materialized serve) numbers it at the end of the
     previous epoch.  At exact time ties across a window boundary the
-    schedules can differ.
+    schedules of a reshape or autoscale serve can differ.
 
     Construction arms the first window; run the clock, then call
     :meth:`finish`.

@@ -59,7 +59,11 @@ heaped at all: the next arrival epoch is merged against the heap's
 head by ``(time, pump_seq)``.  The RMW chained-arrival dependency (a
 small write's phase-2 IOs exist only once both phase-1 reads finish)
 is handled naturally: the follow-on IOs are submitted inside their
-parent's completion.  It is one resumable core with the eager tier's
+parent's completion.  Every IO starts through one step, the core's
+twin of :meth:`repro.sim.disk.Disk.submit` — a read at its arrival,
+either phase of a read-modify-write, a generic plan's phase — and a
+queued IO starts at its predecessor's completion, as in
+``Disk._start_next``.  It is one resumable core with the eager tier's
 protocol: :func:`step_compiled` feeds it a whole trace once
 (label ``calendar`` — the name of the calendar-queue engine it
 replaced, kept because it is a canonical report field), the shard-set
@@ -576,8 +580,9 @@ class _ExactCore:
     heap of in-flight completions, with window carry-over.
 
     A disk serves one IO at a time, so the heap holds at most ``v``
-    ``(time, seq, action, disk, request)`` entries; queued IOs wait in
-    per-disk FIFOs and take their seq when their service starts, as on
+    ``(time, seq, action, disk, request)`` entries; every IO goes
+    through one ``submit`` step, and queued IOs wait in per-disk FIFOs
+    and take their seq when their service starts, as on
     :class:`repro.sim.disk.Disk`.  Arrivals are not pushed: the next
     epoch merges against the heap's head by ``(time, pump_seq)``.  Plans
     are :class:`repro.sim.compile._CompiledRun` objects, shared verbatim
@@ -723,8 +728,8 @@ class _ExactCore:
         ai = 0  # next arrival index
 
         def submit(d: int, off: int, action: int, req: int) -> None:
-            """Disk.submit: queue on a busy disk, start service inline on
-            an idle one."""
+            """Disk.submit at ``now``, for every IO a request issues:
+            queue on a busy disk, start service on an idle one."""
             nonlocal seqc
             if dbusy[d]:
                 dqueue[d].append((now, off, action, req))
@@ -736,6 +741,14 @@ class _ExactCore:
             dbusyt[d] += s
             heappush(heap, (now + s, seqc, action, d, req))
             seqc += 1
+
+        def start_phase(req: int, i: int) -> None:
+            """Submit phase ``i`` of request ``req``'s generic plan."""
+            phase = plans[req][1][i]
+            gidx[req] = i + 1
+            grem[req] = len(phase)
+            for d, off, is_w in phase:
+                submit(d, off, _GENERIC_WRITE if is_w else _GENERIC_READ, req)
 
         while True:
             if heap:
@@ -761,22 +774,9 @@ class _ExactCore:
                     ai += 1
                     pos = single[r]
                     if pos is not None:
-                        # Healthy/degraded single-IO read, inlined.
+                        # Healthy/degraded single-IO read.
                         d, off = pos
-                        if dbusy[d]:
-                            dqueue[d].append((at, off, _READ_FAST, r))
-                            continue
-                        dbusy[d] = True
-                        last = dlast[d]
-                        s = (
-                            seq_s
-                            if last is not None and -1 <= off - last <= 1
-                            else avg_s
-                        )
-                        dlast[d] = off
-                        dbusyt[d] += s
-                        heappush(heap, (at + s, seqc, _READ_FAST, d, r))
-                        seqc += 1
+                        submit(d, off, _READ_FAST, r)
                         continue
                     winfo = writes[r]
                     if winfo is not None:
@@ -789,45 +789,10 @@ class _ExactCore:
                         # RMW phase 1: read old data + parity.
                         wrem[r] = 2
                         d, off, pd, poff = w
-                        if dbusy[d]:
-                            dqueue[d].append((at, off, _RMW_PHASE1, r))
-                        else:
-                            dbusy[d] = True
-                            last = dlast[d]
-                            s = (
-                                seq_s
-                                if last is not None and -1 <= off - last <= 1
-                                else avg_s
-                            )
-                            dlast[d] = off
-                            dbusyt[d] += s
-                            heappush(heap, (at + s, seqc, _RMW_PHASE1, d, r))
-                            seqc += 1
-                        if dbusy[pd]:
-                            dqueue[pd].append((at, poff, _RMW_PHASE1, r))
-                        else:
-                            dbusy[pd] = True
-                            last = dlast[pd]
-                            s = (
-                                seq_s
-                                if last is not None and -1 <= poff - last <= 1
-                                else avg_s
-                            )
-                            dlast[pd] = poff
-                            dbusyt[pd] += s
-                            heappush(heap, (at + s, seqc, _RMW_PHASE1, pd, r))
-                            seqc += 1
+                        submit(d, off, _RMW_PHASE1, r)
+                        submit(pd, poff, _RMW_PHASE1, r)
                         continue
-                    phase = plans[r][1][0]
-                    gidx[r] = 1
-                    grem[r] = len(phase)
-                    for pd, poff, is_w in phase:
-                        submit(
-                            pd,
-                            poff,
-                            _GENERIC_WRITE if is_w else _GENERIC_READ,
-                            r,
-                        )
+                    start_phase(r, 0)
                 if ai < n:
                     # The pump re-arms for the next epoch *after* this
                     # epoch's submissions (heap order).
@@ -850,29 +815,11 @@ class _ExactCore:
                 left = wrem[req] - 1
                 wrem[req] = left
                 if not left:
-                    # Phase 2: write new data, then new parity.  Both disks
-                    # served this request's phase-1 reads, so their last
-                    # offsets are set.
+                    # Phase 2: write new data, then new parity.
                     wrem[req] = 2
                     d2, off, pd, poff = wfast[req]
-                    if dbusy[d2]:
-                        dqueue[d2].append((t, off, _RMW_WRITE, req))
-                    else:
-                        dbusy[d2] = True
-                        s = seq_s if -1 <= off - dlast[d2] <= 1 else avg_s
-                        dlast[d2] = off
-                        dbusyt[d2] += s
-                        heappush(heap, (t + s, seqc, _RMW_WRITE, d2, req))
-                        seqc += 1
-                    if dbusy[pd]:
-                        dqueue[pd].append((t, poff, _RMW_WRITE, req))
-                    else:
-                        dbusy[pd] = True
-                        s = seq_s if -1 <= poff - dlast[pd] <= 1 else avg_s
-                        dlast[pd] = poff
-                        dbusyt[pd] += s
-                        heappush(heap, (t + s, seqc, _RMW_WRITE, pd, req))
-                        seqc += 1
+                    submit(d2, off, _RMW_WRITE, req)
+                    submit(pd, poff, _RMW_WRITE, req)
             elif action == _RMW_WRITE:
                 dwrites[d] += 1
                 left = wrem[req] - 1
@@ -889,18 +836,8 @@ class _ExactCore:
                 grem[req] = left
                 if not left:
                     kind, phases = plans[req]
-                    i = gidx[req]
-                    if i < len(phases):
-                        phase = phases[i]
-                        gidx[req] = i + 1
-                        grem[req] = len(phase)
-                        for pd, poff, is_w in phase:
-                            submit(
-                                pd,
-                                poff,
-                                _GENERIC_WRITE if is_w else _GENERIC_READ,
-                                req,
-                            )
+                    if gidx[req] < len(phases):
+                        start_phase(req, gidx[req])
                     else:
                         buf = generic.get(kind)
                         if buf is None:

@@ -25,15 +25,14 @@ event loop:
   ``_solve_fifo``, which the windowed solver
   (:mod:`repro.sim.stream`) shares by carrying each disk's previous
   completion between windows;
-* :func:`execute_compiled` is the engine-selection seam: analytic
-  solver for single-phase traces, the batch-stepped executor
-  (:mod:`repro.sim.batchstep`) for mixed traces on an idle array, and
-  the general heap otherwise — all bit-identical;
-* :func:`_execute_shards` is the same gate for a set of shards on one
-  clock — the serial fleet, every shard group and the warm runtime run
-  their traces through it.  On a busy clock it picks per shard: the
-  event heap for shards an armed event names, the exact core for the
-  rest.
+* :func:`_execute_shards` is the engine-selection seam for a set of
+  shards on one clock — the serial fleet, every shard group and the
+  warm runtime run their traces through it, and
+  :func:`execute_compiled` is that gate on one array.  On an idle
+  clock each shard takes the analytic solver for a single-phase trace
+  and the batch-stepped executor (:mod:`repro.sim.batchstep`) for a
+  mixed one; on a busy clock the event heap takes the shards an armed
+  event names and the exact core the rest — all bit-identical.
 
 :func:`schedule_compiled_scalar` is the thin wrapper that keeps the old
 per-event path alive: the same compiled stream, submitted through the
@@ -1211,29 +1210,21 @@ def _solve_fifo(
 
 
 def execute_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
-    """Run a compiled trace through the fastest engine that is exact.
+    """Run a compiled trace through the fastest engine that is exact —
+    the shard-set gate (:func:`_execute_shards`) on one array.
 
-    The selection gate, in order:
-
-    1. a busy simulator (timers armed, rebuild in flight, another
-       stream scheduled) → the general event heap, which is the only
-       engine that can interleave with foreign events;
-    2. a single-phase trace — read-only, or any mix under
-       ``write_policy="write_through"`` → the analytic queue solver
-       (:func:`solve_compiled`, no event stepping at all);
-    3. otherwise → the batch-stepped executor
-       (:func:`repro.sim.batchstep.step_compiled`): its eager tier on
-       a healthy array, else (or on an order-ambiguous tie) its exact
-       tier (label ``calendar``), which replays the heap's event order.
-
-    All three engines produce report-identical results — same clock,
-    same per-disk counters and float accumulators, same latency-sample
-    multisets and summaries (the batch-stepped executor's eager tier,
-    healthy traces only, may order samples at *exact* completion-time
-    ties by submission instead of event-seq, which leaves every summary
-    statistic equal and the mean within float re-association; see
-    :mod:`repro.sim.batchstep`) — so callers choose purely on speed.
-    Returns the request count; the trace is fully executed on return.
+    On an idle clock that is :func:`_execute_idle`'s choice.  On a busy
+    clock the trace runs on the event heap when a pending event names
+    this array or names none; when the armed events name only other
+    arrays it replays on the exact core, under the heap's label and
+    with its bits, while the clock drains their events.  Every engine
+    reports what the heap would (the eager tier, healthy traces only,
+    may order samples at exact completion-time ties by submission,
+    leaving every summary equal and the mean within float
+    re-association; see :mod:`repro.sim.batchstep`), so callers choose
+    purely on speed.  With a metrics recorder attached, the arrivals
+    are recorded.  Returns the request count; the trace is fully
+    executed on return.
 
     Example:
         >>> from repro.core import get_layout
@@ -1245,22 +1236,28 @@ def execute_compiled(ctrl: ArrayController, compiled: CompiledTrace) -> int:
         >>> ctrl.sim.events_processed       # mixed trace, batch-stepped
         0
     """
-    sim = ctrl.sim
-    if sim.pending():
-        n = schedule_compiled(ctrl, compiled)
-        sim.run()
-        return n
-    if compiled.read_only() or ctrl.write_policy == "write_through":
-        return solve_compiled(ctrl, compiled)
-    if ctrl.params.min_service_ms <= 0.0:
-        # step_compiled refuses a degenerate zero-service model; the
-        # heap handles it.
-        n = schedule_compiled(ctrl, compiled)
-        sim.run()
-        return n
-    from .batchstep import step_compiled
+    _execute_shards((ctrl,), (compiled,))
+    return compiled.n
 
-    return step_compiled(ctrl, compiled)
+
+def _execute_idle(ctrl: ArrayController, compiled: CompiledTrace) -> None:
+    """Run one trace on an idle clock on its fastest exact engine — the
+    idle-clock choice of :func:`_execute_shards`: the analytic solver
+    (:func:`solve_compiled`) for a single-phase trace (read-only, or
+    any mix under ``write_policy="write_through"``), the event heap for
+    a zero-service model, and otherwise the batch-stepped executor
+    (:func:`repro.sim.batchstep.step_compiled`): its eager tier on a
+    healthy array, else (or on an order-ambiguous tie) its exact tier,
+    labelled ``calendar``."""
+    if compiled.read_only() or ctrl.write_policy == "write_through":
+        solve_compiled(ctrl, compiled)
+    elif ctrl.params.min_service_ms <= 0.0:
+        schedule_compiled(ctrl, compiled)
+        ctrl.sim.run()
+    else:
+        from .batchstep import step_compiled
+
+        step_compiled(ctrl, compiled)
 
 
 def _on_heap(ctrl: ArrayController, armed: frozenset | None) -> bool:
@@ -1280,9 +1277,9 @@ def _execute_shards(
     """Run one compiled trace per controller, all on the controllers'
     one shared clock — the engine gate for a set of shards.
 
-    On an idle clock the shards share no events, so each runs
-    :func:`execute_compiled` (its fastest exact engine) from the common
-    start time and the clock then advances to the set's makespan.
+    On an idle clock the shards share no events, so each runs its
+    fastest exact engine (:func:`_execute_idle`) from the common start
+    time and the clock then advances to the set's makespan.
 
     When the clock carries foreign events (failure timers, rebuild IO,
     migration copies) — or, with ``fleet_busy``, the serial fleet's
@@ -1311,7 +1308,7 @@ def _execute_shards(
     if not fleet_busy and not sim.pending():
         for ctrl, trace in zip(controllers, traces):
             sim.now = base
-            execute_compiled(ctrl, trace)
+            _execute_idle(ctrl, trace)
             end = max(end, sim.now)
         sim.now = end
         return

@@ -252,12 +252,13 @@ def simulate_workload(
     else:
         compiled = compile_workload(ctrl.mapper, cfg, duration_ms)
         if batched:
+            # The engine gate records the arrivals.
             scheduled = execute_compiled(ctrl, compiled)
         else:
             scheduled = schedule_compiled_scalar(ctrl, compiled)
             ctrl.sim.run()
-        if recorder is not None:
-            recorder.arrivals(0, compiled.times)
+            if recorder is not None:
+                recorder.arrivals(0, compiled.times)
         latency = ctrl.latency
     # Kinds sorted: the order requests first complete in is the
     # engine's business, not the report's.

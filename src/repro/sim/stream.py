@@ -20,10 +20,11 @@ replayed exactly, and a chained heap pump (:func:`_arm_shard_pump`)
 per shard an armed event names, armed before one ``sim.run()``; one
 slicer (:func:`_slice_window`) serves them all.  :func:`execute_windows`
 is that gate on one array, shard groups call it for their slice, and
-:meth:`repro.service.Fleet.serve_windows` for the fleet unless it must
-route live (its window router).  Every caller passes the stream's
-routing geometry as one :class:`_ShardRoute`.  Three engines mirror
-:func:`execute_compiled`'s selection gate:
+:meth:`repro.service.Fleet.serve_windows` for the fleet — every source,
+one-shot iterators included — unless it must route live (its window
+router).  Every caller passes the stream's routing geometry as one
+:class:`_ShardRoute`.  Three engines mirror the materialized gate
+(:func:`repro.sim.compile._execute_shards`):
 
 * single-phase streams (a source whose ``read_only`` attribute says
   it is all reads, or any mix under ``write_policy="write_through"``)
@@ -219,29 +220,6 @@ def _slice_window(
         yield i, w
 
 
-def _carry_label(
-    controllers: list[ArrayController],
-    windows,
-    fleet_busy: bool = False,
-) -> str | None:
-    """The label of the carry engine a shard set runs on an idle clock:
-    ``windowed-solver`` for single-phase streams (a source whose
-    ``read_only`` attribute says so — any other iterable counts as
-    mixed — or a write-through fleet), ``windowed-eager`` for mixed
-    streams in re-iterable windows (an abort replays from the top) when
-    some shard is eager-eligible (the gate carries only those).  None
-    on a busy clock, with ``fleet_busy``, or when neither applies."""
-    lead = controllers[0]
-    if fleet_busy or lead.sim.pending():
-        return None
-    read_only = getattr(windows, "read_only", False)
-    if read_only or lead.write_policy == "write_through":
-        return "windowed-solver"
-    if iter(windows) is windows or not any(map(_eager_eligible, controllers)):
-        return None
-    return "windowed-eager"
-
-
 def _engine(ctrl: ArrayController, label: str):
     """A fresh off-heap engine for ``ctrl``, labelled ``label``: the
     analytic solver (``windowed-solver``) or the eager core
@@ -393,10 +371,13 @@ def _execute_shard_windows(
     :func:`repro.sim.compile._execute_shards`.  Each shard falls in one
     class, and each class reads ``windows`` once:
 
-    * **carry** — idle clock, no ``fleet_busy``, a carry engine applies
-      (:func:`_carry_label`) and takes the shard (the eager core only
-      eager-eligible ones): one off-heap pass (:func:`_off_heap_pass`)
-      on the analytic solver or the eager core;
+    * **carry** — idle clock, no ``fleet_busy``, and a carry engine
+      applies: the analytic solver (``windowed-solver``) for a
+      single-phase stream — a source whose ``read_only`` attribute says
+      so (any other iterable counts as mixed) or a write-through fleet —
+      or the eager core (``windowed-eager``) for a mixed stream in
+      re-iterable windows (an abort replays from the top), taking the
+      eager-eligible shards: one off-heap pass (:func:`_off_heap_pass`);
     * **heap** — an armed event names the shard (or a pending event
       names none, or its service model is degenerate): a chained pump
       (:func:`_arm_shard_pump`) each, all armed before one
@@ -419,7 +400,16 @@ def _execute_shard_windows(
     off_heap = partial(
         _off_heap_pass, controllers, route, windows, digests, scheduled
     )
-    label = _carry_label(controllers, windows, fleet_busy)
+    label = None
+    if not (fleet_busy or sim.pending()):
+        if getattr(windows, "read_only", False) or (
+            controllers[0].write_policy == "write_through"
+        ):
+            label = "windowed-solver"
+        elif iter(windows) is not windows and any(
+            map(_eager_eligible, controllers)
+        ):
+            label = "windowed-eager"
     heap: list[int] = []
     replay: list[int] = []
     n_windows = 0
@@ -469,32 +459,18 @@ def execute_windows(
     to the materialized run — but peak memory is one window.  It is
     the shard-set gate (:func:`_execute_shard_windows`) on one array
     (one volume, routed to ``ctrl.obs_shard``), so the selection is the
-    fleet's:
-
-    1. a busy simulator → the chained heap pump (window source) when
-       a pending event names this array or names none; events naming
-       only other arrays leave it to the exact-core replay of 4;
-    2. a source whose ``read_only`` attribute says every request is a
-       read (:class:`~repro.sim.compile.StreamWindows` and
-       :class:`~repro.sim.compile.ArrayWindows` carry one) or
-       write-through policy → one off-heap pass on the windowed
-       analytic solver;
-    3. a mixed stream on an eager-eligible array
-       (:func:`~repro.sim.batchstep._eager_eligible`: healthy,
-       read-modify-write, no data plane) → one off-heap pass on the
-       windowed eager core; an exact-tie abort demotes the array, and
-       a second off-heap pass replays the stream bit-exactly on the
-       exact core, with the heap pump's serialization and
-       ``windowed-pump`` label but no heap events (``windows`` must be
-       re-iterable for the replay; one-shot generators skip the eager
-       tier);
-    4. otherwise (a degraded array, a data plane, a one-shot mixed
-       stream) → the same exact-core pass, in the stream's one pass,
-       when the service model is positive; else the chained heap pump.
-
-    Any other iterable counts as mixed: its all-read stream runs on the
-    eager core, whose read recurrence performs the identical float
-    operations — the same report, at another speed and label.
+    fleet's: on an idle clock the windowed analytic solver for a source
+    whose ``read_only`` attribute says every request is a read
+    (:class:`~repro.sim.compile.StreamWindows` and
+    :class:`~repro.sim.compile.ArrayWindows` carry one; any other
+    iterable counts as mixed) or a write-through array, the windowed
+    eager core for re-iterable mixed windows on an eager-eligible
+    array (an exact-tie abort replays them on the exact core), and
+    otherwise the exact core (label ``windowed-pump``), a one-shot
+    source included.  On a busy clock the chained heap pump runs the
+    stream when a pending event names this array or names none, else
+    the exact core replays it; a zero-service model never replays (the
+    pump runs it).
 
     Raises ``IndexError`` on an LBA outside the array's capacity, and
     ``ValueError`` on a window that starts before the previous window's

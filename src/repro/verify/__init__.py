@@ -29,7 +29,7 @@ from .scenarios import (
     ConformanceScenario,
     catalog_pairs,
     default_scenarios,
-    plan_workload_bound,
+    plan_tolerances,
     run_conformance_sweep,
     run_scenario,
     scenarios_for_pair,
@@ -42,7 +42,7 @@ __all__ = [
     "ConformanceScenario",
     "catalog_pairs",
     "default_scenarios",
-    "plan_workload_bound",
+    "plan_tolerances",
     "run_conformance_sweep",
     "run_scenario",
     "scenarios_for_pair",

@@ -2,8 +2,9 @@
 
 A scenario names a construction, how to build it, and the tolerances
 its theorems entitle it to.  :func:`default_scenarios` covers the
-planner's catalog picks over ~20 ``(v, k)`` pairs plus one explicit
-scenario per construction family (ring, reduction, complement,
+planner's catalog picks over ~20 ``(v, k)`` pairs, every other
+design-based plan of those pairs, plus one explicit scenario per
+construction family (ring, reduction, complement,
 removal, stairway, Holland-Gibson, RAID5, dual-parity, randomized), so
 ``python -m repro verify --all`` exercises every code path that can
 produce a layout.
@@ -33,7 +34,7 @@ __all__ = [
     "ConformanceScenario",
     "catalog_pairs",
     "default_scenarios",
-    "plan_workload_bound",
+    "plan_tolerances",
     "run_scenario",
     "run_conformance_sweep",
     "scenarios_for_pair",
@@ -98,27 +99,32 @@ class ConformanceScenario:
     )
 
 
-def plan_workload_bound(plan: LayoutPlan) -> float | None:
-    """The Condition 3 cap a planner-chosen construction's theorems
-    entitle it to, or None for the declustering ideal
-    ``(k-1)/(v-1)``.  Theorems 10-12 bound a stairway plan's rebuild
-    reads by its source array — the perturbed prime power ``q``, not
-    ``v`` — at ``(k-1)/(q-1)``."""
+def plan_tolerances(plan: LayoutPlan) -> dict:
+    """The Conditions 2 and 3 tolerances a planner-chosen
+    construction's claims entitle it to, as :func:`check_layout`
+    keywords: a parity spread of 0 when the plan claims perfect balance
+    (1 otherwise), and the declustering ideal ``(k-1)/(v-1)`` as the
+    Condition 3 cap (``None``) except for a stairway plan, whose
+    rebuild reads Theorems 10-12 bound by its source array — the
+    perturbed prime power ``q``, not ``v`` — at ``(k-1)/(q-1)``."""
+    bound = None
     if plan.method.startswith("stairway"):
-        return (plan.k - 1) / (plan.detail["q"] - 1)
-    return None
+        bound = (plan.k - 1) / (plan.detail["q"] - 1)
+    return {
+        "parity_spread_allowance": 0 if plan.balanced else 1,
+        "workload_bound": bound,
+    }
 
 
 def _plan_scenario(plan: LayoutPlan, *, max_size: int) -> ConformanceScenario:
-    """Scenario for a planner-chosen construction, with tolerances
-    derived from the plan's own guarantees."""
+    """Scenario for a planner-chosen construction, held to its own
+    claims (:func:`plan_tolerances`)."""
     return ConformanceScenario(
         name=f"{plan.method}:v{plan.v}k{plan.k}",
         family="catalog",
         build=plan.build,
-        parity_spread_allowance=0 if plan.balanced else 1,
-        workload_bound=plan_workload_bound(plan),
         max_size=max_size,
+        **plan_tolerances(plan),
     )
 
 
@@ -227,12 +233,21 @@ def default_scenarios(
     max_size: int = FEASIBLE_SIZE_LIMIT,
     include_families: bool = True,
 ) -> list[ConformanceScenario]:
-    """The full sweep: planner picks over the catalog pairs plus the
+    """The full sweep: over the catalog pairs, the planner's pick and
+    every other design-based plan (``flow_single``, ``flow_lcm``,
+    ``hg``) within the budget, each held to its own claims, plus the
     per-family scenarios."""
-    scenarios = [
-        _plan_scenario(plan_layout(v, k, max_size=max_size), max_size=max_size)
-        for v, k in (pairs if pairs is not None else catalog_pairs())
-    ]
+    scenarios = []
+    for v, k in pairs if pairs is not None else catalog_pairs():
+        pick = plan_layout(v, k, max_size=max_size)
+        scenarios.append(_plan_scenario(pick, max_size=max_size))
+        scenarios.extend(
+            _plan_scenario(plan, max_size=max_size)
+            for plan in enumerate_plans(v, k)
+            if plan.method in ("flow_single", "flow_lcm", "hg")
+            and plan.method != pick.method
+            and plan.predicted_size <= max_size
+        )
     if include_families:
         scenarios.extend(_family_scenarios(max_size))
     return scenarios

@@ -2,8 +2,18 @@
 
 import pytest
 
-from repro.core import enumerate_plans, plan_layout
+from repro.core import enumerate_plans, get_incidence, plan_layout
 from repro.layouts import evaluate_layout
+
+#: Pairs (v <= 40, k <= 8) whose cheapest catalog candidate the generic
+#: redundancy reduction shrinks at build time: a prediction read off
+#: the un-reduced candidate overstates their design-based plans' sizes
+#: and can claim a balance the reduced design does not have.
+REDUCED_PAIRS = [
+    (8, 4), (12, 3), (15, 3), (16, 8), (20, 4), (21, 3), (27, 6), (28, 4),
+    (32, 4), (32, 6), (32, 8), (33, 3), (35, 3), (35, 4), (35, 5), (36, 3),
+    (39, 3), (40, 4),
+]
 
 
 class TestEnumeratePlans:
@@ -32,6 +42,40 @@ class TestEnumeratePlans:
             enumerate_plans(5, 1)
         with pytest.raises(ValueError):
             enumerate_plans(5, 6)
+
+
+class TestDesignPlanPredictions:
+    @pytest.mark.parametrize("v,k", REDUCED_PAIRS)
+    def test_prediction_is_the_build(self, v, k):
+        """Each design-based plan builds exactly its predicted size and
+        claims perfect balance exactly when its parity spread is 0."""
+        plans = [
+            p
+            for p in enumerate_plans(v, k)
+            if p.method in ("flow_single", "flow_lcm", "hg")
+            and p.predicted_size <= 3000
+        ]
+        assert plans
+        for plan in plans:
+            layout = plan.build()
+            counts = get_incidence(layout).parity_counts()
+            spread = int(counts.max() - counts.min())
+            assert layout.size == plan.predicted_size, plan.method
+            assert plan.balanced == (spread == 0), plan.method
+
+    def test_large_candidate_is_not_built_while_planning(self, monkeypatch):
+        """(1000,8)'s ring candidate has 999,000 blocks, past
+        ``PLANNED_DESIGN_BLOCKS``: planning keeps its un-reduced size
+        instead of spending seconds building it."""
+        from repro.core import planner
+
+        built = []
+        monkeypatch.setattr(
+            planner, "best_design", lambda v, k: built.append((v, k))
+        )
+        plans = {p.method: p for p in enumerate_plans(1000, 8)}
+        assert built == []
+        assert plans["flow_single"].predicted_size == 8 * 999
 
 
 class TestPlanLayout:

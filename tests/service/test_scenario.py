@@ -156,6 +156,20 @@ class TestFleetConformance:
             "reconstruction balance"
         ]
 
+    def test_layout_held_to_its_plans_balance_claim(self):
+        """Condition 2 holds the fleet's layout to its plan's claim: a
+        spread of 0 when the plan claims perfect balance, 1 otherwise.
+        (9,3)'s ``flow_single`` plan claims none and its layout has a
+        parity spread of 1, which passes until the plan claims
+        balance."""
+        fleet = Fleet(2, 9, 3, seed=0)
+        assert not fleet.plan.balanced
+        assert check_fleet(fleet).passed
+        fleet.plan = dataclasses.replace(fleet.plan, balanced=True)
+        conf = check_fleet(fleet)
+        assert not conf.passed
+        assert conf.to_dict()["layouts"][0]["violations"] == ["parity balance"]
+
     def test_to_dict_shape(self):
         conf = check_fleet(Fleet(2, 13, 4, seed=0))
         d = conf.to_dict()

@@ -199,10 +199,13 @@ class TestOneShotSource:
         "failures", [False, True], ids=["healthy", "failures"]
     )
     def test_one_shot_generator_schedules_every_request(self, failures):
-        """A one-shot window generator on a 4-shard fleet: the gate
-        would need one pass per heap shard, which such a source cannot
-        give, so the serve keeps it on one pass and schedules (and
-        reports) exactly what the materialized serve does."""
+        """A one-shot window generator on a 4-shard fleet takes the
+        shard-set gate like any other source.  On an idle clock the gate
+        serves it in its one pass (the exact-core replay) and reports
+        what the materialized serve does.  With failures armed, the
+        failed arrays' heap pumps would each need a pass of their own,
+        which such a source cannot give: the gate refuses it before it
+        reads a window or moves the clock."""
 
         def fleet() -> Fleet:
             f = Fleet(4, 9, 3, seed=0)
@@ -213,13 +216,75 @@ class TestOneShotSource:
             return f
 
         config = _workload()
-        materialized = fleet()
-        expected = asdict(materialized.serve_workload(config, DURATION))
         windowed = fleet()
-        one_shot = iter(
-            StreamWindows(config, DURATION, windowed.capacity, window_size=32)
+        source = StreamWindows(
+            config, DURATION, windowed.capacity, window_size=32
         )
+        one_shot = iter(source)
+        if failures:
+            with pytest.raises(ValueError, match="one-shot window source"):
+                windowed.serve_windows(one_shot)
+            assert windowed.sim.now == 0.0 and windowed.sim.pending()
+            assert all(not c.latency for c in windowed.controllers)
+            unread, first = next(one_shot), next(iter(source))
+            assert all(np.array_equal(a, b) for a, b in zip(unread, first))
+            return
+        expected = asdict(fleet().serve_workload(config, DURATION))
         assert asdict(windowed.serve_windows(one_shot)) == expected
+
+
+class TestOneGateForEverySource:
+    """Tie stress on the one-gate contract: a 4-shard (9,3) fleet over
+    12 volumes, integer service times and arrivals floored to a 2 ms
+    grid, so exact time ties land across window boundaries.  A list of
+    windows and a one-shot iterator over the same list both take the
+    shard-set gate, never the window router, whose epoch numbering at
+    such ties is not the materialized serve's.  On an idle clock both
+    equal the materialized serve; with failures armed the list still
+    does, and the iterator is refused before the clock moves."""
+
+    @pytest.mark.parametrize("ws", [1, 5, 64])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "failures", [False, True], ids=["idle", "failures"]
+    )
+    def test_list_and_one_shot_match_materialized(self, failures, seed, ws):
+        def fleet() -> Fleet:
+            f = Fleet(4, 9, 3, volumes=12, disk_params=TIE_PARAMS, seed=seed)
+            if failures:
+                FailureOrchestrator(
+                    f, default_failure_schedule(4, 9, 2, 100.0), admission=2
+                ).arm()
+            return f
+
+        capacity = fleet().capacity
+        times, is_read, lbas = generate_request_stream(
+            _workload(interarrival_ms=0.6, read_fraction=0.6, seed=seed),
+            300.0,
+            capacity,
+        )
+        times = np.floor(times / 2.0) * 2.0
+        windows = list(ArrayWindows(times, is_read, lbas, ws))
+
+        def serve(source) -> dict:
+            f = fleet()
+            if source is None:
+                report = f.serve_stream(times, is_read, lbas)
+            else:
+                report = f.serve_windows(source)
+            f.sim.run()
+            return asdict(report)
+
+        materialized = serve(None)
+        assert serve(windows) == materialized
+        if not failures:
+            assert serve(iter(windows)) == materialized
+            return
+        refused = fleet()
+        with pytest.raises(ValueError, match="one-shot window source"):
+            refused.serve_windows(iter(windows))
+        assert refused.sim.now == 0.0
+        assert all(not c.latency for c in refused.controllers)
 
 
 def _scenario(**overrides) -> FleetScenario:
@@ -409,26 +474,30 @@ class TestWindowsGoingBack:
         assert ctrl.obs.arrival_buckets(0) == {2: 5, 3: 5}
         assert ctrl.sim.now == 0.0 and not ctrl.sim.pending()
 
-    @pytest.mark.parametrize("one_shot", [False, True], ids=["gate", "router"])
-    def test_serve_windows_refuses(self, one_shot):
+    @pytest.mark.parametrize("router", [False, True], ids=["gate", "router"])
+    def test_serve_windows_refuses(self, router):
         fleet = Fleet(2, 9, 3, seed=1)
+        if router:
+            # A pending event that names no shard routes the serve live.
+            fleet.sim.at(0.0, lambda: None)
         recorder = MetricsRecorder(5.0)
         fleet.attach_recorder(recorder)
         windows = _going_back(fleet.capacity, False)
         with pytest.raises(ValueError, match="non-decreasing"):
-            fleet.serve_windows(iter(windows) if one_shot else windows)
+            fleet.serve_windows(windows)
         arrived = [recorder.arrival_buckets(s) for s in range(2)]
         assert sum(sum(a.values()) for a in arrived) == 10
         assert max(b for a in arrived for b in a) == 3
         # The gate refuses before it schedules anything; the router
         # dies inside its heap, mid-serve.
-        assert fleet.sim.now == (10.0 if one_shot else 0.0)
-        assert bool(fleet.sim.pending()) == one_shot
+        assert fleet.sim.now == (10.0 if router else 0.0)
+        assert bool(fleet.sim.pending()) == router
 
-    @pytest.mark.parametrize("one_shot", [False, True], ids=["gate", "router"])
-    def test_equal_times_across_a_boundary(self, one_shot):
+    @pytest.mark.parametrize("source", ["gate", "router", "one_shot"])
+    def test_equal_times_across_a_boundary(self, source):
         """Windows sharing an arrival time across their boundary serve
-        as the one window of the same stream does."""
+        as the one window of the same stream does — on the gate, as a
+        list or a one-shot iterator, and on the window router."""
         capacity = Fleet(2, 9, 3, seed=1).capacity
         times = np.repeat(np.arange(10.0), 2)
         is_read = np.arange(20) % 3 != 0
@@ -440,8 +509,13 @@ class TestWindowsGoingBack:
         whole = Fleet(2, 9, 3, seed=1).serve_windows(
             [(times, is_read, lbas)]
         )
-        windowed = Fleet(2, 9, 3, seed=1).serve_windows(
-            iter(split) if one_shot else split
+        fleet = Fleet(2, 9, 3, seed=1)
+        if source == "router":
+            fleet.sim.at(0.0, lambda: None)
+        windowed = fleet.serve_windows(
+            iter(split) if source == "one_shot" else split
         )
         assert asdict(windowed)["latency"] == asdict(whole)["latency"]
         assert windowed.duration_ms == whole.duration_ms
+        if source == "router":
+            assert windowed.executors == ["event-heap"] * 2

@@ -13,6 +13,7 @@ import pytest
 from repro.core import get_layout
 from repro.layouts import raid5_layout, random_layout, ring_layout
 from repro.layouts.sparing import with_distributed_sparing
+from repro.obs import MetricsRecorder
 from repro.sim import (
     ArrayController,
     RebuildProcess,
@@ -21,6 +22,7 @@ from repro.sim import (
     compile_trace,
     compile_workload,
     drive_workload,
+    execute_compiled,
     replay_trace,
     schedule_compiled,
     schedule_compiled_scalar,
@@ -30,6 +32,7 @@ from repro.sim import (
     spare_map_for_failure,
     spare_plan_for_failure,
 )
+from repro.sim.events import Simulator
 
 # One representative layout per construction family the planner can
 # emit: ring (exact), Holland-Gibson over a design, stairway, RAID5
@@ -396,3 +399,76 @@ class TestMidRunFailure:
         assert results[0] == results[1]
         assert {"read", "write"} <= set(results[0][3])
         assert "degraded_read" in results[0][3] or "degraded_write" in results[0][3]
+
+
+class TestSingleArrayGate:
+    """``execute_compiled`` is the shard-set gate on one array: the same
+    busy-clock rule as a fleet shard, and the gate records arrivals."""
+
+    @pytest.mark.parametrize("failed", [None, 0], ids=["healthy", "degraded"])
+    @pytest.mark.parametrize("names", ["other", "this", "none"])
+    def test_busy_clock_matches_the_heap(self, names, failed):
+        """One event armed on a clock shared with another array.  When
+        it names only the other array, the trace replays on the exact
+        core — no heap event of its own, under the heap's label — else
+        it runs on the heap; either way the array ends bit-equal to the
+        heap run of the same trace."""
+        layout = ring_layout(9, 4)
+        cfg = WorkloadConfig(interarrival_ms=4.0, read_fraction=0.6, seed=31)
+
+        def run(gate: bool) -> ArrayController:
+            sim = Simulator()
+            ctrl, other = (
+                ArrayController(layout, sim=sim, seed=i) for i in range(2)
+            )
+            if failed is not None:
+                ctrl.fail_disk(failed)
+            fired = []
+
+            def event():
+                fired.append(sim.now)
+
+            if names == "none":
+                sim.at(50.0, event)
+            else:
+                sim.arm(50.0, event, (other if names == "other" else ctrl,))
+            trace = compile_workload(ctrl.mapper, cfg, 1500.0)
+            if gate:
+                assert execute_compiled(ctrl, trace) == trace.n
+            else:
+                schedule_compiled(ctrl, trace)
+                sim.run()
+            assert fired == [50.0]
+            return ctrl
+
+        gated, heap = run(True), run(False)
+        assert _mid_run_state(gated) == _mid_run_state(heap)
+        assert gated.last_engine == "heap"
+        if names == "other":
+            assert gated.sim.events_processed == 1
+            assert gated.last_executor in ("exact-native", "exact-core")
+        else:
+            assert gated.sim.events_processed == heap.sim.events_processed
+            assert gated.last_executor == "event-heap"
+
+    @pytest.mark.parametrize("read_fraction", [1.0, 0.6])
+    @pytest.mark.parametrize(
+        "mode",
+        [dict(), dict(batched=False), dict(window_size=64)],
+        ids=["gate", "scalar", "windowed"],
+    )
+    def test_simulate_workload_records_each_arrival_once(
+        self, mode, read_fraction
+    ):
+        rec = MetricsRecorder(50.0)
+        report = simulate_workload(
+            ring_layout(9, 4),
+            duration_ms=500.0,
+            config=WorkloadConfig(
+                interarrival_ms=2.0, read_fraction=read_fraction, seed=5
+            ),
+            recorder=rec,
+            **mode,
+        )
+        assert report.scheduled > 0
+        assert sum(rec.arrival_buckets(0).values()) == report.scheduled

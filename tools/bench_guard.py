@@ -142,12 +142,13 @@ PAIRS = 5
 #: the best per-pair heap/engine wall-time ratio).  Each floor sits
 #: below the best-pair ratios three runs measured on a 2-CPU host
 #: (Python 3.11.7, NumPy 2.4.6, gcc 12.2) — solver 9.9-18.5, eager
-#: 65.5-73.1 on the compiled eager core, degraded 2.18-2.33 on the
-#: Python exact core (2.43-2.69 in six more runs; the Python eager core,
-#: which took degraded plans before they left the eager tier, read
-#: 3.79-5.88 in six runs interleaved with those), exact tier 26.7-30.4
-#: on the compiled eager and exact cores — and well above the ~1x of a
-#: run pinned to the heap.
+#: 65.5-73.1 on the compiled eager core, degraded 2.38-3.84 in eight
+#: runs on the Python exact core, which starts every IO through one
+#: submit step (2.38-3.71 in eight runs interleaved with those when its
+#: service starts were inlined; the Python eager core, which took
+#: degraded plans before they left the eager tier, read 3.79-5.88 in
+#: six runs), exact tier 26.7-30.4 on the compiled eager and exact
+#: cores — and well above the ~1x of a run pinned to the heap.
 #: The eager and exact-tier floors also sit above what the Python cores
 #: read there (eager 4.4-5.9, exact tier 4.2, the eager attempt in
 #: Python), so a gate that sends healthy plans back to Python fails on
