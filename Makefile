@@ -142,8 +142,11 @@ smoke-obs:
 # migration path.  The report's "passed" gate (exit code) folds in
 # zero lost requests, verified cutovers, and decision-log replay
 # byte-identity; the greps pin that the grow actually fired rather
-# than the loop idling below threshold.  The decision log and report
-# ride the CI artifact upload globs.
+# than the loop idling below threshold.  The spike is served again in
+# 64-request windows, whose canonical report must equal the default
+# (materialized) one once the engine labels and the window echo are
+# removed.  The decision log and report ride the CI artifact upload
+# globs.
 smoke-autoscale:
 	$(PYTHON) -m repro serve --smoke --shards 2 --interarrival 1.0 \
 		--autoscale tools/autoscale_smoke_policy.json \
@@ -155,6 +158,15 @@ smoke-autoscale:
 	assert a['events'], 'autoscale smoke: no scaling event fired'; \
 	assert a['ok'], 'autoscale smoke: replay/zero-lost/verify gate failed'; \
 	print('autoscale smoke: %d tick(s), grow fired, replay identical, zero lost' % len(a['decisions']))"
+	$(PYTHON) -m repro serve --smoke --shards 2 --interarrival 1.0 \
+		--autoscale tools/autoscale_smoke_policy.json --window 64 \
+		--json BENCH_serve_autoscale_smoke_windowed.json
+	$(PYTHON) -c "import json; from repro.service import canonical_payload as c; \
+	ps = [c(json.load(open(n))) for n in ('BENCH_serve_autoscale_smoke.json', 'BENCH_serve_autoscale_smoke_windowed.json')]; \
+	[(p.pop('engine'), p.pop('engine_per_shard'), p['scenario'].pop('window_size')) for p in ps]; \
+	assert json.dumps(ps[0], sort_keys=True) == json.dumps(ps[1], sort_keys=True), \
+	'autoscale smoke: the --window 64 report differs from the default one'; \
+	print('autoscale smoke: --window 64 report equals the default one')"
 
 # Warm-runtime front-end smoke: the persistent pool + shm transport +
 # artifact cache behind `serve --listen --workers 2`, exercised over a

@@ -6,9 +6,10 @@ every disk at most once, stripe sizes arbitrary — choose one parity unit
 per stripe so that disk ``d`` receives either ``⌊L(d)⌋`` or ``⌈L(d)⌉``
 parity units, where the *parity load* is ``L(d) = Σ_{s ∋ d} 1/k_s``.
 
-Loads are computed with exact rational arithmetic
-(:class:`fractions.Fraction`): the floor/ceil bounds are the theorem's
-payload and must not be corrupted by floating-point rounding.
+Loads are computed with exact rational arithmetic (integers over a
+common denominator, returned as :class:`fractions.Fraction`): the
+floor/ceil bounds are the theorem's payload and must not be corrupted
+by floating-point rounding.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .bounded import BoundedEdge, InfeasibleFlow, max_flow_with_lower_bounds
 from .dinic import dinic_max_flow
@@ -43,16 +47,27 @@ def parity_loads(
     ``counts[s]`` is the number of distinguished units stripe ``s``
     must contribute (1 for plain parity; >1 for e.g. distributed
     sparing, the paper's Theorem 14 extension).
+
+    Exact and integer: each unit adds ``c_s`` to its disk's tally for
+    stripe size ``k_s`` (one ``np.add.at``), and the tallies combine over
+    the lcm ``D`` of the sizes in Python integers, ``Σ_k tally_k · D/k``.
     """
-    loads = [Fraction(0)] * v
-    for si, stripe in enumerate(stripes):
-        c = 1 if counts is None else counts[si]
-        share = Fraction(c, len(stripe))
-        for d in stripe:
-            if not 0 <= d < v:
-                raise ValueError(f"stripe {si} references disk {d} (v={v})")
-            loads[d] += share
-    return loads
+    sizes = np.fromiter(map(len, stripes), dtype=np.int64, count=len(stripes))
+    disks = np.fromiter(chain.from_iterable(stripes), dtype=np.int64)
+    bad = np.flatnonzero((disks < 0) | (disks >= v))
+    if bad.size:
+        si = int(np.searchsorted(np.cumsum(sizes), bad[0], side="right"))
+        raise ValueError(f"stripe {si} references disk {disks[bad[0]]} (v={v})")
+    kinds, kind_of = np.unique(sizes, return_inverse=True)
+    c = np.ones(len(sizes), np.int64) if counts is None else np.asarray(counts)
+    tallies = np.zeros((len(kinds), v), dtype=np.int64)
+    np.add.at(tallies, (np.repeat(kind_of, sizes), disks), np.repeat(c, sizes))
+    denom = math.lcm(*kinds.tolist())
+    scales = [denom // k for k in kinds.tolist()]
+    return [
+        Fraction(sum(t * f for t, f in zip(col, scales)), denom)
+        for col in tallies.T.tolist()
+    ]
 
 
 @dataclass(frozen=True)

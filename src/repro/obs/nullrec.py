@@ -30,7 +30,7 @@ class NullRecorder:
     def arrivals(self, shard, times):
         pass
 
-    def arrive(self, shard, t):
+    def arrive(self, shard, t, n=1):
         pass
 
     def gauge(self, name, key, t, value):
@@ -45,7 +45,10 @@ class NullRecorder:
     def set_stat(self, shard, name, value):
         pass
 
-    def reset_shard(self, shard):
+    def shard_state(self, shard):
+        return None
+
+    def restore_shard(self, shard, state):
         pass
 
 

@@ -41,6 +41,7 @@ add.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -168,12 +169,16 @@ class MetricsRecorder:
         for b, start, stop in _bucket_runs(q):
             d[b] = d.get(b, 0) + stop - start
 
-    def arrive(self, shard: int, t: float) -> None:
+    def arrive(self, shard: int, t: float, n: int = 1) -> None:
         """Bucket one arrival (per-request dispatch paths, e.g. traffic
-        diverted to a migration coordinator)."""
+        a migration coordinator dispatches); ``n=-1`` takes one back (a
+        request it took from the shard's pump), dropping an emptied
+        bucket."""
         d = self._arrived.setdefault(shard, {})
         b = math.floor(t / self.interval_ms)
-        d[b] = d.get(b, 0) + 1
+        d[b] = d.get(b, 0) + n
+        if not d[b]:
+            del d[b]
 
     # -- gauges / counters / engine labels -------------------------------
 
@@ -203,12 +208,18 @@ class MetricsRecorder:
         bit-exactly (disk accumulators), or byte-identity breaks."""
         self._stats.setdefault(shard, {})[name] = float(value)
 
-    def reset_shard(self, shard: int) -> None:
-        """Drop a shard's samples and arrivals — the windowed eager
-        tier calls this when a tie abort discards its results and the
-        exact core replays the shard's stream from scratch."""
-        self._lat.pop(shard, None)
-        self._arrived.pop(shard, None)
+    def shard_state(self, shard: int) -> tuple:
+        """A copy of a shard's samples and arrivals."""
+        return copy.deepcopy((self._lat.get(shard), self._arrived.get(shard)))
+
+    def restore_shard(self, shard: int, state: tuple) -> None:
+        """Put back what :meth:`shard_state` copied — the windowed eager
+        tier drops its pass's samples and arrivals, and nothing earlier,
+        when a tie abort hands the shard's stream to the exact core."""
+        for store, kept in zip((self._lat, self._arrived), state):
+            store.pop(shard, None)
+            if kept is not None:
+                store[shard] = kept
 
     # -- merge (parallel workers) ----------------------------------------
 

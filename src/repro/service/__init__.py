@@ -50,7 +50,6 @@ These doctests run in ``make check`` (``make doctest``).
 """
 
 from .autoscale import (
-    DEFAULT_AUTOSCALE_WINDOW,
     AutoscaleController,
     AutoscaleDecision,
     AutoscalePolicy,
@@ -96,7 +95,6 @@ from .scenario import (
 from .sharding import PLACEMENT_POLICIES, ShardMap, splitmix64
 
 __all__ = [
-    "DEFAULT_AUTOSCALE_WINDOW",
     "AutoscaleController",
     "AutoscaleDecision",
     "AutoscalePolicy",

@@ -20,13 +20,16 @@ snapshots through :func:`replay_decisions` reproduces the decision log
 equal).  The scenario runner re-checks this on every autoscaled run and
 reports it as ``autoscale.replay_identical``.
 
-Why decisions read *arrival* buckets only: windowed serving delivers
-each window at its first arrival time, so by simulated time ``t`` every
-arrival before ``t`` has been recorded — per-shard arrival counts for
-fully elapsed buckets are therefore independent of the window size.
-Completion-side state (latency digests) is swept at window boundaries
-and *is* window-dependent mid-run, so it stays out of the decision
-function; SLO percentiles are computed from the final recorder instead
+Why decisions read *arrival* buckets only: a serve records each
+shard's arrivals before they arrive (the whole stream at its start, or
+each window as the shard's pump pulls it), and a request a migration
+takes from its pump moves to the shard it is dispatched to at its
+arrival (or, parked through a drain, at its cutover) — the same
+schedule at every window size, so per-shard arrival counts for fully
+elapsed buckets are independent of the window size.  Completion-side state
+(latency digests) is swept at window boundaries and *is*
+window-dependent mid-run, so it stays out of the decision function;
+SLO percentiles are computed from the final recorder instead
 (:func:`repro.sim.stats.percentile_of_parts`).
 """
 
@@ -52,13 +55,6 @@ __all__ = [
     "parse_decision_jsonl",
     "AutoscaleController",
 ]
-
-#: Streaming window forced onto autoscaled scenarios that did not pick
-#: one: the control loop needs the window router (per-window routing
-#: against the live volume table) for mid-stream cutovers to take
-#: effect, and the tick events keep the clock busy anyway.
-DEFAULT_AUTOSCALE_WINDOW = 256
-
 
 @dataclass(frozen=True)
 class AutoscalePolicy:

@@ -19,22 +19,21 @@ each shard takes its cheapest engine — the analytic queue solver for
 single-phase traces, the batch-stepped executor for mixed ones — and
 the shared event heap runs the shards that armed timers name (a
 failure injection names its array), while the rest replay the heap's
-order on the exact core.  Only windowed serves that must route live
-(a migration, a pending event naming no shard) take the window
-router, which keeps every shard on the heap.  The multi-process shard
-groups call the same gates.  No per-request Python happens between the
-socket (here: the stream vectors) and the disk queues.
+order on the exact core.  The multi-process shard groups call the same
+gates.  No per-request Python happens between the socket (here: the
+stream vectors) and the disk queues.
 
 Routing is also *mutable* per volume: the fleet routes through a
 volume→shard table seeded from the :class:`ShardMap` and updated one
 volume at a time as a live migration
 (:class:`repro.service.MigrationCoordinator`) cuts volumes over to new
-shards.  While a migration is active, requests to moving volumes are
-diverted out of the batched per-shard compile and dispatched
-request-by-request on the shared clock, so each one follows the
-volume's *current* owner (source before cutover, destination after)
-and can be drained and counted exactly — the seam that makes "grow the
-fleet under load with zero lost requests" a checkable property.
+shards.  A *live* serve — a migration is live, or a pending event
+names no shard (a reshape, an autoscale tick) — runs every shard on a
+heap pump that hands each arriving request of a moving volume to the
+migration (:meth:`Fleet._hand_off`), which dispatches it to the
+volume's *current* owner, so every request is drained and counted
+exactly: the seam that makes "grow the fleet under load with zero lost
+requests" a checkable property.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from ..sim.compile import (
     CompiledTrace,
     StreamWindows,
     _compile_ordered,
-    _CompiledRun,
     _execute_shards,
     _in_arrival_order,
     generate_request_stream,
@@ -60,14 +58,7 @@ from ..sim.controller import ArrayController
 from ..sim.disk import DiskParameters
 from ..sim.events import Simulator
 from ..sim.stats import LatencyDigest, LatencyState, LatencyStats, merge_states
-from ..sim.stream import (
-    _execute_shard_windows,
-    _in_order,
-    _ShardRoute,
-    _slice_window,
-    _sweep,
-    _volumes,
-)
+from ..sim.stream import _execute_shard_windows, _ShardRoute
 from ..sim.workload import WorkloadConfig
 from .sharding import ShardMap
 
@@ -81,8 +72,9 @@ class ShardTally:
     groups, across processes too) hands the report fold.
 
     Attributes:
-        scheduled: requests routed to the shard (a migration's diverted
-            requests count where its coordinator dispatched them).
+        scheduled: requests routed to the shard (a request a live
+            migration took from its pump counts where the migration
+            dispatched it).
         latency: per request kind, the stream's samples reduced to a
             :class:`~repro.sim.stats.LatencyState`.
         per_disk_ios: IOs each of the shard's disks completed.
@@ -277,8 +269,8 @@ class Fleet:
 
     def static_route(self) -> _ShardRoute:
         """The live routing table (a copy) and the fleet's address
-        geometry as one record — what the windowed engines route each
-        window through while no migration re-routes volumes."""
+        geometry as one record — what a serve slices its stream
+        through, once, at its start."""
         return _ShardRoute(
             self.volume_route(),
             self.volume_units,
@@ -326,8 +318,8 @@ class Fleet:
             ctrl.obs = recorder
 
     def attach_migration(self, coordinator) -> None:
-        """Register the live migration that diverts moving-volume
-        traffic (one at a time).
+        """Register the live migration that takes moving-volume
+        traffic from the heap pumps (one at a time).
 
         Raises:
             RuntimeError: if an unfinished migration is already
@@ -339,10 +331,11 @@ class Fleet:
         self._migrations.append(coordinator)
 
     def migration_dispatch_totals(self) -> list[int]:
-        """Requests dispatched per shard by every migration ever
-        attached (diverted traffic counts where the coordinator sent
-        it).  Serve paths snapshot this before and after a stream so
-        scheduled counts cover coordinators created mid-serve too."""
+        """Net requests every migration ever attached moved onto each
+        shard: a request it took from a heap pump counts where it
+        dispatched it, not on the pump's shard.  Serve paths snapshot
+        this before and after a stream so scheduled counts cover
+        coordinators created mid-serve too."""
         totals = [0] * self.shards
         for co in self._migrations:
             for s, n in enumerate(co.dispatched_per_shard):
@@ -363,20 +356,14 @@ class Fleet:
 
         The stream is checked and stable-sorted into arrival order once
         (ties keep stream order), routed through the live volume table
-        (:meth:`_route_live`), and each shard's sub-stream compiled with
-        one ``map_batch`` call (global LBAs fold onto the shard's
-        address space) and no second check.
-
-        While a migration is active, requests to moving volumes are
-        *diverted*: they carry shard id ``-1`` here and are handed to
-        the coordinator, which dispatches each one at its arrival time
-        to the volume's current owner (so cutovers mid-stream take
-        effect) — see :class:`repro.service.MigrationCoordinator`.
+        (LBA → volume → shard), and each shard's sub-stream compiled
+        with one ``map_batch`` call (global LBAs fold onto the shard's
+        address space) and no second check.  A live serve's slices also
+        carry their requests' volumes (:meth:`_live_handoff`).
 
         Returns:
             ``(compiled, shard_ids)`` — one :class:`CompiledTrace` per
-            shard plus each request's routed shard (``-1`` = diverted),
-            in input order.
+            shard plus each request's routed shard, in input order.
 
         Raises:
             IndexError: if any LBA falls outside the fleet capacity.
@@ -384,7 +371,8 @@ class Fleet:
                 infinite or negative arrival time.
         """
         times, is_read, lbas, order = _in_arrival_order(times, is_read, lbas)
-        shard_ids = self._route_live(times, is_read, lbas, self.sim.now)
+        live = self._live_handoff() is not None
+        shard_ids, vols = self.static_route().locate(lbas, live)
         compiled = []
         for s, ctrl in enumerate(self.controllers):
             # One index gather per shard: each column is read once, not
@@ -396,6 +384,7 @@ class Fleet:
                     times[idx],
                     is_read[idx],
                     lbas[idx] % self.shard_capacity,
+                    vols[idx] if live else None,
                 )
             )
         if order is not None:
@@ -404,28 +393,23 @@ class Fleet:
             shard_ids = unsorted
         return compiled, shard_ids
 
-    def _route_live(self, times, is_read, lbas, base: float) -> np.ndarray:
-        """Each request's shard through the live volume table (LBA →
-        volume → shard) — the one live-routing step of
-        :meth:`route_stream` and the window router.  Requests a live
-        migration claims get shard ``-1`` and go to its coordinator, in
-        arrival order, at absolute times ``base + times``."""
-        vols = _volumes(
-            lbas, self.volume_units, self.shard_map.volumes, self.capacity
-        )
-        shard_ids = self._volume_route[vols]
+    def _live_handoff(self):
+        """:meth:`_hand_off` when a serve starting now is live (a
+        migration is live, or a pending event names no shard), else
+        ``None``."""
         mig = self._migration
-        if mig is not None and not mig.done:
-            moving = mig.claims(vols)
-            if moving.any():
-                mig.register_stream(
-                    base + times[moving],
-                    is_read[moving],
-                    lbas[moving],
-                    vols[moving],
-                )
-                shard_ids = np.where(moving, np.int64(-1), shard_ids)
-        return shard_ids
+        if (mig is not None and not mig.done) or self.sim.armed_shards() is None:
+            return self._hand_off
+        return None
+
+    def _hand_off(
+        self, shard: int, t: float, vol: int, is_read: bool, lba: int
+    ) -> bool:
+        """Offered each request arriving at a live serve's pump on
+        ``shard``: True when the attached migration takes it
+        (:meth:`MigrationCoordinator._take`)."""
+        mig = self._migration
+        return mig is not None and mig._take(shard, t, vol, is_read, lba)
 
     # ------------------------------------------------------------------
     # Serving
@@ -456,9 +440,10 @@ class Fleet:
         (:func:`repro.sim.compile._execute_shards`): on an idle clock
         each shard takes its cheapest exact engine.  With events armed,
         only the shards they name run on the shared event heap — a
-        failure names its array, a migration every shard — and each
-        other shard replays its trace on the exact core from the
-        stream's start, keeping the heap's label and bits.
+        failure names its array — and each other shard replays its
+        trace on the exact core from the stream's start, keeping the
+        heap's label and bits.  A live serve runs every shard on the
+        heap, with the fleet's arrival hand-off.
 
         Raises:
             ValueError: if the trace count does not match the fleet.
@@ -479,7 +464,7 @@ class Fleet:
         mig_base = self.migration_dispatch_totals()
         # Each shard picks its cheapest engine on an idle clock; armed
         # events put the shards they name on the heap.
-        _execute_shards(self.controllers, compiled)
+        _execute_shards(self.controllers, compiled, handoff=self._live_handoff())
         # This stream's samples as per-shard exact accumulators over
         # array slices (shards a reshape bore mid-run have no earlier
         # samples).
@@ -537,58 +522,36 @@ class Fleet:
         ``windows`` yields ``(times, is_read, lbas)`` slices in arrival
         order (times relative to the stream start, LBAs fleet-global) —
         :class:`repro.sim.compile.StreamWindows` over the fleet
-        capacity, typically.  Two modes mirror :meth:`serve_compiled`:
+        capacity, typically — and the serve is :meth:`serve_compiled`'s
+        in windows: ``repro.sim``'s windowed shard-set gate
+        (:func:`repro.sim.stream._execute_shard_windows`), which carries
+        each shard's queue state across windows on an idle clock (the
+        analytic solver for single-phase streams — the source's
+        ``read_only``, or a write-through fleet — the eager core on
+        eligible shards), pumps the shards an armed event names on the
+        heap and replays the rest on the exact core under the pump's
+        ``windowed-pump`` label; a live serve pumps every shard, with
+        the arrival hand-off.  A one-shot source (an iterator that is
+        its own ``iter()``) is served in its one pass, or refused with a
+        ``ValueError`` before a window is read when it would need more.
 
-        * **shard-set gate** (static routing): ``repro.sim``'s windowed
-          gate (:func:`repro.sim.stream._execute_shard_windows`) over
-          every shard.  On an idle clock each shard carries its queue
-          state across window boundaries — the analytic solver when
-          every request is single-phase (the source's ``read_only``
-          attribute, or a write-through fleet), the eager core on its
-          eligible shards (healthy, read-modify-write, no data plane)
-          for mixed streams.  Only the shards an armed event names (a
-          failure names its array) run on the shared heap; every other
-          shard, and every eager tie abort, replays on the exact core
-          in the heap pump's order and under its ``windowed-pump``
-          label.  A one-shot source (an iterator that is its own
-          ``iter()``) is served in its one pass, or refused with a
-          ``ValueError`` before a window is read when heap shards
-          would need passes of their own.
-        * **window router** (live routing only — a live migration, or a
-          pending event naming no shard such as a reshape or an
-          autoscale tick): one self-rescheduling event loads each
-          window onto the shared heap for every shard, routed through
-          the *live* volume table (:meth:`_route_live`, as
-          :meth:`route_stream` routes a materialized stream), so
-          cutovers mid-stream take effect.
-
-        Any source without ``read_only`` counts as mixed.
         ``read_only_hint`` is ignored, kept for the end-to-end harness
         (``benchmarks/e2e/workloads.py``), which still passes it.  A
         window that starts before the previous window's last arrival
-        raises ``ValueError`` in either mode — when it is pulled, so the
-        fleet is left mid-serve and is discarded
-        (:func:`repro.sim.stream._in_order`).
+        raises ``ValueError`` when it is pulled, so the fleet is left
+        mid-serve and is discarded (:func:`repro.sim.stream._in_order`).
         Reports are byte-identical to the materialized serve of the
         same stream, engine labels aside.  The scenario runners, not
         this serve, count its windows as ``window_boundaries``.
         """
         start = self.sim.now
         ios_base = [ctrl.per_disk_completed() for ctrl in self.controllers]
-        mig = self._migration
         mig_base = self.migration_dispatch_totals()
-        digests: list[dict[str, LatencyDigest]] = [
-            {} for _ in self.controllers
-        ]
-        if (mig is not None and not mig.done) or self.sim.armed_shards() is None:
-            scheduled = [0] * len(self.controllers)
-            router = _WindowRouter(self, iter(windows), digests, scheduled)
-            self.sim.run()
-            router.finish()
-        else:
-            scheduled, _ = _execute_shard_windows(
-                self.controllers, self.static_route(), windows, digests
-            )
+        digests: list[dict[str, LatencyDigest]] = [{} for _ in self.controllers]
+        route, handoff = self.static_route(), self._live_handoff()
+        scheduled, _ = _execute_shard_windows(
+            self.controllers, route, windows, digests, handoff=handoff
+        )
         return self._report(scheduled, start, digests, ios_base, mig_base)
 
     # ------------------------------------------------------------------
@@ -693,107 +656,3 @@ def _fold_report(tallies: list[ShardTally], duration_ms: float) -> FleetReport:
     )
     object.__setattr__(report, "tallies", tuple(tallies))
     return report
-
-
-class _WindowRouter:
-    """Streams a windowed fleet workload onto the shared event heap for
-    the serves that must route live (see :meth:`Fleet.serve_windows`).
-
-    One self-rescheduling event per window: at the first arrival time
-    of window *W* (checked and in arrival order,
-    :func:`repro.sim.stream._in_order`), the router sweeps completed
-    latency samples into the per-shard digests, routes *W* through the
-    fleet's live-routing step (:meth:`Fleet._route_live`: migration
-    cutovers that happened since the last window take effect, and a
-    live migration's share goes to its coordinator), compiles each
-    shard's slice (:func:`repro.sim.stream._slice_window`), and arms one
-    :class:`repro.sim.compile._CompiledRun` pump per non-empty slice —
-    all of whose arrivals fire before the next window is due (windows
-    partition the stream by time).  Exactly one window is ever
-    buffered, so heap pressure and sample memory stay constant at any
-    horizon while failures, rebuilds, and migration copies interleave
-    on the shared clock.
-
-    Known gap: a window's first arrival epoch takes its heap sequence
-    number when the router delivers the window, where the chained pump
-    (and so the materialized serve) numbers it at the end of the
-    previous epoch.  At exact time ties across a window boundary the
-    schedules of a reshape or autoscale serve can differ.
-
-    Construction arms the first window; run the clock, then call
-    :meth:`finish`.
-    """
-
-    __slots__ = (
-        "fleet", "it", "digests", "scheduled", "base", "_next", "_lat_base",
-    )
-
-    def __init__(
-        self,
-        fleet: Fleet,
-        it,
-        digests: list[dict[str, LatencyDigest]],
-        scheduled: list[int],
-    ):
-        self.fleet = fleet
-        self.it = _in_order(it)
-        self.digests = digests
-        self.scheduled = scheduled
-        self.base = fleet.sim.now
-        # A long-lived fleet's controllers may carry samples from
-        # earlier streams; the sweep must only claim this stream's tail.
-        self._lat_base = [
-            {kind: st.count for kind, st in ctrl.latency.items()}
-            for ctrl in fleet.controllers
-        ]
-        self._pull()
-
-    def _pull(self) -> None:
-        """Buffer the next non-empty window and arm its delivery at its
-        first arrival (nothing at the end of the stream)."""
-        self._next = next(self.it, None)
-        if self._next is not None:
-            at = self.base + float(self._next[0][0])
-            self.fleet.sim.at(at, self._deliver)
-
-    def _deliver(self) -> None:
-        self.drain()
-        fleet = self.fleet
-        window = self._next
-        shard_ids = fleet._route_live(*window, self.base)
-        scheduled = self.scheduled
-        # Shards a reshape bore mid-run route from here on.
-        scheduled.extend([0] * (len(fleet.controllers) - len(scheduled)))
-        for s, w in _slice_window(
-            enumerate(fleet.controllers), shard_ids, window,
-            fleet.shard_capacity, self.base, scheduled,
-        ):
-            # The explicit base keeps arrival times bit-equal to a
-            # stream-start schedule even though the pump is built
-            # mid-run.
-            _CompiledRun(fleet.controllers[s], w, base=self.base).schedule()
-        self._pull()
-
-    def drain(self) -> None:
-        """Sweep each controller's fresh latency samples (in recording
-        order) into the per-shard digests and trim the lists back, so
-        sample memory never exceeds one window's completions."""
-        fleet = self.fleet
-        digests = self.digests
-        lat_base = self._lat_base
-        while len(digests) < len(fleet.controllers):
-            digests.append({})
-            lat_base.append({})
-        for s, ctrl in enumerate(fleet.controllers):
-            _sweep(ctrl.latency, lat_base[s], digests[s])
-
-    def finish(self) -> None:
-        """Close the stream once the clock has drained: sweep the last
-        samples and label every controller — router mode runs every
-        shard on the chained heap pump, so all of them, including
-        shards born after the last window or that saw no traffic, carry
-        its label and serial and multi-process serves agree at every
-        window size."""
-        self.drain()
-        for ctrl in self.fleet.controllers:
-            ctrl.set_engine("windowed-pump", "event-heap")

@@ -37,10 +37,12 @@ machine:
    are released there (their latency is measured from the *original*
    arrival, so the freeze shows up as queueing delay, not as loss).
 
-While a migration is active the fleet diverts moving-volume traffic
-out of the batched per-shard compile and hands it to the coordinator,
-which dispatches each request at its arrival time to the volume's
-*current* owner — the seam that lets routing change mid-stream.
+While a migration is active, the heap pump of the shard a request was
+routed to hands it to the coordinator at its arrival time when the
+coordinator claims its volume or a cutover has moved the volume off
+that shard (:meth:`repro.service.Fleet._hand_off`); the coordinator
+dispatches it to the volume's *current* owner — the seam that lets
+routing change mid-stream.
 Copies to the same destination are serialized (two volumes ingesting
 into one array could alias the same physical cells), and every copy
 competes for the same fleet-wide
@@ -246,7 +248,7 @@ class VolumeMigrationOutcome:
 class MigrationCoordinator:
     """Executes a :class:`MigrationPlan` live, on the fleet's clock.
 
-    Construction plans the reshape and attaches to the fleet (diverting
+    Construction plans the reshape and attaches to the fleet (taking
     moving-volume traffic from then on); :meth:`arm` schedules the
     reshape itself at ``at_ms``.  Run the fleet's simulator (serving a
     stream does) and the coordinator copies, drains, and cuts volumes
@@ -323,9 +325,6 @@ class MigrationCoordinator:
         self.done = not owned
         self._armed = False
         self._moves = {m.volume: m for m in owned}
-        self._moving_ids = np.array(
-            sorted(self._moves), dtype=np.int64
-        )
         # Per-volume lifecycle: "pending" -> "copying" -> "draining"
         # -> done (removed from _state).
         self._state = {v: "pending" for v in self._moves}
@@ -348,8 +347,10 @@ class MigrationCoordinator:
         # content-write hook per array involved in any of them.
         self._active_copies: dict[int, "_VolumeCopy"] = {}
         self._mirror_hooks: dict[int, tuple[object, int]] = {}
-        #: Requests dispatched per shard (grows with the fleet) — the
-        #: fleet adds these to its per-shard scheduled counts.
+        #: Net requests moved onto each shard (grows with the fleet):
+        #: +1 where a request is dispatched, -1 on the shard whose pump
+        #: it was taken from — the fleet adds these to its per-shard
+        #: scheduled counts.
         self.dispatched_per_shard: list[int] = [0] * fleet.shards
         fleet.attach_migration(self)
 
@@ -567,32 +568,26 @@ class MigrationCoordinator:
                     frontier.append(b)
 
     # ------------------------------------------------------------------
-    # Diverted-traffic dispatch (the routing seam)
+    # Per-arrival dispatch (the routing seam)
     # ------------------------------------------------------------------
 
-    def claims(self, vols: np.ndarray) -> np.ndarray:
-        """Boolean mask of requests this migration handles (their
-        volume is in the moving set)."""
-        return np.isin(vols, self._moving_ids)
-
-    def register_stream(
-        self,
-        times: np.ndarray,
-        is_read: np.ndarray,
-        lbas: np.ndarray,
-        vols: np.ndarray,
-    ) -> None:
-        """Take ownership of a diverted sub-stream, in arrival order,
-        its times on the shared clock (the fleet's live-routing step
-        adds the stream origin: a window is diverted mid-run, when
-        ``sim.now`` has moved past it)."""
-        _StreamPump(
-            self,
-            times.tolist(),
-            is_read.tolist(),
-            lbas.tolist(),
-            vols.tolist(),
-        ).schedule()
+    def _take(
+        self, shard: int, t: float, vol: int, is_read: bool, lba: int
+    ) -> bool:
+        """Offered a request arriving at ``t`` at the heap pump of
+        ``shard``: take it (True) when this migration claims its volume
+        or a cutover has moved the volume off ``shard``.  A taken
+        request leaves that shard's scheduled count and arrival bucket,
+        and counts where :meth:`_dispatch` sends it."""
+        route = self.fleet._volume_route
+        if (self.done or vol not in self._moves) and route[vol] == shard:
+            return False
+        self.dispatched_per_shard[shard] -= 1
+        obs = self.fleet.controllers[shard].obs
+        if obs.enabled:
+            obs.arrive(shard, t, -1)
+        self._dispatch(t, is_read, lba, vol)
+        return True
 
     def _dispatch(
         self, t: float, is_read: bool, lba: int, vol: int
@@ -622,7 +617,7 @@ class MigrationCoordinator:
         optional in-flight tracking for the drain."""
         ctrl = self.fleet.controllers[shard]
         if ctrl.obs.enabled:
-            # Diverted traffic arrives one request at a time; count it
+            # Dispatched traffic arrives one request at a time; count it
             # at its original arrival (held requests keep theirs).
             ctrl.obs.arrive(shard, start)
         local = lba % self.fleet.shard_capacity
@@ -670,47 +665,6 @@ class MigrationCoordinator:
     def total_units_copied(self) -> int:
         """Units actually swept between arrays."""
         return sum(o.units_copied for o in self.outcomes)
-
-
-class _StreamPump:
-    """Chained-arrival pump for one diverted sub-stream: one pending
-    event drives every dispatch (the compiled executor's trick), so
-    diverting traffic adds no heap pressure beyond its own arrivals."""
-
-    __slots__ = ("co", "times", "is_read", "lbas", "vols", "n", "_i")
-
-    def __init__(
-        self,
-        co: MigrationCoordinator,
-        times: list[float],
-        is_read: list[bool],
-        lbas: list[int],
-        vols: list[int],
-    ):
-        self.co = co
-        self.times = times
-        self.is_read = is_read
-        self.lbas = lbas
-        self.vols = vols
-        self.n = len(times)
-        self._i = 0
-
-    def schedule(self) -> None:
-        if self.n:
-            self.co.fleet.sim.at(self.times[0], self._fire)
-
-    def _fire(self) -> None:
-        sim = self.co.fleet.sim
-        now = sim.now
-        i = self._i
-        while i < self.n and self.times[i] == now:
-            self.co._dispatch(
-                self.times[i], self.is_read[i], self.lbas[i], self.vols[i]
-            )
-            i += 1
-        self._i = i
-        if i < self.n:
-            sim.at(self.times[i], self._fire)
 
 
 class _VolumeCopy:

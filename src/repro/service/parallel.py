@@ -605,6 +605,17 @@ def _execute_group(task: GroupTask, source) -> GroupResult:
     )
 
 
+class _Mapped:
+    """Re-iterable windows: ``fn`` over each window of ``windows``, on
+    every pass."""
+
+    def __init__(self, fn, windows):
+        self.fn, self.windows = fn, windows
+
+    def __iter__(self):
+        return (self.fn(*window) for window in self.windows)
+
+
 def _execute_migration_group(task: GroupTask) -> GroupResult:
     """Run one migration component to completion (worker side).
 
@@ -615,12 +626,12 @@ def _execute_migration_group(task: GroupTask) -> GroupResult:
     copy budget, and serves only the traffic the static routing table
     sends to the component's arrays, through the fleet's own serve
     (:meth:`Fleet.serve_stream`, or :meth:`Fleet.serve_windows`, whose
-    window router the live migration selects).  Because the component
-    is closed under the move graph, every diverted request, mirror
-    write, and copy IO lands inside it — the same events the serial
-    run produces on these arrays, in the same per-shard order — and
-    the report's tallies for the component's arrays are the serial
-    run's.
+    heap pumps each read the windows in a pass of their own).  Because
+    the component is closed under the move graph, every request a pump
+    hands to the coordinator, mirror write, and copy IO lands inside it
+    — the same events the serial run produces on these arrays, in the
+    same per-shard order — and the report's tallies for the component's
+    arrays are the serial run's.
     """
     t0 = time.perf_counter()
     scenario, group = task.scenario, task.group
@@ -659,7 +670,7 @@ def _execute_migration_group(task: GroupTask) -> GroupResult:
         windows = StreamWindows(
             workload, horizon, fleet.capacity, window_size=scenario.window_size
         )
-        report = fleet.serve_windows(kept(*window) for window in windows)
+        report = fleet.serve_windows(_Mapped(kept, windows))
     return _group_result(
         task,
         t0,

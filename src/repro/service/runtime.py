@@ -41,8 +41,8 @@ reshapes.  What a runtime keeps warm:
   synthetic run — skips stream generation *and* ``route_stream``
   entirely and reuses the packed slices.  The cache applies only to
   materialized serves without a reshape or autoscale policy (windowed
-  serves never materialize by design; reshapes divert traffic through
-  the live coordinator), and a run that executed a reshape/autoscale
+  serves never materialize by design; a reshape's pumps hand traffic
+  to the live coordinator), and a run that executed a reshape/autoscale
   event invalidates it.
 
 The canonical byte-identity contract is non-negotiable and holds by

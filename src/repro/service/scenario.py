@@ -12,8 +12,10 @@ The run order is the production story end to end:
 
 1. build the fleet (shared clock, registry-cached layout/mapper);
 2. conformance-gate the served layouts (Conditions 1-4, for free);
-3. generate + route + compile the whole request stream (requests to
-   volumes a reshape will move are diverted to the live dispatcher);
+3. generate + route + compile the whole request stream (when a reshape
+   or an autoscale tick is pending, each shard's heap pump hands
+   requests to volumes a migration moves to its live dispatcher as they
+   arrive);
 4. arm the failure schedule, admission-controlled rebuilds, and the
    grow/shrink migration — rebuilds and volume copies share one
    admission budget;
@@ -35,12 +37,7 @@ import numpy as np
 from ..sim.compile import ArrayWindows, _check_horizon
 from ..sim.disk import DiskParameters
 from ..sim.workload import WorkloadConfig
-from .autoscale import (
-    DEFAULT_AUTOSCALE_WINDOW,
-    AutoscaleController,
-    AutoscalePolicy,
-    AutoscaleSummary,
-)
+from .autoscale import AutoscaleController, AutoscalePolicy, AutoscaleSummary
 from .conformance import FleetConformance, check_fleet
 from .fleet import Fleet, FleetReport
 from .migration import MigrationCoordinator, VolumeMigrationOutcome
@@ -128,10 +125,10 @@ class FleetScenario:
         autoscale: optional :class:`AutoscalePolicy` — a control loop
             polls the live metrics on a sim-clock cadence and fires
             grow/shrink migrations on sustained load or imbalance
-            (mutually exclusive with ``reshape_to``).  Autoscaled runs
-            always serve windowed (``window_size`` or
-            :data:`~repro.service.autoscale.DEFAULT_AUTOSCALE_WINDOW`)
-            so mid-stream cutovers take effect.
+            (mutually exclusive with ``reshape_to``).  Its ticks name no
+            shard, so every shard serves on a heap pump that hands
+            requests to the migrations as they arrive, materialized or
+            windowed alike.
     """
 
     shards: int = 8
@@ -449,13 +446,10 @@ def run_fleet_scenario(
     a pure function of the fleet shape and the stream, the report is
     byte-identical to serving the originating stream — valid only for
     materialized serves (no ``window_size``, no ``reshape_to``, no
-    ``autoscale``, whose paths re-route live).
+    ``autoscale``, whose pumps hand requests off by volume).
 
-    An ``autoscale`` policy always serves windowed (the window router
-    re-routes each window through the live volume table, so cutovers
-    the control loop fires mid-stream take effect) and instruments the
-    run even without a caller recorder — the loop needs live arrival
-    buckets to decide from.
+    An ``autoscale`` policy instruments the run even without a caller
+    recorder — the loop needs live arrival buckets to decide from.
 
     Raises:
         ValueError: on inconsistent scenario parameters (bad failure
@@ -530,8 +524,6 @@ def run_fleet_scenario(
     autoscaler = None
     window_size = scenario.window_size
     if policy is not None:
-        if window_size is None:
-            window_size = DEFAULT_AUTOSCALE_WINDOW
         autoscaler = AutoscaleController(
             fleet,
             policy,

@@ -17,14 +17,15 @@ gate for a set of shards on one clock lives here, once:
 shard: one off-heap pass (:func:`_off_heap_pass`) on the carry engines
 on an idle clock, ONE off-heap pass on the exact core for the shards
 replayed exactly, and a chained heap pump (:func:`_arm_shard_pump`)
-per shard an armed event names, armed before one ``sim.run()``; one
-slicer (:func:`_slice_window`) serves them all.  :func:`execute_windows`
-is that gate on one array, shard groups call it for their slice, and
-:meth:`repro.service.Fleet.serve_windows` for the fleet — every source,
-one-shot iterators included — unless it must route live (its window
-router).  Every caller passes the stream's routing geometry as one
-:class:`_ShardRoute`.  Three engines mirror the materialized gate
-(:func:`repro.sim.compile._execute_shards`):
+per shard an armed event names — every shard of a serve that can
+reroute mid-serve, each pump handing requests off as they arrive —
+armed before one ``sim.run()``; one slicer (:func:`_slice_window`)
+serves them all.  :func:`execute_windows` is that gate on one array,
+shard groups call it for their slice, and
+:meth:`repro.service.Fleet.serve_windows` for the fleet — every
+source, one-shot iterators included.  Every caller passes the
+stream's routing geometry as one :class:`_ShardRoute`.  Three engines
+mirror the materialized gate (:func:`repro.sim.compile._execute_shards`):
 
 * single-phase streams (a source whose ``read_only`` attribute says
   it is all reads, or any mix under ``write_policy="write_through"``)
@@ -40,8 +41,9 @@ router).  Every caller passes the stream's routing geometry as one
   fed window by window, its pending-phase heap and per-disk state
   persisting across feeds.  On the core's ambiguity abort (an exact
   submission-time tie) nothing has touched the controller, so the pass
-  demotes that shard — its digests, counts and recorder samples
-  cleared — to the replay pass: the exact core
+  demotes that shard — its digests and counts cleared, its recorder
+  state put back as it was before the pass — to the replay pass: the
+  exact core
   (:func:`repro.sim.batchstep._exact_core`), again one window at a
   time — the heap pump's exact serialization without the event heap,
   keeping the pump's ``windowed-pump`` label;
@@ -147,18 +149,26 @@ class _ShardRoute:
     shard_capacity: int
     capacity: int
 
-    def routed(self, windows) -> Iterator[tuple[_Window, np.ndarray]]:
+    def locate(self, lbas: np.ndarray, volumes: bool = False) -> tuple:
+        """Each request's shard, and its volume when ``volumes`` asks
+        (else ``None``: only a live serve's pumps read volumes, and a
+        column nobody reads is not held).  ``IndexError`` on an LBA
+        outside ``[0, capacity)``."""
+        vols = _volumes(lbas, self.volume_units, len(self.table), self.capacity)
+        return self.table[vols], vols if volumes else None
+
+    def routed(self, windows, volumes: bool = False) -> Iterator[tuple]:
         """One pass over ``windows``: each non-empty window
-        (:func:`_in_order`) with its requests' shards.
+        (:func:`_in_order`) with its requests' shards and volumes
+        (:meth:`locate`).
 
         Raises:
             IndexError: on an LBA outside ``[0, capacity)``.
             ValueError: on a window that starts before the previous
                 one's last arrival.
         """
-        units, n, cap = self.volume_units, len(self.table), self.capacity
         for window in _in_order(windows):
-            yield window, self.table[_volumes(window[2], units, n, cap)]
+            yield window, *self.locate(window[2], volumes)
 
 
 def _in_order(windows) -> Iterator[_Window]:
@@ -172,8 +182,8 @@ def _in_order(windows) -> Iterator[_Window]:
     Windows stream, so the check runs as each window is pulled: a
     refusal comes after the windows before it were routed, and leaves
     that partial serve behind — their arrivals in an attached recorder,
-    and on the fleet's window router, their events on the heap.  The
-    caller discards the controllers (the fleet) it was serving on.
+    and on a busy clock, their events on the heap.  The caller discards
+    the controllers (the fleet) it was serving on.
 
     Raises:
         ValueError: on a window with columns of unequal length or a
@@ -197,15 +207,16 @@ def _slice_window(
     shard_capacity: int,
     base: float,
     scheduled: list[int],
+    volumes: np.ndarray | None = None,
 ) -> Iterator[tuple[int, CompiledTrace]]:
     """Compile each shard's slice of one routed window, already checked
     and in arrival order (:func:`_in_order`) — the slicing loop of
-    every windowed engine and of the fleet's window router.  For each
-    ``(index, ctrl)`` of ``shards`` whose shard ``ctrl.obs_shard`` the
-    window reaches (``shard_ids``), record its arrivals (stream start
-    ``base``), add its size to ``scheduled[index]`` and yield ``(index,
-    slice)``.  Each slice's columns are gathered through one index
-    array of its requests."""
+    every windowed engine.  For each ``(index, ctrl)`` of ``shards``
+    whose shard ``ctrl.obs_shard`` the window reaches (``shard_ids``),
+    record its arrivals (stream start ``base``), add its size to
+    ``scheduled[index]`` and yield ``(index, slice)``.  Each slice's
+    columns are gathered through one index array of its requests; a
+    live serve's slices carry their requests' ``volumes`` too."""
     times, is_read, lbas = window
     for i, ctrl in shards:
         idx = np.flatnonzero(shard_ids == ctrl.obs_shard)
@@ -215,7 +226,8 @@ def _slice_window(
         if ctrl.obs.enabled:
             ctrl.obs.arrivals(ctrl.obs_shard, base + at)
         local = lbas[idx] % shard_capacity
-        w = _compile_ordered(ctrl.mapper, at, is_read[idx], local)
+        vols = None if volumes is None else volumes[idx]
+        w = _compile_ordered(ctrl.mapper, at, is_read[idx], local, vols)
         scheduled[i] += w.n
         yield i, w
 
@@ -251,17 +263,22 @@ def _off_heap_pass(
     draining into the shard's digests (:func:`_digest_sink`).
 
     A shard whose feed or finish returns False — the eager core's
-    ambiguous-tie abort — is demoted: its digests, request count and
-    recorder samples are cleared and ``tie_abort_replays`` counted; it
-    skips the rest of the pass.  Returns the non-empty window count,
-    the latest finish, and the demoted shards, for the caller to replay
-    on the exact core in a second pass — the per-shard granularity of
+    ambiguous-tie abort — is demoted: its digests and request count are
+    cleared, its recorder samples and arrivals put back as they were
+    before the pass (a long-lived recorder keeps earlier streams'), and
+    ``tie_abort_replays`` counted; it skips the rest of the pass.
+    Returns the non-empty window count, the latest finish, and the
+    demoted shards, for the caller to replay on the exact core in a
+    second pass — the per-shard granularity of
     :func:`~repro.sim.batchstep.step_compiled`'s eager → exact
     fallback."""
     sim = controllers[0].sim
     base = end = sim.now
     engines = {i: _engine(controllers[i], label) for i in shards}
     sinks = {i: _digest_sink(controllers[i], digests[i]) for i in engines}
+    saved = {
+        i: controllers[i].obs.shard_state(controllers[i].obs_shard) for i in engines
+    }
     demoted: list[int] = []
 
     def demote(i: int) -> None:
@@ -270,11 +287,11 @@ def _off_heap_pass(
         digests[i].clear()
         scheduled[i] = 0
         ctrl = controllers[i]
-        ctrl.obs.reset_shard(ctrl.obs_shard)
+        ctrl.obs.restore_shard(ctrl.obs_shard, saved[i])
         ctrl.obs.count("tie_abort_replays")
 
     n_windows = 0
-    for window, ids in route.routed(windows):
+    for window, ids, _ in route.routed(windows):
         n_windows += 1
         live = [(i, controllers[i]) for i in engines]
         for i, w in _slice_window(
@@ -296,19 +313,22 @@ def _arm_shard_pump(
     route: _ShardRoute,
     windows,
     digest: dict[str, LatencyDigest],
+    handoff=None,
+    also: Callable[[], None] | None = None,
 ) -> tuple[list[int], Callable[[], None]]:
     """Arm a chained heap pump for the shard ``ctrl.obs_shard`` over its
     slice of a windowed stream, in a pass of its own.  This is the
     general engine, able to interleave with foreign events (rebuilds,
-    timers, other shards' pumps).
+    timers, other shards' pumps); a live serve's ``handoff`` goes to
+    the pump (:class:`~repro.sim.compile._CompiledRun`).
 
     Returns ``(count, drain)``: as windows are pulled, ``count[0]``
     accumulates the shard's request count and ``count[1]`` the
     stream's non-empty windows; ``drain()`` sweeps fresh latency
-    samples into ``digest`` (the pump calls it at each window boundary;
-    call it once more after the clock drains).  The caller runs the
-    simulator — so a shard set arms every pump before one shared
-    ``sim.run()`` when failure timers interleave.
+    samples into ``digest`` (the pump calls it, then ``also``, at each
+    window boundary; call it once more after the clock drains).  The
+    caller runs the simulator — so a shard set arms every pump before
+    one shared ``sim.run()`` when failure timers interleave.
 
     Metrics recording rides the event-level hooks (the controller's
     ``_record``, the compiled run's inlined sinks), which see every
@@ -320,10 +340,10 @@ def _arm_shard_pump(
     base = ctrl.sim.now
 
     def slices() -> Iterator[CompiledTrace]:
-        for window, ids in route.routed(windows):
+        for window, ids, vols in route.routed(windows, handoff is not None):
             count[1] += 1
             for _, w in _slice_window(
-                ((0, ctrl),), ids, window, route.shard_capacity, base, count
+                ((0, ctrl),), ids, window, route.shard_capacity, base, count, vols
             ):
                 yield w
 
@@ -333,7 +353,11 @@ def _arm_shard_pump(
     drain = partial(_sweep, ctrl.latency, lat_base, digest)
     if first is not None:
         _CompiledRun(
-            ctrl, first, source=partial(next, gen, None), on_window=drain
+            ctrl,
+            first,
+            source=partial(next, gen, None),
+            on_window=drain if also is None else lambda: (drain(), also()),
+            handoff=handoff,
         ).schedule()
     return count, drain
 
@@ -364,12 +388,12 @@ def _execute_shard_windows(
     digests: list[dict[str, LatencyDigest]],
     *,
     fleet_busy: bool = False,
+    handoff=None,
 ) -> tuple[list[int], int]:
     """Serve a windowed fleet stream on a set of shards sharing one
-    clock — the windowed engine gate of every serve whose routing is
-    static, the streaming twin of
-    :func:`repro.sim.compile._execute_shards`.  Each shard falls in one
-    class, and each class reads ``windows`` once:
+    clock — the windowed engine gate of every serve, the streaming twin
+    of :func:`repro.sim.compile._execute_shards`.  Each shard falls in
+    one class, and each class reads ``windows`` once:
 
     * **carry** — idle clock, no ``fleet_busy``, and a carry engine
       applies: the analytic solver (``windowed-solver``) for a
@@ -379,7 +403,8 @@ def _execute_shard_windows(
       re-iterable windows (an abort replays from the top), taking the
       eager-eligible shards: one off-heap pass (:func:`_off_heap_pass`);
     * **heap** — an armed event names the shard (or a pending event
-      names none, or its service model is degenerate): a chained pump
+      names none, or its service model is degenerate; every shard of a
+      live serve, which passes its arrival ``handoff``): a chained pump
       (:func:`_arm_shard_pump`) each, all armed before one
       ``sim.run()``, so armed events interleave as on an all-heap clock;
     * **exact replay** — every other shard (a degraded one beside an
@@ -388,20 +413,23 @@ def _execute_shard_windows(
       ``windowed-pump``).
 
     The clock ends at the set's makespan.  Latency lands in ``digests``
-    (indexed like ``controllers``).  Returns ``(scheduled, windows)``:
-    the per-shard request counts and the non-empty window count.
-    Raises ``ValueError``, touching nothing, when a one-shot source
-    (its own iterator) would need more than one pass: splitting it
-    between passes would drop requests.
+    (indexed like ``controllers``, and extended for the arrays a reshape
+    appends mid-serve, which run no pump: their samples are swept at
+    every window boundary).  Returns ``(scheduled, windows)``: the
+    per-shard request counts and the non-empty window count.  Raises
+    ``ValueError``, touching nothing, when a one-shot source (its own
+    iterator) would need more than one pass: splitting it between
+    passes would drop requests.
     """
-    scheduled = [0] * len(controllers)
+    n = len(controllers)
+    scheduled = [0] * n
     sim = controllers[0].sim
     end = sim.now
     off_heap = partial(
         _off_heap_pass, controllers, route, windows, digests, scheduled
     )
     label = None
-    if not (fleet_busy or sim.pending()):
+    if handoff is None and not (fleet_busy or sim.pending()):
         if getattr(windows, "read_only", False) or (
             controllers[0].write_policy == "write_through"
         ):
@@ -421,7 +449,7 @@ def _execute_shard_windows(
         n_windows, end, demoted = off_heap(carry, label)
         replay = sorted(replay + demoted)
     else:
-        armed = sim.armed_shards()
+        armed = None if handoff is not None else sim.armed_shards()
         for i, ctrl in enumerate(controllers):
             (heap if _on_heap(ctrl, armed) else replay).append(i)
         passes = len(heap) + bool(replay)
@@ -433,14 +461,22 @@ def _execute_shard_windows(
     if replay:
         n_windows, replayed, _ = off_heap(replay, "windowed-pump")
         end = max(end, replayed)
+
+    def sweep_born() -> None:
+        for s in range(n, len(controllers)):
+            if s == len(digests):
+                digests.append({})
+            _sweep(controllers[s].latency, {}, digests[s])
+
+    arm = partial(_arm_shard_pump, route=route, windows=windows, handoff=handoff)
     pumps = [
-        (i, *_arm_shard_pump(controllers[i], route, windows, digests[i]))
-        for i in heap
+        (i, arm(controllers[i], digest=digests[i], also=sweep_born)) for i in heap
     ]
     sim.run()
-    for i, count, drain in pumps:
+    for i, (count, drain) in pumps:
         drain()
         scheduled[i], n_windows = count
+    sweep_born()
     sim.now = max(end, sim.now)
     return scheduled, n_windows
 

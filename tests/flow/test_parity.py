@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.designs import best_design, complete_design, fano_plane, ring_design
@@ -42,6 +43,30 @@ class TestParityLoads:
         stripes = [(0, 1, 2, 3)]
         loads = parity_loads(stripes, 4, counts=[2])
         assert loads[0] == Fraction(1, 2)
+
+    def test_integer_sum_equals_per_unit_fractions(self):
+        """Mixed stripe sizes (lcm 420 and beyond) with counts: the
+        integer sum over a common denominator equals adding one
+        ``Fraction`` per unit."""
+        rng = np.random.default_rng(5)
+        v = 13
+        stripes = [
+            tuple(rng.choice(v, size=int(rng.integers(1, v + 1)), replace=False))
+            for _ in range(200)
+        ]
+        counts = [int(rng.integers(1, len(s) + 1)) for s in stripes]
+        for c in (None, counts):
+            expected = [Fraction(0)] * v
+            for si, stripe in enumerate(stripes):
+                share = Fraction(1 if c is None else c[si], len(stripe))
+                for d in stripe:
+                    expected[d] += share
+            assert parity_loads(stripes, v, c) == expected
+        assert parity_loads([], 3) == [Fraction(0)] * 3
+
+    def test_out_of_range_disk_names_its_stripe(self):
+        with pytest.raises(ValueError, match=r"stripe 2 references disk 7 \(v=4\)"):
+            parity_loads([(0, 1), (2, 3), (1, 7), (9,)], 4)
 
 
 class TestBuildParityGraph:

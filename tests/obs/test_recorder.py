@@ -23,7 +23,7 @@ class TestNullRecorder:
         rec.count("c")
         rec.set_engine(0, "solver")
         rec.set_stat(0, "s", 1.0)
-        rec.reset_shard(0)
+        rec.restore_shard(0, rec.shard_state(0))
 
     def test_singleton_exported(self):
         assert isinstance(NULL_RECORDER, NullRecorder)
@@ -153,17 +153,31 @@ class TestRecorderScopes:
         rec.gauge("rebuild_progress", 0, 9.0, 0.5)
         assert rec.gauge_series("rebuild_progress")[0] == [(5.0, 0.1), (9.0, 0.5)]
 
-    def test_reset_shard_drops_samples_and_arrivals_only(self):
+    def test_restore_shard_puts_back_samples_and_arrivals_only(self):
         rec = MetricsRecorder(10.0)
-        rec.feed(0, "read", np.array([1.0]), np.array([1.0]))
+        rec.feed(0, "read", np.array([1.0]), np.array([2.0]))
         rec.arrivals(0, np.array([1.0]))
+        empty, kept = rec.shard_state(1), rec.shard_state(0)
+        rec.feed(0, "read", np.array([15.0]), np.array([3.0]))
+        rec.arrivals(0, np.array([15.0]))
+        rec.arrivals(1, np.array([4.0]))
         rec.count("tie_abort_replays")
         rec.set_engine(0, "windowed-eager")
-        rec.reset_shard(0)
-        assert rec.latency_buckets(0) == {}
-        assert rec.arrival_buckets(0) == {}
+        rec.restore_shard(0, kept)
+        rec.restore_shard(1, empty)
+        assert list(rec.latency_buckets(0)["read"]) == [0]
+        assert rec.latency_buckets(0)["read"][0].state().total == 2.0
+        assert rec.arrival_buckets(0) == {0: 1}
+        assert rec.arrival_buckets(1) == {}
         assert rec.counters() == {"tie_abort_replays": 1}
         assert rec.engines == {0: "windowed-eager"}
+
+    def test_arrive_takes_back_and_drops_an_emptied_bucket(self):
+        rec = MetricsRecorder(10.0)
+        rec.arrivals(0, np.array([1.0, 2.0, 12.0]))
+        rec.arrive(0, 2.0, -1)
+        rec.arrive(0, 12.0, -1)
+        assert rec.arrival_buckets(0) == {0: 1}
 
     def test_shard_count_covers_everything_observed(self):
         rec = MetricsRecorder(10.0, shards=2)

@@ -2,11 +2,12 @@
 and end-to-end scaling events through the scenario runner."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.obs import MetricsRecorder
+from repro.obs import MetricsRecorder, build_rows, render_metrics_jsonl
 from repro.service import (
     AdmissionController,
     AutoscaleController,
@@ -354,10 +355,13 @@ class TestAutoscaledScenario:
         assert summary.replay_identical is True
         assert summary.ok is True
         assert report.passed
-        # The serve runs in DEFAULT_AUTOSCALE_WINDOW windows, and the
-        # autoscale ticks name no shard: it routes live, every shard
-        # (those the grow bore included) on the heap.
-        assert report.fleet.executors == ["event-heap"] * 4
+        # The serve is materialized; the autoscale ticks name no shard,
+        # so both starting shards run a heap pump that hands requests
+        # off by volume.  The arrays the grow bore run no pump (no
+        # engine label) but serve what the migration dispatches there.
+        assert report.fleet.executors == ["event-heap"] * 2 + [None] * 2
+        assert report.engine_per_shard() == ["heap"] * 2 + [None] * 2
+        assert all(n > 0 for n in report.fleet.per_shard_scheduled)
 
     def test_payload_carries_autoscale_section(self):
         payload = run_fleet_scenario(_autoscaled_scenario()).to_dict()
@@ -419,6 +423,55 @@ class TestAutoscaledScenario:
 SPIKE_AT_MS = 500.0
 SPIKE_HORIZON_MS = 2_000.0
 SPIKE_P99_BAR_MS = 4_000.0
+
+
+#: The policy ``make smoke-autoscale`` serves.
+SMOKE_POLICY = Path(__file__).resolve().parents[2] / "tools" / "autoscale_smoke_policy.json"
+
+
+class TestWindowInvariance:
+    """An autoscaled serve is one serve at every window size: its pumps
+    record each shard's arrivals before they arrive and hand requests
+    to the migration at their arrival, so the ticks decide alike and
+    the grow routes alike — also when one window covers the stream,
+    where the arrays the grow bears must still serve what the
+    migration dispatches to them."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_report_and_metrics_at_every_window(self, seed):
+        policy = AutoscalePolicy.from_dict(json.loads(SMOKE_POLICY.read_text()))
+        outputs = set()
+        for window in (None, 16, 1024):
+            recorder = MetricsRecorder(policy.cadence_ms, shards=2)
+            report = run_fleet_scenario(
+                FleetScenario(
+                    shards=2,
+                    v=9,
+                    k=3,
+                    duration_ms=400.0,
+                    interarrival_ms=1.0,
+                    read_fraction=0.7,
+                    seed=seed,
+                    workload_seed=seed,
+                    window_size=window,
+                    autoscale=policy,
+                ),
+                recorder=recorder,
+            )
+            assert report.autoscale.actions >= 1 and report.passed
+            assert all(n > 0 for n in report.fleet.per_shard_scheduled)
+            payload = canonical_payload(report.to_dict())
+            # Engine labels name the execution mode ("heap" or
+            # "windowed-pump"), and the scenario echoes its window.
+            for key in ("engine", "engine_per_shard"):
+                payload.pop(key)
+            payload["scenario"].pop("window_size")
+            rows = build_rows(recorder)
+            rows[-1].pop("engine")
+            outputs.add(
+                (json.dumps(payload, sort_keys=True), render_metrics_jsonl(rows))
+            )
+        assert len(outputs) == 1
 
 
 class TestSpikeSlo:

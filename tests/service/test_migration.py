@@ -294,11 +294,11 @@ def _shuffled_stream(capacity, n=600, seed=3):
 
 class TestOutOfOrderStreams:
     """A stream (or a window) out of arrival order serves as its stable
-    sort does, also while a live migration diverts part of it: the
-    router checks and sorts each stream and window once, before the
-    coordinator takes its share (a diverted sub-stream used to keep the
-    input order and fail mid-serve with "cannot schedule into the
-    past")."""
+    sort does, also while a live migration takes part of it: the serve
+    checks and sorts each stream and window once, before any pump
+    hands a request to the coordinator (a diverted sub-stream used to
+    keep the input order and fail mid-serve with "cannot schedule into
+    the past")."""
 
     @staticmethod
     def _serve(mode, stream, dataplane=False):
@@ -314,7 +314,8 @@ class TestOutOfOrderStreams:
     def test_diverted_requests_out_of_order(self, mode):
         fleet, co = _moving_fleet()
         vu = fleet.volume_units
-        assert co.claims(np.array([6, 0])).tolist() == [True, False]
+        moving = {m.volume for m in co.owned_moves}
+        assert 6 in moving and 0 not in moving
         times = np.array([0.0, 50.0, 20.0, 60.0])
         is_read = np.array([True, False, True, True])
         lbas = np.array([0, 6 * vu + 1, 6 * vu + 2, 3], dtype=np.int64)
@@ -334,7 +335,7 @@ class TestOutOfOrderStreams:
     @pytest.mark.parametrize("dataplane", [False, True])
     def test_windows_shuffled_within(self, dataplane):
         """Windows in order whose requests are not: each serves as its
-        stable sort, on the window router."""
+        stable sort, on heap pumps that hand requests off."""
         times, is_read, lbas = _stable_sorted(
             *_shuffled_stream(_moving_fleet()[0].capacity)
         )

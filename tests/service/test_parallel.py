@@ -306,12 +306,14 @@ class TestReshapeComponents:
     def test_parallel_reshape_windowed_matches_serial(self, window):
         """Windowed workers regenerate and filter the stream per
         component; the merged report must still match the serial
-        windowed run byte for byte.  A window at least as long as the
-        stream (396 requests) is delivered before the reshape bears
-        shards 4 and 5, which must still carry the router's label."""
+        windowed run byte for byte.  Shards 4 and 5, which the reshape
+        bears, run no pump at any window (one window may cover the
+        whole 396-request stream): no engine label, but the requests
+        the migration dispatches there."""
         sc = replace_scenario(RESHAPE_SPLIT, window_size=window)
         serial = run_fleet_scenario(sc)
-        assert serial.engine_per_shard() == ["windowed-pump"] * 6
+        assert serial.engine_per_shard() == ["windowed-pump"] * 4 + [None] * 2
+        assert all(n > 0 for n in serial.fleet.per_shard_scheduled[4:])
         for workers in (1, 2):
             run = run_fleet_scenario_parallel(sc, workers=workers)
             assert not run.execution.serial_fallback
@@ -381,8 +383,8 @@ class TestWindowedParallel:
         self, failures, verify_data
     ):
         """Every runner counts each window of the stream once: serial
-        (carry engines or the window router), and 4 groups on 1 or 2
-        workers (carry engines, or one heap pump per shard when data
+        (carry engines, heap pumps or exact-core replays), and 4 groups
+        on 1 or 2 workers (carry engines, or one heap pump per shard when data
         planes or failures rule the carry engines out)."""
         from repro.obs import MetricsRecorder
 
