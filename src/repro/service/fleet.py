@@ -234,6 +234,9 @@ class Fleet:
         # mid-serve (the autoscale loop can run several sequentially)
         # still land in the per-shard scheduled totals.
         self._migrations: list = []
+        # Every volume an attached migration moves: only their requests
+        # can be taken from a live pump, so only they are offered.
+        self._moving: set[int] = set()
 
     @property
     def shards(self) -> int:
@@ -329,6 +332,7 @@ class Fleet:
             raise RuntimeError("a migration is already in progress")
         self._migration = coordinator
         self._migrations.append(coordinator)
+        self._moving.update(coordinator._moves)
 
     def migration_dispatch_totals(self) -> list[int]:
         """Net requests every migration ever attached moved onto each
@@ -394,12 +398,18 @@ class Fleet:
         return compiled, shard_ids
 
     def _live_handoff(self):
-        """:meth:`_hand_off` when a serve starting now is live (a
-        migration is live, or a pending event names no shard), else
-        ``None``."""
+        """A live serve's pump hand-off when a serve starting now is
+        live (a migration is live, or a pending event names no shard),
+        else ``None``: the pair ``(moving, take)`` of
+        :class:`repro.sim.compile._CompiledRun` — the set of volumes
+        attached migrations move, kept current as more attach (an
+        autoscale tick's included), and :meth:`_hand_off`.  A route
+        changes only when a migration cuts one of its volumes over, so
+        a request of any other volume is never taken and is not
+        offered."""
         mig = self._migration
         if (mig is not None and not mig.done) or self.sim.armed_shards() is None:
-            return self._hand_off
+            return self._moving, self._hand_off
         return None
 
     def _hand_off(

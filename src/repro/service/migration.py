@@ -38,9 +38,10 @@ machine:
    arrival, so the freeze shows up as queueing delay, not as loss).
 
 While a migration is active, the heap pump of the shard a request was
-routed to hands it to the coordinator at its arrival time when the
-coordinator claims its volume or a cutover has moved the volume off
-that shard (:meth:`repro.service.Fleet._hand_off`); the coordinator
+routed to offers it at its arrival time when a migration moves its
+volume, and hands it to the coordinator when the coordinator claims
+its volume or a cutover has moved the volume off that shard
+(:meth:`repro.service.Fleet._hand_off`); the coordinator
 dispatches it to the volume's *current* owner — the seam that lets
 routing change mid-stream.
 Copies to the same destination are serialized (two volumes ingesting

@@ -225,10 +225,13 @@ class FailureOrchestrator:
 
     def arm(self) -> None:
         """Schedule every failure on the fleet's shared clock, each
-        naming its array.  A failure, its admission wait and its rebuild
-        touch only arrays with failures of their own (all named), so
-        the engine gates keep the rest of the fleet off the event
-        heap.
+        claiming its array (:meth:`repro.sim.events.Simulator.arm`).  A
+        failure holds that claim through its admission wait and its
+        rebuild, and releases it in the rebuild's ``on_done``; a
+        failure, its wait and its rebuild touch only arrays with
+        failures of their own, so the engine gates keep the rest of the
+        fleet off the event heap, and a failed array's pump leaves the
+        heap once its claim has lapsed.
 
         Raises:
             RuntimeError: if armed twice.
@@ -245,19 +248,25 @@ class FailureOrchestrator:
 
     def _make_failure(self, ev: FailureEvent):
         def fire() -> None:
-            self.fleet.controllers[ev.array].fail_disk(ev.disk)
-            failed_at = self.fleet.sim.now
+            sim = self.fleet.sim
+            ctrl = self.fleet.controllers[ev.array]
+            ctrl.fail_disk(ev.disk)
+            claim = sim.claim((ctrl,))
+            failed_at = sim.now
             self.admission_controller.submit(
-                lambda: self._start_rebuild(ev, failed_at)
+                lambda: self._start_rebuild(ev, failed_at, claim)
             )
 
         return fire
 
-    def _start_rebuild(self, ev: FailureEvent, failed_at: float) -> None:
+    def _start_rebuild(
+        self, ev: FailureEvent, failed_at: float, claim: int
+    ) -> None:
         ctrl = self.fleet.controllers[ev.array]
         started_at = self.fleet.sim.now
 
         def on_done(report: RebuildReport) -> None:
+            self.fleet.sim.release(claim)
             self.outcomes.append(
                 RebuildOutcome(
                     array=ev.array,

@@ -83,7 +83,7 @@ from ..sim.compile import (
     StreamWindows,
     generate_request_stream,
 )
-from .conformance import check_fleet
+from .conformance import FleetConformance, check_fleet
 from .fleet import Fleet
 from .migration import plan_migration
 from .orchestrator import max_concurrent_rebuilds
@@ -496,7 +496,10 @@ class WarmRuntime:
             ``"spawn"``, or ``"forkserver"``.
 
     The compiled-artifact cache keeps the :data:`ARTIFACT_CACHE_SIZE`
-    most recently used artifacts resident.
+    most recently used artifacts resident.  Beside it, the fleet
+    conformance verdict (:func:`check_fleet`, a function of the fleet
+    shape alone) is kept per :func:`_shape_key`, so grouped warm serves
+    (``workers`` > 1) of an unchanged shape check their layouts once.
 
     Use as a context manager or call :meth:`close`; segments are also
     unlinked by the ``atexit`` safety net if neither happens.
@@ -515,6 +518,7 @@ class WarmRuntime:
         self._mp_context = mp_context
         self._pool: WorkerPool | None = None
         self._cache: OrderedDict[tuple, _Artifact] = OrderedDict()
+        self._verdicts: dict[tuple, FleetConformance] = {}
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -526,9 +530,11 @@ class WarmRuntime:
         self.close()
 
     def invalidate(self) -> None:
-        """Drop every cached artifact and unlink its segment — called
-        on fleet-shape changes and after runs that executed a
-        reshape/autoscale event (stale slices must never serve)."""
+        """Drop every cached artifact and unlink its segment, and every
+        kept conformance verdict — called on fleet-shape changes and
+        after runs that executed a reshape/autoscale event (stale
+        slices must never serve)."""
+        self._verdicts.clear()
         while self._cache:
             _, art = self._cache.popitem(last=False)
             self._drop(art)
@@ -769,7 +775,12 @@ class WarmRuntime:
         # windows themselves, so nothing holds the full stream.  Data
         # planes stay off — the parent never simulates.
         fleet = scenario_fleet(sc)
-        conformance = check_fleet(fleet) if sc.check_conformance else None
+        conformance = None
+        if sc.check_conformance:
+            key = _shape_key(sc)
+            conformance = self._verdicts.get(key)
+            if conformance is None:
+                conformance = self._verdicts[key] = check_fleet(fleet)
         planned_moves = 0
         fingerprint = fleet.shard_map.fingerprint()
         if sc.reshape_to is not None:

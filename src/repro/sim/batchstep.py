@@ -68,11 +68,15 @@ protocol: :func:`step_compiled` feeds it a whole trace once
 (label ``calendar`` — the name of the calendar-queue engine it
 replaced, kept because it is a canonical report field), the shard-set
 gates feed it a quiet shard beside armed ones (labels ``heap`` and
-``windowed-pump``, the serializations it reproduces), and the windowed
-executor feeds a tie-aborted or degraded shard one window plan at a
-time (label ``windowed-pump``).  The core owns the whole timeline, so
-a healthy controller without content hooks takes each plan's
-data-plane small writes as one fold
+``windowed-pump``, the serializations it reproduces) and a failed
+shard's stretches off the heap — the arrivals before its failure that
+end idle, and the rest after its pump stops once the rebuild has
+ended and its disks are idle — and the windowed executor feeds a
+tie-aborted or degraded shard one window plan at a time (label
+``windowed-pump``).  The core owns the timeline of what it is fed (a
+stretch off the heap starts and ends on an idle, unclaimed shard), so
+a controller without content or degraded-write hooks, failed disk
+included, takes each plan's data-plane writes as one fold
 (:meth:`repro.sim.dataplane.DataPlane.fold_small_writes`) instead of
 one numpy write per arrival.  A feed holds its last arrival epoch open
 until the next window shows whether the epoch continues, as the

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -503,6 +504,13 @@ def _tail(compiled: CompiledTrace, start: int) -> CompiledTrace:
     )
 
 
+def _head(compiled: CompiledTrace, stop: int) -> CompiledTrace:
+    """The requests of ``compiled`` before ``stop``."""
+    return CompiledTrace(
+        *(col if col is None else col[:stop] for col in vars(compiled).values())
+    )
+
+
 class _CompiledRun:
     """Chained-arrival pump: one pending event drives the whole trace.
 
@@ -524,10 +532,23 @@ class _CompiledRun:
     drain the controller's latency samples into constant-memory
     digests there).
 
-    A live serve's ``handoff(shard, now, volume, is_read, lba)`` is
-    offered each request of a trace with volumes at its arrival; it
-    dispatches the ones it takes itself, within the epoch, and the pump
-    submits the rest.  Other pumps keep the plain per-request path.
+    A live serve's ``handoff`` is a pair ``(moving, take)``: each
+    request of a trace with volumes whose volume is in the set
+    ``moving`` (its owner keeps it current as migrations attach) is
+    offered to ``take(shard, now, volume, is_read, lba)`` at its
+    arrival, which dispatches the ones it takes itself, within the
+    epoch; the pump submits the rest.  Other pumps keep the plain
+    per-request path.
+
+    A pump made with ``stop`` leaves the heap at the first arrival
+    epoch where nothing foreign can touch its shard any more and no
+    earlier request of it is in flight: no claim names the shard
+    (:meth:`repro.sim.events.Simulator.claimed`) and none of its disks
+    has an IO in service or queued.  It then submits nothing and sets
+    :attr:`stopped`; from that epoch on the shard's events touch only
+    the shard, so the gate that armed it replays the rest
+    (:meth:`replay_rest`) on the exact core once the clock drains, bit
+    for bit.  Windowed pumps stop the same way.
     """
 
     __slots__ = (
@@ -548,6 +569,8 @@ class _CompiledRun:
         "_source",
         "_on_window",
         "_handoff",
+        "_stop",
+        "stopped",
     )
 
     def __init__(
@@ -558,6 +581,7 @@ class _CompiledRun:
         source=None,
         on_window=None,
         handoff=None,
+        stop: bool = False,
     ):
         self.ctrl = ctrl
         # Elementwise base + t is the same float op the scalar path's
@@ -567,6 +591,8 @@ class _CompiledRun:
         self._source = source
         self._on_window = on_window
         self._handoff = handoff
+        self._stop = stop
+        self.stopped = False
         self._read_sink: list[float] | None = None
         self._write_rec = None
         self._load(compiled)
@@ -668,6 +694,15 @@ class _CompiledRun:
         ctrl = self.ctrl
         sim = ctrl.sim
         now = sim.now
+        if (
+            self._stop
+            and not sim.claimed(ctrl)
+            and not any(disk._busy for disk in ctrl.disks)
+        ):
+            # The epoch finds the shard idle and unclaimed: the rest is
+            # the shard's alone (see replay_rest).
+            self.stopped = True
+            return
         # The outer loop only repeats in the streamed case, when a
         # window boundary splits an arrival epoch (a zero interarrival
         # gap straddling the chunk edge): the next window is pulled and
@@ -727,6 +762,29 @@ class _CompiledRun:
                 self._load(nxt)
                 return True
 
+    def replay_rest(self, label: str, sink) -> None:
+        """Replay what this stopped pump left — the rest of its window,
+        then every window its source has left — on the exact core
+        (:func:`repro.sim.batchstep._exact_core`, labelled ``label``)
+        from the stream's base clock, into ``sink``, and name that
+        stretch's executor after the ones before it
+        (``event-heap|exact-core``, say).  The shard was idle and
+        unclaimed at the stop, so the core replays exactly the events
+        the heap would have run."""
+        from .batchstep import _exact_core
+
+        ctrl = self.ctrl
+        before = ctrl.last_executor
+        ctrl.sim.now = self._base
+        core = _exact_core(ctrl, label)
+        core.feed(_tail(self._compiled, self._i), sink)
+        source, self._source = self._source, None
+        if source is not None:
+            for window in iter(source, None):
+                core.feed(window, sink)
+        core.finish(sink)
+        ctrl.set_engine(label, f"{before}|{ctrl.last_executor}")
+
     def _reads(self):
         """The healthy reads' latency sink, made on first use: the
         controller's raw sample tail, through the recorder when metrics
@@ -741,13 +799,15 @@ class _CompiledRun:
 
     def _hand_over(self, i: int, now: float) -> int:
         """A live serve's arrival epoch from request ``i``: the pump
-        submits what the hand-off declines; returns the epoch's end."""
-        take, shard, single = self._handoff, self.ctrl.obs_shard, self.single
-        times, n, disks = self.times, self.n, self.ctrl.disks
+        submits what the hand-off declines or is not offered; returns
+        the epoch's end."""
+        (moving, take), shard = self._handoff, self.ctrl.obs_shard
+        times, n, disks, single = self.times, self.n, self.ctrl.disks, self.single
         vols, reads, lbas = self.routes
         while i < n and times[i] == now:
             pos = single[i]
-            if take(shard, now, vols[i], reads[i], lbas[i]):
+            vol = vols[i]
+            if vol in moving and take(shard, now, vol, reads[i], lbas[i]):
                 pass
             elif pos is None:
                 self._submit(i, now)
@@ -1301,6 +1361,14 @@ def _on_heap(ctrl: ArrayController, armed: frozenset | None) -> bool:
     return armed is None or ctrl in armed or ctrl.params.min_service_ms <= 0.0
 
 
+def _splits(ctrl: ArrayController, armed: frozenset | None) -> bool:
+    """Whether a shard :func:`_on_heap` sends to the heap runs there
+    only across its claim (a claim names it, and its service model
+    lets the exact core replay the stretches off the heap), not for its
+    whole trace."""
+    return armed is not None and ctrl.params.min_service_ms > 0.0
+
+
 def _execute_shards(
     controllers: Sequence[ArrayController],
     traces: Sequence[CompiledTrace],
@@ -1319,22 +1387,39 @@ def _execute_shards(
     migration copies) — or, with ``fleet_busy``, the serial fleet's
     clock would although this one is idle (a shard group of a scenario
     that arms failures elsewhere) — the gate decides per shard.  A shard
-    goes to the event heap only if something foreign is scheduled on
-    it (:meth:`repro.sim.events.Simulator.armed_shards` names it; a
-    pending event naming no shard puts every shard there): its trace is
-    scheduled, and the clock drains once so the armed events interleave
-    with it.  Every other shard replays its trace on the exact core
+    goes to the event heap only if something foreign may touch it (a
+    claim names it: :meth:`repro.sim.events.Simulator.armed_shards`; a
+    pending event naming no shard puts every shard there), and only
+    across the stretch of time its claim covers:
+
+    * **prefix** — the arrivals before its first claim starts, up to
+      the last one where every earlier request finished strictly
+      before both that arrival and the claim (:func:`_idle_cut`),
+      replay on the exact core first, healthy writes folded;
+    * **heap** — the rest is scheduled on a pump, and the clock drains
+      once so the armed events interleave with it;
+    * **suffix** — the pump stops at the first arrival epoch where no
+      claim names the shard and its disks are idle (a failure's claim
+      lapses when its rebuild ends), and what it left replays on the
+      exact core after the drain (:meth:`_CompiledRun.replay_rest`),
+      degraded writes folded.
+
+    Every other shard replays its whole trace on the exact core
     (:func:`repro.sim.batchstep._exact_core`), off the clock, from the
-    common start time — the heap's own ``(time, seq)`` serialization,
-    so it keeps the heap's label ``heap`` and its bits; only
-    ``last_executor`` says ``exact-native`` (the compiled kernel) or
-    ``exact-core`` (the Python core).  The clock then advances to
-    the later of the heap's drain and the replays' ends.  With a
-    metrics recorder attached, each shard's arrivals are recorded
-    first.
+    common start time.  Each stretch off the heap is the heap's own
+    ``(time, seq)`` serialization of the shard's events, so every
+    shard keeps the heap's label ``heap`` and its bits; only
+    ``last_executor`` says what ran each stretch, in order
+    (``exact-native|event-heap|exact-core`` for a failed shard with
+    both off-heap stretches; ``exact-native`` is the compiled kernel,
+    ``exact-core`` the Python core).  The clock then advances to the
+    later of the heap's drain and the replays' ends.  With a metrics
+    recorder attached, each shard's arrivals are recorded first.
 
     A live serve passes its arrival ``handoff`` (see
-    :class:`_CompiledRun`): every shard then runs on the heap.
+    :class:`_CompiledRun`): every shard then runs its whole trace on
+    the heap, as does a shard with a zero-service model and every shard
+    when a pending event names none.
     """
     sim = controllers[0].sim
     base = sim.now
@@ -1360,9 +1445,125 @@ def _execute_shards(
         sim.now = base
         _step_exact(ctrl, trace, "heap")
         end = max(end, sim.now)
-    sim.now = base
+    pumps = []
     for ctrl, trace in heap:
-        ctrl.set_engine("heap", "event-heap")
-        _CompiledRun(ctrl, trace, handoff=handoff).schedule()
+        sim.now = base
+        split = _splits(ctrl, armed)
+        cut = _idle_cut(ctrl, trace, sim.claim_start(ctrl)) if split else 0
+        prefix = ""
+        if cut:
+            _step_exact(ctrl, _head(trace, cut), "heap")
+            prefix = f"{ctrl.last_executor}|"
+            end = max(end, sim.now)
+            sim.now = base
+        ctrl.set_engine("heap", f"{prefix}event-heap")
+        run = _pump(ctrl, _tail(trace, cut), split, handoff)
+        if cut and armed - {ctrl}:
+            # Another claimed shard may yet reach this one (a rebuild
+            # queued behind another's admission slot), so the pump's
+            # first event must take its all-heap place in the (time,
+            # seq) order: chain it behind one empty event per replayed
+            # arrival epoch, each arming the next as the pump would.
+            _chain(sim, np.unique(base + trace.times[:cut]).tolist(), run)
+        else:
+            run.schedule()
+        pumps.append(run)
     sim.run()
-    sim.now = max(end, sim.now)
+    end = max(end, sim.now)
+    for run in pumps:
+        if run.stopped:
+            run.replay_rest("heap", _controller_sink(run.ctrl))
+            end = max(end, sim.now)
+    sim.now = end
+
+
+#: Requests a stopping pump plans at a time: it leaves the heap soon
+#: after its claim lapses, and the exact core plans what it left again.
+PUMP_CHUNK = 1024
+
+
+def _pump(
+    ctrl: ArrayController, trace: CompiledTrace, stop: bool, handoff
+) -> _CompiledRun:
+    """The heap pump of ``trace`` on ``ctrl``.  A pump that may stop
+    streams its trace in :data:`PUMP_CHUNK`-request windows, so it
+    plans (and, after a failure, re-plans) little beyond where it
+    stops."""
+    if not stop:
+        return _CompiledRun(ctrl, trace, handoff=handoff)
+    size = PUMP_CHUNK
+    chunks = (
+        _tail(_head(trace, i + size), i) for i in range(size, trace.n, size)
+    )
+    return _CompiledRun(
+        ctrl, _head(trace, size), source=partial(next, chunks, None), stop=True
+    )
+
+
+def _chain(sim, epochs: list[float], run: _CompiledRun) -> None:
+    """Arm ``run`` behind a chain of empty events, one at each of the
+    ``epochs`` (absolute arrival times, ascending), each arming the
+    next, the last arming the pump: the events the pump would have
+    fired on those epochs, without their requests."""
+    epochs = iter(epochs)
+
+    def tick() -> None:
+        t = next(epochs, None)
+        if t is None:
+            run.schedule()
+        else:
+            sim.at(t, tick)
+
+    tick()
+
+
+def _idle_cut(
+    ctrl: ArrayController, trace: CompiledTrace, start: float | None
+) -> int:
+    """How many leading requests of ``trace`` (stream start: the clock
+    now) replay off the heap before ``ctrl``'s first claim, which
+    starts at ``start``: the largest ``c`` such that every request
+    before ``c`` finishes strictly before both arrival ``c`` (the
+    horizon ``start`` when ``c`` is the count of arrivals before it)
+    and ``start`` — 0 when there is none.
+
+    Only events before ``start`` decide that, and nothing foreign
+    touches the shard before it, so a dry run of those arrivals on a
+    twin controller (same layout, service model, failure state and
+    head positions; no data plane, no recorder) on the exact core gives
+    their completions.  The shard is idle at the cut, so the heap picks
+    up there in the state the replayed requests leave."""
+    sim = ctrl.sim
+    if start is None:
+        return 0
+    times = sim.now + trace.times
+    m = int(np.searchsorted(times, start, side="left"))
+    if not m:
+        return 0
+    from .batchstep import _exact_core
+
+    twin = ArrayController(
+        ctrl.layout, disk_params=ctrl.params, write_policy=ctrl.write_policy
+    )
+    twin.sim.now = sim.now
+    if ctrl.failed_disk is not None:
+        twin.fail_disk(ctrl.failed_disk)
+    for disk, head in zip(twin.disks, ctrl.disks):
+        disk._last_offset = head._last_offset
+    comps: list[np.ndarray] = []
+
+    def sink(_kind, _lats, c) -> None:
+        comps.append(c)
+
+    core = _exact_core(twin, "heap")
+    core.feed(_head(trace, m), sink)
+    core.finish(sink)
+    done = np.sort(np.concatenate(comps)) if comps else np.zeros(0)
+    # Candidate c = 1..m ends at arrival c, or at the claim for c = m;
+    # later requests finish after arrival c, so c is a cut exactly when
+    # c completions come strictly before its end.
+    ends = np.append(times[1:m], start)
+    ok = np.flatnonzero(
+        np.searchsorted(done, ends, side="left") == np.arange(1, m + 1)
+    )
+    return int(ok[-1]) + 1 if ok.size else 0

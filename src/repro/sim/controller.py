@@ -358,23 +358,21 @@ class ArrayController:
 
     def _folds_writes(self) -> bool:
         """Whether :meth:`_fold_write_dataplane` accepts a trace in the
-        current state: no failed disk, no content or degraded-write
-        hook."""
-        return (
-            self.failed_disk is None
-            and not self._degraded_write_hooks
-            and not self._content_write_hooks
-        )
+        current state: no content or degraded-write hook observes the
+        store."""
+        return not self._degraded_write_hooks and not self._content_write_hooks
 
     def _fold_write_dataplane(self, compiled) -> bool:
         """Apply every write of a compiled trace (default payloads) to
         the data plane in one :meth:`DataPlane.fold_small_writes` — for
         an engine that owns the whole timeline, where no rebuild or
-        copy reads the store mid-run.  The fold is only exact for
-        healthy small writes observed by nobody: with a failed disk or
-        a registered content / degraded-write hook it declines
-        (returns False, nothing applied) and the caller keeps the
-        per-write path."""
+        copy reads the store mid-run.  Degraded writes fold too: every
+        write path (:meth:`_apply_write_dataplane`) leaves each
+        stripe's parity equal to the XOR of its data units, so a
+        data-failed or parity-failed write ends the store where a
+        healthy small write of the same unit would.  With a registered
+        content / degraded-write hook the fold declines (returns False,
+        nothing applied) and the caller keeps the per-write path."""
         assert self.data is not None
         if not self._folds_writes():
             return False

@@ -6,10 +6,18 @@ schedule order, which keeps runs deterministic).  The exact tier of
 :mod:`repro.sim.batchstep` replays this ``(time, seq)`` serialization
 without callbacks, over a private heap of in-flight disk completions.
 
-Events armed with :meth:`Simulator.arm` name the shards (array
-controllers) they touch; :meth:`Simulator.armed_shards` reports them,
-which is how the shard-set engine gates keep a shard off the heap when
-nothing foreign is scheduled on it.
+Shards (array controllers) carry *claims*: what says that something
+foreign may still touch them.  An event armed with :meth:`Simulator.arm`
+claims the shards it names until it fires, and whatever it sets off
+can hold them longer with :meth:`Simulator.claim` until it calls
+:meth:`Simulator.release` — a failure claims its array from its timer
+to the end of its rebuild, admission wait included.  Two queries read
+them.  :meth:`Simulator.armed_shards`, at the start of a serve, names
+the claimed shards, or says that some pending event names none; the
+shard-set engine gates keep every shard it does not name off the heap.
+:meth:`Simulator.claimed` holds mid-run too, so the heap pump of a
+claimed shard can stop once the claim has lapsed and its disks are
+idle, and hand the rest of its trace back to the exact core.
 """
 
 from __future__ import annotations
@@ -32,9 +40,14 @@ class Simulator:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._processed = 0
-        # seq -> the shards an armed event names (see arm()); entries of
-        # fired events are pruned by armed_shards().
-        self._claims: dict[int, frozenset] = {}
+        # Live claims (see arm() and claim()): key -> (start, shards),
+        # the start being an armed event's time or the time a claim was
+        # taken; how many live claims name each shard; and how many
+        # armed events are still pending.
+        self._claims: dict[int, tuple[float, frozenset]] = {}
+        self._claimed: dict[object, int] = {}
+        self._keys = 0
+        self._armed = 0
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` at ``now + delay``.
@@ -65,31 +78,76 @@ class Simulator:
         self._seq += 1
 
     def arm(self, time: float, fn: Callable[[], None], shards) -> None:
-        """Run ``fn`` at absolute time ``time``, like :meth:`at`, naming
-        the ``shards`` (array controllers) the event and everything it
-        sets off touch — a failure timer names its array, whose rebuild
-        IO it starts.  An event scheduled without names (:meth:`at`,
-        :meth:`schedule`) may touch any shard.
+        """Run ``fn`` at absolute time ``time``, like :meth:`at`, with a
+        claim on the ``shards`` (array controllers) that the event
+        touches until it fires; what it sets off past that takes a claim
+        of its own (:meth:`claim`) — a failure timer claims its array,
+        and the failure holds it until its rebuild ends.  An event
+        scheduled without names (:meth:`at`, :meth:`schedule`) may
+        touch any shard.
 
         Raises:
             ValueError: if ``time`` is in the past.
         """
-        seq = self._seq
-        self.at(time, fn)
-        self._claims[seq] = frozenset(shards)
+        self.at(time, lambda: self._fire_armed(key, fn))
+        key = self._hold(time, shards)
+        self._armed += 1
+
+    def _fire_armed(self, key: int, fn: Callable[[], None]) -> None:
+        self._armed -= 1
+        self.release(key)
+        fn()
+
+    def claim(self, shards) -> int:
+        """Claim ``shards`` from now until :meth:`release` is called
+        with the returned key: something foreign may touch them while
+        no event of it is pending (a rebuild waiting for an admission
+        slot, say)."""
+        return self._hold(self.now, shards)
+
+    def _hold(self, start: float, shards) -> int:
+        key = self._keys
+        self._keys += 1
+        names = frozenset(shards)
+        self._claims[key] = (start, names)
+        counts = self._claimed
+        for shard in names:
+            counts[shard] = counts.get(shard, 0) + 1
+        return key
+
+    def release(self, key: int) -> None:
+        """End the claim :meth:`claim` returned ``key`` for.
+
+        Raises:
+            KeyError: if that claim has ended already.
+        """
+        _, names = self._claims.pop(key)
+        counts = self._claimed
+        for shard in names:
+            left = counts[shard] - 1
+            if left:
+                counts[shard] = left
+            else:
+                del counts[shard]
+
+    def claimed(self, shard) -> bool:
+        """Whether a live claim names ``shard``: a pending armed event,
+        or a claim taken and not yet released."""
+        return shard in self._claimed
+
+    def claim_start(self, shard) -> float | None:
+        """When the earliest live claim on ``shard`` starts (an armed
+        event's time, or when a held claim was taken), or ``None`` when
+        no claim names it."""
+        starts = [t for t, names in self._claims.values() if shard in names]
+        return min(starts) if starts else None
 
     def armed_shards(self) -> frozenset | None:
-        """The shards that pending events name, or ``None`` when some
+        """The shards that live claims name, or ``None`` when some
         pending event names none (so it may touch every shard)."""
-        claims = self._claims
-        live: dict[int, frozenset] = {}
-        for _time, seq, _fn in self._heap:
-            names = claims.get(seq)
-            if names is None:
-                return None
-            live[seq] = names
-        self._claims = live
-        return frozenset().union(*live.values())
+        if len(self._heap) > self._armed:
+            return None
+        return frozenset(self._claimed)
 
     def step(self) -> bool:
         """Fire the next event; return False if the queue is empty."""

@@ -87,6 +87,7 @@ from .compile import (
     _CompiledRun,
     _WindowedSolver,
     _on_heap,
+    _splits,
 )
 from .controller import ArrayController
 from .stats import LatencyDigest, LatencyStats
@@ -315,18 +316,24 @@ def _arm_shard_pump(
     digest: dict[str, LatencyDigest],
     handoff=None,
     also: Callable[[], None] | None = None,
+    stop: bool = False,
 ) -> tuple[list[int], Callable[[], None]]:
     """Arm a chained heap pump for the shard ``ctrl.obs_shard`` over its
     slice of a windowed stream, in a pass of its own.  This is the
     general engine, able to interleave with foreign events (rebuilds,
     timers, other shards' pumps); a live serve's ``handoff`` goes to
-    the pump (:class:`~repro.sim.compile._CompiledRun`).
+    the pump (:class:`~repro.sim.compile._CompiledRun`).  With
+    ``stop`` the pump leaves the heap once no claim names the shard and
+    its disks are idle.
 
     Returns ``(count, drain)``: as windows are pulled, ``count[0]``
     accumulates the shard's request count and ``count[1]`` the
     stream's non-empty windows; ``drain()`` sweeps fresh latency
     samples into ``digest`` (the pump calls it, then ``also``, at each
-    window boundary; call it once more after the clock drains).  The
+    window boundary; call it once more after the clock drains, and it
+    then also replays what a stopped pump left on the exact core into
+    ``digest``, reading the rest of the shard's windows in the pump's
+    own pass — the clock then stands at that replay's end).  The
     caller runs the simulator — so a shard set arms every pump before
     one shared ``sim.run()`` when failure timers interleave.
 
@@ -334,7 +341,7 @@ def _arm_shard_pump(
     ``_record``, the compiled run's inlined sinks), which see every
     completion at its event time — the drain moves samples the
     recorder has already bucketed, so it does not feed the recorder
-    again."""
+    again; the replay feeds it through the digest sink."""
     ctrl.set_engine("windowed-pump", "event-heap")
     count = [0, 0]
     base = ctrl.sim.now
@@ -351,15 +358,24 @@ def _arm_shard_pump(
     first = next(gen, None)
     lat_base = {kind: st.count for kind, st in ctrl.latency.items()}
     drain = partial(_sweep, ctrl.latency, lat_base, digest)
-    if first is not None:
-        _CompiledRun(
-            ctrl,
-            first,
-            source=partial(next, gen, None),
-            on_window=drain if also is None else lambda: (drain(), also()),
-            handoff=handoff,
-        ).schedule()
-    return count, drain
+    if first is None:
+        return count, drain
+    run = _CompiledRun(
+        ctrl,
+        first,
+        source=partial(next, gen, None),
+        on_window=drain if also is None else lambda: (drain(), also()),
+        handoff=handoff,
+        stop=stop,
+    )
+    run.schedule()
+
+    def finish() -> None:
+        drain()
+        if run.stopped:
+            run.replay_rest("windowed-pump", _digest_sink(ctrl, digest))
+
+    return count, finish
 
 
 def _sweep(
@@ -441,6 +457,7 @@ def _execute_shard_windows(
     heap: list[int] = []
     replay: list[int] = []
     n_windows = 0
+    armed = None
     if label is not None:
         carry = []
         eager = label == "windowed-eager"
@@ -470,14 +487,25 @@ def _execute_shard_windows(
 
     arm = partial(_arm_shard_pump, route=route, windows=windows, handoff=handoff)
     pumps = [
-        (i, arm(controllers[i], digest=digests[i], also=sweep_born)) for i in heap
+        (
+            i,
+            arm(
+                controllers[i],
+                digest=digests[i],
+                also=sweep_born,
+                stop=_splits(controllers[i], armed),
+            ),
+        )
+        for i in heap
     ]
     sim.run()
+    end = max(end, sim.now)
     for i, (count, drain) in pumps:
         drain()
+        end = max(end, sim.now)
         scheduled[i], n_windows = count
     sweep_born()
-    sim.now = max(end, sim.now)
+    sim.now = end
     return scheduled, n_windows
 
 

@@ -167,6 +167,34 @@ class TestWarmth:
             assert len(leaked_segments(os.getpid())) == 1
             _assert_clean(runtime)
 
+    def test_one_conformance_verdict_per_shape(self, monkeypatch):
+        """Grouped warm serves of one shape run ``check_fleet`` once,
+        with the cold runner's canonical payload every time; a shape
+        change and ``invalidate()`` each drop the kept verdict."""
+        calls = []
+        check = runtime_mod.check_fleet
+
+        def counting(fleet):
+            calls.append(fleet.shards)
+            return check(fleet)
+
+        monkeypatch.setattr(runtime_mod, "check_fleet", counting)
+        scenario = _scenario()
+        cold = _canonical(run_fleet_scenario(scenario).to_dict())
+        with WarmRuntime(scenario, workers=2) as runtime:
+            for _ in range(3):
+                assert _canonical(runtime.run()) == cold
+            runtime.run(stream=_stream_for(scenario))
+            assert calls == [2]
+            runtime.update_scenario(_scenario(shards=4))
+            runtime.run()
+            runtime.run()
+            assert calls == [2, 4]
+            runtime.invalidate()
+            runtime.run()
+            assert calls == [2, 4, 4]
+            _assert_clean(runtime)
+
     def test_report_carries_runtime_stats_and_canonical_strips_them(self):
         with WarmRuntime(_scenario(), workers=2) as runtime:
             payload = runtime.run()

@@ -328,6 +328,61 @@ class TestReshapeAtTies:
             assert serve(ws) == materialized, ws
 
 
+class TestHandOffOffers:
+    """A live pump offers ``Fleet._hand_off`` only the requests of
+    volumes an attached migration moves: one offer per such request,
+    none for the rest, and the same serve as when every request is
+    offered."""
+
+    @pytest.mark.parametrize("ws", [None, 5], ids=["materialized", "windowed"])
+    @pytest.mark.parametrize("at", [100.0, 10_000.0], ids=["mid", "after"])
+    def test_offers_are_the_moved_volumes_requests(self, monkeypatch, at, ws):
+        offered = []
+        hand_off = Fleet._hand_off
+
+        def counting(fleet, shard, t, vol, is_read, lba):
+            offered.append(vol)
+            return hand_off(fleet, shard, t, vol, is_read, lba)
+
+        monkeypatch.setattr(Fleet, "_hand_off", counting)
+
+        def serve(offer_all: bool):
+            offered.clear()
+            fleet = Fleet(
+                4, 9, 3, volumes=12, disk_params=TIE_PARAMS,
+                dataplane=True, seed=0,
+            )
+            co = MigrationCoordinator(fleet, 6, at_ms=at, admission=2)
+            co.arm()
+            if offer_all:
+                fleet._moving.update(range(12))
+            times, is_read, lbas = generate_request_stream(
+                _workload(interarrival_ms=0.6, read_fraction=0.6, seed=0),
+                300.0,
+                fleet.capacity,
+            )
+            times = np.floor(times / 2.0) * 2.0
+            if ws is None:
+                report = fleet.serve_stream(times, is_read, lbas)
+            else:
+                report = fleet.serve_windows(
+                    ArrayWindows(times, is_read, lbas, ws)
+                )
+            fleet.sim.run()
+            vols = lbas // fleet.volume_units
+            moved = {m.volume for m in co.plan.moves}
+            served = asdict(report), [asdict(o) for o in co.outcomes]
+            return served, list(offered), vols, moved
+
+        served, offers, vols, moved = serve(False)
+        assert 0 < len(moved) < 12
+        assert set(offers) == moved
+        assert len(offers) == int(np.isin(vols, list(moved)).sum())
+        every, offers_all, _, _ = serve(True)
+        assert len(offers_all) == vols.size
+        assert served == every
+
+
 class _Watched:
     """Re-iterable windows that, at every pull, assert the arrays past
     the first ``born`` of ``fleet`` hold no undrained latency samples."""

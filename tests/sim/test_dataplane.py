@@ -143,7 +143,9 @@ class TestFoldSmallWrites:
 
 class TestControllerFold:
     """The controller folds a trace's writes only when nothing can
-    observe them one at a time: no failed disk, no hooks."""
+    observe them one at a time: no hooks.  A degraded controller folds
+    too, since every write path keeps each stripe's parity equal to the
+    XOR of its data units."""
 
     def _trace(self, ctrl):
         from repro.sim import WorkloadConfig, compile_workload
@@ -169,14 +171,53 @@ class TestControllerFold:
             )
         assert np.array_equal(folded.data.store, stepped.data.store)
 
-    @pytest.mark.parametrize("observer", ["failed", "degraded_hook", "content_hook"])
+    @pytest.mark.parametrize("mode", ["data_failed", "parity_failed", "all"])
+    def test_degraded_fold_matches_per_write_path(self, mode):
+        """On a degraded controller the fold ends the store where the
+        per-write path does — for writes whose data unit sits on the
+        failed disk, writes whose parity does, and the whole mix with
+        healthy ones."""
+        from repro.sim import ArrayController
+        from repro.sim.compile import CompiledTrace
+
+        folded, stepped = (
+            ArrayController(ring_layout(9, 4), dataplane=True, seed=2)
+            for _ in range(2)
+        )
+        for ctrl in (folded, stepped):
+            ctrl.fail_disk(1)
+        trace = self._trace(folded)
+        b = folded.layout.b
+        writes = np.flatnonzero(~trace.is_read)
+        modes = [
+            folded._write_mode(
+                int(trace.disks[i]),
+                folded.layout.stripes[int(trace.stripes[i]) % b].parity_unit[0],
+            )
+            for i in writes.tolist()
+        ]
+        assert {"data_failed", "parity_failed", "normal"} <= set(modes)
+        keep = writes if mode == "all" else writes[np.array(modes) == mode]
+        trace = CompiledTrace(
+            *(col if col is None else col[keep] for col in vars(trace).values())
+        )
+        assert folded._fold_write_dataplane(trace)
+        for i in range(trace.n):
+            stepped._apply_write_dataplane(
+                int(trace.stripes[i]) % b,
+                int(trace.disks[i]),
+                int(trace.offsets[i]),
+                stepped._default_payload(int(trace.lbas[i])),
+            )
+        assert np.array_equal(folded.data.store, stepped.data.store)
+        assert folded.data.all_parity_consistent()
+
+    @pytest.mark.parametrize("observer", ["degraded_hook", "content_hook"])
     def test_declines_when_writes_are_observed(self, observer):
         from repro.sim import ArrayController
 
         ctrl = ArrayController(ring_layout(9, 4), dataplane=True, seed=2)
-        if observer == "failed":
-            ctrl.fail_disk(1)
-        elif observer == "degraded_hook":
+        if observer == "degraded_hook":
             ctrl.add_degraded_write_hook(lambda off, data: None)
         else:
             ctrl.add_content_write_hook(lambda sid, d, off, data: None)
