@@ -18,12 +18,13 @@ reshapes.  What a runtime keeps warm:
 * **Persistent worker pool** (:class:`WorkerPool`): workers boot on
   the first grouped run, one per group up to ``workers`` — the pool
   initializer primes the layout / mapper / incidence registries for
-  ``(v, k)`` — and are reused across repeated scenario runs, stream
-  windows, and socket submits.  The pool is spawn-safe (everything
-  crossing the boundary pickles), reboots when the fleet shape or its
-  group count changes, reboots and reruns a serve's group tasks once
-  when a dead worker broke it mid-serve, and drains gracefully on
-  :meth:`WarmRuntime.close`.
+  ``(v, k)`` and loads the compiled kernel (a fork pool's workers
+  inherit it from the parent) — and are reused across repeated
+  scenario runs, stream windows, and socket submits.  The pool is
+  spawn-safe (everything crossing the boundary pickles), reboots when
+  the fleet shape or its group count changes, reboots and reruns a
+  serve's group tasks once when a dead worker broke it mid-serve, and
+  drains gracefully on :meth:`WarmRuntime.close`.
 * **Zero-copy trace transport**: compiled per-shard traces are packed
   once into a ``multiprocessing.shared_memory`` segment (parent writes
   once; workers attach and build *read-only* ndarray views), so a
@@ -298,19 +299,24 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 
 def _prime_worker(v: int, k: int) -> None:
     """Pool initializer: build the layout / mapper / incidence registry
-    entries for the fleet shape once per worker boot, so the first task
-    a worker runs is as warm as the hundredth.
+    entries for the fleet shape and load the compiled kernel once per
+    worker boot, so the first task a worker runs is as warm as the
+    hundredth (a forked worker inherits the kernel its parent loaded
+    in :meth:`WorkerPool.ensure`, so the load is a no-op there).
 
     A forked worker first drops the front-end's signal wiring it
     inherits (the event loop's wakeup fd and a no-op SIGTERM handler).
     When a worker dies, the executor SIGTERMs the survivors; through
     that wiring the signal would reach the parent's loop and shut the
     front-end down instead of ending the worker."""
+    from ..sim import native
+
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     layout = get_layout(v, k)
     get_mapper(layout)
     get_incidence(layout)
+    native.kernel()
 
 
 def _run_group_task(
@@ -415,17 +421,22 @@ class WorkerPool:
 
     def ensure(self, shape: tuple[int, int]) -> bool:
         """Boot (or reboot) the pool for ``shape``; True on a cold
-        boot, False when the warm pool was reused."""
+        boot, False when the warm pool was reused.  A fork pool's
+        workers inherit the compiled kernel, loaded here first."""
         if self._pool is not None and self._shape == shape:
             return False
         self.close()
         import multiprocessing
+
+        from ..sim import native
 
         if self.mp_context == "auto":
             methods = multiprocessing.get_all_start_methods()
             self.context_name = "fork" if "fork" in methods else "spawn"
         else:
             self.context_name = self.mp_context
+        if self.context_name == "fork":
+            native.kernel()
         ctx = multiprocessing.get_context(self.context_name)
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
@@ -498,8 +509,8 @@ class WarmRuntime:
     The compiled-artifact cache keeps the :data:`ARTIFACT_CACHE_SIZE`
     most recently used artifacts resident.  Beside it, the fleet
     conformance verdict (:func:`check_fleet`, a function of the fleet
-    shape alone) is kept per :func:`_shape_key`, so grouped warm serves
-    (``workers`` > 1) of an unchanged shape check their layouts once.
+    shape alone) is kept per :func:`_shape_key`, so warm serves of an
+    unchanged shape, serial or grouped, check their layouts once.
 
     Use as a context manager or call :meth:`close`; segments are also
     unlinked by the ``atexit`` safety net if neither happens.
@@ -661,15 +672,25 @@ class WarmRuntime:
         return payload
 
     def _run_serial(self, stream, recorder) -> dict:
+        key = _shape_key(self.scenario)
+        kept = self._verdicts.get(key)
         if self._cacheable():
             art = self._artifact(stream)
             report = run_fleet_scenario(
-                self.scenario, recorder=recorder, precompiled=art.traces
+                self.scenario,
+                recorder=recorder,
+                precompiled=art.traces,
+                conformance=kept,
             )
         else:
             report = run_fleet_scenario(
-                self.scenario, recorder=recorder, stream=stream
+                self.scenario,
+                recorder=recorder,
+                stream=stream,
+                conformance=kept,
             )
+        if report.conformance is not None:
+            self._verdicts[key] = report.conformance
         return report.to_dict()
 
     def _map_on_pool(

@@ -422,7 +422,12 @@ def scenario_fleet(
 
 
 def run_fleet_scenario(
-    scenario: FleetScenario, *, recorder=None, stream=None, precompiled=None
+    scenario: FleetScenario,
+    *,
+    recorder=None,
+    stream=None,
+    precompiled=None,
+    conformance: FleetConformance | None = None,
 ) -> FleetScenarioReport:
     """Run one scenario end to end (see the module docstring for the
     exact order).
@@ -447,6 +452,11 @@ def run_fleet_scenario(
     byte-identical to serving the originating stream — valid only for
     materialized serves (no ``window_size``, no ``reshape_to``, no
     ``autoscale``, whose pumps hand requests off by volume).
+
+    With ``conformance`` (a verdict kept from an earlier serve of the
+    same fleet shape, as the warm runtime keeps one), the run reports
+    it instead of checking the fleet again: :func:`check_fleet` is a
+    function of the shape alone.
 
     An ``autoscale`` policy instruments the run even without a caller
     recorder — the loop needs live arrival buckets to decide from.
@@ -489,7 +499,10 @@ def run_fleet_scenario(
         recorder = MetricsRecorder(policy.cadence_ms, shards=scenario.shards)
     if recorder is not None:
         fleet.attach_recorder(recorder)
-    conformance = check_fleet(fleet) if scenario.check_conformance else None
+    if not scenario.check_conformance:
+        conformance = None
+    elif conformance is None:
+        conformance = check_fleet(fleet)
 
     admission = AdmissionController(scenario.admission)
     orchestrator = FailureOrchestrator(

@@ -7,7 +7,8 @@ otherwise-idle array none of that generality is needed: every event is
 either a request arrival (known up front, sorted) or a disk completion
 (created while stepping).  :func:`step_compiled` runs such a trace on
 one of two tiers, each a Python core with a compiled twin
-(:mod:`repro.sim.native`) for healthy plans.  A trace is planned once,
+(:mod:`repro.sim.native`): the eager tier's for its healthy domain, the
+exact tier's for every plan.  A trace is planned once,
 for the core that runs it: a Python core runs a
 :class:`repro.sim.compile._CompiledRun` — the plan the heap pump
 executes — and a compiled core the trace's validated columns
@@ -83,15 +84,16 @@ until the next window shows whether the epoch continues, as the
 chained pump does.
 
 Every exact replay gets its core from one factory, :func:`_exact_core`.
-Plans made only of healthy single-IO reads and healthy
-read-modify-writes (a healthy ``rmw`` controller whose data plane, if
-any, folds its writes) replay on a compiled twin,
+Every plan a controller makes — healthy or degraded, ``rmw`` or
+write-through, on a controller whose data plane, if any, folds its
+writes — replays on a compiled twin,
 :class:`repro.sim.native.NativeExactCore`: a C kernel built on first
-use that runs the same protocol and the same float operations in the
-same order, from columns instead of per-request tuples (volatile
-executor ``exact-native``).  The Python :class:`_ExactCore` (executor
-``exact-core``) runs everything else — degraded and write-through
-plans, hooked data planes, hosts where the kernel did not build — and
+use that runs the same protocol and the same float operations and
+sequence numbers in the same order, from columns instead of
+per-request tuples, the plans off the two fast paths as generic ones
+(volatile executor ``exact-native``).  The Python :class:`_ExactCore`
+(executor ``exact-core``) runs only where the kernel cannot: data
+planes a hook observes, and hosts where the kernel did not build; it
 stays the reference the kernel is tested against.
 
 One protocol
@@ -500,10 +502,9 @@ def step_compiled(ctrl: "ArrayController", compiled: "CompiledTrace") -> int:
     kernel, else :class:`_EagerCore`); on an ambiguous tie, or for any
     other controller — a degraded one included, with no eager attempt
     — feed it to the exact tier (:func:`_exact_core`: the compiled
-    kernel where it applies, else :class:`_ExactCore`; labelled
-    ``calendar``), which folds a healthy, hookless data plane's small
-    writes into one vectorized pass.  The trace is planned once, for
-    the core that runs it first — a
+    kernel, else :class:`_ExactCore`; labelled ``calendar``), which
+    folds a hookless data plane's writes into one vectorized pass.  The
+    trace is planned once, for the core that runs it first — a
     :class:`repro.sim.compile._CompiledRun` for a Python core, the
     validated columns (:class:`repro.sim.native.KernelRun`) for a
     compiled one — and the exact replay after a tie abort reuses that
@@ -885,13 +886,11 @@ class _ExactCore:
 
 def _kernel_core(ctrl: "ArrayController", name: str):
     """The compiled kernel's core class ``name`` (from
-    :mod:`repro.sim.native`) on ``ctrl``, when the kernel takes the
-    plans ``ctrl`` makes — a healthy ``rmw`` controller, whose data
-    plane, if attached, folds its writes
-    (:meth:`~repro.sim.controller.ArrayController._folds_writes`) — and
-    loaded on this host; else None."""
-    if ctrl.failed_disk is not None or ctrl.write_policy != "rmw":
-        return None
+    :mod:`repro.sim.native`) on ``ctrl``, when its data plane, if
+    attached, folds its writes
+    (:meth:`~repro.sim.controller.ArrayController._folds_writes`) and
+    the kernel loaded on this host; else None.  (The eager factory asks
+    only inside the eager domain.)"""
     if ctrl.data is not None and not ctrl._folds_writes():
         return None
     # Imported here, not at module level: `import repro` stays free of
@@ -936,13 +935,12 @@ def _exact_core(
     ``label`` — the factory every exact replay goes through.
 
     The compiled kernel (:class:`repro.sim.native.NativeExactCore`,
-    executor ``exact-native``) takes the plans a healthy ``rmw``
-    controller makes — single-IO reads and healthy read-modify-writes —
-    when a data plane, if attached, folds its writes and the kernel
-    loaded on this host.  Everything else replays on the Python
-    :class:`_ExactCore` (executor ``exact-core``): degraded or
-    write-through plans, a data plane observed by hooks, and hosts
-    where the kernel did not build."""
+    executor ``exact-native``) takes every plan a controller makes —
+    healthy or degraded, ``rmw`` or write-through — when a data plane,
+    if attached, folds its writes and the kernel loaded on this host.
+    The Python :class:`_ExactCore` (executor ``exact-core``) replays
+    the rest: a data plane observed by hooks, and hosts where the
+    kernel did not build."""
     core = _kernel_core(ctrl, "NativeExactCore")
     ctrl.set_engine(label, "exact-core" if core is None else "exact-native")
     return _ExactCore(ctrl) if core is None else core

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -765,10 +764,12 @@ class _CompiledRun:
     def replay_rest(self, label: str, sink) -> None:
         """Replay what this stopped pump left — the rest of its window,
         then every window its source has left — on the exact core
-        (:func:`repro.sim.batchstep._exact_core`, labelled ``label``)
-        from the stream's base clock, into ``sink``, and name that
-        stretch's executor after the ones before it
-        (``event-heap|exact-core``, say).  The shard was idle and
+        (:func:`repro.sim.batchstep._exact_core`, labelled ``label``;
+        the compiled kernel wherever it loaded) from the stream's base
+        clock, into ``sink``, and name that stretch's executor after the
+        ones before it (``event-heap|exact-native``, say).  A
+        materialized pump's rest is one feed (:class:`_Chunks`); a
+        windowed pump's goes window by window.  The shard was idle and
         unclaimed at the stop, so the core replays exactly the events
         the heap would have run."""
         from .batchstep import _exact_core
@@ -777,11 +778,14 @@ class _CompiledRun:
         before = ctrl.last_executor
         ctrl.sim.now = self._base
         core = _exact_core(ctrl, label)
-        core.feed(_tail(self._compiled, self._i), sink)
         source, self._source = self._source, None
-        if source is not None:
-            for window in iter(source, None):
-                core.feed(window, sink)
+        if isinstance(source, _Chunks):
+            core.feed(source.rest(self.n - self._i), sink)
+        else:
+            core.feed(_tail(self._compiled, self._i), sink)
+            if source is not None:
+                for window in iter(source, None):
+                    core.feed(window, sink)
         core.finish(sink)
         ctrl.set_engine(label, f"{before}|{ctrl.last_executor}")
 
@@ -1410,7 +1414,7 @@ def _execute_shards(
     ``(time, seq)`` serialization of the shard's events, so every
     shard keeps the heap's label ``heap`` and its bits; only
     ``last_executor`` says what ran each stretch, in order
-    (``exact-native|event-heap|exact-core`` for a failed shard with
+    (``exact-native|event-heap|exact-native`` for a failed shard with
     both off-heap stretches; ``exact-native`` is the compiled kernel,
     ``exact-core`` the Python core).  The clock then advances to the
     later of the heap's drain and the replays' ends.  With a metrics
@@ -1486,18 +1490,38 @@ def _pump(
     ctrl: ArrayController, trace: CompiledTrace, stop: bool, handoff
 ) -> _CompiledRun:
     """The heap pump of ``trace`` on ``ctrl``.  A pump that may stop
-    streams its trace in :data:`PUMP_CHUNK`-request windows, so it
-    plans (and, after a failure, re-plans) little beyond where it
-    stops."""
+    streams its trace in :data:`PUMP_CHUNK`-request windows
+    (:class:`_Chunks`), so it plans (and, after a failure, re-plans)
+    little beyond where it stops."""
     if not stop:
         return _CompiledRun(ctrl, trace, handoff=handoff)
-    size = PUMP_CHUNK
-    chunks = (
-        _tail(_head(trace, i + size), i) for i in range(size, trace.n, size)
-    )
     return _CompiledRun(
-        ctrl, _head(trace, size), source=partial(next, chunks, None), stop=True
+        ctrl, _head(trace, PUMP_CHUNK), source=_Chunks(trace), stop=True
     )
+
+
+class _Chunks:
+    """A stopping pump's source: ``trace`` past its first
+    :data:`PUMP_CHUNK` requests, one chunk per call (None at the end),
+    and :meth:`rest`, what the pump left as one trace."""
+
+    __slots__ = ("trace", "pos")
+
+    def __init__(self, trace: CompiledTrace) -> None:
+        self.trace = trace
+        self.pos = PUMP_CHUNK  # the first request no chunk has held
+
+    def __call__(self) -> CompiledTrace | None:
+        i = self.pos
+        if i >= self.trace.n:
+            return None
+        self.pos = i + PUMP_CHUNK
+        return _tail(_head(self.trace, self.pos), i)
+
+    def rest(self, held: int) -> CompiledTrace:
+        """The ``held`` requests the pump's window still holds, then
+        every chunk not yet pulled."""
+        return _tail(self.trace, min(self.pos, self.trace.n) - held)
 
 
 def _chain(sim, epochs: list[float], run: _CompiledRun) -> None:

@@ -1,16 +1,19 @@
 /* The compiled off-heap cores: the exact tier and the eager tier.
  *
- * Two C twins of repro.sim.batchstep's Python cores, for plans made
- * only of healthy single-IO reads and healthy read-modify-writes, each
- * with its twin's feed/finish protocol and the same float operations
- * in the same order, so the same bits:
+ * Two C twins of repro.sim.batchstep's Python cores, each with its
+ * twin's feed/finish protocol and the same float operations in the
+ * same order, so the same bits:
  *
- * - the exact core (xc_*) twins _ExactCore: it replays the event
- *   heap's (time, seq) serialization;
- * - the eager core (xe_*) twins _EagerCore: it resolves each IO on its
- *   disk's FIFO at submission, keeps pending RMW phase 2s in a heap
- *   keyed (time, gating start, push count), and gives up (XE_TIE) at
- *   the first order-ambiguous tie.
+ * - the exact core (xc_*) twins _ExactCore on every plan a controller
+ *   makes: single-IO reads and healthy read-modify-writes on fast
+ *   paths, and generic plans — a kind code and one or two phases of
+ *   IOs (degraded reads and writes, write-through writes) — after
+ *   them; it replays the event heap's (time, seq) serialization;
+ * - the eager core (xe_*) twins _EagerCore on healthy single-IO reads
+ *   and read-modify-writes: it resolves each IO on its disk's FIFO at
+ *   submission, keeps pending RMW phase 2s in a heap keyed (time,
+ *   gating start, push count), and gives up (XE_TIE) at the first
+ *   order-ambiguous tie.
  *
  * repro.sim.native builds this file on first use (-O2 -shared -fPIC
  * -ffp-contract=off, never -ffast-math: every float operation must
@@ -21,16 +24,31 @@
  * of queued IOs, the in-flight heap (a disk serves one IO at a time, so
  * it never holds more than v completions), the sequence counters, and
  * a slab of in-flight requests (arrival time, a write's data and
- * parity units, IOs outstanding in its current phase).  The caller
- * validates every input column before a call: disk ids lie in [0, v)
- * and offsets are non-negative.
+ * parity units, IOs outstanding in its current phase, a generic plan's
+ * kind and the size of its phase still to come), with that second
+ * phase's IOs in a per-slot side slab, allocated once a feed carries
+ * a generic plan.  The caller validates every input column before a
+ * call: disk ids lie in [0, v) and offsets are non-negative.  The
+ * kernel itself refuses (XC_OVERFLOW) a generic plan whose first phase
+ * is empty, or whose phases outgrow gmax or the IO columns.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-enum { READ_FAST = 0, RMW_PHASE1 = 1, RMW_WRITE = 2 };
+/* Completion actions; generic-plan IOs come last. */
+enum {
+    READ_FAST = 0,
+    RMW_PHASE1 = 1,
+    RMW_WRITE = 2,
+    GENERIC_READ = 3,
+    GENERIC_WRITE = 4,
+};
+
+/* Request classes, xc_feed's cls column (a read flag for healthy rmw
+ * traces, which the eager core reads as one). */
+enum { CLS_RMW = 0, CLS_READ = 1, CLS_GENERIC = 2 };
 
 enum {
     XC_OK = 0,
@@ -151,8 +169,17 @@ typedef struct {
 typedef struct {
     double at; /* arrival time */
     int64_t d, off, pd, po;
-    int32_t rem; /* IOs outstanding in the current phase */
+    int32_t rem;  /* IOs outstanding in the current phase */
+    int32_t next; /* a generic plan's second-phase IOs still to submit */
+    int32_t kind; /* a generic plan's kind code */
 } Req;
+
+/* One IO of a generic plan's second phase, kept until its first phase
+ * ends. */
+typedef struct {
+    int64_t d, off;
+    int32_t action;
+} Io;
 
 typedef struct {
     Disks k; /* first, for xd_state; k.clock is the replay clock */
@@ -164,6 +191,8 @@ typedef struct {
     Req *req;
     int64_t *free_slots;
     int64_t nfree, used, cap;
+    Io *next_io; /* gmax second-phase IOs per slot; NULL until needed */
+    int64_t gmax;
 } Core;
 
 void xc_free(Core *S)
@@ -179,6 +208,7 @@ void xc_free(Core *S)
     free(S->heap);
     free(S->req);
     free(S->free_slots);
+    free(S->next_io);
     free(S);
 }
 
@@ -282,9 +312,33 @@ static int64_t slot_new(Core *S)
         if (!f)
             return -1;
         S->free_slots = f;
+        if (S->gmax) {
+            Io *g = realloc(S->next_io,
+                            (size_t)cap * (size_t)S->gmax * sizeof *g);
+            if (!g)
+                return -1;
+            S->next_io = g;
+        }
         S->cap = cap;
     }
     return S->used++;
+}
+
+/* Size the second-phase slab for gmax IOs per slot, once. */
+static int next_io_init(Core *S, int64_t gmax)
+{
+    if (S->gmax)
+        return XC_OK;
+    if (gmax < 1)
+        return XC_OVERFLOW;
+    if (S->cap) {
+        S->next_io =
+            malloc((size_t)S->cap * (size_t)gmax * sizeof *S->next_io);
+        if (!S->next_io)
+            return XC_NOMEM;
+    }
+    S->gmax = gmax;
+    return XC_OK;
 }
 
 /* Disk.submit: queue on a busy disk, start service inline on an idle
@@ -303,23 +357,34 @@ static int submit(Core *S, int64_t d, int64_t off, int32_t action,
     return XC_OK;
 }
 
-/* Replay one window's n arrivals (times at, read flags isr, data units
- * d/off; the writes' data and parity units wd/wo/wpd/wpo, nw of them,
- * in arrival order) up to and including the last arrival epoch, which
- * stays open for the next feed.  n == 0 ends the stream: everything in
- * flight retires.  Completed requests' latencies and completion times
- * land in rlat/rcomp (reads) and wlat/wcomp (writes) in completion-
- * event order; counts receives how many of each. */
-int xc_feed(Core *S, int64_t n, const double *at, const uint8_t *isr,
+/* Replay one window's n arrivals up to and including the last arrival
+ * epoch, which stays open for the next feed.  n == 0 ends the stream:
+ * everything in flight retires.  The columns, in arrival order: times
+ * at, request classes cls (CLS_*), data units d/off; the fast writes'
+ * data and parity units wd/wo/wpd/wpo, nw of them; the ng generic
+ * plans' kind codes gkind and phase sizes gsz (two per plan, the
+ * second 0 for a one-phase plan), and their nio IOs, phase by phase,
+ * as disks gd, offsets go and write flags gw; gmax bounds a phase.
+ * Completed requests' latencies and completion times land in
+ * rlat/rcomp (reads), wlat/wcomp (fast writes) and glat/gcomp, kind
+ * codes in gk (generic plans), each in completion-event order; counts
+ * receives how many of each. */
+int xc_feed(Core *S, int64_t n, const double *at, const uint8_t *cls,
             const int64_t *d, const int64_t *off, int64_t nw,
             const int64_t *wd, const int64_t *wo, const int64_t *wpd,
             const int64_t *wpo, double *rlat, double *rcomp, int64_t rcap,
-            double *wlat, double *wcomp, int64_t wcap, int64_t *counts)
+            double *wlat, double *wcomp, int64_t wcap, int64_t *counts,
+            int64_t ng, const uint8_t *gkind, const int64_t *gsz,
+            int64_t nio, const int64_t *gd, const int64_t *go,
+            const uint8_t *gw, int64_t gmax, double *glat, double *gcomp,
+            uint8_t *gk, int64_t gcap)
 {
     Disks *k = &S->k;
-    int64_t ai = 0, wi = 0, nr = 0, nwr = 0;
+    int64_t ai = 0, wi = 0, gi = 0, io = 0, nr = 0, nwr = 0, ngr = 0;
     double now = k->clock;
     int rc = XC_OK;
+    if (ng && (rc = next_io_init(S, gmax)) != XC_OK)
+        goto out;
     if (S->pump_seq < 0 && n && at[0] != now)
         /* The held-open epoch does not continue here: the pump re-arms
          * after its submissions. */
@@ -355,9 +420,10 @@ int xc_feed(Core *S, int64_t n, const double *at, const uint8_t *isr,
                 }
                 Req *q = &S->req[slot];
                 q->at = a;
-                if (isr[r]) {
+                uint8_t c = cls[r];
+                if (c == CLS_READ) {
                     rc = submit(S, d[r], off[r], READ_FAST, slot, a);
-                } else {
+                } else if (c == CLS_RMW) {
                     if (wi >= nw) {
                         rc = XC_OVERFLOW;
                         goto out;
@@ -372,6 +438,33 @@ int xc_feed(Core *S, int64_t n, const double *at, const uint8_t *isr,
                     rc = submit(S, q->d, q->off, RMW_PHASE1, slot, a);
                     if (rc == XC_OK)
                         rc = submit(S, q->pd, q->po, RMW_PHASE1, slot, a);
+                } else {
+                    if (gi >= ng) {
+                        rc = XC_OVERFLOW;
+                        goto out;
+                    }
+                    int64_t m0 = gsz[2 * gi], m1 = gsz[2 * gi + 1];
+                    if (m0 < 1 || m0 > S->gmax || m1 < 0 || m1 > S->gmax ||
+                        m0 + m1 > nio - io) {
+                        rc = XC_OVERFLOW;
+                        goto out;
+                    }
+                    q->kind = gkind[gi++];
+                    q->rem = (int32_t)m0;
+                    q->next = (int32_t)m1;
+                    /* The second phase waits in the slot's side slab. */
+                    Io *nx = &S->next_io[slot * S->gmax];
+                    for (int64_t j = 0; j < m1; j++) {
+                        nx[j].d = gd[io + m0 + j];
+                        nx[j].off = go[io + m0 + j];
+                        nx[j].action =
+                            gw[io + m0 + j] ? GENERIC_WRITE : GENERIC_READ;
+                    }
+                    for (int64_t j = io; j < io + m0 && rc == XC_OK; j++)
+                        rc = submit(S, gd[j], go[j],
+                                    gw[j] ? GENERIC_WRITE : GENERIC_READ,
+                                    slot, a);
+                    io += m0 + m1;
                 }
                 if (rc != XC_OK)
                     goto out;
@@ -413,7 +506,7 @@ int xc_feed(Core *S, int64_t n, const double *at, const uint8_t *isr,
                 if (rc != XC_OK)
                     goto out;
             }
-        } else {
+        } else if (e.action == RMW_WRITE) {
             k->writes[dk]++;
             if (!--q->rem) {
                 if (nwr >= wcap) {
@@ -424,6 +517,35 @@ int xc_feed(Core *S, int64_t n, const double *at, const uint8_t *isr,
                 wcomp[nwr] = t;
                 nwr++;
                 S->free_slots[S->nfree++] = e.req;
+            }
+        } else {
+            if (e.action == GENERIC_WRITE)
+                k->writes[dk]++;
+            else
+                k->reads[dk]++;
+            if (!--q->rem) {
+                if (q->next) {
+                    /* The second phase starts inside this completion,
+                     * before the disk's next queued IO. */
+                    const Io *nx = &S->next_io[e.req * S->gmax];
+                    q->rem = q->next;
+                    q->next = 0;
+                    for (int32_t j = 0; j < q->rem && rc == XC_OK; j++)
+                        rc = submit(S, nx[j].d, nx[j].off, nx[j].action,
+                                    e.req, t);
+                    if (rc != XC_OK)
+                        goto out;
+                } else {
+                    if (ngr >= gcap) {
+                        rc = XC_OVERFLOW;
+                        goto out;
+                    }
+                    glat[ngr] = t - q->at;
+                    gcomp[ngr] = t;
+                    gk[ngr] = (uint8_t)q->kind;
+                    ngr++;
+                    S->free_slots[S->nfree++] = e.req;
+                }
             }
         }
         /* Start the disk's next queued IO (Disk._start_next). */
@@ -444,6 +566,7 @@ out:
     k->clock = now;
     counts[0] = nr;
     counts[1] = nwr;
+    counts[2] = ngr;
     return rc;
 }
 
@@ -569,7 +692,9 @@ static inline double resolve(Eager *E, int64_t d, int64_t off, double t,
     return c;
 }
 
-/* Consume one window's n arrivals (columns as xc_feed's), interleaved
+/* Consume one window's n arrivals (xc_feed's columns up to counts,
+ * without generic plans: isr is the class column, 1 for a read and 0
+ * for a read-modify-write), interleaved
  * with the pending phase 2s, which retire up to the window's last
  * arrival; n == 0 ends the stream and retires all of them.  Reads
  * resolve at arrival, writes when their phase 2 retires: latencies and

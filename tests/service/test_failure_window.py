@@ -223,17 +223,19 @@ def test_each_case_takes_its_stretches():
         stream, failures, kw = _case(case, 0)
         return _serve("gate", stream, failures, **kw)
 
-    # A degraded array's suffix replays on the Python exact core.
-    assert gate("before_first").executors()[1] == "event-heap|exact-core"
+    # A degraded array's suffix replays on the compiled exact core.
+    assert gate("before_first").executors()[1] == "event-heap|exact-native"
     assert gate("at_arrival").executors()[1] == (
-        "exact-native|event-heap|exact-core"
+        "exact-native|event-heap|exact-native"
     )
     late = gate("after_last")
     assert late.executors()[1] == "exact-native|event-heap"
     assert not late.stops
     assert gate("in_burst").executors()[0].startswith("event-heap|")
     queued = gate("two_queued")
-    assert queued.executors()[:2] == ["exact-native|event-heap|exact-core"] * 2
+    assert queued.executors()[:2] == [
+        "exact-native|event-heap|exact-native"
+    ] * 2
     first, second = sorted(
         queued.orchestrator.outcomes, key=lambda o: o.started_at_ms
     )
@@ -243,6 +245,42 @@ def test_each_case_takes_its_stretches():
     assert queued.stops[second.array] > (
         second.started_at_ms + second.report.duration_ms
     )
+
+
+def test_stopped_pump_rest_is_one_feed(monkeypatch):
+    """A stopped materialized pump's rest replays in one exact-core
+    feed, however many pump chunks it spans, and the serve still
+    leaves the all-heap serve's state."""
+    from repro.sim import batchstep
+    from repro.sim import compile as compile_mod
+
+    monkeypatch.setattr(compile_mod, "PUMP_CHUNK", 16)
+    stream, failures, kw = _case("at_arrival", 0)
+    heap = _serve("heap", stream, failures, **kw)
+    exact_core = batchstep._exact_core
+    feeds = []  # (controller, label, requests per feed), one per core
+
+    class Counting:
+        def __init__(self, ctrl, label):
+            self.core = exact_core(ctrl, label)
+            feeds.append((ctrl, label, []))
+            self.sizes = feeds[-1][2]
+
+        def feed(self, plan, sink):
+            self.sizes.append(plan.n)
+            return self.core.feed(plan, sink)
+
+        def finish(self, sink):
+            return self.core.finish(sink)
+
+    monkeypatch.setattr(batchstep, "_exact_core", Counting)
+    gate = _serve("gate", stream, failures, **kw)
+    assert gate.state() == heap.state()
+    assert gate.executors()[1] == "exact-native|event-heap|exact-native"
+    failed = gate.fleet.controllers[1]
+    *_, (ctrl, label, sizes) = [f for f in feeds if f[0] is failed]
+    assert label == "heap" and len(sizes) == 1
+    assert sizes[0] > 2 * compile_mod.PUMP_CHUNK
 
 
 def test_queued_rebuild_starts_at_a_pump_arrival():

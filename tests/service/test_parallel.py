@@ -653,9 +653,8 @@ class TestPerShardGate:
             heap_now, heap_state, heap_executors = serve()
         now, state, executors = serve()
         assert heap_executors == ["event-heap"] * 3
-        # The kernel takes healthy read-modify-writes only.
-        quiet = "exact-native" if write_policy == "rmw" else "exact-core"
-        assert executors == [quiet, "event-heap", quiet]
+        # The kernel takes every plan, write-through ones included.
+        assert executors == ["exact-native", "event-heap", "exact-native"]
         assert (now, state) == (heap_now, heap_state)
 
     def test_quiet_shard_adds_no_heap_events(self):
@@ -697,7 +696,7 @@ class TestExecutorList:
         # array 0 has no idle arrival before its failure, and array 1
         # keeps its claim past its last idle arrival.
         assert payload["executor_per_shard"] == [
-            "event-heap|exact-core",
+            "event-heap|exact-native",
             "exact-native|event-heap",
             "exact-native",
             "exact-native",

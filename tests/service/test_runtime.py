@@ -167,10 +167,14 @@ class TestWarmth:
             assert len(leaked_segments(os.getpid())) == 1
             _assert_clean(runtime)
 
-    def test_one_conformance_verdict_per_shape(self, monkeypatch):
-        """Grouped warm serves of one shape run ``check_fleet`` once,
-        with the cold runner's canonical payload every time; a shape
-        change and ``invalidate()`` each drop the kept verdict."""
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_conformance_verdict_per_shape(self, monkeypatch, workers):
+        """Warm serves of one shape, serial or grouped, run
+        ``check_fleet`` once, with the cold runner's canonical payload
+        every time; a shape change and ``invalidate()`` each drop the
+        kept verdict."""
+        from repro.service import scenario as scenario_mod
+
         calls = []
         check = runtime_mod.check_fleet
 
@@ -178,10 +182,12 @@ class TestWarmth:
             calls.append(fleet.shards)
             return check(fleet)
 
-        monkeypatch.setattr(runtime_mod, "check_fleet", counting)
         scenario = _scenario()
         cold = _canonical(run_fleet_scenario(scenario).to_dict())
-        with WarmRuntime(scenario, workers=2) as runtime:
+        # The serial runner checks through its own module's name.
+        monkeypatch.setattr(runtime_mod, "check_fleet", counting)
+        monkeypatch.setattr(scenario_mod, "check_fleet", counting)
+        with WarmRuntime(scenario, workers=workers) as runtime:
             for _ in range(3):
                 assert _canonical(runtime.run()) == cold
             runtime.run(stream=_stream_for(scenario))
@@ -206,6 +212,36 @@ class TestWarmth:
             )
             assert "warm runtime: 1 run(s)" in summary
             _assert_clean(runtime)
+
+
+def _kernel_cache_info() -> tuple:
+    """In a pool worker: the kernel loader's cache counters."""
+    from repro.sim import native
+
+    return tuple(native.kernel.cache_info())
+
+
+class TestLoadedWorkers:
+    def test_forked_worker_inherits_the_loaded_kernel(self):
+        """A fork pool boots with the kernel loaded in its parent: the
+        worker's loader cache holds the library, and neither its
+        initializer nor its first task loaded it again (no miss past
+        the parent's)."""
+        from repro.sim import native
+
+        native.kernel.cache_clear()
+        pool = runtime_mod.WorkerPool(1, mp_context="fork")
+        try:
+            assert pool.ensure((9, 3))
+            parent = native.kernel.cache_info()
+            assert parent.currsize == 1 and parent.misses == 1
+            hits, misses, _max, size = pool._pool.submit(
+                _kernel_cache_info
+            ).result()
+        finally:
+            pool.close()
+        assert (size, misses) == (1, 1)
+        assert hits >= parent.hits + 1  # the initializer's call
 
 
 class TestWorkerCrash:

@@ -189,7 +189,9 @@ class TestServeAgainAfterFailure:
             zip(materialized.engines, windowed.engines, windowed.executors)
         ):
             if i == failed:
-                assert (m, w, x) == ("calendar", "windowed-pump", "exact-core")
+                assert (m, w, x) == (
+                    "calendar", "windowed-pump", "exact-native"
+                )
             else:
                 assert m == "eager" and w == "windowed-eager", i
                 assert x in healthy, i

@@ -140,11 +140,8 @@ class TestCalendarBitExactness:
                      policy=policy)
         assert_states_equal(heap, exact)
         assert exact.last_engine == "calendar"
-        assert exact.last_executor == (
-            "exact-native"
-            if failed is None and policy == "rmw"
-            else "exact-core"
-        )
+        # The compiled kernel takes every plan: degraded, write-through.
+        assert exact.last_executor == "exact-native"
         python = _run("python", FAMILIES[family], cfg, failed=failed,
                       policy=policy)
         assert_states_equal(heap, python)
@@ -281,9 +278,9 @@ def _fail_load(path):
 
 class TestOnePlanPerTrace:
     """step_compiled plans a trace once.  A degraded trace goes straight
-    to the Python exact tier, with no eager attempt: one
-    ``_CompiledRun``.  A healthy trace goes from columns to the
-    compiled eager core and, after a tie abort, the compiled exact
+    to the compiled exact core, with no eager attempt: one ``_columns``
+    pass and no ``_CompiledRun``.  A healthy trace goes from columns to
+    the compiled eager core and, after a tie abort, the compiled exact
     core, both on the same validated columns (one ``_columns`` pass)
     and with no ``_CompiledRun`` at all; on a host without the kernel,
     the Python eager tier and, after a tie abort, the Python exact tier
@@ -336,7 +333,7 @@ class TestOnePlanPerTrace:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_degraded_trace_skips_the_eager_tier(self, monkeypatch, family):
         assert self._step(monkeypatch, family) == (
-            "calendar", "exact-core", 1, 0, 0
+            "calendar", "exact-native", 0, 1, 0
         )
 
     def test_tie_abort_replays_the_same_plan(self, monkeypatch):

@@ -24,17 +24,18 @@ per-pair heap/engine wall-time ratio:
   tier, on the compiled eager core (executor ``eager-native``);
 * ``degraded_mixed_executor`` — that mix with disk 1 failed: a
   degraded trace never tries the eager tier, so the exact tier (label
-  ``calendar``) replays it on the Python exact core (executor
-  ``exact-core``), the one core that takes degraded plans;
+  ``calendar``) replays it on the compiled exact core (executor
+  ``exact-native``), whose generic plans take degraded reads and
+  writes;
 * ``exact_tier`` — one shard of the serve-shaped mixed fleet ((9,3),
   8 ms, read fraction 0.7, seed 7, 30k requests), whose eager attempt
   tie-aborts, so the exact tier (label ``calendar``) replays it on the
   compiled exact core (executor ``exact-native``).
 
 Each of these names its label and its executor: a host where the
-kernel did not build, a gate that sends healthy plans back to a
-Python core, or one that lets a degraded trace into the eager tier,
-reads as a wrong engine.
+kernel did not build, a gate that sends any plan back to a Python
+core, or one that lets a degraded trace into the eager tier, reads as
+a wrong engine.
 
 ``windowed_exact`` streams the ``exact_tier`` shard in 4096-request
 windows (``StreamWindows``) through ``execute_windows`` — whose first
@@ -82,7 +83,10 @@ exact core).  Both sides carry the label ``heap``, so the tells are
 the heap's event counts: the gated run must process exactly as many
 events as the same run with shard 1's trace empty, and that run
 (the failed shard alone) less than ``QUIET_FAILED_SHARE`` of the
-failed shard's all-heap events, or the case is a wrong engine.
+failed shard's all-heap events, or the case is a wrong engine.  The
+failed shard must also name its stretches' executors,
+``QUIET_FAILED_EXECUTOR``: a prefix or rest replayed on a Python core
+reads as a wrong engine.
 
 ``quiet_windowed`` is its windowed twin: the same fleet, failure and
 stream served through ``Fleet.serve_windows`` in ``WINDOW``-request
@@ -93,9 +97,10 @@ compiled exact core (executor ``exact-native``) and add no heap events
 (against the same windows with shard 1's requests removed), and the
 failed shard's pump must leave the heap once its rebuild has ended:
 less than ``QUIET_WINDOWED_FAILED_SHARE`` of its all-heap events (the
-windowed gate replays no prefix, so its bound is looser); a host
-without the kernel, or a gate that puts either shard back on the heap,
-reads as a wrong engine.
+windowed gate replays no prefix, so its bound is looser) and replay its
+rest on the compiled exact core (``QUIET_WINDOWED_FAILED_EXECUTOR``); a
+host without the kernel, or a gate that puts either shard back on the
+heap, reads as a wrong engine.
 
 Mapping case
 ------------
@@ -150,26 +155,23 @@ PAIRS = 5
 #: the best per-pair heap/engine wall-time ratio).  Each floor sits
 #: below the best-pair ratios three runs measured on a 2-CPU host
 #: (Python 3.11.7, NumPy 2.4.6, gcc 12.2) — solver 9.9-18.5, eager
-#: 65.5-73.1 on the compiled eager core, degraded 2.38-3.84 in eight
-#: runs on the Python exact core, which starts every IO through one
-#: submit step (2.38-3.71 in eight runs interleaved with those when its
-#: service starts were inlined; the Python eager core, which took
-#: degraded plans before they left the eager tier, read 3.79-5.88 in
-#: six runs), exact tier 26.7-30.4 on the compiled eager and exact
-#: cores — and well above the ~1x of a run pinned to the heap.
-#: The eager and exact-tier floors also sit above what the Python cores
-#: read there (eager 4.4-5.9, exact tier 4.2, the eager attempt in
-#: Python), so a gate that sends healthy plans back to Python fails on
-#: speed as well as on its executor.  The host runs at two speeds, so
-#: one run can read well above these (the solver case alone read
-#: 11.4-18.8 in six runs).
+#: 65.5-73.1 on the compiled eager core, degraded 24.0-30.5 in seven
+#: runs on the compiled exact core's generic plans, exact tier
+#: 26.7-30.4 on the compiled eager and exact cores — and well above the
+#: ~1x of a run pinned to the heap.  The eager, degraded and exact-tier
+#: floors also sit above what the Python cores read there (eager
+#: 4.4-5.9; degraded 1.9-3.8, the Python exact core; exact tier 4.2,
+#: the eager attempt in Python), so a gate that sends any plan back to
+#: Python fails on speed as well as on its executor.  The host runs at
+#: two speeds, so one run can read well above these (the solver case
+#: alone read 11.4-18.8 in six runs).
 CASES = {
     "read_only_solver": ((13, 4), 5.0, 1.0, None, "solver/solver", 8.0),
     "mixed_rw_executor": (
         (13, 4), 5.0, 0.7, None, "eager/eager-native", 15.0,
     ),
     "degraded_mixed_executor": (
-        (13, 4), 5.0, 0.7, 1, "calendar/exact-core", 1.7,
+        (13, 4), 5.0, 0.7, 1, "calendar/exact-native", 8.0,
     ),
     "exact_tier": ((9, 3), 8.0, 0.7, None, "calendar/exact-native", 8.0),
 }
@@ -187,21 +189,30 @@ WINDOWED_EXACT_FLOOR = 6.0
 #: stream, the failure time as a fraction of the horizon, and the floor
 #: on its best per-pair all-heap/gated ratio.  The gated side runs the
 #: failed shard on the heap only across its failure window (its prefix
-#: and suffix replay on the exact core) and the quiet shard off the
-#: heap, against every event on the heap: four runs on that host
-#: measured 7.21-8.38 (2.10-3.09 while the failed shard's whole trace
+#: and suffix replay on the compiled exact core) and the quiet shard
+#: off the heap, against every event on the heap: seven runs on that
+#: host measured 18.4-29.8 (6.3-8.4 while the failed shard's suffix
+#: replayed on the Python exact core; 2.10-3.09 while its whole trace
 #: ran on the heap; an earlier run read 1.16 with the quiet shard on
 #: the heap too).
 QUIET_INTERARRIVAL_MS = 4.0
 QUIET_FAIL_AT = 0.25
-QUIET_FLOOR = 1.3
+QUIET_FLOOR = 8.0
 
 #: The floor on ``quiet_windowed``'s best per-pair all-heap/gated ratio
 #: (the same stream in ``WINDOW``-request windows, against a heap pump
-#: per shard).  Four runs on that host measured 3.95-4.44 (2.14-2.56
-#: while the failed shard's pump ran to the end of the stream); a serve
-#: left on the heap reads about 1x.
-QUIET_WINDOWED_FLOOR = 1.6
+#: per shard).  Seven runs on that host measured 5.7-7.1 (4.0-4.4 while
+#: the failed shard's rest replayed on the Python exact core, 2.14-2.56
+#: while its pump ran to the end of the stream); a serve left on the
+#: heap reads about 1x.
+QUIET_WINDOWED_FLOOR = 3.0
+
+#: The failed shard's executors in each quiet case, stretch by stretch:
+#: the replayed prefix (materialized only), the heap across its failure
+#: window, the rest replayed — both off the heap on the compiled exact
+#: core.
+QUIET_FAILED_EXECUTOR = "exact-native|event-heap|exact-native"
+QUIET_WINDOWED_FAILED_EXECUTOR = "event-heap|exact-native"
 
 #: The most of the failed shard's all-heap events each quiet case may
 #: leave on the heap (its gated run with shard 1's requests removed,
@@ -431,6 +442,8 @@ def quiet_beside_failure_case() -> dict:
             fleet.sim.events_processed - alone.sim.events_processed
         ),
         **_failed_share(alone, alone_heap, QUIET_FAILED_SHARE),
+        "failed_executor": fleet.controllers[0].last_executor,
+        "failed_executor_expected": QUIET_FAILED_EXECUTOR,
         "engine_requests_per_s": n / engine_best,
         "heap_requests_per_s": n / heap_best,
         "ratio_heap_vs_engine": ratio,
@@ -493,6 +506,8 @@ def quiet_windowed_case() -> dict:
             fleet.sim.events_processed - alone.sim.events_processed
         ),
         **_failed_share(alone, alone_heap, QUIET_WINDOWED_FAILED_SHARE),
+        "failed_executor": fleet.controllers[0].last_executor,
+        "failed_executor_expected": QUIET_WINDOWED_FAILED_EXECUTOR,
         "engine_requests_per_s": n / engine_best,
         "heap_requests_per_s": n / heap_best,
         "ratio_heap_vs_engine": ratio,
@@ -795,7 +810,9 @@ def main() -> int:
             expected_engine=expected,
             engine_ok=case["engine"] == expected
             and case["events_processed"] == 0
-            and (share is None or share < case["failed_shard_share_bound"]),
+            and (share is None or share < case["failed_shard_share_bound"])
+            and case.get("failed_executor")
+            == case.get("failed_executor_expected"),
             floor_ratio=floor,
             ok=case["ratio_heap_vs_engine"] >= floor,
         )
@@ -818,7 +835,8 @@ def main() -> int:
                 f"{case['failed_shard_events']} of "
                 f"{case['failed_shard_heap_events']} all-heap events on "
                 f"the heap ({share:.4f}, bound "
-                f"{case['failed_shard_share_bound']})"
+                f"{case['failed_shard_share_bound']}), executors "
+                f"{case['failed_executor']}"
             )
         if not case["engine_ok"]:
             wrong_engine.append(name)
@@ -829,7 +847,9 @@ def main() -> int:
                 + (
                     ""
                     if share is None
-                    else f", failed shard's heap share {share:.4f}"
+                    else f", failed shard's heap share {share:.4f} on "
+                    f"{case['failed_executor']!r}, expected "
+                    f"{case['failed_executor_expected']!r}"
                 )
                 + " -> WRONG ENGINE"
             )
@@ -890,8 +910,9 @@ def main() -> int:
             "check the engine-selection gate in "
             "repro.sim.compile.execute_compiled, the eager tier's "
             "fallback rate in repro.sim.batchstep, (for exact_tier, "
-            "windowed_exact and native_exact) repro.sim.native's "
-            "compiled exact core, (for mixed_rw_executor and "
+            "degraded_mixed_executor, windowed_exact and native_exact) "
+            "repro.sim.native's compiled exact core (for the degraded "
+            "mix, its generic plans), (for mixed_rw_executor and "
             "native_eager) its compiled eager core, (for "
             "quiet_beside_failure and quiet_windowed) the per-shard rule "
             "of repro.sim.compile._execute_shards / "
@@ -916,12 +937,13 @@ def main() -> int:
             "for the failed shard's heap share, the claims a failure "
             "holds (repro.service.FailureOrchestrator), the prefix cut of "
             "repro.sim.compile._execute_shards and the pump's stop in "
-            "repro.sim.compile._CompiledRun, (for "
-            "quiet_windowed) the live-serve test in "
+            "repro.sim.compile._CompiledRun and, for its executors, "
+            "the exact-core factory repro.sim.batchstep._exact_core, "
+            "(for quiet_windowed) the live-serve test in "
             "repro.service.Fleet._live_handoff and (for "
-            "mixed_rw_executor, exact_tier, native_exact and "
-            "native_eager) the kernel build warning of "
-            "repro.sim.native.kernel"
+            "mixed_rw_executor, degraded_mixed_executor, exact_tier, "
+            "the quiet cases, native_exact and native_eager) the kernel "
+            "build warning of repro.sim.native.kernel"
         )
     summary["regressed"] = regressed
     summary["wrong_engine"] = wrong_engine
